@@ -7,14 +7,16 @@
 //! hindsight and the worst fixed engine.
 //!
 //! Writes `results/BENCH_adaptive.json`; `SQP_BENCH_SMOKE=1` shrinks the
-//! workload and writes `BENCH_adaptive_smoke.json` so CI never clobbers
-//! the recorded full run. The report doubles as the acceptance check:
+//! workload, asserts the gates and discards the report, so CI never
+//! touches the recorded full run. The report doubles as the acceptance check:
 //! adaptive must land within 1.15× of the best single engine (1.5× on the
 //! smoke workload) and the worst fixed engine must cost at least 1.5× the
 //! adaptive run. The per-query feature-extraction + routing overhead is
 //! measured too and must stay under 1% of the median query wall time.
 
 mod common;
+
+use common::smoke;
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -31,10 +33,6 @@ use sqp_datagen::graphgen;
 use sqp_graph::{Graph, GraphDb};
 use sqp_matching::features::extract;
 use sqp_matching::{LabelHistogram, FEATURE_DIM};
-
-fn smoke() -> bool {
-    std::env::var("SQP_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
 
 fn budget() -> Duration {
     if smoke() {
@@ -119,9 +117,6 @@ struct RegretReport {
 }
 
 fn write_json(r: &RegretReport) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let file = if smoke() { "BENCH_adaptive_smoke.json" } else { "BENCH_adaptive.json" };
-    let path = format!("{root}/{file}");
     let (best_name, best_total, _) =
         r.engine_totals.iter().min_by_key(|(_, t, _)| *t).expect("at least one engine");
     let (worst_name, worst_total, _) =
@@ -129,7 +124,6 @@ fn write_json(r: &RegretReport) {
     let ms = |n: u64| n as f64 * 1e-6;
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"adaptive_regret\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
     out.push_str(&format!("  \"budget_ms\": {},\n", budget().as_millis()));
     out.push_str(&format!("  \"queries\": {},\n", r.adaptive_report.records.len()));
     out.push_str("  \"engines\": [\n");
@@ -178,9 +172,7 @@ fn write_json(r: &RegretReport) {
         r.overhead_nanos_per_query / r.median_query_nanos.max(1) as f64
     ));
     out.push_str("  }\n}\n");
-    std::fs::create_dir_all(root).expect("create results dir");
-    std::fs::write(&path, out).expect("write BENCH_adaptive.json");
-    println!("adaptive regret report written to {path}");
+    common::write_report("BENCH_adaptive.json", &out);
 }
 
 fn bench_adaptive(c: &mut Criterion) {

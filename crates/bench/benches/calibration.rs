@@ -17,9 +17,11 @@
 //!
 //! Results land in `results/BENCH_calibration.json` (hand-rolled JSON — the
 //! vendored criterion stub has no reporter); `SQP_BENCH_SMOKE=1` shrinks the
-//! repetitions and writes the `_smoke` variant instead.
+//! repetitions and discards the report.
 
 mod common;
+
+use common::smoke;
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -29,10 +31,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqp_graph::{intersect, simd, VertexId};
-
-fn smoke() -> bool {
-    std::env::var("SQP_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
 
 /// A sorted, strictly-increasing random id list of `len` ids drawn from
 /// `0..universe`.
@@ -123,12 +121,8 @@ fn simd_sweep() -> Vec<SimdCell> {
 }
 
 fn write_json(gallop: &[GallopCell], simd_cells: &[SimdCell]) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let file = if smoke() { "BENCH_calibration_smoke.json" } else { "BENCH_calibration.json" };
-    let path = format!("{root}/{file}");
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernel_calibration\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
     out.push_str(&format!("  \"simd_implementation\": \"{}\",\n", simd::implementation_name()));
     out.push_str(&format!("  \"gallop_ratio_constant\": {},\n", intersect::GALLOP_RATIO));
     out.push_str(&format!("  \"simd_min_len_constant\": {},\n", intersect::SIMD_MIN_LEN));
@@ -159,9 +153,7 @@ fn write_json(gallop: &[GallopCell], simd_cells: &[SimdCell]) {
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(root).expect("create results dir");
-    std::fs::write(&path, out).expect("write BENCH_calibration.json");
-    println!("calibration sweep written to {path}");
+    common::write_report("BENCH_calibration.json", &out);
 }
 
 fn bench_calibration(c: &mut Criterion) {

@@ -47,3 +47,23 @@ pub fn fast_criterion() -> Criterion {
         .measurement_time(Duration::from_secs(1))
         .configure_from_args()
 }
+
+/// Whether this is a CI smoke run (`SQP_BENCH_SMOKE=1`): a shrunken workload
+/// whose gates are asserted and whose report is discarded.
+pub fn smoke() -> bool {
+    std::env::var("SQP_BENCH_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// Records a full run's hand-rolled JSON report as `results/<file>`. A smoke
+/// run's report carries no signal and is dropped, so CI leaves the tree clean.
+pub fn write_report(file: &str, json: &str) {
+    if smoke() {
+        println!("smoke run: gates asserted, {file} not written");
+        return;
+    }
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    std::fs::create_dir_all(root).expect("create results dir");
+    let path = format!("{root}/{file}");
+    std::fs::write(&path, json).expect("write bench report");
+    println!("report written to {path}");
+}

@@ -14,10 +14,12 @@
 //!    on the smoke workload, where constant costs dominate).
 //!
 //! Writes `results/BENCH_dynamic.json`; `SQP_BENCH_SMOKE=1` shrinks the
-//! workload and writes `BENCH_dynamic_smoke.json` so CI never clobbers the
-//! recorded full run.
+//! workload, asserts the gates and discards the report, so CI never touches
+//! the recorded full run.
 
 mod common;
+
+use common::smoke;
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -30,10 +32,6 @@ use sqp_datagen::graphgen;
 use sqp_graph::{CompactionPolicy, DynamicGraph, Graph};
 use sqp_matching::dynmatch::enumerate_overlay;
 use sqp_matching::Deadline;
-
-fn smoke() -> bool {
-    std::env::var("SQP_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
 
 struct Workload {
     base: Graph,
@@ -219,9 +217,6 @@ fn write_json(
     compaction: &CompactionNumbers,
     repair: &RepairRun,
 ) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let file = if smoke() { "BENCH_dynamic_smoke.json" } else { "BENCH_dynamic.json" };
-    let path = format!("{root}/{file}");
     let (overlay_us, rebuild_us, ops) = *throughput;
     let saved_per_query_us = compaction.dirty_query_us - compaction.compacted_query_us;
     let break_even = if saved_per_query_us > 0.0 {
@@ -233,7 +228,6 @@ fn write_json(
 
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"dynamic\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
     out.push_str(&format!(
         "  \"workload\": {{ \"vertices\": {}, \"edges\": {}, \"batches\": {}, \
          \"ops_per_batch\": {}, \"churn\": 0.01, \"standing_queries\": {}, \"threads\": {} }},\n",
@@ -280,9 +274,7 @@ fn write_json(
     out.push_str(&format!("    \"embeddings_removed\": {},\n", repair.removed));
     out.push_str(&format!("    \"repair_speedup\": {speedup:.2}\n"));
     out.push_str("  }\n}\n");
-    std::fs::create_dir_all(root).expect("create results dir");
-    std::fs::write(&path, out).expect("write BENCH_dynamic.json");
-    println!("dynamic report written to {path}");
+    common::write_report("BENCH_dynamic.json", &out);
 }
 
 fn bench_dynamic(c: &mut Criterion) {

@@ -15,9 +15,12 @@
 //! Besides the criterion display, the bench writes a machine-readable
 //! ablation matrix to `results/BENCH_kernels.json` (hand-rolled JSON: the
 //! vendored criterion stub has no JSON reporter). `SQP_BENCH_SMOKE=1`
-//! shrinks the workloads and repetitions for the CI smoke step.
+//! shrinks the workloads and repetitions for the CI smoke step, which asserts
+//! the gate and discards the report.
 
 mod common;
+
+use common::smoke;
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -27,10 +30,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sqp_graph::{Graph, GraphBuilder, Label, VertexId};
 use sqp_matching::graphql::GraphQl;
 use sqp_matching::{CandidateSpace, Deadline, FilterResult, KernelConfig, Matcher, MatcherConfig};
-
-fn smoke() -> bool {
-    std::env::var("SQP_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
 
 /// One ablation workload: pre-filtered `(query, graph, space)` cases.
 /// Filtering is kernel-independent, so it stays outside the timed region —
@@ -227,14 +226,8 @@ fn run_matrix(workloads: &[Workload]) -> Vec<(String, Vec<Cell>)> {
 
 /// Hand-rolled JSON report at `results/BENCH_kernels.json`.
 fn write_json(rows: &[(String, Vec<Cell>)], trows: &ThreadRows) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    // Smoke runs (CI) keep their own file so they never clobber the
-    // recorded full matrix.
-    let file = if smoke() { "BENCH_kernels_smoke.json" } else { "BENCH_kernels.json" };
-    let path = format!("{root}/{file}");
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"enumeration_kernels\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
     out.push_str("  \"workloads\": [\n");
     for (wi, (name, cells)) in rows.iter().enumerate() {
         let base = cells
@@ -275,9 +268,7 @@ fn write_json(rows: &[(String, Vec<Cell>)], trows: &ThreadRows) {
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(root).expect("create results dir");
-    std::fs::write(&path, out).expect("write BENCH_kernels.json");
-    println!("kernel ablation matrix written to {path}");
+    common::write_report("BENCH_kernels.json", &out);
 }
 
 /// The tentpole invariant of the adaptive kernel (ISSUE 6): on the dense

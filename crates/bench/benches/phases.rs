@@ -4,12 +4,14 @@
 //! enumerate, verify — plus latency percentiles from the log2 histograms.
 //!
 //! Writes `results/BENCH_phases.json` (hand-rolled JSON, like the kernel
-//! ablation); `SQP_BENCH_SMOKE=1` shrinks the workload and writes
-//! `BENCH_phases_smoke.json` so CI never clobbers the recorded full run.
+//! ablation); `SQP_BENCH_SMOKE=1` shrinks the workload, asserts the coverage
+//! check and discards the report, so CI never touches the recorded full run.
 //! The report doubles as a coverage check: the span sum must stay within a
 //! few percent of the runner-measured wall time for every engine.
 
 mod common;
+
+use common::smoke;
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -26,10 +28,6 @@ use sqp_matching::Phase;
 
 const ENGINES: [&str; 5] = ["Grapes", "GGSX", "CFQL", "vcGrapes", "TurboIso"];
 
-fn smoke() -> bool {
-    std::env::var("SQP_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
-
 fn workload() -> (Arc<sqp_graph::GraphDb>, Vec<Graph>) {
     let (graphs, queries) = if smoke() { (60, 10) } else { (400, 60) };
     let db = graphgen::generate(graphs, 30, 8, 2.4, 42);
@@ -45,12 +43,8 @@ fn run_engine(name: &str, db: &Arc<sqp_graph::GraphDb>, queries: &[Graph]) -> Qu
 
 /// Hand-rolled JSON report at `results/BENCH_phases.json`.
 fn write_json(reports: &[QuerySetReport]) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    let file = if smoke() { "BENCH_phases_smoke.json" } else { "BENCH_phases.json" };
-    let path = format!("{root}/{file}");
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"phase_breakdown\",\n");
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
     out.push_str("  \"engines\": [\n");
     for (ri, r) in reports.iter().enumerate() {
         let totals = r.phase_totals();
@@ -82,9 +76,7 @@ fn write_json(reports: &[QuerySetReport]) {
         out.push_str(&format!("    }}{}\n", if ri + 1 < reports.len() { "," } else { "" }));
     }
     out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(root).expect("create results dir");
-    std::fs::write(&path, out).expect("write BENCH_phases.json");
-    println!("phase breakdown written to {path}");
+    common::write_report("BENCH_phases.json", &out);
 }
 
 fn bench_phases(c: &mut Criterion) {

@@ -349,6 +349,11 @@ impl ShardServer {
                             return;
                         }
                         let Ok(stream) = conn else { return };
+                        // A query is answered as an `Answers` frame then an
+                        // `Outcome` frame; with Nagle on, the second small
+                        // write waits for the peer's delayed ACK of the first
+                        // (~40 ms per back-to-back query).
+                        stream.set_nodelay(true).ok();
                         if let Ok(clone) = stream.try_clone() {
                             lock(&shared.conns).push(clone);
                         }
@@ -369,6 +374,12 @@ impl ShardServer {
     /// The address the shard is listening on.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// `TCP_NODELAY` of every accepted connection still tracked, in accept
+    /// order (sockets whose option cannot be read count as `false`).
+    pub fn connections_nodelay(&self) -> Vec<bool> {
+        lock(&self.shared.conns).iter().map(|c| c.nodelay().unwrap_or(false)).collect()
     }
 
     /// Graphs in this shard's slice.

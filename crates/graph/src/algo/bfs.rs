@@ -5,8 +5,6 @@
 //! edges), which drive its backward pruning. This module provides that
 //! structure for any connected graph.
 
-use std::collections::VecDeque;
-
 use crate::graph::Graph;
 use crate::vertex::VertexId;
 
@@ -20,10 +18,26 @@ pub struct BfsTree {
     level: Vec<u32>,
     /// Vertices in BFS visit order (level by level).
     order: Vec<VertexId>,
-    /// Children of each vertex, in visit order.
-    children: Vec<Vec<VertexId>>,
+    /// Children of each vertex as an index range of `order`: BFS discovers
+    /// all children of a vertex consecutively.
+    child_ranges: Vec<(u32, u32)>,
     /// Index ranges of `order` per level.
     level_ranges: Vec<(u32, u32)>,
+}
+
+impl Default for BfsTree {
+    /// The tree of the empty graph (no levels); a buffer for
+    /// [`rebuild`](Self::rebuild).
+    fn default() -> Self {
+        Self {
+            root: VertexId(0),
+            parent: Vec::new(),
+            level: Vec::new(),
+            order: Vec::new(),
+            child_ranges: Vec::new(),
+            level_ranges: Vec::new(),
+        }
+    }
 }
 
 impl BfsTree {
@@ -35,46 +49,58 @@ impl BfsTree {
     /// connected query graphs, and the constructor asserts reachability in
     /// debug builds.
     pub fn build(g: &Graph, root: VertexId) -> Self {
-        let n = g.vertex_count();
-        let mut parent = vec![VertexId(u32::MAX); n];
-        let mut level = vec![u32::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut children = vec![Vec::new(); n];
+        let mut tree = Self::default();
+        tree.rebuild(g, root);
+        tree
+    }
 
-        let mut queue = VecDeque::with_capacity(n);
-        parent[root.index()] = root;
-        level[root.index()] = 0;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
+    /// [`build`](Self::build) in place, reusing this tree's buffers: no
+    /// allocation once they have held a graph at least as large.
+    pub fn rebuild(&mut self, g: &Graph, root: VertexId) {
+        let n = g.vertex_count();
+        self.root = root;
+        self.parent.clear();
+        self.parent.resize(n, VertexId(u32::MAX));
+        self.level.clear();
+        self.level.resize(n, u32::MAX);
+        self.child_ranges.clear();
+        self.child_ranges.resize(n, (0, 0));
+        self.order.clear();
+        self.order.reserve(n);
+
+        // `order` doubles as the BFS queue: `head` is the next vertex to expand.
+        self.parent[root.index()] = root;
+        self.level[root.index()] = 0;
+        self.order.push(root);
+        let mut head = 0;
+        while head < self.order.len() {
+            let u = self.order[head];
+            head += 1;
+            let first_child = self.order.len() as u32;
             for &v in g.neighbors(u) {
-                if level[v.index()] == u32::MAX {
-                    level[v.index()] = level[u.index()] + 1;
-                    parent[v.index()] = u;
-                    children[u.index()].push(v);
-                    queue.push_back(v);
+                if self.level[v.index()] == u32::MAX {
+                    self.level[v.index()] = self.level[u.index()] + 1;
+                    self.parent[v.index()] = u;
+                    self.order.push(v);
                 }
             }
+            self.child_ranges[u.index()] = (first_child, self.order.len() as u32);
         }
         debug_assert!(
-            order.len() == n,
+            self.order.len() == n,
             "BfsTree::build requires a connected graph ({} of {n} reached)",
-            order.len()
+            self.order.len()
         );
 
-        let mut level_ranges = Vec::new();
+        self.level_ranges.clear();
         let mut start = 0u32;
-        for (i, &v) in order.iter().enumerate() {
-            if i > 0 && level[v.index()] != level[order[i - 1].index()] {
-                level_ranges.push((start, i as u32));
+        for i in 1..self.order.len() {
+            if self.level[self.order[i].index()] != self.level[self.order[i - 1].index()] {
+                self.level_ranges.push((start, i as u32));
                 start = i as u32;
             }
         }
-        if !order.is_empty() {
-            level_ranges.push((start, order.len() as u32));
-        }
-
-        Self { root, parent, level, order, children, level_ranges }
+        self.level_ranges.push((start, self.order.len() as u32));
     }
 
     /// The root vertex.
@@ -98,7 +124,8 @@ impl BfsTree {
     /// Children of `v` in the tree.
     #[inline]
     pub fn children(&self, v: VertexId) -> &[VertexId] {
-        &self.children[v.index()]
+        let (s, e) = self.child_ranges[v.index()];
+        &self.order[s as usize..e as usize]
     }
 
     /// Vertices in BFS visit order.
@@ -222,6 +249,33 @@ mod tests {
         let t = BfsTree::build(&g, VertexId(0));
         let total: usize = g.vertices().map(|v| t.children(v).len()).sum();
         assert_eq!(total, g.vertex_count() - 1);
+    }
+
+    #[test]
+    fn rebuild_over_a_larger_tree_equals_fresh_build() {
+        let big = square_with_chord();
+        let mut b = GraphBuilder::new();
+        for _ in 0..3 {
+            b.add_vertex(Label(0));
+        }
+        b.add_edge(VertexId(2), VertexId(0)).unwrap();
+        b.add_edge(VertexId(0), VertexId(1)).unwrap();
+        let small = b.build();
+
+        let mut reused = BfsTree::build(&big, VertexId(1));
+        reused.rebuild(&small, VertexId(2));
+        let fresh = BfsTree::build(&small, VertexId(2));
+        assert_eq!(reused.root(), fresh.root());
+        assert_eq!(reused.order(), fresh.order());
+        assert_eq!(reused.depth(), fresh.depth());
+        for v in small.vertices() {
+            assert_eq!(reused.parent(v), fresh.parent(v));
+            assert_eq!(reused.level(v), fresh.level(v));
+            assert_eq!(reused.children(v), fresh.children(v));
+        }
+        assert_eq!(fresh.children(VertexId(2)), &[VertexId(0)]);
+        assert_eq!(fresh.children(VertexId(0)), &[VertexId(1)]);
+        assert!(fresh.children(VertexId(1)).is_empty());
     }
 
     #[test]

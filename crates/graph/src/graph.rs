@@ -31,8 +31,11 @@ pub struct Graph {
     /// Label-run index: vertex `v`'s runs are
     /// `run_labels[run_offsets[v]..run_offsets[v+1]]` (sorted), each starting
     /// at the parallel `run_starts` index into `neighbors` and ending at the
-    /// next run's start (or the end of `v`'s adjacency). At most one run per
-    /// distinct neighbor label per vertex, so `≤ 2|E|` entries total.
+    /// next entry of `run_starts` — the next run of `v`, the first run of the
+    /// next vertex that has any, or the final sentinel `neighbors.len()`
+    /// (vertices in between have degree 0, so all three coincide with the end
+    /// of `v`'s adjacency). At most one run per distinct neighbor label per
+    /// vertex, so `≤ 2|E| + 1` entries total.
     run_offsets: Box<[u32]>,
     run_labels: Box<[Label]>,
     run_starts: Box<[u32]>,
@@ -84,6 +87,7 @@ impl Graph {
             offsets.push(flat.len() as u32);
             run_offsets.push(run_labels.len() as u32);
         }
+        run_starts.push(flat.len() as u32);
 
         // Label → vertices CSR.
         let label_count = labels.iter().map(|l| l.index() + 1).max().unwrap_or(0);
@@ -217,15 +221,43 @@ impl Graph {
         match self.run_labels[rs..re].binary_search(&l) {
             Ok(i) => {
                 let start = self.run_starts[rs + i] as usize;
-                let end = if rs + i + 1 < re {
-                    self.run_starts[rs + i + 1] as usize
-                } else {
-                    self.offsets[v.index() + 1] as usize
-                };
+                let end = self.run_starts[rs + i + 1] as usize;
                 &self.neighbors[start..end]
             }
             Err(_) => &[],
         }
+    }
+
+    /// The neighborhood label frequency of `v` read off the label-run index:
+    /// one `(label, count)` per distinct neighbor label, ascending by label.
+    /// Touches neither the adjacency list nor the neighbors' labels.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sqp_graph::{GraphBuilder, Label};
+    ///
+    /// let mut b = GraphBuilder::new();
+    /// let hub = b.add_vertex(Label(0));
+    /// for l in [2u32, 1, 2] {
+    ///     let leaf = b.add_vertex(Label(l));
+    ///     b.add_edge(hub, leaf).unwrap();
+    /// }
+    /// let g = b.build();
+    /// assert_eq!(g.label_runs(hub).collect::<Vec<_>>(), [(Label(1), 1), (Label(2), 2)]);
+    /// ```
+    #[inline]
+    pub fn label_runs(
+        &self,
+        v: VertexId,
+    ) -> impl ExactSizeIterator<Item = (Label, u32)> + Clone + '_ {
+        let rs = self.run_offsets[v.index()] as usize;
+        let re = self.run_offsets[v.index() + 1] as usize;
+        let starts = &self.run_starts[rs..=re];
+        self.run_labels[rs..re]
+            .iter()
+            .zip(starts.iter().zip(&starts[1..]))
+            .map(|(&l, (&s, &e))| (l, e - s))
     }
 
     /// Whether the undirected edge `e(u, v)` exists. `O(log d(u))`.

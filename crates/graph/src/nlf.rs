@@ -7,13 +7,38 @@
 //! Both the GraphQL profile filter and the CFL initial candidate filter are
 //! instances of this test.
 //!
-//! Because adjacency lists are label-sorted, a vertex's neighbor-label
-//! sequence is already sorted; the dominance test is a linear merge with no
-//! allocation.
+//! A [`Graph`]'s per-vertex label-run index *is* its NLF
+//! ([`Graph::label_runs`]): `(label, run length)` ascending by label. Every
+//! dominance test here is the same linear merge over two such run sequences
+//! ([`runs_dominated`]); none of them loads an adjacency list or a
+//! neighbor's label.
 
 use crate::graph::Graph;
 use crate::label::Label;
 use crate::vertex::VertexId;
+
+/// Whether the `(label, count)` runs `q` are dominated by the runs `g`
+/// (`q ⊑ g` component-wise). Both sequences must ascend strictly by label.
+#[inline]
+pub fn runs_dominated(
+    q: impl IntoIterator<Item = (Label, u32)>,
+    g: impl IntoIterator<Item = (Label, u32)>,
+) -> bool {
+    let mut g = g.into_iter();
+    'query: for (l, c) in q {
+        for (gl, gc) in g.by_ref() {
+            if gl < l {
+                continue;
+            }
+            if gl == l && gc >= c {
+                continue 'query;
+            }
+            return false;
+        }
+        return false;
+    }
+    true
+}
 
 /// A sorted neighbor-label multiset, stored as `(label, count)` runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,13 +49,14 @@ pub struct NeighborhoodLabelFrequency {
 impl NeighborhoodLabelFrequency {
     /// Computes the NLF of vertex `v` in `g`.
     pub fn of(g: &Graph, v: VertexId) -> Self {
-        let mut runs: Vec<(Label, u32)> = Vec::new();
-        for l in g.neighbor_labels(v) {
-            match runs.last_mut() {
-                Some((last, c)) if *last == l => *c += 1,
-                _ => runs.push((l, 1)),
-            }
-        }
+        Self { runs: g.label_runs(v).collect() }
+    }
+
+    /// Builds a signature from pre-sorted `(label, count)` runs (used by the
+    /// incremental [`NlfTable`] to hand out materialized signatures).
+    pub fn from_runs(runs: Vec<(Label, u32)>) -> Self {
+        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs must be sorted by label");
+        debug_assert!(runs.iter().all(|&(_, c)| c > 0), "runs must have positive counts");
         Self { runs }
     }
 
@@ -42,32 +68,7 @@ impl NeighborhoodLabelFrequency {
     /// Whether `self ⊑ other` component-wise (every label count of `self` is
     /// available in `other`).
     pub fn dominated_by(&self, other: &Self) -> bool {
-        let mut oi = other.runs.iter();
-        'outer: for &(l, c) in &self.runs {
-            for &(ol, oc) in oi.by_ref() {
-                if ol == l {
-                    if oc < c {
-                        return false;
-                    }
-                    continue 'outer;
-                }
-                if ol > l {
-                    return false;
-                }
-            }
-            return false;
-        }
-        true
-    }
-}
-
-impl NeighborhoodLabelFrequency {
-    /// Builds a signature from pre-sorted `(label, count)` runs (used by the
-    /// incremental [`NlfTable`] to hand out materialized signatures).
-    pub fn from_runs(runs: Vec<(Label, u32)>) -> Self {
-        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs must be sorted by label");
-        debug_assert!(runs.iter().all(|&(_, c)| c > 0), "runs must have positive counts");
-        Self { runs }
+        runs_dominated(self.runs.iter().copied(), other.runs.iter().copied())
     }
 }
 
@@ -88,8 +89,7 @@ pub struct NlfTable {
 impl NlfTable {
     /// Computes the full table for `g`.
     pub fn from_graph(g: &Graph) -> Self {
-        let rows = g.vertices().map(|v| NeighborhoodLabelFrequency::of(g, v).runs).collect();
-        Self { rows }
+        Self { rows: g.vertices().map(|v| g.label_runs(v).collect()).collect() }
     }
 
     /// Number of vertex rows.
@@ -143,58 +143,17 @@ impl NlfTable {
     /// Whether the query signature is dominated by `v`'s maintained row
     /// (`query ⊑ NLF(v)`), the candidate test of the GraphQL/CFL filters.
     pub fn dominates(&self, v: VertexId, query: &NeighborhoodLabelFrequency) -> bool {
-        let row = &self.rows[v.index()];
-        let mut ri = row.iter();
-        'outer: for &(l, c) in query.runs() {
-            for &(rl, rc) in ri.by_ref() {
-                if rl == l {
-                    if rc < c {
-                        return false;
-                    }
-                    continue 'outer;
-                }
-                if rl > l {
-                    return false;
-                }
-            }
-            return false;
-        }
-        true
+        runs_dominated(query.runs.iter().copied(), self.rows[v.index()].iter().copied())
     }
 }
 
-/// Streaming NLF dominance test directly on graphs, avoiding the `Vec`s.
+/// NLF dominance test directly on graphs: a merge over the two vertices'
+/// label runs.
 ///
 /// Returns true iff `NLF(u in q) ⊑ NLF(v in g)`.
+#[inline]
 pub fn nlf_dominated(q: &Graph, u: VertexId, g: &Graph, v: VertexId) -> bool {
-    if q.degree(u) > g.degree(v) {
-        return false;
-    }
-    let qn = q.neighbors(u);
-    let gn = g.neighbors(v);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < qn.len() {
-        let ql = q.label(qn[i]);
-        // Count the run of ql in q.
-        let mut qc = 0usize;
-        while i < qn.len() && q.label(qn[i]) == ql {
-            qc += 1;
-            i += 1;
-        }
-        // Advance g's pointer to the run of ql.
-        while j < gn.len() && g.label(gn[j]) < ql {
-            j += 1;
-        }
-        let mut gc = 0usize;
-        while j < gn.len() && g.label(gn[j]) == ql {
-            gc += 1;
-            j += 1;
-        }
-        if gc < qc {
-            return false;
-        }
-    }
-    true
+    q.degree(u) <= g.degree(v) && runs_dominated(q.label_runs(u), g.label_runs(v))
 }
 
 #[cfg(test)]

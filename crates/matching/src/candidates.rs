@@ -52,30 +52,45 @@ pub struct CandidateSpace {
 
 /// CFL's *compact path index*: for every tree edge `(parent(c), c)` of the
 /// query BFS tree, the data-graph adjacency between the candidates of the
-/// parent and the candidates of `c`.
+/// parent and the candidates of `c`, in CSR form.
 ///
-/// `adj[c][i]` lists the candidates of `c` adjacent (in `G`) to the `i`-th
-/// candidate of `parent(c)`. The space is `O(|V(q)| × |E(G)|)`, matching the
-/// complexity the paper states for CFL/CFQL.
+/// [`list(c, i)`](Cpi::list) holds the candidates of `c` adjacent (in `G`)
+/// to the `i`-th candidate of `parent(c)`, ascending by id. The space is
+/// `O(|V(q)| × |E(G)|)`, matching the complexity the paper states for CFL.
 #[derive(Clone, Debug)]
 pub struct Cpi {
     /// Root of the query BFS tree.
     pub root: VertexId,
     /// Tree parent per query vertex (`None` for the root).
     pub parent: Vec<Option<VertexId>>,
-    /// Per query vertex `c`, per parent-candidate index, the adjacent
-    /// candidates of `c`. Empty for the root.
-    pub adj: Vec<Vec<Vec<VertexId>>>,
+    /// Per query vertex `c`, `|Φ(parent(c))| + 1` ascending offsets into
+    /// `data[c]`. Empty for the root.
+    pub offsets: Vec<Vec<u32>>,
+    /// Per query vertex `c`, the concatenated adjacency lists. Empty for the
+    /// root.
+    pub data: Vec<Vec<VertexId>>,
+}
+
+impl Cpi {
+    /// Number of adjacency lists of `c`: `|Φ(parent(c))|`, 0 for the root.
+    pub fn list_count(&self, c: VertexId) -> usize {
+        self.offsets[c.index()].len().saturating_sub(1)
+    }
+
+    /// The candidates of `c` adjacent to the `i`-th candidate of
+    /// `parent(c)`.
+    #[inline]
+    pub fn list(&self, c: VertexId, i: usize) -> &[VertexId] {
+        let offsets = &self.offsets[c.index()];
+        &self.data[c.index()][offsets[i] as usize..offsets[i + 1] as usize]
+    }
 }
 
 impl CandidateSpace {
     /// Wraps per-query-vertex candidate sets (each must be sorted) and builds
     /// the O(1) membership bitmaps.
     pub fn new(sets: Vec<Vec<VertexId>>) -> Self {
-        debug_assert!(sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
-        let universe =
-            sets.iter().filter_map(|s| s.last()).map(|v| v.index() + 1).max().unwrap_or(0);
-        let words_per_set = universe.div_ceil(64);
+        let words_per_set = Self::words_for(&sets);
         let mut bits = vec![0u64; sets.len() * words_per_set];
         for (u, set) in sets.iter().enumerate() {
             let row = &mut bits[u * words_per_set..(u + 1) * words_per_set];
@@ -83,7 +98,45 @@ impl CandidateSpace {
                 row[v.index() / 64] |= 1u64 << (v.index() % 64);
             }
         }
-        Self { sets, bits, words_per_set, cpi: None }
+        Self::checked(sets, bits, words_per_set)
+    }
+
+    /// Wraps candidate sets whose membership bitmaps the filter already
+    /// maintained: `rows` holds one `row_words`-word row per set, bit `v` of
+    /// row `u` set iff `v ∈ sets[u]`. Rows are cut to the candidate universe
+    /// and copied, not re-derived.
+    pub(crate) fn from_bitmap_rows(
+        sets: Vec<Vec<VertexId>>,
+        rows: &[u64],
+        row_words: usize,
+    ) -> Self {
+        let words_per_set = Self::words_for(&sets);
+        let mut bits = Vec::with_capacity(sets.len() * words_per_set);
+        for row in rows.chunks_exact(row_words.max(1)).take(sets.len()) {
+            bits.extend_from_slice(&row[..words_per_set]);
+        }
+        Self::checked(sets, bits, words_per_set)
+    }
+
+    /// Words per bitmap row: `ceil(universe / 64)`, the universe being one
+    /// past the largest candidate id in any set.
+    fn words_for(sets: &[Vec<VertexId>]) -> usize {
+        sets.iter().filter_map(|s| s.last()).map(|v| v.index() + 1).max().unwrap_or(0).div_ceil(64)
+    }
+
+    fn checked(sets: Vec<Vec<VertexId>>, bits: Vec<u64>, words_per_set: usize) -> Self {
+        let space = Self { sets, bits, words_per_set, cpi: None };
+        debug_assert_eq!(space.bits.len(), space.sets.len() * words_per_set);
+        debug_assert!(
+            space.sets.iter().enumerate().all(|(u, set)| {
+                let row = &space.bits[u * words_per_set..(u + 1) * words_per_set];
+                set.windows(2).all(|w| w[0] < w[1])
+                    && set.iter().all(|&v| space.contains(VertexId::from(u), v))
+                    && row.iter().map(|w| w.count_ones() as usize).sum::<usize>() == set.len()
+            }),
+            "sets must be sorted and bitmap rows must equal them"
+        );
+        space
     }
 
     /// Attaches a CPI tree.
@@ -146,7 +199,8 @@ impl CandidateSpace {
         self.sets.iter().map(Vec::len).sum()
     }
 
-    /// The CPI tree, if the filter built one (CFL/CFQL).
+    /// The CPI tree, if the filter built one (CFL; CFQL never reads it and
+    /// does not pay for it).
     pub fn cpi(&self) -> Option<&Cpi> {
         self.cpi.as_ref()
     }
@@ -166,19 +220,14 @@ impl HeapSize for CandidateSpace {
     fn heap_size(&self) -> usize {
         let sets: usize =
             self.sets.iter().map(|s| s.heap_size() + std::mem::size_of::<Vec<VertexId>>()).sum();
-        let cpi = self.cpi.as_ref().map_or(0, |c| {
-            c.parent.heap_size()
-                + c.adj
-                    .iter()
-                    .map(|per_parent| {
-                        per_parent
-                            .iter()
-                            .map(|l| l.heap_size() + std::mem::size_of::<Vec<VertexId>>())
-                            .sum::<usize>()
-                            + per_parent.capacity() * std::mem::size_of::<Vec<VertexId>>()
-                    })
-                    .sum::<usize>()
-        });
+        fn nested<T: Copy>(vs: &Vec<Vec<T>>) -> usize {
+            vs.capacity() * std::mem::size_of::<Vec<T>>()
+                + vs.iter().map(HeapSize::heap_size).sum::<usize>()
+        }
+        let cpi = self
+            .cpi
+            .as_ref()
+            .map_or(0, |c| c.parent.heap_size() + nested(&c.offsets) + nested(&c.data));
         sets + self.sets.capacity() * std::mem::size_of::<Vec<VertexId>>()
             + self.bits.heap_size()
             + cpi
@@ -306,8 +355,13 @@ mod tests {
         let cpi = Cpi {
             root: VertexId(0),
             parent: vec![None, Some(VertexId(0)), Some(VertexId(1))],
-            adj: vec![vec![], vec![vec![VertexId(1)], vec![VertexId(1)]], vec![vec![VertexId(2)]]],
+            offsets: vec![vec![], vec![0, 1, 2], vec![0, 1]],
+            data: vec![vec![], vec![VertexId(1), VertexId(1)], vec![VertexId(2)]],
         };
+        assert_eq!(cpi.list_count(VertexId(0)), 0);
+        assert_eq!(cpi.list_count(VertexId(1)), 2);
+        assert_eq!(cpi.list(VertexId(1), 1), &[VertexId(1)]);
+        assert_eq!(cpi.list(VertexId(2), 0), &[VertexId(2)]);
         let with = space().with_cpi(cpi);
         assert!(with.heap_size() > base);
     }

@@ -24,6 +24,8 @@
 //!
 //! Filter complexity: time `O(|E(q)| × |E(G)|)`, space `O(|V(q)| × |E(G)|)`.
 
+use std::cell::RefCell;
+
 use sqp_graph::algo::{two_core, BfsTree};
 use sqp_graph::nlf::nlf_dominated;
 use sqp_graph::{Graph, VertexId};
@@ -60,6 +62,112 @@ pub struct Cfl {
     matcher_config: MatcherConfig,
 }
 
+/// Word index and mask of data vertex `v` in a membership bitmap row.
+#[inline]
+fn bit(v: VertexId) -> (usize, u64) {
+    (v.index() / 64, 1u64 << (v.index() % 64))
+}
+
+#[inline]
+fn row_contains(row: &[u64], v: VertexId) -> bool {
+    let (word, mask) = bit(v);
+    row[word] & mask != 0
+}
+
+/// The candidate sets `Φ(u)` under construction, each mirrored by a
+/// membership bitmap so `v ∈ Φ(u)` is one probe.
+#[derive(Default)]
+struct Phi {
+    /// Per query vertex; sorted once generated. An empty set means `u` has
+    /// not been generated yet.
+    sets: Vec<Vec<VertexId>>,
+    /// One `words`-word row per query vertex. Invariant: bit `v` of row `u`
+    /// is set iff `v ∈ sets[u]`.
+    bits: Vec<u64>,
+    /// Words per bitmap row: `ceil(|V(G)| / 64)`.
+    words: usize,
+}
+
+impl Phi {
+    fn reset(&mut self, query_vertices: usize, data_vertices: usize) {
+        self.sets.iter_mut().for_each(Vec::clear);
+        if self.sets.len() < query_vertices {
+            self.sets.resize_with(query_vertices, Vec::new);
+        }
+        self.words = data_vertices.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(query_vertices * self.words, 0);
+    }
+
+    fn row(&self, u: VertexId) -> &[u64] {
+        &self.bits[u.index() * self.words..][..self.words]
+    }
+
+    /// Sets the bitmap row of the freshly generated `Φ(u)`.
+    fn mark(&mut self, u: VertexId) {
+        let row = &mut self.bits[u.index() * self.words..][..self.words];
+        for &v in &self.sets[u.index()] {
+            let (word, mask) = bit(v);
+            row[word] |= mask;
+        }
+    }
+
+    /// Whether `N(v) ∩ Φ(w) ≠ ∅`: one bitmap probe per `L(w)`-neighbor of
+    /// `v`.
+    #[inline]
+    fn has_candidate_neighbor(&self, q: &Graph, g: &Graph, v: VertexId, w: VertexId) -> bool {
+        let row = self.row(w);
+        g.neighbors_with_label(v, q.label(w)).iter().any(|&n| row_contains(row, n))
+    }
+
+    /// Drops every `v ∈ Φ(u)` with `N(v) ∩ Φ(w) = ∅` for some `w` of `nbrs`
+    /// (query neighbors of `u`), clearing its bit. Returns whether `Φ(u)` is
+    /// still non-empty.
+    fn refine(&mut self, q: &Graph, g: &Graph, u: VertexId, nbrs: &[VertexId]) -> bool {
+        let mut set = std::mem::take(&mut self.sets[u.index()]);
+        let row = u.index() * self.words;
+        let mut kept = 0;
+        for i in 0..set.len() {
+            let v = set[i];
+            if nbrs.iter().all(|&w| self.has_candidate_neighbor(q, g, v, w)) {
+                set[kept] = v;
+                kept += 1;
+            } else {
+                let (word, mask) = bit(v);
+                self.bits[row + word] &= !mask;
+            }
+        }
+        set.truncate(kept);
+        self.sets[u.index()] = set;
+        !self.sets[u.index()].is_empty()
+    }
+}
+
+/// Working memory of one filter call, kept per thread so a database scan
+/// (one call per data graph, most of them pruned) allocates nothing once the
+/// buffers have grown to the largest pair seen.
+///
+/// Nothing is carried from one call to the next: every field is
+/// re-initialised before a call reads it, whatever the previous call —
+/// pruned, timed out or unwound by a panic — left behind.
+#[derive(Default)]
+struct FilterScratch {
+    tree: BfsTree,
+    phi: Phi,
+    /// Per data vertex, the generation step that last visited it.
+    stamp: Vec<u32>,
+    /// The query neighbors the current step checks against (backward, below
+    /// or above the current query vertex).
+    nbrs: Vec<VertexId>,
+    /// One tree edge's concatenated CPI lists, before they are copied out at
+    /// their exact size.
+    cpi_data: Vec<VertexId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<FilterScratch> = RefCell::new(FilterScratch::default());
+}
+
 impl Cfl {
     /// CFL with both refinement passes (the published algorithm).
     pub fn new() -> Self {
@@ -77,68 +185,77 @@ impl Cfl {
         self
     }
 
-    /// Root selection: minimize `|C_init(u)| / d(u)`.
-    fn choose_root(q: &Graph, g: &Graph) -> VertexId {
-        q.vertices()
-            .min_by(|&a, &b| {
-                let ra = g.label_frequency(q.label(a)) as f64 / q.degree(a).max(1) as f64;
-                let rb = g.label_frequency(q.label(b)) as f64 / q.degree(b).max(1) as f64;
-                ra.total_cmp(&rb).then(a.cmp(&b))
-            })
-            .expect("non-empty query")
-    }
-
-    /// Whether `N(v) ∩ Φ(u') ≠ ∅` for the (sorted) candidate set of `u'`.
-    #[inline]
-    fn has_candidate_neighbor(
-        g: &Graph,
-        v: VertexId,
-        label: sqp_graph::Label,
-        phi: &[VertexId],
-    ) -> bool {
-        let nbrs = g.neighbors_with_label(v, label);
-        // Scan the shorter side.
-        if nbrs.len() <= phi.len() {
-            nbrs.iter().any(|n| phi.binary_search(n).is_ok())
-        } else {
-            phi.iter().any(|c| nbrs.binary_search(c).is_ok())
+    /// Root selection: the first minimum of `|C_init(u)| / d(u)`, compared
+    /// as `f·d' < f'·d`. `None` as soon as some query label does not occur
+    /// in `g` at all: no candidate set for that vertex can be non-empty.
+    fn choose_root(q: &Graph, g: &Graph) -> Option<VertexId> {
+        let mut best: Option<(VertexId, u64, u64)> = None;
+        for u in q.vertices() {
+            let f = g.label_frequency(q.label(u)) as u64;
+            if f == 0 {
+                return None;
+            }
+            let d = q.degree(u).max(1) as u64;
+            if best.is_none_or(|(_, bf, bd)| f * bd < bf * d) {
+                best = Some((u, f, d));
+            }
         }
+        best.map(|(u, _, _)| u)
     }
 
-    /// The full CFL filter; also returns the BFS tree for CPI/order reuse.
-    fn build_space(
+    /// The full CFL filter on this thread's scratch. `with_cpi` also
+    /// materializes the CPI, which only CFL's own path-based order reads.
+    pub(crate) fn filter_space(
         &self,
         q: &Graph,
         g: &Graph,
         deadline: Deadline,
-    ) -> Result<Option<(CandidateSpace, BfsTree)>, Timeout> {
+        with_cpi: bool,
+    ) -> Result<FilterResult, Timeout> {
+        deadline.check()?;
+        let space = SCRATCH.with(|scratch| {
+            self.build_space(&mut scratch.borrow_mut(), q, g, deadline, with_cpi)
+        })?;
+        Ok(space.map_or(FilterResult::Pruned, FilterResult::Space))
+    }
+
+    fn build_space(
+        &self,
+        scratch: &mut FilterScratch,
+        q: &Graph,
+        g: &Graph,
+        deadline: Deadline,
+        with_cpi: bool,
+    ) -> Result<Option<CandidateSpace>, Timeout> {
         let mut ticker = TickChecker::new();
         let mut filter_span = Span::enter(Phase::Filter, deadline);
-        let root = Self::choose_root(q, g);
+        let Some(root) = Self::choose_root(q, g) else {
+            return Ok(None);
+        };
+        let FilterScratch { tree, phi, stamp, nbrs, cpi_data } = scratch;
+        phi.reset(q.vertex_count(), g.vertex_count());
 
         // Root candidates (label + degree + NLF) *before* building the BFS
         // tree: on non-candidate graphs — the overwhelming majority in a
-        // database scan — the filter exits here without any allocation,
-        // which is what gives CFL's filter its edge over GraphQL's (§IV-B2).
-        let root_set: Vec<VertexId> = g
-            .vertices_with_label(q.label(root))
-            .iter()
-            .copied()
-            .filter(|&v| g.degree(v) >= q.degree(root) && nlf_dominated(q, root, g, v))
-            .collect();
-        if root_set.is_empty() {
+        // database scan — the filter exits here, which is what gives CFL's
+        // filter its edge over GraphQL's (§IV-B2).
+        let root_degree = q.degree(root);
+        phi.sets[root.index()].extend(
+            g.vertices_with_label(q.label(root))
+                .iter()
+                .copied()
+                .filter(|&v| g.degree(v) >= root_degree && nlf_dominated(q, root, g, v)),
+        );
+        if phi.sets[root.index()].is_empty() {
             return Ok(None);
         }
+        phi.mark(root);
+        tree.rebuild(q, root);
 
-        let tree = BfsTree::build(q, root);
-        let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.vertex_count()];
-        let mut processed = vec![false; q.vertex_count()];
-        sets[root.index()] = root_set;
-        processed[root.index()] = true;
-
-        // Top-down generation, level by level; stamp array dedups candidates
-        // gathered from multiple parent candidates.
-        let mut stamp = vec![0u32; g.vertex_count()];
+        // Top-down generation, level by level; the stamp array dedups
+        // candidates gathered from multiple parent candidates.
+        stamp.clear();
+        stamp.resize(g.vertex_count(), 0);
         let mut cur_stamp = 0u32;
         for level in 1..tree.depth() {
             for &u in tree.level_vertices(level) {
@@ -146,41 +263,36 @@ impl Cfl {
                 let parent = tree.parent(u);
                 let lu = q.label(u);
                 let du = q.degree(u);
-                // Backward non-tree neighbors already processed.
-                let backward: Vec<VertexId> = q
-                    .neighbors(u)
-                    .iter()
-                    .copied()
-                    .filter(|&w| w != parent && processed[w.index()])
-                    .collect();
-                let mut set = Vec::new();
-                // Borrow parent's set by index to keep `sets` mutable later.
-                let parent_set = std::mem::take(&mut sets[parent.index()]);
-                for &vp in &parent_set {
+                // Backward non-tree neighbors: the ones already generated.
+                nbrs.clear();
+                nbrs.extend(
+                    q.neighbors(u)
+                        .iter()
+                        .copied()
+                        .filter(|&w| w != parent && !phi.sets[w.index()].is_empty()),
+                );
+                let mut set = std::mem::take(&mut phi.sets[u.index()]);
+                for &vp in &phi.sets[parent.index()] {
                     ticker.tick(deadline)?;
                     for &v in g.neighbors_with_label(vp, lu) {
                         if stamp[v.index()] == cur_stamp {
                             continue;
                         }
                         stamp[v.index()] = cur_stamp;
-                        if g.degree(v) < du || !nlf_dominated(q, u, g, v) {
-                            continue;
+                        if g.degree(v) >= du
+                            && nlf_dominated(q, u, g, v)
+                            && nbrs.iter().all(|&w| phi.has_candidate_neighbor(q, g, v, w))
+                        {
+                            set.push(v);
                         }
-                        if backward.iter().any(|&ub| {
-                            !Self::has_candidate_neighbor(g, v, q.label(ub), &sets[ub.index()])
-                        }) {
-                            continue;
-                        }
-                        set.push(v);
                     }
                 }
-                sets[parent.index()] = parent_set;
-                if set.is_empty() {
+                set.sort_unstable();
+                phi.sets[u.index()] = set;
+                if phi.sets[u.index()].is_empty() {
                     return Ok(None); // early vcFV pruning
                 }
-                set.sort_unstable();
-                sets[u.index()] = set;
-                processed[u.index()] = true;
+                phi.mark(u);
             }
         }
 
@@ -190,21 +302,11 @@ impl Cfl {
                 for &u in tree.level_vertices(level) {
                     ticker.tick(deadline)?;
                     let lu = tree.level(u);
-                    let below: Vec<VertexId> =
-                        q.neighbors(u).iter().copied().filter(|&w| tree.level(w) > lu).collect();
-                    if below.is_empty() {
-                        continue;
-                    }
-                    let mut set = std::mem::take(&mut sets[u.index()]);
-                    set.retain(|&v| {
-                        below.iter().all(|&w| {
-                            Self::has_candidate_neighbor(g, v, q.label(w), &sets[w.index()])
-                        })
-                    });
-                    if set.is_empty() {
+                    nbrs.clear();
+                    nbrs.extend(q.neighbors(u).iter().copied().filter(|&w| tree.level(w) > lu));
+                    if !phi.refine(q, g, u, nbrs) {
                         return Ok(None);
                     }
-                    sets[u.index()] = set;
                 }
             }
         }
@@ -215,59 +317,59 @@ impl Cfl {
                 for &u in tree.level_vertices(level) {
                     ticker.tick(deadline)?;
                     let lu = tree.level(u);
-                    let above: Vec<VertexId> = q
-                        .neighbors(u)
-                        .iter()
-                        .copied()
-                        .filter(|&w| tree.level(w) <= lu && w != u)
-                        .collect();
-                    if above.is_empty() {
-                        continue;
-                    }
-                    let mut set = std::mem::take(&mut sets[u.index()]);
-                    set.retain(|&v| {
-                        above.iter().all(|&w| {
-                            Self::has_candidate_neighbor(g, v, q.label(w), &sets[w.index()])
-                        })
-                    });
-                    if set.is_empty() {
+                    nbrs.clear();
+                    nbrs.extend(q.neighbors(u).iter().copied().filter(|&w| tree.level(w) <= lu));
+                    if !phi.refine(q, g, u, nbrs) {
                         return Ok(None);
                     }
-                    sets[u.index()] = set;
                 }
             }
         }
 
+        let sets = &phi.sets[..q.vertex_count()];
         filter_span.add_items(sets.iter().map(|s| s.len() as u64).sum());
         drop(filter_span);
 
-        // CPI materialization along tree edges.
+        // Copy the space out of the scratch at its exact size: the sorted
+        // sets, their bitmap rows, and (for CFL's own order) the CPI along
+        // tree edges.
         let _build_span = Span::enter(Phase::BuildCandidates, deadline);
-        let mut parent_of: Vec<Option<VertexId>> = vec![None; q.vertex_count()];
-        let mut adj: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); q.vertex_count()];
+        let space = CandidateSpace::from_bitmap_rows(sets.to_vec(), &phi.bits, phi.words);
+        if !with_cpi {
+            return Ok(Some(space));
+        }
+
+        let mut cpi = Cpi {
+            root,
+            parent: vec![None; q.vertex_count()],
+            offsets: vec![Vec::new(); q.vertex_count()],
+            data: vec![Vec::new(); q.vertex_count()],
+        };
         for u in q.vertices() {
             if u == root {
                 continue;
             }
             let p = tree.parent(u);
-            parent_of[u.index()] = Some(p);
+            cpi.parent[u.index()] = Some(p);
             let lu = q.label(u);
-            let child_set = &sets[u.index()];
-            let lists: Vec<Vec<VertexId>> = sets[p.index()]
-                .iter()
-                .map(|&vp| {
+            let row = phi.row(u);
+            let parent_set = &sets[p.index()];
+            let mut offsets = Vec::with_capacity(parent_set.len() + 1);
+            cpi_data.clear();
+            offsets.push(0u32);
+            for &vp in parent_set {
+                cpi_data.extend(
                     g.neighbors_with_label(vp, lu)
                         .iter()
                         .copied()
-                        .filter(|v| child_set.binary_search(v).is_ok())
-                        .collect()
-                })
-                .collect();
-            adj[u.index()] = lists;
+                        .filter(|&v| row_contains(row, v)),
+                );
+                offsets.push(cpi_data.len() as u32);
+            }
+            cpi.offsets[u.index()] = offsets;
+            cpi.data[u.index()] = cpi_data.clone();
         }
-
-        let cpi = Cpi { root, parent: parent_of, adj };
-        Ok(Some((CandidateSpace::new(sets).with_cpi(cpi), tree)))
+        Ok(Some(space.with_cpi(cpi)))
     }
 
     /// The path-based matching order (core paths first, ascending estimated
@@ -307,12 +409,11 @@ impl Cfl {
                     let mut cnt: Vec<f64> = vec![1.0; space.set(leaf).len()];
                     for w in path.windows(2).rev() {
                         let (u, c) = (w[0], w[1]);
-                        let child_set = space.sets()[c.index()].as_slice();
-                        let lists = &cpi.adj[c.index()];
-                        cnt = lists
-                            .iter()
-                            .map(|list| {
-                                list.iter()
+                        let child_set = space.set(c);
+                        cnt = (0..cpi.list_count(c))
+                            .map(|i| {
+                                cpi.list(c, i)
+                                    .iter()
                                     .map(|v| {
                                         let j = child_set.binary_search(v).expect("CPI ⊆ Φ");
                                         cnt[j]
@@ -370,11 +471,7 @@ impl Matcher for Cfl {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
-        Ok(match self.build_space(q, g, deadline)? {
-            None => FilterResult::Pruned,
-            Some((space, _)) => FilterResult::Space(space),
-        })
+        self.filter_space(q, g, deadline, true)
     }
 
     fn find_first(
@@ -417,12 +514,225 @@ impl Matcher for Cfl {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute;
+    use crate::cfql::Cfql;
+    use crate::StatsSink;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use sqp_graph::{GraphBuilder, Label};
+
+    const CONFIGS: [CflConfig; 4] = [
+        CflConfig { bottom_up: true, top_down: true },
+        CflConfig { bottom_up: true, top_down: false },
+        CflConfig { bottom_up: false, top_down: true },
+        CflConfig { bottom_up: false, top_down: false },
+    ];
+
+    /// A copy of `g` with every vertex relabeled by `label`.
+    fn relabeled(g: &Graph, label: impl Fn(VertexId) -> Label) -> GraphBuilder {
+        let mut b = GraphBuilder::new();
+        for v in g.vertices() {
+            b.add_vertex(label(v));
+        }
+        for v in g.vertices() {
+            for &w in g.neighbors(v).iter().filter(|&&w| v < w) {
+                b.add_edge(v, w).unwrap();
+            }
+        }
+        b
+    }
+
+    /// `spokes` random neighbors for each of the first `hubs` vertices, on
+    /// top of a sparse random graph: a few very long adjacency lists.
+    fn hub_heavy(rng: &mut StdRng, n: usize, hubs: usize, spokes: usize, labels: u32) -> Graph {
+        let base = brute::random_graph(rng, n, n, labels);
+        let mut b = relabeled(&base, |v| base.label(v));
+        for hub in 0..hubs {
+            for _ in 0..spokes {
+                let w = rng.random_range(0..n);
+                if w != hub {
+                    let _ = b.add_edge(VertexId::from(hub), VertexId::from(w));
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// `q` with vertex 0 relabeled to a label `g` does not have (beyond its
+    /// label space when `beyond`, else a gap inside it).
+    fn with_absent_label(q: &Graph, g: &Graph, beyond: bool) -> Graph {
+        let absent = if beyond {
+            Label(g.label_space() as u32 + 3)
+        } else {
+            (0..).map(Label).find(|&l| g.label_frequency(l) == 0).unwrap()
+        };
+        relabeled(q, |v| if v.index() == 0 { absent } else { q.label(v) }).build()
+    }
+
+    /// The data graph of one differential case and the query to filter
+    /// against it. Queries are carved from a *sibling* graph of the same
+    /// family, so some embed, some are pruned at the root, some mid-way.
+    fn differential_case(family: u32, seed: u64) -> (Graph, Graph) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pair = |rng: &mut StdRng, make: &dyn Fn(&mut StdRng) -> Graph| {
+            let g = make(rng);
+            let sibling = if rng.random_bool(0.5) { make(rng) } else { g.clone() };
+            let edges = rng.random_range(1..9);
+            (brute::random_connected_query(rng, &sibling, edges), g)
+        };
+        match family {
+            // Sparse, many labels: most pairs prune early.
+            0 => pair(&mut rng, &|r| brute::random_graph(r, 30, 45, 5)),
+            // The dense benchmark shape: 3 labels, average degree 16.
+            1 => pair(&mut rng, &|r| brute::random_graph(r, 100, 800, 3)),
+            // Hub-heavy: two vertices adjacent to most of the graph.
+            2 => pair(&mut rng, &|r| hub_heavy(r, 70, 2, 60, 3)),
+            // A query label the data graph lacks: label 1 never occurs in
+            // `g` (a gap inside its label space), or the label is beyond it.
+            _ => {
+                let relabel = |r: &mut StdRng| {
+                    let base = brute::random_graph(r, 24, 40, 3);
+                    relabeled(&base, |v| Label(base.label(v).0 * 2)).build()
+                };
+                let (q, g) = pair(&mut rng, &relabel);
+                (with_absent_label(&q, &g, rng.random_bool(0.5)), g)
+            }
+        }
+    }
+
+    fn filter_sets(matcher: &dyn Matcher, q: &Graph, g: &Graph) -> Option<Vec<Vec<VertexId>>> {
+        matcher.filter(q, g, Deadline::none()).unwrap().space().map(|s| s.sets().to_vec())
+    }
+
+    proptest! {
+        /// The rewritten filter against the pre-rewrite one, on every graph
+        /// family and every refinement configuration: same pruning verdict,
+        /// identical candidate sets, bitmap ≡ sorted sets, CSR CPI ≡ the
+        /// nested CPI ≡ `N(Φ(p)[i], L(c)) ∩ Φ(c)`; CFQL's space is CFL's
+        /// without the CPI.
+        #[test]
+        fn filter_matches_reference(family in 0u32..4, seed in any::<u64>()) {
+            let (q, g) = differential_case(family, seed);
+            for config in CONFIGS {
+                let expected = reference::build_space(config, &q, &g);
+                let got = Cfl::with_config(config).filter(&q, &g, Deadline::none()).unwrap();
+                prop_assert_eq!(expected.is_none(), got.is_pruned(), "{:?}", config);
+                let (Some(expected), Some(space)) = (expected, got.space()) else {
+                    continue;
+                };
+                prop_assert_eq!(space.sets(), &expected.sets[..], "{:?}", config);
+                for u in q.vertices() {
+                    for v in g.vertices() {
+                        prop_assert_eq!(space.contains(u, v), space.contains_search(u, v));
+                    }
+                }
+                let cpi = space.cpi().unwrap();
+                prop_assert_eq!(cpi.root, expected.root);
+                prop_assert_eq!(&cpi.parent, &expected.parent);
+                for c in q.vertices() {
+                    prop_assert_eq!(cpi.list_count(c), expected.adj[c.index()].len());
+                    for (i, list) in expected.adj[c.index()].iter().enumerate() {
+                        prop_assert_eq!(cpi.list(c, i), &list[..]);
+                        let vp = space.set(cpi.parent[c.index()].unwrap())[i];
+                        let by_definition: Vec<VertexId> = g
+                            .neighbors_with_label(vp, q.label(c))
+                            .iter()
+                            .copied()
+                            .filter(|v| space.set(c).contains(v))
+                            .collect();
+                        prop_assert_eq!(cpi.list(c, i), &by_definition[..]);
+                    }
+                }
+            }
+            let cfql = Cfql::new().filter(&q, &g, Deadline::none()).unwrap();
+            let expected = reference::build_space(CflConfig::default(), &q, &g);
+            prop_assert_eq!(cfql.is_pruned(), expected.is_none());
+            if let (Some(space), Some(expected)) = (cfql.space(), expected) {
+                prop_assert!(space.cpi().is_none());
+                prop_assert_eq!(space.sets(), &expected.sets[..]);
+            }
+        }
+
+        /// The integer root comparison picks the vertex the `f64` ratio did,
+        /// and reports a label miss exactly when that vertex has no
+        /// label-mates in `g`.
+        #[test]
+        fn root_choice_matches_reference(family in 0u32..4, seed in any::<u64>()) {
+            let (q, g) = differential_case(family, seed);
+            let expected = reference::choose_root(&q, &g);
+            match Cfl::choose_root(&q, &g) {
+                Some(root) => prop_assert_eq!(root, expected),
+                None => prop_assert_eq!(g.label_frequency(q.label(expected)), 0),
+            }
+        }
+
+        /// Scratch hygiene: big → small → big pairs filtered back to back on
+        /// one thread give what each gives on a thread of its own.
+        #[test]
+        fn reused_scratch_equals_fresh_thread(seed in any::<u64>()) {
+            let cases = [
+                differential_case(1, seed),
+                differential_case(0, seed ^ 1),
+                differential_case(3, seed ^ 2),
+                differential_case(2, seed ^ 3),
+                differential_case(1, seed ^ 4),
+            ];
+            let reused: Vec<_> = std::thread::scope(|s| {
+                s.spawn(|| cases.iter().map(|(q, g)| filter_sets(&Cfl::new(), q, g)).collect())
+                    .join()
+                    .unwrap()
+            });
+            for ((q, g), reused) in cases.iter().zip(reused) {
+                let fresh = std::thread::scope(|s| {
+                    s.spawn(|| filter_sets(&Cfl::new(), q, g)).join().unwrap()
+                });
+                prop_assert_eq!(reused, fresh);
+            }
+        }
+    }
+
+    thread_local! {
+        static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A span clock that panics on its second read of each thread — inside
+    /// `build_space`, when the filter span closes over a fully generated and
+    /// refined scratch — and ticks normally before and after.
+    fn clock_panicking_on_second_read() -> u64 {
+        let reads = CLOCK_READS.with(|c| {
+            c.set(c.get() + 1);
+            c.get()
+        });
+        assert!(reads != 2, "injected clock panic");
+        reads
+    }
+
+    #[test]
+    fn scratch_survives_a_panic_mid_call() {
+        let (q, g) = (0..)
+            .map(|seed| differential_case(1, seed))
+            .find(|(q, g)| reference::build_space(CflConfig::default(), q, g).is_some())
+            .unwrap();
+        let (q2, g2) = differential_case(2, 9);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let deadline = Deadline::none()
+                    .with_stats(StatsSink::with_clock(clock_panicking_on_second_read));
+                let unwound = std::panic::catch_unwind(|| Cfl::new().filter(&q, &g, deadline));
+                assert!(unwound.is_err(), "the injected panic must unwind the filter call");
+                for (q, g) in [(&q, &g), (&q2, &g2)] {
+                    let expected = reference::build_space(CflConfig::default(), q, g);
+                    assert_eq!(filter_sets(&Cfl::new(), q, g), expected.map(|e| e.sets));
+                }
+            });
+        });
+    }
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();
@@ -515,8 +825,8 @@ mod tests {
         let space = Cfl::new().filter(&q, &g, Deadline::none()).unwrap().space().unwrap();
         let cpi = space.cpi().unwrap();
         for u in q.vertices() {
-            for list in &cpi.adj[u.index()] {
-                for v in list {
+            for i in 0..cpi.list_count(u) {
+                for v in cpi.list(u, i) {
                     assert!(space.contains(u, *v));
                 }
             }
@@ -548,8 +858,11 @@ mod tests {
         // Data graph: many label-0, one label-7. Query: 7 connected to 0s.
         let g = labeled(&[0, 0, 0, 7, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let q = labeled(&[0, 7, 0], &[(0, 1), (1, 2)]);
-        let root = Cfl::choose_root(&q, &g);
+        let root = Cfl::choose_root(&q, &g).unwrap();
         assert_eq!(q.label(root), sqp_graph::Label(7));
+        // A query label the data graph lacks prunes before any root is chosen.
+        let absent = labeled(&[0, 9, 0], &[(0, 1), (1, 2)]);
+        assert_eq!(Cfl::choose_root(&absent, &g), None);
     }
 
     #[test]
@@ -586,7 +899,7 @@ mod tests {
             if u != cpi.root {
                 let p = cpi.parent[u.index()].unwrap();
                 assert!(q.has_edge(u, p));
-                assert_eq!(cpi.adj[u.index()].len(), space.set(p).len());
+                assert_eq!(cpi.list_count(u), space.set(p).len());
             }
         }
     }

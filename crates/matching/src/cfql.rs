@@ -45,7 +45,8 @@ impl Matcher for Cfql {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        self.cfl.filter(q, g, deadline)
+        // CFQL orders by GraphQL's join order and never reads the CPI.
+        self.cfl.filter_space(q, g, deadline, false)
     }
 
     fn find_first(
@@ -93,6 +94,7 @@ mod tests {
     use crate::brute;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sqp_graph::HeapSize;
 
     #[test]
     fn counts_match_brute_force() {
@@ -125,12 +127,23 @@ mod tests {
     }
 
     #[test]
-    fn filter_space_carries_cpi() {
+    fn cfl_space_carries_a_cpi_cfql_space_does_not() {
         let mut rng = StdRng::seed_from_u64(43);
-        let g = brute::random_graph(&mut rng, 10, 18, 2);
-        let q = brute::random_connected_query(&mut rng, &g, 3);
-        if let FilterResult::Space(space) = Cfql::new().filter(&q, &g, Deadline::none()).unwrap() {
-            assert!(space.cpi().is_some());
+        let mut spaces = 0;
+        for _ in 0..10 {
+            let g = brute::random_graph(&mut rng, 10, 18, 2);
+            let q = brute::random_connected_query(&mut rng, &g, 3);
+            let cfql = Cfql::new().filter(&q, &g, Deadline::none()).unwrap().space();
+            let cfl = crate::cfl::Cfl::new().filter(&q, &g, Deadline::none()).unwrap().space();
+            assert_eq!(cfql.is_some(), cfl.is_some());
+            if let (Some(cfql), Some(cfl)) = (cfql, cfl) {
+                assert!(cfl.cpi().is_some());
+                assert!(cfql.cpi().is_none());
+                assert_eq!(cfql.sets(), cfl.sets());
+                assert!(cfql.heap_size() < cfl.heap_size());
+                spaces += 1;
+            }
         }
+        assert!(spaces > 0);
     }
 }

@@ -22,7 +22,6 @@
 //! output, which is what makes frozen-model routing byte-reproducible.
 
 use sqp_graph::algo::two_core;
-use sqp_graph::nlf::NeighborhoodLabelFrequency;
 use sqp_graph::{Graph, GraphDb, Label};
 
 /// Dimension of [`QueryFeatures::to_vector`] (including the bias term).
@@ -149,7 +148,7 @@ pub fn extract(q: &Graph, hist: &LabelHistogram) -> QueryFeatures {
         if q.degree(v) <= 1 {
             leaves += 1;
         }
-        nlf_runs += NeighborhoodLabelFrequency::of(q, v).runs().len();
+        nlf_runs += q.label_runs(v).len();
     }
     let (label_selectivity, rare_label_selectivity, leaf_frac, mean_runs) = if n == 0 {
         (0.0, 0.0, 0.0, 0.0)

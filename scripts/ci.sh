@@ -34,8 +34,12 @@ PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
 echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: simd kernel must degrade to merge, not diverge)"
 SQP_FORCE_SCALAR=1 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
 
-echo "==> calibration bench smoke (writes results/BENCH_calibration_smoke.json)"
+echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
+
+echo "==> filter differential suite (run-index NLF and bitmap/scratch/CSR-CPI CFL filter vs the pre-rewrite references; scratch hygiene)"
+PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib cfl::
 
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
 PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence
@@ -160,19 +164,19 @@ kill -INT "${shard_pids[0]}" "${shard_pids[2]}"
 wait "${shard_pids[0]}" "${shard_pids[2]}"
 echo "    sharded serving: healthy run clean, SIGKILL degraded to exit 2 + UNAVAILABLE, breaker open on 1 peer, drain clean"
 
-echo "==> enumeration-kernel bench smoke (writes results/BENCH_kernels.json)"
+echo "==> enumeration-kernel bench smoke (asserts auto does not lose to merge on dense; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench enumeration
 
-echo "==> phase-breakdown bench smoke (writes results/BENCH_phases_smoke.json, asserts span sum ~= wall)"
+echo "==> phase-breakdown bench smoke (asserts span sum ~= wall; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench phases
 
-echo "==> adaptive routing regret smoke (writes results/BENCH_adaptive_smoke.json, asserts adaptive <= 1.5x best-in-hindsight)"
+echo "==> adaptive routing regret smoke (asserts adaptive <= 1.5x best-in-hindsight; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench adaptive
 
 echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads; overlay/compaction vs independent rebuild; malformed streams fail closed)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence
 
-echo "==> dynamic bench smoke (writes results/BENCH_dynamic_smoke.json, asserts repair beats re-query and overlay beats rebuild)"
+echo "==> dynamic bench smoke (asserts repair beats re-query and overlay beats rebuild; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench dynamic
 
 echo "==> update-stream smoke (sqp update: mixed update/query traffic, metrics, materialized --out)"
@@ -199,6 +203,10 @@ if [[ "$malformed_rc" -ne 1 ]]; then
   exit 1
 fi
 echo "    update stream: 2 batches applied, metrics written, materialized db loads, malformed line -> exit 1"
+
+echo "==> benchmark ledger: unit tests + smoke run (every workload ~1 s, correctness gates only, writes nothing)"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -259,6 +259,45 @@ fn abort_after_timeouts_counts_timeouts_not_panics() {
     assert!(report.records.len() < queries.len(), "timeouts must trigger the abort");
 }
 
+/// The CFL filter keeps its working memory in a per-thread scratch. Panicking
+/// filter calls interleaved with normal ones on **one** thread must leave
+/// every normal call's candidate sets identical to a fault-free scan (I8 at
+/// the filter layer, below the pool's `catch_unwind`).
+#[test]
+fn panicking_filter_calls_leave_the_thread_scratch_usable() {
+    let (db, queries) = fixture();
+    let config = ChaosConfig::new(CHAOS_SEED).with_panics(300);
+    let scan = |matcher: &dyn Matcher| -> Vec<Option<Vec<Vec<_>>>> {
+        let mut out = Vec::new();
+        for q in &queries {
+            for (_, g) in db.iter() {
+                let call = std::panic::AssertUnwindSafe(|| matcher.filter(q, g, Deadline::none()));
+                out.push(match std::panic::catch_unwind(call) {
+                    Err(_) => None,
+                    Ok(filtered) => Some(match filtered.expect("no deadline") {
+                        FilterResult::Pruned => Vec::new(),
+                        FilterResult::Space(space) => space.sets().to_vec(),
+                    }),
+                });
+            }
+        }
+        out
+    };
+    let (clean, chaotic) = std::thread::scope(|s| {
+        let clean = s.spawn(|| scan(&Cfql::new()));
+        let chaotic = s.spawn(|| scan(&*chaos_matcher(config)));
+        (clean.join().expect("clean scan"), chaotic.join().expect("chaotic scan"))
+    });
+    let panicked = chaotic.iter().filter(|r| r.is_none()).count();
+    assert!(panicked * 5 >= chaotic.len(), "expected >= 20% panicking pairs, got {panicked}");
+    assert!(panicked < chaotic.len());
+    for (i, (clean, chaotic)) in clean.iter().zip(&chaotic).enumerate() {
+        if chaotic.is_some() {
+            assert_eq!(chaotic, clean, "pair {i} after {panicked} interleaved panics");
+        }
+    }
+}
+
 /// Satellite (c): the cache stores completed outcomes only, before and after
 /// a chaos run, and faulted queries are re-executed rather than served.
 #[test]

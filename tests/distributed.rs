@@ -209,6 +209,14 @@ fn healthy_cluster_matches_local_run() {
                     "query {i} at {shards} shards / {scatter} scatter threads"
                 );
             }
+            // Both ends of every connection write small frames back to
+            // back; a shard socket left with Nagle on stalls each query on
+            // the coordinator's delayed ACK.
+            for (i, server) in servers.iter().enumerate() {
+                let nodelay = server.connections_nodelay();
+                assert!(!nodelay.is_empty(), "shard {i} accepted no connection");
+                assert!(nodelay.iter().all(|&on| on), "shard {i}: TCP_NODELAY off: {nodelay:?}");
+            }
             let d = c.shutdown();
             assert!(d.drained_within_deadline);
         }

@@ -1,0 +1,155 @@
+//! Allocation accounting of the CFL filter (the vcFV filter of CFQL).
+//!
+//! A database scan calls the filter once per data graph and almost every
+//! call prunes, so the pruned path must not touch the allocator: its working
+//! memory is a per-thread scratch that only grows. A surviving call may
+//! allocate exactly what it hands out — the candidate sets, their bitmap
+//! rows and (CFL only) the CSR CPI.
+//!
+//! This test binary installs a counting global allocator; counts are per
+//! thread, so parallel tests do not disturb each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use subgraph_query::graph::{Graph, GraphBuilder, Label, VertexId};
+use subgraph_query::matching::brute;
+use subgraph_query::matching::cfl::{Cfl, CflConfig};
+use subgraph_query::matching::cfql::Cfql;
+use subgraph_query::matching::{Deadline, Matcher};
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down; the const-initialised `Cell` itself never allocates.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
+    let mut b = GraphBuilder::new();
+    for &l in labels {
+        b.add_vertex(Label(l));
+    }
+    for &(u, v) in edges {
+        b.add_edge(VertexId(u), VertexId(v)).unwrap();
+    }
+    b.build()
+}
+
+/// `(q, g)` pairs CFL prunes, one per exit of the filter, each named.
+fn pruned_pairs() -> Vec<(&'static str, Graph, Graph)> {
+    let path = labeled(&[0, 1, 2], &[(0, 1), (1, 2)]);
+    let mut pairs = vec![
+        // Label 2 does not occur in `g`.
+        ("label miss", path.clone(), labeled(&[0, 1, 1], &[(0, 1), (0, 2)])),
+        // Every label occurs, but the only label-1 vertex has degree 1 < 2
+        // and `q`'s root is its label-1 vertex (frequency 1, degree 2).
+        ("no root candidate", path.clone(), labeled(&[0, 0, 1, 2, 2], &[(0, 2), (1, 3), (3, 4)])),
+        // Root (vertex 0, label 0) keeps its candidate; its only label-1
+        // neighbor has degree 1 < 2, so Φ of the middle vertex is empty.
+        ("empty set in generation", path, labeled(&[0, 1, 1, 2], &[(0, 1), (2, 3)])),
+    ];
+    // A pair that survives generation and is emptied by refinement: found by
+    // search, pinned by the seed.
+    let raw = Cfl::with_config(CflConfig { bottom_up: false, top_down: false });
+    let mut rng = StdRng::seed_from_u64(77);
+    let by_refinement = std::iter::repeat_with(|| {
+        let g = brute::random_graph(&mut rng, 30, 45, 3);
+        let other = brute::random_graph(&mut rng, 30, 45, 3);
+        (brute::random_connected_query(&mut rng, &other, 6), g)
+    })
+    .take(5_000)
+    .find(|(q, g)| {
+        !raw.filter(q, g, Deadline::none()).unwrap().is_pruned()
+            && Cfl::new().filter(q, g, Deadline::none()).unwrap().is_pruned()
+    })
+    .expect("no refinement-pruned pair in 5 000 draws");
+    pairs.push(("emptied by refinement", by_refinement.0, by_refinement.1));
+    pairs
+}
+
+#[test]
+fn pruned_filter_calls_do_not_allocate() {
+    let pairs = pruned_pairs();
+    // The largest surviving pair this test filters: it sizes the scratch.
+    let mut rng = StdRng::seed_from_u64(5);
+    let dense = brute::random_graph(&mut rng, 100, 800, 3);
+    let dense_q = brute::random_connected_query(&mut rng, &dense, 8);
+
+    for matcher in [&Cfl::new() as &dyn Matcher, &Cfql::new()] {
+        // Warm-up: one pass grows this thread's scratch to its final size.
+        assert!(!matcher.filter(&dense_q, &dense, Deadline::none()).unwrap().is_pruned());
+        for (name, q, g) in &pairs {
+            assert!(matcher.filter(q, g, Deadline::none()).unwrap().is_pruned(), "{name}");
+        }
+        for (name, q, g) in &pairs {
+            let (result, allocations) =
+                allocations_during(|| matcher.filter(q, g, Deadline::none()));
+            assert!(result.unwrap().is_pruned(), "{name}");
+            assert_eq!(allocations, 0, "{}: pruned call ({name}) allocated", matcher.name());
+        }
+    }
+}
+
+#[test]
+fn surviving_filter_calls_allocate_only_what_they_return() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let g = brute::random_graph(&mut rng, 100, 800, 3);
+    let q = brute::random_connected_query(&mut rng, &g, 8);
+    let n = q.vertex_count() as u64;
+
+    // The sets (one vector each plus the outer one) and the bitmap words.
+    let space_allocations = n + 2;
+    // Parent array, two outer vectors, offsets + data per tree edge.
+    let cpi_allocations = 3 + 2 * (n - 1);
+    for (matcher, budget) in [
+        (&Cfql::new() as &dyn Matcher, space_allocations),
+        (&Cfl::new(), space_allocations + cpi_allocations),
+    ] {
+        drop(matcher.filter(&q, &g, Deadline::none())); // warm the scratch
+        let (result, allocations) = allocations_during(|| matcher.filter(&q, &g, Deadline::none()));
+        assert!(result.unwrap().space().is_some());
+        assert!(
+            allocations <= budget,
+            "{}: {allocations} allocations for a {n}-vertex query, budget {budget}",
+            matcher.name()
+        );
+    }
+}

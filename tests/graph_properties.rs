@@ -5,11 +5,18 @@
 use proptest::prelude::*;
 
 use subgraph_query::graph::algo::{connected_components, core_numbers, BfsTree};
+use subgraph_query::graph::nlf::{nlf_dominated, NeighborhoodLabelFrequency, NlfTable};
 use subgraph_query::graph::{binio, io, Graph, GraphBuilder, GraphDb, Label, VertexId};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (2usize..12).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u32..5, n);
+    arb_graph_with_labels(5)
+}
+
+/// Like [`arb_graph`] with labels drawn from `0..labels`; sparse enough that
+/// isolated (degree-0) vertices are common.
+fn arb_graph_with_labels(labels: u32) -> impl Strategy<Value = Graph> {
+    (2usize..12).prop_flat_map(move |n| {
+        let labels = proptest::collection::vec(0u32..labels, n);
         let edges = proptest::collection::vec((0..n, 0..n), 0..24);
         (labels, edges).prop_map(|(ls, es)| {
             let mut b = GraphBuilder::new();
@@ -191,6 +198,62 @@ proptest! {
         for v in sub.vertices() {
             for &w in sub.neighbors(v) {
                 prop_assert!(tree.level(v).abs_diff(tree.level(w)) <= 1);
+            }
+        }
+    }
+}
+
+/// The pre-run-index `nlf_dominated`, kept as the differential reference:
+/// walks both adjacency lists, loading one label per neighbor.
+fn nlf_dominated_by_walk(q: &Graph, u: VertexId, g: &Graph, v: VertexId) -> bool {
+    if q.degree(u) > g.degree(v) {
+        return false;
+    }
+    let qn = q.neighbors(u);
+    let gn = g.neighbors(v);
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < qn.len() {
+        let ql = q.label(qn[i]);
+        let mut qc = 0usize;
+        while i < qn.len() && q.label(qn[i]) == ql {
+            qc += 1;
+            i += 1;
+        }
+        while j < gn.len() && g.label(gn[j]) < ql {
+            j += 1;
+        }
+        let mut gc = 0usize;
+        while j < gn.len() && g.label(gn[j]) == ql {
+            gc += 1;
+            j += 1;
+        }
+        if gc < qc {
+            return false;
+        }
+    }
+    true
+}
+
+// Case count from PROPTEST_CASES (256 in CI's filter differential step).
+proptest! {
+    /// Run-index dominance ≡ the adjacency walk ≡ materialized
+    /// `dominated_by` ≡ the maintained table, on every vertex pair —
+    /// including degree-0 vertices and query labels beyond
+    /// `g.label_space()` (the query draws from 0..9, the data from 0..4).
+    #[test]
+    fn nlf_run_index_dominance_matches_references(
+        q in arb_graph_with_labels(9),
+        g in arb_graph_with_labels(4),
+    ) {
+        let table = NlfTable::from_graph(&g);
+        for u in q.vertices() {
+            let qs = NeighborhoodLabelFrequency::of(&q, u);
+            prop_assert_eq!(qs.runs().iter().map(|r| r.1 as usize).sum::<usize>(), q.degree(u));
+            for v in g.vertices() {
+                let fast = nlf_dominated(&q, u, &g, v);
+                prop_assert_eq!(fast, nlf_dominated_by_walk(&q, u, &g, v), "u={:?} v={:?}", u, v);
+                prop_assert_eq!(fast, qs.dominated_by(&NeighborhoodLabelFrequency::of(&g, v)));
+                prop_assert_eq!(fast, table.dominates(v, &qs));
             }
         }
     }
