@@ -5,19 +5,22 @@
 //! standing queries, each with its materialized embedding set. Applying an
 //! update batch runs the repair step per query instead of a full re-query:
 //!
-//! 1. **Invalidation.** A stored embedding can only break if the batch
-//!    touched one of its images (removed a mapped vertex or an edge between
-//!    two mapped vertices — both endpoints of a removed edge are in the
-//!    touched set). Embeddings disjoint from the touched region are kept
-//!    without any work; intersecting ones are re-verified against the
-//!    post-batch overlay.
+//! 1. **Invalidation.** A stored embedding can only break if one of its
+//!    images died or lost an edge in the batch (both endpoints of a removed
+//!    edge, and a removed vertex with its ex-neighbors, are in the batch's
+//!    *lost* bitmap). Embeddings disjoint from it are kept without any work
+//!    — additions never invalidate — and intersecting ones are re-verified
+//!    against the post-batch overlay.
 //! 2. **Addition.** Any embedding that is new after the batch must map some
 //!    query edge onto an edge added by the batch, or some query vertex onto
-//!    a vertex added by the batch. Seeding
-//!    [`enumerate_seeded`](sqp_matching::dynmatch::enumerate_seeded) with
-//!    every (query edge → added edge) and (query vertex → added vertex)
-//!    label-compatible pin therefore enumerates a superset of the additions;
-//!    deduplication against the kept set leaves exactly the new ones.
+//!    a vertex added by the batch. The batch's surviving additions are
+//!    sorted by endpoint label pair once, for all standing queries; each
+//!    query keeps, from registration, its directed edges sorted the same
+//!    way, so repair visits only the (query edge, added edge) pairs whose
+//!    labels agree and seeds
+//!    [`SeededEnumerator`](sqp_matching::dynmatch::SeededEnumerator) with
+//!    each. The seeded enumerations cover a superset of the additions;
+//!    deduplication against the stored set leaves exactly the new ones.
 //!
 //! The result of a batch is a delta stream ([`RepairDelta`] per standing
 //! query) plus the repaired sets, which invariant **I10** (DESIGN.md §11)
@@ -38,12 +41,13 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sqp_graph::database::GraphId;
 use sqp_graph::{
-    BatchEffects, CompactionPolicy, DynamicGraph, Graph, GraphDb, GraphError, LabelInterner,
-    Update, VertexId,
+    BatchEffects, CompactionPolicy, DynamicGraph, Graph, GraphDb, GraphError, Label, LabelInterner,
+    Update, UpdateEffect, VertexId,
 };
 use sqp_index::budget::{BuildBudget, BuildError};
 use sqp_index::fingerprint::FingerprintIndex;
 use sqp_index::{CandidateGraphs, GraphIndex};
+use sqp_matching::deadline::TickChecker;
 use sqp_matching::dynmatch::{enumerate_overlay, SeededEnumerator};
 use sqp_matching::{Deadline, Embedding, Timeout};
 
@@ -56,7 +60,13 @@ pub struct StandingQuery {
     pub query: Graph,
     /// Current embeddings, sorted lexicographically by mapping.
     embeddings: Vec<Embedding>,
+    /// The query's directed edges `(u, w)` as `(L(u), L(w), u, w)`, sorted:
+    /// the side of the repair join that is fixed at registration.
+    seed_edges: Vec<LabelPairEdge>,
 }
+
+/// An edge keyed by its endpoints' labels, in the order given.
+type LabelPairEdge = (Label, Label, VertexId, VertexId);
 
 impl StandingQuery {
     /// The maintained embedding set (sorted lexicographically by mapping).
@@ -66,7 +76,9 @@ impl StandingQuery {
 }
 
 /// Additions and invalidations of one standing query under one batch — the
-/// unit of the delta stream.
+/// unit of the delta stream. Vertex ids are those the batch was applied in:
+/// if the batch also compacted, map them through
+/// [`BatchReport::id_remap`] to reach the ids the standing sets now use.
 #[derive(Clone, Debug)]
 pub struct RepairDelta {
     /// The standing query this delta belongs to.
@@ -84,10 +96,17 @@ pub struct BatchReport {
     pub applied: usize,
     /// Vertices whose adjacency/liveness changed.
     pub touched: usize,
-    /// Per-standing-query delta stream, in registration order.
+    /// Per-standing-query delta stream, in registration order, in the id
+    /// space the batch was applied in (pre-compaction).
     pub deltas: Vec<RepairDelta>,
     /// Whether this batch triggered a compaction.
     pub compacted: bool,
+    /// If it did: old slot → new dense id (`None` for tombstoned slots).
+    /// The standing sets, the overlay and every later batch use the new
+    /// ids; `deltas` (and the batch itself) use the old ones. An embedding
+    /// in `removed` may hold a vertex the batch tombstoned, which maps to
+    /// `None`.
+    pub id_remap: Option<Vec<Option<VertexId>>>,
 }
 
 impl BatchReport {
@@ -153,11 +172,55 @@ pub struct ContinuousMatcher {
     compactions: u64,
 }
 
-/// Result of repairing one standing query.
+/// What one batch hands every standing query's repair, built once.
+struct BatchSeeds {
+    /// Edges the batch added that are still present, as `(L(a), L(b), a, b)`
+    /// in the direction given, sorted: the batch's side of the repair join.
+    edges: Vec<LabelPairEdge>,
+    /// Vertices the batch added that are still live, sorted by label.
+    vertices: Vec<(Label, VertexId)>,
+    /// Per slot: whether the vertex died or lost an edge in the batch. Only
+    /// an embedding through such a vertex can have been invalidated.
+    lost: Vec<bool>,
+    any_lost: bool,
+}
+
+impl BatchSeeds {
+    fn new(g: &DynamicGraph, fx: &BatchEffects) -> Self {
+        let mut edges: Vec<LabelPairEdge> = fx
+            .added_edges
+            .iter()
+            .filter(|&&(a, b)| g.has_edge(a, b)) // not re-removed in the batch
+            .map(|&(a, b)| (g.label(a), g.label(b), a, b))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup(); // removed and added again
+        let mut vertices: Vec<(Label, VertexId)> =
+            fx.added_vertices.iter().filter(|&&c| g.is_live(c)).map(|&c| (g.label(c), c)).collect();
+        vertices.sort_unstable();
+        let mut lost = vec![false; g.vertex_slots()];
+        let mut lose = |v: &VertexId| lost[v.index()] = true;
+        for effect in &fx.effects {
+            match effect {
+                UpdateEffect::EdgeRemoved(u, v) => [u, v].into_iter().for_each(&mut lose),
+                UpdateEffect::VertexRemoved { vertex, severed } => {
+                    std::iter::once(vertex).chain(severed).for_each(&mut lose)
+                }
+                _ => {}
+            }
+        }
+        let any_lost = lost.contains(&true);
+        Self { edges, vertices, lost, any_lost }
+    }
+}
+
+/// What a batch did to one standing set, not yet applied to it.
 struct RepairOutcome {
-    new_set: Vec<Embedding>,
+    /// Positions in the stored set of the embeddings the batch invalidated,
+    /// ascending.
+    removed_at: Vec<usize>,
+    /// Embeddings the batch made valid (sorted, none in the stored set).
     added: Vec<Embedding>,
-    removed: Vec<Embedding>,
 }
 
 fn sort_embeddings(es: &mut [Embedding]) {
@@ -168,105 +231,94 @@ fn contains_sorted(set: &[Embedding], e: &Embedding) -> bool {
     set.binary_search_by(|probe| probe.as_slice().cmp(e.as_slice())).is_ok()
 }
 
-/// Whether a stored embedding is still an embedding of `q` in the post-batch
-/// overlay. Labels are immutable per slot, so only liveness, injectivity
-/// (unchanged) and edges need re-verification.
-fn still_valid(q: &Graph, g: &DynamicGraph, e: &Embedding) -> bool {
-    let map = e.as_slice();
-    if map.iter().any(|&v| !g.is_live(v)) {
-        return false;
-    }
-    for u in q.vertices() {
-        for &w in q.neighbors(u) {
-            if u < w && !g.has_edge(map[u.index()], map[w.index()]) {
-                return false;
-            }
-        }
-    }
-    true
+/// The run of `sorted` (ascending by `key_of`) whose key is `key`.
+fn group<T, K: Ord>(sorted: &[T], key: K, key_of: impl Fn(&T) -> K) -> &[T] {
+    let from = sorted.partition_point(|t| key_of(t) < key);
+    let len = sorted[from..].partition_point(|t| key_of(t) == key);
+    &sorted[from..from + len]
 }
 
-/// Repairs one standing query against the post-batch overlay.
+/// Whether a stored embedding is still an embedding of `q` in the post-batch
+/// overlay. Labels are immutable per slot and injectivity cannot change;
+/// only an image in `lost` can have died, and only an edge between two of
+/// them can be gone, so nothing else is looked up.
+fn still_valid(q: &Graph, g: &DynamicGraph, e: &Embedding, lost: &[bool]) -> bool {
+    let map = e.as_slice();
+    q.vertices().filter(|u| lost[map[u.index()].index()]).all(|u| {
+        g.is_live(map[u.index()])
+            && q.neighbors(u).iter().all(|&w| {
+                u > w || !lost[map[w.index()].index()] || g.has_edge(map[u.index()], map[w.index()])
+            })
+    })
+}
+
+/// Works out what the batch did to one standing set, against the post-batch
+/// overlay. Reads the set only: a timeout leaves every set as it was.
 fn repair_one(
-    q: &Graph,
-    stored: &[Embedding],
+    sq: &StandingQuery,
     g: &DynamicGraph,
-    fx: &BatchEffects,
+    seeds: &BatchSeeds,
     deadline: Deadline,
 ) -> Result<RepairOutcome, Timeout> {
-    // Invalidation: embeddings disjoint from the touched region are kept
-    // untouched; intersecting ones are re-verified. A bitmap over vertex
-    // slots keeps the membership test O(1) per mapped vertex — the kept
-    // scan runs over every stored embedding, so it must stay cheap.
-    let mut touched_bits = vec![false; g.vertex_slots()];
-    for v in &fx.touched {
-        touched_bits[v.index()] = true;
-    }
-    let touches = |e: &Embedding| e.as_slice().iter().any(|v| touched_bits[v.index()]);
-    let mut kept: Vec<Embedding> = Vec::with_capacity(stored.len());
-    let mut removed: Vec<Embedding> = Vec::new();
-    for e in stored {
-        deadline.check()?;
-        if !touches(e) || still_valid(q, g, e) {
-            kept.push(e.clone());
-        } else {
-            removed.push(e.clone());
+    deadline.check()?;
+    let q = &sq.query;
+    let mut removed_at = Vec::new();
+    if seeds.any_lost {
+        let mut ticker = TickChecker::new();
+        for (at, e) in sq.embeddings.iter().enumerate() {
+            ticker.tick(deadline)?;
+            if !still_valid(q, g, e, &seeds.lost) {
+                removed_at.push(at);
+            }
         }
     }
-    // Addition: seed from every label-compatible (query edge → added edge)
-    // and (query vertex → added vertex) pin. Any embedding new after the
-    // batch must use an added edge or vertex, so the union of seeded
-    // enumerations covers all additions.
+    // Both sides of each join are sorted by label key, so a query edge (or
+    // vertex) meets exactly the additions it can be pinned onto.
     let mut found: Vec<Embedding> = Vec::new();
     let mut seeder = SeededEnumerator::new(q, g);
-    for &(a, b) in &fx.added_edges {
-        if !g.has_edge(a, b) {
-            continue; // re-removed within the same batch
-        }
-        let (la, lb) = (g.label(a), g.label(b));
-        for u in q.vertices() {
-            for &w in q.neighbors(u) {
-                if q.label(u) == la && q.label(w) == lb {
-                    seeder.enumerate(&[(u, a), (w, b)], deadline, &mut found)?;
-                }
-            }
+    for &(lu, lw, u, w) in &sq.seed_edges {
+        for &(_, _, a, b) in group(&seeds.edges, (lu, lw), |e| (e.0, e.1)) {
+            seeder.enumerate(&[(u, a), (w, b)], deadline, &mut found)?;
         }
     }
-    for &c in &fx.added_vertices {
-        if !g.is_live(c) {
-            continue; // removed within the same batch
-        }
-        let lc = g.label(c);
-        for u in q.vertices() {
-            if q.label(u) == lc {
-                seeder.enumerate(&[(u, c)], deadline, &mut found)?;
-            }
+    for u in q.vertices() {
+        for &(_, c) in group(&seeds.vertices, q.label(u), |v| v.0) {
+            seeder.enumerate(&[(u, c)], deadline, &mut found)?;
         }
     }
     sort_embeddings(&mut found);
     found.dedup();
-    let added: Vec<Embedding> = found.into_iter().filter(|e| !contains_sorted(&kept, e)).collect();
-    // Merge: kept is sorted (subsequence of the sorted store), added is
-    // sorted and disjoint from it, so a linear merge keeps the set sorted
-    // without re-sorting the whole store.
-    let mut new_set = Vec::with_capacity(kept.len() + added.len());
-    let mut ki = kept.into_iter().peekable();
-    let mut ai = added.iter().peekable();
-    loop {
-        match (ki.peek(), ai.peek()) {
-            (Some(k), Some(a)) => {
-                if k.as_slice() < a.as_slice() {
-                    new_set.extend(ki.next());
-                } else {
-                    new_set.extend(ai.next().cloned());
-                }
-            }
-            (Some(_), None) => new_set.extend(ki.next()),
-            (None, Some(_)) => new_set.extend(ai.next().cloned()),
-            (None, None) => break,
+    // What a seed finds is valid now, what was invalidated is not: a found
+    // embedding that is stored is one of the kept.
+    found.retain(|e| !contains_sorted(&sq.embeddings, e));
+    Ok(RepairOutcome { removed_at, added: found })
+}
+
+/// Applies an outcome to its sorted set in place — nothing that stays is
+/// cloned or re-sorted — and returns the embeddings taken out.
+fn commit(set: &mut Vec<Embedding>, removed_at: &[usize], added: &[Embedding]) -> Vec<Embedding> {
+    // Nothing before the first removal moves.
+    let mut gone = removed_at.iter().copied().peekable();
+    let mut at = removed_at.first().copied().unwrap_or(set.len());
+    let removed = set
+        .extract_if(at.., |_| {
+            at += 1;
+            gone.next_if_eq(&(at - 1)).is_some()
+        })
+        .collect();
+    // Merge from the back: each kept embedding moves at most once.
+    let (mut kept, mut to_add) = (set.len(), added.len());
+    set.resize_with(kept + to_add, || Embedding::new(Vec::new()));
+    while to_add > 0 {
+        if kept > 0 && set[kept - 1].as_slice() > added[to_add - 1].as_slice() {
+            set.swap(kept - 1, kept + to_add - 1);
+            kept -= 1;
+        } else {
+            set[kept + to_add - 1] = added[to_add - 1].clone();
+            to_add -= 1;
         }
     }
-    Ok(RepairOutcome { new_set, added, removed })
+    removed
 }
 
 impl ContinuousMatcher {
@@ -311,9 +363,15 @@ impl ContinuousMatcher {
     pub fn register(&mut self, query: Graph, deadline: Deadline) -> Result<u64, Timeout> {
         let mut embeddings = enumerate_overlay(&query, &self.graph, deadline)?;
         sort_embeddings(&mut embeddings);
+        let mut seed_edges: Vec<LabelPairEdge> = query
+            .vertices()
+            .flat_map(|u| query.neighbors(u).iter().map(move |&w| (u, w)))
+            .map(|(u, w)| (query.label(u), query.label(w), u, w))
+            .collect();
+        seed_edges.sort_unstable();
         let id = self.next_id;
         self.next_id += 1;
-        self.queries.push(StandingQuery { id, query, embeddings });
+        self.queries.push(StandingQuery { id, query, embeddings, seed_edges });
         Ok(id)
     }
 
@@ -342,34 +400,39 @@ impl ContinuousMatcher {
     ) -> Result<BatchReport, BatchError> {
         let fx = self.graph.apply_batch(updates)?;
         let outcomes = repair_all(&self.graph, &self.queries, &fx, threads, deadline)?;
-        let mut deltas = Vec::with_capacity(self.queries.len());
-        for (slot, outcome) in outcomes.into_iter().enumerate() {
-            let sq = &mut self.queries[slot];
-            sq.embeddings = outcome.new_set;
-            deltas.push(RepairDelta {
+        let deltas = self
+            .queries
+            .iter_mut()
+            .zip(outcomes)
+            .map(|(sq, outcome)| RepairDelta {
                 query_id: sq.id,
+                removed: commit(&mut sq.embeddings, &outcome.removed_at, &outcome.added),
                 added: outcome.added,
-                removed: outcome.removed,
-            });
-        }
-        let mut compacted = false;
-        if let Some(report) = self.graph.maybe_compact(&self.policy) {
-            compacted = true;
+            })
+            .collect();
+        let id_remap = self.graph.maybe_compact(&self.policy).map(|report| {
             self.compactions += 1;
-            for sq in &mut self.queries {
-                for e in &mut sq.embeddings {
-                    let remapped: Vec<VertexId> = e
-                        .as_slice()
-                        .iter()
-                        .map(|&v| report.mapping[v.index()].unwrap_or(v))
-                        .collect();
-                    *e = Embedding::new(remapped);
+            // With no slot dropped the renumbering is the identity. Otherwise
+            // it is still monotone, so each set stays sorted as it is.
+            if report.live_vertices < report.mapping.len() {
+                let images = self
+                    .queries
+                    .iter_mut()
+                    .flat_map(|sq| &mut sq.embeddings)
+                    .flat_map(Embedding::as_mut_slice);
+                for v in images {
+                    *v = report.mapping[v.index()].unwrap_or(*v);
                 }
-                // Dense renumbering preserves relative id order, so the
-                // lexicographic sort order of the set is preserved too.
             }
-        }
-        Ok(BatchReport { applied: fx.applied, touched: fx.touched.len(), deltas, compacted })
+            report.mapping
+        });
+        Ok(BatchReport {
+            applied: fx.applied,
+            touched: fx.touched.len(),
+            deltas,
+            compacted: id_remap.is_some(),
+            id_remap,
+        })
     }
 }
 
@@ -392,13 +455,11 @@ fn repair_all(
     if queries.is_empty() {
         return Ok(Vec::new());
     }
+    let seeds = BatchSeeds::new(graph, fx);
     let work: usize = queries.iter().map(|sq| sq.embeddings.len()).sum::<usize>()
-        + (fx.added_edges.len() + fx.added_vertices.len() + fx.touched.len()) * queries.len();
+        + (seeds.edges.len() + seeds.vertices.len() + fx.touched.len()) * queries.len();
     if threads <= 1 || queries.len() == 1 || work < PARALLEL_REPAIR_MIN_WORK {
-        return queries
-            .iter()
-            .map(|sq| repair_one(&sq.query, &sq.embeddings, graph, fx, deadline))
-            .collect();
+        return queries.iter().map(|sq| repair_one(sq, graph, &seeds, deadline)).collect();
     }
     let slots: Vec<Mutex<Option<Result<RepairOutcome, Timeout>>>> =
         queries.iter().map(|_| Mutex::new(None)).collect();
@@ -410,8 +471,7 @@ fn repair_all(
                 if i >= queries.len() {
                     break;
                 }
-                let sq = &queries[i];
-                let r = repair_one(&sq.query, &sq.embeddings, graph, fx, deadline);
+                let r = repair_one(&queries[i], graph, &seeds, deadline);
                 match slots[i].lock() {
                     Ok(mut slot) => *slot = Some(r),
                     Err(poisoned) => *poisoned.into_inner() = Some(r),
@@ -747,15 +807,50 @@ mod tests {
         let mut m = ContinuousMatcher::new(base(), policy);
         let q = labeled(&[0, 1], &[(0, 1)]);
         let id = m.register(q.clone(), Deadline::none()).unwrap();
-        let report = m
-            .apply_batch(&[Update::RemoveVertex { vertex: VertexId(0) }], 2, Deadline::none())
-            .unwrap();
+        let old = m.embeddings(id).unwrap().to_vec();
+        // Kills (v0, v1), keeps (v2, v1), creates (v2, v4) — then compacts.
+        let batch = [
+            Update::RemoveVertex { vertex: VertexId(0) },
+            Update::AddVertex { label: Label(1) },
+            Update::AddEdge { u: VertexId(4), v: VertexId(2) },
+        ];
+        let report = m.apply_batch(&batch, 2, Deadline::none()).unwrap();
         assert!(report.compacted);
         // After compaction ids are dense again; the repaired set must equal
         // a fresh query against the compacted overlay.
         let full = m.query(&q, Deadline::none()).unwrap();
         assert_eq!(m.embeddings(id).unwrap(), full.as_slice());
         assert_eq!(m.compactions(), 1);
+        // The delta is in the ids the batch used: old set − removed + added,
+        // taken through `id_remap`, is the new set.
+        let remap = report.id_remap.as_ref().expect("a compacting batch reports its renumbering");
+        let delta = &report.deltas[0];
+        assert_eq!(delta.removed.len(), 1);
+        assert_eq!(remap[delta.removed[0].image(VertexId(0)).index()], None, "v0 was tombstoned");
+        let mut expected: Vec<Embedding> = old
+            .iter()
+            .filter(|e| !delta.removed.contains(e))
+            .chain(&delta.added)
+            .map(|e| {
+                Embedding::new(e.as_slice().iter().map(|v| remap[v.index()].unwrap()).collect())
+            })
+            .collect();
+        sort_embeddings(&mut expected);
+        assert_eq!(m.embeddings(id).unwrap(), expected.as_slice());
+        assert_eq!(expected.len(), 2);
+    }
+
+    #[test]
+    fn commit_edits_a_sorted_set_in_place() {
+        let e = |a: u32, b: u32| Embedding::new(vec![VertexId(a), VertexId(b)]);
+        let mut set = vec![e(0, 1), e(0, 5), e(2, 3), e(4, 0), e(7, 7)];
+        let removed = commit(&mut set, &[1, 3], &[e(0, 0), e(3, 9), e(9, 9)]);
+        assert_eq!(removed, vec![e(0, 5), e(4, 0)]);
+        assert_eq!(set, vec![e(0, 0), e(0, 1), e(2, 3), e(3, 9), e(7, 7), e(9, 9)]);
+        assert!(commit(&mut set, &[], &[]).is_empty());
+        assert_eq!(set.len(), 6);
+        assert_eq!(commit(&mut set, &[0, 1, 2, 3, 4, 5], &[]).len(), 6);
+        assert!(set.is_empty());
     }
 
     #[test]

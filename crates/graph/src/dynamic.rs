@@ -23,20 +23,23 @@
 //!   and leave the overlay untouched. [`DynamicGraph::apply_batch`]
 //!   additionally pre-validates the whole batch against a lightweight
 //!   simulation, so a batch is applied atomically or not at all.
-//! * NLF signatures are maintained incrementally in an [`NlfTable`] so the
-//!   candidate filters stay exact without per-batch recomputation.
+//! * NLF signatures stay exact without per-batch recomputation: an
+//!   untouched vertex reads the base's label-run index, a patched one keeps
+//!   its `(label, count)` runs beside its list, updated with every insert
+//!   and removal ([`DynamicGraph::label_runs`]).
 //!
 //! When the delta grows past a [`CompactionPolicy`] threshold,
 //! [`DynamicGraph::compact`] folds it into a fresh densely-renumbered CSR
 //! and returns the old→new id mapping so callers (e.g. standing-query
-//! embedding stores) can remap.
+//! embedding stores) can remap. Renumbering is monotone, so every
+//! `(label, id)`-sorted list is still sorted after it and the CSR arrays are
+//! written directly, without a builder or a re-sort.
 
-use crate::builder::GraphBuilder;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 use crate::hash::FxHashMap;
 use crate::label::Label;
-use crate::nlf::{NeighborhoodLabelFrequency, NlfTable};
+use crate::nlf::{runs_dominated, NeighborhoodLabelFrequency};
 use crate::vertex::VertexId;
 
 /// One mutation of a [`DynamicGraph`].
@@ -124,11 +127,12 @@ pub struct CompactionReport {
 
 /// When to fold the delta back into the base CSR.
 ///
-/// Compaction costs a full CSR rebuild (`O(V + E)`), while the delta costs
-/// every reader a hash probe per patched vertex and slowly grows tombstoned
-/// slots; `benches/dynamic.rs` measures the crossover and backs the default
-/// ratio. Compact when the delta has absorbed at least `min_delta_ops`
-/// operations **and** at least `delta_ratio` × base edges.
+/// Compaction costs a full CSR rewrite (`O(V + E)`), while the delta costs
+/// every reader an indirection per patched vertex, two small heap blocks
+/// per patch, and slowly grows tombstoned slots; `benches/dynamic.rs`
+/// measures the crossover and backs the default ratio. Compact when the
+/// delta has absorbed at least `min_delta_ops` operations **and** at least
+/// `delta_ratio` × base edges.
 #[derive(Clone, Copy, Debug)]
 pub struct CompactionPolicy {
     /// Floor on delta operations before compaction is considered.
@@ -168,39 +172,98 @@ impl CompactionPolicy {
 }
 
 /// A mutable graph: immutable CSR base + copy-on-write adjacency delta +
-/// tombstones, with incrementally-maintained NLF signatures.
+/// tombstones, with exact NLF signatures at every vertex.
 #[derive(Clone, Debug)]
 pub struct DynamicGraph {
     base: Graph,
     /// Labels for every slot (base + added); labels are immutable per slot.
     labels: Vec<Label>,
-    /// Full sorted adjacency for every modified vertex. Added vertices are
-    /// always present here (possibly empty), so unpatched slots are
+    /// Per slot: its index in `patches`, or [`UNPATCHED`]. Added vertices
+    /// are always patched (possibly empty), so unpatched slots are
     /// guaranteed to be base vertices.
-    patched: FxHashMap<u32, Vec<VertexId>>,
+    patch_of: Vec<u32>,
+    patches: Vec<Patch>,
     tombstoned: Vec<bool>,
     /// Added (id ≥ base vertex count) vertices per label, ascending by id.
     added_by_label: FxHashMap<Label, Vec<VertexId>>,
-    nlf: NlfTable,
     edge_count: usize,
     live_count: usize,
     delta_ops: usize,
     compactions: u64,
 }
 
-/// Inserts `w` into a `(label, id)`-sorted adjacency list. Caller guarantees
-/// absence.
-fn insert_sorted(adj: &mut Vec<VertexId>, labels: &[Label], w: VertexId) {
-    let key = (labels[w.index()], w);
-    let pos = adj.partition_point(|&x| (labels[x.index()], x) < key);
-    adj.insert(pos, w);
+const UNPATCHED: u32 = u32::MAX;
+
+/// The copy-on-write state of one modified vertex: its full adjacency,
+/// sorted by `(label, id)`, and that list's `(label, count)` runs — the
+/// vertex's NLF, and the index label-restricted reads go through.
+#[derive(Clone, Debug, Default)]
+struct Patch {
+    adj: Vec<VertexId>,
+    runs: Vec<(Label, u32)>,
 }
 
-/// Removes `w` from a `(label, id)`-sorted adjacency list if present.
-fn remove_sorted(adj: &mut Vec<VertexId>, labels: &[Label], w: VertexId) {
-    let key = (labels[w.index()], w);
-    if let Ok(pos) = adj.binary_search_by(|&x| (labels[x.index()], x).cmp(&key)) {
-        adj.remove(pos);
+impl Patch {
+    fn of(base: &Graph, v: VertexId) -> Self {
+        // Patched because it is about to change: leave room to grow.
+        let mut adj = Vec::with_capacity(base.degree(v) + 2);
+        adj.extend_from_slice(base.neighbors(v));
+        Self { adj, runs: base.label_runs(v).collect() }
+    }
+
+    /// Index in `runs` of the first run with label ≥ `l`, and the offset in
+    /// `adj` at which it starts.
+    fn locate(&self, l: Label) -> (usize, usize) {
+        let mut start = 0;
+        for (i, &(rl, count)) in self.runs.iter().enumerate() {
+            if rl >= l {
+                return (i, start);
+            }
+            start += count as usize;
+        }
+        (self.runs.len(), start)
+    }
+
+    fn with_label(&self, l: Label) -> &[VertexId] {
+        let (i, start) = self.locate(l);
+        match self.runs.get(i) {
+            Some(&(rl, count)) if rl == l => &self.adj[start..start + count as usize],
+            _ => &[],
+        }
+    }
+
+    /// Inserts neighbor `w` carrying label `l`. Caller guarantees absence.
+    fn insert(&mut self, w: VertexId, l: Label) {
+        let (i, start) = self.locate(l);
+        let before = match self.runs.get_mut(i) {
+            Some((rl, count)) if *rl == l => {
+                *count += 1;
+                *count as usize - 1
+            }
+            _ => {
+                self.runs.insert(i, (l, 1));
+                0
+            }
+        };
+        let at = start + self.adj[start..start + before].partition_point(|&x| x < w);
+        self.adj.insert(at, w);
+    }
+
+    /// Removes neighbor `w` carrying label `l` if present.
+    fn remove(&mut self, w: VertexId, l: Label) {
+        let (i, start) = self.locate(l);
+        let Some(&(rl, count)) = self.runs.get(i) else { return };
+        if rl != l {
+            return;
+        }
+        if let Ok(at) = self.adj[start..start + count as usize].binary_search(&w) {
+            self.adj.remove(start + at);
+            if count == 1 {
+                self.runs.remove(i);
+            } else {
+                self.runs[i].1 -= 1;
+            }
+        }
     }
 }
 
@@ -216,16 +279,15 @@ impl DynamicGraph {
     /// Wraps an immutable base graph in a (initially empty) delta.
     pub fn new(base: Graph) -> Self {
         let labels = base.labels().to_vec();
-        let nlf = NlfTable::from_graph(&base);
         let edge_count = base.edge_count();
         let live_count = base.vertex_count();
         Self {
             base,
             labels,
-            patched: FxHashMap::default(),
+            patch_of: vec![UNPATCHED; live_count],
+            patches: Vec::new(),
             tombstoned: vec![false; live_count],
             added_by_label: FxHashMap::default(),
-            nlf,
             edge_count,
             live_count,
             delta_ops: 0,
@@ -269,12 +331,27 @@ impl DynamicGraph {
         self.neighbors(v).len()
     }
 
+    fn patch(&self, v: VertexId) -> Option<&Patch> {
+        // `UNPATCHED` is past the end of any `patches`.
+        self.patches.get(self.patch_of[v.index()] as usize)
+    }
+
+    /// `v`'s patch, copying its base adjacency into the delta on first touch.
+    fn patch_mut(&mut self, v: VertexId) -> &mut Patch {
+        let at = &mut self.patch_of[v.index()];
+        if *at == UNPATCHED {
+            *at = self.patches.len() as u32;
+            self.patches.push(Patch::of(&self.base, v));
+        }
+        &mut self.patches[*at as usize]
+    }
+
     /// Neighbors of `v`, sorted by `(label, id)` — the base CSR slice for
     /// untouched vertices, the patched list otherwise. Never contains
     /// tombstoned vertices.
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.patched.get(&v.id()) {
-            Some(adj) => adj,
+        match self.patch(v) {
+            Some(p) => &p.adj,
             None => self.base.neighbors(v),
         }
     }
@@ -282,12 +359,8 @@ impl DynamicGraph {
     /// Neighbors of `v` carrying label `l` (contiguous sorted slice), the
     /// intersection-kernel input.
     pub fn neighbors_with_label(&self, v: VertexId, l: Label) -> &[VertexId] {
-        match self.patched.get(&v.id()) {
-            Some(adj) => {
-                let start = adj.partition_point(|&w| self.labels[w.index()] < l);
-                let end = start + adj[start..].partition_point(|&w| self.labels[w.index()] == l);
-                &adj[start..end]
-            }
+        match self.patch(v) {
+            Some(p) => p.with_label(l),
             None => self.base.neighbors_with_label(v, l),
         }
     }
@@ -295,11 +368,14 @@ impl DynamicGraph {
     /// Whether the undirected edge `e(u, v)` exists (false for unknown or
     /// tombstoned endpoints).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if !self.is_live(u) || !self.is_live(v) || u == v {
-            return false;
+        // A tombstone's list is empty and no live list holds one, so only
+        // the id range needs checking before the one run lookup.
+        match self.labels.get(v.index()) {
+            Some(&lv) if u.index() < self.labels.len() => {
+                self.neighbors_with_label(u, lv).binary_search(&v).is_ok()
+            }
+            _ => false,
         }
-        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbors_with_label(a, self.labels[b.index()]).binary_search(&b).is_ok()
     }
 
     /// Appends every live vertex carrying label `l` to `out`, ascending by
@@ -322,14 +398,25 @@ impl DynamicGraph {
         (0..self.labels.len() as u32).map(VertexId).filter(|v| !self.tombstoned[v.index()])
     }
 
-    /// The incrementally-maintained NLF table.
-    pub fn nlf_table(&self) -> &NlfTable {
-        &self.nlf
+    /// The neighborhood label frequency of `v`: one `(label, count)` per
+    /// distinct neighbor label, ascending by label (empty for tombstoned
+    /// slots). Read off the base's run index or kept with the patched list;
+    /// never recomputed from adjacency.
+    pub fn label_runs(&self, v: VertexId) -> impl Iterator<Item = (Label, u32)> + '_ {
+        let (patched, base) = match self.patch(v) {
+            Some(p) => (Some(p.runs.iter().copied()), None),
+            None => (None, Some(self.base.label_runs(v))),
+        };
+        patched.into_iter().flatten().chain(base.into_iter().flatten())
     }
 
-    /// Whether `query ⊑ NLF(v)` per the maintained table.
+    /// Whether `query ⊑ NLF(v)`.
     pub fn nlf_dominates(&self, v: VertexId, query: &NeighborhoodLabelFrequency) -> bool {
-        self.nlf.dominates(v, query)
+        let query = query.runs().iter().copied();
+        match self.patch(v) {
+            Some(p) => runs_dominated(query, p.runs.iter().copied()),
+            None => runs_dominated(query, self.base.label_runs(v)),
+        }
     }
 
     /// Delta operations absorbed since the last compaction.
@@ -339,7 +426,7 @@ impl DynamicGraph {
 
     /// Vertices with a copy-on-write patched adjacency.
     pub fn patched_vertices(&self) -> usize {
-        self.patched.len()
+        self.patches.len()
     }
 
     /// Compactions performed over this overlay's lifetime.
@@ -360,14 +447,6 @@ impl DynamicGraph {
         Ok(())
     }
 
-    /// Copies `v`'s base adjacency into the delta on first touch.
-    fn ensure_patched(&mut self, v: VertexId) {
-        if !self.patched.contains_key(&v.id()) {
-            let adj = self.base.neighbors(v).to_vec();
-            self.patched.insert(v.id(), adj);
-        }
-    }
-
     /// Adds a fresh vertex; the new id is the next unused slot.
     pub fn add_vertex(&mut self, label: Label) -> Result<VertexId> {
         if self.labels.len() >= u32::MAX as usize {
@@ -376,8 +455,8 @@ impl DynamicGraph {
         let id = VertexId(self.labels.len() as u32);
         self.labels.push(label);
         self.tombstoned.push(false);
-        self.patched.insert(id.id(), Vec::new());
-        self.nlf.push_vertex();
+        self.patch_of.push(self.patches.len() as u32);
+        self.patches.push(Patch::default());
         self.added_by_label.entry(label).or_default().push(id);
         self.live_count += 1;
         self.delta_ops += 1;
@@ -394,18 +473,9 @@ impl DynamicGraph {
         if self.has_edge(u, v) {
             return Ok(false);
         }
-        self.ensure_patched(u);
-        self.ensure_patched(v);
         let (lu, lv) = (self.labels[u.index()], self.labels[v.index()]);
-        let labels = &self.labels;
-        if let Some(adj) = self.patched.get_mut(&u.id()) {
-            insert_sorted(adj, labels, v);
-        }
-        if let Some(adj) = self.patched.get_mut(&v.id()) {
-            insert_sorted(adj, labels, u);
-        }
-        self.nlf.add_neighbor(u, lv);
-        self.nlf.add_neighbor(v, lu);
+        self.patch_mut(u).insert(v, lv);
+        self.patch_mut(v).insert(u, lu);
         self.edge_count += 1;
         self.delta_ops += 1;
         Ok(true)
@@ -421,18 +491,9 @@ impl DynamicGraph {
         if !self.has_edge(u, v) {
             return Err(GraphError::MissingEdge { u: u.id(), v: v.id() });
         }
-        self.ensure_patched(u);
-        self.ensure_patched(v);
         let (lu, lv) = (self.labels[u.index()], self.labels[v.index()]);
-        let labels = &self.labels;
-        if let Some(adj) = self.patched.get_mut(&u.id()) {
-            remove_sorted(adj, labels, v);
-        }
-        if let Some(adj) = self.patched.get_mut(&v.id()) {
-            remove_sorted(adj, labels, u);
-        }
-        self.nlf.remove_neighbor(u, lv);
-        self.nlf.remove_neighbor(v, lu);
+        self.patch_mut(u).remove(v, lv);
+        self.patch_mut(v).remove(u, lu);
         self.edge_count -= 1;
         self.delta_ops += 1;
         Ok(())
@@ -441,21 +502,11 @@ impl DynamicGraph {
     /// Tombstones `vertex`, severing all its edges; returns the ex-neighbors.
     pub fn remove_vertex(&mut self, vertex: VertexId) -> Result<Vec<VertexId>> {
         self.check_endpoint(vertex)?;
-        let severed: Vec<VertexId> = self.neighbors(vertex).to_vec();
+        let severed = std::mem::take(self.patch_mut(vertex)).adj;
         let lv = self.labels[vertex.index()];
         for &w in &severed {
-            self.ensure_patched(w);
-            let labels = &self.labels;
-            if let Some(adj) = self.patched.get_mut(&w.id()) {
-                remove_sorted(adj, labels, vertex);
-            }
-            self.nlf.remove_neighbor(w, lv);
+            self.patch_mut(w).remove(vertex, lv);
         }
-        self.ensure_patched(vertex);
-        if let Some(adj) = self.patched.get_mut(&vertex.id()) {
-            adj.clear();
-        }
-        self.nlf.clear(vertex);
         self.tombstoned[vertex.index()] = true;
         self.edge_count -= severed.len();
         self.live_count -= 1;
@@ -488,63 +539,76 @@ impl DynamicGraph {
     pub fn validate_batch(&self, updates: &[Update]) -> Result<()> {
         let slots = self.labels.len();
         let mut next = slots as u64;
-        let mut live: FxHashMap<u32, bool> = FxHashMap::default();
-        let mut present: FxHashMap<(u32, u32), bool> = FxHashMap::default();
-        let check_live = |live: &FxHashMap<u32, bool>, next: u64, x: VertexId| -> Result<()> {
+        // Vertices removed earlier in the batch, ascending; the ones added
+        // earlier are `slots..next`.
+        let mut removed: Vec<u32> = Vec::new();
+        // Every edge op as (edge, position in the batch, is an add). Sorted,
+        // the ops on one edge are adjacent and in batch order, so whether a
+        // removal finds its edge is decided per edge below instead of
+        // against a map of the whole batch.
+        let mut edge_ops: Vec<((u32, u32), usize, bool)> = Vec::with_capacity(updates.len());
+        let check_live = |removed: &[u32], next: u64, x: VertexId| -> Result<()> {
             if u64::from(x.id()) >= next {
                 return Err(GraphError::UnknownVertex {
                     vertex: x.id(),
                     vertex_count: next as usize,
                 });
             }
-            let alive = match live.get(&x.id()) {
-                Some(&b) => b,
-                None => x.index() < slots && !self.tombstoned[x.index()],
-            };
-            if !alive {
+            if (x.index() < slots && self.tombstoned[x.index()])
+                || removed.binary_search(&x.id()).is_ok()
+            {
                 return Err(GraphError::Tombstoned { vertex: x.id() });
             }
             Ok(())
         };
-        for up in updates {
+        let mut check = |at: usize, up: &Update| -> Result<()> {
             match *up {
                 Update::AddVertex { .. } => {
                     if next >= u64::from(u32::MAX) {
                         return Err(GraphError::TooManyVertices(next as usize + 1));
                     }
-                    live.insert(next as u32, true);
                     next += 1;
                 }
-                Update::AddEdge { u, v } => {
-                    check_live(&live, next, u)?;
-                    check_live(&live, next, v)?;
+                Update::AddEdge { u, v } | Update::RemoveEdge { u, v } => {
+                    check_live(&removed, next, u)?;
+                    check_live(&removed, next, v)?;
                     if u == v {
                         return Err(GraphError::SelfLoop { vertex: u.id() });
                     }
-                    present.insert(edge_key(u, v), true);
-                }
-                Update::RemoveEdge { u, v } => {
-                    check_live(&live, next, u)?;
-                    check_live(&live, next, v)?;
-                    if u == v {
-                        return Err(GraphError::SelfLoop { vertex: u.id() });
-                    }
-                    let has = match present.get(&edge_key(u, v)) {
-                        Some(&b) => b,
-                        None => u.index() < slots && v.index() < slots && self.has_edge(u, v),
-                    };
-                    if !has {
-                        return Err(GraphError::MissingEdge { u: u.id(), v: v.id() });
-                    }
-                    present.insert(edge_key(u, v), false);
+                    edge_ops.push((edge_key(u, v), at, matches!(up, Update::AddEdge { .. })));
                 }
                 Update::RemoveVertex { vertex } => {
-                    check_live(&live, next, vertex)?;
-                    live.insert(vertex.id(), false);
+                    check_live(&removed, next, vertex)?;
+                    let after = removed.partition_point(|&r| r < vertex.id());
+                    removed.insert(after, vertex.id());
                 }
             }
+            Ok(())
+        };
+        // The first update that is malformed whatever the edge set holds;
+        // edge ops before it are still checked against the edge set below.
+        let mut malformed: Option<(usize, GraphError)> =
+            updates.iter().enumerate().find_map(|(at, up)| Some((at, check(at, up).err()?)));
+        edge_ops.sort_unstable();
+        for ops in edge_ops.chunk_by(|a, b| a.0 == b.0) {
+            let (a, b) = (VertexId(ops[0].0 .0), VertexId(ops[0].0 .1));
+            // `None`: as the overlay has it.
+            let mut present: Option<bool> = None;
+            for &(_, at, add) in ops {
+                if !add && !present.unwrap_or_else(|| self.has_edge(a, b)) {
+                    if malformed.as_ref().is_none_or(|&(first, _)| at < first) {
+                        // Endpoints in the order the update gave them.
+                        if let Update::RemoveEdge { u, v } = updates[at] {
+                            let e = GraphError::MissingEdge { u: u.id(), v: v.id() };
+                            malformed = Some((at, e));
+                        }
+                    }
+                    break; // later ops on this edge come later in the batch
+                }
+                present = Some(add);
+            }
         }
-        Ok(())
+        malformed.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     /// Atomically applies a batch: pre-validates every update, then applies
@@ -553,7 +617,8 @@ impl DynamicGraph {
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchEffects> {
         self.validate_batch(updates)?;
         let mut fx = BatchEffects::default();
-        let mut touched: Vec<VertexId> = Vec::new();
+        fx.effects.reserve(updates.len());
+        let mut touched: Vec<VertexId> = Vec::with_capacity(2 * updates.len());
         for up in updates {
             let effect = self.apply(up)?;
             match &effect {
@@ -591,33 +656,32 @@ impl DynamicGraph {
     /// Materializes the current state as a fresh CSR with live vertices
     /// densely renumbered in id order, plus the old→new mapping. Does not
     /// mutate the overlay.
+    ///
+    /// The renumbering is monotone and labels travel with their vertices, so
+    /// each `(label, id)`-sorted list maps to a sorted list: the CSR arrays
+    /// are written in one pass over the overlay's slices.
     pub fn materialize(&self) -> (Graph, Vec<Option<VertexId>>) {
         let mut mapping: Vec<Option<VertexId>> = vec![None; self.labels.len()];
-        let mut b = GraphBuilder::with_capacity(self.live_count);
+        let mut labels = Vec::with_capacity(self.live_count);
         for (i, &l) in self.labels.iter().enumerate() {
             if !self.tombstoned[i] {
-                mapping[i] = Some(b.add_vertex(l));
+                mapping[i] = Some(VertexId(labels.len() as u32));
+                labels.push(l);
             }
         }
-        for i in 0..self.labels.len() {
-            if let Some(nu) = mapping[i] {
-                let v = VertexId(i as u32);
-                for &w in self.neighbors(v) {
-                    if v < w {
-                        if let Some(nw) = mapping[w.index()] {
-                            // Live adjacency never references tombstones and
-                            // the overlay is simple, so this cannot fail.
-                            let _ = b.add_edge(nu, nw);
-                        }
-                    }
-                }
-            }
+        let mut offsets = Vec::with_capacity(self.live_count + 1);
+        let mut neighbors = Vec::with_capacity(2 * self.edge_count);
+        offsets.push(0u32);
+        for v in self.live_vertices() {
+            // Live adjacency never references a tombstone: nothing is dropped.
+            neighbors.extend(self.neighbors(v).iter().filter_map(|w| mapping[w.index()]));
+            offsets.push(neighbors.len() as u32);
         }
-        (b.build(), mapping)
+        (Graph::from_sorted_csr(labels, offsets, neighbors, self.edge_count), mapping)
     }
 
     /// Folds the delta into a fresh base CSR (dense renumbering, tombstones
-    /// dropped, NLF table rebuilt) and resets the delta.
+    /// and patches dropped) and resets the delta.
     pub fn compact(&mut self) -> CompactionReport {
         let (g, mapping) = self.materialize();
         let report = CompactionReport {
@@ -626,13 +690,15 @@ impl DynamicGraph {
             edges: g.edge_count(),
             delta_ops: self.delta_ops,
         };
-        self.labels = g.labels().to_vec();
-        self.nlf = NlfTable::from_graph(&g);
-        self.tombstoned = vec![false; g.vertex_count()];
-        self.patched.clear();
+        self.labels.clear();
+        self.labels.extend_from_slice(g.labels());
+        self.tombstoned.clear();
+        self.tombstoned.resize(g.vertex_count(), false);
+        self.patch_of.clear();
+        self.patch_of.resize(g.vertex_count(), UNPATCHED);
+        self.patches.clear();
         self.added_by_label.clear();
         self.live_count = g.vertex_count();
-        self.edge_count = g.edge_count();
         self.base = g;
         self.delta_ops = 0;
         self.compactions += 1;
@@ -652,6 +718,7 @@ impl DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
 
     fn base() -> Graph {
         // Path v0(L0) - v1(L1) - v2(L0) - v3(L2), plus edge v0-v3.
@@ -748,11 +815,11 @@ mod tests {
         g.remove_edge(VertexId(0), VertexId(3)).unwrap();
         g.remove_vertex(VertexId(1)).unwrap();
         let (fresh, mapping) = g.materialize();
-        let fresh_table = NlfTable::from_graph(&fresh);
         for v in g.live_vertices() {
             let nv = mapping[v.index()].unwrap();
-            assert_eq!(g.nlf_table().runs(v), fresh_table.runs(nv), "stale NLF at {v:?}");
+            assert!(g.label_runs(v).eq(fresh.label_runs(nv)), "stale NLF at {v:?}");
         }
+        assert_eq!(g.label_runs(VertexId(1)).count(), 0, "a tombstone has no neighborhood");
     }
 
     #[test]
@@ -802,6 +869,31 @@ mod tests {
         ];
         assert!(matches!(g.apply_batch(&bad), Err(GraphError::MissingEdge { .. })));
         assert!(g.has_edge(VertexId(0), VertexId(1)));
+    }
+
+    #[test]
+    fn batch_reports_its_first_malformed_update() {
+        let g = DynamicGraph::new(base());
+        let add = Update::AddEdge { u: VertexId(1), v: VertexId(3) };
+        let remove = Update::RemoveEdge { u: VertexId(3), v: VertexId(1) };
+        let missing = Update::RemoveEdge { u: VertexId(2), v: VertexId(0) };
+        let unknown = Update::AddEdge { u: VertexId(0), v: VertexId(9) };
+        // Edge ops are checked per edge after the pass over the batch; the
+        // error reported is still the earliest in batch order.
+        assert!(matches!(
+            g.validate_batch(&[add, missing, unknown]),
+            Err(GraphError::MissingEdge { u: 2, v: 0 })
+        ));
+        assert!(matches!(
+            g.validate_batch(&[add, unknown, missing]),
+            Err(GraphError::UnknownVertex { vertex: 9, .. })
+        ));
+        // Each removal sees what the ops before it left of its edge.
+        assert!(g.validate_batch(&[add, remove, add, remove]).is_ok());
+        assert!(matches!(
+            g.validate_batch(&[add, remove, remove, add]),
+            Err(GraphError::MissingEdge { u: 3, v: 1 })
+        ));
     }
 
     #[test]

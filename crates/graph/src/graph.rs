@@ -54,40 +54,62 @@ impl Graph {
     ///
     /// Intended to be called by [`GraphBuilder::build`](crate::GraphBuilder::build),
     /// which guarantees a simple symmetric adjacency; this function sorts the
-    /// lists and derives the CSR arrays.
+    /// lists, flattens them and hands over to
+    /// [`from_sorted_csr`](Self::from_sorted_csr).
     pub(crate) fn from_parts(
         labels: Vec<Label>,
         mut adjacency: Vec<Vec<VertexId>>,
         edge_count: usize,
     ) -> Self {
+        let mut offsets = Vec::with_capacity(labels.len() + 1);
+        let mut flat = Vec::with_capacity(2 * edge_count);
+        offsets.push(0u32);
+        for adj in adjacency.iter_mut() {
+            adj.sort_unstable_by_key(|&v| (labels[v.index()], v));
+            flat.extend_from_slice(adj);
+            offsets.push(flat.len() as u32);
+        }
+        Self::from_sorted_csr(labels, offsets, flat, edge_count)
+    }
+
+    /// Builds a graph from CSR parts whose adjacency lists (vertex `v`'s is
+    /// `neighbors[offsets[v]..offsets[v + 1]]`) are already simple, symmetric
+    /// and sorted by `(neighbor label, neighbor id)`; derives the label-run
+    /// and label → vertices indices.
+    pub(crate) fn from_sorted_csr(
+        labels: Vec<Label>,
+        offsets: Vec<u32>,
+        neighbors: Vec<VertexId>,
+        edge_count: usize,
+    ) -> Self {
         let n = labels.len();
         assert!(n <= u32::MAX as usize, "vertex count exceeds u32");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut flat = Vec::with_capacity(2 * edge_count);
+        debug_assert_eq!(offsets.len(), n + 1);
+        debug_assert_eq!(neighbors.len(), 2 * edge_count);
         let mut max_degree = 0u32;
         let mut run_offsets = Vec::with_capacity(n + 1);
         let mut run_labels = Vec::new();
         let mut run_starts = Vec::new();
-        offsets.push(0u32);
         run_offsets.push(0u32);
-        for adj in adjacency.iter_mut() {
-            adj.sort_unstable_by_key(|&v| (labels[v.index()], v));
+        for w in offsets.windows(2) {
+            let adj = &neighbors[w[0] as usize..w[1] as usize];
+            debug_assert!(
+                adj.windows(2).all(|p| (labels[p[0].index()], p[0]) < (labels[p[1].index()], p[1])),
+                "adjacency not sorted by (label, id)"
+            );
             max_degree = max_degree.max(adj.len() as u32);
-            let base = flat.len() as u32;
             let mut prev: Option<Label> = None;
             for (i, &v) in adj.iter().enumerate() {
                 let l = labels[v.index()];
                 if prev != Some(l) {
                     run_labels.push(l);
-                    run_starts.push(base + i as u32);
+                    run_starts.push(w[0] + i as u32);
                     prev = Some(l);
                 }
             }
-            flat.extend_from_slice(adj);
-            offsets.push(flat.len() as u32);
             run_offsets.push(run_labels.len() as u32);
         }
-        run_starts.push(flat.len() as u32);
+        run_starts.push(neighbors.len() as u32);
 
         // Label → vertices CSR.
         let label_count = labels.iter().map(|l| l.index() + 1).max().unwrap_or(0);
@@ -111,7 +133,7 @@ impl Graph {
         Self {
             labels: labels.into_boxed_slice(),
             offsets: offsets.into_boxed_slice(),
-            neighbors: flat.into_boxed_slice(),
+            neighbors: neighbors.into_boxed_slice(),
             run_offsets: run_offsets.into_boxed_slice(),
             run_labels: run_labels.into_boxed_slice(),
             run_starts: run_starts.into_boxed_slice(),

@@ -63,6 +63,6 @@ pub use error::{GraphError, Result};
 pub use graph::Graph;
 pub use heap_size::HeapSize;
 pub use label::{Label, LabelInterner};
-pub use nlf::{NeighborhoodLabelFrequency, NlfTable};
+pub use nlf::NeighborhoodLabelFrequency;
 pub use stats::{DatabaseStats, GraphStats};
 pub use vertex::VertexId;

@@ -14,23 +14,22 @@
 //!   images and completing the rest enumerates exactly the additions.
 //!
 //! The enumerator is a backtracking search (the same shape as the
-//! [`brute`](crate::brute) oracle) hardened with the overlay's
-//! incrementally-maintained NLF dominance filter. Candidates at each depth
-//! come from label-run slices of the overlay — base CSR slices for untouched
-//! vertices, patched sorted lists otherwise — iterated in ascending id
-//! order. Without seeds the search walks query vertices in id order, so
-//! [`enumerate_overlay`] output is deterministic and lexicographically
-//! sorted by mapping. With seeds the search instead expands outward from the
-//! pinned region (pins first, then connected neighbors), so every unpinned
-//! depth is anchored to an already-mapped neighbor and candidates stay
-//! neighborhood-sized instead of falling back to a full label scan — the
-//! property that keeps a repair seed O(local) rather than O(|V|). Seeded
-//! output is deterministic but not sorted; the repair layer sorts after
-//! merging.
+//! [`brute`](crate::brute) oracle) hardened with the overlay's exact NLF
+//! dominance filter. Candidates at each depth are a label-run slice of the
+//! overlay — a base CSR slice for untouched vertices, a patched sorted list
+//! otherwise — iterated in place, in ascending id order. Without seeds the
+//! search walks query vertices in id order, so [`enumerate_overlay`] output
+//! is deterministic and lexicographically sorted by mapping. With seeds the
+//! search instead expands outward from the pinned region (pins first, then
+//! connected neighbors), so every unpinned depth is anchored to an
+//! already-mapped neighbor and candidates stay neighborhood-sized instead of
+//! falling back to a full label scan — the property that keeps a repair seed
+//! O(local) rather than O(|V|). Seeded output is deterministic but not
+//! sorted; the repair layer sorts after merging.
 
 use sqp_graph::{DynamicGraph, Graph, NeighborhoodLabelFrequency, VertexId};
 
-use crate::deadline::{Deadline, Timeout};
+use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
 
 /// Enumerates every subgraph isomorphism from `q` into the overlay.
@@ -62,14 +61,18 @@ pub fn enumerate_seeded(
     Ok(out)
 }
 
+const UNMAPPED: VertexId = VertexId(u32::MAX);
+
 /// A reusable seeded enumerator over one `(query, overlay)` pair.
 ///
-/// [`enumerate_seeded`] pays an O(|V|) scratch allocation plus the query's
-/// NLF signatures on every call; the repair inner loop issues one seeded
-/// enumeration per label-compatible pin, so those constants dominate once
-/// the search itself is neighborhood-sized. This struct amortizes both
-/// across calls: construct once per repaired query, then
-/// [`enumerate`](SeededEnumerator::enumerate) per seed set.
+/// The repair inner loop issues one seeded enumeration per label-compatible
+/// pin, and the search itself is neighborhood-sized, so whatever a call sets
+/// up dominates it. Everything a call needs is therefore built once and
+/// kept: the query's NLF signatures, the O(|V|) `used` map, the search order
+/// of each pin pattern seen so far, and the one candidate buffer a search
+/// needs. Construct once per repaired query, then
+/// [`enumerate`](SeededEnumerator::enumerate) per seed set; a warm call
+/// allocates nothing but the embeddings it emits.
 pub struct SeededEnumerator<'a> {
     q: &'a Graph,
     g: &'a DynamicGraph,
@@ -77,6 +80,13 @@ pub struct SeededEnumerator<'a> {
     mapping: Vec<VertexId>,
     pinned: Vec<bool>,
     used: Vec<bool>,
+    /// Search orders derived so far, keyed by the pin pattern they serve.
+    orders: Vec<(Vec<bool>, Vec<usize>)>,
+    /// Candidates of a depth with no mapped neighbor (the root of an
+    /// unseeded search). Every other depth iterates an overlay slice.
+    roots: Vec<VertexId>,
+    deadline: Deadline,
+    ticker: TickChecker,
 }
 
 impl<'a> SeededEnumerator<'a> {
@@ -85,95 +95,173 @@ impl<'a> SeededEnumerator<'a> {
         Self {
             q,
             g,
-            // Query NLF signatures once; the overlay side uses the
-            // maintained table.
             qnlf: (0..n).map(|u| NeighborhoodLabelFrequency::of(q, VertexId(u as u32))).collect(),
-            mapping: vec![VertexId(u32::MAX); n],
+            mapping: vec![UNMAPPED; n],
             pinned: vec![false; n],
             used: vec![false; g.vertex_slots()],
+            orders: Vec::new(),
+            roots: Vec::new(),
+            deadline: Deadline::none(),
+            ticker: TickChecker::new(),
         }
     }
 
     /// Appends to `out` every embedding extending `seeds`. See
     /// [`enumerate_seeded`] for the seed semantics.
+    ///
+    /// The clock is read once up front and then once per tick interval of
+    /// candidates tried, counted across calls.
     pub fn enumerate(
         &mut self,
         seeds: &[(VertexId, VertexId)],
         deadline: Deadline,
         out: &mut Vec<Embedding>,
     ) -> Result<(), Timeout> {
-        let n = self.q.vertex_count();
-        if n == 0 {
+        deadline.check()?;
+        if self.q.vertex_count() == 0 {
             return Ok(());
         }
-        for u in 0..n {
-            self.mapping[u] = VertexId(u32::MAX);
-            self.pinned[u] = false;
-        }
-        let result = self.run(seeds, deadline, out);
+        self.deadline = deadline;
+        self.mapping.fill(UNMAPPED);
+        self.pinned.fill(false);
+        let result = match self.pin(seeds) {
+            // Pins lead every order, so the search starts past them.
+            Some(order) => {
+                let pins = self.pinned.iter().filter(|&&p| p).count();
+                self.descend(order, pins, out)
+            }
+            None => Ok(()),
+        };
         // Backtracking resets `used` for every searched vertex; only the
         // pins remain. Clearing them here (instead of a full memset) is
         // what keeps the per-call cost O(pins), not O(|V|).
-        for u in 0..n {
-            if self.pinned[u] {
-                self.used[self.mapping[u].index()] = false;
-            }
+        for (u, _) in self.pinned.iter().enumerate().filter(|(_, &p)| p) {
+            self.used[self.mapping[u].index()] = false;
         }
         result
     }
 
-    fn run(
-        &mut self,
-        seeds: &[(VertexId, VertexId)],
-        deadline: Deadline,
-        out: &mut Vec<Embedding>,
-    ) -> Result<(), Timeout> {
+    /// Places the pins and returns the index in `orders` of the search order
+    /// for their pattern, or `None` if they cannot extend to an embedding.
+    fn pin(&mut self, seeds: &[(VertexId, VertexId)]) -> Option<usize> {
         let n = self.q.vertex_count();
         for &(u, v) in seeds {
             if u.index() >= n || !self.g.is_live(v) || self.g.label(v) != self.q.label(u) {
-                return Ok(());
+                return None;
             }
             if self.pinned[u.index()] {
                 if self.mapping[u.index()] != v {
-                    return Ok(()); // contradictory pins
+                    return None; // contradictory pins
                 }
                 continue;
             }
             if self.used[v.index()] {
-                return Ok(()); // non-injective pins
+                return None; // non-injective pins
             }
             self.mapping[u.index()] = v;
             self.pinned[u.index()] = true;
             self.used[v.index()] = true;
         }
         // Pinned vertices must already satisfy dominance and mutual edges.
-        for u in 0..n {
-            if !self.pinned[u] {
-                continue;
-            }
+        for u in (0..n).filter(|&u| self.pinned[u]) {
             if !self.g.nlf_dominates(self.mapping[u], &self.qnlf[u]) {
-                return Ok(());
+                return None;
             }
             for &w in self.q.neighbors(VertexId(u as u32)) {
                 if self.pinned[w.index()]
                     && w.index() > u
                     && !self.g.has_edge(self.mapping[u], self.mapping[w.index()])
                 {
-                    return Ok(());
+                    return None;
                 }
             }
         }
-        let order = search_order(self.q, &self.pinned);
-        let mut cx = Search {
-            q: self.q,
-            g: self.g,
-            qnlf: &self.qnlf,
-            pinned: &self.pinned,
-            order: &order,
-            deadline,
-            scratch: Vec::new(),
+        Some(self.orders.iter().position(|(pattern, _)| *pattern == self.pinned).unwrap_or_else(
+            || {
+                self.orders.push((self.pinned.clone(), search_order(self.q, &self.pinned)));
+                self.orders.len() - 1
+            },
+        ))
+    }
+
+    fn descend(
+        &mut self,
+        order: usize,
+        depth: usize,
+        out: &mut Vec<Embedding>,
+    ) -> Result<(), Timeout> {
+        let Some(&uq) = self.orders[order].1.get(depth) else {
+            out.push(Embedding::new(self.mapping.clone()));
+            return Ok(());
         };
-        cx.descend(0, &mut self.mapping, &mut self.used, out)
+        // Both outlive `self`'s borrow, so a slice of the overlay can be
+        // iterated while the recursion below mutates the search state.
+        let (q, g) = (self.q, self.g);
+        let label = q.label(VertexId(uq as u32));
+        // Pivot: the mapped query neighbor whose image has the smallest
+        // label-restricted neighborhood. The candidate *set* is independent
+        // of the pivot (every other mapped neighbor is checked in `extend`),
+        // and each slice is ascending by id, so enumeration order is
+        // deterministic.
+        let mut pivot: Option<(VertexId, &'a [VertexId])> = None;
+        for &w in q.neighbors(VertexId(uq as u32)) {
+            let img = self.mapping[w.index()];
+            if img != UNMAPPED {
+                let run = g.neighbors_with_label(img, label);
+                if pivot.is_none_or(|(_, best)| run.len() < best.len()) {
+                    pivot = Some((w, run));
+                }
+            }
+        }
+        match pivot {
+            Some((w, run)) => self.extend(order, depth, uq, Some(w), run, out),
+            None => {
+                // A nested pivot-less depth (a query component with no pin)
+                // finds the buffer taken and fills a fresh one.
+                let mut roots = std::mem::take(&mut self.roots);
+                roots.clear();
+                g.live_vertices_with_label(label, &mut roots);
+                let result = self.extend(order, depth, uq, None, &roots, out);
+                self.roots = roots;
+                result
+            }
+        }
+    }
+
+    /// Tries every candidate for query vertex `uq` at `depth`: one deadline
+    /// tick per attempt. Candidates drawn from `pivot`'s image are adjacent
+    /// to it by construction.
+    fn extend(
+        &mut self,
+        order: usize,
+        depth: usize,
+        uq: usize,
+        pivot: Option<VertexId>,
+        candidates: &[VertexId],
+        out: &mut Vec<Embedding>,
+    ) -> Result<(), Timeout> {
+        let (q, g) = (self.q, self.g);
+        for &v in candidates {
+            self.ticker.tick(self.deadline)?;
+            if self.used[v.index()] || !g.nlf_dominates(v, &self.qnlf[uq]) {
+                continue;
+            }
+            // Edges to every other already-mapped query neighbor.
+            let ok = q.neighbors(VertexId(uq as u32)).iter().all(|&w| {
+                let img = self.mapping[w.index()];
+                Some(w) == pivot || img == UNMAPPED || g.has_edge(v, img)
+            });
+            if !ok {
+                continue;
+            }
+            self.mapping[uq] = v;
+            self.used[v.index()] = true;
+            let result = self.descend(order, depth + 1, out);
+            self.used[v.index()] = false;
+            self.mapping[uq] = UNMAPPED;
+            result?;
+        }
+        Ok(())
     }
 }
 
@@ -213,86 +301,6 @@ fn search_order(q: &Graph, pinned: &[bool]) -> Vec<usize> {
         }
     }
     order
-}
-
-struct Search<'a> {
-    q: &'a Graph,
-    g: &'a DynamicGraph,
-    qnlf: &'a [NeighborhoodLabelFrequency],
-    pinned: &'a [bool],
-    order: &'a [usize],
-    deadline: Deadline,
-    scratch: Vec<VertexId>,
-}
-
-impl Search<'_> {
-    fn descend(
-        &mut self,
-        depth: usize,
-        mapping: &mut Vec<VertexId>,
-        used: &mut [bool],
-        out: &mut Vec<Embedding>,
-    ) -> Result<(), Timeout> {
-        if depth == self.order.len() {
-            out.push(Embedding::new(mapping.clone()));
-            return Ok(());
-        }
-        let uq = self.order[depth];
-        if self.pinned[uq] {
-            return self.descend(depth + 1, mapping, used, out);
-        }
-        self.deadline.check()?;
-        let u = VertexId(uq as u32);
-        let label = self.q.label(u);
-        // Pivot: the mapped query neighbor whose image has the smallest
-        // label-restricted neighborhood. The candidate *set* is independent
-        // of the pivot (every mapped neighbor is checked below), and each
-        // slice is ascending by id, so enumeration order is deterministic.
-        let mut pivot: Option<VertexId> = None;
-        let mut pivot_len = usize::MAX;
-        for &w in self.q.neighbors(u) {
-            let img = mapping[w.index()];
-            if img != VertexId(u32::MAX) {
-                let len = self.g.neighbors_with_label(img, label).len();
-                if len < pivot_len {
-                    pivot_len = len;
-                    pivot = Some(w);
-                }
-            }
-        }
-        let candidates: &[VertexId] = match pivot {
-            Some(w) => self.g.neighbors_with_label(mapping[w.index()], label),
-            None => {
-                self.scratch.clear();
-                let g = self.g;
-                g.live_vertices_with_label(label, &mut self.scratch);
-                &self.scratch
-            }
-        };
-        // The candidate slice borrows either the overlay or self.scratch;
-        // copy it so the recursion may reuse both.
-        let candidates: Vec<VertexId> = candidates.to_vec();
-        for v in candidates {
-            if used[v.index()] || !self.g.nlf_dominates(v, &self.qnlf[uq]) {
-                continue;
-            }
-            // Edges to every already-mapped query neighbor.
-            let ok = self.q.neighbors(u).iter().all(|&w| {
-                let img = mapping[w.index()];
-                img == VertexId(u32::MAX) || self.g.has_edge(v, img)
-            });
-            if !ok {
-                continue;
-            }
-            mapping[uq] = v;
-            used[v.index()] = true;
-            let r = self.descend(depth + 1, mapping, used, out);
-            used[v.index()] = false;
-            mapping[uq] = VertexId(u32::MAX);
-            r?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

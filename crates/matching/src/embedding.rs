@@ -36,6 +36,12 @@ impl Embedding {
         &self.map
     }
 
+    /// The mapping, for renumbering images in place (a compaction's
+    /// old→new id map applied to a stored set).
+    pub fn as_mut_slice(&mut self) -> &mut [VertexId] {
+        &mut self.map
+    }
+
     /// Number of mapped vertices (`|V(q)|`).
     pub fn len(&self) -> usize {
         self.map.len()

@@ -173,8 +173,12 @@ SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench phases
 echo "==> adaptive routing regret smoke (asserts adaptive <= 1.5x best-in-hindsight; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench adaptive
 
-echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads; overlay/compaction vs independent rebuild; malformed streams fail closed)"
+echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed streams fail closed)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence
+
+echo "==> overlay unit suite + allocation accounting (pruned filter call allocates nothing; warm seeded enumeration allocates only its embeddings)"
+cargo test -q --offline -p sqp-graph --lib dynamic::
+cargo test -q --offline --test filter_alloc
 
 echo "==> dynamic bench smoke (asserts repair beats re-query and overlay beats rebuild; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench dynamic

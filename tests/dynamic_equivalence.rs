@@ -8,7 +8,10 @@
 //! * **(c)** the continuously-repaired standing set equals a full re-query
 //!   after every batch, including remove-heavy and add-remove-same-batch
 //!   (churn) streams;
-//! * maintained NLF signatures and the incrementally-refreshed fingerprint
+//! * the seed-index repair and the direct-CSR `materialize` equal the
+//!   implementations they replaced (kept below as references), field by
+//!   field, on streams with vertex removals and same-batch add-then-remove;
+//! * the overlay's NLF runs and the incrementally-refreshed fingerprint
 //!   index equal freshly-computed ones after arbitrary streams;
 //! * malformed update batches fail closed with a `GraphError` — atomically,
 //!   and never by panicking.
@@ -30,11 +33,12 @@ use subgraph_query::core::continuous::{BatchError, ContinuousMatcher, DynamicDb}
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::nlf::NeighborhoodLabelFrequency;
 use subgraph_query::graph::{
-    CompactionPolicy, DynamicGraph, Graph, GraphBuilder, GraphDb, Label, Update, VertexId,
+    BatchEffects, CompactionPolicy, DynamicGraph, Graph, GraphBuilder, GraphDb, Label, Update,
+    VertexId,
 };
 use subgraph_query::index::{BuildBudget, FingerprintIndex, GraphIndex};
 use subgraph_query::matching::brute;
-use subgraph_query::matching::dynmatch::enumerate_overlay;
+use subgraph_query::matching::dynmatch::{enumerate_overlay, enumerate_seeded};
 use subgraph_query::matching::{Deadline, Embedding};
 
 // ---------------------------------------------------------------------------
@@ -112,6 +116,73 @@ impl RefModel {
         }
         (b.build(), mapping)
     }
+}
+
+// ---------------------------------------------------------------------------
+// References: the implementations PR 13 replaced, over the public API
+// ---------------------------------------------------------------------------
+
+/// What one repair yields: the new standing set, the embeddings added and
+/// the embeddings removed.
+type Repaired = (Vec<Embedding>, Vec<Embedding>, Vec<Embedding>);
+
+/// The repair loop as PR 10 wrote it: re-verify every stored embedding that
+/// touches the batch, seed from every (added edge × directed query edge) and
+/// (added vertex × query vertex) whose labels agree, merge.
+fn reference_repair(
+    q: &Graph,
+    stored: &[Embedding],
+    g: &DynamicGraph,
+    fx: &BatchEffects,
+) -> Repaired {
+    let still_valid = |e: &Embedding| {
+        let map = e.as_slice();
+        map.iter().all(|&v| g.is_live(v))
+            && q.vertices()
+                .all(|u| q.neighbors(u).iter().all(|&w| g.has_edge(map[u.index()], map[w.index()])))
+    };
+    let touches = |e: &Embedding| e.as_slice().iter().any(|v| fx.touched.binary_search(v).is_ok());
+    let (kept, removed): (Vec<Embedding>, Vec<Embedding>) =
+        stored.iter().cloned().partition(|e| !touches(e) || still_valid(e));
+    let mut found: Vec<Embedding> = Vec::new();
+    let mut seed = |pins: &[(VertexId, VertexId)]| {
+        found.extend(enumerate_seeded(q, g, pins, Deadline::none()).expect("no deadline"));
+    };
+    for &(a, b) in fx.added_edges.iter().filter(|&&(a, b)| g.has_edge(a, b)) {
+        for u in q.vertices() {
+            for &w in q.neighbors(u) {
+                if q.label(u) == g.label(a) && q.label(w) == g.label(b) {
+                    seed(&[(u, a), (w, b)]);
+                }
+            }
+        }
+    }
+    for &c in fx.added_vertices.iter().filter(|&&c| g.is_live(c)) {
+        for u in q.vertices().filter(|&u| q.label(u) == g.label(c)) {
+            seed(&[(u, c)]);
+        }
+    }
+    let mut added = sorted(found);
+    added.dedup();
+    added.retain(|e| !kept.contains(e));
+    let new_set = sorted(kept.iter().chain(&added).cloned().collect());
+    (new_set, added, removed)
+}
+
+/// `materialize` as PR 10 wrote it: a `GraphBuilder` round trip (per-vertex
+/// lists, dedup on insert, a re-sort at `build`).
+fn reference_materialize(g: &DynamicGraph) -> (Graph, Vec<Option<VertexId>>) {
+    let mut b = GraphBuilder::new();
+    let mapping: Vec<Option<VertexId>> = (0..g.vertex_slots() as u32)
+        .map(|slot| g.is_live(VertexId(slot)).then(|| b.add_vertex(g.label(VertexId(slot)))))
+        .collect();
+    for v in g.live_vertices() {
+        for &w in g.neighbors(v).iter().filter(|&&w| v < w) {
+            let (nv, nw) = (mapping[v.index()].expect("live"), mapping[w.index()].expect("live"));
+            b.add_edge(nv, nw).expect("overlay adjacency is simple");
+        }
+    }
+    (b.build(), mapping)
 }
 
 // ---------------------------------------------------------------------------
@@ -280,10 +351,81 @@ proptest! {
         }
     }
 
-    /// Maintained NLF signatures equal freshly-computed ones after any
-    /// stream, for every live vertex.
+    /// Seed-index repair ≡ the reference repair loop: same new set, same
+    /// `added`, same `removed`, for every standing query after every batch.
+    /// Mixed and remove-heavy streams tombstone vertices; churn streams add
+    /// and remove the same edge or vertex inside one batch (the ledger's
+    /// stream does neither).
     #[test]
-    fn maintained_nlf_equals_fresh(
+    fn seed_index_repair_equals_reference_repair(
+        base in arb_base(),
+        seed in 0u64..1_000,
+        profile in arb_profile(),
+    ) {
+        let qs = queries();
+        let mut m = ContinuousMatcher::new(base.clone(), CompactionPolicy::never());
+        for q in &qs {
+            m.register(q.clone(), Deadline::none()).expect("register");
+        }
+        // The same batches on a bare overlay, for the effects repair sees.
+        let mut shadow = DynamicGraph::new(base.clone());
+        let mut stream = UpdateStreamGen::new(&base, seed, profile);
+        for _ in 0..5 {
+            let batch = stream.batch(7);
+            let before: Vec<Vec<Embedding>> =
+                m.standing().iter().map(|s| s.embeddings().to_vec()).collect();
+            let fx = shadow.apply_batch(&batch).expect("valid batch");
+            let report = m.apply_batch(&batch, 1, Deadline::none()).expect("valid batch");
+            prop_assert!(report.id_remap.is_none());
+            for (qi, q) in qs.iter().enumerate() {
+                let (new_set, added, removed) = reference_repair(q, &before[qi], &shadow, &fx);
+                prop_assert_eq!(m.standing()[qi].embeddings(), new_set.as_slice());
+                prop_assert_eq!(&report.deltas[qi].added, &added);
+                prop_assert_eq!(&report.deltas[qi].removed, &removed);
+            }
+        }
+    }
+
+    /// Direct-CSR `materialize` ≡ the `GraphBuilder` reference on everything
+    /// a `Graph` exposes, and on the slot mapping.
+    #[test]
+    fn direct_materialize_equals_builder_reference(
+        base in arb_base(),
+        seed in 0u64..1_000,
+        profile in arb_profile(),
+    ) {
+        let mut g = DynamicGraph::new(base.clone());
+        let mut stream = UpdateStreamGen::new(&base, seed, profile);
+        for round in 0..6 {
+            g.apply_batch(&stream.batch(6)).expect("valid batch");
+            let (got, got_map) = g.materialize();
+            let (want, want_map) = reference_materialize(&g);
+            prop_assert_eq!(got_map, want_map);
+            prop_assert_eq!(got.labels(), want.labels());
+            prop_assert_eq!(got.edge_count(), want.edge_count());
+            prop_assert_eq!(got.max_degree(), want.max_degree());
+            prop_assert_eq!(got.distinct_label_count(), want.distinct_label_count());
+            for v in want.vertices() {
+                prop_assert_eq!(got.neighbors(v), want.neighbors(v));
+                prop_assert!(got.label_runs(v).eq(want.label_runs(v)));
+            }
+            for l in (0..=want.label_space() as u32).map(Label) {
+                prop_assert_eq!(got.vertices_with_label(l), want.vertices_with_label(l));
+            }
+            // Fold the delta in half-way, so later rounds patch a compacted
+            // base; compaction renumbers, so the stream restarts from it.
+            if round == 2 {
+                g.compact();
+                stream = UpdateStreamGen::new(&got, seed, profile);
+            }
+        }
+    }
+
+    /// The overlay's `label_runs` (read off the base run index, or kept
+    /// beside a patched list) equal the NLF computed fresh on the
+    /// materialised graph, for every live vertex; a tombstone has none.
+    #[test]
+    fn overlay_label_runs_equal_fresh_nlf(
         base in arb_base(),
         seed in 0u64..1_000,
         profile in arb_profile(),
@@ -292,24 +434,23 @@ proptest! {
         let mut stream = UpdateStreamGen::new(&base, seed, profile);
         for _ in 0..4 {
             g.apply_batch(&stream.batch(6)).expect("valid batch");
-        }
-        let live: Vec<VertexId> = g.live_vertices().collect();
-        for &v in &live {
-            // Adjacency is sorted by (label, id): labels arrive in runs.
-            let mut runs: Vec<(Label, u32)> = Vec::new();
-            for &w in g.neighbors(v) {
-                let l = g.label(w);
-                match runs.last_mut() {
-                    Some((rl, n)) if *rl == l => *n += 1,
-                    _ => runs.push((l, 1)),
+            let (fresh, mapping) = g.materialize();
+            prop_assert_eq!(mapping.len(), g.vertex_slots());
+            for (slot, mapped) in mapping.iter().enumerate() {
+                let v = VertexId(slot as u32);
+                let runs: Vec<(Label, u32)> = g.label_runs(v).collect();
+                match *mapped {
+                    Some(nv) => {
+                        let want = NeighborhoodLabelFrequency::of(&fresh, nv);
+                        prop_assert_eq!(runs.as_slice(), want.runs(), "stale NLF for v{}", slot);
+                        for u in fresh.vertices() {
+                            let probe = NeighborhoodLabelFrequency::of(&fresh, u);
+                            prop_assert_eq!(g.nlf_dominates(v, &probe), probe.dominated_by(&want));
+                        }
+                    }
+                    None => prop_assert!(runs.is_empty(), "tombstone v{} kept runs", slot),
                 }
             }
-            let fresh = NeighborhoodLabelFrequency::from_runs(runs);
-            prop_assert_eq!(
-                g.nlf_table().runs(v),
-                fresh.runs(),
-                "stale NLF for v{}", v.0
-            );
         }
     }
 

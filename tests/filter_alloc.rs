@@ -1,10 +1,16 @@
-//! Allocation accounting of the CFL filter (the vcFV filter of CFQL).
+//! Allocation accounting of the two inner loops that run once per
+//! (query, small unit of data): the CFL filter and seeded overlay
+//! enumeration.
 //!
-//! A database scan calls the filter once per data graph and almost every
-//! call prunes, so the pruned path must not touch the allocator: its working
-//! memory is a per-thread scratch that only grows. A surviving call may
-//! allocate exactly what it hands out — the candidate sets, their bitmap
-//! rows and (CFL only) the CSR CPI.
+//! A database scan calls the filter (the vcFV filter of CFQL) once per data
+//! graph and almost every call prunes, so the pruned path must not touch the
+//! allocator: its working memory is a per-thread scratch that only grows. A
+//! surviving call may allocate exactly what it hands out — the candidate
+//! sets, their bitmap rows and (CFL only) the CSR CPI.
+//!
+//! A continuous-query repair calls `SeededEnumerator::enumerate` once per
+//! (query edge, added edge) pin and each search is neighborhood-sized, so a
+//! warm call may allocate only the embeddings it emits.
 //!
 //! This test binary installs a counting global allocator; counts are per
 //! thread, so parallel tests do not disturb each other.
@@ -14,10 +20,11 @@ use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use subgraph_query::graph::{Graph, GraphBuilder, Label, VertexId};
+use subgraph_query::graph::{DynamicGraph, Graph, GraphBuilder, Label, VertexId};
 use subgraph_query::matching::brute;
 use subgraph_query::matching::cfl::{Cfl, CflConfig};
 use subgraph_query::matching::cfql::Cfql;
+use subgraph_query::matching::dynmatch::SeededEnumerator;
 use subgraph_query::matching::{Deadline, Matcher};
 
 struct CountingAllocator;
@@ -151,5 +158,43 @@ fn surviving_filter_calls_allocate_only_what_they_return() {
             "{}: {allocations} allocations for a {n}-vertex query, budget {budget}",
             matcher.name()
         );
+    }
+}
+
+#[test]
+fn warm_seeded_enumeration_allocates_only_the_embeddings_it_emits() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let base = brute::random_graph(&mut rng, 60, 150, 3);
+    let q = brute::random_connected_query(&mut rng, &base, 4);
+    // Patch a third of the vertices, so the search walks base slices and
+    // patched lists alike.
+    let mut g = DynamicGraph::new(base);
+    for i in 0..10u32 {
+        let fresh = g.add_vertex(Label(i % 3)).unwrap();
+        g.add_edge(fresh, VertexId(i)).unwrap();
+        g.add_edge(fresh, VertexId(i + 20)).unwrap();
+    }
+
+    let mut seeder = SeededEnumerator::new(&q, &g);
+    let mut out = Vec::new();
+    seeder.enumerate(&[], Deadline::none(), &mut out).unwrap();
+    let some = out.first().expect("the query was cut from the base graph").clone();
+    // The three pin patterns repair uses: none (registration), one vertex,
+    // one edge.
+    let (u, w) = (VertexId(0), q.neighbors(VertexId(0))[0]);
+    let pin = |x: VertexId| (x, some.image(x));
+    let seed_sets = [vec![], vec![pin(u)], vec![pin(u), pin(w)]];
+    // Warm-up: derives each pattern's search order, grows the root buffer
+    // and `out` to their final sizes.
+    for seeds in &seed_sets {
+        seeder.enumerate(seeds, Deadline::none(), &mut out).unwrap();
+    }
+    for seeds in &seed_sets {
+        out.clear();
+        let (result, allocations) =
+            allocations_during(|| seeder.enumerate(seeds, Deadline::none(), &mut out));
+        result.unwrap();
+        assert!(!out.is_empty(), "{seeds:?} extend a known embedding");
+        assert_eq!(allocations, out.len() as u64, "{} pins", seeds.len());
     }
 }

@@ -5,8 +5,10 @@
 use proptest::prelude::*;
 
 use subgraph_query::graph::algo::{connected_components, core_numbers, BfsTree};
-use subgraph_query::graph::nlf::{nlf_dominated, NeighborhoodLabelFrequency, NlfTable};
-use subgraph_query::graph::{binio, io, Graph, GraphBuilder, GraphDb, Label, VertexId};
+use subgraph_query::graph::nlf::{nlf_dominated, NeighborhoodLabelFrequency};
+use subgraph_query::graph::{
+    binio, io, DynamicGraph, Graph, GraphBuilder, GraphDb, Label, VertexId,
+};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     arb_graph_with_labels(5)
@@ -237,7 +239,7 @@ fn nlf_dominated_by_walk(q: &Graph, u: VertexId, g: &Graph, v: VertexId) -> bool
 // Case count from PROPTEST_CASES (256 in CI's filter differential step).
 proptest! {
     /// Run-index dominance ≡ the adjacency walk ≡ materialized
-    /// `dominated_by` ≡ the maintained table, on every vertex pair —
+    /// `dominated_by` ≡ the overlay's test, on every vertex pair —
     /// including degree-0 vertices and query labels beyond
     /// `g.label_space()` (the query draws from 0..9, the data from 0..4).
     #[test]
@@ -245,7 +247,7 @@ proptest! {
         q in arb_graph_with_labels(9),
         g in arb_graph_with_labels(4),
     ) {
-        let table = NlfTable::from_graph(&g);
+        let overlay = DynamicGraph::new(g.clone());
         for u in q.vertices() {
             let qs = NeighborhoodLabelFrequency::of(&q, u);
             prop_assert_eq!(qs.runs().iter().map(|r| r.1 as usize).sum::<usize>(), q.degree(u));
@@ -253,7 +255,7 @@ proptest! {
                 let fast = nlf_dominated(&q, u, &g, v);
                 prop_assert_eq!(fast, nlf_dominated_by_walk(&q, u, &g, v), "u={:?} v={:?}", u, v);
                 prop_assert_eq!(fast, qs.dominated_by(&NeighborhoodLabelFrequency::of(&g, v)));
-                prop_assert_eq!(fast, table.dominates(v, &qs));
+                prop_assert_eq!(fast, overlay.nlf_dominates(v, &qs));
             }
         }
     }
