@@ -112,6 +112,16 @@ struct Slot {
     consecutive: u32,
     /// Tick at which an Open breaker moves to HalfOpen.
     reopen_at: u64,
+    /// The [`observe`](BreakerRegistry::observe) call that last saw a
+    /// failure record for this graph.
+    seen: u64,
+}
+
+impl Slot {
+    /// Closed with no fault streak: nothing for either hook to do.
+    fn is_clean(&self) -> bool {
+        self.state == BreakerState::Closed && self.consecutive == 0
+    }
 }
 
 /// Tracks one circuit breaker per data graph.
@@ -119,13 +129,22 @@ struct Slot {
 /// Driven by the serving layer: [`begin_query`](BreakerRegistry::begin_query)
 /// once per admitted query (advances the logical clock and yields the
 /// quarantine mask), then [`observe`](BreakerRegistry::observe) with the
-/// finalized outcome.
+/// finalized outcome. Both cost O(failure records + breakers that are not
+/// Closed-and-clean) and allocate nothing: the registry keeps the indices of
+/// the unclean breakers, and the mask is rebuilt when a breaker opens or
+/// stops being open, not per query.
 #[derive(Debug)]
 pub struct BreakerRegistry {
     config: BreakerConfig,
     slots: Vec<Slot>,
+    /// Ascending indices of every slot that is not clean.
+    unclean: Vec<u32>,
+    /// `mask[i]` ⇔ slot `i` is Open.
+    mask: Arc<[bool]>,
     /// Admitted-query count — the registry's logical clock.
     tick: u64,
+    /// `observe` calls so far; stamps [`Slot::seen`].
+    observations: u64,
     transitions: Vec<BreakerTransition>,
     trips: u64,
     short_circuits: u64,
@@ -135,12 +154,26 @@ impl BreakerRegistry {
     /// A registry for a database of `graphs` data graphs.
     pub fn new(config: BreakerConfig, graphs: usize) -> Self {
         let slots = if config.enabled() { vec![Slot::default(); graphs] } else { Vec::new() };
-        Self { config, slots, tick: 0, transitions: Vec::new(), trips: 0, short_circuits: 0 }
+        Self {
+            config,
+            mask: vec![false; slots.len()].into(),
+            slots,
+            unclean: Vec::new(),
+            tick: 0,
+            observations: 0,
+            transitions: Vec::new(),
+            trips: 0,
+            short_circuits: 0,
+        }
     }
 
     fn transition(&mut self, idx: usize, to: BreakerState) {
         let from = self.slots[idx].state;
         self.slots[idx].state = to;
+        if (from == BreakerState::Open) != (to == BreakerState::Open) {
+            // A query in flight may still hold the old mask: replace it.
+            self.mask = self.slots.iter().map(|s| s.state == BreakerState::Open).collect();
+        }
         self.transitions.push(BreakerTransition {
             tick: self.tick,
             graph: GraphId(idx as u32),
@@ -149,28 +182,30 @@ impl BreakerRegistry {
         });
     }
 
+    /// Opens breaker `idx` for a cool-down starting now.
+    fn trip(&mut self, idx: usize) {
+        self.slots[idx].consecutive = 0;
+        self.slots[idx].reopen_at = self.tick + self.config.cooldown;
+        self.trips += 1;
+        self.transition(idx, BreakerState::Open);
+    }
+
     /// Advances the logical clock for one admitted query: promotes open
     /// breakers whose cool-down elapsed to [`BreakerState::HalfOpen`]
     /// (probes pass through) and returns the quarantine mask for the graphs
     /// still open, or `None` when nothing is masked.
     pub fn begin_query(&mut self) -> Option<Arc<[bool]>> {
         self.tick += 1;
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut mask = vec![false; self.slots.len()];
-        let mut any = false;
-        for (i, masked) in mask.iter_mut().enumerate() {
+        let mut open = 0;
+        for k in 0..self.unclean.len() {
+            let i = self.unclean[k] as usize;
             if self.slots[i].state == BreakerState::Open && self.tick >= self.slots[i].reopen_at {
                 self.transition(i, BreakerState::HalfOpen);
             }
-            if self.slots[i].state == BreakerState::Open {
-                *masked = true;
-                any = true;
-                self.short_circuits += 1;
-            }
+            open += usize::from(self.slots[i].state == BreakerState::Open);
         }
-        any.then(|| mask.into())
+        self.short_circuits += open as u64;
+        (open > 0).then(|| Arc::clone(&self.mask))
     }
 
     /// Feeds one finalized outcome back: faulting graphs charge their
@@ -184,39 +219,34 @@ impl BreakerRegistry {
         if self.slots.is_empty() {
             return;
         }
+        self.observations += 1;
         // An interrupted scan stops claiming graphs early: only explicit
         // failure records carry information. (Panics and quarantine records
         // never interrupt the scan.)
         let interrupted = outcome.status.is_timed_out()
             || outcome.status.is_exhausted()
             || outcome.failures.iter().any(|f| f.status.is_timed_out() || f.status.is_exhausted());
-        let mut observed = vec![false; self.slots.len()];
         for f in &outcome.failures {
             let idx = f.graph.0 as usize;
             if idx >= self.slots.len() {
                 continue;
             }
-            observed[idx] = true;
-            if f.status.is_quarantined() {
-                // Masked this query — no probe happened, nothing to learn.
-                continue;
-            }
-            if !f.status.is_breaker_fault() {
+            self.slots[idx].seen = self.observations;
+            // Quarantined: masked this query — no probe, nothing to learn.
+            if f.status.is_quarantined() || !f.status.is_breaker_fault() {
                 continue;
             }
             match self.slots[idx].state {
-                BreakerState::HalfOpen => {
-                    self.slots[idx].reopen_at = self.tick + self.config.cooldown;
-                    self.trips += 1;
-                    self.transition(idx, BreakerState::Open);
-                }
+                BreakerState::HalfOpen => self.trip(idx),
                 BreakerState::Closed => {
+                    if self.slots[idx].consecutive == 0 {
+                        if let Err(at) = self.unclean.binary_search(&f.graph.0) {
+                            self.unclean.insert(at, f.graph.0);
+                        }
+                    }
                     self.slots[idx].consecutive += 1;
                     if self.slots[idx].consecutive >= self.config.fault_threshold {
-                        self.slots[idx].consecutive = 0;
-                        self.slots[idx].reopen_at = self.tick + self.config.cooldown;
-                        self.trips += 1;
-                        self.transition(idx, BreakerState::Open);
+                        self.trip(idx);
                     }
                 }
                 BreakerState::Open => {}
@@ -225,20 +255,21 @@ impl BreakerRegistry {
         if interrupted {
             return;
         }
-        for (i, &seen) in observed.iter().enumerate() {
-            if seen {
+        // Every graph without a record was visited without fault; only the
+        // unclean ones have anything to clear.
+        for k in 0..self.unclean.len() {
+            let i = self.unclean[k] as usize;
+            if self.slots[i].seen == self.observations {
                 continue;
             }
-            match self.slots[i].state {
-                BreakerState::HalfOpen => {
-                    // The probe came back clean: the graph healed.
-                    self.slots[i].consecutive = 0;
-                    self.transition(i, BreakerState::Closed);
-                }
-                BreakerState::Closed => self.slots[i].consecutive = 0,
-                BreakerState::Open => {}
+            self.slots[i].consecutive = 0;
+            if self.slots[i].state == BreakerState::HalfOpen {
+                // The probe came back clean: the graph healed.
+                self.transition(i, BreakerState::Closed);
             }
         }
+        let slots = &self.slots;
+        self.unclean.retain(|&i| !slots[i as usize].is_clean());
     }
 
     /// The registry's configuration.
@@ -251,14 +282,18 @@ impl BreakerRegistry {
         self.slots.get(graph.0 as usize).map_or(BreakerState::Closed, |s| s.state)
     }
 
+    fn count_in(&self, state: BreakerState) -> usize {
+        self.unclean.iter().filter(|&&i| self.slots[i as usize].state == state).count()
+    }
+
     /// Number of breakers currently open (quarantining their graph).
     pub fn open_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.state == BreakerState::Open).count()
+        self.count_in(BreakerState::Open)
     }
 
     /// Number of breakers currently half-open (awaiting a probe result).
     pub fn half_open_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.state == BreakerState::HalfOpen).count()
+        self.count_in(BreakerState::HalfOpen)
     }
 
     /// Total Closed→Open and HalfOpen→Open transitions so far.
@@ -285,6 +320,174 @@ impl BreakerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-PR-14 registry: both hooks walk every slot and allocate a
+    /// `db.len()` scratch per query. Kept as the reference the incremental
+    /// registry is compared against.
+    struct Reference {
+        config: BreakerConfig,
+        slots: Vec<Slot>,
+        tick: u64,
+        transitions: Vec<BreakerTransition>,
+        trips: u64,
+        short_circuits: u64,
+    }
+
+    impl Reference {
+        fn new(config: BreakerConfig, graphs: usize) -> Self {
+            let slots = if config.enabled() { vec![Slot::default(); graphs] } else { Vec::new() };
+            Self { config, slots, tick: 0, transitions: Vec::new(), trips: 0, short_circuits: 0 }
+        }
+
+        fn transition(&mut self, idx: usize, to: BreakerState) {
+            let from = self.slots[idx].state;
+            self.slots[idx].state = to;
+            let graph = GraphId(idx as u32);
+            self.transitions.push(BreakerTransition { tick: self.tick, graph, from, to });
+        }
+
+        fn begin_query(&mut self) -> Option<Arc<[bool]>> {
+            self.tick += 1;
+            if self.slots.is_empty() {
+                return None;
+            }
+            let mut mask = vec![false; self.slots.len()];
+            let mut any = false;
+            for (i, masked) in mask.iter_mut().enumerate() {
+                if self.slots[i].state == BreakerState::Open && self.tick >= self.slots[i].reopen_at
+                {
+                    self.transition(i, BreakerState::HalfOpen);
+                }
+                if self.slots[i].state == BreakerState::Open {
+                    *masked = true;
+                    any = true;
+                    self.short_circuits += 1;
+                }
+            }
+            any.then(|| mask.into())
+        }
+
+        fn observe(&mut self, outcome: &QueryOutcome) {
+            if self.slots.is_empty() {
+                return;
+            }
+            let interrupted = outcome.status.is_timed_out()
+                || outcome.status.is_exhausted()
+                || outcome
+                    .failures
+                    .iter()
+                    .any(|f| f.status.is_timed_out() || f.status.is_exhausted());
+            let mut observed = vec![false; self.slots.len()];
+            for f in &outcome.failures {
+                let idx = f.graph.0 as usize;
+                if idx >= self.slots.len() {
+                    continue;
+                }
+                observed[idx] = true;
+                if f.status.is_quarantined() || !f.status.is_breaker_fault() {
+                    continue;
+                }
+                match self.slots[idx].state {
+                    BreakerState::HalfOpen => {
+                        self.slots[idx].reopen_at = self.tick + self.config.cooldown;
+                        self.trips += 1;
+                        self.transition(idx, BreakerState::Open);
+                    }
+                    BreakerState::Closed => {
+                        self.slots[idx].consecutive += 1;
+                        if self.slots[idx].consecutive >= self.config.fault_threshold {
+                            self.slots[idx].consecutive = 0;
+                            self.slots[idx].reopen_at = self.tick + self.config.cooldown;
+                            self.trips += 1;
+                            self.transition(idx, BreakerState::Open);
+                        }
+                    }
+                    BreakerState::Open => {}
+                }
+            }
+            if interrupted {
+                return;
+            }
+            for (i, &seen) in observed.iter().enumerate() {
+                if seen {
+                    continue;
+                }
+                match self.slots[i].state {
+                    BreakerState::HalfOpen => {
+                        self.slots[i].consecutive = 0;
+                        self.transition(i, BreakerState::Closed);
+                    }
+                    BreakerState::Closed => self.slots[i].consecutive = 0,
+                    BreakerState::Open => {}
+                }
+            }
+        }
+    }
+
+    /// One served query of a random fault sequence: per-graph records (kind
+    /// 0 panic, 1 quarantined, 2 timed out, 3 unavailable; ids may repeat,
+    /// arrive unsorted, or lie outside the database) and whether the scan
+    /// as a whole was interrupted (one query in seven).
+    fn outcome_of(records: &[(u32, u8)], interrupted: bool) -> QueryOutcome {
+        let mut o = QueryOutcome::default();
+        for &(g, kind) in records {
+            match kind {
+                0 => o.record_panic(GraphId(g), "injected".into()),
+                1 => o.record_quarantined(GraphId(g)),
+                2 => o.record_interrupt(GraphId(g), sqp_matching::Deadline::none()),
+                _ => o.record_unavailable(GraphId(g)),
+            }
+        }
+        if interrupted {
+            o.status.absorb(QueryStatus::TimedOut);
+        }
+        o
+    }
+
+    proptest! {
+        #[test]
+        fn incremental_registry_matches_full_scan_reference(
+            graphs in 0usize..12,
+            fault_threshold in 0u32..4,
+            cooldown in 0u64..5,
+            queries in collection::vec(
+                (collection::vec((0u32..14, 0u8..4), 0..6), 0u8..7),
+                0..40,
+            ),
+        ) {
+            let config = BreakerConfig { fault_threshold, cooldown };
+            let mut new = BreakerRegistry::new(config, graphs);
+            let mut old = Reference::new(config, graphs);
+            // A query in flight may still hold the previous mask.
+            let mut held = None;
+            for (step, (records, interrupted)) in queries.iter().enumerate() {
+                let (mask, expected) = (new.begin_query(), old.begin_query());
+                prop_assert_eq!(&mask, &expected, "mask at query {}", step);
+                if step % 3 == 0 {
+                    held = mask;
+                }
+                let outcome = outcome_of(records, *interrupted == 0);
+                new.observe(&outcome);
+                old.observe(&outcome);
+                prop_assert_eq!(new.transitions(), &old.transitions[..], "query {}", step);
+                for (i, slot) in old.slots.iter().enumerate() {
+                    prop_assert_eq!(new.slots[i].state, slot.state);
+                    prop_assert_eq!(new.slots[i].consecutive, slot.consecutive);
+                }
+                let unclean: Vec<u32> =
+                    (0..old.slots.len() as u32).filter(|&i| !old.slots[i as usize].is_clean()).collect();
+                prop_assert_eq!(&new.unclean, &unclean);
+                let open = old.slots.iter().filter(|s| s.state == BreakerState::Open).count();
+                prop_assert_eq!(new.open_count(), open);
+                let half = old.slots.iter().filter(|s| s.state == BreakerState::HalfOpen).count();
+                prop_assert_eq!(new.half_open_count(), half);
+                prop_assert_eq!((new.trip_count(), new.short_circuit_count(), new.tick()),
+                    (old.trips, old.short_circuits, old.tick));
+            }
+            drop(held);
+        }
+    }
 
     fn fault_on(graphs: &[u32]) -> QueryOutcome {
         let mut o = QueryOutcome::default();

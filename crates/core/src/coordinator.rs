@@ -46,7 +46,8 @@ use sqp_graph::{Graph, GraphDb};
 use crate::breaker::{BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
 use crate::chaos::graph_fingerprint;
 use crate::dispatch::{
-    Admission, DispatchConfig, DispatchCore, DrainReport, QueryExecutor, QueryTicket, ShedPolicy,
+    effective_budget, Admission, DispatchConfig, DispatchCore, DrainReport, QueryExecutor,
+    QueryTicket, ShedPolicy,
 };
 use crate::engine::{GraphFailure, QueryOutcome, QueryStatus};
 use crate::journal::db_fingerprint;
@@ -349,14 +350,9 @@ impl RemoteExecutor {
 }
 
 impl QueryExecutor for RemoteExecutor {
-    fn execute(&self, q: &Graph, budget_override: Option<Duration>) -> (QueryOutcome, u32) {
+    fn execute(&self, q: &Arc<Graph>, budget_override: Option<Duration>) -> (QueryOutcome, u32) {
         let mut runner = lock(&self.runner).with_jitter_seed(graph_fingerprint(q));
-        if let Some(budget) = budget_override {
-            runner.query_budget = Some(match runner.query_budget {
-                Some(own) => own.min(budget),
-                None => budget,
-            });
-        }
+        runner.query_budget = effective_budget(runner.query_budget, budget_override);
         let start = Instant::now();
         // One breaker tick per admitted query; slot = peer index.
         let mask = lock(&self.breakers).begin_query();

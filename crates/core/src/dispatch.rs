@@ -96,11 +96,12 @@ impl Default for ShedPolicy {
 /// Executes one admitted query to a terminal outcome. Implementations are
 /// the transport: local thread pool, or remote scatter–gather.
 pub trait QueryExecutor: Send + Sync + 'static {
-    /// Runs `q` and returns its terminal outcome plus the retries spent.
-    /// `budget_override`, when set, replaces the configured per-query
-    /// budget for this call only — the deadline-propagation path for
-    /// queries arriving over the wire with a remaining budget attached.
-    fn execute(&self, q: &Graph, budget_override: Option<Duration>) -> (QueryOutcome, u32);
+    /// Runs `q` — the one copy `submit` made, shared down to the workers —
+    /// and returns its terminal outcome plus the retries spent.
+    /// `budget_override`, when set, caps the configured per-query budget
+    /// for this call only — the deadline-propagation path for queries
+    /// arriving over the wire with a remaining budget attached.
+    fn execute(&self, q: &Arc<Graph>, budget_override: Option<Duration>) -> (QueryOutcome, u32);
 
     /// Interrupts an in-flight [`execute`](QueryExecutor::execute) (forced
     /// drain). May be called repeatedly until the executor thread exits.
@@ -113,6 +114,16 @@ pub trait QueryExecutor: Send + Sync + 'static {
     /// The per-query budget admission predicts against (`None` disables
     /// predictive shedding).
     fn query_budget(&self) -> Option<Duration>;
+}
+
+/// The budget a query runs under — the smaller of the configured budget and
+/// the caller's override — for admission to predict against and the
+/// executors to run under, so the two can never disagree.
+pub(crate) fn effective_budget(own: Option<Duration>, over: Option<Duration>) -> Option<Duration> {
+    match (own, over) {
+        (Some(own), Some(over)) => Some(own.min(over)),
+        (own, over) => own.or(over),
+    }
 }
 
 pub(crate) struct TicketInner {
@@ -237,7 +248,7 @@ pub struct DispatchConfig {
 }
 
 struct QueueItem {
-    q: Graph,
+    q: Arc<Graph>,
     budget_override: Option<Duration>,
     ticket: Arc<TicketInner>,
 }
@@ -366,7 +377,7 @@ impl DispatchCore {
         budget_override: Option<Duration>,
     ) -> (QueryTicket, Admission) {
         let live = self.exec.live_units();
-        let budget = budget_override.or_else(|| self.exec.query_budget());
+        let budget = effective_budget(self.exec.query_budget(), budget_override);
         let mut st = lock(&self.shared.state);
         if let Some(reason) = self.admission_decision(&st, live, budget) {
             Self::count_shed(&mut st, reason);
@@ -374,7 +385,8 @@ impl DispatchCore {
             return Self::shed_ticket(reason);
         }
         let inner = TicketInner::new();
-        st.queue.push_back(QueueItem { q: q.clone(), budget_override, ticket: Arc::clone(&inner) });
+        let q = Arc::new(q.clone());
+        st.queue.push_back(QueueItem { q, budget_override, ticket: Arc::clone(&inner) });
         st.admitted += 1;
         drop(st);
         self.shared.submitted.notify_all();
@@ -400,7 +412,7 @@ impl DispatchCore {
                 None => {
                     let inner = TicketInner::new();
                     st.queue.push_back(QueueItem {
-                        q: q.clone(),
+                        q: Arc::new(q.clone()),
                         budget_override: None,
                         ticket: Arc::clone(&inner),
                     });

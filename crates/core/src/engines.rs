@@ -8,7 +8,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb};
 use sqp_index::{
     BuildBudget, BuildError, CtIndexConfig, FingerprintIndex, GgsxIndex, GrapesConfig,
@@ -25,7 +24,7 @@ use sqp_matching::ullmann::Ullmann;
 use sqp_matching::{Deadline, Matcher, MatcherConfig, ResourceGuard, ResourceLimits, StatsSink};
 
 use crate::engine::{BuildReport, EngineCategory, QueryEngine, QueryOutcome};
-use crate::parallel::{panic_message, process_graph};
+use crate::parallel::{panic_message, scan};
 use crate::verifier::Vf2Verifier;
 
 /// Which index structure an IFV/IvcFV engine builds.
@@ -214,17 +213,11 @@ impl VcfvFrame {
             .with_stats(self.stats)
     }
 
-    fn query_over(&self, q: &Graph, graphs: &[GraphId]) -> QueryOutcome {
+    fn query_over(&self, q: &Graph, graphs: impl Iterator<Item = usize>) -> QueryOutcome {
         let db = self.built_db();
-        let deadline = self.deadline();
-        let mut out = QueryOutcome::default();
-        // Same per-graph path as the parallel pool: panics on one (query,
+        // The pool workers' scan loop, run inline: panics on one (query,
         // graph) pair are isolated into `failures`, interrupts stop the scan.
-        for &gid in graphs {
-            if !process_graph(&*self.matcher, db, q, gid, deadline, &mut out) {
-                break;
-            }
-        }
+        let mut out = scan(&*self.matcher, db, q, self.deadline(), None, graphs);
         out.finalize();
         out.kernel = self.stats.snapshot();
         out.phases = self.stats.phase_snapshot();
@@ -232,9 +225,7 @@ impl VcfvFrame {
     }
 
     fn query_impl(&self, q: &Graph) -> QueryOutcome {
-        let n = self.built_db().len();
-        let all: Vec<GraphId> = (0..n as u32).map(GraphId).collect();
-        self.query_over(q, &all)
+        self.query_over(q, 0..self.built_db().len())
     }
 }
 
@@ -289,7 +280,7 @@ impl IvcfvFrame {
         let t0 = Instant::now();
         let level1 = index.candidates(q).into_ids(db.len());
         let index_time = t0.elapsed();
-        let mut out = self.inner.query_over(q, &level1);
+        let mut out = self.inner.query_over(q, level1.iter().map(|g| g.0 as usize));
         out.filter_time += index_time;
         // The index probe runs before the inner frame resets its sink, so
         // its time is folded into the filter phase directly.
@@ -1092,6 +1083,7 @@ pub fn engine_by_name_with(name: &str, config: MatcherConfig) -> Option<Box<dyn 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqp_graph::database::GraphId;
     use sqp_graph::{GraphBuilder, Label, VertexId};
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {

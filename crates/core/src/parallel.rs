@@ -46,6 +46,7 @@ use std::time::{Duration, Instant};
 
 use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb, HeapSize};
+use sqp_matching::deadline::SCAN_CHECK_INTERVAL;
 use sqp_matching::obs::{Phase, Span};
 use sqp_matching::{CancelToken, Deadline, FilterResult, Heartbeat, Matcher, StatsSink};
 
@@ -83,14 +84,15 @@ pub struct ParallelOutcome {
 
 /// Runs one graph's filter+verify, folding the result into `part`.
 /// Returns `false` when the worker should stop (timeout, cancellation, or a
-/// tripped resource budget).
+/// tripped resource budget). Called only by [`scan`], which hands it a
+/// [`fresh`](Deadline::fresh) deadline.
 ///
 /// Both matcher calls are individually wrapped in `catch_unwind`: a panic on
 /// this (query, graph) pair becomes one [`GraphFailure`] and processing
 /// *continues* with the next graph, so all non-panicking pairs keep their
 /// exact answers (invariant I8).
 #[inline]
-pub(crate) fn process_graph(
+fn process_graph(
     matcher: &dyn Matcher,
     db: &GraphDb,
     q: &Graph,
@@ -103,15 +105,16 @@ pub(crate) fn process_graph(
     // accounts for the harness overhead too; nested matcher spans subtract
     // their time from these outer spans (self-time accounting), so nothing
     // is double-counted. When a sink is live the span's own clock reads
-    // double as the stage wall measurement — per pair, timing machinery is
-    // comparable to a pruned filter's work, so paying for a second timer
-    // would make the phase sum and the wall time drift apart.
+    // are the stage wall measurement — per pair, timing machinery is
+    // comparable to a pruned filter's work — and `tf`/`tv` are read only
+    // when there is no sink to ask.
     let timed = deadline.stats().is_some();
-    let tf = Instant::now();
+    let stage_wall =
+        |spanned: u64, t: Option<Instant>| t.map_or(Duration::from_nanos(spanned), |t| t.elapsed());
+    let tf = (!timed).then(Instant::now);
     let stage_span = Span::enter(Phase::Filter, deadline);
     let filtered = catch_unwind(AssertUnwindSafe(|| matcher.filter(q, g, deadline)));
-    let spanned = stage_span.finish();
-    part.filter_time += if timed { Duration::from_nanos(spanned) } else { tf.elapsed() };
+    part.filter_time += stage_wall(stage_span.finish(), tf);
     let filtered = match filtered {
         Ok(r) => r,
         Err(payload) => {
@@ -130,18 +133,17 @@ pub(crate) fn process_graph(
             let bytes = space.heap_size();
             part.aux_bytes = part.aux_bytes.max(bytes);
             deadline.guard().note_aux_bytes(bytes);
-            if deadline.check().is_err() {
+            if deadline.check_flags().is_err() {
                 // The candidate space itself blew the memory budget (or a
                 // sibling expired the deadline while we built it).
                 part.record_interrupt(gid, deadline);
                 return false;
             }
-            let tv = Instant::now();
+            let tv = (!timed).then(Instant::now);
             let stage_span = Span::enter(Phase::Enumerate, deadline);
             let verdict =
                 catch_unwind(AssertUnwindSafe(|| matcher.find_first(q, g, &space, deadline)));
-            let spanned = stage_span.finish();
-            part.verify_time += if timed { Duration::from_nanos(spanned) } else { tv.elapsed() };
+            part.verify_time += stage_wall(stage_span.finish(), tv);
             match verdict {
                 Err(payload) => {
                     part.record_panic(gid, panic_message(payload));
@@ -159,6 +161,53 @@ pub(crate) fn process_graph(
             }
         }
     }
+}
+
+/// The one between-graphs loop of every vcFV scan — a pool worker's shard,
+/// the sequential engines' `query_over`, a [`parallel_query`] chunk.
+/// `graphs` yields the next graph index (a pool worker claims it from the
+/// job's shared counter, one per `fetch_add`); graphs set in `mask` are
+/// recorded quarantined instead of reaching the matcher.
+///
+/// Who reads the clock: the full [`Deadline::check`] (heartbeat + wall
+/// clock) runs before the first graph and every [`SCAN_CHECK_INTERVAL`]th;
+/// before the others only the flags are read, so a sibling's cancellation
+/// or a tripped guard still stops this scan before its next graph. The
+/// matcher calls get a [`fresh`](Deadline::fresh) copy — flags-only entry
+/// checks, `TickChecker` intervals untouched. A scan that stops on an
+/// interrupt raises the cancel token so every sibling stops as well.
+pub(crate) fn scan(
+    matcher: &dyn Matcher,
+    db: &GraphDb,
+    q: &Graph,
+    deadline: Deadline,
+    mask: Option<&[bool]>,
+    mut graphs: impl Iterator<Item = usize>,
+) -> QueryOutcome {
+    let mut part = QueryOutcome::default();
+    for processed in 0usize.. {
+        let checked = if processed % SCAN_CHECK_INTERVAL == 0 {
+            deadline.check()
+        } else {
+            deadline.check_flags()
+        };
+        if checked.is_err() {
+            part.status.absorb(QueryStatus::from_interrupt(deadline));
+            break;
+        }
+        let Some(i) = graphs.next() else { break };
+        let gid = GraphId(i as u32);
+        if mask.is_some_and(|m| m[i]) {
+            // Short-circuit: the quarantined graph never reaches the
+            // matcher; exactly one failure record per masked graph, so
+            // the finalized outcome is thread-count independent.
+            part.record_quarantined(gid);
+        } else if !process_graph(matcher, db, q, gid, deadline.fresh(), &mut part) {
+            deadline.cancel_token().cancel();
+            break;
+        }
+    }
+    part
 }
 
 fn merge_parts(parts: Vec<QueryOutcome>) -> QueryOutcome {
@@ -186,7 +235,7 @@ fn merge_parts(parts: Vec<QueryOutcome>) -> QueryOutcome {
 struct Job {
     matcher: Arc<dyn Matcher>,
     db: Arc<GraphDb>,
-    q: Graph,
+    q: Arc<Graph>,
     deadline: Deadline,
     /// Next unclaimed graph id — the shared work counter. Claiming one graph
     /// at a time gives the finest-grained balance under skewed graph sizes;
@@ -220,45 +269,24 @@ impl Job {
         slot: Option<&WorkerSlot>,
         my_gen: u64,
     ) -> QueryOutcome {
-        let mut part = QueryOutcome::default();
         let n = self.db.len();
-        loop {
+        let claims = std::iter::from_fn(|| {
             // An abandoned worker's shard was already accounted for by the
             // supervisor; stop promptly instead of burning budget that now
             // belongs to a replacement.
-            if let Some(slot) = slot {
-                if slot.generation.load(Ordering::Acquire) != my_gen {
-                    break;
-                }
-            }
-            // Re-check between graphs so cancellation raised by a sibling is
-            // honored even when this worker's own matcher calls are short.
-            if deadline.check().is_err() {
-                part.status.absorb(QueryStatus::from_interrupt(deadline));
-                break;
+            if slot.is_some_and(|s| s.generation.load(Ordering::Acquire) != my_gen) {
+                return None;
             }
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
-                break;
+                return None;
             }
             if let Some(slot) = slot {
                 slot.busy_graph.store(i, Ordering::Relaxed);
             }
-            let gid = GraphId(i as u32);
-            if self.mask.as_ref().is_some_and(|m| m[i]) {
-                // Short-circuit: the quarantined graph never reaches the
-                // matcher; exactly one failure record per masked graph, so
-                // the finalized outcome is thread-count independent.
-                part.record_quarantined(gid);
-                continue;
-            }
-            if !process_graph(&*self.matcher, &self.db, &self.q, gid, deadline, &mut part) {
-                // This worker hit the budget: tell every sibling to stop.
-                deadline.cancel_token().cancel();
-                break;
-            }
-        }
-        part
+            Some(i)
+        });
+        scan(&*self.matcher, &self.db, &self.q, deadline, self.mask.as_deref(), claims)
     }
 
     /// Runs one worker shard with the infrastructure backstop: a panic that
@@ -292,7 +320,8 @@ impl Job {
 /// the whole pool; replacement workers inherit the slot of the worker they
 /// replace (same index, same thread name, bumped generation).
 pub(crate) struct WorkerSlot {
-    /// Stamped by every `Deadline::check` the worker performs.
+    /// Bumped by every full `Deadline::check` the worker performs; timed by
+    /// the supervisor's scans.
     beat: Heartbeat,
     /// Bumped when the supervisor abandons this slot's worker; a worker
     /// whose generation no longer matches must not commit anything.
@@ -384,17 +413,17 @@ impl PoolShared {
         // Unbudgeted jobs have no wall deadline and are never escalated:
         // without a budget there is no "overdue".
         let Some(at) = job.deadline.instant() else { return };
-        if Instant::now().saturating_duration_since(at) < config.grace {
-            return;
-        }
+        let overdue = Instant::now().saturating_duration_since(at) >= config.grace;
         for (idx, slot) in self.slots.iter().enumerate() {
             if slot.busy_epoch.load(Ordering::Acquire) != state.epoch {
                 continue;
             }
-            if slot.beat.elapsed() < config.stale_after {
-                continue;
+            // Observed on every scan, due or not: the heartbeat is timed by
+            // these calls, so staleness is already known when the job falls
+            // due.
+            if slot.beat.stale_for() >= config.stale_after && overdue {
+                self.escalate(state, job, idx, slot);
             }
-            self.escalate(state, job, idx, slot);
         }
     }
 
@@ -504,7 +533,10 @@ impl QueryPool {
     /// ticking is escalated — its query degrades to
     /// [`QueryStatus::Wedged`], the thread is abandoned, and a replacement
     /// worker restores capacity. See [`crate::supervisor`] for the protocol.
-    pub fn supervised(prefix: &str, threads: usize, config: SupervisorConfig) -> Self {
+    /// Staleness is timed by the supervisor's own scans, so a
+    /// `scan_interval` above `stale_after` is clamped down to it.
+    pub fn supervised(prefix: &str, threads: usize, mut config: SupervisorConfig) -> Self {
+        config.scan_interval = config.scan_interval.min(config.stale_after);
         Self::build(prefix, threads, Some(config))
     }
 
@@ -591,19 +623,20 @@ impl QueryPool {
         q: &Graph,
         deadline: Deadline,
     ) -> ParallelOutcome {
-        self.query_masked(matcher, db, q, deadline, None)
+        self.query_masked(matcher, db, &Arc::new(q.clone()), deadline, None)
     }
 
     /// Like [`query`](QueryPool::query), but graphs whose entry in `mask` is
     /// `true` are short-circuited to a [`QueryStatus::Quarantined`] failure
     /// record without consulting the matcher — the serving layer's circuit
     /// breakers use this to quarantine sick graphs. `mask`, when present,
-    /// must have exactly `db.len()` entries.
+    /// must have exactly `db.len()` entries. The workers share the caller's
+    /// `q`; nothing is copied.
     pub fn query_masked(
         &self,
         matcher: Arc<dyn Matcher>,
         db: &Arc<GraphDb>,
-        q: &Graph,
+        q: &Arc<Graph>,
         deadline: Deadline,
         mask: Option<Arc<[bool]>>,
     ) -> ParallelOutcome {
@@ -626,7 +659,7 @@ impl QueryPool {
         let job = Arc::new(Job {
             matcher,
             db: Arc::clone(db),
-            q: q.clone(),
+            q: Arc::clone(q),
             deadline,
             mask,
             next: AtomicUsize::new(0),
@@ -753,8 +786,9 @@ fn worker_loop(shared: &Arc<PoolShared>, idx: usize, my_gen: u64, start_epoch: u
 ///
 /// This is the original strategy, kept as the baseline the parallel benches
 /// compare [`QueryPool`] against: it spawns threads per query, balances
-/// poorly when graph sizes are skewed, and lets sibling workers keep burning
-/// budget after one worker times out. Prefer [`QueryPool`].
+/// poorly when graph sizes are skewed, and — unless `deadline` carries a
+/// [`CancelToken`] — lets sibling workers keep burning budget after one
+/// worker times out. Prefer [`QueryPool`].
 pub fn parallel_query(
     matcher: &dyn Matcher,
     db: &Arc<GraphDb>,
@@ -774,12 +808,7 @@ pub fn parallel_query(
             s.spawn(move || {
                 let lo = w * chunk;
                 let hi = ((w + 1) * chunk).min(db.len());
-                let mut part = QueryOutcome::default();
-                for gid in (lo as u32..hi as u32).map(GraphId) {
-                    if !process_graph(matcher, &db, q, gid, deadline, &mut part) {
-                        break;
-                    }
-                }
+                let part = scan(matcher, &db, q, deadline, None, lo..hi);
                 lock(parts).push(part);
             });
         }
@@ -1059,7 +1088,7 @@ mod tests {
             let r = pool.query_masked(
                 Arc::new(Cfql::new()),
                 &db,
-                &q,
+                &Arc::new(q.clone()),
                 Deadline::none(),
                 Some(Arc::clone(&mask)),
             );

@@ -48,7 +48,7 @@ use sqp_matching::{Deadline, Matcher, ResourceGuard};
 
 use crate::adaptive::{MatcherRouter, RoutingStats};
 use crate::breaker::{BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
-use crate::dispatch::{DispatchConfig, DispatchCore, QueryExecutor};
+use crate::dispatch::{effective_budget, DispatchConfig, DispatchCore, QueryExecutor};
 use crate::engine::QueryOutcome;
 use crate::metrics::{QueryRecord, QuerySetReport, ServiceHealth};
 use crate::parallel::{lock, QueryPool};
@@ -127,18 +127,13 @@ struct LocalExecutor {
 }
 
 impl QueryExecutor for LocalExecutor {
-    fn execute(&self, q: &Graph, budget_override: Option<Duration>) -> (QueryOutcome, u32) {
+    fn execute(&self, q: &Arc<Graph>, budget_override: Option<Duration>) -> (QueryOutcome, u32) {
         // Retry backoff jitter is keyed to the query so concurrent clients
         // retrying the same transient fault don't thunder in lockstep.
         let mut runner = lock(&self.runner).with_jitter_seed(crate::chaos::graph_fingerprint(q));
-        if let Some(budget) = budget_override {
-            // Deadline propagation: a remote caller's remaining budget
-            // bounds this query, configured budget notwithstanding.
-            runner.query_budget = Some(match runner.query_budget {
-                Some(own) => own.min(budget),
-                None => budget,
-            });
-        }
+        // Deadline propagation: a remote caller's remaining budget bounds
+        // this query, configured budget notwithstanding.
+        runner.query_budget = effective_budget(runner.query_budget, budget_override);
         // Adaptive routing: pick the matcher the cost model predicts
         // fastest for this query (pure decision — deterministic for a
         // fixed model regardless of worker threads).
@@ -470,6 +465,38 @@ mod tests {
         let (outcome, _) = ticket.wait();
         assert!(outcome.status.is_shed());
         assert_eq!(service.health().shed_deadline, 1);
+    }
+
+    #[test]
+    fn admission_predicts_against_the_budget_the_executor_runs_under() {
+        let db = edge_db(10);
+        let q = labeled(&[0, 1], &[(0, 1)]);
+        // Configured budget 1ms, predicted service 10 graphs × 1ms = 10ms. A
+        // generous 1s override does not lift the budget the query would run
+        // under (min(own, override) = 1ms), so admitting it is doomed work.
+        let service = QueryService::new(
+            Arc::new(Cfql::new()),
+            db,
+            ServiceConfig {
+                runner: RunnerConfig::with_budget(Duration::from_millis(1)),
+                shed: Some(ShedPolicy { est_cost_per_graph: Duration::from_millis(1) }),
+                ..Default::default()
+            },
+        );
+        let (ticket, admission) = service.submit_with_budget(&q, Some(Duration::from_secs(1)));
+        assert_eq!(admission, Admission::Shed(ShedReason::DeadlineUnmeetable));
+        assert!(ticket.wait().0.status.is_shed());
+        // A tighter override still sheds on its own value; with a budget
+        // that covers the prediction the same override is what is checked.
+        let (_, admission) = service.submit_with_budget(&q, Some(Duration::from_micros(10)));
+        assert_eq!(admission, Admission::Shed(ShedReason::DeadlineUnmeetable));
+        service.set_runner_config(RunnerConfig::with_budget(Duration::from_secs(600)));
+        let (ticket, admission) = service.submit_with_budget(&q, Some(Duration::from_secs(1)));
+        assert!(admission.is_admitted());
+        assert!(ticket.wait().0.status.is_completed());
+        let (_, admission) = service.submit_with_budget(&q, Some(Duration::from_millis(5)));
+        assert_eq!(admission, Admission::Shed(ShedReason::DeadlineUnmeetable));
+        assert_eq!(service.health().shed_deadline, 3);
     }
 
     #[test]

@@ -12,20 +12,30 @@
 //!
 //! # Heartbeat protocol
 //!
-//! Every [`Deadline::check`] — already on every hot-path tick — stamps a
-//! per-worker-slot [`Heartbeat`] (one relaxed atomic store, nanosecond
-//! timestamp). The supervisor thread spawned by
-//! [`QueryPool::supervised`] scans the slots every
-//! [`scan_interval`](SupervisorConfig::scan_interval) and escalates a worker
-//! only when **all** of the following hold:
+//! The worker never reads a clock for its heartbeat: every *full*
+//! [`Deadline::check`] — the scan loop's before a worker's first graph and
+//! every 16th after ([`SCAN_CHECK_INTERVAL`]), and every `TickChecker`
+//! interval (4 096 ticks) inside a long matcher call — bumps a per-slot
+//! [`Heartbeat`] counter with one relaxed add. The supervisor thread spawned
+//! by [`QueryPool::supervised`] keeps the time: every
+//! [`scan_interval`](SupervisorConfig::scan_interval) it stamps the moment
+//! it first saw a slot's current count; staleness is now minus that stamp.
+//! It escalates a worker only when **all** of the following hold:
 //!
 //! 1. a job is in flight and the worker's slot is busy on it,
 //! 2. the job has a wall deadline and it is overdue by at least
 //!    [`grace`](SupervisorConfig::grace) (unbudgeted queries are never
 //!    escalated — without a budget there is no "overdue"),
-//! 3. the slot's heartbeat is older than
+//! 3. the slot's count has stood still for at least
 //!    [`stale_after`](SupervisorConfig::stale_after) (a ticking-but-late
 //!    worker is merely slow; cancellation will stop it cooperatively).
+//!
+//! Detection bound: a count is stamped up to one `scan_interval` after the
+//! worker's last beat at `T` and found `stale_after` old up to one interval
+//! after that, so the worker is escalated at the first scan past
+//! `max(deadline + grace, T + stale_after + scan_interval)` — for a wedge
+//! before the deadline, within `grace + stale_after + scan_interval` of it.
+//! Hence `scan_interval ≤ stale_after`; `supervised` clamps a larger one.
 //!
 //! # Escalation ladder
 //!
@@ -43,6 +53,7 @@
 //! [`Deadline`]: sqp_matching::Deadline
 //! [`Deadline::check`]: sqp_matching::Deadline::check
 //! [`Heartbeat`]: sqp_matching::Heartbeat
+//! [`SCAN_CHECK_INTERVAL`]: sqp_matching::deadline::SCAN_CHECK_INTERVAL
 //! [`QueryPool`]: crate::parallel::QueryPool
 //! [`QueryPool::supervised`]: crate::parallel::QueryPool::supervised
 //! [`QueryService::shutdown`]: crate::service::QueryService::shutdown
@@ -60,11 +71,13 @@ pub struct SupervisorConfig {
     /// considered. Keeps the watchdog out of the way of ordinary
     /// cooperative-cancellation latency (one `TickChecker` interval).
     pub grace: Duration,
-    /// How often the supervisor thread scans the worker slots.
+    /// How often the supervisor thread scans the worker slots — and the
+    /// granularity of staleness, so values above `stale_after` are clamped.
     pub scan_interval: Duration,
-    /// A busy worker whose last heartbeat is older than this is considered
-    /// stuck. Must comfortably exceed the longest legitimate gap between
-    /// `Deadline::check` calls (one graph's filter tick interval).
+    /// A busy worker whose heartbeat count has not moved for this long is
+    /// considered stuck. Must comfortably exceed the longest legitimate gap
+    /// between full `Deadline::check` calls (16 graphs of a scan, or one
+    /// `TickChecker` interval inside a matcher).
     pub stale_after: Duration,
 }
 

@@ -212,7 +212,7 @@ impl Cfl {
         deadline: Deadline,
         with_cpi: bool,
     ) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
+        deadline.check_entry()?;
         let space = SCRATCH.with(|scratch| {
             self.build_space(&mut scratch.borrow_mut(), q, g, deadline, with_cpi)
         })?;

@@ -3,7 +3,8 @@
 //! The paper gives every query a 10-minute limit and records timed-out
 //! queries at the limit. A [`Deadline`] is threaded through every filter and
 //! enumerator; deep recursions amortize the `Instant::now()` cost with
-//! [`TickChecker`].
+//! [`TickChecker`], and a scan over many cheap graphs amortizes it with
+//! [`SCAN_CHECK_INTERVAL`]: flags before every graph, the clock every 16th.
 //!
 //! A deadline can additionally carry a [`CancelToken`] — a shared flag that
 //! makes *every* holder of the deadline observe expiry as soon as one of
@@ -276,21 +277,31 @@ fn monotonic_nanos() -> u64 {
     base.elapsed().as_nanos() as u64
 }
 
-/// A shared last-tick timestamp, carried inside [`Deadline`].
+#[derive(Debug, Default)]
+struct BeatState {
+    /// Progress counter, bumped by the worker; it never reads a clock.
+    count: AtomicU64,
+    /// Observer side: the count last seen, and when it was first seen.
+    seen: AtomicU64,
+    seen_at: AtomicU64,
+}
+
+/// A shared progress counter, carried inside [`Deadline`].
 ///
-/// Every [`Deadline::check`] stamps the current monotonic time with a
-/// relaxed store — cheap enough for the amortized tick path. A supervisor
-/// thread can then read [`elapsed`](Heartbeat::elapsed) to distinguish a
-/// worker that is *slow* (ticking, budget simply large) from one that is
-/// *wedged* (looping without ever consulting its deadline): only the latter
-/// has a stale heartbeat and can never observe cooperative cancellation.
+/// Every full [`Deadline::check`] bumps the counter with one relaxed add —
+/// the worker never reads a clock for it. The *observer* keeps the time: a
+/// supervisor's [`stale_for`](Heartbeat::stale_for) stamps the moment it
+/// first saw the current count and reports how long it has stood still
+/// since, which tells a worker that is *slow* (ticking, budget simply large)
+/// from one that is *wedged* (looping without ever consulting its deadline)
+/// with the observer's scan interval as granularity.
 ///
-/// Like [`CancelToken`], the heartbeat is `Copy` and `new()` leaks one
-/// `AtomicU64` for the `'static` lifetime: create once per worker slot and
-/// re-arm per query via [`reset`](Heartbeat::reset).
+/// Like [`CancelToken`], the heartbeat is `Copy` and `new()` leaks one small
+/// state block for the `'static` lifetime: create once per worker slot and
+/// re-arm per job via [`reset`](Heartbeat::reset).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Heartbeat {
-    state: Option<&'static AtomicU64>,
+    state: Option<&'static BeatState>,
 }
 
 impl Heartbeat {
@@ -299,36 +310,44 @@ impl Heartbeat {
         Self { state: None }
     }
 
-    /// A fresh heartbeat, stamped with the current time. Leaks its state for
-    /// the `'static` lifetime — create once per worker slot.
+    /// A fresh heartbeat, armed now. Leaks its state for the `'static`
+    /// lifetime — create once per worker slot.
     pub fn new() -> Self {
-        Self { state: Some(Box::leak(Box::new(AtomicU64::new(monotonic_nanos())))) }
+        let beat = Self { state: Some(Box::leak(Box::new(BeatState::default()))) };
+        beat.reset();
+        beat
     }
 
-    /// Stamps the current monotonic time. Relaxed: the supervisor only needs
-    /// an eventually-visible "recently alive" signal, not an ordering edge.
+    /// Bumps the progress counter. Relaxed: the supervisor only needs an
+    /// eventually-visible "still moving" signal, not an ordering edge.
     #[inline]
     pub fn beat(&self) {
         if let Some(s) = self.state {
-            s.store(monotonic_nanos(), Ordering::Relaxed);
+            s.count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Re-stamps the heartbeat at query start so staleness is measured
-    /// against this query, not the previous one.
+    /// Re-arms count and stamp at job start (the one clock read a job pays
+    /// for its heartbeat): staleness is measured against this job.
     pub fn reset(&self) {
-        self.beat();
+        if let Some(s) = self.state {
+            s.count.store(0, Ordering::Relaxed);
+            s.seen.store(0, Ordering::Relaxed);
+            s.seen_at.store(monotonic_nanos(), Ordering::Relaxed);
+        }
     }
 
-    /// Time since the last beat ([`Duration::ZERO`] for the inert
-    /// heartbeat, which therefore never escalates).
-    pub fn elapsed(&self) -> Duration {
-        match self.state {
-            Some(s) => {
-                Duration::from_nanos(monotonic_nanos().saturating_sub(s.load(Ordering::Relaxed)))
-            }
-            None => Duration::ZERO,
+    /// Observer side (one per heartbeat): how long the count has stood
+    /// still, measured from the call that first saw it. [`Duration::ZERO`]
+    /// for the inert heartbeat, which therefore never escalates.
+    pub fn stale_for(&self) -> Duration {
+        let Some(s) = self.state else { return Duration::ZERO };
+        let now = monotonic_nanos();
+        let count = s.count.load(Ordering::Relaxed);
+        if s.seen.swap(count, Ordering::Relaxed) != count {
+            s.seen_at.store(now, Ordering::Relaxed);
         }
+        Duration::from_nanos(now.saturating_sub(s.seen_at.load(Ordering::Relaxed)))
     }
 
     /// Whether this heartbeat carries real state.
@@ -503,6 +522,9 @@ pub struct Deadline {
     guard: ResourceGuard,
     stats: StatsSink,
     beat: Heartbeat,
+    /// Set by [`fresh`](Deadline::fresh): the holder was handed this copy by
+    /// a scan that has just checked the clock.
+    fresh: bool,
 }
 
 impl Deadline {
@@ -514,6 +536,7 @@ impl Deadline {
             guard: ResourceGuard::none(),
             stats: StatsSink::none(),
             beat: Heartbeat::none(),
+            fresh: false,
         }
     }
 
@@ -564,7 +587,7 @@ impl Deadline {
         self.stats
     }
 
-    /// Attaches a heartbeat: every [`check`](Deadline::check) stamps it, so
+    /// Attaches a heartbeat: every [`check`](Deadline::check) bumps it, so
     /// a supervisor can tell ticking workers from wedged ones.
     pub fn with_beat(mut self, beat: Heartbeat) -> Self {
         self.beat = beat;
@@ -586,10 +609,7 @@ impl Deadline {
     /// resource guard tripped.
     #[inline]
     pub fn expired(&self) -> bool {
-        if self.cancel.is_cancelled() {
-            return true;
-        }
-        if self.guard.tripped().is_some() {
+        if self.check_flags().is_err() {
             return true;
         }
         match self.at {
@@ -598,7 +618,7 @@ impl Deadline {
         }
     }
 
-    /// Errors with [`Timeout`] if expired. Also stamps the attached
+    /// Errors with [`Timeout`] if expired. Also bumps the attached
     /// heartbeat: a worker that never reaches this point reads as stale to
     /// the supervisor, which is exactly the wedge signal.
     #[inline]
@@ -608,6 +628,38 @@ impl Deadline {
             Err(Timeout)
         } else {
             Ok(())
+        }
+    }
+
+    /// The flags-only check: errors if the token was cancelled or the guard
+    /// tripped — two atomic loads, no heartbeat, no clock.
+    #[inline]
+    pub fn check_flags(&self) -> Result<(), Timeout> {
+        if self.cancel.is_cancelled() || self.guard.tripped().is_some() {
+            Err(Timeout)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A copy a scan hands to the matcher calls of one graph, vouching that
+    /// it has read the clock within the last [`SCAN_CHECK_INTERVAL`] graphs.
+    /// Affects [`check_entry`](Deadline::check_entry) only.
+    #[inline]
+    pub fn fresh(mut self) -> Self {
+        self.fresh = true;
+        self
+    }
+
+    /// A matcher's entry check: flags only under a vouching scan
+    /// ([`fresh`](Deadline::fresh)), the full [`check`](Deadline::check) for
+    /// every direct caller.
+    #[inline]
+    pub fn check_entry(&self) -> Result<(), Timeout> {
+        if self.fresh {
+            self.check_flags()
+        } else {
+            self.check()
         }
     }
 
@@ -625,6 +677,12 @@ pub struct TickChecker {
 }
 
 const LOG_INTERVAL: u32 = 12; // check every 4096 ticks
+
+/// A database scan runs the full [`Deadline::check`] (heartbeat + wall
+/// clock) before its first graph and then every this many graphs, and
+/// [`Deadline::check_flags`] before the others: wall-clock expiry is noticed
+/// within 16 pruned pairs or one [`TickChecker`] interval.
+pub const SCAN_CHECK_INTERVAL: usize = 16;
 
 impl TickChecker {
     /// A fresh checker.
@@ -872,28 +930,116 @@ mod tests {
         assert!(b >= a);
     }
 
+    const STALE: Duration = Duration::from_millis(5);
+
     #[test]
-    fn heartbeat_stamped_by_check() {
+    fn heartbeat_count_change_reads_as_fresh() {
         let beat = Heartbeat::new();
         let d = Deadline::after(Duration::from_secs(3600)).with_beat(beat);
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(beat.elapsed() >= Duration::from_millis(5));
+        std::thread::sleep(STALE);
         assert!(d.check().is_ok());
-        assert!(beat.elapsed() < Duration::from_millis(5));
+        // The count moved since the observer last looked: fresh, however
+        // long ago the beat itself happened.
+        std::thread::sleep(STALE);
+        assert_eq!(beat.stale_for(), Duration::ZERO);
         // An expired check still beats: ticking-but-late is not wedged.
         let late = Deadline::at(Instant::now() - Duration::from_millis(1)).with_beat(beat);
-        std::thread::sleep(Duration::from_millis(5));
         assert_eq!(late.check(), Err(Timeout));
-        assert!(beat.elapsed() < Duration::from_millis(5));
+        assert_eq!(beat.stale_for(), Duration::ZERO);
     }
 
     #[test]
-    fn none_heartbeat_is_inert() {
+    fn heartbeat_without_change_reads_as_stale() {
+        let beat = Heartbeat::new();
+        beat.beat();
+        assert_eq!(beat.stale_for(), Duration::ZERO);
+        std::thread::sleep(STALE);
+        // Staleness runs from the observation that first saw the count.
+        assert!(beat.stale_for() >= STALE);
+        std::thread::sleep(STALE);
+        assert!(beat.stale_for() >= 2 * STALE);
+        // A heartbeat that never beat is stale from the moment it was armed.
+        let silent = Heartbeat::new();
+        std::thread::sleep(STALE);
+        assert!(silent.stale_for() >= STALE);
+    }
+
+    #[test]
+    fn heartbeat_reset_rearms_count_and_stamp() {
+        let beat = Heartbeat::new();
+        beat.beat();
+        beat.stale_for();
+        std::thread::sleep(10 * STALE);
+        assert!(beat.stale_for() >= 10 * STALE);
+        beat.reset();
+        assert!(beat.stale_for() < 10 * STALE);
+        // The next job's first beat reads as a change again.
+        std::thread::sleep(STALE);
+        beat.beat();
+        assert_eq!(beat.stale_for(), Duration::ZERO);
+    }
+
+    #[test]
+    fn none_heartbeat_never_stales() {
         let beat = Heartbeat::none();
         assert!(!beat.is_some());
         beat.beat();
-        assert_eq!(beat.elapsed(), Duration::ZERO);
+        beat.reset();
+        std::thread::sleep(STALE);
+        assert_eq!(beat.stale_for(), Duration::ZERO);
         assert!(!Deadline::none().with_beat(beat).heartbeat().is_some());
+    }
+
+    #[test]
+    fn flags_check_touches_neither_beat_nor_clock() {
+        let beat = Heartbeat::new();
+        let token = CancelToken::new();
+        let guard = ResourceGuard::new();
+        guard.reset(ResourceLimits::unlimited());
+        // Already past its wall-clock instant: only a clock read could tell.
+        let d = Deadline::at(Instant::now() - Duration::from_millis(1))
+            .with_beat(beat)
+            .with_cancel(token)
+            .with_guard(guard);
+        beat.stale_for();
+        std::thread::sleep(STALE);
+        assert!(d.check_flags().is_ok(), "the flags-only check must not read the clock");
+        assert!(beat.stale_for() >= STALE, "the flags-only check must not beat");
+        assert_eq!(d.check(), Err(Timeout));
+        assert_eq!(beat.stale_for(), Duration::ZERO);
+        // Both flags are seen.
+        token.cancel();
+        assert_eq!(d.check_flags(), Err(Timeout));
+        token.reset();
+        assert!(d.check_flags().is_ok());
+        guard.trip(ResourceKind::Steps);
+        assert_eq!(d.check_flags(), Err(Timeout));
+    }
+
+    #[test]
+    fn fresh_affects_check_entry_only() {
+        let beat = Heartbeat::new();
+        let token = CancelToken::new();
+        let late = Deadline::at(Instant::now() - Duration::from_millis(1))
+            .with_beat(beat)
+            .with_cancel(token);
+        // A direct caller's entry check is the full check.
+        assert_eq!(late.check_entry(), Err(Timeout));
+        assert_eq!(beat.stale_for(), Duration::ZERO);
+        // Under a vouching scan it is flags only...
+        let vouched = late.fresh();
+        std::thread::sleep(STALE);
+        assert!(vouched.check_entry().is_ok());
+        assert!(beat.stale_for() >= STALE);
+        token.cancel();
+        assert_eq!(vouched.check_entry(), Err(Timeout));
+        token.reset();
+        // ...while every other check of the copy is unchanged.
+        assert!(vouched.expired());
+        assert_eq!(vouched.check(), Err(Timeout));
+        assert_eq!(vouched.instant(), late.instant());
+        let mut t = TickChecker::new();
+        assert!((0..10_000).any(|_| t.tick(vouched).is_err()));
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl Matcher for GraphQl {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
+        deadline.check_entry()?;
         let mut filter_span = Span::enter(Phase::Filter, deadline);
         let Some(mut sets) = self.initial_candidates(q, g) else {
             return Ok(FilterResult::Pruned);

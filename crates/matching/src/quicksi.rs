@@ -106,7 +106,7 @@ impl Matcher for QuickSi {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
+        deadline.check_entry()?;
         let mut filter_span = Span::enter(Phase::Filter, deadline);
         let mut sets = Vec::with_capacity(q.vertex_count());
         for u in q.vertices() {

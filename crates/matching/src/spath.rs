@@ -153,7 +153,7 @@ impl Matcher for SPath {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
+        deadline.check_entry()?;
         let mut filter_span = Span::enter(Phase::Filter, deadline);
         let mut ticker = TickChecker::new();
         // Query signatures once; data signatures lazily per distinct label.

@@ -215,7 +215,7 @@ impl Matcher for TurboIso {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
+        deadline.check_entry()?;
         let filter_span = Span::enter(Phase::Filter, deadline);
         match self.regions(q, g, deadline)? {
             None => Ok(FilterResult::Pruned),

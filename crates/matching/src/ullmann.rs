@@ -79,7 +79,7 @@ impl Matcher for Ullmann {
     }
 
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        deadline.check()?;
+        deadline.check_entry()?;
         let mut filter_span = Span::enter(Phase::Filter, deadline);
         let mut sets: Vec<Vec<VertexId>> = Vec::with_capacity(q.vertex_count());
         for u in q.vertices() {

@@ -47,8 +47,11 @@ PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence
 echo "==> metrics format (golden exposition file, histogram properties, deterministic phase clocks)"
 cargo test -q --offline --test metrics_format
 
-echo "==> supervision suite (wedge escalation at 1/2/4/8 threads, journal torn-tail property, resume skip)"
+echo "==> supervision suite (counter heartbeats: wedge escalation at 1/2/4/8 threads; journal torn-tail property, resume skip)"
 PROPTEST_CASES=32 cargo test -q --offline --test supervision
+
+echo "==> deadline paths (zero budget, mid-scan expiry, sibling cancellation and direct calls on every path a query takes)"
+cargo test -q --offline --test deadline_paths
 
 echo "==> wire protocol suite (frame round-trip; truncation/bit-flip/over-cap fail closed)"
 PROPTEST_CASES=32 cargo test -q --offline --test wire
@@ -167,8 +170,11 @@ echo "    sharded serving: healthy run clean, SIGKILL degraded to exit 2 + UNAVA
 echo "==> enumeration-kernel bench smoke (asserts auto does not lose to merge on dense; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench enumeration
 
-echo "==> phase-breakdown bench smoke (asserts span sum ~= wall; report discarded)"
-SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench phases
+echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, and on one CPU QueryService <= 1.25x CfqlEngine; report discarded)"
+# Built unpinned, run on one CPU: the serving gate prices the layers, not a
+# cross-CPU wake-up (the bench skips the gate when it sees more than one).
+cargo bench --offline -p sqp-bench --bench phases --no-run
+SQP_BENCH_SMOKE=1 taskset -c 0 cargo bench --offline -p sqp-bench --bench phases
 
 echo "==> adaptive routing regret smoke (asserts adaptive <= 1.5x best-in-hindsight; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench adaptive

@@ -6,6 +6,8 @@
 //!   shortly after `deadline + grace`, the stuck worker thread is abandoned,
 //!   and a replacement keeps the pool at full capacity — at every thread
 //!   count;
+//! * a worker that is late but still ticking is never escalated, at every
+//!   thread count, and a `scan_interval` above `stale_after` is clamped;
 //! * queries that do **not** hit the wedge pair return answers byte-identical
 //!   to a fault-free run, at every thread count;
 //! * a [`QueryService`] drain over a wedged worker terminates with a
@@ -28,7 +30,9 @@ use subgraph_query::datagen::query::{generate_query_set, QueryGenMethod, QuerySe
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphDb};
 use subgraph_query::matching::cfql::Cfql;
-use subgraph_query::matching::{Deadline, Matcher};
+use subgraph_query::matching::{
+    CandidateSpace, Deadline, Embedding, FilterResult, Matcher, Timeout,
+};
 
 /// Small fixture: 12 data graphs x 6 queries, collision-free fingerprints.
 fn fixture() -> (Arc<GraphDb>, Vec<Graph>) {
@@ -145,6 +149,95 @@ fn wedge_escalation_preserves_nonwedged_results() {
         }
         release.store(true, std::sync::atomic::Ordering::Release);
     }
+}
+
+/// Consults its deadline every millisecond — so its heartbeat count keeps
+/// moving — but on the target pair ignores the answer until `hold` has
+/// passed: late, not wedged.
+struct DeafMatcher {
+    inner: Cfql,
+    q_target: u64,
+    g_target: u64,
+    hold: Duration,
+}
+
+impl Matcher for DeafMatcher {
+    fn name(&self) -> &'static str {
+        "Deaf"
+    }
+    fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
+        if graph_fingerprint(q) == self.q_target && graph_fingerprint(g) == self.g_target {
+            let t0 = Instant::now();
+            while t0.elapsed() < self.hold {
+                let _ = deadline.check();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            deadline.check()?;
+        }
+        self.inner.filter(q, g, deadline)
+    }
+    fn find_first(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        space: &CandidateSpace,
+        deadline: Deadline,
+    ) -> Result<Option<Embedding>, Timeout> {
+        self.inner.find_first(q, g, space, deadline)
+    }
+    fn enumerate(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        space: &CandidateSpace,
+        limit: u64,
+        deadline: Deadline,
+        on_match: &mut dyn FnMut(&Embedding),
+    ) -> Result<u64, Timeout> {
+        self.inner.enumerate(q, g, space, limit, deadline, on_match)
+    }
+}
+
+/// The heartbeat is a counter the supervisor times: a worker that is overdue
+/// by far more than `grace + stale_after` but still ticking is never
+/// escalated — cooperative cancellation is what stops it.
+#[test]
+fn slow_but_ticking_worker_is_never_escalated() {
+    let (db, queries) = fixture();
+    let hold = BUDGET + Duration::from_millis(300);
+    for threads in [1usize, 2, 4, 8] {
+        let matcher: Arc<dyn Matcher> = Arc::new(DeafMatcher {
+            inner: Cfql::new(),
+            q_target: graph_fingerprint(&queries[0]),
+            g_target: graph_fingerprint(db.graph(GraphId(0))),
+            hold,
+        });
+        let pool = QueryPool::supervised("sup-slow", threads, fast_supervisor());
+        let t0 = Instant::now();
+        let out = pool.query(Arc::clone(&matcher), &db, &queries[0], Deadline::after(BUDGET));
+        assert!(t0.elapsed() >= hold, "threads={threads}: the late worker was cut short");
+        assert_eq!(out.outcome.status, QueryStatus::TimedOut, "threads={threads}");
+        assert_eq!(pool.wedged_queries(), 0, "threads={threads}");
+        assert_eq!(pool.workers_replaced(), 0, "threads={threads}");
+        assert_eq!(pool.threads(), threads, "threads={threads}");
+    }
+}
+
+/// Staleness has `scan_interval` granularity, so a supervisor configured to
+/// scan more rarely than `stale_after` is clamped: a wedge is still found in
+/// a few `stale_after`s, not after one 30 s scan.
+#[test]
+fn scan_interval_above_stale_after_is_clamped() {
+    let (db, queries) = fixture();
+    let stuck = stuck_matcher(&db, &queries);
+    let release = stuck.release_handle();
+    let config = SupervisorConfig { scan_interval: Duration::from_secs(30), ..fast_supervisor() };
+    let pool = QueryPool::supervised("sup-clamp", 2, config);
+    let t0 = Instant::now();
+    let out = pool.query(stuck, &db, &queries[0], Deadline::after(BUDGET));
+    assert_eq!(out.outcome.status, QueryStatus::Wedged);
+    assert!(t0.elapsed() < Duration::from_secs(5), "escalation took {:?}", t0.elapsed());
+    release.store(true, std::sync::atomic::Ordering::Release);
 }
 
 /// A service drain over a wedged worker must still terminate with a
