@@ -45,7 +45,7 @@ use std::time::Duration;
 use sqp_graph::{Graph, GraphDb};
 use sqp_index::{BuildBudget, BuildError};
 use sqp_matching::features::{extract, LabelHistogram, FEATURE_DIM};
-use sqp_matching::{Matcher, MatcherConfig, ResourceLimits};
+use sqp_matching::{Matcher, ResourceLimits};
 
 use crate::engine::{BuildReport, EngineCategory, QueryEngine, QueryOutcome, QueryStatus};
 use crate::journal::db_fingerprint;
@@ -417,9 +417,12 @@ fn validate_candidates<S: AsRef<str>>(names: &[S]) -> Result<(), String> {
             return Err("adaptive cannot route to itself".into());
         }
         if crate::engines::matcher_by_name(n).is_none() {
+            let matchers: Vec<&str> = crate::engines::engine_names()
+                .filter(|name| crate::engines::matcher_by_name(name).is_some())
+                .collect();
             return Err(format!(
-                "adaptive candidate {n:?} is not a matcher-backed engine \
-                 (choose from: CFQL, CFL, GraphQL, Ullmann, QuickSI, TurboIso, SPath)"
+                "adaptive candidate {n:?} is not a matcher-backed engine (choose from: {})",
+                matchers.join(", ")
             ));
         }
     }
@@ -447,7 +450,6 @@ struct AdaptiveState {
 ///   [`set_model`](AdaptiveEngine::set_model)): pure argmin-routing, no
 ///   warmup, no updates — deterministic for a fixed model and workload.
 pub struct AdaptiveEngine {
-    config: MatcherConfig,
     names: Vec<String>,
     engines: Vec<Box<dyn QueryEngine>>,
     hist: Option<LabelHistogram>,
@@ -466,13 +468,7 @@ impl Default for AdaptiveEngine {
 impl AdaptiveEngine {
     /// An adaptive engine over [`DEFAULT_CANDIDATES`] in learning mode.
     pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// [`new`](AdaptiveEngine::new) with a shared matcher configuration
-    /// applied to every candidate.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        match Self::with_candidates(config, &DEFAULT_CANDIDATES) {
+        match Self::with_candidates(&DEFAULT_CANDIDATES) {
             Ok(e) => e,
             // DEFAULT_CANDIDATES are registry names; this cannot fail.
             Err(e) => panic!("default adaptive candidates invalid: {e}"),
@@ -481,17 +477,13 @@ impl AdaptiveEngine {
 
     /// An adaptive engine over an explicit candidate list (validated: every
     /// name must be a matcher-backed engine).
-    pub fn with_candidates<S: AsRef<str>>(
-        config: MatcherConfig,
-        candidates: &[S],
-    ) -> Result<Self, String> {
+    pub fn with_candidates<S: AsRef<str>>(candidates: &[S]) -> Result<Self, String> {
         validate_candidates(candidates)?;
         let names: Vec<String> = candidates.iter().map(|s| s.as_ref().to_string()).collect();
         let placeholder =
             CostModel::cold_start(&names.iter().map(String::as_str).collect::<Vec<_>>(), 0);
         let stats = RoutingStats::for_names(&names);
         Ok(Self {
-            config,
             names,
             engines: Vec::new(),
             hist: None,
@@ -586,7 +578,7 @@ impl QueryEngine for AdaptiveEngine {
         let mut report = BuildReport::default();
         self.engines.clear();
         for name in &self.names {
-            let mut engine = match crate::engines::engine_by_name_with(name, self.config) {
+            let mut engine = match crate::engines::engine_by_name(name) {
                 Some(e) => e,
                 // Candidate lists are validated at construction.
                 None => panic!("validated candidate {name} missing from registry"),
@@ -714,14 +706,13 @@ impl fmt::Debug for MatcherRouter {
 impl MatcherRouter {
     /// A router over a trained (frozen) model for `db`. Every engine named
     /// by the model must resolve to a matcher.
-    pub fn new(model: CostModel, db: &GraphDb, config: MatcherConfig) -> Result<Self, String> {
+    pub fn new(model: CostModel, db: &GraphDb) -> Result<Self, String> {
         validate_candidates(model.engine_names())?;
         let names = model.engine_names().to_vec();
         let matchers: Vec<Arc<dyn Matcher>> = names
             .iter()
             .map(|n| {
-                crate::engines::matcher_by_name_with(n, config)
-                    .ok_or_else(|| format!("no matcher named {n:?}"))
+                crate::engines::matcher_by_name(n).ok_or_else(|| format!("no matcher named {n:?}"))
             })
             .collect::<Result<_, _>>()?;
         let stats = RoutingStats::for_names(&names);
@@ -736,15 +727,11 @@ impl MatcherRouter {
 
     /// A router with a fingerprint-seeded cold-start model (for `sqp serve`
     /// without `--model-in`).
-    pub fn cold_start<S: AsRef<str>>(
-        db: &GraphDb,
-        config: MatcherConfig,
-        candidates: &[S],
-    ) -> Result<Self, String> {
+    pub fn cold_start<S: AsRef<str>>(db: &GraphDb, candidates: &[S]) -> Result<Self, String> {
         validate_candidates(candidates)?;
         let names: Vec<&str> = candidates.iter().map(AsRef::as_ref).collect();
         let model = CostModel::cold_start(&names, db_fingerprint(db));
-        Self::new(model, db, config)
+        Self::new(model, db)
     }
 
     /// Routes `q`: returns the candidate index and the predicted cost in
@@ -1033,8 +1020,7 @@ mod tests {
     fn matcher_router_routes_and_notes() {
         let db = small_db();
         let q = labeled(&[0, 1], &[(0, 1)]);
-        let router =
-            MatcherRouter::cold_start(&db, MatcherConfig::default(), &DEFAULT_CANDIDATES).unwrap();
+        let router = MatcherRouter::cold_start(&db, &DEFAULT_CANDIDATES).unwrap();
         let (idx, predicted) = router.route(&q);
         assert!(idx < DEFAULT_CANDIDATES.len());
         let (idx2, _) = router.route(&q);
@@ -1049,6 +1035,6 @@ mod tests {
     #[test]
     fn router_requires_matcher_backed_candidates() {
         let db = small_db();
-        assert!(MatcherRouter::cold_start(&db, MatcherConfig::default(), &["Grapes"]).is_err());
+        assert!(MatcherRouter::cold_start(&db, &["Grapes"]).is_err());
     }
 }

@@ -51,7 +51,7 @@ use crate::dispatch::{
 };
 use crate::engine::{GraphFailure, QueryOutcome, QueryStatus};
 use crate::journal::db_fingerprint;
-use crate::metrics::{QueryRecord, QuerySetReport, ServiceHealth};
+use crate::metrics::{QuerySetReport, ServiceHealth};
 use crate::parallel::lock;
 use crate::runner::{jittered, RunnerConfig};
 use crate::shard::ShardPlacement;
@@ -560,16 +560,7 @@ impl Coordinator {
     /// Runs a query set in lockstep and reports it (deterministic for a
     /// fixed fault pattern at any scatter-thread count).
     pub fn run_query_set(&self, query_set_name: &str, queries: &[Graph]) -> QuerySetReport {
-        let budget = lock(&self.exec.runner).query_budget;
-        let mut report = QuerySetReport::new("coordinator", query_set_name);
-        for q in queries {
-            let (ticket, _) = self.submit(q);
-            let (outcome, retries) = ticket.wait();
-            let mut record = QueryRecord::from_outcome(&outcome, budget);
-            record.retries = retries;
-            report.records.push(record);
-        }
-        report
+        self.core.run_query_set("coordinator", query_set_name, queries)
     }
 
     /// Serving snapshot; the breaker fields count *peer* breakers.

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use sqp_graph::Graph;
 
 use crate::engine::QueryOutcome;
+use crate::metrics::{QueryRecord, QuerySetReport};
 use crate::parallel::lock;
 
 /// Why a submission was shed.
@@ -424,6 +425,27 @@ impl DispatchCore {
         drop(st);
         self.shared.submitted.notify_all();
         out
+    }
+
+    /// Runs a query set in lockstep (submit one, wait for it, record) and
+    /// reports it under the `engine` label, like the batch runner does.
+    pub fn run_query_set(
+        &self,
+        engine: &str,
+        query_set_name: &str,
+        queries: &[Graph],
+    ) -> QuerySetReport {
+        let budget = self.exec.query_budget();
+        let mut report = QuerySetReport::new(engine, query_set_name);
+        for q in queries {
+            let (ticket, _) = self.submit(q);
+            let (outcome, retries) = ticket.wait();
+            let mut record =
+                QueryRecord::from_outcome(&outcome, budget).with_engine_fallback(engine);
+            record.retries = retries;
+            report.records.push(record);
+        }
+        report
     }
 
     /// Queue/counter snapshot.

@@ -1,13 +1,18 @@
-//! The eight competing engines (plus an Ullmann-based baseline).
+//! The engine lineup: the paper's Table III as a two-axis grid.
 //!
-//! Concrete, ready-to-run instantiations of the paper's Table III. Every
-//! engine is a thin wrapper over one of three generic frames:
-//! [`IfvFrame`] (Algorithm 1), [`VcfvFrame`] (Algorithm 2) and
-//! [`IvcfvFrame`] (two-level filtering).
+//! An [`Engine`] filters by a feature index, by vertex connectivity (a
+//! matcher's preprocessing run per data graph), or by both, and verifies by
+//! VF2 or by the matcher's own first-match enumeration. Its two fields —
+//! `index: Option<IndexKind>` and the verifier — pick the cell; the category
+//! (IFV / vcFV / IvcFV) falls out of them. One table, one row per named
+//! engine, generates the public engine types and every registry look-up
+//! ([`paper_engines`], [`all_engines`], [`engine_by_name`],
+//! [`matcher_by_name`], [`engine_names`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb};
 use sqp_index::{
     BuildBudget, BuildError, CtIndexConfig, FingerprintIndex, GgsxIndex, GrapesConfig,
@@ -21,10 +26,10 @@ use sqp_matching::quicksi::QuickSi;
 use sqp_matching::spath::SPath;
 use sqp_matching::turboiso::TurboIso;
 use sqp_matching::ullmann::Ullmann;
-use sqp_matching::{Deadline, Matcher, MatcherConfig, ResourceGuard, ResourceLimits, StatsSink};
+use sqp_matching::{Deadline, Matcher, ResourceGuard, ResourceLimits, StatsSink};
 
 use crate::engine::{BuildReport, EngineCategory, QueryEngine, QueryOutcome};
-use crate::parallel::{panic_message, scan};
+use crate::parallel::{panic_message, scan, QueryPool};
 use crate::verifier::Vf2Verifier;
 
 /// Which index structure an IFV/IvcFV engine builds.
@@ -56,48 +61,56 @@ impl IndexKind {
     }
 }
 
-// ---------------------------------------------------------------------------
-// IFV frame (Algorithm 1)
-// ---------------------------------------------------------------------------
+/// How an [`Engine`] decides a candidate graph.
+pub enum Verify {
+    /// One VF2 subgraph-isomorphism test per candidate graph (Algorithm 1).
+    Vf2(Vf2Verifier),
+    /// The matcher's preprocessing as a per-graph filter, then its
+    /// first-match enumeration (Algorithm 2).
+    Matcher(Arc<dyn Matcher>),
+}
 
-/// Generic IFV engine: index-based filtering + VF2 verification.
-pub struct IfvFrame {
+/// One cell of Table III: an optional index level, then a verifier.
+pub struct Engine {
     name: &'static str,
-    kind: IndexKind,
-    verifier: Vf2Verifier,
+    index: Option<IndexKind>,
+    verify: Verify,
     build_budget: BuildBudget,
     query_budget: Option<Duration>,
     limits: ResourceLimits,
     guard: ResourceGuard,
     stats: StatsSink,
     db: Option<Arc<GraphDb>>,
-    index: Option<Box<dyn GraphIndex>>,
+    built: Option<Box<dyn GraphIndex>>,
 }
 
-impl IfvFrame {
-    /// Creates an unbuilt IFV engine.
-    pub fn new(name: &'static str, kind: IndexKind, verifier: Vf2Verifier) -> Self {
+impl Engine {
+    /// An unbuilt engine filtering by `index` (if any) and deciding
+    /// candidates by `verify`.
+    pub fn new(name: &'static str, index: Option<IndexKind>, verify: Verify) -> Self {
         Self {
             name,
-            kind,
-            verifier,
+            index,
+            verify,
             build_budget: BuildBudget::unlimited(),
             query_budget: None,
             limits: ResourceLimits::unlimited(),
             guard: ResourceGuard::new(),
             stats: StatsSink::new(),
             db: None,
-            index: None,
+            built: None,
         }
     }
 
-    /// Sets the index-construction budget (the paper's 24 h / RAM limits).
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.build_budget = budget;
+    /// An index-free engine over an arbitrary matcher — how wrappers such as
+    /// the fault-injecting [`ChaosMatcher`](crate::chaos::ChaosMatcher) run
+    /// through the sequential engine path.
+    pub fn vcfv(name: &'static str, matcher: Arc<dyn Matcher>) -> Self {
+        Self::new(name, None, Verify::Matcher(matcher))
     }
 
-    /// Re-arms the engine's resource guard and phase-span sink, and builds
-    /// the per-query deadline.
+    /// Re-arms the engine's resource guard and stats sink, and builds the
+    /// per-query deadline.
     fn deadline(&self) -> Deadline {
         self.guard.reset(self.limits);
         self.stats.reset();
@@ -107,43 +120,25 @@ impl IfvFrame {
             .with_stats(self.stats)
     }
 
-    fn build_impl(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
+    /// Algorithm 1's verification loop: one VF2 test per candidate graph,
+    /// each behind its own panic guard so a poisoned pair costs one
+    /// [`GraphFailure`](crate::engine::GraphFailure), not the query.
+    fn verify_each(
+        verifier: &Vf2Verifier,
+        db: &GraphDb,
+        q: &Graph,
+        deadline: Deadline,
+        candidates: Vec<GraphId>,
+    ) -> QueryOutcome {
+        let mut out = QueryOutcome { candidates: candidates.len(), ..Default::default() };
         let t0 = Instant::now();
-        let index = self.kind.build(db, &self.build_budget)?;
-        let build_time = t0.elapsed();
-        let index_bytes = index.heap_bytes();
-        self.db = Some(Arc::clone(db));
-        self.index = Some(index);
-        Ok(BuildReport { build_time, index_bytes })
-    }
-
-    fn query_impl(&self, q: &Graph) -> QueryOutcome {
-        let (db, index) = match (&self.db, &self.index) {
-            (Some(db), Some(index)) => (db, index),
-            // Documented precondition (QueryEngine::query): build first.
-            _ => panic!("query before build"),
-        };
-        let deadline = self.deadline();
-
-        let t0 = Instant::now();
-        let candidates = {
-            let mut span = Span::enter(Phase::Filter, deadline);
-            let candidates = index.candidates(q).into_ids(db.len());
-            span.add_items(candidates.len() as u64);
-            candidates
-        };
-        let filter_time = t0.elapsed();
-
-        let mut out =
-            QueryOutcome { candidates: candidates.len(), filter_time, ..Default::default() };
-        let t1 = Instant::now();
         // Outer stage span: absorbs the panic-guard and dispatch overhead of
         // the SI-test loop into the verify phase (the per-call spans inside
         // `verify` subtract themselves via self-time accounting).
         let stage_span = Span::enter(Phase::Verify, deadline);
         for gid in candidates {
             let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.verifier.verify(q, db.graph(gid), deadline)
+                verifier.verify(q, db.graph(gid), deadline)
             }));
             match verdict {
                 Err(payload) => out.record_panic(gid, panic_message(payload)),
@@ -156,665 +151,277 @@ impl IfvFrame {
             }
         }
         drop(stage_span);
-        out.verify_time = t1.elapsed();
-        out.finalize();
-        out.kernel = self.stats.snapshot();
-        out.phases = self.stats.phase_snapshot();
+        out.verify_time = t0.elapsed();
         out
     }
 }
 
-// ---------------------------------------------------------------------------
-// vcFV frame (Algorithm 2)
-// ---------------------------------------------------------------------------
+impl QueryEngine for Engine {
+    fn name(&self) -> &'static str {
+        self.name
+    }
 
-/// Generic vcFV engine: per-graph matcher preprocessing as the filter,
-/// first-match enumeration as the verifier. Index-free.
-pub struct VcfvFrame {
-    name: &'static str,
-    matcher: Box<dyn Matcher>,
-    query_budget: Option<Duration>,
-    limits: ResourceLimits,
-    guard: ResourceGuard,
-    stats: StatsSink,
-    db: Option<Arc<GraphDb>>,
-}
-
-impl VcfvFrame {
-    /// Creates an unbuilt vcFV engine.
-    pub fn new(name: &'static str, matcher: Box<dyn Matcher>) -> Self {
-        Self {
-            name,
-            matcher,
-            query_budget: None,
-            limits: ResourceLimits::unlimited(),
-            guard: ResourceGuard::new(),
-            stats: StatsSink::new(),
-            db: None,
+    fn category(&self) -> EngineCategory {
+        match (&self.index, &self.verify) {
+            (_, Verify::Vf2(_)) => EngineCategory::Ifv,
+            (None, Verify::Matcher(_)) => EngineCategory::VcFv,
+            (Some(_), Verify::Matcher(_)) => EngineCategory::IvcFv,
         }
     }
 
-    fn built_db(&self) -> &Arc<GraphDb> {
-        match &self.db {
+    fn build(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
+        let mut report = BuildReport::default();
+        if let Some(kind) = self.index {
+            let t0 = Instant::now();
+            let index = kind.build(db, &self.build_budget)?;
+            report = BuildReport { build_time: t0.elapsed(), index_bytes: index.heap_bytes() };
+            self.built = Some(index);
+        }
+        self.db = Some(Arc::clone(db));
+        Ok(report)
+    }
+
+    fn query(&self, q: &Graph) -> QueryOutcome {
+        let db = match &self.db {
             Some(db) => db,
             // Documented precondition (QueryEngine::query): build first.
             None => panic!("query before build"),
-        }
-    }
-
-    /// Re-arms the engine's resource guard and kernel-stat sink, and builds
-    /// the per-query deadline.
-    fn deadline(&self) -> Deadline {
-        self.guard.reset(self.limits);
-        self.stats.reset();
-        self.query_budget
-            .map_or(Deadline::none(), Deadline::after)
-            .with_guard(self.guard)
-            .with_stats(self.stats)
-    }
-
-    fn query_over(&self, q: &Graph, graphs: impl Iterator<Item = usize>) -> QueryOutcome {
-        let db = self.built_db();
-        // The pool workers' scan loop, run inline: panics on one (query,
-        // graph) pair are isolated into `failures`, interrupts stop the scan.
-        let mut out = scan(&*self.matcher, db, q, self.deadline(), None, graphs);
+        };
+        let deadline = self.deadline();
+        // Level 1: the index probe. Without an index every graph is a
+        // candidate.
+        let (level1, index_time) = match &self.built {
+            Some(index) => {
+                let t0 = Instant::now();
+                let mut span = Span::enter(Phase::Filter, deadline);
+                let ids = index.candidates(q).into_ids(db.len());
+                span.add_items(ids.len() as u64);
+                drop(span);
+                (Some(ids), t0.elapsed())
+            }
+            None => (None, Duration::ZERO),
+        };
+        // Level 2: VF2 per candidate, or the shared vcFV scan — the pool
+        // workers' loop run inline, so panics on one (query, graph) pair are
+        // isolated into `failures` and interrupts stop the scan.
+        let mut out = match (&self.verify, level1) {
+            (Verify::Vf2(verifier), level1) => {
+                let all = || (0..db.len() as u32).map(GraphId).collect();
+                Self::verify_each(verifier, db, q, deadline, level1.unwrap_or_else(all))
+            }
+            (Verify::Matcher(m), Some(ids)) => {
+                scan(&**m, db, q, deadline, None, ids.iter().map(|g| g.0 as usize))
+            }
+            (Verify::Matcher(m), None) => scan(&**m, db, q, deadline, None, 0..db.len()),
+        };
+        out.filter_time += index_time;
         out.finalize();
         out.kernel = self.stats.snapshot();
         out.phases = self.stats.phase_snapshot();
         out
     }
 
-    fn query_impl(&self, q: &Graph) -> QueryOutcome {
-        self.query_over(q, 0..self.built_db().len())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// IvcFV frame (two-level filtering)
-// ---------------------------------------------------------------------------
-
-/// Generic IvcFV engine: index filtering, then vertex-connectivity filtering,
-/// then first-match enumeration (the paper's vcGrapes / vcGGSX).
-pub struct IvcfvFrame {
-    name: &'static str,
-    kind: IndexKind,
-    inner: VcfvFrame,
-    build_budget: BuildBudget,
-    index: Option<Box<dyn GraphIndex>>,
-}
-
-impl IvcfvFrame {
-    /// Creates an unbuilt IvcFV engine.
-    pub fn new(name: &'static str, kind: IndexKind, matcher: Box<dyn Matcher>) -> Self {
-        Self {
-            name,
-            kind,
-            inner: VcfvFrame::new(name, matcher),
-            build_budget: BuildBudget::unlimited(),
-            index: None,
-        }
+    fn set_query_budget(&mut self, budget: Option<Duration>) {
+        self.query_budget = budget;
     }
 
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
+    fn set_resource_limits(&mut self, limits: ResourceLimits) {
+        self.limits = limits;
+    }
+
+    fn set_build_budget(&mut self, budget: BuildBudget) {
         self.build_budget = budget;
     }
 
-    fn build_impl(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
-        let t0 = Instant::now();
-        let index = self.kind.build(db, &self.build_budget)?;
-        let build_time = t0.elapsed();
-        let index_bytes = index.heap_bytes();
-        self.index = Some(index);
-        self.inner.db = Some(Arc::clone(db));
-        Ok(BuildReport { build_time, index_bytes })
-    }
-
-    fn query_impl(&self, q: &Graph) -> QueryOutcome {
-        let db = self.inner.built_db();
-        let index = match &self.index {
-            Some(index) => index,
-            // Documented precondition (QueryEngine::query): build first.
-            None => panic!("query before build"),
-        };
-        let t0 = Instant::now();
-        let level1 = index.candidates(q).into_ids(db.len());
-        let index_time = t0.elapsed();
-        let mut out = self.inner.query_over(q, level1.iter().map(|g| g.0 as usize));
-        out.filter_time += index_time;
-        // The index probe runs before the inner frame resets its sink, so
-        // its time is folded into the filter phase directly.
-        let f = Phase::Filter.index();
-        out.phases.nanos[f] = out.phases.nanos[f].saturating_add(index_time.as_nanos() as u64);
-        out.phases.items[f] = out.phases.items[f].saturating_add(level1.len() as u64);
-        out
+    fn index_bytes(&self) -> usize {
+        self.built.as_ref().map_or(0, |i| i.heap_bytes())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Concrete engines
+// The table: one row per named engine
 // ---------------------------------------------------------------------------
 
-macro_rules! delegate_query_engine {
-    ($ty:ty, $cat:expr, $frame:ident) => {
-        impl QueryEngine for $ty {
-            fn name(&self) -> &'static str {
-                self.$frame.name
+/// One named engine: its cell of the grid.
+struct Row {
+    name: &'static str,
+    index: fn() -> Option<IndexKind>,
+    verify: fn() -> Verify,
+}
+
+impl Row {
+    fn engine(&self) -> Engine {
+        Engine::new(self.name, (self.index)(), (self.verify)())
+    }
+}
+
+/// Declares the lineup: for each row a public engine type (a named
+/// [`Engine`] with a `new()`), and the [`TABLE`] the registry functions read.
+macro_rules! engine_table {
+    ($($(#[$doc:meta])* $ty:ident = $name:literal, $index:expr, $verify:expr;)*) => {
+        static TABLE: &[Row] = &[$(Row { name: $name, index: || $index, verify: || $verify }),*];
+
+        $(
+            $(#[$doc])*
+            pub struct $ty(Engine);
+
+            impl $ty {
+                /// The engine with its default (paper) configuration.
+                pub fn new() -> Self {
+                    Self(Engine::new($name, $index, $verify))
+                }
             }
-            fn category(&self) -> EngineCategory {
-                $cat
+
+            impl Default for $ty {
+                fn default() -> Self {
+                    Self::new()
+                }
             }
-            fn build(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
-                self.$frame.build_impl(db)
+
+            impl QueryEngine for $ty {
+                fn name(&self) -> &'static str {
+                    self.0.name()
+                }
+                fn category(&self) -> EngineCategory {
+                    self.0.category()
+                }
+                fn build(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
+                    self.0.build(db)
+                }
+                fn query(&self, q: &Graph) -> QueryOutcome {
+                    self.0.query(q)
+                }
+                fn set_query_budget(&mut self, budget: Option<Duration>) {
+                    self.0.set_query_budget(budget);
+                }
+                fn set_resource_limits(&mut self, limits: ResourceLimits) {
+                    self.0.set_resource_limits(limits);
+                }
+                fn set_build_budget(&mut self, budget: BuildBudget) {
+                    self.0.set_build_budget(budget);
+                }
+                fn index_bytes(&self) -> usize {
+                    self.0.index_bytes()
+                }
             }
-            fn query(&self, q: &Graph) -> QueryOutcome {
-                self.$frame.query_impl(q)
-            }
-            fn set_query_budget(&mut self, budget: Option<Duration>) {
-                self.$frame.query_budget = budget;
-            }
-            fn set_resource_limits(&mut self, limits: ResourceLimits) {
-                self.$frame.limits = limits;
-            }
-            fn set_build_budget(&mut self, budget: BuildBudget) {
-                self.$frame.build_budget = budget;
-            }
-            fn index_bytes(&self) -> usize {
-                self.$frame.index.as_ref().map_or(0, |i| i.heap_bytes())
-            }
-        }
+        )*
     };
 }
 
-macro_rules! delegate_vcfv_engine {
-    ($ty:ty) => {
-        impl QueryEngine for $ty {
-            fn name(&self) -> &'static str {
-                self.frame.name
-            }
-            fn category(&self) -> EngineCategory {
-                EngineCategory::VcFv
-            }
-            fn build(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
-                self.frame.db = Some(Arc::clone(db));
-                Ok(BuildReport::default())
-            }
-            fn query(&self, q: &Graph) -> QueryOutcome {
-                self.frame.query_impl(q)
-            }
-            fn set_query_budget(&mut self, budget: Option<Duration>) {
-                self.frame.query_budget = budget;
-            }
-            fn set_resource_limits(&mut self, limits: ResourceLimits) {
-                self.frame.limits = limits;
-            }
-            fn index_bytes(&self) -> usize {
-                0
-            }
-        }
-    };
+// Cell shorthands for the rows below. The index configurations are the
+// paper's: Grapes and GGSX over paths of at most 4 vertices.
+fn grapes() -> Option<IndexKind> {
+    Some(IndexKind::Grapes(GrapesConfig::default()))
 }
 
-macro_rules! delegate_ivcfv_engine {
-    ($ty:ty) => {
-        impl QueryEngine for $ty {
-            fn name(&self) -> &'static str {
-                self.frame.name
-            }
-            fn category(&self) -> EngineCategory {
-                EngineCategory::IvcFv
-            }
-            fn build(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
-                self.frame.build_impl(db)
-            }
-            fn query(&self, q: &Graph) -> QueryOutcome {
-                self.frame.query_impl(q)
-            }
-            fn set_query_budget(&mut self, budget: Option<Duration>) {
-                self.frame.inner.query_budget = budget;
-            }
-            fn set_resource_limits(&mut self, limits: ResourceLimits) {
-                self.frame.inner.limits = limits;
-            }
-            fn set_build_budget(&mut self, budget: BuildBudget) {
-                self.frame.build_budget = budget;
-            }
-            fn index_bytes(&self) -> usize {
-                self.frame.index.as_ref().map_or(0, |i| i.heap_bytes())
-            }
-        }
-    };
+fn ggsx() -> Option<IndexKind> {
+    Some(IndexKind::Ggsx { max_path_vertices: 4 })
 }
 
-/// Grapes: parallel path-trie index + VF2 (IFV).
-pub struct GrapesEngine {
-    frame: IfvFrame,
+fn vf2() -> Verify {
+    Verify::Vf2(Vf2Verifier::classic())
 }
 
-impl GrapesEngine {
-    /// Grapes with the paper's configuration (paths ≤ 4 vertices, 6 threads).
-    pub fn new() -> Self {
-        Self::with_config(GrapesConfig::default())
-    }
-
-    /// Grapes with a custom configuration.
-    pub fn with_config(config: GrapesConfig) -> Self {
-        Self { frame: IfvFrame::new("Grapes", IndexKind::Grapes(config), Vf2Verifier::classic()) }
-    }
-
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.frame.set_build_budget(budget);
-    }
+fn by(matcher: impl Matcher + 'static) -> Verify {
+    Verify::Matcher(Arc::new(matcher))
 }
 
-impl Default for GrapesEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Rows of the table that are the paper's Table III (the first eight).
+const PAPER_ROWS: usize = 8;
+
+engine_table! {
+    /// CT-Index: tree/cycle fingerprints + modified VF2 (IFV).
+    CtIndexEngine = "CT-Index",
+        Some(IndexKind::CtIndex(CtIndexConfig::default())), Verify::Vf2(Vf2Verifier::ct_index());
+    /// Grapes: parallel path-trie index + VF2 (IFV).
+    GrapesEngine = "Grapes", grapes(), vf2();
+    /// GGSX: sorted path dictionary + VF2 (IFV).
+    GgsxEngine = "GGSX", ggsx(), vf2();
+    /// CFL as a vcFV subgraph-query engine.
+    CflEngine = "CFL", None, by(Cfl::new());
+    /// GraphQL as a vcFV subgraph-query engine.
+    GraphQlEngine = "GraphQL", None, by(GraphQl::new());
+    /// CFQL (CFL filter + GraphQL enumeration) as a vcFV engine — the paper's
+    /// headline index-free algorithm.
+    CfqlEngine = "CFQL", None, by(Cfql::new());
+    /// vcGrapes: Grapes index filtering + CFQL filtering and enumeration
+    /// (IvcFV).
+    VcGrapesEngine = "vcGrapes", grapes(), by(Cfql::new());
+    /// vcGGSX: GGSX index filtering + CFQL filtering and enumeration (IvcFV).
+    VcGgsxEngine = "vcGGSX", ggsx(), by(Cfql::new());
+    /// Ullmann as a vcFV engine — a direct-enumeration baseline beyond the
+    /// paper's lineup (related-work coverage).
+    UllmannEngine = "Ullmann", None, by(Ullmann::new());
+    /// QuickSI as a vcFV engine — the QI-sequence direct-enumeration baseline
+    /// (related-work extension beyond the paper's lineup).
+    QuickSiEngine = "QuickSI", None, by(QuickSi::new());
+    /// TurboIso as a vcFV engine — candidate-region based filtering and
+    /// enumeration (related-work extension beyond the paper's lineup).
+    TurboIsoEngine = "TurboIso", None, by(TurboIso::new());
+    /// SPath as a vcFV engine — neighborhood-signature filtering
+    /// (related-work extension beyond the paper's lineup).
+    SPathEngine = "SPath", None, by(SPath::new());
+    /// GraphGrep: hashed path fingerprints + VF2 (IFV) — the oldest
+    /// enumeration-based index of the paper's Table II, implemented as a
+    /// related-work extension.
+    GraphGrepEngine = "GraphGrep", Some(IndexKind::GraphGrep(GraphGrepConfig::default())), vf2();
 }
 
-delegate_query_engine!(GrapesEngine, EngineCategory::Ifv, frame);
-
-/// GGSX: sorted path dictionary + VF2 (IFV).
-pub struct GgsxEngine {
-    frame: IfvFrame,
+fn row(name: &str) -> Option<&'static Row> {
+    TABLE.iter().find(|r| r.name.eq_ignore_ascii_case(name))
 }
 
-impl GgsxEngine {
-    /// GGSX with the paper's configuration (paths ≤ 4 vertices).
-    pub fn new() -> Self {
-        Self::with_max_path_vertices(4)
-    }
-
-    /// GGSX with a custom maximum path length.
-    pub fn with_max_path_vertices(max_path_vertices: usize) -> Self {
-        Self {
-            frame: IfvFrame::new(
-                "GGSX",
-                IndexKind::Ggsx { max_path_vertices },
-                Vf2Verifier::classic(),
-            ),
-        }
-    }
-
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.frame.set_build_budget(budget);
-    }
+fn boxed(rows: &[Row]) -> Vec<Box<dyn QueryEngine>> {
+    rows.iter().map(|r| Box::new(r.engine()) as Box<dyn QueryEngine>).collect()
 }
 
-impl Default for GgsxEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Every engine name in the table: Table III order, then the related-work
+/// extensions.
+pub fn engine_names() -> impl Iterator<Item = &'static str> {
+    TABLE.iter().map(|r| r.name)
 }
 
-delegate_query_engine!(GgsxEngine, EngineCategory::Ifv, frame);
-
-/// CT-Index: tree/cycle fingerprints + modified VF2 (IFV).
-pub struct CtIndexEngine {
-    frame: IfvFrame,
+/// All eight paper engines with default configurations, in Table III order.
+pub fn paper_engines() -> Vec<Box<dyn QueryEngine>> {
+    boxed(&TABLE[..PAPER_ROWS])
 }
 
-impl CtIndexEngine {
-    /// CT-Index with the paper's configuration (4096-bit fingerprints,
-    /// features ≤ size 4).
-    pub fn new() -> Self {
-        Self::with_config(CtIndexConfig::default())
-    }
-
-    /// CT-Index with a custom configuration.
-    pub fn with_config(config: CtIndexConfig) -> Self {
-        Self {
-            frame: IfvFrame::new("CT-Index", IndexKind::CtIndex(config), Vf2Verifier::ct_index()),
-        }
-    }
-
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.frame.set_build_budget(budget);
-    }
+/// The paper engines plus the related-work baselines implemented beyond the
+/// paper's lineup (Ullmann, QuickSI, TurboIso, SPath, GraphGrep).
+pub fn all_engines() -> Vec<Box<dyn QueryEngine>> {
+    boxed(TABLE)
 }
 
-impl Default for CtIndexEngine {
-    fn default() -> Self {
-        Self::new()
+/// Looks an engine up by its (case-insensitive) paper name, e.g. `"cfql"`,
+/// `"vcgrapes"`, `"ct-index"`.
+pub fn engine_by_name(name: &str) -> Option<Box<dyn QueryEngine>> {
+    if name.eq_ignore_ascii_case("adaptive") {
+        // The routing meta-engine lives outside the fixed lineup: it is not
+        // one of the paper's engines, so `all_engines` (and the comparisons
+        // built on it) never enumerate it.
+        return Some(Box::new(crate::adaptive::AdaptiveEngine::new()));
     }
+    row(name).map(|r| Box::new(r.engine()) as Box<dyn QueryEngine>)
 }
 
-delegate_query_engine!(CtIndexEngine, EngineCategory::Ifv, frame);
-
-/// GraphGrep: hashed path fingerprints + VF2 (IFV) — the oldest
-/// enumeration-based index of the paper's Table II, implemented as a
-/// related-work extension.
-pub struct GraphGrepEngine {
-    frame: IfvFrame,
-}
-
-impl GraphGrepEngine {
-    /// GraphGrep with the default configuration.
-    pub fn new() -> Self {
-        Self::with_config(GraphGrepConfig::default())
-    }
-
-    /// GraphGrep with a custom configuration.
-    pub fn with_config(config: GraphGrepConfig) -> Self {
-        Self {
-            frame: IfvFrame::new("GraphGrep", IndexKind::GraphGrep(config), Vf2Verifier::classic()),
-        }
-    }
-
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.frame.set_build_budget(budget);
+/// Looks a bare matcher up by its (case-insensitive) engine name, e.g.
+/// `"cfql"`, `"graphql"`: the matcher of an index-free row — what can run
+/// inside a [`ParallelEngine`], a [`QueryPool`] or the serving layer.
+pub fn matcher_by_name(name: &str) -> Option<Arc<dyn Matcher>> {
+    let row = row(name)?;
+    match ((row.index)(), (row.verify)()) {
+        (None, Verify::Matcher(m)) => Some(m),
+        _ => None,
     }
 }
-
-impl Default for GraphGrepEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_query_engine!(GraphGrepEngine, EngineCategory::Ifv, frame);
-
-/// CFL as a vcFV subgraph-query engine.
-pub struct CflEngine {
-    frame: VcfvFrame,
-}
-
-impl CflEngine {
-    /// CFL with both refinement passes.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// CFL with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self { frame: VcfvFrame::new("CFL", Box::new(Cfl::new().with_matcher_config(config))) }
-    }
-}
-
-impl Default for CflEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(CflEngine);
-
-/// GraphQL as a vcFV subgraph-query engine.
-pub struct GraphQlEngine {
-    frame: VcfvFrame,
-}
-
-impl GraphQlEngine {
-    /// GraphQL with the default pruning depth.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// GraphQL with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self {
-            frame: VcfvFrame::new("GraphQL", Box::new(GraphQl::new().with_matcher_config(config))),
-        }
-    }
-}
-
-impl Default for GraphQlEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(GraphQlEngine);
-
-/// CFQL (CFL filter + GraphQL enumeration) as a vcFV engine — the paper's
-/// headline index-free algorithm.
-pub struct CfqlEngine {
-    frame: VcfvFrame,
-}
-
-impl CfqlEngine {
-    /// The default CFQL engine.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// CFQL with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self { frame: VcfvFrame::new("CFQL", Box::new(Cfql::new().with_matcher_config(config))) }
-    }
-}
-
-impl Default for CfqlEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(CfqlEngine);
-
-/// Ullmann as a vcFV engine — a direct-enumeration baseline beyond the
-/// paper's lineup (related-work coverage).
-pub struct UllmannEngine {
-    frame: VcfvFrame,
-}
-
-impl UllmannEngine {
-    /// The default Ullmann engine.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// Ullmann with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self {
-            frame: VcfvFrame::new("Ullmann", Box::new(Ullmann::new().with_matcher_config(config))),
-        }
-    }
-}
-
-impl Default for UllmannEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(UllmannEngine);
-
-/// TurboIso as a vcFV engine — candidate-region based filtering and
-/// enumeration (related-work extension beyond the paper's lineup).
-pub struct TurboIsoEngine {
-    frame: VcfvFrame,
-}
-
-impl TurboIsoEngine {
-    /// The default TurboIso engine.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// TurboIso with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self {
-            frame: VcfvFrame::new(
-                "TurboIso",
-                Box::new(TurboIso::new().with_matcher_config(config)),
-            ),
-        }
-    }
-}
-
-impl Default for TurboIsoEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(TurboIsoEngine);
-
-/// QuickSI as a vcFV engine — the QI-sequence direct-enumeration baseline
-/// (related-work extension beyond the paper's lineup).
-pub struct QuickSiEngine {
-    frame: VcfvFrame,
-}
-
-impl QuickSiEngine {
-    /// The default QuickSI engine.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// QuickSI with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self {
-            frame: VcfvFrame::new("QuickSI", Box::new(QuickSi::new().with_matcher_config(config))),
-        }
-    }
-}
-
-impl Default for QuickSiEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(QuickSiEngine);
-
-/// SPath as a vcFV engine — neighborhood-signature filtering
-/// (related-work extension beyond the paper's lineup).
-pub struct SPathEngine {
-    frame: VcfvFrame,
-}
-
-impl SPathEngine {
-    /// The default SPath engine (signature radius 2).
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// SPath with the given shared matcher configuration.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self { frame: VcfvFrame::new("SPath", Box::new(SPath::new().with_matcher_config(config))) }
-    }
-}
-
-impl Default for SPathEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_vcfv_engine!(SPathEngine);
-
-/// A vcFV engine over an *arbitrary* matcher — the adapter that lets
-/// wrappers like the chaos harness's fault-injecting
-/// [`ChaosMatcher`](crate::chaos::ChaosMatcher) run through the standard
-/// sequential engine path (and therefore through
-/// [`run_query_set`](crate::runner::run_query_set) and
-/// [`CachedEngine`](crate::cache::CachedEngine)).
-pub struct MatcherEngine {
-    frame: VcfvFrame,
-}
-
-impl MatcherEngine {
-    /// Wraps `matcher` as a named vcFV engine.
-    pub fn new(name: &'static str, matcher: Box<dyn Matcher>) -> Self {
-        Self { frame: VcfvFrame::new(name, matcher) }
-    }
-}
-
-delegate_vcfv_engine!(MatcherEngine);
-
-/// vcGrapes: Grapes index filtering + CFQL filtering and enumeration (IvcFV).
-pub struct VcGrapesEngine {
-    frame: IvcfvFrame,
-}
-
-impl VcGrapesEngine {
-    /// vcGrapes with the paper's Grapes configuration.
-    pub fn new() -> Self {
-        Self::with_config(GrapesConfig::default())
-    }
-
-    /// vcGrapes with a custom Grapes configuration.
-    pub fn with_config(config: GrapesConfig) -> Self {
-        Self {
-            frame: IvcfvFrame::new("vcGrapes", IndexKind::Grapes(config), Box::new(Cfql::new())),
-        }
-    }
-
-    /// vcGrapes (default index configuration) with the given shared matcher
-    /// configuration for the CFQL stage.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self {
-            frame: IvcfvFrame::new(
-                "vcGrapes",
-                IndexKind::Grapes(GrapesConfig::default()),
-                Box::new(Cfql::new().with_matcher_config(config)),
-            ),
-        }
-    }
-
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.frame.set_build_budget(budget);
-    }
-}
-
-impl Default for VcGrapesEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_ivcfv_engine!(VcGrapesEngine);
-
-/// vcGGSX: GGSX index filtering + CFQL filtering and enumeration (IvcFV).
-pub struct VcGgsxEngine {
-    frame: IvcfvFrame,
-}
-
-impl VcGgsxEngine {
-    /// vcGGSX with the paper's GGSX configuration.
-    pub fn new() -> Self {
-        Self::with_matcher_config(MatcherConfig::default())
-    }
-
-    /// vcGGSX with the given shared matcher configuration for the CFQL stage.
-    pub fn with_matcher_config(config: MatcherConfig) -> Self {
-        Self {
-            frame: IvcfvFrame::new(
-                "vcGGSX",
-                IndexKind::Ggsx { max_path_vertices: 4 },
-                Box::new(Cfql::new().with_matcher_config(config)),
-            ),
-        }
-    }
-
-    /// Sets the index-construction budget.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.frame.set_build_budget(budget);
-    }
-}
-
-impl Default for VcGgsxEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-delegate_ivcfv_engine!(VcGgsxEngine);
 
 // ---------------------------------------------------------------------------
 // Parallel vcFV engine
 // ---------------------------------------------------------------------------
 
 /// A vcFV engine that runs its matcher over the database on a persistent
-/// [`QueryPool`](crate::parallel::QueryPool) instead of a single thread.
+/// (plain or [supervised](QueryPool::supervised)) [`QueryPool`] instead of a
+/// single thread — how `--threads N` and `--supervise` reach the runner.
 ///
 /// Answers are identical to the corresponding sequential vcFV engine
 /// (invariant I4); `filter_time`/`verify_time` are summed worker CPU times,
@@ -823,7 +430,7 @@ delegate_ivcfv_engine!(VcGgsxEngine);
 pub struct ParallelEngine {
     name: &'static str,
     matcher: Arc<dyn Matcher>,
-    pool: crate::parallel::QueryPool,
+    pool: QueryPool,
     query_budget: Option<Duration>,
     limits: ResourceLimits,
     guard: ResourceGuard,
@@ -831,12 +438,12 @@ pub struct ParallelEngine {
 }
 
 impl ParallelEngine {
-    /// Wraps `matcher` in a pool of `threads` persistent workers.
-    pub fn new(name: &'static str, matcher: Arc<dyn Matcher>, threads: usize) -> Self {
+    /// Runs `matcher` on `pool`'s workers.
+    pub fn new(name: &'static str, matcher: Arc<dyn Matcher>, pool: QueryPool) -> Self {
         Self {
             name,
             matcher,
-            pool: crate::parallel::QueryPool::new(threads),
+            pool,
             query_budget: None,
             limits: ResourceLimits::unlimited(),
             guard: ResourceGuard::new(),
@@ -844,28 +451,9 @@ impl ParallelEngine {
         }
     }
 
-    /// CFQL on a pool of `threads` workers — the parallel flagship.
-    pub fn cfql(threads: usize) -> Self {
-        Self::new("CFQL-par", Arc::new(Cfql::new()), threads)
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The parallel outcome (with wall time) for one query; [`query`]
-    /// (QueryEngine::query) is this minus the wall-clock wrapper.
-    pub fn query_parallel(&self, q: &Graph) -> crate::parallel::ParallelOutcome {
-        let db = match &self.db {
-            Some(db) => db,
-            // Documented precondition (QueryEngine::query): build first.
-            None => panic!("query before build"),
-        };
-        self.guard.reset(self.limits);
-        let deadline =
-            self.query_budget.map_or(Deadline::none(), Deadline::after).with_guard(self.guard);
-        self.pool.query(Arc::clone(&self.matcher), db, q, deadline)
     }
 }
 
@@ -881,7 +469,15 @@ impl QueryEngine for ParallelEngine {
         Ok(BuildReport::default())
     }
     fn query(&self, q: &Graph) -> QueryOutcome {
-        self.query_parallel(q).outcome
+        let db = match &self.db {
+            Some(db) => db,
+            // Documented precondition (QueryEngine::query): build first.
+            None => panic!("query before build"),
+        };
+        self.guard.reset(self.limits);
+        let deadline =
+            self.query_budget.map_or(Deadline::none(), Deadline::after).with_guard(self.guard);
+        self.pool.query(Arc::clone(&self.matcher), db, q, deadline).outcome
     }
     fn set_query_budget(&mut self, budget: Option<Duration>) {
         self.query_budget = budget;
@@ -894,197 +490,11 @@ impl QueryEngine for ParallelEngine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Service-backed vcFV engine
-// ---------------------------------------------------------------------------
-
-/// A vcFV engine whose queries flow through the admission-controlled
-/// [`QueryService`](crate::service::QueryService): every
-/// [`query`](QueryEngine::query) is a submit-and-wait on the serving layer,
-/// so admission control, per-graph circuit breakers, and drain semantics all
-/// apply — a query can come back [`Shed`](crate::engine::QueryStatus::Shed)
-/// or carry [`Quarantined`](crate::engine::QueryStatus::Quarantined) graph
-/// failures where a bare [`ParallelEngine`] would have run it unconditionally.
-///
-/// The service (and its worker threads) is created by
-/// [`build`](QueryEngine::build) and replaced on rebuild; dropping the
-/// engine drains it with a zero deadline.
-pub struct ServiceEngine {
-    name: &'static str,
-    matcher: Arc<dyn Matcher>,
-    config: crate::service::ServiceConfig,
-    service: Option<crate::service::QueryService>,
-}
-
-impl ServiceEngine {
-    /// Wraps `matcher` behind a [`QueryService`](crate::service::QueryService)
-    /// with the given configuration.
-    pub fn new(
-        name: &'static str,
-        matcher: Arc<dyn Matcher>,
-        config: crate::service::ServiceConfig,
-    ) -> Self {
-        Self { name, matcher, config, service: None }
-    }
-
-    /// CFQL behind a service with `threads` pool workers and otherwise
-    /// default serving policy.
-    pub fn cfql(threads: usize) -> Self {
-        let config = crate::service::ServiceConfig { threads, ..Default::default() };
-        Self::new("CFQL-svc", Arc::new(Cfql::new()), config)
-    }
-
-    /// The underlying service, if [`build`](QueryEngine::build) has run.
-    pub fn service(&self) -> Option<&crate::service::QueryService> {
-        self.service.as_ref()
-    }
-
-    /// Drains the service (stops admissions, waits out in-flight work, then
-    /// cancels) and returns the drain report. The engine reverts to its
-    /// pre-`build` state; a later `build` starts a fresh service.
-    pub fn shutdown(&mut self) -> Option<crate::service::DrainReport> {
-        self.service.take().map(crate::service::QueryService::shutdown)
-    }
-
-    /// Current serving health, if built.
-    pub fn health(&self) -> Option<crate::metrics::ServiceHealth> {
-        self.service.as_ref().map(crate::service::QueryService::health)
-    }
-}
-
-impl QueryEngine for ServiceEngine {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn category(&self) -> EngineCategory {
-        EngineCategory::VcFv
-    }
-    fn build(&mut self, db: &Arc<GraphDb>) -> Result<BuildReport, BuildError> {
-        // Replacing the service drains the old one (Drop drains with a zero
-        // deadline), so rebuilds never leak worker threads.
-        self.service = Some(crate::service::QueryService::new(
-            Arc::clone(&self.matcher),
-            Arc::clone(db),
-            self.config.clone(),
-        ));
-        Ok(BuildReport::default())
-    }
-    fn query(&self, q: &Graph) -> QueryOutcome {
-        let service = match &self.service {
-            Some(s) => s,
-            // Documented precondition (QueryEngine::query): build first.
-            None => panic!("query before build"),
-        };
-        let (ticket, _admission) = service.submit(q);
-        ticket.wait().0
-    }
-    fn set_query_budget(&mut self, budget: Option<Duration>) {
-        self.config.runner.query_budget = budget;
-        if let Some(service) = &self.service {
-            let mut runner = service.runner_config();
-            runner.query_budget = budget;
-            service.set_runner_config(runner);
-        }
-    }
-    fn set_resource_limits(&mut self, limits: ResourceLimits) {
-        self.config.runner.limits = limits;
-        if let Some(service) = &self.service {
-            let mut runner = service.runner_config();
-            runner.limits = limits;
-            service.set_runner_config(runner);
-        }
-    }
-    fn index_bytes(&self) -> usize {
-        0
-    }
-}
-
-/// Looks a bare matcher up by its (case-insensitive) name, e.g. `"cfql"`,
-/// `"graphql"` — the matchers usable inside [`ParallelEngine`] and
-/// [`QueryPool`](crate::parallel::QueryPool).
-pub fn matcher_by_name(name: &str) -> Option<Arc<dyn Matcher>> {
-    matcher_by_name_with(name, MatcherConfig::default())
-}
-
-/// [`matcher_by_name`] with a shared matcher configuration (enumeration
-/// kernel) applied to the resolved matcher.
-pub fn matcher_by_name_with(name: &str, config: MatcherConfig) -> Option<Arc<dyn Matcher>> {
-    let m: Arc<dyn Matcher> = match name.to_ascii_lowercase().as_str() {
-        "cfql" => Arc::new(Cfql::new().with_matcher_config(config)),
-        "cfl" => Arc::new(Cfl::new().with_matcher_config(config)),
-        "graphql" => Arc::new(GraphQl::new().with_matcher_config(config)),
-        "ullmann" => Arc::new(Ullmann::new().with_matcher_config(config)),
-        "quicksi" => Arc::new(QuickSi::new().with_matcher_config(config)),
-        "turboiso" => Arc::new(TurboIso::new().with_matcher_config(config)),
-        "spath" => Arc::new(SPath::new().with_matcher_config(config)),
-        _ => return None,
-    };
-    Some(m)
-}
-
-/// All eight paper engines with default configurations, in Table III order.
-pub fn paper_engines() -> Vec<Box<dyn QueryEngine>> {
-    paper_engines_with(MatcherConfig::default())
-}
-
-/// [`paper_engines`] with a shared matcher configuration applied to every
-/// engine that enumerates through the shared [`Enumerator`]
-/// (sqp_matching::Enumerator); the VF2-based IFV engines ignore it.
-pub fn paper_engines_with(config: MatcherConfig) -> Vec<Box<dyn QueryEngine>> {
-    vec![
-        Box::new(CtIndexEngine::new()),
-        Box::new(GrapesEngine::new()),
-        Box::new(GgsxEngine::new()),
-        Box::new(CflEngine::with_matcher_config(config)),
-        Box::new(GraphQlEngine::with_matcher_config(config)),
-        Box::new(CfqlEngine::with_matcher_config(config)),
-        Box::new(VcGrapesEngine::with_matcher_config(config)),
-        Box::new(VcGgsxEngine::with_matcher_config(config)),
-    ]
-}
-
-/// The paper engines plus the related-work baselines implemented beyond the
-/// paper's lineup (Ullmann, QuickSI, TurboIso).
-pub fn all_engines() -> Vec<Box<dyn QueryEngine>> {
-    all_engines_with(MatcherConfig::default())
-}
-
-/// [`all_engines`] with a shared matcher configuration (see
-/// [`paper_engines_with`]).
-pub fn all_engines_with(config: MatcherConfig) -> Vec<Box<dyn QueryEngine>> {
-    let mut v = paper_engines_with(config);
-    v.push(Box::new(UllmannEngine::with_matcher_config(config)));
-    v.push(Box::new(QuickSiEngine::with_matcher_config(config)));
-    v.push(Box::new(TurboIsoEngine::with_matcher_config(config)));
-    v.push(Box::new(SPathEngine::with_matcher_config(config)));
-    v.push(Box::new(GraphGrepEngine::new()));
-    v
-}
-
-/// Looks an engine up by its (case-insensitive) paper name, e.g. `"cfql"`,
-/// `"vcgrapes"`, `"ct-index"`.
-pub fn engine_by_name(name: &str) -> Option<Box<dyn QueryEngine>> {
-    engine_by_name_with(name, MatcherConfig::default())
-}
-
-/// [`engine_by_name`] with a shared matcher configuration (see
-/// [`paper_engines_with`]).
-pub fn engine_by_name_with(name: &str, config: MatcherConfig) -> Option<Box<dyn QueryEngine>> {
-    let lower = name.to_ascii_lowercase();
-    if lower == "adaptive" {
-        // The routing meta-engine lives outside the fixed lineup: it is not
-        // one of the paper's engines, so `all_engines` (and the comparisons
-        // built on it) never enumerate it.
-        return Some(Box::new(crate::adaptive::AdaptiveEngine::with_matcher_config(config)));
-    }
-    all_engines_with(config).into_iter().find(|e| e.name().to_ascii_lowercase() == lower)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqp_graph::database::GraphId;
     use sqp_graph::{GraphBuilder, Label, VertexId};
+    use sqp_matching::brute;
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();
@@ -1108,47 +518,46 @@ mod tests {
         ]))
     }
 
+    fn small_queries() -> Vec<Graph> {
+        vec![
+            labeled(&[0, 1], &[(0, 1)]),
+            labeled(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]),
+            labeled(&[3, 3], &[(0, 1)]),
+            labeled(&[0, 3], &[(0, 1)]),
+        ]
+    }
+
     #[test]
-    fn all_engines_agree_on_answers() {
+    fn every_row_answers_the_oracle_from_its_cell_of_the_grid() {
         let db = small_db();
-        let q_edge = labeled(&[0, 1], &[(0, 1)]);
-        let q_tri = labeled(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let mut engines = paper_engines();
-        engines.push(Box::new(UllmannEngine::new()));
-        for e in engines.iter_mut() {
-            e.build(&db).unwrap();
-            let a = e.query(&q_edge).answers;
-            assert_eq!(a, vec![GraphId(0), GraphId(1)], "engine {}", e.name());
-            let a = e.query(&q_tri).answers;
-            assert_eq!(a, vec![GraphId(0)], "engine {}", e.name());
+        for (row, mut engine) in TABLE.iter().zip(all_engines()) {
+            assert_eq!(engine.name(), row.name);
+            let indexed = (row.index)().is_some();
+            let by_matcher = matches!((row.verify)(), Verify::Matcher(_));
+            let category = match (indexed, by_matcher) {
+                (true, false) => EngineCategory::Ifv,
+                (false, true) => EngineCategory::VcFv,
+                (true, true) => EngineCategory::IvcFv,
+                (false, false) => panic!("{}: no filter at all", row.name),
+            };
+            assert_eq!(engine.category(), category, "{}", row.name);
+            assert_eq!(matcher_by_name(row.name).is_some(), !indexed, "{}", row.name);
+
+            let report = engine.build(&db).unwrap();
+            assert_eq!(report.index_bytes > 0, indexed, "{}", row.name);
+            assert_eq!(engine.index_bytes(), report.index_bytes, "{}", row.name);
+            for q in small_queries() {
+                let oracle: Vec<GraphId> = db
+                    .iter()
+                    .filter(|(_, g)| brute::is_subgraph(&q, g))
+                    .map(|(id, _)| id)
+                    .collect();
+                let out = engine.query(&q);
+                assert_eq!(out.answers, oracle, "{}", row.name);
+                assert!(out.status.is_completed(), "{}", row.name);
+                assert!(out.candidates >= oracle.len(), "{}", row.name);
+            }
         }
-    }
-
-    #[test]
-    fn service_engine_matches_sequential_answers() {
-        let db = small_db();
-        let q_edge = labeled(&[0, 1], &[(0, 1)]);
-        let q_tri = labeled(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let mut e = ServiceEngine::cfql(2);
-        e.build(&db).unwrap();
-        assert_eq!(e.query(&q_edge).answers, vec![GraphId(0), GraphId(1)]);
-        assert_eq!(e.query(&q_tri).answers, vec![GraphId(0)]);
-        let health = e.health().unwrap();
-        assert_eq!(health.admitted, 2);
-        assert_eq!(health.finished, 2);
-        let report = e.shutdown().unwrap();
-        assert!(report.drained_within_deadline);
-        assert!(e.service().is_none());
-    }
-
-    #[test]
-    fn service_engine_budget_reaches_the_running_service() {
-        let db = small_db();
-        let mut e = ServiceEngine::cfql(1);
-        e.build(&db).unwrap();
-        e.set_query_budget(Some(Duration::from_secs(7)));
-        let svc = e.service().unwrap();
-        assert_eq!(svc.runner_config().query_budget, Some(Duration::from_secs(7)));
     }
 
     #[test]
@@ -1163,15 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn ifv_reports_index_bytes() {
-        let db = small_db();
-        let mut e = GrapesEngine::new();
-        let report = e.build(&db).unwrap();
-        assert!(report.index_bytes > 0);
-        assert_eq!(e.index_bytes(), report.index_bytes);
-    }
-
-    #[test]
     fn ivcfv_candidates_no_larger_than_ifv() {
         let db = small_db();
         let mut grapes = GrapesEngine::new();
@@ -1183,6 +583,9 @@ mod tests {
         let b = vc.query(&q);
         assert!(b.candidates <= a.candidates);
         assert_eq!(a.answers, b.answers);
+        // The index probe is the first filter level of both.
+        assert!(a.phases.items_of(Phase::Filter) >= a.candidates as u64);
+        assert!(b.phases.items_of(Phase::Filter) >= a.candidates as u64);
     }
 
     #[test]
@@ -1195,14 +598,16 @@ mod tests {
 
     #[test]
     fn registry_finds_every_engine() {
-        for e in all_engines() {
-            let found = engine_by_name(e.name()).expect("registered");
-            assert_eq!(found.name(), e.name());
-            // Case-insensitive lookup.
-            let found = engine_by_name(&e.name().to_ascii_uppercase()).expect("case-insensitive");
-            assert_eq!(found.name(), e.name());
+        assert_eq!(engine_names().count(), 13);
+        for name in engine_names() {
+            let found = engine_by_name(name).expect("registered");
+            assert_eq!(found.name(), name);
+            let found = engine_by_name(&name.to_ascii_uppercase()).expect("case-insensitive");
+            assert_eq!(found.name(), name);
         }
+        assert_eq!(engine_by_name("Adaptive").expect("meta-engine").name(), "adaptive");
         assert!(engine_by_name("no-such-engine").is_none());
+        assert!(matcher_by_name("vf2-nope").is_none());
     }
 
     #[test]
@@ -1219,35 +624,15 @@ mod tests {
     fn parallel_engine_matches_sequential() {
         let db = small_db();
         let mut seq = CfqlEngine::new();
-        let mut par = ParallelEngine::cfql(4);
+        let mut par = ParallelEngine::new("CFQL", Arc::new(Cfql::new()), QueryPool::new(4));
+        assert_eq!(par.threads(), 4);
         seq.build(&db).unwrap();
         par.build(&db).unwrap();
-        for q in [
-            labeled(&[0, 1], &[(0, 1)]),
-            labeled(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]),
-            labeled(&[3, 3], &[(0, 1)]),
-        ] {
+        for q in small_queries() {
             let a = seq.query(&q);
             let b = par.query(&q);
             assert_eq!(a.answers, b.answers);
             assert_eq!(a.candidates, b.candidates);
         }
-        let po = par.query_parallel(&labeled(&[0, 1], &[(0, 1)]));
-        assert_eq!(po.threads, 4);
-    }
-
-    #[test]
-    fn matcher_registry_resolves_known_names() {
-        for name in ["CFQL", "cfl", "GraphQL", "ullmann", "quicksi", "turboiso", "spath"] {
-            assert!(matcher_by_name(name).is_some(), "{name}");
-        }
-        assert!(matcher_by_name("vf2-nope").is_none());
-    }
-
-    #[test]
-    fn categories_are_correct() {
-        assert_eq!(GrapesEngine::new().category(), EngineCategory::Ifv);
-        assert_eq!(CfqlEngine::new().category(), EngineCategory::VcFv);
-        assert_eq!(VcGgsxEngine::new().category(), EngineCategory::IvcFv);
     }
 }

@@ -166,7 +166,7 @@ fn histogram_samples(
 /// Prometheus text exposition format. Families with no samples are omitted
 /// entirely (no orphan HELP/TYPE headers).
 pub fn render(reports: &[QuerySetReport], health: Option<&ServiceHealth>) -> String {
-    render_with_journal(reports, health, None)
+    render_full(reports, health, None, None)
 }
 
 /// Renders the coordinator's per-peer shard counters as their own
@@ -260,18 +260,9 @@ pub fn render_continuous(stats: &ContinuousStats) -> String {
     w.finish()
 }
 
-/// [`render`] plus run-journal activity counters, for journaled runs
-/// (`sqp query --journal`).
-pub fn render_with_journal(
-    reports: &[QuerySetReport],
-    health: Option<&ServiceHealth>,
-    journal: Option<&JournalStats>,
-) -> String {
-    render_full(reports, health, journal, None)
-}
-
-/// [`render_with_journal`] plus adaptive-routing telemetry
-/// (`sqp_adaptive_*` families), for adaptive-routed runs and services.
+/// [`render`] plus run-journal activity counters (`sqp query --journal`) and
+/// adaptive-routing telemetry (`sqp_adaptive_*` families, for adaptive-routed
+/// runs and services).
 pub fn render_full(
     reports: &[QuerySetReport],
     health: Option<&ServiceHealth>,
@@ -513,7 +504,7 @@ mod tests {
         assert!(out.contains("sqp_adaptive_mispredict_total 2"));
         assert!(out.contains("sqp_adaptive_observed_regret 2"));
         // Without adaptive stats the families vanish entirely.
-        assert!(!render_with_journal(&[], None, None).contains("sqp_adaptive"));
+        assert!(!render(&[], None).contains("sqp_adaptive"));
     }
 
     #[test]

@@ -56,10 +56,7 @@ pub use engine::{
 pub use journal::{db_fingerprint, JournalStats, RunJournal};
 pub use metrics::{LatencyHistogram, QueryRecord, QuerySetReport, ServiceHealth};
 pub use parallel::{parallel_query, ParallelOutcome, QueryPool};
-pub use runner::{
-    run_query_set, run_query_set_journaled, run_query_set_parallel,
-    run_query_set_parallel_journaled, RunnerConfig,
-};
+pub use runner::{run_query_set, run_query_set_journaled, RunnerConfig};
 pub use service::{
     Admission, DrainReport, QueryService, QueryTicket, ServiceConfig, ShedPolicy, ShedReason,
 };
@@ -86,22 +83,18 @@ pub mod prelude {
         BuildReport, EngineCategory, GraphFailure, QueryEngine, QueryOutcome, QueryStatus,
     };
     pub use crate::engines::{
-        matcher_by_name, CflEngine, CfqlEngine, CtIndexEngine, GgsxEngine, GrapesEngine,
-        GraphGrepEngine, GraphQlEngine, MatcherEngine, ParallelEngine, QuickSiEngine, SPathEngine,
-        ServiceEngine, TurboIsoEngine, UllmannEngine, VcGgsxEngine, VcGrapesEngine,
+        matcher_by_name, CflEngine, CfqlEngine, CtIndexEngine, Engine, GgsxEngine, GrapesEngine,
+        GraphGrepEngine, GraphQlEngine, ParallelEngine, QuickSiEngine, SPathEngine, TurboIsoEngine,
+        UllmannEngine, VcGgsxEngine, VcGrapesEngine,
     };
     pub use crate::exposition::render as render_prometheus;
     pub use crate::exposition::render_continuous as render_prometheus_continuous;
     pub use crate::exposition::render_full as render_prometheus_full;
     pub use crate::exposition::render_shards as render_prometheus_shards;
-    pub use crate::exposition::render_with_journal as render_prometheus_with_journal;
     pub use crate::journal::{db_fingerprint, JournalStats, RunJournal};
     pub use crate::metrics::{LatencyHistogram, QueryRecord, QuerySetReport, ServiceHealth};
     pub use crate::parallel::{parallel_query, ParallelOutcome, QueryPool};
-    pub use crate::runner::{
-        run_query_set, run_query_set_journaled, run_query_set_parallel,
-        run_query_set_parallel_journaled, RunnerConfig,
-    };
+    pub use crate::runner::{run_query_set, run_query_set_journaled, RunnerConfig};
     pub use crate::service::{
         Admission, DrainReport, QueryService, QueryTicket, ServiceConfig, ShedPolicy, ShedReason,
     };

@@ -1,21 +1,25 @@
 //! Running query sets against engines, with per-query fault isolation, a
 //! bounded retry-with-backoff policy for transient panics, and optional
 //! crash-consistent journaling for kill-and-resume runs.
+//!
+//! One loop, [`run_query_set_journaled`], serves every [`QueryEngine`]. Behind
+//! a pooled [`ParallelEngine`](crate::engines::ParallelEngine) the recorded
+//! phase times are summed worker CPU times: `avg_query_ms` then measures
+//! work, not latency (`DESIGN.md` §2.4).
 
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sqp_graph::hash::FxHasher;
-use sqp_graph::{Graph, GraphDb};
-use sqp_matching::{Deadline, Matcher, ResourceLimits};
+use sqp_graph::Graph;
+use sqp_matching::ResourceLimits;
 
 use crate::chaos::graph_fingerprint;
 use crate::engine::{QueryEngine, QueryOutcome};
 use crate::journal::RunJournal;
 use crate::metrics::{QueryRecord, QuerySetReport};
-use crate::parallel::{panic_message, QueryPool};
+use crate::parallel::panic_message;
 
 /// Configuration of a query-set run.
 #[derive(Clone, Copy, Debug)]
@@ -134,12 +138,7 @@ pub(crate) fn run_with_retries(
     (outcome, retries)
 }
 
-/// Runs `queries` against a built engine, producing a [`QuerySetReport`].
-///
-/// The engine must already have been [`build`](QueryEngine::build)-ed.
-/// Each query is individually guarded: a panic that escapes the engine is
-/// caught here and recorded as one degraded [`QueryRecord`] — every other
-/// query in the set still runs and keeps its exact answers.
+/// [`run_query_set_journaled`] without a journal.
 pub fn run_query_set(
     engine: &mut dyn QueryEngine,
     query_set_name: &str,
@@ -149,11 +148,18 @@ pub fn run_query_set(
     run_query_set_journaled(engine, query_set_name, queries, config, None)
 }
 
-/// [`run_query_set`] with an optional crash-consistent [`RunJournal`]:
-/// queries the journal already holds a terminal (non-shed) outcome for are
-/// skipped (counted in the journal's stats, absent from the report), and
-/// every outcome produced here is appended to the journal as the query
-/// finishes — so a killed run resumes where it died.
+/// Runs `queries` against a built engine, producing a [`QuerySetReport`].
+///
+/// The engine must already have been [`build`](QueryEngine::build)-ed.
+/// Each query is individually guarded: a panic that escapes the engine is
+/// caught here and recorded as one degraded [`QueryRecord`] — every other
+/// query in the set still runs and keeps its exact answers.
+///
+/// With a crash-consistent [`RunJournal`], queries the journal already holds
+/// a terminal (non-shed) outcome for are skipped (counted in the journal's
+/// stats, absent from the report), and every outcome produced here is
+/// appended to the journal as the query finishes — so a killed run resumes
+/// where it died.
 pub fn run_query_set_journaled(
     engine: &mut dyn QueryEngine,
     query_set_name: &str,
@@ -195,82 +201,9 @@ pub fn run_query_set_journaled(
             }
         }
     }
-    report
-}
-
-/// Runs `queries` against `matcher` as a vcFV engine on `pool`'s persistent
-/// workers, producing a [`QuerySetReport`].
-///
-/// Answers are identical to the sequential [`run_query_set`] on the
-/// corresponding vcFV engine (invariant I4); the recorded per-phase times are
-/// summed worker CPU times, so a parallel run's `avg_query_ms` measures work,
-/// not latency (see `DESIGN.md` §2.4). Timed-out queries cancel all workers
-/// cooperatively and are recorded at exactly the budget. The pool already
-/// isolates panics per (query, graph) pair; panicked queries are retried per
-/// `config.max_retries`.
-pub fn run_query_set_parallel(
-    pool: &QueryPool,
-    matcher: Arc<dyn Matcher>,
-    db: &Arc<GraphDb>,
-    engine_name: &str,
-    query_set_name: &str,
-    queries: &[Graph],
-    config: RunnerConfig,
-) -> QuerySetReport {
-    run_query_set_parallel_journaled(
-        pool,
-        matcher,
-        db,
-        engine_name,
-        query_set_name,
-        queries,
-        config,
-        None,
-    )
-}
-
-/// [`run_query_set_parallel`] with an optional [`RunJournal`] — same skip and
-/// append-on-completion semantics as [`run_query_set_journaled`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_set_parallel_journaled(
-    pool: &QueryPool,
-    matcher: Arc<dyn Matcher>,
-    db: &Arc<GraphDb>,
-    engine_name: &str,
-    query_set_name: &str,
-    queries: &[Graph],
-    config: RunnerConfig,
-    mut journal: Option<&mut RunJournal>,
-) -> QuerySetReport {
-    let mut report = QuerySetReport::new(engine_name, query_set_name);
-    let guard = sqp_matching::ResourceGuard::new();
-    for q in queries {
-        let q_fp = graph_fingerprint(q);
-        if let Some(j) = journal.as_deref_mut() {
-            if j.should_skip(q_fp) {
-                continue;
-            }
-        }
-        let config = config.with_jitter_seed(q_fp);
-        let (outcome, retries) = run_with_retries(config, |remaining| {
-            guard.reset(config.limits);
-            let deadline = remaining.map_or(Deadline::none(), Deadline::after).with_guard(guard);
-            pool.query(Arc::clone(&matcher), db, q, deadline).outcome
-        });
-        let served_by = if outcome.engine.is_empty() { engine_name } else { &outcome.engine };
-        if let Some(j) = journal.as_deref_mut() {
-            let _ = j.record(q_fp, &outcome.status, outcome.answers.len(), served_by);
-        }
-        let mut record = QueryRecord::from_outcome(&outcome, config.query_budget)
-            .with_engine_fallback(engine_name);
-        record.retries = retries;
-        report.records.push(record);
-        if let Some(max) = config.abort_after_timeouts {
-            if report.timeout_count() >= max {
-                break;
-            }
-        }
-    }
+    // Retry attempts ran under shrinking slices; leave the engine with the
+    // set's budget, not the last attempt's remainder.
+    engine.set_query_budget(config.query_budget);
     report
 }
 
@@ -278,10 +211,18 @@ pub fn run_query_set_parallel_journaled(
 mod tests {
     use super::*;
     use crate::engine::QueryStatus;
-    use crate::engines::CfqlEngine;
+    use crate::engines::{CfqlEngine, ParallelEngine};
+    use crate::parallel::QueryPool;
     use sqp_matching::cfql::Cfql;
+    use std::sync::Arc;
 
     use sqp_graph::{GraphBuilder, GraphDb, Label, VertexId};
+
+    fn pooled(db: &Arc<GraphDb>, threads: usize) -> ParallelEngine {
+        let mut e = ParallelEngine::new("CFQL-par", Arc::new(Cfql::new()), QueryPool::new(threads));
+        e.build(db).unwrap();
+        e
+    }
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();
@@ -344,16 +285,7 @@ mod tests {
         engine.build(&db).unwrap();
         let seq = run_query_set(&mut engine, "Q", &queries, RunnerConfig::default());
 
-        let pool = QueryPool::new(4);
-        let par = run_query_set_parallel(
-            &pool,
-            Arc::new(Cfql::new()),
-            &db,
-            "CFQL-par",
-            "Q",
-            &queries,
-            RunnerConfig::default(),
-        );
+        let par = run_query_set(&mut pooled(&db, 4), "Q", &queries, RunnerConfig::default());
         assert_eq!(par.engine, "CFQL-par");
         assert_eq!(par.records.len(), seq.records.len());
         for (s, p) in seq.records.iter().zip(par.records.iter()) {
@@ -366,13 +298,9 @@ mod tests {
     #[test]
     fn parallel_zero_budget_records_timeouts_at_budget() {
         let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)]); 4]));
-        let pool = QueryPool::new(2);
         let budget = Duration::from_nanos(0);
-        let report = run_query_set_parallel(
-            &pool,
-            Arc::new(Cfql::new()),
-            &db,
-            "CFQL-par",
+        let report = run_query_set(
+            &mut pooled(&db, 2),
             "Q",
             &[labeled(&[0, 1], &[(0, 1)])],
             RunnerConfig::with_budget(budget),
@@ -386,6 +314,20 @@ mod tests {
     struct FlakyEngine {
         inner: CfqlEngine,
         remaining_failures: std::cell::Cell<u32>,
+        /// Every budget the runner set, in order.
+        budgets: Vec<Option<Duration>>,
+    }
+
+    impl FlakyEngine {
+        fn failing(times: u32, db: &Arc<GraphDb>) -> Self {
+            let mut engine = FlakyEngine {
+                inner: CfqlEngine::new(),
+                remaining_failures: std::cell::Cell::new(times),
+                budgets: Vec::new(),
+            };
+            engine.build(db).unwrap();
+            engine
+        }
     }
 
     impl QueryEngine for FlakyEngine {
@@ -410,6 +352,7 @@ mod tests {
             self.inner.query(q)
         }
         fn set_query_budget(&mut self, budget: Option<Duration>) {
+            self.budgets.push(budget);
             self.inner.set_query_budget(budget);
         }
         fn index_bytes(&self) -> usize {
@@ -420,9 +363,7 @@ mod tests {
     #[test]
     fn sequential_runner_survives_engine_panic() {
         let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)])]));
-        let mut engine =
-            FlakyEngine { inner: CfqlEngine::new(), remaining_failures: std::cell::Cell::new(1) };
-        engine.build(&db).unwrap();
+        let mut engine = FlakyEngine::failing(1, &db);
         let queries = vec![labeled(&[0, 1], &[(0, 1)]); 3];
         // No retries: the first query records the panic, the rest complete.
         let report = run_query_set(&mut engine, "Q", &queries, RunnerConfig::default());
@@ -437,9 +378,7 @@ mod tests {
     #[test]
     fn retry_recovers_transient_panic() {
         let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)])]));
-        let mut engine =
-            FlakyEngine { inner: CfqlEngine::new(), remaining_failures: std::cell::Cell::new(2) };
-        engine.build(&db).unwrap();
+        let mut engine = FlakyEngine::failing(2, &db);
         let config = RunnerConfig {
             max_retries: 3,
             retry_backoff: Duration::ZERO,
@@ -455,13 +394,33 @@ mod tests {
     }
 
     #[test]
+    fn the_set_budget_is_restored_after_a_retried_query() {
+        // Regression: the runner hands each attempt the remaining slice of
+        // the budget and used to leave the engine holding the last one, so a
+        // later direct `engine.query` ran under the retry's leftover.
+        let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)])]));
+        let mut engine = FlakyEngine::failing(1, &db);
+        let budget = Duration::from_millis(80);
+        let config = RunnerConfig {
+            query_budget: Some(budget),
+            max_retries: 1,
+            retry_backoff: Duration::from_millis(5),
+            ..RunnerConfig::default()
+        };
+        let report = run_query_set(&mut engine, "Q", &[labeled(&[0, 1], &[(0, 1)])], config);
+        assert_eq!(report.records[0].retries, 1);
+        let [first, retry, after] = engine.budgets[..] else {
+            panic!("two attempts, then the restore: {:?}", engine.budgets);
+        };
+        assert!(first <= Some(budget) && retry < first, "{:?}", engine.budgets);
+        assert_eq!(after, Some(budget), "the engine must leave with the set's budget");
+        assert!(engine.query(&labeled(&[0, 1], &[(0, 1)])).status.is_completed());
+    }
+
+    #[test]
     fn retries_exhausted_records_panic() {
         let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)])]));
-        let mut engine = FlakyEngine {
-            inner: CfqlEngine::new(),
-            remaining_failures: std::cell::Cell::new(u32::MAX),
-        };
-        engine.build(&db).unwrap();
+        let mut engine = FlakyEngine::failing(u32::MAX, &db);
         let config = RunnerConfig {
             max_retries: 2,
             retry_backoff: Duration::ZERO,
@@ -475,9 +434,7 @@ mod tests {
     #[test]
     fn abort_after_timeouts_ignores_panics() {
         let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)])]));
-        let mut engine =
-            FlakyEngine { inner: CfqlEngine::new(), remaining_failures: std::cell::Cell::new(2) };
-        engine.build(&db).unwrap();
+        let mut engine = FlakyEngine::failing(2, &db);
         let config = RunnerConfig { abort_after_timeouts: Some(1), ..RunnerConfig::default() };
         let queries = vec![labeled(&[0, 1], &[(0, 1)]); 4];
         let report = run_query_set(&mut engine, "Q", &queries, config);
@@ -553,20 +510,12 @@ mod tests {
     #[test]
     fn resource_limits_surface_as_exhausted() {
         let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)]); 6]));
-        let pool = QueryPool::new(2);
         let config = RunnerConfig {
             limits: ResourceLimits::unlimited().with_max_aux_bytes(1),
             ..RunnerConfig::default()
         };
-        let report = run_query_set_parallel(
-            &pool,
-            Arc::new(Cfql::new()),
-            &db,
-            "CFQL-par",
-            "Q",
-            &[labeled(&[0, 1], &[(0, 1)])],
-            config,
-        );
+        let report =
+            run_query_set(&mut pooled(&db, 2), "Q", &[labeled(&[0, 1], &[(0, 1)])], config);
         assert_eq!(report.exhausted_count(), 1);
         assert_eq!(report.timeout_count(), 0);
         assert!(matches!(report.records[0].status, QueryStatus::ResourceExhausted { .. }));

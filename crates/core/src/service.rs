@@ -50,7 +50,7 @@ use crate::adaptive::{MatcherRouter, RoutingStats};
 use crate::breaker::{BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
 use crate::dispatch::{effective_budget, DispatchConfig, DispatchCore, QueryExecutor};
 use crate::engine::QueryOutcome;
-use crate::metrics::{QueryRecord, QuerySetReport, ServiceHealth};
+use crate::metrics::{QuerySetReport, ServiceHealth};
 use crate::parallel::{lock, QueryPool};
 use crate::runner::{run_with_retries, RunnerConfig};
 use crate::supervisor::SupervisorConfig;
@@ -280,17 +280,7 @@ impl QueryService {
     /// shed decisions, breaker transitions — is deterministic for a
     /// deterministic matcher at any worker thread count.
     pub fn run_query_set(&self, query_set_name: &str, queries: &[Graph]) -> QuerySetReport {
-        let budget = lock(&self.exec.runner).query_budget;
-        let mut report = QuerySetReport::new("service", query_set_name);
-        for q in queries {
-            let (ticket, _) = self.submit(q);
-            let (outcome, retries) = ticket.wait();
-            let mut record =
-                QueryRecord::from_outcome(&outcome, budget).with_engine_fallback("service");
-            record.retries = retries;
-            report.records.push(record);
-        }
-        report
+        self.core.run_query_set("service", query_set_name, queries)
     }
 
     /// Point-in-time serving snapshot.
@@ -601,14 +591,8 @@ mod tests {
     fn adaptive_router_serves_and_stamps_engines() {
         let db = edge_db(4);
         let q = labeled(&[0, 1], &[(0, 1)]);
-        let router = Arc::new(
-            MatcherRouter::cold_start(
-                &db,
-                sqp_matching::MatcherConfig::default(),
-                &crate::adaptive::DEFAULT_CANDIDATES,
-            )
-            .unwrap(),
-        );
+        let router =
+            Arc::new(MatcherRouter::cold_start(&db, &crate::adaptive::DEFAULT_CANDIDATES).unwrap());
         let service = QueryService::new(
             Arc::new(Cfql::new()),
             Arc::clone(&db),

@@ -31,10 +31,9 @@ use sqp_graph::nlf::nlf_dominated;
 use sqp_graph::{Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, Cpi, FilterResult, MatchingOrder};
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::obs::{Phase, Span};
 use crate::Matcher;
 
@@ -59,7 +58,6 @@ impl Default for CflConfig {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Cfl {
     config: CflConfig,
-    matcher_config: MatcherConfig,
 }
 
 /// Word index and mask of data vertex `v` in a membership bitmap row.
@@ -176,13 +174,7 @@ impl Cfl {
 
     /// CFL with a custom refinement configuration (ablations).
     pub fn with_config(config: CflConfig) -> Self {
-        Self { config, matcher_config: MatcherConfig::default() }
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.matcher_config = config;
-        self
+        Self { config }
     }
 
     /// Root selection: the first minimum of `|C_init(u)| / d(u)`, compared
@@ -474,24 +466,6 @@ impl Matcher for Cfl {
         self.filter_space(q, g, deadline, true)
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            Self::path_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let first = Enumerator::with_kernel(q, g, space, &order, self.matcher_config.kernel)
-            .find_first(deadline)?;
-        span.add_items(first.is_some() as u64);
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -501,15 +475,7 @@ impl Matcher for Cfl {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            Self::path_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let found = Enumerator::with_kernel(q, g, space, &order, self.matcher_config.kernel)
-            .run(limit, deadline, on_match)?;
-        span.add_items(found);
-        Ok(found)
+        enumerate_in_order(q, g, space, || Self::path_order(q, space), limit, deadline, on_match)
     }
 }
 

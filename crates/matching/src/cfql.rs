@@ -11,31 +11,22 @@ use sqp_graph::Graph;
 
 use crate::candidates::{CandidateSpace, FilterResult};
 use crate::cfl::Cfl;
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::graphql::GraphQl;
-use crate::obs::{Phase, Span};
 use crate::Matcher;
 
 /// The CFQL matcher: CFL filter + GraphQL enumeration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Cfql {
     cfl: Cfl,
-    config: MatcherConfig,
 }
 
 impl Cfql {
     /// CFQL with CFL's default refinement configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.config = config;
-        self
     }
 }
 
@@ -49,24 +40,6 @@ impl Matcher for Cfql {
         self.cfl.filter_space(q, g, deadline, false)
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            GraphQl::join_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let first = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .find_first(deadline)?;
-        span.add_items(first.is_some() as u64);
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -76,15 +49,7 @@ impl Matcher for Cfql {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            GraphQl::join_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let found = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .run(limit, deadline, on_match)?;
-        span.add_items(found);
-        Ok(found)
+        enumerate_in_order(q, g, space, || GraphQl::join_order(q, space), limit, deadline, on_match)
     }
 }
 

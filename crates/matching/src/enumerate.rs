@@ -5,30 +5,59 @@
 //! fixed: extend a partial embedding along the order, taking for the next
 //! query vertex `u` only candidates that are (a) in `Φ(u)`, (b) unused, and
 //! (c) adjacent in `G` to the images of all already-mapped neighbors of `u`.
+//! [`enumerate_in_order`] is that shared step behind
+//! [`Matcher::enumerate`](crate::Matcher::enumerate): it computes the order
+//! under an `Order` span and runs the [`Enumerator`] under an `Enumerate`
+//! span.
 //!
 //! The local candidate set of a depth is computed in one shot as a multi-way
 //! sorted-set intersection: the label-restricted data adjacencies
 //! `N(φ(w), L(u))` of *all* mapped backward neighbors `w`, smallest list
 //! first with early exit on empty, filtered by the `Φ(u)` membership bitmap.
-//! Pairwise steps run the merge, galloping, or SIMD kernel from
-//! [`sqp_graph::intersect`] (or a hub adjacency-bitmap probe) according to
-//! the configured [`KernelConfig`]. Results land in per-depth scratch buffers
-//! owned by the enumerator, so steady-state candidate generation performs no
-//! allocation — the only allocation on the search path is materializing an
-//! [`Embedding`] when a match is reported.
+//! A pairwise step probes the hub adjacency bitmap when the mapped vertex has
+//! a row, and otherwise runs [`intersect::retain_auto`] (galloping on skewed
+//! lengths, the SIMD block kernel on balanced ones, the scalar merge below
+//! its floor). Results land in per-depth scratch buffers owned by the
+//! enumerator, so steady-state candidate generation performs no allocation —
+//! the only allocation on the search path is materializing an [`Embedding`]
+//! when a match is reported.
 //!
-//! [`KernelConfig::Baseline`] preserves the previous per-candidate probing
-//! path (scan the smallest backward adjacency; binary-search `Φ(u)` and
-//! `has_edge`-probe every backward neighbor per candidate) for A/B
-//! comparison; all kernels enumerate identical embeddings in identical order.
+//! The forced single-kernel variants live where they are real —
+//! `sqp_graph::intersect::retain_{merge,gallop,simd,auto}`, with their own
+//! agreement tests — and the pre-kernel per-candidate probing enumeration is
+//! kept in this module's tests as the reference the one path is checked
+//! against (same embeddings, same emission order).
 
 use sqp_graph::{intersect, Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, MatchingOrder};
-use crate::config::KernelConfig;
 use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
+use crate::obs::{Phase, Span};
 use crate::stats::MatchingStats;
+
+/// The enumeration phase every order-based matcher shares: computes the
+/// matching order under an [`Order`](Phase::Order) span, then enumerates up
+/// to `limit` embeddings under an [`Enumerate`](Phase::Enumerate) span whose
+/// item count is the number found.
+pub fn enumerate_in_order(
+    q: &Graph,
+    g: &Graph,
+    space: &CandidateSpace,
+    order: impl FnOnce() -> MatchingOrder,
+    limit: u64,
+    deadline: Deadline,
+    on_match: &mut dyn FnMut(&Embedding),
+) -> Result<u64, Timeout> {
+    let order = {
+        let _span = Span::enter(Phase::Order, deadline);
+        order()
+    };
+    let mut span = Span::enter(Phase::Enumerate, deadline);
+    let found = Enumerator::new(q, g, space, &order).run(limit, deadline, on_match)?;
+    span.add_items(found);
+    Ok(found)
+}
 
 /// Backtracking enumerator over a [`CandidateSpace`] and [`MatchingOrder`].
 pub struct Enumerator<'a> {
@@ -38,8 +67,6 @@ pub struct Enumerator<'a> {
     order: &'a MatchingOrder,
     /// For each depth, the query neighbors of `order[depth]` mapped earlier.
     backward: Vec<Vec<VertexId>>,
-    /// Intersection kernel for local-candidate computation.
-    kernel: KernelConfig,
     /// Per-depth local-candidate buffers, reused across the whole run.
     scratch: Vec<Vec<VertexId>>,
     /// Output buffer for SIMD intersection steps (their stores are not
@@ -55,26 +82,14 @@ pub struct Enumerator<'a> {
 }
 
 impl<'a> Enumerator<'a> {
-    /// Prepares an enumerator with the default (adaptive) kernel; `order`
-    /// must be a permutation of `V(q)` such that each non-first vertex has at
-    /// least one earlier neighbor (guaranteed by all ordering strategies on
-    /// connected queries).
+    /// Prepares an enumerator; `order` must be a permutation of `V(q)` such
+    /// that each non-first vertex has at least one earlier neighbor
+    /// (guaranteed by all ordering strategies on connected queries).
     pub fn new(
         q: &'a Graph,
         g: &'a Graph,
         space: &'a CandidateSpace,
         order: &'a MatchingOrder,
-    ) -> Self {
-        Self::with_kernel(q, g, space, order, KernelConfig::default())
-    }
-
-    /// Prepares an enumerator running the given intersection kernel.
-    pub fn with_kernel(
-        q: &'a Graph,
-        g: &'a Graph,
-        space: &'a CandidateSpace,
-        order: &'a MatchingOrder,
-        kernel: KernelConfig,
     ) -> Self {
         let seq = order.as_slice();
         let mut pos = vec![usize::MAX; q.vertex_count()];
@@ -99,19 +114,11 @@ impl<'a> Enumerator<'a> {
             space,
             order,
             backward,
-            kernel,
             scratch,
             simd_scratch: Vec::new(),
             bw_order: Vec::new(),
             stats: MatchingStats::default(),
         }
-    }
-
-    /// Finds the first embedding, if any.
-    pub fn find_first(&mut self, deadline: Deadline) -> Result<Option<Embedding>, Timeout> {
-        let mut found = None;
-        self.run(1, deadline, &mut |e| found = Some(e.clone()))?;
-        Ok(found)
     }
 
     /// Enumerates embeddings up to `limit`, invoking `on_match` for each.
@@ -148,12 +155,12 @@ impl<'a> Enumerator<'a> {
         Ok(state.found)
     }
 
-    /// Backtracking calls performed by the last `run`/`find_first`.
+    /// Backtracking calls performed by the last `run`.
     pub fn recursions(&self) -> u64 {
         self.stats.recursions
     }
 
-    /// Counters of the last `run`/`find_first`.
+    /// Counters of the last `run`.
     pub fn stats(&self) -> MatchingStats {
         self.stats
     }
@@ -179,12 +186,8 @@ impl<'a> Enumerator<'a> {
         result
     }
 
-    /// Computes the local candidate set for `order[depth]` into `buf`.
-    ///
-    /// With an intersection kernel the buffer ends up holding exactly the
-    /// feasible candidates (`Φ(u)` ∩ all backward adjacencies); with
-    /// [`KernelConfig::Baseline`] it holds the smallest backward adjacency
-    /// and the per-candidate checks happen in [`extend`](Self::extend).
+    /// Computes the local candidate set for `order[depth]` into `buf`: exactly
+    /// the feasible candidates (`Φ(u)` ∩ all backward adjacencies).
     fn collect_candidates(
         &mut self,
         depth: usize,
@@ -201,15 +204,6 @@ impl<'a> Enumerator<'a> {
             return;
         }
         let label = self.q.label(u);
-        if self.kernel == KernelConfig::Baseline {
-            let pivot = backward
-                .iter()
-                .copied()
-                .min_by_key(|w| g.neighbors_with_label(mapping[w.index()], label).len())
-                .unwrap_or(backward[0]);
-            buf.extend_from_slice(g.neighbors_with_label(mapping[pivot.index()], label));
-            return;
-        }
 
         // Order the backward adjacencies by length, smallest first, caching
         // the slices (one label-run lookup per backward neighbor).
@@ -230,40 +224,26 @@ impl<'a> Enumerator<'a> {
 
         // Intersect the remaining adjacencies, ascending by length, with
         // early exit once the accumulator empties.
-        let hubs = if self.kernel == KernelConfig::Auto { Some(g.hub_bitmaps()) } else { None };
+        let hubs = g.hub_bitmaps();
         for k in 1..self.bw_order.len() {
             if buf.is_empty() {
                 return;
             }
             let (adj, bi) = self.bw_order[k];
             self.stats.intersections += 1;
-            match self.kernel {
-                KernelConfig::Merge => intersect::retain_merge(buf, adj),
-                KernelConfig::Gallop => {
-                    intersect::retain_gallop(buf, adj);
-                    self.stats.gallop_hits += 1;
-                }
-                KernelConfig::Simd => {
-                    if intersect::retain_simd(buf, adj, &mut self.simd_scratch) {
-                        self.stats.simd_hits += 1;
-                    }
-                }
-                // Auto (Baseline returned above): hub bitmap when the probed
-                // vertex has a row — every buffered candidate carries label
-                // L(u), so full-adjacency membership equals label-restricted
-                // membership — otherwise adaptive gallop/SIMD/merge.
-                _ => {
-                    let w = mapping[backward[bi].index()];
-                    if let Some((h, row)) = hubs.and_then(|h| h.row(w).map(|r| (h, r))) {
-                        self.stats.bitmap_probes += buf.len() as u64;
-                        buf.retain(|&v| h.contains(row, v));
-                    } else {
-                        match intersect::retain_auto(buf, adj, &mut self.simd_scratch) {
-                            intersect::AutoChoice::Gallop => self.stats.gallop_hits += 1,
-                            intersect::AutoChoice::Simd => self.stats.simd_hits += 1,
-                            intersect::AutoChoice::Merge | intersect::AutoChoice::Noop => {}
-                        }
-                    }
+            // Hub bitmap when the probed vertex has a row — every buffered
+            // candidate carries label L(u), so full-adjacency membership
+            // equals label-restricted membership — otherwise adaptive
+            // gallop/SIMD/merge.
+            let w = mapping[backward[bi].index()];
+            if let Some(row) = hubs.row(w) {
+                self.stats.bitmap_probes += buf.len() as u64;
+                buf.retain(|&v| hubs.contains(row, v));
+            } else {
+                match intersect::retain_auto(buf, adj, &mut self.simd_scratch) {
+                    intersect::AutoChoice::Gallop => self.stats.gallop_hits += 1,
+                    intersect::AutoChoice::Simd => self.stats.simd_hits += 1,
+                    intersect::AutoChoice::Merge | intersect::AutoChoice::Noop => {}
                 }
             }
         }
@@ -280,29 +260,10 @@ impl<'a> Enumerator<'a> {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<(), Timeout> {
-        // With an intersection kernel the buffer is already feasible; the
-        // baseline path re-checks Φ(u) membership (binary search) and
-        // backward adjacency per candidate, as the pre-kernel code did.
-        let verify = self.kernel == KernelConfig::Baseline && !self.backward[depth].is_empty();
         for &v in buf {
             state.ticker.tick(deadline)?;
             if state.used[v.index()] {
                 continue;
-            }
-            if verify {
-                if !self.space.contains_search(u, v) {
-                    continue;
-                }
-                let mut feasible = true;
-                for &w in &self.backward[depth] {
-                    if !self.g.has_edge(v, state.mapping[w.index()]) {
-                        feasible = false;
-                        break;
-                    }
-                }
-                if !feasible {
-                    continue;
-                }
             }
             state.mapping[u.index()] = v;
             if depth + 1 == self.q.vertex_count() {
@@ -339,7 +300,98 @@ mod tests {
     use super::*;
     use crate::brute;
     use crate::deadline::{ResourceGuard, ResourceLimits, StatsSink};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sqp_graph::{GraphBuilder, Label};
+
+    /// The pre-kernel enumeration, kept as the reference the one path is
+    /// checked against: scan the smallest backward adjacency and test each
+    /// candidate with a binary search in `Φ(u)` plus per-neighbor `has_edge`
+    /// probes. One deadline tick per extension attempt, like the real thing.
+    struct Reference<'a> {
+        q: &'a Graph,
+        g: &'a Graph,
+        space: &'a CandidateSpace,
+        order: &'a [VertexId],
+        mapping: Vec<VertexId>,
+        used: Vec<bool>,
+        found: u64,
+        limit: u64,
+        ticker: TickChecker,
+    }
+
+    impl Reference<'_> {
+        fn run(
+            q: &Graph,
+            g: &Graph,
+            space: &CandidateSpace,
+            order: &MatchingOrder,
+            limit: u64,
+            deadline: Deadline,
+            on_match: &mut dyn FnMut(&Embedding),
+        ) -> Result<u64, Timeout> {
+            if q.vertex_count() == 0 || space.any_empty() {
+                return Ok(0);
+            }
+            let mut r = Reference {
+                q,
+                g,
+                space,
+                order: order.as_slice(),
+                mapping: vec![VertexId(u32::MAX); q.vertex_count()],
+                used: vec![false; g.vertex_count()],
+                found: 0,
+                limit,
+                ticker: TickChecker::new(),
+            };
+            r.descend(0, deadline, on_match)?;
+            Ok(r.found)
+        }
+
+        fn descend(
+            &mut self,
+            depth: usize,
+            deadline: Deadline,
+            on_match: &mut dyn FnMut(&Embedding),
+        ) -> Result<(), Timeout> {
+            let (q, g) = (self.q, self.g);
+            let u = self.order[depth];
+            let backward: Vec<VertexId> = q
+                .neighbors(u)
+                .iter()
+                .copied()
+                .filter(|w| self.order[..depth].contains(w))
+                .collect();
+            let pivot = backward
+                .iter()
+                .map(|w| g.neighbors_with_label(self.mapping[w.index()], q.label(u)))
+                .min_by_key(|adj| adj.len());
+            for &v in pivot.unwrap_or(self.space.set(u)) {
+                self.ticker.tick(deadline)?;
+                if self.used[v.index()]
+                    || !self.space.contains_search(u, v)
+                    || backward.iter().any(|w| !g.has_edge(v, self.mapping[w.index()]))
+                {
+                    continue;
+                }
+                self.mapping[u.index()] = v;
+                if depth + 1 == q.vertex_count() {
+                    self.found += 1;
+                    on_match(&Embedding::new(self.mapping.clone()));
+                } else {
+                    self.used[v.index()] = true;
+                    self.descend(depth + 1, deadline, on_match)?;
+                    self.used[v.index()] = false;
+                }
+                self.mapping[u.index()] = VertexId(u32::MAX);
+                if self.found >= self.limit {
+                    return Ok(());
+                }
+            }
+            Ok(())
+        }
+    }
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();
@@ -363,32 +415,110 @@ mod tests {
         MatchingOrder::new(q.vertices().collect())
     }
 
+    /// Embeddings in emission order, up to `limit`.
+    fn emitted(
+        run: impl FnOnce(&mut dyn FnMut(&Embedding)) -> Result<u64, Timeout>,
+    ) -> Vec<Embedding> {
+        let mut got = Vec::new();
+        let found = run(&mut |e| got.push(e.clone())).unwrap();
+        assert_eq!(found, got.len() as u64);
+        got
+    }
+
+    /// A random `(q, g, space, order)`: the space is a random subset of the
+    /// label-compatible vertices per query vertex, the order any permutation
+    /// of `V(q)` (a vertex without an earlier neighbor starts a component).
+    /// A `dense` data graph puts every vertex over the hub-degree threshold
+    /// and takes its query as the subgraph induced by four of its vertices
+    /// (almost always a `K4`: two or three backward neighbors per depth).
+    fn arb_instance(seed: u64, dense: bool) -> (Graph, Graph, CandidateSpace, MatchingOrder) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (g, q) = if dense {
+            let g = brute::random_graph(&mut rng, 90, 90 * 89 * 2, 2);
+            let picked: Vec<u32> = (0..4).map(|i| rng.random_range(i * 20..(i + 1) * 20)).collect();
+            let labels: Vec<u32> = picked.iter().map(|&v| g.label(VertexId(v)).0).collect();
+            let edges: Vec<(u32, u32)> = (0..4u32)
+                .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
+                .filter(|&(a, b)| {
+                    g.has_edge(VertexId(picked[a as usize]), VertexId(picked[b as usize]))
+                })
+                .collect();
+            let q = labeled(&labels, &edges);
+            (g, q)
+        } else {
+            let g = brute::random_graph(&mut rng, 20, 60, 2);
+            let q = brute::random_connected_query(&mut rng, &g, 4);
+            (g, q)
+        };
+        let sets = q
+            .vertices()
+            .map(|u| {
+                let all = g.vertices_with_label(q.label(u));
+                let kept: Vec<VertexId> =
+                    all.iter().copied().filter(|_| !rng.random_bool(0.125)).collect();
+                if kept.is_empty() {
+                    all.to_vec()
+                } else {
+                    kept
+                }
+            })
+            .collect();
+        let mut order: Vec<VertexId> = q.vertices().collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        (q, g, CandidateSpace::new(sets), MatchingOrder::new(order))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one path emits exactly what the per-candidate probing
+        /// reference emits, in the same order — so the first match (the vcFV
+        /// verifier's answer) is the same embedding too.
+        #[test]
+        fn matches_reference_in_emission_order(seed in any::<u64>(), dense in any::<bool>()) {
+            let (q, g, space, order) = arb_instance(seed, dense);
+            // Dense instances have millions of embeddings; a prefix pins
+            // the order just as well.
+            let limit = if dense { 300 } else { u64::MAX };
+            let d = Deadline::none();
+            let mut e = Enumerator::new(&q, &g, &space, &order);
+            let got = emitted(|on| e.run(limit, d, on));
+            let want = emitted(|on| Reference::run(&q, &g, &space, &order, limit, d, on));
+            prop_assert_eq!(got, want);
+            let stats = e.stats();
+            if dense {
+                // Every mapped vertex has a hub row: no sorted-list kernel runs.
+                prop_assert_eq!(stats.gallop_hits + stats.simd_hits, 0, "{:?}", stats);
+                prop_assert!(q.edge_count() < 4 || stats.intersections > 0, "{:?}", stats);
+            }
+        }
+    }
+
     #[test]
     fn triangle_in_triangle() {
         let q = labeled(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]);
         let g = labeled(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        for kernel in KernelConfig::ALL {
-            let mut e = Enumerator::with_kernel(&q, &g, &space, &order, kernel);
-            // 3! = 6 automorphic embeddings.
-            assert_eq!(e.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), 6, "{kernel}");
-            assert!(e.recursions() > 0);
-            assert_eq!(e.stats().embeddings, 6);
-        }
+        let mut e = Enumerator::new(&q, &g, &space, &order);
+        // 3! = 6 automorphic embeddings.
+        assert_eq!(e.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), 6);
+        assert!(e.recursions() > 0);
+        assert_eq!(e.stats().embeddings, 6);
     }
 
     #[test]
-    fn respects_limit_and_find_first() {
+    fn respects_limit() {
         let q = labeled(&[0, 0], &[(0, 1)]);
         let g = labeled(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
         let mut e = Enumerator::new(&q, &g, &space, &order);
         assert_eq!(e.run(2, Deadline::none(), &mut |_| {}).unwrap(), 2);
-        let mut e = Enumerator::new(&q, &g, &space, &order);
-        let first = e.find_first(Deadline::none()).unwrap().unwrap();
-        assert!(first.is_valid(&q, &g));
+        let first = emitted(|on| e.run(1, Deadline::none(), on));
+        assert!(first[0].is_valid(&q, &g));
     }
 
     #[test]
@@ -403,77 +533,33 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..30 {
             let g = brute::random_graph(&mut rng, 8, 12, 3);
             let q = brute::random_connected_query(&mut rng, &g, 3);
-            let expected = brute::enumerate_all(&q, &g);
-            let mut exp = expected.clone();
+            let mut exp = brute::enumerate_all(&q, &g);
             exp.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
             let space = full_space(&q, &g);
             let order = id_order(&q);
-            for kernel in KernelConfig::ALL {
-                let mut e = Enumerator::with_kernel(&q, &g, &space, &order, kernel);
-                let mut got = Vec::new();
-                e.run(u64::MAX, Deadline::none(), &mut |emb| got.push(emb.clone())).unwrap();
-                got.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-                assert_eq!(got, exp, "kernel {kernel}");
-            }
+            let mut e = Enumerator::new(&q, &g, &space, &order);
+            let mut got = emitted(|on| e.run(u64::MAX, Deadline::none(), on));
+            got.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
+            assert_eq!(got, exp);
         }
     }
 
     #[test]
-    fn kernels_agree_on_match_order_and_counters() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+    fn hit_counters_never_exceed_intersections() {
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..10 {
             let g = brute::random_graph(&mut rng, 20, 60, 2);
             let q = brute::random_connected_query(&mut rng, &g, 4);
             let space = full_space(&q, &g);
             let order = id_order(&q);
-            // Unsorted outputs: kernels must agree on emission ORDER, not
-            // just the set, so find_first is kernel-invariant too.
-            let mut reference: Option<Vec<Embedding>> = None;
-            for kernel in KernelConfig::ALL {
-                let mut e = Enumerator::with_kernel(&q, &g, &space, &order, kernel);
-                let mut got = Vec::new();
-                e.run(u64::MAX, Deadline::none(), &mut |emb| got.push(emb.clone())).unwrap();
-                match &reference {
-                    None => reference = Some(got),
-                    Some(r) => assert_eq!(&got, r, "kernel {kernel} emission order"),
-                }
-                let stats = e.stats();
-                match kernel {
-                    KernelConfig::Baseline => {
-                        assert_eq!(stats.intersections, 0);
-                        assert_eq!(stats.bitmap_probes, 0);
-                        assert_eq!(stats.simd_hits, 0);
-                    }
-                    KernelConfig::Gallop => {
-                        assert_eq!(stats.gallop_hits, stats.intersections);
-                        assert_eq!(stats.simd_hits, 0);
-                    }
-                    KernelConfig::Merge => {
-                        assert_eq!(stats.gallop_hits, 0);
-                        assert_eq!(stats.simd_hits, 0);
-                    }
-                    KernelConfig::Simd => {
-                        assert_eq!(stats.gallop_hits, 0);
-                        if sqp_graph::simd::available() {
-                            assert_eq!(stats.simd_hits, stats.intersections);
-                        } else {
-                            assert_eq!(stats.simd_hits, 0);
-                        }
-                    }
-                    KernelConfig::Auto => assert!(
-                        stats.gallop_hits + stats.simd_hits <= stats.intersections,
-                        "auto hit counters cannot exceed intersections: {stats:?}"
-                    ),
-                }
-            }
+            let mut e = Enumerator::new(&q, &g, &space, &order);
+            e.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap();
+            let stats = e.stats();
+            assert!(stats.gallop_hits + stats.simd_hits <= stats.intersections, "{stats:?}");
         }
     }
 
@@ -485,7 +571,7 @@ mod tests {
         let order = id_order(&q);
         let sink = StatsSink::new();
         let d = Deadline::none().with_stats(sink);
-        let mut e = Enumerator::with_kernel(&q, &g, &space, &order, KernelConfig::Merge);
+        let mut e = Enumerator::new(&q, &g, &space, &order);
         e.run(u64::MAX, d, &mut |_| {}).unwrap();
         let snap = sink.snapshot();
         assert_eq!(snap, e.stats().kernel());
@@ -508,11 +594,9 @@ mod tests {
         };
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        for kernel in KernelConfig::ALL {
-            let mut e = Enumerator::with_kernel(&q, &g, &space, &order, kernel);
-            let d = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
-            assert_eq!(e.run(u64::MAX, d, &mut |_| {}), Err(Timeout), "kernel {kernel}");
-        }
+        let mut e = Enumerator::new(&q, &g, &space, &order);
+        let d = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
+        assert_eq!(e.run(u64::MAX, d, &mut |_| {}), Err(Timeout));
     }
 
     #[test]
@@ -525,7 +609,7 @@ mod tests {
         // The former double tick added one tick per descend call
         // (1 + 64 + 128·30 = 3,905 more, 11,777 total) and would have
         // tripped that budget. One tick per extension attempt is the
-        // contract; this pins it for every kernel.
+        // contract; the reference keeps it too.
         let m: u32 = 64; // cycle length
         let k: u32 = 32; // query path length
         let q = {
@@ -540,22 +624,23 @@ mod tests {
         };
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        for kernel in KernelConfig::ALL {
-            let guard = ResourceGuard::new();
-            guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
-            let d = Deadline::none().with_guard(guard);
-            let mut e = Enumerator::with_kernel(&q, &g, &space, &order, kernel);
-            let found = e.run(u64::MAX, d, &mut |_| {});
-            // 2 directions × 64 starting vertices.
-            assert_eq!(found, Ok(2 * m as u64), "kernel {kernel} must fit the step budget");
-            assert!(guard.tripped().is_none(), "kernel {kernel}");
-        }
+        let guard = ResourceGuard::new();
+        let d = Deadline::none().with_guard(guard);
+        // 2 directions × 64 starting vertices.
+        guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
+        let found = Enumerator::new(&q, &g, &space, &order).run(u64::MAX, d, &mut |_| {});
+        assert_eq!(found, Ok(2 * m as u64), "must fit the step budget");
+        assert!(guard.tripped().is_none());
+        guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
+        let found = Reference::run(&q, &g, &space, &order, u64::MAX, d, &mut |_| {});
+        assert_eq!(found, Ok(2 * m as u64), "the reference ticks at the same rate");
+        assert!(guard.tripped().is_none());
     }
 
     #[test]
     fn hub_path_used_on_high_degree_graphs() {
-        // A graph with a >64-degree hub: the Auto kernel must route at least
-        // one intersection through the hub bitmap (probes beyond the seed).
+        // A graph with a >64-degree hub: at least one intersection must go
+        // through the hub bitmap (probes beyond the seed).
         let n: u32 = 80;
         let mut labels = vec![9u32, 9]; // two hubs
         labels.extend(std::iter::repeat_n(0u32, n as usize));
@@ -569,16 +654,14 @@ mod tests {
         let q = labeled(&[9, 9, 0], &[(0, 1), (0, 2), (1, 2)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let mut auto = Enumerator::with_kernel(&q, &g, &space, &order, KernelConfig::Auto);
-        let got = auto.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap();
-        let auto_stats = auto.stats();
-        let mut base = Enumerator::with_kernel(&q, &g, &space, &order, KernelConfig::Baseline);
-        assert_eq!(base.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), got);
-        assert!(got > 0);
-        assert!(
-            auto_stats.bitmap_probes > 0,
-            "hub-heavy graph must exercise bitmap probes: {auto_stats:?}"
-        );
-        assert!(g.hub_bitmaps_built().is_some(), "Auto kernel must have built the sidecar");
+        let d = Deadline::none();
+        let mut e = Enumerator::new(&q, &g, &space, &order);
+        let got = emitted(|on| e.run(u64::MAX, d, on));
+        let want = emitted(|on| Reference::run(&q, &g, &space, &order, u64::MAX, d, on));
+        assert_eq!(got, want);
+        assert!(!got.is_empty());
+        let stats = e.stats();
+        assert!(stats.bitmap_probes > 0, "hub-heavy graph must exercise bitmap probes: {stats:?}");
+        assert!(g.hub_bitmaps_built().is_some(), "the enumerator must have built the sidecar");
     }
 }

@@ -24,10 +24,9 @@ use sqp_graph::{Graph, VertexId};
 
 use crate::bipartite::{has_semi_perfect_matching, Bigraph, MatchingScratch};
 use crate::candidates::{CandidateSpace, FilterResult, MatchingOrder};
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::obs::{Phase, Span};
 use crate::Matcher;
 
@@ -36,8 +35,6 @@ use crate::Matcher;
 pub struct GraphQl {
     /// Maximum pseudo-iso pruning sweeps (fixpoint may stop earlier).
     refine_rounds: usize,
-    /// Shared matcher configuration (enumeration kernel).
-    config: MatcherConfig,
 }
 
 impl Default for GraphQl {
@@ -45,7 +42,7 @@ impl Default for GraphQl {
         // Two sweeps of the bigraph pruning; matches the refinement level the
         // original evaluation uses and is where additional sweeps stop paying
         // off (see bench `ablation_pseudo_iso`).
-        Self { refine_rounds: 2, config: MatcherConfig::default() }
+        Self { refine_rounds: 2 }
     }
 }
 
@@ -57,13 +54,7 @@ impl GraphQl {
 
     /// GraphQL with a custom number of pruning sweeps (0 = profiles only).
     pub fn with_refine_rounds(refine_rounds: usize) -> Self {
-        Self { refine_rounds, ..Self::default() }
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.config = config;
-        self
+        Self { refine_rounds }
     }
 
     /// Profile-based initial candidates; `None` once a set comes up empty.
@@ -202,24 +193,6 @@ impl Matcher for GraphQl {
         Ok(FilterResult::Space(CandidateSpace::new(sets)))
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            Self::join_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let first = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .find_first(deadline)?;
-        span.add_items(first.is_some() as u64);
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -229,15 +202,7 @@ impl Matcher for GraphQl {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            Self::join_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let found = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .run(limit, deadline, on_match)?;
-        span.add_items(found);
-        Ok(found)
+        enumerate_in_order(q, g, space, || Self::join_order(q, space), limit, deadline, on_match)
     }
 }
 

@@ -26,7 +26,6 @@ pub mod brute;
 pub mod candidates;
 pub mod cfl;
 pub mod cfql;
-pub mod config;
 pub mod deadline;
 pub mod dynmatch;
 pub mod embedding;
@@ -42,13 +41,12 @@ pub mod ullmann;
 pub mod vf2;
 
 pub use candidates::{CandidateSpace, FilterResult};
-pub use config::{KernelConfig, MatcherConfig};
 pub use deadline::{
     CancelToken, Deadline, Heartbeat, ResourceGuard, ResourceKind, ResourceLimits, StatsSink,
     Timeout,
 };
 pub use embedding::Embedding;
-pub use enumerate::Enumerator;
+pub use enumerate::{enumerate_in_order, Enumerator};
 pub use features::{LabelHistogram, QueryFeatures, FEATURE_DIM};
 pub use obs::{Phase, PhaseStats, Span, PHASE_COUNT};
 pub use stats::{KernelStats, MatchingStats};
@@ -95,18 +93,8 @@ pub trait Matcher: Send + Sync {
     /// empty (Proposition III.1: the data graph cannot contain the query).
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout>;
 
-    /// The enumeration phase restricted to the first embedding (the paper's
-    /// `Verify`): returns `Some(embedding)` iff `q ⊆ g`.
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout>;
-
-    /// Full enumeration up to `limit` embeddings, invoking `on_match` for
-    /// each; returns the number found (subgraph *matching*, Definition II.3).
+    /// Enumeration up to `limit` embeddings, invoking `on_match` for each;
+    /// returns the number found (subgraph *matching*, Definition II.3).
     fn enumerate(
         &self,
         q: &Graph,
@@ -116,6 +104,22 @@ pub trait Matcher: Send + Sync {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout>;
+
+    /// The enumeration phase restricted to the first embedding (the paper's
+    /// `Verify`): returns `Some(embedding)` iff `q ⊆ g`. This is
+    /// [`enumerate`](Matcher::enumerate) with a limit of one; only wrappers
+    /// that intercept the call itself (fault injection, probes) override it.
+    fn find_first(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        space: &CandidateSpace,
+        deadline: Deadline,
+    ) -> Result<Option<Embedding>, Timeout> {
+        let mut first = None;
+        self.enumerate(q, g, space, 1, deadline, &mut |e| first = Some(e.clone()))?;
+        Ok(first)
+    }
 
     /// Convenience: full filter + first-match verification.
     fn is_subgraph(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<bool, Timeout> {
@@ -133,5 +137,71 @@ pub trait Matcher: Send + Sync {
                 self.enumerate(q, g, &space, limit, deadline, &mut |_| {})
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A deterministic span clock: every read advances one tick, so a span
+    /// with no nested span lasts exactly one.
+    fn tick() -> u64 {
+        use std::cell::Cell;
+        thread_local! { static T: Cell<u64> = const { Cell::new(0) }; }
+        T.with(|t| {
+            t.set(t.get() + 1);
+            t.get()
+        })
+    }
+
+    /// `find_first` is `enumerate` with a limit of one for every matcher:
+    /// same embedding, same spans. Guards the provided method against a
+    /// later override drifting from it.
+    #[test]
+    fn find_first_is_enumerate_with_limit_one() {
+        // (matcher, whether its enumeration is one `enumerate_in_order` call)
+        let matchers: [(&dyn Matcher, bool); 7] = [
+            (&cfl::Cfl::new(), true),
+            (&cfql::Cfql::new(), true),
+            (&graphql::GraphQl::new(), true),
+            (&quicksi::QuickSi::new(), true),
+            (&spath::SPath::new(), true),
+            (&ullmann::Ullmann::new(), true),
+            (&turboiso::TurboIso::new(), false),
+        ];
+        let sink = StatsSink::with_clock(tick);
+        let d = Deadline::none().with_stats(sink);
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut found = 0;
+        for _ in 0..40 {
+            let g = brute::random_graph(&mut rng, 10, 18, 2);
+            let q = brute::random_connected_query(&mut rng, &g, 3);
+            for (m, in_order) in matchers {
+                let Some(space) = m.filter(&q, &g, Deadline::none()).unwrap().space() else {
+                    continue;
+                };
+                sink.reset();
+                let first = m.find_first(&q, &g, &space, d).unwrap();
+                let first_phases = sink.phase_snapshot();
+                sink.reset();
+                let mut limited = None;
+                let n =
+                    m.enumerate(&q, &g, &space, 1, d, &mut |e| limited = Some(e.clone())).unwrap();
+                let limited_phases = sink.phase_snapshot();
+                assert_eq!(first, limited, "{}", m.name());
+                assert_eq!(first_phases, limited_phases, "{}", m.name());
+                assert_eq!(n, first.is_some() as u64, "{}", m.name());
+                if in_order {
+                    assert_eq!(first_phases.nanos_of(Phase::Order), 1, "{}: one order", m.name());
+                    assert_eq!(first_phases.nanos_of(Phase::Enumerate), 1, "{}", m.name());
+                }
+                assert_eq!(first_phases.items_of(Phase::Enumerate), n, "{}", m.name());
+                found += n;
+            }
+        }
+        assert!(found > 0, "the fixture must contain matches");
     }
 }

@@ -16,30 +16,20 @@ use sqp_graph::hash::FxHashMap;
 use sqp_graph::{Graph, Label, VertexId};
 
 use crate::candidates::{CandidateSpace, FilterResult, MatchingOrder};
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::obs::{Phase, Span};
 use crate::Matcher;
 
 /// The QuickSI matcher.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct QuickSi {
-    /// Shared matcher configuration (enumeration kernel).
-    config: MatcherConfig,
-}
+pub struct QuickSi;
 
 impl QuickSi {
     /// A new QuickSI matcher.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.config = config;
-        self
+        Self
     }
 
     /// Frequencies of `(label, label)` edge patterns in `g` (unordered
@@ -127,24 +117,6 @@ impl Matcher for QuickSi {
         Ok(FilterResult::Space(CandidateSpace::new(sets)))
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            Self::qi_sequence(q, g)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let first = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .find_first(deadline)?;
-        span.add_items(first.is_some() as u64);
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -154,15 +126,7 @@ impl Matcher for QuickSi {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            Self::qi_sequence(q, g)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let found = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .run(limit, deadline, on_match)?;
-        span.add_items(found);
-        Ok(found)
+        enumerate_in_order(q, g, space, || Self::qi_sequence(q, g), limit, deadline, on_match)
     }
 }
 

@@ -18,10 +18,9 @@ use std::collections::VecDeque;
 use sqp_graph::{Graph, Label, VertexId};
 
 use crate::candidates::{CandidateSpace, FilterResult};
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::graphql::GraphQl;
 use crate::obs::{Phase, Span};
 use crate::Matcher;
@@ -31,13 +30,11 @@ use crate::Matcher;
 pub struct SPath {
     /// Signature radius `k` (the original defaults to small radii; 2 here).
     radius: usize,
-    /// Shared matcher configuration (enumeration kernel).
-    config: MatcherConfig,
 }
 
 impl Default for SPath {
     fn default() -> Self {
-        Self { radius: 2, config: MatcherConfig::default() }
+        Self { radius: 2 }
     }
 }
 
@@ -137,13 +134,7 @@ impl SPath {
     /// SPath with a custom signature radius (≥ 1).
     pub fn with_radius(radius: usize) -> Self {
         assert!(radius >= 1);
-        Self { radius, ..Self::default() }
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.config = config;
-        self
+        Self { radius }
     }
 }
 
@@ -182,24 +173,6 @@ impl Matcher for SPath {
         Ok(FilterResult::Space(CandidateSpace::new(sets)))
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            GraphQl::join_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let first = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .find_first(deadline)?;
-        span.add_items(first.is_some() as u64);
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -209,15 +182,7 @@ impl Matcher for SPath {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            GraphQl::join_order(q, space)
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let found = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .run(limit, deadline, on_match)?;
-        span.add_items(found);
-        Ok(found)
+        enumerate_in_order(q, g, space, || GraphQl::join_order(q, space), limit, deadline, on_match)
     }
 }
 

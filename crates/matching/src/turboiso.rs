@@ -25,19 +25,15 @@ use sqp_graph::nlf::nlf_dominated;
 use sqp_graph::{Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, FilterResult, MatchingOrder};
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::obs::{Phase, Span};
 use crate::Matcher;
 
 /// The TurboIso matcher.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TurboIso {
-    /// Shared matcher configuration (enumeration kernel).
-    config: MatcherConfig,
-}
+pub struct TurboIso;
 
 /// One candidate region: per-query-vertex candidate sets local to the
 /// neighborhood of a single start-vertex candidate.
@@ -48,13 +44,7 @@ struct Region {
 impl TurboIso {
     /// A new TurboIso matcher.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.config = config;
-        self
+        Self
     }
 
     /// Start-vertex selection: minimize `|C_ini(u)| / d(u)`.
@@ -190,17 +180,8 @@ impl TurboIso {
                 let _span = Span::enter(Phase::BuildCandidates, deadline);
                 CandidateSpace::new(region.sets.clone())
             };
-            let order = {
-                let _span = Span::enter(Phase::Order, deadline);
-                Self::region_order(q, &tree, region)
-            };
-            let mut span = Span::enter(Phase::Enumerate, deadline);
-            let remaining = limit - found;
-            let got = Enumerator::with_kernel(q, g, &space, &order, self.config.kernel)
-                .run(remaining, deadline, on_match)?;
-            span.add_items(got);
-            drop(span);
-            found += got;
+            let order = || Self::region_order(q, &tree, region);
+            found += enumerate_in_order(q, g, &space, order, limit - found, deadline, on_match)?;
             if found >= limit {
                 break;
             }
@@ -239,20 +220,6 @@ impl Matcher for TurboIso {
         }
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        _space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        // Region-by-region enumeration (the global space is only the vcFV
-        // filtering view; TurboIso's enumeration is region-local).
-        let mut first = None;
-        self.enumerate_regions(q, g, 1, deadline, &mut |e| first = Some(e.clone()))?;
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -262,6 +229,8 @@ impl Matcher for TurboIso {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
+        // Region-by-region enumeration (the global space is only the vcFV
+        // filtering view; TurboIso's enumeration is region-local).
         self.enumerate_regions(q, g, limit, deadline, on_match)
     }
 }

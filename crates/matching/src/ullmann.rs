@@ -10,30 +10,20 @@
 use sqp_graph::{Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, FilterResult, MatchingOrder};
-use crate::config::MatcherConfig;
 use crate::deadline::{Deadline, TickChecker, Timeout};
 use crate::embedding::Embedding;
-use crate::enumerate::Enumerator;
+use crate::enumerate::enumerate_in_order;
 use crate::obs::{Phase, Span};
 use crate::Matcher;
 
 /// The Ullmann matcher.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Ullmann {
-    /// Shared matcher configuration (enumeration kernel).
-    config: MatcherConfig,
-}
+pub struct Ullmann;
 
 impl Ullmann {
     /// A new Ullmann matcher.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This matcher with the given shared configuration.
-    pub fn with_matcher_config(mut self, config: MatcherConfig) -> Self {
-        self.config = config;
-        self
+        Self
     }
 
     fn refine(
@@ -103,24 +93,6 @@ impl Matcher for Ullmann {
         Ok(FilterResult::Space(CandidateSpace::new(sets)))
     }
 
-    fn find_first(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        space: &CandidateSpace,
-        deadline: Deadline,
-    ) -> Result<Option<Embedding>, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            MatchingOrder::new(q.vertices().collect())
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let first = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .find_first(deadline)?;
-        span.add_items(first.is_some() as u64);
-        Ok(first)
-    }
-
     fn enumerate(
         &self,
         q: &Graph,
@@ -130,15 +102,9 @@ impl Matcher for Ullmann {
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<u64, Timeout> {
-        let order = {
-            let _span = Span::enter(Phase::Order, deadline);
-            MatchingOrder::new(q.vertices().collect())
-        };
-        let mut span = Span::enter(Phase::Enumerate, deadline);
-        let found = Enumerator::with_kernel(q, g, space, &order, self.config.kernel)
-            .run(limit, deadline, on_match)?;
-        span.add_items(found);
-        Ok(found)
+        // Plain query-id order.
+        let order = || MatchingOrder::new(q.vertices().collect());
+        enumerate_in_order(q, g, space, order, limit, deadline, on_match)
     }
 }
 

@@ -16,8 +16,8 @@ fast=0
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q"
-cargo test -q --offline
+echo "==> cargo test --workspace (tier-1's root-package suites plus the unit tests under crates/*/src: engines, runner, enumerate, deadline, wire, breaker reference, intersect kernels)"
+cargo test -q --offline --workspace
 
 echo "==> io robustness corpus (malformed t/v/e inputs)"
 cargo test -q --offline --test io_robustness
@@ -28,11 +28,12 @@ echo "==> chaos suite (fixed seeds, 1/2/4/8 threads; breaker lifecycle, drain, s
 # and the serving-determinism property.
 PROPTEST_CASES=32 cargo test -q --offline --test chaos
 
-echo "==> kernel equivalence (all kernels x 1/2/4/8 threads, bitmap memory accounting)"
+echo "==> kernel equivalence (enumerator vs brute oracle x 1/2/4/8 threads, both hub-container regimes, bitmap memory accounting)"
 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
 
-echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: simd kernel must degrade to merge, not diverge)"
+echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: the SIMD step must degrade to merge, not diverge — in the enumerator and in sqp_graph::intersect where the kernels live)"
 SQP_FORCE_SCALAR=1 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
+SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
@@ -166,9 +167,6 @@ wait "$serve_pid"
 kill -INT "${shard_pids[0]}" "${shard_pids[2]}"
 wait "${shard_pids[0]}" "${shard_pids[2]}"
 echo "    sharded serving: healthy run clean, SIGKILL degraded to exit 2 + UNAVAILABLE, breaker open on 1 peer, drain clean"
-
-echo "==> enumeration-kernel bench smoke (asserts auto does not lose to merge on dense; report discarded)"
-SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench enumeration
 
 echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, and on one CPU QueryService <= 1.25x CfqlEngine; report discarded)"
 # Built unpinned, run on one CPU: the serving gate prices the layers, not a

@@ -21,14 +21,15 @@
 //! used by the fault-tolerance suite to play the "corrupting shard".
 //! Ctrl-C drains the service (finish in-flight work, then exit 0).
 
+mod cli;
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use subgraph_query::core::engines::matcher_by_name_with;
 use subgraph_query::core::prelude::*;
-use subgraph_query::graph::{binio, io, GraphDb};
-use subgraph_query::matching::MatcherConfig;
+
+use cli::{load_db, Opts};
 
 const HELP: &str = "\
 sqp-shard — one shard worker of the distributed query service
@@ -44,48 +45,10 @@ USAGE:
 Serves its fingerprint-hash slice of the database over the sqp wire
 protocol. Prints `listening ADDR` once ready; Ctrl-C drains and exits 0.";
 
-/// Minimal `--flag value` parser (every shard flag takes a value).
-struct Opts(Vec<(String, String)>);
-
-impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{a}'"));
-            };
-            let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.push((name.to_string(), v.clone()));
-        }
-        Ok(Self(flags))
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
-    }
-
-    fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("missing required --{name}"))
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid --{name} value '{v}'")),
-        }
-    }
-}
-
-fn load_db(path: &str) -> Result<GraphDb, String> {
-    if path.ends_with(".bin") {
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        return binio::from_bytes(bytes.as_slice())
-            .map_err(|e| format!("cannot parse {path}: {e}"));
-    }
-    let f = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    io::read_database(std::io::BufReader::new(f)).map_err(|e| format!("cannot parse {path}: {e}"))
-}
+/// Every flag `sqp-shard` accepts; each takes a value.
+const FLAGS: &str = "db shard-index shards listen engine threads budget-ms retries \
+    breaker-threshold breaker-cooldown chaos-slow-ms chaos-seed chaos-drop-pm \
+    chaos-truncate-pm chaos-corrupt-pm chaos-delay-pm chaos-delay-ms";
 
 static STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
@@ -118,7 +81,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         return Err(format!("--shard-index {shard_index} out of range for --shards {shards}"));
     }
     let engine_name = opts.get("engine").unwrap_or("CFQL");
-    let matcher = matcher_by_name_with(engine_name, MatcherConfig::default())
+    let matcher = matcher_by_name(engine_name)
         .ok_or_else(|| format!("'{engine_name}' is not a matcher (vcFV) engine"))?;
     let slow_ms: u64 = opts.num("chaos-slow-ms", 0u64)?;
     let matcher: Arc<dyn subgraph_query::matching::Matcher> = if slow_ms > 0 {
@@ -197,17 +160,10 @@ fn main() -> ExitCode {
         println!("{HELP}");
         return ExitCode::SUCCESS;
     }
-    let opts = match Opts::parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{HELP}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run(&opts) {
+    match Opts::parse(&args, FLAGS, "").and_then(|opts| run(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{HELP}");
+            eprintln!("{HELP}\n\nerror: {e}");
             ExitCode::FAILURE
         }
     }

@@ -6,8 +6,7 @@
 //!              [--labels N] [--degree F] [--seed N] --out <file>
 //! sqp queries  --db <file> --edges N [--count N] [--dense] [--seed N] --out <file>
 //! sqp query    --db <file> --queries <file> [--engine <name>] [--budget-ms N]
-//!              [--threads N] [--retries N] [--max-steps N]
-//!              [--kernel auto|merge|gallop|simd|baseline] [--metrics-out <file>]
+//!              [--threads N] [--retries N] [--max-steps N] [--metrics-out <file>]
 //!              [--max-inflight N] [--shed] [--breaker-threshold N]
 //!              [--breaker-cooldown N] [--chaos-panics PM] [--chaos-seed N]
 //!              [--drain-after-ms N] [--journal <file>] [--resume]
@@ -27,11 +26,18 @@
 //!              [--metrics-out <file>]
 //! ```
 //!
-//! `--threads N` (N > 1) runs a vcFV engine's matcher on a persistent
-//! [`QueryPool`](subgraph_query::core::parallel::QueryPool): identical
-//! answers, parallel filter+verify across the database.
+//! This file is argument handling and reporting: every subcommand declares
+//! the flags it accepts in [`COMMANDS`] (anything else is rejected, so a
+//! misspelt flag cannot silently run with a default), and `query` selects
+//! one [`QueryEngine`] — sequential, adaptive, or (`--threads N` /
+//! `--supervise`) a vcFV matcher on a persistent
+//! [`QueryPool`](subgraph_query::core::parallel::QueryPool) behind
+//! [`ParallelEngine`] — and hands it to the library's one runner loop.
 //!
-//! Databases and queries use the standard `t # / v / e` text format; paths\n//! ending in `.bin` use the compact binary format of `sqp_graph::binio`.
+//! Databases and queries use the standard `t # / v / e` text format; paths
+//! ending in `.bin` use the compact binary format of `sqp_graph::binio`.
+
+mod cli;
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -40,7 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use subgraph_query::core::collection::CollectionMatcher;
-use subgraph_query::core::engines::{engine_by_name_with, matcher_by_name_with};
+use subgraph_query::core::engines::{engine_by_name, engine_names, matcher_by_name};
 use subgraph_query::core::prelude::*;
 use subgraph_query::datagen::graphgen::GraphGenConfig;
 use subgraph_query::datagen::profiles;
@@ -56,7 +62,9 @@ use subgraph_query::index::{
     PathTrieIndex,
 };
 use subgraph_query::matching::cfql::Cfql;
-use subgraph_query::matching::{Deadline, KernelConfig, MatcherConfig};
+use subgraph_query::matching::Deadline;
+
+use cli::{load_db, Opts};
 
 const HELP: &str = "\
 sqp — subgraph query processing toolkit
@@ -67,8 +75,7 @@ USAGE:
                [--labels N] [--degree F] [--seed N] --out <file>
   sqp queries  --db <file> --edges N [--count N] [--dense] [--seed N] --out <file>
   sqp query    --db <file> --queries <file> [--engine <name>] [--budget-ms N]
-               [--threads N] [--retries N] [--max-steps N]
-               [--kernel auto|merge|gallop|simd|baseline] [--metrics-out <file>]
+               [--threads N] [--retries N] [--max-steps N] [--metrics-out <file>]
                [--journal <file>] [--resume] [--supervise] [--chaos-slow-ms N]
                [--model-in <file>] [--model-out <file>]
   sqp compare  --db <file> --queries <file> [--engines a,b,c] [--budget-ms N]
@@ -85,8 +92,7 @@ USAGE:
                [--compact-min N] [--compact-ratio F] [--out <file>]
                [--metrics-out <file>]
 
-Engines: CT-Index Grapes GGSX CFL GraphQL CFQL vcGrapes vcGGSX
-         Ullmann QuickSI TurboIso (default: CFQL)
+Engines: {ENGINES} (default: CFQL)
          adaptive = per-query cost-model routing over CFQL GraphQL QuickSI
          Ullmann: a feature vector (size, density, label selectivity, core/
          leaf split, NLF sparsity) picks the predicted-fastest engine, and
@@ -98,13 +104,10 @@ across runs and thread counts
 --model-out FILE  save the adaptive model after the run (cold-started
 deterministically from the database fingerprint when no --model-in)
 --threads N > 1 runs the engine's matcher on a persistent worker pool
-(vcFV engines only: CFL GraphQL CFQL Ullmann QuickSI TurboIso SPath)
+(vcFV engines only: {MATCHERS})
 --retries N retries queries that panic inside the engine up to N times
 --max-steps N bounds enumeration steps per query (0 = unlimited); a blown
 budget is reported as EXHAUSTED, not as a timeout
---kernel picks the enumeration intersection kernel (default auto: adaptive
-merge/gallop/SIMD with hub bitmaps; simd = forced SSE/AVX2 block kernel with
-scalar fallback; baseline = pre-kernel per-candidate probing)
 --metrics-out FILE writes the run's metrics (latency and per-phase
 histograms, status counts, kernel counters, service health when in service
 mode) in the Prometheus text exposition format
@@ -128,9 +131,10 @@ SIGINT (Ctrl-C) starts a graceful drain instead of killing the run; a
 second Ctrl-C kills the process (the handler resets itself to default).
 
 Supervision & recovery:
-  --supervise         run workers under the heartbeat supervisor: a query
-                      wedged past its deadline + grace is cancelled, marked
-                      WEDGED, and its worker thread is abandoned + replaced
+  --supervise         run pooled workers (vcFV engines, as --threads) under
+                      the heartbeat supervisor: a query wedged past its
+                      deadline + grace is cancelled, marked WEDGED, and its
+                      worker thread is abandoned + replaced
   --journal FILE      append a checksummed record per finished query to FILE
   --resume            replay FILE first and re-run only incomplete queries
   --chaos-slow-ms N   slow every matcher filter call by N ms (CI/chaos use)
@@ -166,59 +170,13 @@ Exit codes: 0 success (timeouts included), 2 degraded (a query panicked,
 exhausted its resource budget, was shed, wedged, unavailable on a dead
 shard, or hit quarantined graphs), 1 usage or I/O error";
 
-struct Opts {
-    flags: Vec<(String, String)>,
-    switches: Vec<String>,
-}
-
-impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut switches = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if matches!(name, "dense" | "shed" | "phases" | "resume" | "supervise" | "watch") {
-                    switches.push(name.to_string());
-                } else {
-                    let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                    flags.push((name.to_string(), v.clone()));
-                }
-            } else {
-                return Err(format!("unexpected argument '{a}'"));
-            }
-        }
-        Ok(Self { flags, switches })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
-    }
-
-    fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("missing required --{name}"))
-    }
-
-    fn parse_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid --{name} value '{v}'")),
-        }
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-}
-
-fn load_db(path: &str) -> Result<GraphDb, String> {
-    if path.ends_with(".bin") {
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        return binio::from_bytes(bytes.as_slice())
-            .map_err(|e| format!("cannot parse {path}: {e}"));
-    }
-    let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    io::read_database(BufReader::new(f)).map_err(|e| format!("cannot parse {path}: {e}"))
+/// The usage text, with the engine lists read from the registry.
+fn help() -> String {
+    let names: Vec<&str> = engine_names().collect();
+    let lines: Vec<String> = names.chunks(8).map(|c| c.join(" ")).collect();
+    let matchers: Vec<&str> =
+        names.iter().copied().filter(|n| matcher_by_name(n).is_some()).collect();
+    HELP.replace("{ENGINES}", &lines.join("\n         ")).replace("{MATCHERS}", &matchers.join(" "))
 }
 
 fn save_db(db: &GraphDb, path: &str) -> Result<(), String> {
@@ -248,14 +206,14 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
 
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let kind = opts.require("kind")?;
-    let seed: u64 = opts.parse_num("seed", 42u64)?;
+    let seed: u64 = opts.num("seed", 42u64)?;
     let db = match kind {
         "synthetic" => {
             let config = GraphGenConfig {
-                graphs: opts.parse_num("graphs", 1000usize)?,
-                vertices: opts.parse_num("vertices", 200usize)?,
-                labels: opts.parse_num("labels", 20usize)?,
-                degree: opts.parse_num("degree", 8.0f64)?,
+                graphs: opts.num("graphs", 1000usize)?,
+                vertices: opts.num("vertices", 200usize)?,
+                labels: opts.num("labels", 20usize)?,
+                degree: opts.num("degree", 8.0f64)?,
                 seed,
             };
             GraphGen::new(config).generate()
@@ -286,11 +244,11 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
 fn cmd_queries(opts: &Opts) -> Result<(), String> {
     let db = load_db(opts.require("db")?)?;
     let spec = QuerySetSpec {
-        edges: opts.parse_num("edges", 8usize)?,
+        edges: opts.num("edges", 8usize)?,
         method: if opts.has("dense") { QueryGenMethod::Bfs } else { QueryGenMethod::RandomWalk },
-        count: opts.parse_num("count", 100usize)?,
+        count: opts.num("count", 100usize)?,
     };
-    let queries = generate_query_set(&db, spec, opts.parse_num("seed", 7u64)?);
+    let queries = generate_query_set(&db, spec, opts.num("seed", 7u64)?);
     let out = opts.require("out")?;
     let f = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut w = BufWriter::new(f);
@@ -330,15 +288,10 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     if !adaptive_requested && (opts.get("model-in").is_some() || opts.get("model-out").is_some()) {
         return Err("--model-in/--model-out require --engine adaptive".into());
     }
-    let budget_ms: u64 = opts.parse_num("budget-ms", 600_000u64)?;
-    let threads: usize = opts.parse_num("threads", 1usize)?;
-    let retries: u32 = opts.parse_num("retries", 0u32)?;
-    let max_steps: u64 = opts.parse_num("max-steps", 0u64)?;
-    let kernel = match opts.get("kernel") {
-        None => KernelConfig::default(),
-        Some(v) => v.parse::<KernelConfig>()?,
-    };
-    let matcher_config = MatcherConfig::with_kernel(kernel);
+    let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
+    let threads: usize = opts.num("threads", 1usize)?;
+    let retries: u32 = opts.num("retries", 0u32)?;
+    let max_steps: u64 = opts.num("max-steps", 0u64)?;
     let mut config = RunnerConfig::with_budget(Duration::from_millis(budget_ms));
     config.max_retries = retries;
     if max_steps > 0 {
@@ -378,76 +331,28 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     let mut health = None;
     let mut adaptive_stats: Option<RoutingStats> = None;
     let report = if service_mode {
-        let (report, h, a) = run_service_query(
-            opts,
-            &db,
-            &queries,
-            engine_name,
-            matcher_config,
-            config,
-            threads,
-            journal.as_mut(),
-        )?;
+        let (report, h, a) =
+            run_service_query(opts, &db, &queries, engine_name, config, threads, journal.as_mut())?;
         health = h;
         adaptive_stats = a;
         report
-    } else if adaptive_requested {
-        let mut engine = AdaptiveEngine::with_matcher_config(matcher_config);
-        if let Some(path) = opts.get("model-in") {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read model {path}: {e}"))?;
-            engine.load_model(&text).map_err(|e| format!("bad model {path}: {e}"))?;
-        }
-        let t0 = Instant::now();
-        engine.build(&db).map_err(|e| format!("index construction failed: {e}"))?;
-        eprintln!(
-            "adaptive routing over [{}] ({}) built in {:.2}s",
-            engine.candidate_names().join(", "),
-            if engine.is_frozen() { "frozen model" } else { "learning online" },
-            t0.elapsed().as_secs_f64(),
-        );
-        let report =
-            run_query_set_journaled(&mut engine, "cli", &queries, config, journal.as_mut());
-        if let Some(path) = opts.get("model-out") {
-            std::fs::write(path, engine.model_json())
-                .map_err(|e| format!("cannot write model {path}: {e}"))?;
-            eprintln!("wrote adaptive model to {path}");
-        }
-        adaptive_stats = Some(engine.routing_stats());
-        report
-    } else if threads > 1 {
-        let matcher = matcher_by_name_with(engine_name, matcher_config).ok_or_else(|| {
-            format!("--threads requires a vcFV engine (matcher); '{engine_name}' is not one")
-        })?;
-        let matcher = apply_chaos_slow(opts, matcher)?;
-        let pool = if opts.has("supervise") {
-            QueryPool::supervised("sqp-worker", threads, SupervisorConfig::default())
-        } else {
-            QueryPool::new(threads)
-        };
-        eprintln!(
-            "engine {engine_name} on {} pooled workers{}",
-            pool.threads(),
-            if opts.has("supervise") { " (supervised)" } else { "" },
-        );
-        run_query_set_parallel_journaled(
-            &pool,
-            matcher,
-            &db,
-            engine_name,
-            "cli",
-            &queries,
-            config,
-            journal.as_mut(),
-        )
     } else {
-        let mut engine = engine_by_name_with(engine_name, matcher_config)
-            .ok_or_else(|| format!("unknown engine '{engine_name}'"))?;
+        // One engine selection feeding the one runner loop.
+        let (mut selected, what) = select_engine(opts, engine_name, threads)?;
         let t0 = Instant::now();
-        engine.build(&db).map_err(|e| format!("index construction failed: {e}"))?;
-        let build = t0.elapsed();
-        eprintln!("engine {} built in {:.2}s", engine.name(), build.as_secs_f64());
-        run_query_set_journaled(engine.as_mut(), "cli", &queries, config, journal.as_mut())
+        selected.engine().build(&db).map_err(|e| format!("index construction failed: {e}"))?;
+        eprintln!("{what} built in {:.2}s", t0.elapsed().as_secs_f64());
+        let report =
+            run_query_set_journaled(selected.engine(), "cli", &queries, config, journal.as_mut());
+        if let Selected::Adaptive(engine) = &selected {
+            if let Some(path) = opts.get("model-out") {
+                std::fs::write(path, engine.model_json())
+                    .map_err(|e| format!("cannot write model {path}: {e}"))?;
+                eprintln!("wrote adaptive model to {path}");
+            }
+            adaptive_stats = Some(engine.routing_stats());
+        }
+        report
     };
     for (i, r) in report.records.iter().enumerate() {
         println!(
@@ -473,7 +378,7 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     );
     let k = report.kernel_totals();
     println!(
-        "-- kernel {kernel} | intersections {} | gallop-hits {} | simd-hits {} | bitmap-probes {}",
+        "-- kernel intersections {} | gallop-hits {} | simd-hits {} | bitmap-probes {}",
         k.intersections, k.gallop_hits, k.simd_hits, k.bitmap_probes,
     );
     let hist = report.latency_histogram();
@@ -516,6 +421,72 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     // shards, and quarantined graphs all mean degraded answers, so signal
     // them to scripts.
     Ok(degraded_exit_code(&report))
+}
+
+/// The engine a non-service `sqp query` runs: the adaptive router (kept
+/// concrete for its model and routing stats), or any other [`QueryEngine`].
+enum Selected {
+    Adaptive(Box<AdaptiveEngine>),
+    Fixed(Box<dyn QueryEngine>),
+}
+
+impl Selected {
+    fn engine(&mut self) -> &mut dyn QueryEngine {
+        match self {
+            Selected::Adaptive(e) => e.as_mut(),
+            Selected::Fixed(e) => e.as_mut(),
+        }
+    }
+}
+
+/// Picks the engine for `sqp query` outside service mode — `adaptive`, a
+/// vcFV matcher on a (plain or supervised) pool for `--threads N` /
+/// `--supervise`, or the named sequential engine — and says what it picked.
+fn select_engine(
+    opts: &Opts,
+    engine_name: &str,
+    threads: usize,
+) -> Result<(Selected, String), String> {
+    if engine_name.eq_ignore_ascii_case("adaptive") {
+        let mut engine = AdaptiveEngine::new();
+        if let Some(path) = opts.get("model-in") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read model {path}: {e}"))?;
+            engine.load_model(&text).map_err(|e| format!("bad model {path}: {e}"))?;
+        }
+        let what = format!(
+            "adaptive routing over [{}] ({})",
+            engine.candidate_names().join(", "),
+            if engine.is_frozen() { "frozen model" } else { "learning online" },
+        );
+        return Ok((Selected::Adaptive(Box::new(engine)), what));
+    }
+    let supervise = opts.has("supervise");
+    if threads > 1 || supervise {
+        let matcher = matcher_by_name(engine_name).ok_or_else(|| {
+            format!(
+                "--threads and --supervise require a vcFV engine (matcher); \
+                 '{engine_name}' is not one"
+            )
+        })?;
+        let name = matcher.name();
+        let matcher = apply_chaos_slow(opts, matcher)?;
+        let pool = if supervise {
+            QueryPool::supervised("sqp-worker", threads, SupervisorConfig::default())
+        } else {
+            QueryPool::new(threads)
+        };
+        let what = format!(
+            "engine {name} on {} pooled workers{}",
+            pool.threads(),
+            if supervise { " (supervised)" } else { "" }
+        );
+        return Ok((Selected::Fixed(Box::new(ParallelEngine::new(name, matcher, pool))), what));
+    }
+    let engine =
+        engine_by_name(engine_name).ok_or_else(|| format!("unknown engine '{engine_name}'"))?;
+    let what = format!("engine {}", engine.name());
+    Ok((Selected::Fixed(engine), what))
 }
 
 /// Exit 2 when any record means degraded (partial or missing) answers.
@@ -579,7 +550,7 @@ fn apply_chaos_slow(
     opts: &Opts,
     matcher: Arc<dyn subgraph_query::matching::Matcher>,
 ) -> Result<Arc<dyn subgraph_query::matching::Matcher>, String> {
-    let slow_ms: u64 = opts.parse_num("chaos-slow-ms", 0u64)?;
+    let slow_ms: u64 = opts.num("chaos-slow-ms", 0u64)?;
     if slow_ms > 0 {
         Ok(Arc::new(SlowMatcher::new(matcher, Duration::from_millis(slow_ms))))
     } else {
@@ -587,13 +558,11 @@ fn apply_chaos_slow(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_service_query(
     opts: &Opts,
     db: &Arc<GraphDb>,
     queries: &[subgraph_query::graph::Graph],
     engine_name: &str,
-    matcher_config: MatcherConfig,
     runner: RunnerConfig,
     threads: usize,
     mut journal: Option<&mut RunJournal>,
@@ -608,13 +577,11 @@ fn run_service_query(
                     .map_err(|e| format!("cannot read model {path}: {e}"))?;
                 let model =
                     CostModel::from_json(&text).map_err(|e| format!("bad model {path}: {e}"))?;
-                MatcherRouter::new(model, db, matcher_config)
+                MatcherRouter::new(model, db)
             }
-            None => MatcherRouter::cold_start(
-                db,
-                matcher_config,
-                &subgraph_query::core::adaptive::DEFAULT_CANDIDATES,
-            ),
+            None => {
+                MatcherRouter::cold_start(db, &subgraph_query::core::adaptive::DEFAULT_CANDIDATES)
+            }
         }
         .map_err(|e| format!("adaptive routing: {e}"))?;
         Some(Arc::new(r))
@@ -625,13 +592,13 @@ fn run_service_query(
         // The fixed matcher is unused when a router is set (the executor
         // picks per query); hand it the first candidate to satisfy the API.
         Some(r) => r.matcher(0),
-        None => matcher_by_name_with(engine_name, matcher_config).ok_or_else(|| {
+        None => matcher_by_name(engine_name).ok_or_else(|| {
             format!("service mode requires a vcFV engine (matcher); '{engine_name}' is not one")
         })?,
     };
-    let chaos_panics: u32 = opts.parse_num("chaos-panics", 0u32)?;
+    let chaos_panics: u32 = opts.num("chaos-panics", 0u32)?;
     let matcher: Arc<dyn subgraph_query::matching::Matcher> = if chaos_panics > 0 {
-        let seed: u64 = opts.parse_num("chaos-seed", 42u64)?;
+        let seed: u64 = opts.num("chaos-seed", 42u64)?;
         let chaos = ChaosConfig::new(seed).with_panics(chaos_panics);
         Arc::new(ChaosMatcher::new(matcher, chaos))
     } else {
@@ -641,7 +608,7 @@ fn run_service_query(
 
     let breaker = breaker_from_opts(opts)?;
     let shed = opts.has("shed").then(ShedPolicy::default);
-    let queue_capacity: usize = opts.parse_num("max-inflight", 64usize)?;
+    let queue_capacity: usize = opts.num("max-inflight", 64usize)?;
     let supervisor = opts.has("supervise").then(SupervisorConfig::default);
     let config = ServiceConfig {
         threads,
@@ -656,7 +623,7 @@ fn run_service_query(
     let budget = config.runner.query_budget;
     let drain_after = match opts.get("drain-after-ms") {
         None => None,
-        Some(_) => Some(Duration::from_millis(opts.parse_num("drain-after-ms", 0u64)?)),
+        Some(_) => Some(Duration::from_millis(opts.num("drain-after-ms", 0u64)?)),
     };
 
     install_drain_handler();
@@ -783,12 +750,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
     let mut interner = db.interner().clone();
     let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
     let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
-    let budget_ms: u64 = opts.parse_num("budget-ms", 600_000u64)?;
-    let kernel = match opts.get("kernel") {
-        None => KernelConfig::default(),
-        Some(v) => v.parse::<KernelConfig>()?,
-    };
-    let matcher_config = MatcherConfig::with_kernel(kernel);
+    let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let names: Vec<String> = opts
         .get("engines")
         .unwrap_or("Grapes,GGSX,CFQL,vcGrapes")
@@ -802,8 +764,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
     );
     let mut reports = Vec::new();
     for name in &names {
-        let mut engine = engine_by_name_with(name, matcher_config)
-            .ok_or_else(|| format!("unknown engine '{name}'"))?;
+        let mut engine = engine_by_name(name).ok_or_else(|| format!("unknown engine '{name}'"))?;
         let t0 = Instant::now();
         let build = match engine.build(&db) {
             Ok(_) => t0.elapsed(),
@@ -880,7 +841,7 @@ fn cmd_match(opts: &Opts) -> Result<(), String> {
     let mut interner = db.interner().clone();
     let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
     let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
-    let limit: u64 = opts.parse_num("limit", 1000u64)?;
+    let limit: u64 = opts.num("limit", 1000u64)?;
 
     let cm =
         CollectionMatcher::new(Arc::clone(&db), Box::new(Cfql::new())).with_per_graph_limit(limit);
@@ -927,16 +888,16 @@ fn cmd_update(opts: &Opts) -> Result<ExitCode, String> {
     use std::io::BufRead;
 
     let db = load_db(opts.require("db")?)?;
-    let gi: usize = opts.parse_num("graph", 0usize)?;
+    let gi: usize = opts.num("graph", 0usize)?;
     if gi >= db.len() {
         return Err(format!("--graph {gi} out of range (database has {} graphs)", db.len()));
     }
-    let threads: usize = opts.parse_num("threads", 1usize)?;
-    let budget_ms: u64 = opts.parse_num("budget-ms", 600_000u64)?;
+    let threads: usize = opts.num("threads", 1usize)?;
+    let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let default_policy = CompactionPolicy::default();
     let policy = CompactionPolicy {
-        min_delta_ops: opts.parse_num("compact-min", default_policy.min_delta_ops)?,
-        delta_ratio: opts.parse_num("compact-ratio", default_policy.delta_ratio)?,
+        min_delta_ops: opts.num("compact-min", default_policy.min_delta_ops)?,
+        delta_ratio: opts.num("compact-ratio", default_policy.delta_ratio)?,
     };
     let watch = opts.has("watch");
     if !watch && opts.get("updates").is_none() {
@@ -1081,8 +1042,8 @@ fn breaker_from_opts(opts: &Opts) -> Result<BreakerConfig, String> {
     match opts.get("breaker-threshold") {
         None => Ok(BreakerConfig::default()),
         Some(_) => Ok(BreakerConfig {
-            fault_threshold: opts.parse_num("breaker-threshold", 0u32)?,
-            cooldown: opts.parse_num("breaker-cooldown", BreakerConfig::default().cooldown)?,
+            fault_threshold: opts.num("breaker-threshold", 0u32)?,
+            cooldown: opts.num("breaker-cooldown", BreakerConfig::default().cooldown)?,
         }),
     }
 }
@@ -1098,18 +1059,18 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
     if shard_addrs.is_empty() {
         return Err("--shards needs at least one address".into());
     }
-    let budget_ms: u64 = opts.parse_num("budget-ms", 600_000u64)?;
+    let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let mut runner = RunnerConfig::with_budget(Duration::from_millis(budget_ms));
-    runner.max_retries = opts.parse_num("retries", 2u32)?;
-    runner.retry_backoff = Duration::from_millis(opts.parse_num("retry-backoff-ms", 10u64)?);
+    runner.max_retries = opts.num("retries", 2u32)?;
+    runner.retry_backoff = Duration::from_millis(opts.num("retry-backoff-ms", 10u64)?);
     let config = CoordinatorConfig {
         shard_addrs: shard_addrs.clone(),
         runner,
         breaker: breaker_from_opts(opts)?,
-        scatter_threads: opts.parse_num("scatter-threads", 4usize)?,
-        queue_capacity: opts.parse_num("max-inflight", 64usize)?,
-        connect_timeout: Duration::from_millis(opts.parse_num("connect-timeout-ms", 2_000u64)?),
-        idle_read_timeout: Duration::from_millis(opts.parse_num("idle-timeout-ms", 30_000u64)?),
+        scatter_threads: opts.num("scatter-threads", 4usize)?,
+        queue_capacity: opts.num("max-inflight", 64usize)?,
+        connect_timeout: Duration::from_millis(opts.num("connect-timeout-ms", 2_000u64)?),
+        idle_read_timeout: Duration::from_millis(opts.num("idle-timeout-ms", 30_000u64)?),
         ..Default::default()
     };
     let db_fp = db_fingerprint(&db);
@@ -1345,7 +1306,7 @@ fn cmd_client(opts: &Opts) -> Result<ExitCode, String> {
     let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
     let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
     let addr = opts.require("addr")?;
-    let budget_ms: u64 = opts.parse_num("budget-ms", 600_000u64)?;
+    let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let budget = (budget_ms > 0).then(|| Duration::from_millis(budget_ms));
     let db_fp = db_fingerprint(&db);
     let wire = WireConfig::default();
@@ -1443,41 +1404,134 @@ fn cmd_index(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// One subcommand: its name, the value-taking flags and the bare switches it
+/// accepts (space-separated; anything else is rejected), and its entry point.
+type Command = (&'static str, &'static str, &'static str, fn(&Opts) -> Result<ExitCode, String>);
+
+/// Lifts a subcommand with nothing but success to report.
+macro_rules! ok {
+    ($cmd:ident) => {
+        |opts| $cmd(opts).map(|()| ExitCode::SUCCESS)
+    };
+}
+
+const COMMANDS: &[Command] = &[
+    ("stats", "db", "", ok!(cmd_stats)),
+    ("generate", "kind graphs vertices labels degree seed out", "", ok!(cmd_generate)),
+    ("queries", "db edges count seed out", "dense", ok!(cmd_queries)),
+    (
+        "query",
+        "db queries engine budget-ms threads retries max-steps metrics-out model-in model-out \
+         max-inflight breaker-threshold breaker-cooldown chaos-panics chaos-seed chaos-slow-ms \
+         drain-after-ms journal",
+        "shed resume supervise",
+        cmd_query,
+    ),
+    ("compare", "db queries engines budget-ms", "phases", ok!(cmd_compare)),
+    ("match", "db queries limit", "", ok!(cmd_match)),
+    ("index", "db kind", "", ok!(cmd_index)),
+    (
+        "serve",
+        "db shards listen metrics-addr budget-ms retries retry-backoff-ms scatter-threads \
+         max-inflight breaker-threshold breaker-cooldown connect-timeout-ms idle-timeout-ms",
+        "",
+        cmd_serve,
+    ),
+    ("client", "db queries addr budget-ms", "", cmd_client),
+    (
+        "update",
+        "db updates graph queries threads budget-ms compact-min compact-ratio out metrics-out",
+        "watch",
+        cmd_update,
+    ),
+];
+
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let name = args.first().ok_or("missing command")?;
+    let &(name, flags, switches, run) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name.as_str())
+        .ok_or_else(|| format!("unknown command '{name}'"))?;
+    let opts = Opts::parse(&args[1..], flags, switches).map_err(|e| format!("sqp {name}: {e}"))?;
+    run(&opts)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    if cmd == "--help" || cmd == "-h" || cmd == "help" {
-        println!("{HELP}");
+    if args.first().is_some_and(|a| a == "--help" || a == "-h" || a == "help") {
+        println!("{}", help());
         return ExitCode::SUCCESS;
     }
-    let opts = match Opts::parse(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{HELP}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "stats" => cmd_stats(&opts).map(|()| ExitCode::SUCCESS),
-        "generate" => cmd_generate(&opts).map(|()| ExitCode::SUCCESS),
-        "queries" => cmd_queries(&opts).map(|()| ExitCode::SUCCESS),
-        "query" => cmd_query(&opts),
-        "compare" => cmd_compare(&opts).map(|()| ExitCode::SUCCESS),
-        "match" => cmd_match(&opts).map(|()| ExitCode::SUCCESS),
-        "index" => cmd_index(&opts).map(|()| ExitCode::SUCCESS),
-        "serve" => cmd_serve(&opts),
-        "client" => cmd_client(&opts),
-        "update" => cmd_update(&opts),
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(&args) {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}\n\n{HELP}");
+            // The error alone: under a hundred lines of usage nobody finds it.
+            eprintln!("error: {e}\n(run `sqp help` for usage)");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_every_registered_engine() {
+        let text = help();
+        assert!(!text.contains("{ENGINES}") && !text.contains("{MATCHERS}"));
+        let engines = text.lines().skip_while(|l| !l.starts_with("Engines:")).take(2);
+        let listed: Vec<&str> = engines.flat_map(str::split_whitespace).collect();
+        for name in engine_names() {
+            assert!(listed.contains(&name), "{name} missing from the Engines: line");
+            for spelling in [name.to_string(), name.to_ascii_lowercase(), name.to_ascii_uppercase()]
+            {
+                let engine = engine_by_name(&spelling).expect("listed engines resolve");
+                assert_eq!(engine.name(), name);
+            }
+        }
+        let pooled = text.lines().find(|l| l.starts_with("(vcFV engines only:")).unwrap();
+        for name in engine_names() {
+            assert_eq!(pooled.contains(name), matcher_by_name(name).is_some(), "{name}");
+        }
+    }
+
+    #[test]
+    fn every_documented_flag_is_declared_by_its_subcommand() {
+        // The USAGE block names each subcommand's flags; a flag in the help
+        // but not in COMMANDS would be rejected at the prompt.
+        let usage: Vec<&str> = HELP
+            .lines()
+            .skip_while(|l| !l.starts_with("USAGE:"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        let mut accepted: Vec<&str> = Vec::new();
+        let mut current = "";
+        let mut seen = 0;
+        for line in usage {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"sqp") {
+                words.next();
+                current = words.next().unwrap();
+                let (_, flags, switches, _) = COMMANDS
+                    .iter()
+                    .find(|c| c.0 == current)
+                    .unwrap_or_else(|| panic!("usage names unknown command {current}"));
+                accepted = flags.split_whitespace().chain(switches.split_whitespace()).collect();
+            }
+            for word in words {
+                let Some(rest) = word.trim_start_matches(['[', '(']).strip_prefix("--") else {
+                    continue;
+                };
+                let flag = rest.trim_end_matches([']', ')']);
+                assert!(
+                    accepted.contains(&flag),
+                    "sqp {current}: --{flag} is documented but not accepted"
+                );
+                seen += 1;
+            }
+        }
+        assert!(seen > 50, "usage block not parsed: {seen} flags");
     }
 }

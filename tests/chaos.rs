@@ -58,6 +58,13 @@ fn chaos_matcher(config: ChaosConfig) -> Arc<dyn Matcher> {
     Arc::new(ChaosMatcher::new(Arc::new(Cfql::new()), config))
 }
 
+/// The chaos matcher on a pool of `threads` workers, ready for the runner.
+fn pooled_chaos(config: ChaosConfig, db: &Arc<GraphDb>, threads: usize) -> ParallelEngine {
+    let mut engine = ParallelEngine::new("Chaos", chaos_matcher(config), QueryPool::new(threads));
+    engine.build(db).expect("vcFV engines have no index to fail");
+    engine
+}
+
 /// Per-query fault plan, derived without running anything.
 fn fault_plan(
     config: ChaosConfig,
@@ -192,16 +199,8 @@ fn runner_completes_chaos_run_with_correct_rollups() {
     let any_panic = plan.iter().filter(|p| p.iter().any(|(_, k)| *k == FaultKind::Panic)).count();
 
     for threads in THREAD_COUNTS {
-        let pool = QueryPool::new(threads);
-        let report = run_query_set_parallel(
-            &pool,
-            chaos_matcher(config),
-            &db,
-            "Chaos",
-            "chaos",
-            &queries,
-            RunnerConfig::default(),
-        );
+        let mut engine = pooled_chaos(config, &db, threads);
+        let report = run_query_set(&mut engine, "chaos", &queries, RunnerConfig::default());
         assert_eq!(report.records.len(), queries.len(), "{threads} threads: run must complete");
         assert_eq!(report.failure_count(), expect_failed, "{threads} threads");
         assert!(
@@ -226,35 +225,18 @@ fn runner_completes_chaos_run_with_correct_rollups() {
 #[test]
 fn abort_after_timeouts_counts_timeouts_not_panics() {
     let (db, queries) = fixture();
-    let pool = QueryPool::new(4);
     let config = RunnerConfig { abort_after_timeouts: Some(1), ..RunnerConfig::default() };
 
     // Panic-heavy, zero timeouts: the runner must visit every query.
     let panicky = ChaosConfig::new(CHAOS_SEED).with_panics(400);
-    let report = run_query_set_parallel(
-        &pool,
-        chaos_matcher(panicky),
-        &db,
-        "Chaos",
-        "panics",
-        &queries,
-        config,
-    );
+    let report = run_query_set(&mut pooled_chaos(panicky, &db, 4), "panics", &queries, config);
     assert!(report.panic_count() >= 2, "fixture should panic several queries");
     assert_eq!(report.records.len(), queries.len(), "panics must not trigger the abort");
     assert_eq!(report.timeout_count(), 0);
 
     // Timeout-heavy: the 40%-rule abort still works.
     let slow = ChaosConfig::new(CHAOS_SEED).with_timeouts(400);
-    let report = run_query_set_parallel(
-        &pool,
-        chaos_matcher(slow),
-        &db,
-        "Chaos",
-        "timeouts",
-        &queries,
-        config,
-    );
+    let report = run_query_set(&mut pooled_chaos(slow, &db, 4), "timeouts", &queries, config);
     assert!(report.timeout_count() >= 1);
     assert!(report.records.len() < queries.len(), "timeouts must trigger the abort");
 }

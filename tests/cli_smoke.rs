@@ -90,40 +90,30 @@ fn full_cli_workflow() {
     assert_eq!(answers("CFQL"), answers("Grapes"));
     assert_eq!(answers("CFQL"), answers("TurboIso"));
 
-    // kernel knob: answers are kernel-invariant and the summary line shows
-    // the kernel counters
-    let kernel_run = |kernel: &str| -> (Vec<String>, String) {
-        let out = sqp(&[
-            "query",
-            "--db",
-            &db,
-            "--queries",
-            &queries,
-            "--engine",
-            "CFQL",
-            "--kernel",
-            kernel,
-        ]);
-        assert!(out.status.success(), "kernel {kernel}: {}", String::from_utf8_lossy(&out.stderr));
-        let text = String::from_utf8_lossy(&out.stdout).into_owned();
-        let answers = text
-            .lines()
-            .filter(|l| l.starts_with("query "))
-            .map(|l| l.split("candidates").next().unwrap().trim().to_string())
-            .collect();
-        (answers, text)
-    };
-    let (base_answers, base_text) = kernel_run("baseline");
-    assert!(base_text.contains("kernel baseline"), "{base_text}");
-    for kernel in ["auto", "merge", "gallop", "simd"] {
-        let (a, text) = kernel_run(kernel);
-        assert_eq!(a, base_answers, "kernel {kernel} changed answers");
-        assert!(text.contains(&format!("kernel {kernel}")), "{text}");
-        assert!(text.contains("intersections"), "{text}");
+    // the summary shows the kernel counters
+    let out = sqp(&["query", "--db", &db, "--queries", &queries]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(text.contains("-- kernel intersections"), "{text}");
+
+    // Options a subcommand does not declare are rejected, not dropped: a
+    // misspelt flag, the retired --kernel, and another subcommand's flag.
+    for (bad, args) in [
+        ("--thread", vec!["query", "--db", &db, "--queries", &queries, "--thread", "4"]),
+        ("--budgetms", vec!["query", "--db", &db, "--queries", &queries, "--budgetms", "0"]),
+        ("--kernel", vec!["query", "--db", &db, "--queries", &queries, "--kernel", "merge"]),
+        ("--kernel", vec!["compare", "--db", &db, "--queries", &queries, "--kernel", "auto"]),
+        ("--engines", vec!["query", "--db", &db, "--queries", &queries, "--engines", "CFQL"]),
+        ("--dense", vec!["stats", "--db", &db, "--dense"]),
+    ] {
+        let out = sqp(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains(&format!("unknown option '{bad}'")), "{args:?}:\n{err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        // The error is the last thing printed, not buried above the usage.
+        assert!(err.lines().count() <= 3, "{args:?}:\n{err}");
     }
-    let out = sqp(&["query", "--db", &db, "--queries", &queries, "--kernel", "bogus"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown kernel"));
 
     // compare
     let out = sqp(&["compare", "--db", &db, "--queries", &queries, "--engines", "Grapes,CFQL"]);
@@ -367,6 +357,16 @@ fn unknown_arguments_fail_cleanly() {
 
     let out = sqp(&["query", "--db", "/nonexistent", "--queries", "/nonexistent"]);
     assert!(!out.status.success());
+
+    // sqp-shard shares the parser: a misspelt --shard-index must not quietly
+    // serve shard 0.
+    let out = Command::new(env!("CARGO_BIN_EXE_sqp-shard"))
+        .args(["--db", "/nonexistent", "--shard-idx", "2", "--shards", "3"])
+        .output()
+        .expect("spawn sqp-shard");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.trim_end().ends_with("error: unknown option '--shard-idx'"), "{err}");
 }
 
 #[test]

@@ -1,15 +1,20 @@
-//! Kernel-equivalence properties (DESIGN.md "Enumeration kernels"):
+//! Kernel-equivalence properties (DESIGN.md "Enumeration kernels", I9):
 //!
-//! * every intersection kernel (baseline pivot scan, merge, gallop, the
-//!   SIMD block kernel, and the adaptive `auto`) produces the identical
-//!   sorted embedding set and the identical answer set / `QueryStatus` at
-//!   1, 2, 4 and 8 threads — including on all-hub graphs where `auto`
-//!   routes every intersection through the compressed bitmap containers;
-//! * the adaptive kernel actually takes the hub-bitmap and galloping paths
-//!   on the workloads built to trigger them (the counters prove it);
+//! * the enumerator's one path produces the brute oracle's embedding set,
+//!   and the oracle's answer set with `QueryStatus::Completed` at 1, 2, 4
+//!   and 8 threads — including on all-hub graphs where every intersection
+//!   goes through the compressed bitmap containers (both regimes);
+//! * each pairwise kernel it can choose — hub bitmap, galloping, SIMD block
+//!   — is actually taken on the instance built to trigger it (the counters
+//!   prove it), and counter totals do not depend on the thread count;
 //! * the candidate-membership bitmaps are charged to the auxiliary-memory
 //!   budget — a budget between the sets-only footprint and the full
 //!   `heap_size()` trips `ResourceExhausted { kind: Memory }`.
+//!
+//! CI runs this file a second time under `SQP_FORCE_SCALAR=1`. The same-
+//! order agreement with the per-candidate probing reference is
+//! `enumerate::tests::matches_reference_in_emission_order`; the forced
+//! single-kernel variants agree in `sqp_graph::intersect`'s own tests.
 
 use std::sync::Arc;
 
@@ -18,12 +23,13 @@ use proptest::prelude::*;
 use subgraph_query::core::engines::GraphQlEngine;
 use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::{QueryEngine, QueryStatus};
+use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, HeapSize, Label, VertexId};
+use subgraph_query::graph::{NeighborBitmaps, HUB_DEGREE_THRESHOLD};
 use subgraph_query::matching::cfql::Cfql;
 use subgraph_query::matching::graphql::GraphQl;
 use subgraph_query::matching::{
-    brute, Deadline, FilterResult, KernelConfig, Matcher, MatcherConfig, ResourceGuard,
-    ResourceKind, ResourceLimits,
+    brute, Deadline, FilterResult, Matcher, ResourceGuard, ResourceKind, ResourceLimits,
 };
 
 /// Strategy: a random labeled graph with `n` vertices and up to `m` edges.
@@ -71,10 +77,9 @@ fn arb_db_and_query() -> impl Strategy<Value = (Arc<GraphDb>, Graph)> {
     )
 }
 
-/// The sorted embedding set a GraphQL matcher configured with `kernel`
-/// produces on `(q, g)`.
-fn embeddings_with(kernel: KernelConfig, q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
-    let m = GraphQl::new().with_matcher_config(MatcherConfig::with_kernel(kernel));
+/// The sorted embedding set the GraphQL matcher produces on `(q, g)`.
+fn embeddings(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
+    let m = GraphQl::new();
     let mut out = Vec::new();
     match m.filter(q, g, Deadline::none()).unwrap() {
         FilterResult::Pruned => {}
@@ -116,101 +121,107 @@ fn hub_db() -> (Arc<GraphDb>, Graph) {
     (Arc::new(GraphDb::from_graphs(vec![g])), qb.build())
 }
 
+/// The graphs of `db` that contain `q`, by the brute oracle.
+fn oracle_answers(db: &GraphDb, q: &Graph) -> Vec<GraphId> {
+    db.iter().filter(|(_, g)| brute::is_subgraph(q, g)).map(|(id, _)| id).collect()
+}
+
+/// How many vertices of `db`'s only graph have a hub-bitmap row.
+fn hub_count(db: &GraphDb) -> usize {
+    NeighborBitmaps::build(db.graph(GraphId(0)), HUB_DEGREE_THRESHOLD).hub_count()
+}
+
+fn graphql_outcome(db: &Arc<GraphDb>, q: &Graph) -> subgraph_query::core::QueryOutcome {
+    let mut engine = GraphQlEngine::new();
+    engine.build(db).unwrap();
+    engine.query(q)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Embedding-level equivalence: merge, gallop and auto each produce the
-    /// byte-identical sorted embedding set the baseline pivot scan does.
+    /// Embedding-level equivalence: the enumerator produces exactly the
+    /// brute oracle's embedding set.
     #[test]
     fn kernels_produce_identical_embeddings((g, q) in arb_pair()) {
-        let baseline = embeddings_with(KernelConfig::Baseline, &q, &g);
-        for kernel in [
-            KernelConfig::Merge,
-            KernelConfig::Gallop,
-            KernelConfig::Simd,
-            KernelConfig::Auto,
-        ] {
-            let got = embeddings_with(kernel, &q, &g);
-            prop_assert_eq!(&got, &baseline, "kernel {} diverged", kernel);
-        }
+        let mut oracle: Vec<Vec<VertexId>> =
+            brute::enumerate_all(&q, &g).iter().map(|e| e.as_slice().to_vec()).collect();
+        oracle.sort();
+        prop_assert_eq!(embeddings(&q, &g), oracle);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Database-level equivalence: every kernel returns the identical answer
-    /// set and `QueryStatus` at 1, 2, 4 and 8 threads.
+    /// Database-level equivalence: the oracle's answer set, `Completed`, at
+    /// 1, 2, 4 and 8 threads.
     #[test]
     fn kernels_agree_across_thread_counts((db, q) in arb_db_and_query()) {
-        let baseline = {
-            let pool = QueryPool::new(1);
-            let m = Cfql::new().with_matcher_config(
-                MatcherConfig::with_kernel(KernelConfig::Baseline));
-            pool.query(Arc::new(m), &db, &q, Deadline::none()).outcome
-        };
-        prop_assert_eq!(baseline.status, QueryStatus::Completed);
-
-        for kernel in KernelConfig::ALL {
-            for threads in [1usize, 2, 4, 8] {
-                let pool = QueryPool::new(threads);
-                let m = Cfql::new().with_matcher_config(MatcherConfig::with_kernel(kernel));
-                let got = pool.query(Arc::new(m), &db, &q, Deadline::none()).outcome;
-                prop_assert_eq!(
-                    &got.answers, &baseline.answers,
-                    "kernel {} at {} threads: answer mismatch", kernel, threads
-                );
-                prop_assert_eq!(
-                    got.status, baseline.status,
-                    "kernel {} at {} threads: status mismatch", kernel, threads
-                );
-            }
+        let oracle = oracle_answers(&db, &q);
+        for threads in [1usize, 2, 4, 8] {
+            let pool = QueryPool::new(threads);
+            let got = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none()).outcome;
+            prop_assert_eq!(&got.answers, &oracle, "{} threads: answer mismatch", threads);
+            prop_assert_eq!(got.status, QueryStatus::Completed, "{} threads", threads);
         }
     }
 }
 
-/// The adaptive kernel actually exercises its fast paths on a hub-heavy
-/// graph: intersections run, galloping fires on the skewed lists, and the
-/// hub bitmap answers membership probes. Baseline keeps all counters at
-/// zero. Also checks the engine-level sink plumbing end to end.
+/// A triangle whose third vertex is found by intersecting a 3-element
+/// adjacency with a 60-element one — over the galloping ratio — between two
+/// vertices that stay under the hub-degree threshold.
+fn skewed_db() -> (Arc<GraphDb>, Graph) {
+    let mut b = GraphBuilder::new();
+    let a = b.add_vertex(Label(0));
+    let hub = b.add_vertex(Label(1));
+    let _ = b.add_edge(a, hub);
+    for i in 0..60 {
+        let c = b.add_vertex(Label(2));
+        let _ = b.add_edge(hub, c);
+        if i < 3 {
+            let _ = b.add_edge(a, c);
+        }
+    }
+    let mut qb = GraphBuilder::new();
+    qb.add_vertex(Label(0));
+    qb.add_vertex(Label(1));
+    qb.add_vertex(Label(2));
+    let _ = qb.add_edge(VertexId(0), VertexId(1));
+    let _ = qb.add_edge(VertexId(0), VertexId(2));
+    let _ = qb.add_edge(VertexId(1), VertexId(2));
+    (Arc::new(GraphDb::from_graphs(vec![b.build()])), qb.build())
+}
+
+/// The enumerator actually exercises its fast paths: on a hub-heavy graph
+/// the hub bitmap answers membership probes, and on skewed lists between
+/// sub-threshold vertices galloping fires. Also checks the engine-level sink
+/// plumbing end to end.
 #[test]
 fn auto_kernel_reports_fast_path_counters() {
     let (db, q) = hub_db();
+    assert!(hub_count(&db) > 0);
+    let out = graphql_outcome(&db, &q);
+    assert_eq!(out.status, QueryStatus::Completed);
+    assert_eq!(out.answers, oracle_answers(&db, &q));
+    assert!(out.kernel.intersections > 0, "no intersections ran: {:?}", out.kernel);
+    assert!(out.kernel.bitmap_probes > 0, "no hub bitmap was probed");
 
-    let mut auto_engine =
-        GraphQlEngine::with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Auto));
-    auto_engine.build(&db).unwrap();
-    let auto_out = auto_engine.query(&q);
-    assert_eq!(auto_out.status, QueryStatus::Completed);
-    assert!(auto_out.kernel.intersections > 0, "auto ran no intersections: {:?}", auto_out.kernel);
-    assert!(auto_out.kernel.bitmap_probes > 0, "auto never probed a hub bitmap");
-
-    // On this workload the hub bitmap absorbs the skewed intersections, so
-    // galloping is demonstrated with the forced kernel instead.
-    let mut gallop_engine =
-        GraphQlEngine::with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Gallop));
-    gallop_engine.build(&db).unwrap();
-    let gallop_out = gallop_engine.query(&q);
-    assert_eq!(gallop_out.status, QueryStatus::Completed);
-    assert!(gallop_out.kernel.gallop_hits > 0, "forced gallop kernel never galloped");
-    assert_eq!(gallop_out.answers, auto_out.answers);
-
-    let mut base_engine =
-        GraphQlEngine::with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Baseline));
-    base_engine.build(&db).unwrap();
-    let base_out = base_engine.query(&q);
-    assert_eq!(base_out.status, QueryStatus::Completed);
-    assert!(base_out.kernel.is_zero(), "baseline touched a kernel: {:?}", base_out.kernel);
-    assert_eq!(auto_out.answers, base_out.answers);
+    let (db, q) = skewed_db();
+    assert_eq!(hub_count(&db), 0, "the skewed instance must stay off the hub path");
+    let out = graphql_outcome(&db, &q);
+    assert_eq!(out.status, QueryStatus::Completed);
+    assert_eq!(out.answers, oracle_answers(&db, &q));
+    assert!(out.kernel.gallop_hits > 0, "skewed lists never galloped: {:?}", out.kernel);
 }
 
 /// A complete tripartite graph over three label classes of `group` vertices,
 /// optionally with `pad` isolated filler vertices interleaved to stretch the
 /// id space. Every connected vertex has degree `2 * group`, so with
-/// `group >= 32` every probed vertex is a hub: the adaptive kernel routes
-/// every pairwise intersection through the compressed bitmap containers.
-/// Interleaved padding widens each chunk's dense footprint, flipping the
-/// containers from bitmap (compact ids) to array (sparse ids).
+/// `group >= 32` every probed vertex is a hub: every pairwise intersection
+/// goes through the compressed bitmap containers. Interleaved padding widens
+/// each chunk's dense footprint, flipping the containers from bitmap
+/// (compact ids) to array (sparse ids).
 fn all_hub_db(group: u32, pad: u32) -> (Arc<GraphDb>, Graph) {
     let mut b = GraphBuilder::new();
     let mut groups: Vec<Vec<VertexId>> = vec![Vec::new(); 3];
@@ -241,19 +252,16 @@ fn all_hub_db(group: u32, pad: u32) -> (Arc<GraphDb>, Graph) {
     (Arc::new(GraphDb::from_graphs(vec![g])), qb.build())
 }
 
-/// All-hub graphs (every probed vertex over the hub-degree threshold): every
-/// kernel agrees with the baseline at 1/2/4/8 threads while `auto` routes
-/// its intersections through the compressed bitmap containers — both the
+/// All-hub graphs (every probed vertex over the hub-degree threshold): the
+/// oracle's answers at 1/2/4/8 threads with every intersection routed
+/// through the compressed bitmap containers — both the
 /// dense-bitmap-container regime (compact id space) and the
 /// array-container regime (padded id space).
 #[test]
 fn all_hub_graphs_agree_across_kernels_and_containers() {
-    use subgraph_query::graph::{NeighborBitmaps, HUB_DEGREE_THRESHOLD};
-
     for pad in [0u32, 6000] {
         let (db, q) = all_hub_db(32, pad);
-        let g = db.graph(subgraph_query::graph::database::GraphId(0));
-        let bm = NeighborBitmaps::build(g, HUB_DEGREE_THRESHOLD);
+        let bm = NeighborBitmaps::build(db.graph(GraphId(0)), HUB_DEGREE_THRESHOLD);
         assert_eq!(bm.hub_count(), 96, "pad {pad}: every tripartite vertex is a hub");
         let (array, bitmap) = bm.container_counts();
         if pad == 0 {
@@ -262,65 +270,38 @@ fn all_hub_graphs_agree_across_kernels_and_containers() {
             assert!(array > 0 && bitmap == 0, "padded ids must take array containers");
         }
 
-        let baseline = {
-            let pool = QueryPool::new(1);
-            let m = GraphQl::new()
-                .with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Baseline));
-            pool.query(Arc::new(m), &db, &q, Deadline::none()).outcome
-        };
-        assert_eq!(baseline.status, QueryStatus::Completed);
-        assert!(!baseline.answers.is_empty(), "pad {pad}: the tripartite graph matches");
-
-        for kernel in KernelConfig::ALL {
-            for threads in [1usize, 2, 4, 8] {
-                let pool = QueryPool::new(threads);
-                let m = GraphQl::new().with_matcher_config(MatcherConfig::with_kernel(kernel));
-                let got = pool.query(Arc::new(m), &db, &q, Deadline::none()).outcome;
-                assert_eq!(
-                    got.answers, baseline.answers,
-                    "pad {pad}, kernel {kernel} at {threads} threads: answer mismatch"
-                );
-                assert_eq!(
-                    got.status, baseline.status,
-                    "pad {pad}, kernel {kernel} at {threads} threads: status mismatch"
-                );
-                if kernel == KernelConfig::Auto {
-                    assert!(
-                        got.kernel.bitmap_probes > 0,
-                        "pad {pad}, {threads} threads: auto must probe the hub containers"
-                    );
-                }
-            }
+        let oracle = oracle_answers(&db, &q);
+        assert!(!oracle.is_empty(), "pad {pad}: the tripartite graph matches");
+        for threads in [1usize, 2, 4, 8] {
+            let pool = QueryPool::new(threads);
+            let got = pool.query(Arc::new(GraphQl::new()), &db, &q, Deadline::none()).outcome;
+            assert_eq!(got.answers, oracle, "pad {pad} at {threads} threads: answer mismatch");
+            assert_eq!(got.status, QueryStatus::Completed, "pad {pad} at {threads} threads");
+            let k = got.kernel;
+            assert!(k.bitmap_probes > 0, "pad {pad}, {threads} threads: no container probed");
+            assert!(
+                k.intersections > 0 && k.gallop_hits + k.simd_hits == 0,
+                "pad {pad}, {threads} threads: a sorted-list kernel ran on a hub: {k:?}"
+            );
         }
     }
 }
 
-/// The forced SIMD kernel counts its vectorized steps (when the CPU has a
-/// vector implementation and it is not disabled) and agrees with baseline.
+/// Balanced lists between sub-threshold vertices take the SIMD block kernel
+/// (when the CPU has a vector implementation and it is not disabled).
 #[test]
 fn simd_kernel_reports_vectorized_steps() {
-    let (db, q) = all_hub_db(32, 0);
-    let mut simd_engine =
-        GraphQlEngine::with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Simd));
-    simd_engine.build(&db).unwrap();
-    let simd_out = simd_engine.query(&q);
-    assert_eq!(simd_out.status, QueryStatus::Completed);
-    assert!(simd_out.kernel.intersections > 0);
+    let (db, q) = all_hub_db(20, 0);
+    assert_eq!(hub_count(&db), 0, "degree 40 stays under the hub threshold");
+    let out = graphql_outcome(&db, &q);
+    assert_eq!(out.status, QueryStatus::Completed);
+    assert_eq!(out.answers, oracle_answers(&db, &q));
+    assert!(out.kernel.intersections > 0);
     if subgraph_query::graph::simd::available() {
-        assert_eq!(
-            simd_out.kernel.simd_hits, simd_out.kernel.intersections,
-            "forced SIMD must vectorize every intersection: {:?}",
-            simd_out.kernel
-        );
+        assert!(out.kernel.simd_hits > 0, "20-vs-20 lists must vectorize: {:?}", out.kernel);
     } else {
-        assert_eq!(simd_out.kernel.simd_hits, 0, "scalar fallback must not count simd hits");
+        assert_eq!(out.kernel.simd_hits, 0, "scalar fallback must not count simd hits");
     }
-
-    let mut base_engine =
-        GraphQlEngine::with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Baseline));
-    base_engine.build(&db).unwrap();
-    let base_out = base_engine.query(&q);
-    assert_eq!(simd_out.answers, base_out.answers);
 }
 
 /// The pool's shared stats sink also surfaces kernel counters, at any
@@ -331,8 +312,7 @@ fn pool_kernel_counters_are_thread_count_independent() {
     let mut totals = Vec::new();
     for threads in [1usize, 2, 4] {
         let pool = QueryPool::new(threads);
-        let m = GraphQl::new().with_matcher_config(MatcherConfig::with_kernel(KernelConfig::Auto));
-        let out = pool.query(Arc::new(m), &db, &q, Deadline::none()).outcome;
+        let out = pool.query(Arc::new(GraphQl::new()), &db, &q, Deadline::none()).outcome;
         assert_eq!(out.status, QueryStatus::Completed);
         assert!(out.kernel.intersections > 0, "{threads} threads: no intersections");
         totals.push(out.kernel);
@@ -348,7 +328,7 @@ fn pool_kernel_counters_are_thread_count_independent() {
 #[test]
 fn bitmap_bytes_count_against_memory_budget() {
     let (db, q) = hub_db();
-    let g = db.graph(subgraph_query::graph::database::GraphId(0));
+    let g = db.graph(GraphId(0));
 
     // Reproduce the exact space the pool will build, to size the budget.
     let matcher = Cfql::new();

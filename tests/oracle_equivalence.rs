@@ -181,7 +181,7 @@ proptest! {
         (db, q) in arb_db_and_query(), seed in any::<u64>()
     ) {
         let model = CostModel::cold_start(&["CFQL", "GraphQL", "QuickSI", "Ullmann"], seed);
-        let router = MatcherRouter::new(model.clone(), &db, Default::default()).unwrap();
+        let router = MatcherRouter::new(model.clone(), &db).unwrap();
         let (idx, _) = router.route(&q);
         let mut frozen = AdaptiveEngine::new();
         frozen.set_model(model).unwrap();

@@ -24,7 +24,6 @@ use proptest::prelude::*;
 
 use subgraph_query::core::chaos::{graph_fingerprint, torn_tail};
 use subgraph_query::core::prelude::*;
-use subgraph_query::core::runner::run_query_set_parallel_journaled;
 use subgraph_query::datagen::graphgen;
 use subgraph_query::datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
 use subgraph_query::graph::database::GraphId;
@@ -319,22 +318,14 @@ fn journaled_rerun_skips_completed_queries_only() {
     let (db, queries) = fixture();
     let path = tmp("resume");
     let db_fp = db_fingerprint(&db);
-    let pool = QueryPool::new(2);
-    let matcher: Arc<dyn Matcher> = Arc::new(Cfql::new());
+    let mut engine = ParallelEngine::new("CFQL", Arc::new(Cfql::new()), QueryPool::new(2));
+    engine.build(&db).unwrap();
     let config = RunnerConfig::with_budget(Duration::from_secs(10));
 
     // First run covers only the first half of the set (simulating a kill).
     let mut journal = RunJournal::create(&path, db_fp).unwrap();
-    let first = run_query_set_parallel_journaled(
-        &pool,
-        Arc::clone(&matcher),
-        &db,
-        "CFQL",
-        "resume",
-        &queries[..3],
-        config,
-        Some(&mut journal),
-    );
+    let first =
+        run_query_set_journaled(&mut engine, "resume", &queries[..3], config, Some(&mut journal));
     assert_eq!(first.records.len(), 3);
     assert_eq!(journal.stats().appended, 3);
     drop(journal);
@@ -342,16 +333,8 @@ fn journaled_rerun_skips_completed_queries_only() {
     // The resumed run over the full set re-runs only the unfinished tail.
     let mut journal = RunJournal::resume(&path, db_fp).unwrap();
     assert_eq!(journal.stats().replayed, 3);
-    let second = run_query_set_parallel_journaled(
-        &pool,
-        matcher,
-        &db,
-        "CFQL",
-        "resume",
-        &queries,
-        config,
-        Some(&mut journal),
-    );
+    let second =
+        run_query_set_journaled(&mut engine, "resume", &queries, config, Some(&mut journal));
     assert_eq!(second.records.len(), queries.len() - 3, "completed queries must be skipped");
     assert_eq!(journal.stats().skipped, 3);
     assert_eq!(journal.stats().appended, queries.len() as u64 - 3);
