@@ -92,31 +92,9 @@ fn bench_io(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_query(c: &mut Criterion) {
-    use sqp_core::parallel::parallel_query;
-    use sqp_matching::cfql::Cfql;
-    use sqp_matching::Deadline;
-    use std::sync::Arc;
-    let db = Arc::new(common::small_db());
-    let q = common::query_from(&db, 8, false, 77);
-    let cfql = Cfql::new();
-    let mut g = c.benchmark_group("micro/parallel_query");
-    for threads in [1usize, 2] {
-        g.bench_function(format!("{threads}_threads"), |b| {
-            b.iter(|| {
-                black_box(
-                    parallel_query(&cfql, &db, &q, threads, Deadline::none()).outcome.answers.len(),
-                )
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = common::fast_criterion();
-    targets = bench_bipartite, bench_path_enum, bench_graph_algos, bench_adjacency,
-        bench_io, bench_parallel_query
+    targets = bench_bipartite, bench_path_enum, bench_graph_algos, bench_adjacency, bench_io
 }
 criterion_main!(benches);

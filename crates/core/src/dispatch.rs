@@ -1,34 +1,41 @@
-//! The transport-agnostic admission/dispatch core of the serving layer.
+//! The transport-agnostic serving front: admission, dispatch and the
+//! per-query bracket around one plugged-in executor.
 //!
-//! PR 8 split the original `service.rs` in two: this module owns
-//! everything about *admission* — the bounded submission queue, tickets,
-//! deadline-aware shedding, the single executor thread, and the graceful
-//! drain protocol — while the *execution* of one admitted query hides
-//! behind [`QueryExecutor`]. The same core therefore drives both
-//! deployments:
+//! This module owns everything a deployment does *around* the execution of
+//! a query — the bounded submission queue, tickets, deadline-aware
+//! shedding, the single executor thread, the circuit-breaker registry, the
+//! runner (budget / retry) configuration, the health snapshot and the
+//! graceful drain protocol — while the execution itself hides behind
+//! [`QueryExecutor`]. The same [`DispatchCore`] is therefore the whole
+//! serving surface of both deployments, which add only a constructor, their
+//! `shutdown` and their transport's accessors, and deref to it:
 //!
 //! * [`QueryService`](crate::service::QueryService) plugs in a local
-//!   executor (a [`QueryPool`](crate::parallel::QueryPool) plus per-graph
-//!   circuit breakers), and
+//!   executor (a [`QueryPool`](crate::parallel::QueryPool)); breaker slots
+//!   are data graphs, and
 //! * [`Coordinator`](crate::coordinator::Coordinator) plugs in a remote
-//!   executor that scatter–gathers over shard workers with per-peer
-//!   breakers.
+//!   executor that scatter–gathers over shard workers; breaker slots are
+//!   shard peers.
 //!
 //! Admission semantics, drain guarantees ("every admitted query resolves
-//! to a terminal status, no thread outlives the core") and determinism
-//! properties (batch admission under one lock hold) are identical in both,
-//! and tested once.
+//! to a terminal status, no thread outlives the core"), the breaker clock
+//! (one logical tick per admitted query) and determinism properties (batch
+//! admission under one lock hold) are identical in both, and tested once.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use sqp_graph::database::GraphId;
 use sqp_graph::Graph;
 
+use crate::breaker::{BreakerRegistry, BreakerState, BreakerTransition};
+use crate::chaos::graph_fingerprint;
 use crate::engine::QueryOutcome;
-use crate::metrics::{QueryRecord, QuerySetReport};
+use crate::metrics::{QuerySetReport, ServiceHealth};
 use crate::parallel::lock;
+use crate::runner::RunnerConfig;
 
 /// Why a submission was shed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,33 +101,47 @@ impl Default for ShedPolicy {
     }
 }
 
+/// What one [`QueryExecutor::execute`] call hands back to the core.
+pub struct Executed {
+    /// The query's terminal outcome.
+    pub outcome: QueryOutcome,
+    /// Retries spent on it.
+    pub retries: u32,
+    /// What the breaker registry observes when that is not `outcome`
+    /// itself: the remote executor's breakers guard *peers*, so it reports
+    /// one record per peer that was masked or ended unavailable. `None`
+    /// when the breaker slots are the graphs `outcome.failures` names.
+    pub observed: Option<QueryOutcome>,
+}
+
 /// Executes one admitted query to a terminal outcome. Implementations are
 /// the transport: local thread pool, or remote scatter–gather.
 pub trait QueryExecutor: Send + Sync + 'static {
     /// Runs `q` — the one copy `submit` made, shared down to the workers —
-    /// and returns its terminal outcome plus the retries spent.
-    /// `budget_override`, when set, caps the configured per-query budget
-    /// for this call only — the deadline-propagation path for queries
-    /// arriving over the wire with a remaining budget attached.
-    fn execute(&self, q: &Arc<Graph>, budget_override: Option<Duration>) -> (QueryOutcome, u32);
+    /// to its terminal outcome. `runner` is this query's policy, prepared by
+    /// the core: its `query_budget` is already capped by the caller's
+    /// remaining budget and its jitter is seeded from the query. `mask` is the breaker mask of
+    /// this query's tick (`mask[slot]` = short-circuit, do not probe).
+    fn execute(&self, q: &Arc<Graph>, runner: RunnerConfig, mask: Option<Arc<[bool]>>) -> Executed;
 
     /// Interrupts an in-flight [`execute`](QueryExecutor::execute) (forced
     /// drain). May be called repeatedly until the executor thread exits.
     fn cancel(&self);
 
-    /// Units a fresh query currently fans out to, minus quarantined ones —
-    /// the shed policy's cost multiplier. At least 1.
-    fn live_units(&self) -> usize;
+    /// Units a fresh query currently fans out to, minus those behind an
+    /// open breaker — the shed policy's cost multiplier. At least 1.
+    fn live_units(&self, breakers: &BreakerRegistry) -> usize;
 
-    /// The per-query budget admission predicts against (`None` disables
-    /// predictive shedding).
-    fn query_budget(&self) -> Option<Duration>;
+    /// `(wedged queries, workers replaced)` of a supervised transport.
+    fn supervision(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 /// The budget a query runs under — the smaller of the configured budget and
 /// the caller's override — for admission to predict against and the
-/// executors to run under, so the two can never disagree.
-pub(crate) fn effective_budget(own: Option<Duration>, over: Option<Duration>) -> Option<Duration> {
+/// executor to run under, so the two can never disagree.
+fn effective_budget(own: Option<Duration>, over: Option<Duration>) -> Option<Duration> {
     match (own, over) {
         (Some(own), Some(over)) => Some(own.min(over)),
         (own, over) => own.or(over),
@@ -208,33 +229,13 @@ pub struct DrainReport {
     pub shed_at_drain: u64,
 }
 
-/// Queue/counter snapshot of the dispatch core (the transport-agnostic
-/// half of [`ServiceHealth`](crate::metrics::ServiceHealth)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DispatchHealth {
-    /// Queries admitted but not yet started.
-    pub queue_depth: usize,
-    /// Queries currently executing (0 or 1 — the core serializes queries).
-    pub inflight: usize,
-    /// Whether the core has stopped admitting (drain in progress).
-    pub draining: bool,
-    /// Queries admitted since start.
-    pub admitted: u64,
-    /// Admitted queries that reached a terminal status through execution.
-    pub finished: u64,
-    /// Queries shed because the submission queue was full.
-    pub shed_queue_full: u64,
-    /// Queries shed because the predicted wait + service time exceeded the
-    /// query budget.
-    pub shed_deadline: u64,
-    /// Queries shed because the core was draining, plus any backlog
-    /// resolved as shed when the drain deadline expired.
-    pub shed_draining: u64,
-}
-
 /// Configuration of a [`DispatchCore`].
-#[derive(Clone, Debug)]
 pub struct DispatchConfig {
+    /// Budget / retry / resource-limit policy of every query.
+    pub runner: RunnerConfig,
+    /// The breaker registry, sized by the deployment: one slot per data
+    /// graph locally, one per shard peer remotely.
+    pub breakers: BreakerRegistry,
     /// Bound on queries admitted but not yet started; submissions beyond it
     /// are shed with [`ShedReason::QueueFull`].
     pub queue_capacity: usize,
@@ -269,14 +270,17 @@ struct CoreState {
 
 struct CoreShared {
     state: Mutex<CoreState>,
+    /// Clocked once per admitted query by the executor thread.
+    breakers: Mutex<BreakerRegistry>,
+    runner: Mutex<RunnerConfig>,
     /// Signals the executor: new submission or drain flag change.
     submitted: Condvar,
     /// Signals waiters: a query finished or the executor exited.
     progressed: Condvar,
 }
 
-/// The admission/dispatch half of a serving deployment: bounded queue,
-/// tickets, predictive shedding, one executor thread, graceful drain.
+/// The serving front of a deployment: bounded queue, tickets, predictive
+/// shedding, one executor thread, breakers, health, graceful drain.
 /// Execution is delegated to the plugged-in [`QueryExecutor`].
 pub struct DispatchCore {
     shared: Arc<CoreShared>,
@@ -290,8 +294,11 @@ pub struct DispatchCore {
 impl DispatchCore {
     /// Starts the core: spawns the executor thread driving `exec`.
     pub fn new(exec: Arc<dyn QueryExecutor>, config: DispatchConfig) -> Self {
-        let DispatchConfig { queue_capacity, shed, drain_deadline, thread_name } = config;
+        let DispatchConfig { runner, breakers, queue_capacity, shed, drain_deadline, thread_name } =
+            config;
         let shared = Arc::new(CoreShared {
+            breakers: Mutex::new(breakers),
+            runner: Mutex::new(runner),
             state: Mutex::new(CoreState {
                 queue: VecDeque::new(),
                 draining: false,
@@ -322,12 +329,6 @@ impl DispatchCore {
         Self { shared, exec, executor, queue_capacity, shed, drain_deadline }
     }
 
-    fn shed_ticket(reason: ShedReason) -> (QueryTicket, Admission) {
-        let inner = TicketInner::new();
-        inner.resolve(QueryOutcome::shed(), 0);
-        (QueryTicket { inner }, Admission::Shed(reason))
-    }
-
     /// Admission decision for one query under the state lock. Returns the
     /// shed reason, or `None` to admit. `live_units` and `budget` are
     /// snapshotted by the caller *before* the lock (strict state-lock-last
@@ -355,12 +356,35 @@ impl DispatchCore {
         None
     }
 
-    fn count_shed(st: &mut CoreState, reason: ShedReason) {
-        match reason {
-            ShedReason::QueueFull => st.shed_queue_full += 1,
-            ShedReason::DeadlineUnmeetable => st.shed_deadline += 1,
-            ShedReason::Draining => st.shed_draining += 1,
-        }
+    /// Decides one submission under the state lock: queues it, or counts it
+    /// shed and resolves its ticket on the spot.
+    fn admit(
+        &self,
+        st: &mut CoreState,
+        q: &Graph,
+        budget_override: Option<Duration>,
+        live_units: usize,
+        budget: Option<Duration>,
+    ) -> (QueryTicket, Admission) {
+        let inner = TicketInner::new();
+        let admission = match self.admission_decision(st, live_units, budget) {
+            Some(reason) => {
+                match reason {
+                    ShedReason::QueueFull => st.shed_queue_full += 1,
+                    ShedReason::DeadlineUnmeetable => st.shed_deadline += 1,
+                    ShedReason::Draining => st.shed_draining += 1,
+                }
+                inner.resolve(QueryOutcome::shed(), 0);
+                Admission::Shed(reason)
+            }
+            None => {
+                let (q, ticket) = (Arc::new(q.clone()), Arc::clone(&inner));
+                st.queue.push_back(QueueItem { q, budget_override, ticket });
+                st.admitted += 1;
+                Admission::Admitted
+            }
+        };
+        (QueryTicket { inner }, admission)
     }
 
     /// Submits one query. Always returns a ticket that will resolve to a
@@ -377,21 +401,11 @@ impl DispatchCore {
         q: &Graph,
         budget_override: Option<Duration>,
     ) -> (QueryTicket, Admission) {
-        let live = self.exec.live_units();
-        let budget = effective_budget(self.exec.query_budget(), budget_override);
-        let mut st = lock(&self.shared.state);
-        if let Some(reason) = self.admission_decision(&st, live, budget) {
-            Self::count_shed(&mut st, reason);
-            drop(st);
-            return Self::shed_ticket(reason);
-        }
-        let inner = TicketInner::new();
-        let q = Arc::new(q.clone());
-        st.queue.push_back(QueueItem { q, budget_override, ticket: Arc::clone(&inner) });
-        st.admitted += 1;
-        drop(st);
+        let live = self.exec.live_units(&lock(&self.shared.breakers));
+        let budget = effective_budget(self.runner_config().query_budget, budget_override);
+        let submitted = self.admit(&mut lock(&self.shared.state), q, budget_override, live, budget);
         self.shared.submitted.notify_all();
-        (QueryTicket { inner }, Admission::Admitted)
+        submitted
     }
 
     /// Submits a burst of queries under **one** state-lock hold, so the
@@ -400,28 +414,10 @@ impl DispatchCore {
     /// executor cannot race the decisions apart. This is what makes shed
     /// decisions reproducible across worker thread counts.
     pub fn submit_batch(&self, queries: &[Graph]) -> Vec<(QueryTicket, Admission)> {
-        let live = self.exec.live_units();
-        let budget = self.exec.query_budget();
+        let live = self.exec.live_units(&lock(&self.shared.breakers));
+        let budget = self.runner_config().query_budget;
         let mut st = lock(&self.shared.state);
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            match self.admission_decision(&st, live, budget) {
-                Some(reason) => {
-                    Self::count_shed(&mut st, reason);
-                    out.push(Self::shed_ticket(reason));
-                }
-                None => {
-                    let inner = TicketInner::new();
-                    st.queue.push_back(QueueItem {
-                        q: Arc::new(q.clone()),
-                        budget_override: None,
-                        ticket: Arc::clone(&inner),
-                    });
-                    st.admitted += 1;
-                    out.push((QueryTicket { inner }, Admission::Admitted));
-                }
-            }
-        }
+        let out = queries.iter().map(|q| self.admit(&mut st, q, None, live, budget)).collect();
         drop(st);
         self.shared.submitted.notify_all();
         out
@@ -429,29 +425,34 @@ impl DispatchCore {
 
     /// Runs a query set in lockstep (submit one, wait for it, record) and
     /// reports it under the `engine` label, like the batch runner does.
+    /// Lockstep keeps the queue empty at every admission, so the report —
+    /// statuses, failures, shed decisions, breaker transitions — is
+    /// deterministic for a deterministic executor at any thread count.
     pub fn run_query_set(
         &self,
         engine: &str,
         query_set_name: &str,
         queries: &[Graph],
     ) -> QuerySetReport {
-        let budget = self.exec.query_budget();
+        let budget = self.runner_config().query_budget;
         let mut report = QuerySetReport::new(engine, query_set_name);
         for q in queries {
-            let (ticket, _) = self.submit(q);
-            let (outcome, retries) = ticket.wait();
-            let mut record =
-                QueryRecord::from_outcome(&outcome, budget).with_engine_fallback(engine);
-            record.retries = retries;
-            report.records.push(record);
+            let (outcome, retries) = self.submit(q).0.wait();
+            report.push_outcome(&outcome, retries, budget);
         }
         report
     }
 
-    /// Queue/counter snapshot.
-    pub fn health(&self) -> DispatchHealth {
+    /// Point-in-time serving snapshot; the breaker fields count whatever
+    /// the deployment's breaker slots are (graphs locally, peers remotely).
+    pub fn health(&self) -> ServiceHealth {
+        let (wedged_queries, workers_replaced) = self.exec.supervision();
+        let (open_breakers, half_open_breakers, breaker_trips, quarantined_graph_results) = {
+            let br = lock(&self.shared.breakers);
+            (br.open_count(), br.half_open_count(), br.trip_count(), br.short_circuit_count())
+        };
         let st = lock(&self.shared.state);
-        DispatchHealth {
+        ServiceHealth {
             queue_depth: st.queue.len(),
             inflight: st.inflight,
             draining: st.draining,
@@ -460,10 +461,38 @@ impl DispatchCore {
             shed_queue_full: st.shed_queue_full,
             shed_deadline: st.shed_deadline,
             shed_draining: st.shed_draining,
+            open_breakers,
+            half_open_breakers,
+            breaker_trips,
+            quarantined_graph_results,
+            wedged_queries,
+            workers_replaced,
         }
     }
 
-    /// Stops admissions without draining (tests and drain-handler use).
+    /// Current state of one breaker slot (a graph index locally, a peer
+    /// index remotely).
+    pub fn breaker_state(&self, slot: usize) -> BreakerState {
+        lock(&self.shared.breakers).state(GraphId(slot as u32))
+    }
+
+    /// All breaker transitions so far, in order (`graph` is the slot).
+    pub fn breaker_transitions(&self) -> Vec<BreakerTransition> {
+        lock(&self.shared.breakers).transitions().to_vec()
+    }
+
+    /// The current runner (budget / retry / limits) configuration.
+    pub fn runner_config(&self) -> RunnerConfig {
+        *lock(&self.shared.runner)
+    }
+
+    /// Replaces the runner configuration for subsequently started queries.
+    pub fn set_runner_config(&self, config: RunnerConfig) {
+        *lock(&self.shared.runner) = config;
+    }
+
+    /// Stops admissions at once without waiting for the backlog (the
+    /// SIGINT-drain entry point; `shutdown` still completes the drain).
     pub fn begin_drain(&self) {
         lock(&self.shared.state).draining = true;
         self.shared.submitted.notify_all();
@@ -511,16 +540,6 @@ impl DispatchCore {
             shed_at_drain: st.shed_draining,
         }
     }
-
-    /// Whether the executor thread is still running (shutdown not called).
-    pub fn is_running(&self) -> bool {
-        self.executor.is_some()
-    }
-
-    /// Shortens the drain window (used by implicit drops).
-    pub fn set_drain_deadline(&mut self, deadline: Duration) {
-        self.drain_deadline = deadline;
-    }
 }
 
 impl Drop for DispatchCore {
@@ -560,7 +579,16 @@ fn executor_loop(shared: &CoreShared, exec: &dyn QueryExecutor) {
             }
         };
 
-        let (outcome, retries) = exec.execute(&item.q, item.budget_override);
+        // The per-query bracket. Backoff jitter is keyed to the query, so
+        // concurrent clients retrying the same transient fault don't
+        // thunder in lockstep; a caller's remaining budget caps the
+        // configured one (deadline propagation); the breaker clock ticks
+        // once, and the mask stays fixed across retry attempts.
+        let mut runner = lock(&shared.runner).with_jitter_seed(graph_fingerprint(&item.q));
+        runner.query_budget = effective_budget(runner.query_budget, item.budget_override);
+        let mask = lock(&shared.breakers).begin_query();
+        let Executed { outcome, retries, observed } = exec.execute(&item.q, runner, mask);
+        lock(&shared.breakers).observe(observed.as_ref().unwrap_or(&outcome));
         // Account before resolving: a caller returning from
         // `QueryTicket::wait` must see this query in `health().finished`.
         let mut st = lock(&shared.state);

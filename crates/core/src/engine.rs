@@ -96,6 +96,25 @@ pub enum QueryStatus {
 }
 
 impl QueryStatus {
+    /// The stable lower-case name of every status, in severity order: the
+    /// `status` label values of the Prometheus exposition and the status
+    /// field of journal lines.
+    pub const LABELS: [&'static str; 8] = [
+        "completed",
+        "timed_out",
+        "resource_exhausted",
+        "quarantined",
+        "panicked",
+        "wedged",
+        "unavailable",
+        "shed",
+    ];
+
+    /// This status's entry in [`LABELS`](QueryStatus::LABELS).
+    pub fn label(&self) -> &'static str {
+        Self::LABELS[usize::from(self.severity())]
+    }
+
     /// Severity rank used by [`absorb`](QueryStatus::absorb).
     fn severity(&self) -> u8 {
         match self {

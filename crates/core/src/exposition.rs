@@ -21,31 +21,6 @@ use crate::engine::QueryStatus;
 use crate::journal::JournalStats;
 use crate::metrics::{LatencyHistogram, QuerySetReport, ServiceHealth, HISTOGRAM_BUCKETS};
 
-/// Stable exposition label for a query status.
-pub fn status_label(status: &QueryStatus) -> &'static str {
-    match status {
-        QueryStatus::Completed => "completed",
-        QueryStatus::TimedOut => "timed_out",
-        QueryStatus::ResourceExhausted { .. } => "resource_exhausted",
-        QueryStatus::Quarantined => "quarantined",
-        QueryStatus::Panicked { .. } => "panicked",
-        QueryStatus::Wedged => "wedged",
-        QueryStatus::Unavailable => "unavailable",
-        QueryStatus::Shed => "shed",
-    }
-}
-
-const STATUS_LABELS: [&str; 8] = [
-    "completed",
-    "timed_out",
-    "resource_exhausted",
-    "quarantined",
-    "panicked",
-    "wedged",
-    "unavailable",
-    "shed",
-];
-
 fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
@@ -361,8 +336,8 @@ pub fn render_full(
 
     for report in reports {
         let base = vec![("engine", report.engine.clone()), ("query_set", report.query_set.clone())];
-        for status in STATUS_LABELS {
-            let n = report.records.iter().filter(|r| status_label(&r.status) == status).count();
+        for status in QueryStatus::LABELS {
+            let n = report.records.iter().filter(|r| r.status.label() == status).count();
             if n == 0 {
                 continue;
             }

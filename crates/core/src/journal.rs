@@ -44,23 +44,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use sqp_graph::database::GraphId;
-use sqp_graph::hash::FxHasher;
+use sqp_graph::hash::{fnv1a64, FxHasher};
 use sqp_graph::GraphDb;
 
 use crate::chaos::graph_fingerprint;
 use crate::engine::QueryStatus;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Structural fingerprint of a whole database: the journal's notion of
 /// "the same run". Hashes every graph's [`graph_fingerprint`] in order, so
@@ -84,21 +72,6 @@ pub struct JournalStats {
     pub appended: u64,
     /// Queries skipped because the journal already held their outcome.
     pub skipped: u64,
-}
-
-/// The status label written to (and parsed from) journal lines. Kept in
-/// sync with the Prometheus `status` label values.
-fn status_label(status: &QueryStatus) -> &'static str {
-    match status {
-        QueryStatus::Completed => "completed",
-        QueryStatus::TimedOut => "timed_out",
-        QueryStatus::ResourceExhausted { .. } => "resource_exhausted",
-        QueryStatus::Quarantined => "quarantined",
-        QueryStatus::Panicked { .. } => "panicked",
-        QueryStatus::Wedged => "wedged",
-        QueryStatus::Unavailable => "unavailable",
-        QueryStatus::Shed => "shed",
-    }
 }
 
 /// An open run journal: a replayed done-set plus an append handle.
@@ -139,7 +112,7 @@ impl RunJournal {
             let Some((q_fp, label)) = parse_line(line, db_fp) else {
                 break; // malformed, bad checksum, or foreign database
             };
-            if label != "shed" {
+            if label != QueryStatus::Shed.label() {
                 done.insert(q_fp);
             }
             replayed += 1;
@@ -179,12 +152,8 @@ impl RunJournal {
         engine: &str,
     ) -> std::io::Result<()> {
         let engine = engine_token(engine);
-        let prefix = format!(
-            "v2 {:016x} {:016x} {} {answers} {engine}",
-            self.db_fp,
-            q_fp,
-            status_label(status)
-        );
+        let prefix =
+            format!("v2 {:016x} {:016x} {} {answers} {engine}", self.db_fp, q_fp, status.label());
         let sum = fnv1a64(prefix.as_bytes());
         self.file.write_all(format!("{prefix} {sum:016x}\n").as_bytes())?;
         self.file.flush()?;

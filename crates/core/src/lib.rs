@@ -55,14 +55,16 @@ pub use engine::{
 };
 pub use journal::{db_fingerprint, JournalStats, RunJournal};
 pub use metrics::{LatencyHistogram, QueryRecord, QuerySetReport, ServiceHealth};
-pub use parallel::{parallel_query, ParallelOutcome, QueryPool};
+pub use parallel::{ParallelOutcome, QueryPool};
 pub use runner::{run_query_set, run_query_set_journaled, RunnerConfig};
 pub use service::{
     Admission, DrainReport, QueryService, QueryTicket, ServiceConfig, ShedPolicy, ShedReason,
 };
-pub use shard::{shard_of, ShardPlacement, ShardServer, ShardServerConfig};
+pub use shard::{shard_of, ShardPlacement, ShardServer, ShardServerConfig, WireServer};
 pub use supervisor::SupervisorConfig;
-pub use wire::{Message, WireChaos, WireChaosConfig, WireConfig, WireError, WireFault};
+pub use wire::{
+    Greeting, Message, WireChaos, WireChaosConfig, WireClient, WireConfig, WireError, WireFault,
+};
 
 /// Commonly used items in one import.
 pub mod prelude {
@@ -93,12 +95,14 @@ pub mod prelude {
     pub use crate::exposition::render_shards as render_prometheus_shards;
     pub use crate::journal::{db_fingerprint, JournalStats, RunJournal};
     pub use crate::metrics::{LatencyHistogram, QueryRecord, QuerySetReport, ServiceHealth};
-    pub use crate::parallel::{parallel_query, ParallelOutcome, QueryPool};
+    pub use crate::parallel::{ParallelOutcome, QueryPool};
     pub use crate::runner::{run_query_set, run_query_set_journaled, RunnerConfig};
     pub use crate::service::{
         Admission, DrainReport, QueryService, QueryTicket, ServiceConfig, ShedPolicy, ShedReason,
     };
-    pub use crate::shard::{shard_of, ShardPlacement, ShardServer, ShardServerConfig};
+    pub use crate::shard::{shard_of, ShardPlacement, ShardServer, ShardServerConfig, WireServer};
     pub use crate::supervisor::SupervisorConfig;
-    pub use crate::wire::{Message, WireChaos, WireChaosConfig, WireConfig, WireError, WireFault};
+    pub use crate::wire::{
+        Greeting, Message, WireChaos, WireChaosConfig, WireClient, WireConfig, WireError, WireFault,
+    };
 }

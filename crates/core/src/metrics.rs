@@ -275,6 +275,16 @@ impl QuerySetReport {
         Self { engine: engine.into(), query_set: query_set.into(), records: Vec::new() }
     }
 
+    /// Appends the record of one finished query: [`QueryRecord::from_outcome`]
+    /// under `budget`, served by this report's engine unless a routing layer
+    /// stamped another, with the `retries` spent on it.
+    pub fn push_outcome(&mut self, outcome: &QueryOutcome, retries: u32, budget: Option<Duration>) {
+        let mut record =
+            QueryRecord::from_outcome(outcome, budget).with_engine_fallback(&self.engine);
+        record.retries = retries;
+        self.records.push(record);
+    }
+
     fn mean(&self, f: impl Fn(&QueryRecord) -> f64) -> f64 {
         if self.records.is_empty() {
             return 0.0;

@@ -2,19 +2,14 @@
 //!
 //! Grapes exploits multi-core machines during both indexing and querying
 //! (§III-A); the vcFV framework parallelizes even more naturally, since each
-//! data graph's filter+verify is independent. This module provides two
-//! strategies:
-//!
-//! * [`QueryPool`] — the production layer: persistent worker threads shared
-//!   across queries (no per-query spawn), dynamic work distribution through
-//!   a shared atomic counter over graph ids (a degenerate but contention-free
-//!   form of work stealing: idle workers "steal" the next unclaimed graph),
-//!   and cooperative cancellation so that when any worker exhausts the
-//!   budget every sibling stops within one [`TickChecker`] interval.
-//! * [`parallel_query`] — the original per-query-spawn, contiguous-chunk
-//!   fan-out, kept as the static-partitioning baseline the benches compare
-//!   against. Under skewed graph-size distributions (the PPI profile) static
-//!   chunks leave straggler threads running alone while the rest idle.
+//! data graph's filter+verify is independent. This module provides the one
+//! fan-out strategy, [`QueryPool`]: persistent worker threads shared across
+//! queries (no per-query spawn), dynamic work distribution through a shared
+//! atomic counter over graph ids (a degenerate but contention-free form of
+//! work stealing: idle workers "steal" the next unclaimed graph, so skewed
+//! graph sizes leave no straggler running alone), and cooperative
+//! cancellation so that when any worker exhausts the budget every sibling
+//! stops within one [`TickChecker`] interval.
 //!
 //! Timing semantics: per-phase times are summed across workers (CPU time),
 //! while [`ParallelOutcome::wall_time`] reports the end-to-end latency — the
@@ -163,8 +158,8 @@ fn process_graph(
     }
 }
 
-/// The one between-graphs loop of every vcFV scan — a pool worker's shard,
-/// the sequential engines' `query_over`, a [`parallel_query`] chunk.
+/// The one between-graphs loop of every vcFV scan — a pool worker's shard
+/// and the sequential engines' `query_over`.
 /// `graphs` yields the next graph index (a pool worker claims it from the
 /// job's shared counter, one per `fetch_add`); graphs set in `mask` are
 /// recorded quarantined instead of reaching the matcher.
@@ -776,50 +771,6 @@ fn worker_loop(shared: &Arc<PoolShared>, idx: usize, my_gen: u64, start_epoch: u
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy static-partitioning fan-out (baseline)
-// ---------------------------------------------------------------------------
-
-/// Runs `matcher` as a vcFV query over the whole database using `threads`
-/// freshly spawned workers, each taking a fixed contiguous slice of the
-/// database.
-///
-/// This is the original strategy, kept as the baseline the parallel benches
-/// compare [`QueryPool`] against: it spawns threads per query, balances
-/// poorly when graph sizes are skewed, and — unless `deadline` carries a
-/// [`CancelToken`] — lets sibling workers keep burning budget after one
-/// worker times out. Prefer [`QueryPool`].
-pub fn parallel_query(
-    matcher: &dyn Matcher,
-    db: &Arc<GraphDb>,
-    q: &Graph,
-    threads: usize,
-    deadline: Deadline,
-) -> ParallelOutcome {
-    let threads = threads.clamp(1, db.len().max(1));
-    let t0 = Instant::now();
-    let chunk = db.len().div_ceil(threads);
-    let parts: Mutex<Vec<QueryOutcome>> = Mutex::new(Vec::with_capacity(threads));
-
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let parts = &parts;
-            let db = Arc::clone(db);
-            s.spawn(move || {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(db.len());
-                let part = scan(matcher, &db, q, deadline, None, lo..hi);
-                lock(parts).push(part);
-            });
-        }
-    });
-
-    let mut merged = merge_parts(parts.into_inner().unwrap_or_else(PoisonError::into_inner));
-    merged.kernel = deadline.stats().snapshot();
-    merged.phases = deadline.stats().phase_snapshot();
-    ParallelOutcome { outcome: merged, wall_time: t0.elapsed(), threads }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,20 +799,6 @@ mod tests {
             })
             .collect();
         Arc::new(GraphDb::from_graphs(graphs))
-    }
-
-    #[test]
-    fn legacy_matches_sequential_results() {
-        let db = db(25);
-        let q = labeled(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let cfql = Cfql::new();
-        for threads in [1, 2, 4, 8] {
-            let r = parallel_query(&cfql, &db, &q, threads, Deadline::none());
-            let expected: Vec<GraphId> = (0..25u32).filter(|i| i % 3 == 0).map(GraphId).collect();
-            assert_eq!(r.outcome.answers, expected, "{threads} threads");
-            assert_eq!(r.outcome.candidates, 9);
-            assert!(r.threads <= threads.max(1));
-        }
     }
 
     #[test]
@@ -954,15 +891,6 @@ mod tests {
         });
         let ok = pool.query(matcher, &db, &q, Deadline::none());
         assert_eq!(ok.outcome.answers.len(), 40);
-    }
-
-    #[test]
-    fn legacy_timeout_propagates_from_workers() {
-        let db = db(20);
-        let q = labeled(&[0, 1], &[(0, 1)]);
-        let d = Deadline::at(std::time::Instant::now() - Duration::from_millis(1));
-        let r = parallel_query(&Cfql::new(), &db, &q, 4, d);
-        assert!(r.outcome.timed_out());
     }
 
     /// A matcher that panics when filtering any data graph whose vertex 0

@@ -18,7 +18,7 @@ use sqp_matching::ResourceLimits;
 use crate::chaos::graph_fingerprint;
 use crate::engine::{QueryEngine, QueryOutcome};
 use crate::journal::RunJournal;
-use crate::metrics::{QueryRecord, QuerySetReport};
+use crate::metrics::QuerySetReport;
 use crate::parallel::panic_message;
 
 /// Configuration of a query-set run.
@@ -82,7 +82,7 @@ impl RunnerConfig {
 
 /// Deterministic backoff jitter: stretches `base` by up to +50%, as a pure
 /// function of `(seed, attempt)`. Seed 0 disables jitter.
-pub(crate) fn jittered(base: Duration, seed: u64, attempt: u32) -> Duration {
+fn jittered(base: Duration, seed: u64, attempt: u32) -> Duration {
     if seed == 0 || base.is_zero() {
         return base;
     }
@@ -94,9 +94,9 @@ pub(crate) fn jittered(base: Duration, seed: u64, attempt: u32) -> Duration {
     base + Duration::from_nanos(extra_nanos)
 }
 
-/// Runs one query through `attempt`, retrying panicked outcomes up to
-/// `config.max_retries` times with doubling backoff. Returns the final
-/// outcome and the number of retries spent.
+/// Runs `attempt` until its result is no longer `retryable`, at most
+/// `config.max_retries` more times, with doubling, jittered backoff.
+/// Returns the final result and the number of retries spent.
 ///
 /// Every attempt — and every backoff sleep between attempts — is charged
 /// against the *same* per-query budget: `attempt` receives the remaining
@@ -104,38 +104,40 @@ pub(crate) fn jittered(base: Duration, seed: u64, attempt: u32) -> Duration {
 /// clipped to what is left, and retrying stops outright once the budget is
 /// spent. Retries can therefore never extend a query's wall clock past the
 /// configured budget.
-pub(crate) fn run_with_retries(
+pub(crate) fn retry_loop<T>(
     config: RunnerConfig,
-    mut attempt: impl FnMut(Option<Duration>) -> QueryOutcome,
-) -> (QueryOutcome, u32) {
+    retryable: impl Fn(&T) -> bool,
+    mut attempt: impl FnMut(Option<Duration>) -> T,
+) -> (T, u32) {
     let start = Instant::now();
     let remaining = |start: Instant| config.query_budget.map(|b| b.saturating_sub(start.elapsed()));
-    let mut outcome = attempt(remaining(start));
+    let mut result = attempt(remaining(start));
     let mut retries = 0;
     let mut backoff = config.retry_backoff;
-    while outcome.status.is_panicked() && retries < config.max_retries {
+    while retryable(&result) && retries < config.max_retries {
         // Deterministic per-(query, attempt) jitter so a pool of queries
         // retrying the same transient fault spreads out instead of
         // thundering-herding on the same instant.
         let sleep = jittered(backoff, config.jitter_seed, retries);
         match remaining(start) {
             Some(left) if left.is_zero() => break,
-            Some(left) => {
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep.min(left));
-                }
-            }
-            None => {
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
-                }
-            }
+            Some(left) => std::thread::sleep(sleep.min(left)),
+            None => std::thread::sleep(sleep),
         }
         backoff = backoff.saturating_mul(2);
         retries += 1;
-        outcome = attempt(remaining(start));
+        result = attempt(remaining(start));
     }
-    (outcome, retries)
+    (result, retries)
+}
+
+/// [`retry_loop`] for one query run locally: a *panicked* outcome is the
+/// transient fault worth another attempt.
+pub(crate) fn run_with_retries(
+    config: RunnerConfig,
+    attempt: impl FnMut(Option<Duration>) -> QueryOutcome,
+) -> (QueryOutcome, u32) {
+    retry_loop(config, |outcome| outcome.status.is_panicked(), attempt)
 }
 
 /// [`run_query_set_journaled`] without a journal.
@@ -152,7 +154,7 @@ pub fn run_query_set(
 ///
 /// The engine must already have been [`build`](QueryEngine::build)-ed.
 /// Each query is individually guarded: a panic that escapes the engine is
-/// caught here and recorded as one degraded [`QueryRecord`] — every other
+/// caught here and recorded as one degraded `QueryRecord` — every other
 /// query in the set still runs and keeps its exact answers.
 ///
 /// With a crash-consistent [`RunJournal`], queries the journal already holds
@@ -191,10 +193,7 @@ pub fn run_query_set_journaled(
             // re-running this query on resume.
             let _ = j.record(q_fp, &outcome.status, outcome.answers.len(), served_by);
         }
-        let mut record = QueryRecord::from_outcome(&outcome, config.query_budget)
-            .with_engine_fallback(engine.name());
-        record.retries = retries;
-        report.records.push(record);
+        report.push_outcome(&outcome, retries, config.query_budget);
         if let Some(max) = config.abort_after_timeouts {
             if report.timeout_count() >= max {
                 break;

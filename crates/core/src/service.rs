@@ -18,20 +18,21 @@
 //!   in-flight work finish within a drain deadline, then cancels via the
 //!   pool's [`CancelToken`]; every admitted query is guaranteed a terminal
 //!   status and no worker thread outlives the service.
-//! * **Health snapshots** — [`QueryService::health`] exposes queue depth,
+//! * **Health snapshots** — [`DispatchCore::health`] exposes queue depth,
 //!   breaker occupancy, and shed/quarantine counters
-//!   ([`ServiceHealth`]).
+//!   ([`ServiceHealth`](crate::metrics::ServiceHealth)).
 //!
-//! Since PR 8 the admission machinery itself lives in
-//! [`crate::dispatch`]: this module plugs a **local executor** (the query
-//! pool, per-graph breakers, budget-charged retries) into the
-//! transport-agnostic [`DispatchCore`], and the sharded coordinator
-//! ([`crate::coordinator`]) plugs a remote scatter–gather executor into
-//! the very same core.
+//! All of that machinery lives once in [`crate::dispatch`]: this module
+//! plugs a **local executor** (the query pool, budget-charged retries,
+//! optional per-query routing) into the transport-agnostic
+//! [`DispatchCore`], and the sharded coordinator ([`crate::coordinator`])
+//! plugs a remote scatter–gather executor into the very same core. A
+//! [`QueryService`] derefs to its core, so `submit`, `health`,
+//! `breaker_state` and the rest are the core's methods.
 //!
 //! Determinism: breaker transitions and shed decisions are pure functions
 //! of the admitted-query sequence (the registry is clocked in logical
-//! ticks, and [`submit_batch`](QueryService::submit_batch) makes burst
+//! ticks, and [`submit_batch`](DispatchCore::submit_batch) makes burst
 //! admission decisions under one lock hold), so the chaos suite can assert
 //! byte-identical serving behavior across 1/2/4/8 worker threads.
 //!
@@ -39,19 +40,16 @@
 //! [`QueryStatus::Quarantined`]: crate::engine::QueryStatus::Quarantined
 //! [`CancelToken`]: sqp_matching::CancelToken
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb};
 use sqp_matching::{Deadline, Matcher, ResourceGuard};
 
 use crate::adaptive::{MatcherRouter, RoutingStats};
-use crate::breaker::{BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
-use crate::dispatch::{effective_budget, DispatchConfig, DispatchCore, QueryExecutor};
-use crate::engine::QueryOutcome;
-use crate::metrics::{QuerySetReport, ServiceHealth};
-use crate::parallel::{lock, QueryPool};
+use crate::breaker::{BreakerConfig, BreakerRegistry};
+use crate::dispatch::{DispatchConfig, DispatchCore, Executed, QueryExecutor};
+use crate::parallel::QueryPool;
 use crate::runner::{run_with_retries, RunnerConfig};
 use crate::supervisor::SupervisorConfig;
 
@@ -113,27 +111,19 @@ impl Default for ServiceConfig {
 }
 
 /// The local execution strategy: one admitted query = one masked pool run
-/// with budget-charged retries, bracketed by the per-graph breaker
-/// registry. This is the [`QueryExecutor`] the in-process service plugs
-/// into the [`DispatchCore`].
+/// with budget-charged retries. This is the [`QueryExecutor`] the
+/// in-process service plugs into the [`DispatchCore`]; breaker slots are
+/// the database's graphs.
 struct LocalExecutor {
     pool: QueryPool,
     matcher: Arc<dyn Matcher>,
     db: Arc<GraphDb>,
-    breakers: Mutex<BreakerRegistry>,
-    runner: Mutex<RunnerConfig>,
     guard: ResourceGuard,
     router: Option<Arc<MatcherRouter>>,
 }
 
 impl QueryExecutor for LocalExecutor {
-    fn execute(&self, q: &Arc<Graph>, budget_override: Option<Duration>) -> (QueryOutcome, u32) {
-        // Retry backoff jitter is keyed to the query so concurrent clients
-        // retrying the same transient fault don't thunder in lockstep.
-        let mut runner = lock(&self.runner).with_jitter_seed(crate::chaos::graph_fingerprint(q));
-        // Deadline propagation: a remote caller's remaining budget bounds
-        // this query, configured budget notwithstanding.
-        runner.query_budget = effective_budget(runner.query_budget, budget_override);
+    fn execute(&self, q: &Arc<Graph>, runner: RunnerConfig, mask: Option<Arc<[bool]>>) -> Executed {
         // Adaptive routing: pick the matcher the cost model predicts
         // fastest for this query (pure decision — deterministic for a
         // fixed model regardless of worker threads).
@@ -142,9 +132,6 @@ impl QueryExecutor for LocalExecutor {
             Some((router, (idx, _))) => router.matcher(*idx),
             None => Arc::clone(&self.matcher),
         };
-        // One logical tick per admitted query; the mask is fixed across
-        // retry attempts (same tick).
-        let mask = lock(&self.breakers).begin_query();
         let (mut outcome, retries) = run_with_retries(runner, |remaining| {
             self.guard.reset(runner.limits);
             let deadline =
@@ -153,27 +140,25 @@ impl QueryExecutor for LocalExecutor {
                 .query_masked(Arc::clone(&matcher), &self.db, q, deadline, mask.clone())
                 .outcome
         });
-        lock(&self.breakers).observe(&outcome);
         if let Some((router, (idx, predicted))) = routed {
             router.note(idx, predicted, &outcome, runner.query_budget);
             if outcome.engine.is_empty() {
                 outcome.engine = router.name(idx).to_string();
             }
         }
-        (outcome, retries)
+        Executed { outcome, retries, observed: None }
     }
 
     fn cancel(&self) {
         self.pool.cancel();
     }
 
-    fn live_units(&self) -> usize {
-        let open = lock(&self.breakers).open_count();
-        self.db.len().saturating_sub(open).max(1)
+    fn live_units(&self, breakers: &BreakerRegistry) -> usize {
+        self.db.len().saturating_sub(breakers.open_count()).max(1)
     }
 
-    fn query_budget(&self) -> Option<Duration> {
-        lock(&self.runner).query_budget
+    fn supervision(&self) -> (u64, u64) {
+        (self.pool.wedged_queries(), self.pool.workers_replaced())
     }
 }
 
@@ -208,6 +193,16 @@ pub struct QueryService {
     exec: Arc<LocalExecutor>,
 }
 
+/// The serving surface — `submit*`, `run_query_set`, `health`, `breaker_*`,
+/// `runner_config` / `set_runner_config`, `begin_drain` — is the core's.
+impl std::ops::Deref for QueryService {
+    type Target = DispatchCore;
+
+    fn deref(&self) -> &DispatchCore {
+        &self.core
+    }
+}
+
 impl QueryService {
     /// Starts the service: spawns the pool workers and the executor thread.
     pub fn new(matcher: Arc<dyn Matcher>, db: Arc<GraphDb>, config: ServiceConfig) -> Self {
@@ -226,18 +221,14 @@ impl QueryService {
             Some(config) => QueryPool::supervised(&thread_prefix, threads, config),
             None => QueryPool::named(&thread_prefix, threads),
         };
-        let exec = Arc::new(LocalExecutor {
-            pool,
-            matcher,
-            breakers: Mutex::new(BreakerRegistry::new(breaker, db.len())),
-            runner: Mutex::new(runner),
-            db,
-            guard: ResourceGuard::new(),
-            router,
-        });
+        let breakers = BreakerRegistry::new(breaker, db.len());
+        let exec =
+            Arc::new(LocalExecutor { pool, matcher, db, guard: ResourceGuard::new(), router });
         let core = DispatchCore::new(
             Arc::clone(&exec) as Arc<dyn QueryExecutor>,
             DispatchConfig {
+                runner,
+                breakers,
                 queue_capacity,
                 shed,
                 drain_deadline,
@@ -247,102 +238,15 @@ impl QueryService {
         Self { core, exec }
     }
 
-    /// Submits one query. Always returns a ticket that will resolve to a
-    /// terminal status; the [`Admission`] says whether it entered the queue
-    /// or was shed on the spot.
-    pub fn submit(&self, q: &Graph) -> (QueryTicket, Admission) {
-        self.core.submit(q)
-    }
-
-    /// [`submit`](QueryService::submit) with a per-query budget override:
-    /// the effective budget is the minimum of the configured budget and
-    /// `budget` (deadline propagation for queries arriving over the wire).
-    pub fn submit_with_budget(
-        &self,
-        q: &Graph,
-        budget: Option<Duration>,
-    ) -> (QueryTicket, Admission) {
-        self.core.submit_with_budget(q, budget)
-    }
-
-    /// Submits a burst of queries under **one** state-lock hold, so the
-    /// admission decisions (queue-full bound, predicted-wait shedding) are
-    /// a pure function of the batch order and prior service state — the
-    /// executor cannot race the decisions apart. This is what makes shed
-    /// decisions reproducible across worker thread counts.
-    pub fn submit_batch(&self, queries: &[Graph]) -> Vec<(QueryTicket, Admission)> {
-        self.core.submit_batch(queries)
-    }
-
-    /// Runs a query set in lockstep (submit one, wait for it, record) and
-    /// reports it like the batch runners do. Lockstep keeps the queue empty
-    /// at every admission, so the resulting report — statuses, failures,
-    /// shed decisions, breaker transitions — is deterministic for a
-    /// deterministic matcher at any worker thread count.
-    pub fn run_query_set(&self, query_set_name: &str, queries: &[Graph]) -> QuerySetReport {
-        self.core.run_query_set("service", query_set_name, queries)
-    }
-
-    /// Point-in-time serving snapshot.
-    pub fn health(&self) -> ServiceHealth {
-        let d = self.core.health();
-        let (open, half_open, trips, short_circuits) = {
-            let br = lock(&self.exec.breakers);
-            (br.open_count(), br.half_open_count(), br.trip_count(), br.short_circuit_count())
-        };
-        ServiceHealth {
-            queue_depth: d.queue_depth,
-            inflight: d.inflight,
-            draining: d.draining,
-            admitted: d.admitted,
-            finished: d.finished,
-            shed_queue_full: d.shed_queue_full,
-            shed_deadline: d.shed_deadline,
-            shed_draining: d.shed_draining,
-            open_breakers: open,
-            half_open_breakers: half_open,
-            breaker_trips: trips,
-            quarantined_graph_results: short_circuits,
-            wedged_queries: self.exec.pool.wedged_queries(),
-            workers_replaced: self.exec.pool.workers_replaced(),
-        }
-    }
-
     /// Adaptive-routing telemetry, when the service was configured with a
     /// [`MatcherRouter`]; `None` for fixed-matcher services.
     pub fn routing_stats(&self) -> Option<RoutingStats> {
         self.exec.router.as_ref().map(|r| r.stats())
     }
 
-    /// Current breaker state for one graph.
-    pub fn breaker_state(&self, graph: GraphId) -> BreakerState {
-        lock(&self.exec.breakers).state(graph)
-    }
-
-    /// All breaker transitions so far, in order.
-    pub fn breaker_transitions(&self) -> Vec<BreakerTransition> {
-        lock(&self.exec.breakers).transitions().to_vec()
-    }
-
-    /// The current runner (budget/retry/limits) configuration.
-    pub fn runner_config(&self) -> RunnerConfig {
-        *lock(&self.exec.runner)
-    }
-
-    /// Replaces the runner configuration for subsequently started queries.
-    pub fn set_runner_config(&self, config: RunnerConfig) {
-        *lock(&self.exec.runner) = config;
-    }
-
     /// Worker threads in the underlying pool.
     pub fn threads(&self) -> usize {
         self.exec.pool.threads()
-    }
-
-    /// Stops admissions at once without waiting for the backlog (the
-    /// SIGINT-drain entry point; `shutdown` still completes the drain).
-    pub fn begin_drain(&self) {
-        self.core.begin_drain();
     }
 
     /// Gracefully drains and stops the service: admissions stop at once,
@@ -598,7 +502,7 @@ mod tests {
             Arc::clone(&db),
             ServiceConfig { router: Some(Arc::clone(&router)), ..Default::default() },
         );
-        let report = service.run_query_set("routed", &vec![q.clone(); 3]);
+        let report = service.run_query_set("service", "routed", &vec![q.clone(); 3]);
         let stats = service.routing_stats().expect("router configured");
         assert_eq!(stats.total_routed(), 3);
         // Identical queries route identically (frozen model).

@@ -1,5 +1,5 @@
-//! Shard-side of the sharded query service: hash placement of the
-//! database over shard workers, and the TCP worker serving one shard.
+//! Hash placement of the database over shard workers, and the one TCP
+//! server of the [`crate::wire`] protocol.
 //!
 //! Placement is **deterministic and data-derived**: graph `g` lives on
 //! shard `graph_fingerprint(g) % shards` ([`shard_of`]). Every process
@@ -8,16 +8,23 @@
 //! [`ShardPlacement`] independently; nothing about placement travels over
 //! the wire, so a corrupted peer cannot shift graphs between shards.
 //!
-//! A [`ShardServer`] wraps its shard-local slice in an ordinary
-//! [`QueryService`] (same admission control, per-graph breakers,
-//! budget-charged retries as the single-process service) and speaks the
-//! [`crate::wire`] protocol: for each [`Message::Query`] it runs the query
-//! against its slice, translates local graph ids back to **global**
-//! database ids, and streams [`Message::Answers`] chunks followed by one
-//! [`Message::Outcome`]. Deadline propagation is honoured by forwarding
-//! the frame's remaining `budget_ms` as a per-query budget override.
+//! A [`WireServer`] puts a serving front behind a socket: handshake, then
+//! for each [`Message::Query`] it submits the query with the frame's
+//! remaining `budget_ms` as a per-query budget override (deadline
+//! propagation) and streams [`Message::Answers`] chunks followed by one
+//! [`Message::Outcome`]. Both hops of the sharded service are this server;
+//! what differs between them is data:
+//!
+//! | | shard worker ([`WireServer::start`]) | coordinator front ([`WireServer::front`]) |
+//! |---|---|---|
+//! | front | a [`QueryService`] over the shard's slice | a [`Coordinator`] over the shard addresses |
+//! | expected [`Greeting`] | `Coordinator`, this `(shards, shard_index)` | `Client`, `(0, 0)` |
+//! | ids in replies | local → **global** through the placement table | already global |
+//! | `HelloAck.graphs` | the slice | the whole database |
+//! | metrics text | core families | core families + `sqp_shard_*` per peer |
+//! | [`WireChaos`] | optional (the fault suite's "corrupting shard") | none |
 
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,15 +36,16 @@ use sqp_graph::{Graph, GraphDb};
 use sqp_matching::Matcher;
 
 use crate::chaos::graph_fingerprint;
-use crate::engine::GraphFailure;
+use crate::coordinator::{Coordinator, CoordinatorConfig};
+use crate::dispatch::{DispatchCore, DrainReport};
 use crate::exposition;
 use crate::journal::db_fingerprint;
-use crate::metrics::{QueryRecord, QuerySetReport};
+use crate::metrics::QuerySetReport;
 use crate::parallel::lock;
 use crate::service::{QueryService, ServiceConfig};
 use crate::wire::{
-    read_frame, write_frame, Message, PeerRole, WireChaos, WireConfig, WireError, WireOutcome,
-    ANSWER_CHUNK, WIRE_VERSION,
+    encode_frame, read_frame, write_frame, Greeting, Message, WireChaos, WireConfig, WireError,
+    WireOutcome, ANSWER_CHUNK, WIRE_VERSION,
 };
 
 /// The shard a graph lives on under fingerprint-hash placement.
@@ -51,7 +59,6 @@ pub fn shard_of(g: &Graph, shards: usize) -> usize {
 /// ids (and the coordinator needs to attribute a dead shard's graphs).
 #[derive(Clone, Debug)]
 pub struct ShardPlacement {
-    shards: usize,
     /// Per shard: the global ids it holds, ascending (local id `i` on
     /// shard `s` is `globals[s][i]`).
     globals: Vec<Vec<GraphId>>,
@@ -65,12 +72,7 @@ impl ShardPlacement {
         for (id, g) in db.iter() {
             globals[shard_of(g, shards)].push(id);
         }
-        Self { shards, globals }
-    }
-
-    /// Number of shards placed over.
-    pub fn shards(&self) -> usize {
-        self.shards
+        Self { globals }
     }
 
     /// Global ids held by shard `index`, ascending.
@@ -85,14 +87,9 @@ impl ShardPlacement {
         let mine = &self.globals[index];
         db.retain(|id, _| mine.binary_search(&id).is_ok())
     }
-
-    /// Translates a shard-local id to its global database id.
-    pub fn to_global(&self, index: usize, local: GraphId) -> GraphId {
-        self.globals[index][local.index()]
-    }
 }
 
-/// Configuration of a [`ShardServer`].
+/// Configuration of a shard worker's [`WireServer`].
 #[derive(Clone, Debug)]
 pub struct ShardServerConfig {
     /// Address to listen on (use port 0 to let the OS pick).
@@ -124,144 +121,132 @@ impl Default for ShardServerConfig {
     }
 }
 
-struct ShardShared {
-    service: QueryService,
-    globals: Vec<GraphId>,
-    db_fp: u64,
-    shard_index: usize,
-    shards: usize,
+/// The serving front behind a [`WireServer`].
+enum Front {
+    Shard(QueryService),
+    Coordinator(Coordinator),
+}
+
+impl Front {
+    fn core(&self) -> &DispatchCore {
+        match self {
+            Front::Shard(service) => service,
+            Front::Coordinator(coordinator) => coordinator,
+        }
+    }
+
+    fn shutdown(self) -> DrainReport {
+        match self {
+            Front::Shard(service) => service.shutdown(),
+            Front::Coordinator(coordinator) => coordinator.shutdown(),
+        }
+    }
+}
+
+struct Shared {
+    front: Front,
+    /// Thread-name prefix and log identity.
+    name: String,
+    /// What a peer's hello must say; anything else is refused.
+    expect: Greeting,
+    /// Data graphs behind this server (`HelloAck.graphs`).
+    graphs: usize,
+    /// A shard's local → global id table; `None` on the coordinator front,
+    /// whose ids are global already.
+    globals: Option<Vec<GraphId>>,
     wire: WireConfig,
     chaos: Option<WireChaos>,
     stopping: AtomicBool,
-    /// Live connection handles, for abrupt kill / orderly stop.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Handles on the live connections in accept order, for abrupt kill /
+    /// orderly stop; a connection thread drops its own entry on exit.
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+    /// Connection threads not yet joined; finished ones are reaped at the
+    /// next accept.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Report of everything served, for the metrics exposition.
     report: Mutex<QuerySetReport>,
 }
 
-impl ShardShared {
+impl Shared {
     /// Sends one frame, applying the chaos plan if configured. A dropped
     /// frame reports success (the fault is the silence); a mangled frame is
     /// written verbatim.
     fn send(&self, stream: &mut TcpStream, msg: &Message) -> Result<(), WireError> {
         match &self.chaos {
             None => write_frame(stream, msg),
-            Some(chaos) => {
-                let frame = crate::wire::encode_frame(msg);
-                match chaos.mangle(frame) {
-                    None => Ok(()),
-                    Some(bytes) => {
-                        stream.write_all(&bytes)?;
-                        Ok(())
-                    }
-                }
-            }
+            Some(chaos) => match chaos.mangle(encode_frame(msg)) {
+                None => Ok(()),
+                Some(bytes) => Ok(stream.write_all(&bytes)?),
+            },
+        }
+    }
+
+    /// Why a hello is refused, if it is: the first of version, role,
+    /// database and placement that differs from what this server serves.
+    fn refusal(&self, version: u32, peer: Greeting) -> Option<String> {
+        let want = self.expect;
+        if version != WIRE_VERSION {
+            Some(format!("wire version mismatch: peer {version}, this {WIRE_VERSION}"))
+        } else if peer.role != want.role {
+            Some(format!("role mismatch: peer is a {:?}, this serves {:?}s", peer.role, want.role))
+        } else if peer.db_fp != want.db_fp {
+            Some(format!(
+                "database fingerprint mismatch: peer {:016x}, this {:016x}",
+                peer.db_fp, want.db_fp
+            ))
+        } else if (peer.shards, peer.shard_index) != (want.shards, want.shard_index) {
+            Some(format!(
+                "placement mismatch: peer expects shard {}/{}, this is {}/{}",
+                peer.shard_index, peer.shards, want.shard_index, want.shards
+            ))
+        } else {
+            None
         }
     }
 
     fn serve_conn(&self, mut stream: TcpStream) {
-        // Handshake: refuse version or database mismatches up front.
-        let hello = match read_frame(&mut stream, &self.wire) {
-            Ok(Message::Hello {
-                version,
-                role: PeerRole::Coordinator,
-                db_fp,
-                shards,
-                shard_index,
-            }) => {
-                if version != WIRE_VERSION {
-                    let _ = self.send(
-                        &mut stream,
-                        &Message::Error {
-                            message: format!(
-                                "wire version mismatch: peer {version}, this {WIRE_VERSION}"
-                            ),
-                        },
-                    );
-                    return;
-                }
-                if db_fp != self.db_fp {
-                    let _ = self.send(
-                        &mut stream,
-                        &Message::Error {
-                            message: format!(
-                                "database fingerprint mismatch: peer {db_fp:016x}, shard {:016x}",
-                                self.db_fp
-                            ),
-                        },
-                    );
-                    return;
-                }
-                if shards as usize != self.shards || shard_index as usize != self.shard_index {
-                    let _ = self.send(
-                        &mut stream,
-                        &Message::Error {
-                            message: format!(
-                                "placement mismatch: peer expects shard {shard_index}/{shards}, \
-                             this is {}/{}",
-                                self.shard_index, self.shards
-                            ),
-                        },
-                    );
-                    return;
-                }
-                true
+        // Handshake: refuse version, role, database or placement mismatches
+        // up front, each with its own reason.
+        let refusal = match read_frame(&mut stream, &self.wire) {
+            Ok(Message::Hello { version, role, db_fp, shards, shard_index }) => {
+                self.refusal(version, Greeting { role, db_fp, shards, shard_index })
             }
-            Ok(_) => {
-                let _ = self
-                    .send(&mut stream, &Message::Error { message: "expected Hello".to_string() });
-                false
-            }
-            Err(_) => false,
+            Ok(_) => Some("expected Hello".to_string()),
+            Err(_) => return,
         };
-        if !hello {
+        if let Some(message) = refusal {
+            let _ = self.send(&mut stream, &Message::Error { message });
             return;
         }
+        let (db_fp, graphs) = (self.expect.db_fp, self.graphs as u32);
         if self
-            .send(
-                &mut stream,
-                &Message::HelloAck {
-                    version: WIRE_VERSION,
-                    db_fp: self.db_fp,
-                    graphs: self.globals.len() as u32,
-                },
-            )
+            .send(&mut stream, &Message::HelloAck { version: WIRE_VERSION, db_fp, graphs })
             .is_err()
         {
             return;
         }
 
-        loop {
-            if self.stopping.load(Ordering::Acquire) {
-                return;
-            }
-            let msg = match read_frame(&mut stream, &self.wire) {
-                Ok(msg) => msg,
-                // Closed, corrupt, or truncated inbound frame: the protocol
-                // is lockstep per query, so there is no safe resync point —
-                // drop the connection and let the coordinator retry.
-                Err(_) => return,
-            };
-            match msg {
+        while !self.stopping.load(Ordering::Acquire) {
+            // Closed, corrupt, or truncated inbound frame: the protocol is
+            // lockstep per query, so there is no safe resync point — drop
+            // the connection and let the peer reconnect.
+            let Ok(msg) = read_frame(&mut stream, &self.wire) else { return };
+            let sent = match msg {
                 Message::Query { id, budget_ms, graph } => {
-                    if self.answer_query(&mut stream, id, budget_ms, &graph).is_err() {
-                        return;
-                    }
+                    self.answer_query(&mut stream, id, budget_ms, &graph)
                 }
                 Message::MetricsRequest => {
-                    let text = self.metrics_text();
-                    if self.send(&mut stream, &Message::MetricsText { text }).is_err() {
-                        return;
-                    }
+                    self.send(&mut stream, &Message::MetricsText { text: self.metrics_text() })
                 }
                 Message::Bye => return,
                 _ => {
-                    let _ = self.send(
-                        &mut stream,
-                        &Message::Error { message: "unexpected message".to_string() },
-                    );
+                    let message = "unexpected message".to_string();
+                    let _ = self.send(&mut stream, &Message::Error { message });
                     return;
                 }
+            };
+            if sent.is_err() {
+                return;
             }
         }
     }
@@ -274,45 +259,134 @@ impl ShardShared {
         q: &Graph,
     ) -> Result<(), WireError> {
         let budget = (budget_ms > 0).then(|| Duration::from_millis(budget_ms));
-        let (ticket, _) = self.service.submit_with_budget(q, budget);
-        let (outcome, retries) = ticket.wait();
+        let (mut outcome, retries) = self.front.core().submit_with_budget(q, budget).0.wait();
+        lock(&self.report).push_outcome(&outcome, retries, budget);
         // Translate local ids to global before anything crosses the wire.
-        let answers: Vec<GraphId> =
-            outcome.answers.iter().map(|g| self.globals[g.index()]).collect();
-        let mut wire_outcome = WireOutcome::from_outcome(&outcome, retries);
-        for f in &mut wire_outcome.failures {
-            *f = GraphFailure { graph: self.globals[f.graph.index()], status: f.status.clone() };
+        if let Some(globals) = &self.globals {
+            outcome.answers.iter_mut().for_each(|g| *g = globals[g.index()]);
+            outcome.failures.iter_mut().for_each(|f| f.graph = globals[f.graph.index()]);
         }
-        {
-            let mut record = QueryRecord::from_outcome(&outcome, budget);
-            record.retries = retries;
-            lock(&self.report).records.push(record);
-        }
-        for chunk in answers.chunks(ANSWER_CHUNK) {
+        for chunk in outcome.answers.chunks(ANSWER_CHUNK) {
             self.send(stream, &Message::Answers { id, graphs: chunk.to_vec() })?;
         }
-        self.send(stream, &Message::Outcome { id, outcome: wire_outcome })
+        let outcome = WireOutcome::from_outcome(&outcome, retries);
+        self.send(stream, &Message::Outcome { id, outcome })
     }
 
+    /// The Prometheus exposition of everything served so far; the
+    /// coordinator front appends its per-peer `sqp_shard_*` families.
     fn metrics_text(&self) -> String {
         let report = lock(&self.report).clone();
-        let health = self.service.health();
-        exposition::render(&[report], Some(&health))
+        let mut text = exposition::render(&[report], Some(&self.front.core().health()));
+        if let Front::Coordinator(coordinator) = &self.front {
+            text.push_str(&exposition::render_shards(&coordinator.peer_stats()));
+        }
+        text
+    }
+
+    /// Tracks an accepted wire connection and serves it on its own thread.
+    fn accept_conn(self: &Arc<Self>, id: u64, stream: TcpStream) {
+        // A query is answered as an `Answers` frame then an `Outcome`
+        // frame; with Nagle on, the second small write waits for the
+        // peer's delayed ACK of the first (~40 ms per back-to-back query).
+        stream.set_nodelay(true).ok();
+        let Ok(clone) = stream.try_clone() else { return };
+        lock(&self.conns).push((id, clone));
+        let shared = Arc::clone(self);
+        let handle =
+            std::thread::Builder::new().name(format!("{}-conn", self.name)).spawn(move || {
+                shared.serve_conn(stream);
+                lock(&shared.conns).retain(|(conn, _)| *conn != id);
+            });
+        let mut workers = lock(&self.workers);
+        join_all(workers.extract_if(.., |h| h.is_finished()).collect());
+        workers.extend(handle.ok());
+    }
+
+    /// Answers one HTTP/1.1 `GET /metrics` — enough for a Prometheus scrape
+    /// or `curl`, with no HTTP dependency.
+    fn answer_scrape(&self, mut stream: TcpStream) {
+        // Scrapes are answered on the accept thread, which `shutdown` joins:
+        // a scraper that connects and says nothing must not hold either up.
+        stream.set_read_timeout(Some(Duration::from_secs(2))).ok();
+        let mut line = String::new();
+        if BufReader::new(&mut stream).read_line(&mut line).is_err() {
+            return;
+        }
+        let (status, body) = if line.starts_with("GET /metrics") {
+            ("200 OK", self.metrics_text())
+        } else {
+            ("404 Not Found", "only /metrics lives here\n".to_string())
+        };
+        let _ = write!(
+            stream,
+            "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
     }
 }
 
-/// A TCP worker serving one shard of the database. See the module docs.
-pub struct ShardServer {
-    shared: Arc<ShardShared>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+fn join_all(handles: Vec<JoinHandle<()>>) {
+    for h in handles {
+        let _ = h.join();
+    }
 }
 
-impl ShardServer {
-    /// Computes this shard's slice of `db`, starts its query service, and
-    /// begins accepting connections. `db` is the **full** database; the
-    /// slice is derived locally from the placement.
+/// One listening socket and the thread accepting on it until the server
+/// stops.
+struct Acceptor {
+    addr: SocketAddr,
+    thread: JoinHandle<()>,
+}
+
+impl Acceptor {
+    /// Binds `addr` and hands every accepted connection, numbered from 0,
+    /// to `on_conn` on the accept thread.
+    fn start(
+        addr: &str,
+        thread_name: String,
+        shared: &Arc<Shared>,
+        on_conn: fn(&Arc<Shared>, u64, TcpStream),
+    ) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let shared = Arc::clone(shared);
+        let thread = std::thread::Builder::new().name(thread_name).spawn(move || {
+            for (id, conn) in (0u64..).zip(listener.incoming()) {
+                if shared.stopping.load(Ordering::Acquire) {
+                    return;
+                }
+                let Ok(stream) = conn else { return };
+                on_conn(&shared, id, stream);
+            }
+        })?;
+        Ok(Self { addr, thread })
+    }
+
+    /// Joins the accept thread; `stopping` must already be set.
+    fn stop(self) {
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.thread.join();
+    }
+}
+
+/// The TCP server of the wire protocol, in front of a shard's
+/// [`QueryService`] or the [`Coordinator`]. See the module docs.
+pub struct WireServer {
+    shared: Arc<Shared>,
+    /// The wire listener first, then the metrics listener if any.
+    acceptors: Vec<Acceptor>,
+}
+
+/// A [`WireServer`] started as a shard worker.
+pub type ShardServer = WireServer;
+
+impl WireServer {
+    /// Starts a shard worker: computes this shard's slice of `db`, starts
+    /// its query service, and begins accepting coordinators. `db` is the
+    /// **full** database; the slice is derived locally from the placement.
     pub fn start(
         matcher: Arc<dyn Matcher>,
         db: &GraphDb,
@@ -322,121 +396,117 @@ impl ShardServer {
         let placement = ShardPlacement::new(db, shards);
         let local = Arc::new(placement.shard_db(db, shard_index));
         let globals = placement.globals(shard_index).to_vec();
-        let db_fp = db_fingerprint(db);
-        let service = QueryService::new(matcher, local, service);
-        let listener = TcpListener::bind(&addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(ShardShared {
-            service,
-            globals,
-            db_fp,
-            shard_index,
-            shards,
-            wire,
-            chaos,
-            stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            report: Mutex::new(QuerySetReport::new("shard", format!("shard-{shard_index}"))),
-        });
-        let workers = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let workers = Arc::clone(&workers);
-            std::thread::Builder::new().name(format!("sqp-shard-{shard_index}-accept")).spawn(
-                move || {
-                    for conn in listener.incoming() {
-                        if shared.stopping.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let Ok(stream) = conn else { return };
-                        // A query is answered as an `Answers` frame then an
-                        // `Outcome` frame; with Nagle on, the second small
-                        // write waits for the peer's delayed ACK of the first
-                        // (~40 ms per back-to-back query).
-                        stream.set_nodelay(true).ok();
-                        if let Ok(clone) = stream.try_clone() {
-                            lock(&shared.conns).push(clone);
-                        }
-                        let shared = Arc::clone(&shared);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("sqp-shard-{}-conn", shared.shard_index))
-                            .spawn(move || shared.serve_conn(stream));
-                        if let Ok(handle) = handle {
-                            lock(&workers).push(handle);
-                        }
-                    }
-                },
-            )?
-        };
-        Ok(Self { shared, addr, accept: Some(accept), workers })
+        Self::serve(
+            &addr,
+            Shared {
+                front: Front::Shard(QueryService::new(matcher, local, service)),
+                name: format!("sqp-shard-{shard_index}"),
+                expect: Greeting::coordinator(db_fingerprint(db), shards, shard_index),
+                graphs: globals.len(),
+                globals: Some(globals),
+                wire,
+                chaos,
+                stopping: AtomicBool::new(false),
+                conns: Mutex::default(),
+                workers: Mutex::default(),
+                report: Mutex::new(QuerySetReport::new("shard", format!("shard-{shard_index}"))),
+            },
+        )
     }
 
-    /// The address the shard is listening on.
+    /// Starts the coordinator front: a [`Coordinator`] over
+    /// `config.shard_addrs`, accepting end clients on `addr`.
+    pub fn front(db: &GraphDb, addr: &str, config: CoordinatorConfig) -> std::io::Result<Self> {
+        let wire = config.wire;
+        Self::serve(
+            addr,
+            Shared {
+                front: Front::Coordinator(Coordinator::new(db, config)),
+                name: "sqp-serve".to_string(),
+                expect: Greeting::client(db_fingerprint(db)),
+                graphs: db.len(),
+                globals: None,
+                wire,
+                chaos: None,
+                stopping: AtomicBool::new(false),
+                conns: Mutex::default(),
+                workers: Mutex::default(),
+                report: Mutex::new(QuerySetReport::new("coordinator", "serve")),
+            },
+        )
+    }
+
+    fn serve(addr: &str, shared: Shared) -> std::io::Result<Self> {
+        let shared = Arc::new(shared);
+        let name = format!("{}-accept", shared.name);
+        let wire = Acceptor::start(addr, name, &shared, Shared::accept_conn)?;
+        Ok(Self { shared, acceptors: vec![wire] })
+    }
+
+    /// Also serves the metrics text over HTTP at `GET /metrics` on `addr`;
+    /// returns the bound address.
+    pub fn serve_metrics(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
+        let name = format!("{}-metrics", self.shared.name);
+        let http = Acceptor::start(addr, name, &self.shared, |shared, _, stream| {
+            shared.answer_scrape(stream)
+        })?;
+        let bound = http.addr;
+        self.acceptors.push(http);
+        Ok(bound)
+    }
+
+    /// The address the wire protocol is served on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptors[0].addr
     }
 
-    /// `TCP_NODELAY` of every accepted connection still tracked, in accept
-    /// order (sockets whose option cannot be read count as `false`).
+    /// `TCP_NODELAY` of every live accepted connection, in accept order
+    /// (sockets whose option cannot be read count as `false`).
     pub fn connections_nodelay(&self) -> Vec<bool> {
-        lock(&self.shared.conns).iter().map(|c| c.nodelay().unwrap_or(false)).collect()
+        lock(&self.shared.conns).iter().map(|(_, c)| c.nodelay().unwrap_or(false)).collect()
     }
 
-    /// Graphs in this shard's slice.
+    /// Data graphs behind this server (a shard's slice, or the database).
     pub fn graphs(&self) -> usize {
-        self.shared.globals.len()
+        self.shared.graphs
     }
 
-    /// This shard's serving health (the inner query service's snapshot).
-    pub fn health(&self) -> crate::metrics::ServiceHealth {
-        self.shared.service.health()
-    }
-
-    /// Abruptly severs every live connection and stops accepting, without
-    /// draining the service — the in-process stand-in for SIGKILL used by
+    /// Abruptly severs every live connection and stops serving, without
+    /// draining the front — the in-process stand-in for SIGKILL used by
     /// the chaos suite. The server object stays alive (call
-    /// [`shutdown`](ShardServer::shutdown) to reclaim threads).
+    /// [`shutdown`](WireServer::shutdown) to reclaim threads).
     pub fn kill_connections(&self) {
         self.shared.stopping.store(true, Ordering::Release);
-        for conn in lock(&self.shared.conns).drain(..) {
+        for (_, conn) in lock(&self.shared.conns).drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
         }
     }
 
     fn stop_accepting(&mut self) {
         self.shared.stopping.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.acceptors.drain(..).for_each(Acceptor::stop);
         // No new connections can arrive now; sever the remaining ones so
         // connection threads drop out of blocking reads.
-        for conn in lock(&self.shared.conns).drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
-        for h in handles {
-            let _ = h.join();
-        }
+        self.kill_connections();
+        join_all(std::mem::take(&mut *lock(&self.shared.workers)));
     }
 
-    /// Stops accepting, joins every connection thread, and drains the
-    /// inner query service.
-    pub fn shutdown(mut self) -> crate::dispatch::DrainReport {
+    /// Stops accepting, severs and joins every connection thread, then
+    /// drains the front (for the coordinator: says goodbye to its shards).
+    pub fn shutdown(mut self) -> DrainReport {
         self.stop_accepting();
         let shared = Arc::clone(&self.shared);
         drop(self);
         match Arc::try_unwrap(shared) {
-            Ok(shared) => shared.service.shutdown(),
-            Err(_) => crate::dispatch::DrainReport::default(),
+            Ok(shared) => shared.front.shutdown(),
+            Err(_) => DrainReport::default(),
         }
     }
 }
 
-impl Drop for ShardServer {
+impl Drop for WireServer {
     fn drop(&mut self) {
-        if self.accept.is_some() {
+        if !self.acceptors.is_empty() {
             self.stop_accepting();
         }
     }
@@ -481,7 +551,6 @@ mod tests {
                         slice.graph(GraphId(local as u32)).vertex_count(),
                         db.graph(global).vertex_count()
                     );
-                    assert_eq!(p.to_global(s, GraphId(local as u32)), global);
                 }
             }
             seen.sort();

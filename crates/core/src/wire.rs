@@ -37,11 +37,13 @@
 //! panicking.
 
 use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use sqp_graph::database::GraphId;
 use sqp_graph::error::GraphError;
+use sqp_graph::hash::fnv1a64;
 use sqp_graph::{Graph, GraphBuilder, Label, VertexId};
 use sqp_matching::{KernelStats, PhaseStats, ResourceKind, PHASE_COUNT};
 
@@ -56,17 +58,6 @@ pub const ANSWER_CHUNK: usize = 4096;
 
 /// Frame header bytes before the payload: magic + kind + length.
 const HEADER_LEN: usize = 4 + 1 + 4;
-
-/// 64-bit FNV-1a over `bytes` — same corruption check as binio v2 and the
-/// run journal.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Wire-layer limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,6 +125,44 @@ pub enum PeerRole {
     Coordinator,
     /// An end client connecting to a coordinator.
     Client,
+}
+
+/// What a [`Message::Hello`] says besides the protocol version. A client
+/// sends one; a server holds the one it expects and refuses a connection on
+/// the first field that differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Greeting {
+    /// What the connecting peer is.
+    pub role: PeerRole,
+    /// Structural fingerprint of the full (unsharded) database.
+    pub db_fp: u64,
+    /// Total shards the sender believes exist (0 from clients).
+    pub shards: u32,
+    /// Shard index the sender expects to reach (0 from clients).
+    pub shard_index: u32,
+}
+
+impl Greeting {
+    /// The greeting of an end client of a coordinator front.
+    pub fn client(db_fp: u64) -> Self {
+        Self { role: PeerRole::Client, db_fp, shards: 0, shard_index: 0 }
+    }
+
+    /// The greeting of a coordinator reaching shard `shard_index` of `shards`.
+    pub fn coordinator(db_fp: u64, shards: usize, shard_index: usize) -> Self {
+        Self {
+            role: PeerRole::Coordinator,
+            db_fp,
+            shards: shards as u32,
+            shard_index: shard_index as u32,
+        }
+    }
+
+    /// The hello frame carrying this greeting at protocol `version`.
+    pub fn hello(self, version: u32) -> Message {
+        let Self { role, db_fp, shards, shard_index } = self;
+        Message::Hello { version, role, db_fp, shards, shard_index }
+    }
 }
 
 /// The serializable projection of a [`QueryOutcome`] minus its answer set
@@ -749,6 +778,102 @@ pub fn read_frame(r: &mut impl Read, config: &WireConfig) -> Result<Message, Wir
         ));
     }
     decode_payload(kind, &body[HEADER_LEN..])
+}
+
+// ---------------------------------------------------------------------------
+// The client end of a connection.
+
+/// The client end of one wire connection, greeted and acknowledged: what a
+/// coordinator holds per shard peer and what `sqp client` holds to the
+/// coordinator front. The protocol is lockstep — one [`query`] at a time.
+///
+/// [`query`]: WireClient::query
+pub struct WireClient {
+    stream: TcpStream,
+    wire: WireConfig,
+    next_id: u64,
+}
+
+impl WireClient {
+    /// Connects to `addr` (each resolved address gets `connect_timeout`),
+    /// sends `greeting` and checks the acknowledgement: same protocol
+    /// version, same database, and `graphs` data graphs behind the
+    /// connection. A refusal arrives as [`WireError::Remote`] with the
+    /// server's reason.
+    pub fn connect(
+        addr: &str,
+        greeting: Greeting,
+        graphs: usize,
+        wire: WireConfig,
+        connect_timeout: Duration,
+        read_timeout: Duration,
+    ) -> Result<Self, WireError> {
+        let mut last = None;
+        let connected = addr.to_socket_addrs()?.find_map(|a| {
+            TcpStream::connect_timeout(&a, connect_timeout).map_err(|e| last = Some(e)).ok()
+        });
+        let Some(mut stream) = connected else {
+            return Err(match last {
+                Some(e) => WireError::Io(e),
+                None => WireError::Remote(format!("no usable address for {addr}")),
+            });
+        };
+        // Both ends write small frames back to back; with Nagle on, the
+        // second waits for the peer's delayed ACK of the first.
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
+        write_frame(&mut stream, &greeting.hello(WIRE_VERSION))?;
+        match read_frame(&mut stream, &wire)? {
+            Message::HelloAck { version: WIRE_VERSION, db_fp, graphs: served }
+                if db_fp == greeting.db_fp && served as usize == graphs =>
+            {
+                Ok(Self { stream, wire, next_id: 1 })
+            }
+            Message::Error { message } => Err(WireError::Remote(message)),
+            _ => Err(WireError::Remote("handshake rejected: version/db/placement mismatch".into())),
+        }
+    }
+
+    /// One lockstep exchange: sends `q` with the remaining `budget`
+    /// attached (`None` = unlimited) and gathers the streamed answers until
+    /// the terminal outcome. `read_timeout` bounds the wait for each reply
+    /// frame, so a silent server is an error, not a hang. After any error
+    /// the connection has no safe resync point: drop the client.
+    pub fn query(
+        &mut self,
+        q: &Graph,
+        budget: Option<Duration>,
+        read_timeout: Duration,
+    ) -> Result<(Vec<GraphId>, WireOutcome), WireError> {
+        self.stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
+        let id = self.next_id;
+        self.next_id += 1;
+        let budget_ms = budget.map_or(0, |d| d.as_millis().max(1) as u64);
+        write_frame(&mut self.stream, &Message::Query { id, budget_ms, graph: q.clone() })?;
+        let mut answers: Vec<GraphId> = Vec::new();
+        loop {
+            match read_frame(&mut self.stream, &self.wire)? {
+                Message::Answers { id: got, graphs } if got == id => answers.extend(graphs),
+                Message::Outcome { id: got, outcome } if got == id => {
+                    return Ok((answers, outcome));
+                }
+                Message::Error { message } => return Err(WireError::Remote(message)),
+                _ => return Err(WireError::Remote("unexpected frame in query stream".into())),
+            }
+        }
+    }
+
+    /// A second handle on the socket, for another thread to sever the
+    /// connection under a blocked [`query`](WireClient::query).
+    pub fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
+        self.stream.try_clone()
+    }
+
+    /// Orderly goodbye: tells the server, then closes.
+    pub fn bye(mut self) {
+        let _ = write_frame(&mut self.stream, &Message::Bye);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ use crate::builder::GraphBuilder;
 use crate::database::GraphDb;
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
+use crate::hash::fnv1a64;
 use crate::label::{Label, LabelInterner};
 use crate::vertex::VertexId;
 
@@ -33,16 +34,6 @@ const MAGIC: &[u8; 4] = b"SQPG";
 const VERSION: u32 = 2;
 /// Oldest version `from_bytes` still accepts (pre-checksum files).
 const MIN_VERSION: u32 = 1;
-
-/// 64-bit FNV-1a over `bytes` — cheap, dependency-free corruption check.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Serializes a database into a byte buffer (current version, checksummed).
 pub fn to_bytes(db: &GraphDb) -> Bytes {

@@ -73,6 +73,17 @@ impl Hasher for FxHasher {
     }
 }
 
+/// 64-bit FNV-1a over `bytes` — the cheap, dependency-free corruption check
+/// shared by every checksummed format (binio v2, wire frames, journal lines).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 

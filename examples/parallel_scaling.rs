@@ -2,10 +2,8 @@
 //!
 //! Grapes uses 6 worker threads (§IV-A); the vcFV framework parallelizes
 //! even more naturally because every data graph's filter+verify is
-//! independent. This example fans CFQL queries over 1–8 workers, comparing
-//! the legacy per-query-spawn static partitioning (`parallel_query`) with
-//! the persistent work-stealing [`QueryPool`], and prints the wall-clock
-//! speedup of each.
+//! independent. This example fans CFQL queries over 1–8 workers of the
+//! persistent work-stealing [`QueryPool`] and prints the wall-clock speedup.
 //!
 //! ```text
 //! cargo run --release --example parallel_scaling
@@ -13,7 +11,7 @@
 
 use std::sync::Arc;
 
-use subgraph_query::core::parallel::{parallel_query, QueryPool};
+use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::datagen::graphgen;
 use subgraph_query::datagen::query::{generate_query, QueryGenMethod};
 use subgraph_query::matching::cfql::Cfql;
@@ -31,7 +29,6 @@ fn main() {
     let queries: Vec<_> = (0..10)
         .map(|_| generate_query(&db, QueryGenMethod::RandomWalk, 12, &mut rng).unwrap())
         .collect();
-    let cfql = Cfql::new();
     let matcher: Arc<dyn Matcher> = Arc::new(Cfql::new());
 
     // Scaling tops out at the machine's physical parallelism; going beyond
@@ -45,44 +42,27 @@ fn main() {
     }
     println!("machine parallelism: {cores} cores\n");
 
-    println!(
-        "{:>8} {:>14} {:>10} {:>14} {:>10} {:>10}",
-        "threads", "static(ms)", "speedup", "pool(ms)", "speedup", "answers"
-    );
-    let (mut static_base, mut pool_base) = (0.0, 0.0);
+    println!("{:>8} {:>14} {:>10} {:>10}", "threads", "pool(ms)", "speedup", "answers");
+    let (mut base_ms, mut base_answers) = (0.0, 0usize);
     for threads in thread_counts {
         let pool = QueryPool::new(threads);
-        let (mut static_ms, mut pool_ms) = (0.0, 0.0);
-        let (mut static_answers, mut pool_answers) = (0usize, 0usize);
+        let (mut ms, mut answers) = (0.0, 0usize);
         for q in &queries {
-            let r = parallel_query(&cfql, &db, q, threads, Deadline::none());
-            static_ms += r.wall_time.as_secs_f64() * 1e3;
-            static_answers += r.outcome.answers.len();
-
             let r = pool.query(Arc::clone(&matcher), &db, q, Deadline::none());
-            pool_ms += r.wall_time.as_secs_f64() * 1e3;
-            pool_answers += r.outcome.answers.len();
+            ms += r.wall_time.as_secs_f64() * 1e3;
+            answers += r.outcome.answers.len();
         }
-        assert_eq!(static_answers, pool_answers, "invariant I4");
         if threads == 1 {
-            static_base = static_ms;
-            pool_base = pool_ms;
+            (base_ms, base_answers) = (ms, answers);
         }
-        println!(
-            "{:>8} {:>14.1} {:>9.2}x {:>14.1} {:>9.2}x {:>10}",
-            threads,
-            static_ms,
-            static_base / static_ms,
-            pool_ms,
-            pool_base / pool_ms,
-            pool_answers
-        );
+        assert_eq!(answers, base_answers, "invariant I4");
+        println!("{threads:>8} {ms:>14.1} {:>9.2}x {answers:>10}", base_ms / ms);
     }
 
     println!(
         "\nPer-graph independence makes vcFV queries embarrassingly parallel.\n\
-         The pool adds dynamic distribution: idle workers claim the next\n\
-         unfinished graph instead of idling behind a straggler chunk, and a\n\
+         The pool distributes dynamically: idle workers claim the next\n\
+         unfinished graph instead of idling behind a straggler, and a\n\
          timed-out worker cancels its siblings cooperatively."
     );
 }

@@ -4,6 +4,11 @@
 #   scripts/ci.sh            # full gate: build, test, fmt, clippy
 #   scripts/ci.sh --fast     # skip clippy (quick pre-commit check)
 #
+# This is the one list of steps: .github/workflows/ci.yml runs this script.
+# Suites run bare by `cargo test --workspace` are not re-run; a suite gets a
+# step of its own only where it sets PROPTEST_CASES / SQP_FORCE_SCALAR /
+# SQP_BENCH_SMOKE.
+#
 # The build environment has no crates.io access; every external dependency is
 # vendored under vendor/, so all steps run with --offline.
 
@@ -16,11 +21,8 @@ fast=0
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test --workspace (tier-1's root-package suites plus the unit tests under crates/*/src: engines, runner, enumerate, deadline, wire, breaker reference, intersect kernels)"
+echo "==> cargo test --workspace (tier-1's root-package suites — io robustness corpus, golden metrics format, deadline paths, the distributed fault matrix on both wire hops, allocation accounting — plus the unit tests under crates/*/src: engines, runner, enumerate, deadline, wire, breaker reference, intersect kernels, overlay)"
 cargo test -q --offline --workspace
-
-echo "==> io robustness corpus (malformed t/v/e inputs)"
-cargo test -q --offline --test io_robustness
 
 echo "==> chaos suite (fixed seeds, 1/2/4/8 threads; breaker lifecycle, drain, serving determinism)"
 # Deterministic fault injection: seeds pinned in tests/chaos.rs and
@@ -45,20 +47,11 @@ PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib cfl::
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
 PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence
 
-echo "==> metrics format (golden exposition file, histogram properties, deterministic phase clocks)"
-cargo test -q --offline --test metrics_format
-
 echo "==> supervision suite (counter heartbeats: wedge escalation at 1/2/4/8 threads; journal torn-tail property, resume skip)"
 PROPTEST_CASES=32 cargo test -q --offline --test supervision
 
-echo "==> deadline paths (zero budget, mid-scan expiry, sibling cancellation and direct calls on every path a query takes)"
-cargo test -q --offline --test deadline_paths
-
 echo "==> wire protocol suite (frame round-trip; truncation/bit-flip/over-cap fail closed)"
 PROPTEST_CASES=32 cargo test -q --offline --test wire
-
-echo "==> distributed serving suite (loopback shard clusters: dead/slow/silent/corrupting shard matrix at 1/2/4/8 scatter threads)"
-cargo test -q --offline --test distributed
 
 echo "==> kill-then-resume smoke (journaled run killed mid-flight; --resume re-runs only the incomplete tail)"
 smoke_dir=$(mktemp -d)
@@ -179,10 +172,6 @@ SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench adaptive
 
 echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed streams fail closed)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence
-
-echo "==> overlay unit suite + allocation accounting (pruned filter call allocates nothing; warm seeded enumeration allocates only its embeddings)"
-cargo test -q --offline -p sqp-graph --lib dynamic::
-cargo test -q --offline --test filter_alloc
 
 echo "==> dynamic bench smoke (asserts repair beats re-query and overlay beats rebuild; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench dynamic

@@ -9,12 +9,14 @@
 //!           [--chaos-corrupt-pm PM] [--chaos-delay-pm PM] [--chaos-delay-ms N]
 //! ```
 //!
-//! Loads the **full** database, derives its own slice from the
-//! fingerprint-hash placement (`graph_fingerprint % shards`), and serves
-//! the wire protocol on `--listen` (port 0 lets the OS pick; the bound
-//! address is printed as `listening ADDR` for scripts). Each query runs
-//! through the same admission-controlled, breaker-protected
-//! `QueryService` the single-process CLI uses.
+//! This file is argument parsing: it loads the **full** database and starts
+//! the library's one wire server as a shard worker (`WireServer::start`),
+//! which derives its own slice from the fingerprint-hash placement
+//! (`graph_fingerprint % shards`) and serves the wire protocol on
+//! `--listen` (port 0 lets the OS pick; the bound address is printed as
+//! `listening ADDR` for scripts). Each query runs through the same
+//! admission-controlled, breaker-protected `QueryService` the
+//! single-process CLI uses.
 //!
 //! The `--chaos-*-pm` flags arm the deterministic outbound frame chaos
 //! plan (per-mille of frames dropped / truncated / bit-flipped / delayed)
@@ -24,12 +26,11 @@
 mod cli;
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use subgraph_query::core::prelude::*;
 
-use cli::{load_db, Opts};
+use cli::{apply_chaos_slow, breaker_from_opts, load_db, serve_until_interrupted, Opts};
 
 const HELP: &str = "\
 sqp-shard — one shard worker of the distributed query service
@@ -50,29 +51,6 @@ const FLAGS: &str = "db shard-index shards listen engine threads budget-ms retri
     breaker-threshold breaker-cooldown chaos-slow-ms chaos-seed chaos-drop-pm \
     chaos-truncate-pm chaos-corrupt-pm chaos-delay-pm chaos-delay-ms";
 
-static STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_stop_handler() {
-    extern "C" fn on_signal(_: i32) {
-        STOP.store(true, std::sync::atomic::Ordering::SeqCst);
-        const SIG_DFL: usize = 0;
-        unsafe {
-            signal(SIGINT, SIG_DFL);
-        }
-    }
-    unsafe extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    unsafe {
-        signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_stop_handler() {}
-
 fn run(opts: &Opts) -> Result<(), String> {
     let db = load_db(opts.require("db")?)?;
     let shard_index: usize = opts.num("shard-index", 0usize)?;
@@ -83,27 +61,15 @@ fn run(opts: &Opts) -> Result<(), String> {
     let engine_name = opts.get("engine").unwrap_or("CFQL");
     let matcher = matcher_by_name(engine_name)
         .ok_or_else(|| format!("'{engine_name}' is not a matcher (vcFV) engine"))?;
-    let slow_ms: u64 = opts.num("chaos-slow-ms", 0u64)?;
-    let matcher: Arc<dyn subgraph_query::matching::Matcher> = if slow_ms > 0 {
-        Arc::new(SlowMatcher::new(matcher, Duration::from_millis(slow_ms)))
-    } else {
-        matcher
-    };
+    let matcher = apply_chaos_slow(opts, matcher)?;
 
     let mut runner =
         RunnerConfig::with_budget(Duration::from_millis(opts.num("budget-ms", 600_000u64)?));
     runner.max_retries = opts.num("retries", 0u32)?;
-    let breaker = match opts.get("breaker-threshold") {
-        None => BreakerConfig::default(),
-        Some(_) => BreakerConfig {
-            fault_threshold: opts.num("breaker-threshold", 0u32)?,
-            cooldown: opts.num("breaker-cooldown", BreakerConfig::default().cooldown)?,
-        },
-    };
     let service = ServiceConfig {
         threads: opts.num("threads", 1usize)?,
         runner,
-        breaker,
+        breaker: breaker_from_opts(opts)?,
         thread_prefix: format!("sqp-shard-{shard_index}"),
         ..Default::default()
     };
@@ -129,28 +95,15 @@ fn run(opts: &Opts) -> Result<(), String> {
         wire: WireConfig::default(),
         chaos: chaos_armed.then(|| WireChaos::new(chaos_config)),
     };
-    let server = ShardServer::start(matcher, &db, config)
+    let server = WireServer::start(matcher, &db, config)
         .map_err(|e| format!("cannot start shard server: {e}"))?;
-    println!("listening {}", server.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    eprintln!(
+    let what = format!(
         "shard {shard_index}/{shards}: {} of {} graphs, engine {engine_name}{}",
         server.graphs(),
         db.len(),
         if chaos_armed { " (wire chaos armed)" } else { "" },
     );
-
-    install_stop_handler();
-    while !STOP.load(std::sync::atomic::Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    eprintln!("shard {shard_index}: draining");
-    let d = server.shutdown();
-    eprintln!(
-        "shard {shard_index}: finished {} shed-at-drain {} within-deadline {}",
-        d.finished, d.shed_at_drain, d.drained_within_deadline
-    );
+    serve_until_interrupted(server, &what);
     Ok(())
 }
 

@@ -33,6 +33,10 @@
 //! `--supervise`) a vcFV matcher on a persistent
 //! [`QueryPool`](subgraph_query::core::parallel::QueryPool) behind
 //! [`ParallelEngine`] — and hands it to the library's one runner loop.
+//! Neither end of the wire protocol lives here: `serve` starts the
+//! library's one [`WireServer`] as the coordinator front (the same server
+//! `sqp-shard` starts as a shard worker) and `client` drives the library's
+//! one [`WireClient`] (the same client the coordinator holds per shard).
 //!
 //! Databases and queries use the standard `t # / v / e` text format; paths
 //! ending in `.bin` use the compact binary format of `sqp_graph::binio`.
@@ -64,7 +68,10 @@ use subgraph_query::index::{
 use subgraph_query::matching::cfql::Cfql;
 use subgraph_query::matching::Deadline;
 
-use cli::{load_db, Opts};
+use cli::{
+    apply_chaos_slow, breaker_from_opts, drain_line, drain_requested, install_drain_handler,
+    load_db, load_queries, query_line, serve_until_interrupted, Opts,
+};
 
 const HELP: &str = "\
 sqp — subgraph query processing toolkit
@@ -257,31 +264,9 @@ fn cmd_queries(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The status tag appended to a record line: empty for completed queries.
-fn status_tag(r: &QueryRecord) -> String {
-    let tag = match &r.status {
-        QueryStatus::Completed => return String::new(),
-        QueryStatus::TimedOut => " TIMEOUT".to_string(),
-        QueryStatus::Quarantined => " QUARANTINED".to_string(),
-        QueryStatus::Panicked { .. } => " PANIC".to_string(),
-        QueryStatus::ResourceExhausted { kind } => format!(" EXHAUSTED({kind})"),
-        QueryStatus::Wedged => " WEDGED".to_string(),
-        QueryStatus::Unavailable => " UNAVAILABLE".to_string(),
-        QueryStatus::Shed => " SHED".to_string(),
-    };
-    if r.retries > 0 {
-        format!("{tag} retries={}", r.retries)
-    } else {
-        tag
-    }
-}
-
 fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     let db = Arc::new(load_db(opts.require("db")?)?);
-    let qpath = opts.require("queries")?;
-    let mut interner = db.interner().clone();
-    let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
-    let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
+    let queries = load_queries(opts.require("queries")?, &db)?;
 
     let engine_name = opts.get("engine").unwrap_or("CFQL");
     let adaptive_requested = engine_name.eq_ignore_ascii_case("adaptive");
@@ -355,14 +340,7 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         report
     };
     for (i, r) in report.records.iter().enumerate() {
-        println!(
-            "query {i}: answers={} candidates={} filter={:.3}ms verify={:.3}ms{}",
-            r.answers,
-            r.candidates,
-            r.filter_time.as_secs_f64() * 1e3,
-            r.verify_time.as_secs_f64() * 1e3,
-            status_tag(r),
-        );
+        println!("{}", query_line(i, r));
     }
     println!(
         "-- avg query {:.3} ms | precision {:.3} | |C| {:.1} | per-SI-test {:.4} ms \
@@ -504,60 +482,10 @@ fn degraded_exit_code(report: &QuerySetReport) -> ExitCode {
     }
 }
 
-/// SIGINT-equivalent drain trigger. On Unix the first Ctrl-C starts a
-/// graceful drain instead of killing the process; the handler then restores
-/// the default SIGINT disposition, so a *second* Ctrl-C actually kills a run
-/// whose drain is stuck (a wedged worker, an unkillable matcher). Elsewhere
-/// only `--drain-after-ms` can trigger a drain.
-static DRAIN_REQUESTED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_drain_handler() {
-    extern "C" fn on_sigint(_: i32) {
-        DRAIN_REQUESTED.store(true, std::sync::atomic::Ordering::SeqCst);
-        // Hand SIGINT back to the kernel: the next Ctrl-C must terminate the
-        // process even if the drain never completes. `signal` is
-        // async-signal-safe, and SIG_DFL is handler value 0.
-        const SIG_DFL: usize = 0;
-        unsafe {
-            signal(SIGINT, SIG_DFL);
-        }
-    }
-    unsafe extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    unsafe {
-        signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_drain_handler() {}
-
-fn drain_requested() -> bool {
-    DRAIN_REQUESTED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
 /// Runs the query set through the admission-controlled [`QueryService`]:
 /// the whole set is submitted as one burst (so `--max-inflight` and
 /// `--shed` actually shed), then tickets are awaited with the drain
 /// triggers armed (SIGINT, `--drain-after-ms`).
-/// Wraps `matcher` in a [`SlowMatcher`] when `--chaos-slow-ms` is given —
-/// a deterministic per-filter-call delay used by the kill/resume CI smoke
-/// to guarantee the run is still in flight when it is killed.
-fn apply_chaos_slow(
-    opts: &Opts,
-    matcher: Arc<dyn subgraph_query::matching::Matcher>,
-) -> Result<Arc<dyn subgraph_query::matching::Matcher>, String> {
-    let slow_ms: u64 = opts.num("chaos-slow-ms", 0u64)?;
-    if slow_ms > 0 {
-        Ok(Arc::new(SlowMatcher::new(matcher, Duration::from_millis(slow_ms))))
-    } else {
-        Ok(matcher)
-    }
-}
-
 fn run_service_query(
     opts: &Opts,
     db: &Arc<GraphDb>,
@@ -710,13 +638,10 @@ fn run_service_query(
         }
     }
 
-    let health = service.as_ref().map(QueryService::health);
+    let health = service.as_ref().map(|s| s.health());
     let mut report = QuerySetReport::new(engine_name, "cli-service");
     for (outcome, retries) in &results {
-        let mut record =
-            QueryRecord::from_outcome(outcome, budget).with_engine_fallback(engine_name);
-        record.retries = *retries;
-        report.records.push(record);
+        report.push_outcome(outcome, *retries, budget);
     }
     if let Some(h) = &health {
         eprintln!(
@@ -733,10 +658,7 @@ fn run_service_query(
         );
     }
     if let Some(d) = drain {
-        eprintln!(
-            "drain: finished {} shed-at-drain {} within-deadline {}",
-            d.finished, d.shed_at_drain, d.drained_within_deadline
-        );
+        eprintln!("{}", drain_line(&d));
     }
     // Stats live on the router itself, so they survive a drain that
     // consumed the service.
@@ -746,10 +668,7 @@ fn run_service_query(
 
 fn cmd_compare(opts: &Opts) -> Result<(), String> {
     let db = Arc::new(load_db(opts.require("db")?)?);
-    let qpath = opts.require("queries")?;
-    let mut interner = db.interner().clone();
-    let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
-    let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
+    let queries = load_queries(opts.require("queries")?, &db)?;
     let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let names: Vec<String> = opts
         .get("engines")
@@ -837,10 +756,7 @@ fn print_phase_table(reports: &[QuerySetReport]) {
 
 fn cmd_match(opts: &Opts) -> Result<(), String> {
     let db = Arc::new(load_db(opts.require("db")?)?);
-    let qpath = opts.require("queries")?;
-    let mut interner = db.interner().clone();
-    let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
-    let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
+    let queries = load_queries(opts.require("queries")?, &db)?;
     let limit: u64 = opts.num("limit", 1000u64)?;
 
     let cm =
@@ -910,11 +826,7 @@ fn cmd_update(opts: &Opts) -> Result<ExitCode, String> {
         policy,
     );
     if let Some(qpath) = opts.get("queries") {
-        let mut interner = db.interner().clone();
-        let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
-        let queries =
-            io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
-        for (i, q) in queries.into_iter().enumerate() {
+        for (i, q) in load_queries(qpath, &db)?.into_iter().enumerate() {
             let id = svc
                 .register(q, deadline())
                 .map_err(|_| format!("standing query {i}: registration timed out"))?;
@@ -1036,35 +948,19 @@ fn cmd_update(opts: &Opts) -> Result<ExitCode, String> {
     Ok(if degraded { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }
 
-/// Parses the breaker flags shared by `query` (per-graph) and `serve`
-/// (per-peer).
-fn breaker_from_opts(opts: &Opts) -> Result<BreakerConfig, String> {
-    match opts.get("breaker-threshold") {
-        None => Ok(BreakerConfig::default()),
-        Some(_) => Ok(BreakerConfig {
-            fault_threshold: opts.num("breaker-threshold", 0u32)?,
-            cooldown: opts.num("breaker-cooldown", BreakerConfig::default().cooldown)?,
-        }),
-    }
-}
-
-/// `sqp serve` — the scatter–gather coordinator front end: accepts wire
-/// clients, routes each query over the shard peers, and (optionally)
-/// serves the Prometheus exposition over HTTP at `/metrics`.
+/// `sqp serve` — the coordinator front: the library's wire server in front
+/// of a scatter–gather [`Coordinator`] over the shard addresses, optionally
+/// with the Prometheus exposition over HTTP at `/metrics`.
 fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
-    use std::net::TcpListener;
-
-    let db = Arc::new(load_db(opts.require("db")?)?);
+    let db = load_db(opts.require("db")?)?;
     let shard_addrs: Vec<String> = opts.require("shards")?.split(',').map(str::to_string).collect();
-    if shard_addrs.is_empty() {
-        return Err("--shards needs at least one address".into());
-    }
+    let shards = shard_addrs.len();
     let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let mut runner = RunnerConfig::with_budget(Duration::from_millis(budget_ms));
     runner.max_retries = opts.num("retries", 2u32)?;
     runner.retry_backoff = Duration::from_millis(opts.num("retry-backoff-ms", 10u64)?);
     let config = CoordinatorConfig {
-        shard_addrs: shard_addrs.clone(),
+        shard_addrs,
         runner,
         breaker: breaker_from_opts(opts)?,
         scatter_threads: opts.num("scatter-threads", 4usize)?,
@@ -1073,299 +969,50 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
         idle_read_timeout: Duration::from_millis(opts.num("idle-timeout-ms", 30_000u64)?),
         ..Default::default()
     };
-    let db_fp = db_fingerprint(&db);
-    let graphs = db.len() as u32;
-    let coordinator = Arc::new(Coordinator::new(&db, config));
-    let report = Arc::new(std::sync::Mutex::new(QuerySetReport::new("coordinator", "serve")));
-
-    if let Some(maddr) = opts.get("metrics-addr") {
-        let listener = TcpListener::bind(maddr)
-            .map_err(|e| format!("cannot bind metrics address {maddr}: {e}"))?;
-        eprintln!(
-            "metrics on http://{}/metrics",
-            listener.local_addr().map_err(|e| e.to_string())?
-        );
-        // Weak references: the scrape loop must not keep the coordinator
-        // alive past drain, or `Arc::try_unwrap` below can never succeed.
-        let coordinator = Arc::downgrade(&coordinator);
-        let report = Arc::downgrade(&report);
-        std::thread::Builder::new()
-            .name("sqp-serve-metrics".to_string())
-            .spawn(move || serve_metrics_http(listener, &coordinator, &report))
-            .map_err(|e| e.to_string())?;
-    }
-
-    install_drain_handler();
     let listen = opts.get("listen").unwrap_or("127.0.0.1:0");
-    let listener = TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    // The parseable line scripts wait for before starting clients.
-    println!("listening {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    eprintln!(
-        "coordinator over {} shards, db fingerprint {db_fp:016x}; Ctrl-C drains",
-        shard_addrs.len()
-    );
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-    let mut clients: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let conns: Arc<std::sync::Mutex<Vec<std::net::TcpStream>>> =
-        Arc::new(std::sync::Mutex::new(Vec::new()));
-    while !drain_requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                if let Ok(clone) = stream.try_clone() {
-                    if let Ok(mut c) = conns.lock() {
-                        c.push(clone);
-                    }
-                }
-                let coordinator = Arc::clone(&coordinator);
-                let report = Arc::clone(&report);
-                let handle = std::thread::Builder::new()
-                    .name("sqp-serve-client".to_string())
-                    .spawn(move || serve_client_conn(stream, &coordinator, db_fp, graphs, &report));
-                if let Ok(h) = handle {
-                    clients.push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(format!("accept failed: {e}")),
-        }
+    let mut server =
+        WireServer::front(&db, listen, config).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    if let Some(maddr) = opts.get("metrics-addr") {
+        let bound = server
+            .serve_metrics(maddr)
+            .map_err(|e| format!("cannot bind metrics address {maddr}: {e}"))?;
+        eprintln!("metrics on http://{bound}/metrics");
     }
-    eprintln!("drain: closing client connections and stopping the coordinator");
-    coordinator.begin_drain();
-    if let Ok(mut c) = conns.lock() {
-        for s in c.drain(..) {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-    }
-    for h in clients {
-        let _ = h.join();
-    }
-    match Arc::try_unwrap(coordinator) {
-        Ok(c) => {
-            let d = c.shutdown();
-            eprintln!(
-                "drain: finished {} shed-at-drain {} within-deadline {}",
-                d.finished, d.shed_at_drain, d.drained_within_deadline
-            );
-        }
-        Err(_) => eprintln!("drain: coordinator still referenced; exiting without full drain"),
-    }
+    let what =
+        format!("coordinator over {shards} shards, db fingerprint {:016x}", db_fingerprint(&db));
+    serve_until_interrupted(server, &what);
     Ok(ExitCode::SUCCESS)
 }
 
-/// One wire client connection on the coordinator: Hello/HelloAck, then a
-/// lockstep stream of Query → Answers* → Outcome exchanges.
-fn serve_client_conn(
-    mut stream: std::net::TcpStream,
-    coordinator: &Coordinator,
-    db_fp: u64,
-    graphs: u32,
-    report: &std::sync::Mutex<QuerySetReport>,
-) {
-    use subgraph_query::core::wire::{
-        read_frame, write_frame, Message, PeerRole, WireConfig, WireOutcome, ANSWER_CHUNK,
-        WIRE_VERSION,
-    };
-    let wire = WireConfig::default();
-    match read_frame(&mut stream, &wire) {
-        Ok(Message::Hello {
-            version: WIRE_VERSION, role: PeerRole::Client, db_fp: got, ..
-        }) if got == db_fp => {}
-        Ok(Message::Hello { db_fp: got, .. }) if got != db_fp => {
-            let _ = write_frame(
-                &mut stream,
-                &Message::Error {
-                    message: format!(
-                    "database fingerprint mismatch: client {got:016x}, coordinator {db_fp:016x}"
-                ),
-                },
-            );
-            return;
-        }
-        _ => {
-            let _ = write_frame(
-                &mut stream,
-                &Message::Error { message: "expected client Hello".to_string() },
-            );
-            return;
-        }
-    }
-    if write_frame(&mut stream, &Message::HelloAck { version: WIRE_VERSION, db_fp, graphs })
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        let msg = match read_frame(&mut stream, &wire) {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        match msg {
-            Message::Query { id, budget_ms, graph } => {
-                let budget = (budget_ms > 0).then(|| Duration::from_millis(budget_ms));
-                let (ticket, _) = coordinator.submit_with_budget(&graph, budget);
-                let (outcome, retries) = ticket.wait();
-                if let Ok(mut r) = report.lock() {
-                    let mut record = QueryRecord::from_outcome(&outcome, budget)
-                        .with_engine_fallback("coordinator");
-                    record.retries = retries;
-                    r.records.push(record);
-                }
-                let wire_outcome = WireOutcome::from_outcome(&outcome, retries);
-                for chunk in outcome.answers.chunks(ANSWER_CHUNK) {
-                    if write_frame(&mut stream, &Message::Answers { id, graphs: chunk.to_vec() })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                if write_frame(&mut stream, &Message::Outcome { id, outcome: wire_outcome })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Message::MetricsRequest => {
-                let text = coordinator_exposition(coordinator, report);
-                if write_frame(&mut stream, &Message::MetricsText { text }).is_err() {
-                    return;
-                }
-            }
-            Message::Bye => return,
-            _ => {
-                let _ = write_frame(
-                    &mut stream,
-                    &Message::Error { message: "unexpected message".to_string() },
-                );
-                return;
-            }
-        }
-    }
-}
-
-/// The coordinator's full Prometheus exposition: core families over
-/// everything served so far, plus the per-peer `sqp_shard_*` families.
-fn coordinator_exposition(
-    coordinator: &Coordinator,
-    report: &std::sync::Mutex<QuerySetReport>,
-) -> String {
-    let snapshot = report.lock().map(|r| r.clone()).unwrap_or_default();
-    let health = coordinator.health();
-    let mut text = render_prometheus(std::slice::from_ref(&snapshot), Some(&health));
-    text.push_str(&render_prometheus_shards(&coordinator.peer_stats()));
-    text
-}
-
-/// A hand-rolled HTTP/1.1 responder for `GET /metrics` — enough for a
-/// Prometheus scrape or `curl`, with no HTTP dependency.
-fn serve_metrics_http(
-    listener: std::net::TcpListener,
-    coordinator: &std::sync::Weak<Coordinator>,
-    report: &std::sync::Weak<std::sync::Mutex<QuerySetReport>>,
-) {
-    use std::io::{BufRead, BufReader, Write};
-    for conn in listener.incoming() {
-        let Ok(mut stream) = conn else { continue };
-        // Upgrade per scrape so this thread never pins the coordinator
-        // past drain; once it is gone the scrape loop ends too.
-        let (Some(coordinator), Some(report)) = (coordinator.upgrade(), report.upgrade()) else {
-            return;
-        };
-        let mut line = String::new();
-        if BufReader::new(&mut stream).read_line(&mut line).is_err() {
-            continue;
-        }
-        let (status, body) = if line.starts_with("GET /metrics") {
-            ("200 OK", coordinator_exposition(&coordinator, &report))
-        } else {
-            ("404 Not Found", "only /metrics lives here\n".to_string())
-        };
-        let _ = write!(
-            stream,
-            "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-    }
-}
-
-/// `sqp client` — sends a query set to a coordinator over the wire
-/// protocol and reports results exactly like a local `sqp query` run.
+/// `sqp client` — sends a query set to a coordinator front through the
+/// library's wire client and reports results like a local `sqp query` run.
 fn cmd_client(opts: &Opts) -> Result<ExitCode, String> {
-    use subgraph_query::core::wire::{
-        read_frame, write_frame, Message, PeerRole, WireConfig, WIRE_VERSION,
-    };
-    let db = Arc::new(load_db(opts.require("db")?)?);
-    let qpath = opts.require("queries")?;
-    let mut interner = db.interner().clone();
-    let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
-    let queries = io::read_graphs(BufReader::new(f), &mut interner).map_err(|e| e.to_string())?;
+    let db = load_db(opts.require("db")?)?;
+    let queries = load_queries(opts.require("queries")?, &db)?;
     let addr = opts.require("addr")?;
     let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let budget = (budget_ms > 0).then(|| Duration::from_millis(budget_ms));
-    let db_fp = db_fingerprint(&db);
-    let wire = WireConfig::default();
-
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(budget_ms.max(1_000) + 5_000)))
-        .map_err(|e| e.to_string())?;
-    write_frame(
-        &mut stream,
-        &Message::Hello {
-            version: WIRE_VERSION,
-            role: PeerRole::Client,
-            db_fp,
-            shards: 0,
-            shard_index: 0,
-        },
+    // How long to wait on a silent coordinator: the budget plus slack.
+    let patience = Duration::from_millis(budget_ms.max(1_000) + 5_000);
+    let mut client = WireClient::connect(
+        addr,
+        Greeting::client(db_fingerprint(&db)),
+        db.len(),
+        WireConfig::default(),
+        patience,
+        patience,
     )
-    .map_err(|e| format!("handshake failed: {e}"))?;
-    match read_frame(&mut stream, &wire) {
-        Ok(Message::HelloAck { version: WIRE_VERSION, db_fp: got, .. }) if got == db_fp => {}
-        Ok(Message::Error { message }) => return Err(format!("coordinator refused: {message}")),
-        Ok(_) => return Err("handshake failed: unexpected reply".into()),
-        Err(e) => return Err(format!("handshake failed: {e}")),
-    }
+    .map_err(|e| format!("cannot reach the coordinator at {addr}: {e}"))?;
 
     let mut report = QuerySetReport::new("client", "cli-remote");
     for (i, q) in queries.iter().enumerate() {
-        write_frame(&mut stream, &Message::Query { id: i as u64, budget_ms, graph: q.clone() })
-            .map_err(|e| format!("query {i}: send failed: {e}"))?;
-        let mut answers = Vec::new();
-        let (outcome, retries) = loop {
-            match read_frame(&mut stream, &wire) {
-                Ok(Message::Answers { id, graphs }) if id == i as u64 => answers.extend(graphs),
-                Ok(Message::Outcome { id, outcome }) if id == i as u64 => {
-                    break outcome.into_outcome(std::mem::take(&mut answers));
-                }
-                Ok(Message::Error { message }) => {
-                    return Err(format!("query {i}: coordinator error: {message}"))
-                }
-                Ok(_) => return Err(format!("query {i}: unexpected frame")),
-                Err(e) => return Err(format!("query {i}: receive failed: {e}")),
-            }
-        };
-        let mut record = QueryRecord::from_outcome(&outcome, budget).with_engine_fallback("client");
-        record.retries = retries;
-        println!(
-            "query {i}: answers={} candidates={} filter={:.3}ms verify={:.3}ms{}",
-            record.answers,
-            record.candidates,
-            record.filter_time.as_secs_f64() * 1e3,
-            record.verify_time.as_secs_f64() * 1e3,
-            status_tag(&record),
-        );
-        report.records.push(record);
+        let (answers, outcome) =
+            client.query(q, budget, patience).map_err(|e| format!("query {i}: {e}"))?;
+        let (outcome, retries) = outcome.into_outcome(answers);
+        report.push_outcome(&outcome, retries, budget);
+        println!("{}", query_line(i, &report.records[i]));
     }
-    let _ = write_frame(&mut stream, &Message::Bye);
+    client.bye();
     println!(
         "-- {} queries | avg {:.3} ms | timeouts {} | unavailable {} | shed {} | retries {}",
         report.records.len(),

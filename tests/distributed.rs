@@ -18,13 +18,23 @@
 //!   the query — and an answering-but-slow peer does **not** charge its
 //!   breaker;
 //! * drain terminates and every pool/executor thread of the cluster is
-//!   reclaimed (checked via `/proc/self/task` thread names).
+//!   reclaimed (checked via `/proc/self/task` thread names);
+//! * the client hop is the same server and the same client: a
+//!   [`WireClient`] through an in-process coordinator front
+//!   ([`WireServer::front`], what `sqp serve` starts) gets answers
+//!   byte-identical to the local run and a killed shard's graphs as
+//!   `Unavailable`; every socket the front accepts has `TCP_NODELAY`; each
+//!   handshake refusal (version, role, database, placement) arrives as
+//!   `Message::Error` with its own text on both hops; and a peer that
+//!   reconnects fifty times leaves no tracked connection behind.
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use subgraph_query::core::chaos::graph_fingerprint;
 use subgraph_query::core::prelude::*;
+use subgraph_query::core::wire::{read_frame, write_frame, PeerRole, WIRE_VERSION};
 use subgraph_query::datagen::graphgen;
 use subgraph_query::datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
 use subgraph_query::graph::database::GraphId;
@@ -99,6 +109,29 @@ fn coordinator_over(
             ..Default::default()
         },
     )
+}
+
+/// The coordinator front over `servers`, in process: what `sqp serve` runs.
+fn front_over(db: &GraphDb, servers: &[ShardServer], runner: RunnerConfig) -> WireServer {
+    let config = CoordinatorConfig {
+        shard_addrs: servers.iter().map(|s| s.local_addr().to_string()).collect(),
+        runner,
+        breaker: BreakerConfig { fault_threshold: 2, cooldown: 100 },
+        connect_timeout: Duration::from_millis(500),
+        idle_read_timeout: Duration::from_millis(150),
+        ..Default::default()
+    };
+    WireServer::front(db, "127.0.0.1:0", config).expect("front must start")
+}
+
+/// How long the client-hop tests wait on a connect or a reply frame.
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// A wire client of `front`, greeting as a client of the database `db_fp`.
+fn client_of(front: &WireServer, db: &GraphDb, db_fp: u64) -> Result<WireClient, WireError> {
+    let addr = front.local_addr().to_string();
+    let wire = WireConfig::default();
+    WireClient::connect(&addr, Greeting::client(db_fp), db.len(), wire, PATIENCE, PATIENCE)
 }
 
 /// The per-query view the assertions compare: everything that must be
@@ -443,5 +476,157 @@ fn drain_reclaims_every_cluster_thread() {
             );
             std::thread::sleep(Duration::from_millis(20));
         }
+    }
+}
+
+/// The client hop: a wire client through the in-process front over three
+/// shards sees the local run's answers byte for byte, on sockets with
+/// `TCP_NODELAY`; once a shard is killed, the same client sees exactly that
+/// shard's graphs attributed `Unavailable`.
+#[test]
+fn client_through_the_front_matches_local_run_then_degrades() {
+    let (db, queries) = fixture();
+    let local = local_answers(&db, &queries);
+    let servers = start_cluster(&db, 3, "dfr");
+    let mut runner = RunnerConfig::with_budget(Duration::from_secs(5));
+    runner.max_retries = 1;
+    runner.retry_backoff = Duration::from_millis(5);
+    let front = front_over(&db, &servers, runner);
+    assert_eq!(front.graphs(), db.len());
+    let mut client = client_of(&front, &db, db_fingerprint(&db))
+        .expect("the front must accept a client of the same database");
+    let run = |client: &mut WireClient| -> Vec<QueryView> {
+        queries
+            .iter()
+            .map(|q| {
+                let (answers, outcome) =
+                    client.query(q, None, PATIENCE).expect("the front must answer");
+                let (o, retries) = outcome.into_outcome(answers);
+                QueryView { answers: o.answers, failures: o.failures, status: o.status, retries }
+            })
+            .collect()
+    };
+
+    for (i, view) in run(&mut client).iter().enumerate() {
+        assert_eq!(view.status, QueryStatus::Completed, "query {i}");
+        assert!(view.failures.is_empty(), "query {i}");
+        assert_eq!(view.answers, local[i], "query {i}: answers through the front");
+    }
+    let nodelay = front.connections_nodelay();
+    assert_eq!(nodelay, [true], "one client socket on the front, TCP_NODELAY on");
+
+    servers[1].kill_connections();
+    let views = run(&mut client);
+    assert_degraded(&views, &local, &ShardPlacement::new(&db, 3), 1);
+
+    client.bye();
+    assert!(front.shutdown().drained_within_deadline);
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// Sends `hello` on a fresh connection to `addr`, returns the reply frame,
+/// and hangs up.
+fn hello_reply(addr: std::net::SocketAddr, hello: &Message) -> Result<Message, WireError> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(PATIENCE)).unwrap();
+    write_frame(&mut stream, hello).expect("send hello");
+    read_frame(&mut stream, &WireConfig::default())
+}
+
+/// The text of the `Message::Error` that `hello` is refused with at `addr`.
+fn refusal(addr: std::net::SocketAddr, hello: Message) -> String {
+    match hello_reply(addr, &hello) {
+        Ok(Message::Error { message }) => message,
+        other => panic!("{hello:?} must be refused with an Error frame, got {other:?}"),
+    }
+}
+
+/// Both hops are one server: a hello of the wrong version, role, database
+/// or placement is refused with a reason of its own on the shard and on the
+/// front, and the wire client surfaces that reason.
+#[test]
+fn each_handshake_refusal_has_its_own_text_on_both_hops() {
+    let (db, _) = fixture();
+    let fp = db_fingerprint(&db);
+    let servers = start_cluster(&db, 1, "dhs");
+    let front = front_over(&db, &servers, RunnerConfig::default());
+    let as_client = |shards| Greeting { role: PeerRole::Client, db_fp: fp, shards, shard_index: 0 };
+
+    let shard = servers[0].local_addr();
+    let good = Greeting::coordinator(fp, 1, 0);
+    let on_shard = [
+        (good.hello(WIRE_VERSION + 1), "wire version mismatch: peer 2, this 1"),
+        (as_client(1).hello(WIRE_VERSION), "role mismatch: peer is a Client"),
+        (Greeting { db_fp: fp ^ 1, ..good }.hello(WIRE_VERSION), "database fingerprint mismatch"),
+        (
+            Greeting::coordinator(fp, 3, 1).hello(WIRE_VERSION),
+            "placement mismatch: peer expects shard 1/3, this is 0/1",
+        ),
+    ];
+    for (hello, text) in on_shard {
+        let got = refusal(shard, hello);
+        assert!(got.starts_with(text), "shard refused with {got:?}, want {text:?}");
+    }
+
+    let good = Greeting::client(fp);
+    let on_front = [
+        (good.hello(WIRE_VERSION + 1), "wire version mismatch: peer 2, this 1"),
+        (
+            Greeting::coordinator(fp, 0, 0).hello(WIRE_VERSION),
+            "role mismatch: peer is a Coordinator",
+        ),
+        (Greeting { db_fp: fp ^ 1, ..good }.hello(WIRE_VERSION), "database fingerprint mismatch"),
+        (as_client(3).hello(WIRE_VERSION), "placement mismatch: peer expects shard 0/3"),
+    ];
+    for (hello, text) in on_front {
+        let got = refusal(front.local_addr(), hello);
+        assert!(got.starts_with(text), "front refused with {got:?}, want {text:?}");
+    }
+
+    match client_of(&front, &db, fp ^ 1) {
+        Err(WireError::Remote(text)) => {
+            assert!(text.starts_with("database fingerprint mismatch"), "{text}")
+        }
+        Err(other) => panic!("the refusal must reach the client as the server's text: {other}"),
+        Ok(_) => panic!("a client of another database must be refused"),
+    }
+
+    front.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// The coordinator reconnects on every transport error, so a server must
+/// forget a connection when it ends: after fifty connect + hello + drop
+/// cycles neither hop tracks a connection (at the parent commit every one
+/// of them kept its cloned fd until shutdown).
+#[test]
+fn reconnecting_peers_leave_no_tracked_connections() {
+    let (db, _) = fixture();
+    let fp = db_fingerprint(&db);
+    let servers = start_cluster(&db, 1, "drc");
+    let front = front_over(&db, &servers, RunnerConfig::default());
+    let hops = [(&servers[0], Greeting::coordinator(fp, 1, 0)), (&front, Greeting::client(fp))];
+    for (server, greeting) in hops {
+        for cycle in 0..50 {
+            let ack = hello_reply(server.local_addr(), &greeting.hello(WIRE_VERSION));
+            assert!(matches!(ack, Ok(Message::HelloAck { .. })), "cycle {cycle}: {ack:?}");
+        }
+        let settle = Instant::now();
+        while !server.connections_nodelay().is_empty() {
+            assert!(
+                settle.elapsed() < Duration::from_secs(5),
+                "{} connections still tracked after their peers hung up",
+                server.connections_nodelay().len()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    front.shutdown();
+    for s in servers {
+        s.shutdown();
     }
 }

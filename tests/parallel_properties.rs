@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use subgraph_query::core::engines::CfqlEngine;
-use subgraph_query::core::parallel::{parallel_query, QueryPool};
+use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::QueryEngine;
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
@@ -73,20 +73,6 @@ proptest! {
             prop_assert_eq!(&got.outcome.answers, &expected.answers, "{} threads", threads);
             prop_assert_eq!(got.outcome.candidates, expected.candidates, "{} threads", threads);
             prop_assert!(!got.outcome.timed_out());
-        }
-    }
-
-    /// The legacy static-partitioning fan-out obeys the same invariant.
-    #[test]
-    fn legacy_parallel_equals_sequential((db, q) in arb_db_and_query()) {
-        let mut seq = CfqlEngine::new();
-        seq.build(&db).unwrap();
-        let expected = seq.query(&q);
-        let cfql = Cfql::new();
-        for threads in [2usize, 4] {
-            let got = parallel_query(&cfql, &db, &q, threads, Deadline::none());
-            prop_assert_eq!(&got.outcome.answers, &expected.answers, "{} threads", threads);
-            prop_assert_eq!(got.outcome.candidates, expected.candidates, "{} threads", threads);
         }
     }
 
