@@ -15,6 +15,15 @@
 //! kernels of a cell pay identically), so reported *ratios* compare kernels
 //! fairly even though absolute cell times include the restore.
 //!
+//! A third sweep is the measurement behind `sqp_matching::cfl::PULL_RATIO`:
+//!
+//! * **direction sweep** — the CFL filter's top-down generation of one
+//!   candidate set, pushed from the parent's candidates and pulled from the
+//!   label class, over `|V_L(G)| ÷ |Φ(parent)|` at two densities. Pushing
+//!   costs what the parent candidates' neighborhoods hold, so its crossover
+//!   sits at a larger ratio the denser the graph; the constant has to lie
+//!   between the two crossovers, which the smoke run asserts.
+//!
 //! Results land in `results/BENCH_calibration.json` (hand-rolled JSON — the
 //! vendored criterion stub has no reporter); `SQP_BENCH_SMOKE=1` shrinks the
 //! repetitions and discards the report.
@@ -30,7 +39,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqp_graph::{intersect, simd, VertexId};
+use sqp_graph::{intersect, simd, Graph, GraphBuilder, Label, VertexId};
+use sqp_matching::cfl::{generation_probe, PULL_RATIO};
 
 /// A sorted, strictly-increasing random id list of `len` ids drawn from
 /// `0..universe`.
@@ -120,7 +130,95 @@ fn simd_sweep() -> Vec<SimdCell> {
     cells
 }
 
-fn write_json(gallop: &[GallopCell], simd_cells: &[SimdCell]) {
+/// Average degrees of the direction sweep's data graphs: molecule-sparse and
+/// the dense end of the paper's degree sweep.
+const DIRECTION_DEGREES: [usize; 2] = [2, 16];
+
+struct DirectionCell {
+    degree: usize,
+    /// `|V_L(G)| ÷ |Φ(parent)|` as generated.
+    ratio: f64,
+    push_ns: f64,
+    pull_ns: f64,
+}
+
+/// Push-vs-pull sweep. The query is one edge `A - B`; the data graph has
+/// `DIRECTION_PARENTS` vertices labeled `A`, `ratio` times as many labeled
+/// `B`, and uniformly random edges. `A` is the rarer label, so it is the
+/// root and (nearly) every `A` vertex its candidate: generating `Φ(B)` walks
+/// either their neighborhoods or the `B` class.
+fn direction_sweep() -> Vec<DirectionCell> {
+    const DIRECTION_PARENTS: usize = 64;
+    let mut rng = StdRng::seed_from_u64(1919);
+    let (reps, inner) = if smoke() { (7, 300) } else { (15, 1_000) };
+    let mut query = GraphBuilder::new();
+    let (a, b) = (query.add_vertex(Label(0)), query.add_vertex(Label(1)));
+    query.add_edge(a, b).expect("two fresh vertices");
+    let query = query.build();
+    let mut cells = Vec::new();
+    for degree in DIRECTION_DEGREES {
+        for &ratio in &[1usize, 2, 3, 4, 6, 8, 16] {
+            let n = DIRECTION_PARENTS * (1 + ratio);
+            let mut data = GraphBuilder::with_capacity(n);
+            for v in 0..n {
+                data.add_vertex(Label((v >= DIRECTION_PARENTS) as u32));
+            }
+            for _ in 0..n * degree / 2 {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u != v {
+                    let _ = data.add_edge(VertexId::from(u), VertexId::from(v));
+                }
+            }
+            let data = data.build();
+            let parents = data
+                .vertices_with_label(Label(0))
+                .iter()
+                .filter(|&&v| !data.neighbors_with_label(v, Label(1)).is_empty())
+                .count();
+            let time = |pull: bool| time_generation(&query, &data, pull, reps, inner);
+            cells.push(DirectionCell {
+                degree,
+                ratio: (n - DIRECTION_PARENTS) as f64 / parents.max(1) as f64,
+                push_ns: time(false),
+                pull_ns: time(true),
+            });
+        }
+    }
+    cells
+}
+
+/// Nanoseconds per generation of `q`'s candidate sets over `g` in one forced
+/// direction (scratch reset, root set and BFS tree included: both directions
+/// pay them identically). The fastest of `reps` batches: the smoke run
+/// compares cells a few percent apart on a shared host, where a neighbor's
+/// burst moves a median but not a minimum.
+fn time_generation(q: &Graph, g: &Graph, pull: bool, reps: usize, inner: usize) -> f64 {
+    let fastest = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..inner {
+                black_box(generation_probe(black_box(q), black_box(g), pull));
+            }
+            t0.elapsed()
+        })
+        .min()
+        .expect("at least one batch");
+    fastest.as_secs_f64() * 1e9 / inner as f64
+}
+
+/// The largest swept ratio up to which pulling beats pushing at `degree`, by
+/// more than the 5 % two runs of one cell differ by (0 when it does not even
+/// at the first cell).
+fn pull_wins_through(cells: &[DirectionCell], degree: usize) -> f64 {
+    cells
+        .iter()
+        .filter(|c| c.degree == degree)
+        .take_while(|c| c.pull_ns < 0.95 * c.push_ns)
+        .last()
+        .map_or(0.0, |c| c.ratio)
+}
+
+fn write_json(gallop: &[GallopCell], simd_cells: &[SimdCell], direction: &[DirectionCell]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernel_calibration\",\n");
     out.push_str(&format!("  \"simd_implementation\": \"{}\",\n", simd::implementation_name()));
@@ -152,6 +250,27 @@ fn write_json(gallop: &[GallopCell], simd_cells: &[SimdCell]) {
             if i + 1 < simd_cells.len() { "," } else { "" },
         ));
     }
+    out.push_str("  ],\n");
+    out.push_str(&format!("  \"pull_ratio_constant\": {PULL_RATIO},\n"));
+    let [sparse, dense] = DIRECTION_DEGREES;
+    out.push_str(&format!(
+        "  \"pull_wins_through_ratio\": {{ \"degree_{sparse}\": {:.2}, \"degree_{dense}\": {:.2} }},\n",
+        pull_wins_through(direction, sparse),
+        pull_wins_through(direction, dense),
+    ));
+    out.push_str("  \"direction_sweep\": [\n");
+    for (i, c) in direction.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{ \"degree\": {}, \"label_mates_over_parent_candidates\": {:.2}, \
+             \"push_ns\": {:.1}, \"pull_ns\": {:.1}, \"pull_over_push\": {:.3} }}{}\n",
+            c.degree,
+            c.ratio,
+            c.push_ns,
+            c.pull_ns,
+            c.pull_ns / c.push_ns.max(1e-9),
+            if i + 1 < direction.len() { "," } else { "" },
+        ));
+    }
     out.push_str("  ]\n}\n");
     common::write_report("BENCH_calibration.json", &out);
 }
@@ -180,7 +299,26 @@ fn bench_calibration(c: &mut Criterion) {
     for c in &simd_cells {
         println!("  len {:>4}: {:>6.2}", c.len, c.simd_ns / c.merge_ns.max(1e-9));
     }
-    write_json(&gallop, &simd_cells);
+
+    let direction = direction_sweep();
+    println!(
+        "\npull/push generation time ratio (<1 means pulling wins; PULL_RATIO = {PULL_RATIO})"
+    );
+    for c in &direction {
+        println!(
+            "  degree {:>2}, |V_L|/|Φ(parent)| {:>5.2}: {:>6.2}",
+            c.degree,
+            c.ratio,
+            c.pull_ns / c.push_ns.max(1e-9)
+        );
+    }
+    let [sparse, dense] = DIRECTION_DEGREES.map(|degree| pull_wins_through(&direction, degree));
+    assert!(
+        sparse <= PULL_RATIO as f64 && PULL_RATIO as f64 <= dense,
+        "PULL_RATIO = {PULL_RATIO} must lie between the crossovers: pulling wins through \
+         ratio {sparse:.2} on the sparse graphs and through {dense:.2} on the dense ones"
+    );
+    write_json(&gallop, &simd_cells, &direction);
 
     // Criterion view of two representative cells.
     let mut rng = StdRng::seed_from_u64(7);

@@ -175,6 +175,65 @@ pub fn random_connected_query(rng: &mut StdRng, g: &Graph, edges: usize) -> Grap
     single_vertex(g)
 }
 
+/// A `(query, data)` pair built to be hard for a matching order, after the
+/// dense-input analysis of "Deep Analysis on Subgraph Isomorphism".
+pub struct HardInstance {
+    /// What the pair stresses.
+    pub name: &'static str,
+    /// The query graph.
+    pub query: Graph,
+    /// The data graph.
+    pub data: Graph,
+}
+
+/// Half a dozen adversarial pairs, deterministic and small enough for the
+/// exponential oracle. On one-label dense data no filter removes a candidate
+/// and every order sees equal set sizes: an absent `K5` or odd cycle is a
+/// full search of a dense graph, and each has a twin one data edge away
+/// where the query is present. The star of cliques skews the labels instead:
+/// one rare hub over many frequent clique vertices.
+pub fn hard_instances() -> Vec<HardInstance> {
+    /// A graph over `labels.len()` vertices with the edges `keep` accepts.
+    fn graph(labels: &[u32], keep: impl Fn(usize, usize) -> bool) -> Graph {
+        let mut b = GraphBuilder::with_capacity(labels.len());
+        for &l in labels {
+            b.add_vertex(Label(l));
+        }
+        for u in 0..labels.len() {
+            for v in (u + 1..labels.len()).filter(|&v| keep(u, v)) {
+                // `u < v`, each pair once: cannot fail.
+                let _ = b.add_edge(VertexId::from(u), VertexId::from(v));
+            }
+        }
+        b.build()
+    }
+    let complete = |n: usize| graph(&vec![0; n], |_, _| true);
+    let cycle = |n: usize| graph(&vec![0; n], |u, v| v == u + 1 || (u == 0 && v == n - 1));
+    // Complete `parts`-partite over `n` one-label vertices (vertex `v` in
+    // part `v % parts`), plus the edge (0, parts) inside part 0 when `extra`.
+    let multipartite = |n: usize, parts: usize, extra: bool| {
+        graph(&vec![0; n], |u, v| u % parts != v % parts || (extra && (u, v) == (0, parts)))
+    };
+    // A label-1 hub (vertex 0) adjacent to every vertex of `cliques`
+    // disjoint label-0 cliques of `size` vertices.
+    let star_of_cliques = |cliques: usize, size: usize| {
+        let mut labels = vec![0; 1 + cliques * size];
+        labels[0] = 1;
+        graph(&labels, |u, v| u == 0 || (u - 1) / size == (v - 1) / size)
+    };
+    let pair = |name, query, data| HardInstance { name, query, data };
+    vec![
+        // The Turán graph T(20, 4) is the densest K5-free graph on 20 vertices.
+        pair("absent clique", complete(5), multipartite(20, 4, false)),
+        pair("present clique", complete(5), multipartite(20, 4, true)),
+        // A bipartite graph has no odd cycle.
+        pair("absent odd cycle", cycle(5), multipartite(20, 2, false)),
+        pair("present odd cycle", cycle(5), multipartite(20, 2, true)),
+        pair("star of cliques", star_of_cliques(2, 3), star_of_cliques(5, 3)),
+        pair("star of cliques, absent clique", star_of_cliques(1, 4), star_of_cliques(5, 3)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +271,14 @@ mod tests {
         let g = labeled(&[0, 0, 0], &[(0, 1), (1, 2)]);
         assert!(enumerate_all(&q, &g).is_empty());
         assert!(!is_subgraph(&q, &g));
+    }
+
+    #[test]
+    fn hard_instances_are_what_their_names_say() {
+        for hard in hard_instances() {
+            let present = !hard.name.contains("absent");
+            assert_eq!(is_subgraph(&hard.query, &hard.data), present, "{}", hard.name);
+        }
     }
 
     #[test]

@@ -176,14 +176,6 @@ impl CandidateSpace {
         self.bits[u.index() * self.words_per_set + word] & (1u64 << (v.index() % 64)) != 0
     }
 
-    /// Whether `v ∈ Φ(u)` by binary search of the sorted set — the
-    /// pre-bitmap membership path, kept for the `baseline` enumeration
-    /// kernel's A/B comparison.
-    #[inline]
-    pub fn contains_search(&self, u: VertexId, v: VertexId) -> bool {
-        self.sets[u.index()].binary_search(&v).is_ok()
-    }
-
     /// Heap bytes of the membership bitmaps alone (for accounting tests).
     pub fn bitmap_bytes(&self) -> usize {
         self.bits.heap_size()
@@ -218,8 +210,7 @@ impl CandidateSpace {
 
 impl HeapSize for CandidateSpace {
     fn heap_size(&self) -> usize {
-        let sets: usize =
-            self.sets.iter().map(|s| s.heap_size() + std::mem::size_of::<Vec<VertexId>>()).sum();
+        /// The outer buffer (one `Vec` header per slot) plus every inner one.
         fn nested<T: Copy>(vs: &Vec<Vec<T>>) -> usize {
             vs.capacity() * std::mem::size_of::<Vec<T>>()
                 + vs.iter().map(HeapSize::heap_size).sum::<usize>()
@@ -228,9 +219,7 @@ impl HeapSize for CandidateSpace {
             .cpi
             .as_ref()
             .map_or(0, |c| c.parent.heap_size() + nested(&c.offsets) + nested(&c.data));
-        sets + self.sets.capacity() * std::mem::size_of::<Vec<VertexId>>()
-            + self.bits.heap_size()
-            + cpi
+        nested(&self.sets) + self.bits.heap_size() + cpi
     }
 }
 
@@ -268,6 +257,16 @@ impl MatchingOrder {
     /// Whether the order is empty.
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl CandidateSpace {
+    /// Whether `v ∈ Φ(u)` by binary search of the sorted set: the definition
+    /// the bitmap rows are checked against (here, in the CFL filter's
+    /// differential test and in the enumerator's probing reference).
+    pub(crate) fn contains_search(&self, u: VertexId, v: VertexId) -> bool {
+        self.sets[u.index()].binary_search(&v).is_ok()
     }
 }
 
@@ -364,6 +363,49 @@ mod tests {
         assert_eq!(cpi.list(VertexId(2), 0), &[VertexId(2)]);
         let with = space().with_cpi(cpi);
         assert!(with.heap_size() > base);
+    }
+
+    /// Every allocation is counted once, at its capacity: the outer buffer of
+    /// each nested vector holds the inner vectors' headers, so a header is
+    /// not added a second time per set.
+    #[test]
+    fn heap_size_is_the_sum_of_allocation_capacities() {
+        use std::mem::size_of;
+        fn with_capacity<T: Copy>(capacity: usize, items: &[T]) -> Vec<T> {
+            let mut v = Vec::with_capacity(capacity);
+            v.extend_from_slice(items);
+            v
+        }
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+
+        let mut sets = Vec::with_capacity(5);
+        sets.push(with_capacity(7, &[VertexId(0), VertexId(70)]));
+        sets.push(with_capacity(1, &[VertexId(1)]));
+        sets.push(vec![VertexId(2)]);
+        let inner: usize = sets.iter().map(bytes).sum();
+        assert!(inner >= (7 + 1 + 1) * size_of::<VertexId>());
+        // Ids up to 70: two bitmap words for each of the three rows.
+        let expected = bytes(&sets) + inner + 3 * 2 * size_of::<u64>();
+        let plain = CandidateSpace::new(sets);
+        assert_eq!(plain.bitmap_bytes(), 3 * 2 * size_of::<u64>());
+        assert_eq!(plain.heap_size(), expected);
+
+        let mut cpi = Cpi {
+            root: VertexId(0),
+            parent: with_capacity(4, &[None, Some(VertexId(0)), Some(VertexId(1))]),
+            offsets: Vec::with_capacity(3),
+            data: Vec::with_capacity(6),
+        };
+        cpi.offsets.extend([vec![], with_capacity(9, &[0, 1, 2]), vec![0, 1]]);
+        cpi.data.extend([vec![], vec![VertexId(1), VertexId(1)], with_capacity(3, &[VertexId(2)])]);
+        let cpi_bytes = bytes(&cpi.parent)
+            + bytes(&cpi.offsets)
+            + cpi.offsets.iter().map(bytes).sum::<usize>()
+            + bytes(&cpi.data)
+            + cpi.data.iter().map(bytes).sum::<usize>();
+        assert_eq!(plain.with_cpi(cpi).heap_size(), expected + cpi_bytes);
     }
 
     #[test]

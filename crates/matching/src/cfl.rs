@@ -5,13 +5,16 @@
 //! 1. pick the BFS root `r = argmin |C_init(u)| / d(u)` (rare, high-degree
 //!    vertices first);
 //! 2. build the query BFS tree `q_t`;
-//! 3. **top-down generation**: `Φ(u)` for each level is gathered from the
-//!    label-restricted data neighborhoods of the parent's candidates, pruned
-//!    by degree, NLF dominance, and *backward pruning* over non-tree edges to
-//!    already-processed query vertices;
+//! 3. **top-down generation**: `Φ(u)`, in BFS order, is every `L(u)`-labeled
+//!    data vertex adjacent to a candidate of the tree parent that passes the
+//!    degree test, *backward pruning* over non-tree edges to already-generated
+//!    query vertices, and NLF dominance. The vertices are *pushed* from the
+//!    parent's candidates or *pulled* from the label class, whichever of the
+//!    two is the smaller walk ([`PULL_RATIO`]);
 //! 4. **bottom-up refinement** then a second **top-down refinement**: drop
 //!    `v ∈ Φ(u)` whenever a query neighbor `u'` below (resp. above) `u` has
-//!    `N(v) ∩ Φ(u') = ∅`;
+//!    `N(v) ∩ Φ(u') = ∅`. The top-down pass skips a neighbor `Φ(u)` was
+//!    generated against whose set has lost nothing since;
 //! 5. materialize the **CPI** — per tree edge, the adjacency between parent
 //!    and child candidates — giving the `O(|V(q)| × |E(G)|)` auxiliary
 //!    structure whose size Table VII reports.
@@ -76,14 +79,17 @@ fn row_contains(row: &[u64], v: VertexId) -> bool {
 /// membership bitmap so `v ∈ Φ(u)` is one probe.
 #[derive(Default)]
 struct Phi {
-    /// Per query vertex; sorted once generated. An empty set means `u` has
-    /// not been generated yet.
+    /// Per query vertex; sorted once generated.
     sets: Vec<Vec<VertexId>>,
     /// One `words`-word row per query vertex. Invariant: bit `v` of row `u`
     /// is set iff `v ∈ sets[u]`.
     bits: Vec<u64>,
     /// Words per bitmap row: `ceil(|V(G)| / 64)`.
     words: usize,
+    /// Per query vertex, whether refinement has dropped a candidate from
+    /// `Φ(u)` since it was generated. Reset where refinement starts: a pair
+    /// pruned before that never pays for it.
+    shrunk: Vec<bool>,
 }
 
 impl Phi {
@@ -118,10 +124,23 @@ impl Phi {
         g.neighbors_with_label(v, q.label(w)).iter().any(|&n| row_contains(row, n))
     }
 
+    /// Whether generation admits `v` into `Φ(u)`: the degree test, a
+    /// neighbor in `Φ(w)` for every `w` of `nbrs` (generated query neighbors
+    /// of `u`), NLF dominance.
+    #[inline]
+    fn admits(&self, q: &Graph, g: &Graph, u: VertexId, v: VertexId, nbrs: &[VertexId]) -> bool {
+        g.degree(v) >= q.degree(u)
+            && nbrs.iter().all(|&w| self.has_candidate_neighbor(q, g, v, w))
+            && nlf_dominated(q, u, g, v)
+    }
+
     /// Drops every `v ∈ Φ(u)` with `N(v) ∩ Φ(w) = ∅` for some `w` of `nbrs`
     /// (query neighbors of `u`), clearing its bit. Returns whether `Φ(u)` is
     /// still non-empty.
     fn refine(&mut self, q: &Graph, g: &Graph, u: VertexId, nbrs: &[VertexId]) -> bool {
+        if nbrs.is_empty() {
+            return true;
+        }
         let mut set = std::mem::take(&mut self.sets[u.index()]);
         let row = u.index() * self.words;
         let mut kept = 0;
@@ -135,9 +154,10 @@ impl Phi {
                 self.bits[row + word] &= !mask;
             }
         }
+        self.shrunk[u.index()] |= kept < set.len();
         set.truncate(kept);
         self.sets[u.index()] = set;
-        !self.sets[u.index()].is_empty()
+        kept > 0
     }
 }
 
@@ -151,8 +171,11 @@ impl Phi {
 #[derive(Default)]
 struct FilterScratch {
     tree: BfsTree,
+    /// Per query vertex, its position in BFS visit order: the step that
+    /// generates its set.
+    step: Vec<u32>,
     phi: Phi,
-    /// Per data vertex, the generation step that last visited it.
+    /// Per data vertex, the generation step whose push last visited it.
     stamp: Vec<u32>,
     /// The query neighbors the current step checks against (backward, below
     /// or above the current query vertex).
@@ -164,6 +187,179 @@ struct FilterScratch {
 
 thread_local! {
     static SCRATCH: RefCell<FilterScratch> = RefCell::new(FilterScratch::default());
+}
+
+/// Top-down generation *pulls* `Φ(u)` out of the label class `V_L(u)(G)`
+/// when the class is at most this many times `|Φ(parent(u))|`, and otherwise
+/// *pushes* it out of the parent's candidates. A pull tests each label-mate
+/// once, in id order; a push looks up one label run per parent candidate,
+/// visits every neighbor in it through the stamp array and sorts what it
+/// kept, so it pays off only when the parent's candidates are few beside the
+/// class. Not an option: `benches/calibration.rs` measures the crossover
+/// (`results/BENCH_calibration.json`) and is why this is visible at all.
+#[doc(hidden)]
+pub const PULL_RATIO: usize = 2;
+
+/// The direction rule of top-down generation.
+fn pulls(label_mates: usize, parent_candidates: usize) -> bool {
+    label_mates <= PULL_RATIO * parent_candidates
+}
+
+impl FilterScratch {
+    /// Resets the scratch for `(q, g)`, generates the root's candidates and
+    /// builds the BFS tree. Whether the root has a candidate.
+    fn start(&mut self, q: &Graph, g: &Graph) -> bool {
+        let Self { tree, step, phi, stamp, .. } = self;
+        let Some(root) = Cfl::choose_root(q, g) else {
+            return false;
+        };
+        phi.reset(q.vertex_count(), g.vertex_count());
+
+        // Root candidates (label + degree + NLF) *before* building the BFS
+        // tree: on non-candidate graphs — the overwhelming majority in a
+        // database scan — the filter exits here, which is what gives CFL's
+        // filter its edge over GraphQL's (§IV-B2).
+        let root_degree = q.degree(root);
+        phi.sets[root.index()].extend(
+            g.vertices_with_label(q.label(root))
+                .iter()
+                .copied()
+                .filter(|&v| g.degree(v) >= root_degree && nlf_dominated(q, root, g, v)),
+        );
+        if phi.sets[root.index()].is_empty() {
+            return false;
+        }
+        phi.mark(root);
+        tree.rebuild(q, root);
+        step.clear();
+        step.resize(q.vertex_count(), 0);
+        for (i, &u) in tree.order().iter().enumerate() {
+            step[u.index()] = i as u32;
+        }
+        stamp.clear();
+        stamp.resize(g.vertex_count(), 0);
+        true
+    }
+
+    /// Top-down generation of every non-root set, in BFS order; each is
+    /// pulled if `pull(|V_L(u)(G)|, |Φ(parent(u))|)` says so, else pushed.
+    /// Whether every set came out non-empty.
+    fn generate(
+        &mut self,
+        q: &Graph,
+        g: &Graph,
+        pull: impl Fn(usize, usize) -> bool,
+        ticker: &mut TickChecker,
+        deadline: Deadline,
+    ) -> Result<bool, Timeout> {
+        let Self { tree, step, phi, stamp, nbrs, .. } = self;
+        for (i, &u) in tree.order().iter().enumerate().skip(1) {
+            let i = i as u32;
+            let parent = tree.parent(u);
+            // The tree parent, then the backward non-tree neighbors: the
+            // ones already generated.
+            nbrs.clear();
+            nbrs.push(parent);
+            nbrs.extend(
+                q.neighbors(u).iter().copied().filter(|&w| w != parent && step[w.index()] < i),
+            );
+            let label_mates = g.vertices_with_label(q.label(u));
+            let mut set = std::mem::take(&mut phi.sets[u.index()]);
+            if pull(label_mates.len(), phi.sets[parent.index()].len()) {
+                // In id order, each label-mate once: the set comes out
+                // sorted, without the stamp array.
+                for &v in label_mates {
+                    ticker.tick(deadline)?;
+                    if phi.admits(q, g, u, v, nbrs) {
+                        set.push(v);
+                    }
+                }
+            } else {
+                // A neighbor of a parent candidate needs no test against the
+                // parent; the stamp array dedups the ones several share.
+                for &vp in &phi.sets[parent.index()] {
+                    ticker.tick(deadline)?;
+                    for &v in g.neighbors_with_label(vp, q.label(u)) {
+                        if stamp[v.index()] != i {
+                            stamp[v.index()] = i;
+                            if phi.admits(q, g, u, v, &nbrs[1..]) {
+                                set.push(v);
+                            }
+                        }
+                    }
+                }
+                set.sort_unstable();
+            }
+            phi.sets[u.index()] = set;
+            if phi.sets[u.index()].is_empty() {
+                return Ok(false);
+            }
+            phi.mark(u);
+        }
+        Ok(true)
+    }
+
+    /// The refinement passes of `config`. Whether every set is still
+    /// non-empty.
+    fn refine(
+        &mut self,
+        config: CflConfig,
+        q: &Graph,
+        g: &Graph,
+        ticker: &mut TickChecker,
+        deadline: Deadline,
+    ) -> Result<bool, Timeout> {
+        let Self { tree, step, phi, nbrs, .. } = self;
+        phi.shrunk.clear();
+        phi.shrunk.resize(q.vertex_count(), false);
+        // Bottom-up: neighbors strictly below.
+        if config.bottom_up {
+            for level in (0..tree.depth().saturating_sub(1)).rev() {
+                for &u in tree.level_vertices(level) {
+                    ticker.tick(deadline)?;
+                    let lu = tree.level(u);
+                    nbrs.clear();
+                    nbrs.extend(q.neighbors(u).iter().copied().filter(|&w| tree.level(w) > lu));
+                    if !phi.refine(q, g, u, nbrs) {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        // Top-down: neighbors at the same or an upper level. Generation
+        // already tested `Φ(u)` against every neighbor generated before `u`:
+        // each `v` it kept had a neighbor in that `Φ(w)`, and `Φ(u)` has only
+        // shrunk since, so the test can fail only if `Φ(w)` has shrunk too.
+        if config.top_down {
+            for &u in &tree.order()[1..] {
+                ticker.tick(deadline)?;
+                let (lu, iu) = (tree.level(u), step[u.index()]);
+                nbrs.clear();
+                nbrs.extend(q.neighbors(u).iter().copied().filter(|&w| {
+                    tree.level(w) <= lu && (step[w.index()] > iu || phi.shrunk[w.index()])
+                }));
+                if !phi.refine(q, g, u, nbrs) {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Top-down generation alone, every set in one forced direction: the total
+/// number of candidates, `None` when a set came out empty. For
+/// `benches/calibration.rs`, which times the two directions against each
+/// other; the filter itself picks per query vertex by [`PULL_RATIO`].
+#[doc(hidden)]
+pub fn generation_probe(q: &Graph, g: &Graph, pull: bool) -> Option<usize> {
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let generated = scratch.start(q, g)
+            && scratch.generate(q, g, |_, _| pull, &mut TickChecker::new(), Deadline::none())
+                == Ok(true);
+        generated.then(|| scratch.phi.sets[..q.vertex_count()].iter().map(Vec::len).sum())
+    })
 }
 
 impl Cfl {
@@ -221,102 +417,14 @@ impl Cfl {
     ) -> Result<Option<CandidateSpace>, Timeout> {
         let mut ticker = TickChecker::new();
         let mut filter_span = Span::enter(Phase::Filter, deadline);
-        let Some(root) = Self::choose_root(q, g) else {
-            return Ok(None);
-        };
-        let FilterScratch { tree, phi, stamp, nbrs, cpi_data } = scratch;
-        phi.reset(q.vertex_count(), g.vertex_count());
-
-        // Root candidates (label + degree + NLF) *before* building the BFS
-        // tree: on non-candidate graphs — the overwhelming majority in a
-        // database scan — the filter exits here, which is what gives CFL's
-        // filter its edge over GraphQL's (§IV-B2).
-        let root_degree = q.degree(root);
-        phi.sets[root.index()].extend(
-            g.vertices_with_label(q.label(root))
-                .iter()
-                .copied()
-                .filter(|&v| g.degree(v) >= root_degree && nlf_dominated(q, root, g, v)),
-        );
-        if phi.sets[root.index()].is_empty() {
-            return Ok(None);
+        if !(scratch.start(q, g)
+            && scratch.generate(q, g, pulls, &mut ticker, deadline)?
+            && scratch.refine(self.config, q, g, &mut ticker, deadline)?)
+        {
+            return Ok(None); // early vcFV pruning
         }
-        phi.mark(root);
-        tree.rebuild(q, root);
-
-        // Top-down generation, level by level; the stamp array dedups
-        // candidates gathered from multiple parent candidates.
-        stamp.clear();
-        stamp.resize(g.vertex_count(), 0);
-        let mut cur_stamp = 0u32;
-        for level in 1..tree.depth() {
-            for &u in tree.level_vertices(level) {
-                cur_stamp += 1;
-                let parent = tree.parent(u);
-                let lu = q.label(u);
-                let du = q.degree(u);
-                // Backward non-tree neighbors: the ones already generated.
-                nbrs.clear();
-                nbrs.extend(
-                    q.neighbors(u)
-                        .iter()
-                        .copied()
-                        .filter(|&w| w != parent && !phi.sets[w.index()].is_empty()),
-                );
-                let mut set = std::mem::take(&mut phi.sets[u.index()]);
-                for &vp in &phi.sets[parent.index()] {
-                    ticker.tick(deadline)?;
-                    for &v in g.neighbors_with_label(vp, lu) {
-                        if stamp[v.index()] == cur_stamp {
-                            continue;
-                        }
-                        stamp[v.index()] = cur_stamp;
-                        if g.degree(v) >= du
-                            && nlf_dominated(q, u, g, v)
-                            && nbrs.iter().all(|&w| phi.has_candidate_neighbor(q, g, v, w))
-                        {
-                            set.push(v);
-                        }
-                    }
-                }
-                set.sort_unstable();
-                phi.sets[u.index()] = set;
-                if phi.sets[u.index()].is_empty() {
-                    return Ok(None); // early vcFV pruning
-                }
-                phi.mark(u);
-            }
-        }
-
-        // Bottom-up refinement: neighbors strictly below.
-        if self.config.bottom_up {
-            for level in (0..tree.depth().saturating_sub(1)).rev() {
-                for &u in tree.level_vertices(level) {
-                    ticker.tick(deadline)?;
-                    let lu = tree.level(u);
-                    nbrs.clear();
-                    nbrs.extend(q.neighbors(u).iter().copied().filter(|&w| tree.level(w) > lu));
-                    if !phi.refine(q, g, u, nbrs) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-
-        // Top-down refinement: neighbors at the same or an upper level.
-        if self.config.top_down {
-            for level in 1..tree.depth() {
-                for &u in tree.level_vertices(level) {
-                    ticker.tick(deadline)?;
-                    let lu = tree.level(u);
-                    nbrs.clear();
-                    nbrs.extend(q.neighbors(u).iter().copied().filter(|&w| tree.level(w) <= lu));
-                    if !phi.refine(q, g, u, nbrs) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
+        let FilterScratch { tree, phi, cpi_data, .. } = scratch;
+        let root = tree.root();
 
         let sets = &phi.sets[..q.vertex_count()];
         filter_span.add_items(sets.iter().map(|s| s.len() as u64).sum());
@@ -576,6 +684,34 @@ mod tests {
         matcher.filter(q, g, Deadline::none()).unwrap().space().map(|s| s.sets().to_vec())
     }
 
+    /// The candidate sets of the filter's three stages run on a fresh
+    /// scratch, `direction` standing in for the direction rule.
+    fn staged_sets(
+        config: CflConfig,
+        q: &Graph,
+        g: &Graph,
+        direction: impl Fn(usize, usize) -> bool,
+    ) -> Option<Vec<Vec<VertexId>>> {
+        let mut scratch = FilterScratch::default();
+        let (mut ticker, deadline) = (TickChecker::new(), Deadline::none());
+        let kept = scratch.start(q, g)
+            && scratch.generate(q, g, direction, &mut ticker, deadline).unwrap()
+            && scratch.refine(config, q, g, &mut ticker, deadline).unwrap();
+        kept.then(|| scratch.phi.sets[..q.vertex_count()].to_vec())
+    }
+
+    /// How many sets the direction rule pushes and pulls on `(q, g)`.
+    fn rule_choices(q: &Graph, g: &Graph) -> (u32, u32) {
+        let (pushed, pulled) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        staged_sets(CflConfig::default(), q, g, |label_mates, parent_candidates| {
+            let pull = pulls(label_mates, parent_candidates);
+            let count = if pull { &pulled } else { &pushed };
+            count.set(count.get() + 1);
+            pull
+        });
+        (pushed.get(), pulled.get())
+    }
+
     proptest! {
         /// The rewritten filter against the pre-rewrite one, on every graph
         /// family and every refinement configuration: same pruning verdict,
@@ -622,6 +758,21 @@ mod tests {
             if let (Some(space), Some(expected)) = (cfql.space(), expected) {
                 prop_assert!(space.cpi().is_none());
                 prop_assert_eq!(space.sets(), &expected.sets[..]);
+            }
+        }
+
+        /// Generation pushed everywhere ≡ pulled everywhere ≡ the reference
+        /// (which pushes), whatever refinement follows: the direction rule
+        /// chooses a cost, never a candidate.
+        #[test]
+        fn both_generation_directions_match_reference(family in 0u32..4, seed in any::<u64>()) {
+            let (q, g) = differential_case(family, seed);
+            for config in CONFIGS {
+                let expected = reference::build_space(config, &q, &g).map(|e| e.sets);
+                for pull in [false, true] {
+                    let got = staged_sets(config, &q, &g, |_, _| pull);
+                    prop_assert_eq!(&got, &expected, "{:?}, pull {}", config, pull);
+                }
             }
         }
 
@@ -709,6 +860,85 @@ mod tests {
             b.add_edge(VertexId(u), VertexId(v)).unwrap();
         }
         b.build()
+    }
+
+    /// Neither direction is dead code under the differential proptests: on
+    /// their corpus the rule pulls on the dense three-label family and
+    /// pushes somewhere in the sparse and the hub-heavy ones.
+    #[test]
+    fn the_direction_rule_takes_both_directions_on_the_differential_corpus() {
+        let choices = |family| {
+            (0..64).map(|seed| differential_case(family, seed)).fold((0, 0), |sum, (q, g)| {
+                let (pushed, pulled) = rule_choices(&q, &g);
+                (sum.0 + pushed, sum.1 + pulled)
+            })
+        };
+        let (sparse, dense, hubs) = (choices(0), choices(1), choices(2));
+        assert!(dense.1 > 0, "dense: (pushed, pulled) = {dense:?}");
+        assert!(sparse.0 > 0, "sparse: (pushed, pulled) = {sparse:?}");
+        assert!(hubs.0 > 0, "hub-heavy: (pushed, pulled) = {hubs:?}");
+    }
+
+    /// Bottom-up refinement takes a candidate out of the root's set, so the
+    /// top-down pass must test the root's children against it again although
+    /// they were generated from it.
+    #[test]
+    fn top_down_refinement_rechecks_against_a_set_bottom_up_shrank() {
+        // Query: r(0) - a(1) - c(3), r - b(2); labels R, A, B, C = 0, 1, 2, 3.
+        let q = labeled(&[0, 1, 2, 3], &[(0, 1), (0, 2), (1, 3)]);
+        // r1(0) - a1(1) - c1(2), r1 - b1(3): the embedding. r2(4) - a2(5),
+        // r2 - b2(6): a2 has no C neighbor, so r2 is generated (it has an A
+        // and a B neighbor) and b2 after it, but a2 is not.
+        let g = labeled(&[0, 1, 3, 2, 0, 1, 2], &[(0, 1), (1, 2), (0, 3), (4, 5), (4, 6)]);
+        let (r, b) = (VertexId(0), VertexId(2));
+        let sets = |bottom_up, top_down| {
+            filter_sets(&Cfl::with_config(CflConfig { bottom_up, top_down }), &q, &g).unwrap()
+        };
+        let generated = sets(false, false);
+        assert_eq!(generated[r.index()], [VertexId(0), VertexId(4)]);
+        assert_eq!(generated[b.index()], [VertexId(3), VertexId(6)]);
+        // Bottom-up drops r2: no neighbor in Φ(a). Only the top-down pass
+        // after it can drop b2, whose one R neighbor r2 was.
+        let bottom_up = sets(true, false);
+        assert_eq!(bottom_up[r.index()], [VertexId(0)]);
+        assert_eq!(bottom_up[b.index()], [VertexId(3), VertexId(6)]);
+        // Without bottom-up nothing has shrunk and the pass has nothing to do.
+        assert_eq!(sets(false, true), generated);
+        let refined = sets(true, true);
+        assert_eq!(refined[b.index()], [VertexId(3)]);
+        assert_eq!(
+            Some(refined),
+            reference::build_space(CflConfig::default(), &q, &g).map(|e| e.sets)
+        );
+    }
+
+    /// A step budget that runs out in the middle of a pull (one tick per
+    /// label-mate) takes the half-built set with it; the next calls on the
+    /// thread filter as on a fresh one.
+    #[test]
+    fn scratch_survives_a_budget_expiring_mid_pull() {
+        // A one-label ring: Φ(root) is every vertex, so the other endpoint
+        // of the edge query is pulled, and the first tick interval ends
+        // inside that walk.
+        let n = 5_000u32;
+        let ring =
+            labeled(&vec![0; n as usize], &(0..n).map(|v| (v, (v + 1) % n)).collect::<Vec<_>>());
+        let edge = labeled(&[0, 0], &[(0, 1)]);
+        assert_eq!(rule_choices(&edge, &ring), (0, 1));
+        let others = [differential_case(1, 11), differential_case(2, 12), differential_case(0, 13)];
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let guard = crate::ResourceGuard::new();
+                guard.reset(crate::ResourceLimits::unlimited().with_max_steps(1));
+                let deadline = Deadline::none().with_guard(guard);
+                assert_eq!(Cfl::new().filter(&edge, &ring, deadline).err(), Some(Timeout));
+                assert!(guard.tripped().is_some());
+                for (q, g) in others.iter().chain([(edge.clone(), ring.clone())].iter()) {
+                    let expected = reference::build_space(CflConfig::default(), q, g);
+                    assert_eq!(filter_sets(&Cfl::new(), q, g), expected.map(|e| e.sets));
+                }
+            });
+        });
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! *Verify* (the enumeration phase): backtracking along the **join-based
 //! order** — start from the query vertex with the fewest candidates, then
-//! repeatedly pick the neighbor of the selected region with the fewest
-//! candidates.
+//! repeatedly pick the neighbor of the selected region with the smallest
+//! estimated join size: its candidate count times a reduction factor `γ` per
+//! edge into the region.
 //!
 //! Complexities (paper §III-B): filter time
 //! `O(|V(q)| × |V(G)| × Θ(d_q, d_G))` with `Θ` the bigraph matching cost;
@@ -118,42 +119,51 @@ impl GraphQl {
         Ok(changed)
     }
 
-    /// The join-based matching order over a candidate space.
+    /// The join-based matching order over a candidate space: start from the
+    /// vertex with the fewest candidates, then repeatedly take the vertex
+    /// adjacent to the selected region with the smallest estimated join size
+    /// `|Φ(u)|·γ^b(u)`, where `b(u)` counts the already-selected neighbors of
+    /// `u` — each is one more adjacency list the enumerator intersects into
+    /// `u`'s local candidates. Ties go to the smaller vertex id.
     pub fn join_order(q: &Graph, space: &CandidateSpace) -> MatchingOrder {
         let n = q.vertex_count();
         let mut selected = vec![false; n];
+        let mut joined = vec![0u32; n];
         let mut order = Vec::with_capacity(n);
-        // Start: globally fewest candidates.
-        let start = q.vertices().min_by_key(|&u| (space.set(u).len(), u)).expect("non-empty query");
-        selected[start.index()] = true;
-        order.push(start);
-        while order.len() < n {
-            let next = q
-                .vertices()
-                .filter(|&u| {
-                    !selected[u.index()] && q.neighbors(u).iter().any(|&w| selected[w.index()])
-                })
-                .min_by_key(|&u| (space.set(u).len(), u));
-            match next {
-                Some(u) => {
-                    selected[u.index()] = true;
-                    order.push(u);
-                }
-                None => {
-                    // Disconnected query (not produced by our generators, but
-                    // stay total): start a new component.
-                    let u = q
-                        .vertices()
-                        .filter(|&u| !selected[u.index()])
-                        .min_by_key(|&u| (space.set(u).len(), u))
-                        .expect("vertices remain");
-                    selected[u.index()] = true;
-                    order.push(u);
-                }
+        for _ in 0..n {
+            let open = || q.vertices().filter(|u| !selected[u.index()]);
+            let key = |u: &VertexId| (join_size(space.set(*u).len(), joined[u.index()]), *u);
+            // No open vertex touches the region at the start, and again when
+            // a disconnected query (not produced by our generators, but stay
+            // total) runs out of frontier: any open vertex may start then.
+            let u = open()
+                .filter(|u| joined[u.index()] > 0)
+                .min_by_key(key)
+                .or_else(|| open().min_by_key(key))
+                .expect("vertices remain");
+            selected[u.index()] = true;
+            order.push(u);
+            for w in q.neighbors(u) {
+                joined[w.index()] += 1;
             }
         }
         MatchingOrder::new(order)
     }
+}
+
+/// `log2(1/γ)` of the join-size estimate: one join edge keeps the fraction
+/// `γ = ½` of a vertex's candidates. GraphQL's search-order cost model (He &
+/// Singh 2008) multiplies a join's size by a constant reduction factor per
+/// join edge; on the dense benchmark inputs ½, ¼ and ⅛ give the same search
+/// size to within 0.1 % (EXPERIMENTS.md, PR 19), so the constant is not
+/// tuned.
+const JOIN_EDGE_SHIFT: u32 = 1;
+
+/// `candidates · γ^joined` in 32.32 fixed point: exact up to 32 join edges,
+/// so equal estimates tie (and fall to the vertex id) instead of rounding
+/// apart.
+fn join_size(candidates: usize, joined: u32) -> u64 {
+    ((candidates as u64) << 32) >> (JOIN_EDGE_SHIFT * joined).min(32)
 }
 
 impl Matcher for GraphQl {
@@ -210,9 +220,149 @@ impl Matcher for GraphQl {
 mod tests {
     use super::*;
     use crate::brute;
+    use crate::cfql::Cfql;
+    use crate::enumerate::Enumerator;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sqp_graph::{GraphBuilder, Label};
+    use sqp_datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
+    use sqp_graph::{GraphBuilder, GraphDb, Label};
+
+    /// The join-based order before the join-size estimate, kept as the
+    /// reference: the frontier vertex with the fewest candidates, however
+    /// many already-selected neighbors constrain it.
+    fn size_only_order(q: &Graph, space: &CandidateSpace) -> MatchingOrder {
+        let n = q.vertex_count();
+        let mut selected = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let start = q.vertices().min_by_key(|&u| (space.set(u).len(), u)).unwrap();
+        selected[start.index()] = true;
+        order.push(start);
+        while order.len() < n {
+            let open = || q.vertices().filter(|&u| !selected[u.index()]);
+            let u = open()
+                .filter(|&u| q.neighbors(u).iter().any(|&w| selected[w.index()]))
+                .min_by_key(|&u| (space.set(u).len(), u))
+                .or_else(|| open().min_by_key(|&u| (space.set(u).len(), u)))
+                .unwrap();
+            selected[u.index()] = true;
+            order.push(u);
+        }
+        MatchingOrder::new(order)
+    }
+
+    /// Whether `find_first` along `order` finds an embedding, and the
+    /// backtracking calls it took.
+    fn find_first(
+        q: &Graph,
+        g: &Graph,
+        space: &CandidateSpace,
+        order: &MatchingOrder,
+    ) -> (bool, u64) {
+        let mut e = Enumerator::new(q, g, space, order);
+        let found = e.run(1, Deadline::none(), &mut |_| {}).unwrap();
+        (found == 1, e.recursions())
+    }
+
+    /// Total `find_first` recursions over every (query, graph) pair CFQL's
+    /// filter keeps, under `join_order` and under the size-only reference.
+    fn corpus_recursions(db: &GraphDb, queries: &[Graph]) -> (u64, u64) {
+        let (mut join, mut size_only) = (0, 0);
+        for q in queries {
+            for g in db.graphs() {
+                let Some(space) = Cfql::new().filter(q, g, Deadline::none()).unwrap().space()
+                else {
+                    continue;
+                };
+                let (found, recursions) = find_first(q, g, &space, &GraphQl::join_order(q, &space));
+                let (expected, reference) = find_first(q, g, &space, &size_only_order(q, &space));
+                assert_eq!(found, expected);
+                join += recursions;
+                size_only += reference;
+            }
+        }
+        (join, size_only)
+    }
+
+    /// The `dense_cfql` shape of the end-to-end ledger: nothing prunes, every
+    /// candidate set is a third of the graph, and what tells query vertices
+    /// apart is how many matched neighbors constrain them.
+    #[test]
+    fn join_order_halves_the_search_where_set_sizes_are_uniform() {
+        let db = sqp_datagen::graphgen::generate(6, 100, 3, 16.0, 19);
+        let spec = QuerySetSpec { edges: 8, method: QueryGenMethod::Bfs, count: 60 };
+        let (join, size_only) = corpus_recursions(&db, &generate_query_set(&db, spec, 20));
+        assert!(2 * join <= size_only, "join-size order {join}, size-only order {size_only}");
+    }
+
+    /// Sparse data, twice the labels: set sizes already tell the vertices
+    /// apart and the frontier rarely holds a vertex with a second join edge.
+    #[test]
+    fn join_order_costs_nothing_where_set_sizes_decide() {
+        let db = sqp_datagen::graphgen::generate(20, 60, 6, 4.0, 21);
+        let spec = QuerySetSpec { edges: 8, method: QueryGenMethod::Bfs, count: 60 };
+        let (join, size_only) = corpus_recursions(&db, &generate_query_set(&db, spec, 22));
+        assert!(10 * join <= 11 * size_only, "join-size order {join}, size-only order {size_only}");
+    }
+
+    /// Both orders answer the hard instances; neither is asserted cheaper
+    /// per instance (a greedy order is not monotone).
+    #[test]
+    fn hard_instances_are_answered_under_both_orders() {
+        for hard in brute::hard_instances() {
+            let (q, g) = (&hard.query, &hard.data);
+            let expected = brute::is_subgraph(q, g);
+            let Some(space) = Cfql::new().filter(q, g, Deadline::none()).unwrap().space() else {
+                assert!(!expected, "{}: pruned", hard.name);
+                continue;
+            };
+            let (found, join) = find_first(q, g, &space, &GraphQl::join_order(q, &space));
+            let (reference, size_only) = find_first(q, g, &space, &size_only_order(q, &space));
+            assert_eq!(
+                (found, reference),
+                (expected, expected),
+                "{}: {join} recursions under the join-size order, {size_only} under size-only",
+                hard.name
+            );
+        }
+    }
+
+    proptest! {
+        /// The order is a permutation in which every vertex but the first
+        /// has an earlier neighbor, and each step takes the least
+        /// `(|Φ|·½^b, id)` of the frontier — checked in floating point, where
+        /// these small products are exact too.
+        #[test]
+        fn join_order_takes_the_least_estimate_then_the_least_id(
+            seed in any::<u64>(), uniform in any::<bool>()
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = brute::random_graph(&mut rng, 40, 160, if uniform { 1 } else { 3 });
+            let q = brute::random_connected_query(&mut rng, &g, 7);
+            let Some(space) = Cfql::new().filter(&q, &g, Deadline::none()).unwrap().space() else {
+                return Ok(());
+            };
+            let order = GraphQl::join_order(&q, &space);
+            prop_assert_eq!(&order, &GraphQl::join_order(&q, &space));
+            let seq = order.as_slice();
+            prop_assert_eq!(seq.len(), q.vertex_count());
+            let estimate = |u: VertexId, earlier: &[VertexId]| {
+                let joined = q.neighbors(u).iter().filter(|w| earlier.contains(w)).count();
+                (joined, space.set(u).len() as f64 * 0.5f64.powi(joined as i32))
+            };
+            for (i, &u) in seq.iter().enumerate() {
+                let (earlier, open) = seq.split_at(i);
+                let (joined, chosen) = estimate(u, earlier);
+                prop_assert_eq!(joined == 0, i == 0, "{:?} at {}", u, i);
+                for &w in &open[1..] {
+                    let (w_joined, other) = estimate(w, earlier);
+                    if i == 0 || w_joined > 0 {
+                        prop_assert!((chosen, u) < (other, w), "{:?} before {:?} at {}", u, w, i);
+                    }
+                }
+            }
+        }
+    }
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();

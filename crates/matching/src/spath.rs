@@ -11,7 +11,7 @@
 //! path-at-a-time over a precomputed path index on a single large data
 //! graph; in this database setting the signature filter is computed per
 //! `(q, G)` pair and the enumeration reuses the shared backtracking
-//! enumerator with a greedy minimum-candidate order (see DESIGN.md §4).
+//! enumerator along GraphQL's greedy join-based order (see DESIGN.md §4).
 
 use std::collections::VecDeque;
 

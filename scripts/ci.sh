@@ -40,9 +40,9 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter differential suite (run-index NLF and bitmap/scratch/CSR-CPI CFL filter vs the pre-rewrite references; scratch hygiene)"
+echo "==> filter and order differential suite (run-index NLF, the CFL filter in both generation directions and the join-size order vs their references; scratch hygiene)"
 PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib cfl::
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql::
 
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
 PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence

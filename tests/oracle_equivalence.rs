@@ -18,7 +18,9 @@ use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::{QueryEngine, QueryStatus};
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
-use subgraph_query::matching::{brute, Deadline, FilterResult, Matcher};
+use subgraph_query::matching::{
+    brute, Deadline, FilterResult, Matcher, ResourceGuard, ResourceKind, ResourceLimits,
+};
 
 /// Every matcher in the registry, by name.
 const MATCHERS: [&str; 7] = ["CFQL", "CFL", "GraphQL", "Ullmann", "QuickSI", "TurboIso", "SPath"];
@@ -99,6 +101,53 @@ fn oracle_embeddings(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
 /// The oracle's sorted answer set over a database.
 fn oracle_answers(db: &GraphDb, q: &Graph) -> Vec<GraphId> {
     (0..db.len() as u32).map(GraphId).filter(|&gid| brute::is_subgraph(q, db.graph(gid))).collect()
+}
+
+/// The adversarial pairs of `brute::hard_instances` (dense one-label data
+/// with an absent or barely present clique or odd cycle, a label-skewed star
+/// of cliques): under a step budget every matcher either counts exactly the
+/// oracle's embeddings and answers as the oracle does, or reports the budget
+/// exhausted. A wrong answer is the one thing it may not give. The generous
+/// budget lets every search finish; the tight one cuts the longer ones off.
+#[test]
+fn hard_instances_are_answered_exactly_or_reported_exhausted() {
+    let guard = ResourceGuard::new();
+    let deadline = Deadline::none().with_guard(guard);
+    let exhausted = QueryStatus::ResourceExhausted { kind: ResourceKind::Steps };
+    let pool = QueryPool::new(1);
+    for (max_steps, all_finish) in [(1 << 20, true), (20_000, false)] {
+        let budget = ResourceLimits::unlimited().with_max_steps(max_steps);
+        let (mut finished, mut cut_off) = (0, 0);
+        for hard in brute::hard_instances() {
+            let (q, g) = (&hard.query, &hard.data);
+            let embeddings = brute::enumerate_all(q, g).len() as u64;
+            let db = Arc::new(GraphDb::from_graphs(vec![g.clone()]));
+            let answers = oracle_answers(&db, q);
+            for name in MATCHERS {
+                let matcher = matcher_by_name(name).unwrap();
+                guard.reset(budget);
+                match matcher.count(q, g, u64::MAX, deadline) {
+                    Ok(count) => {
+                        assert_eq!(count, embeddings, "{name} on {}", hard.name);
+                        finished += 1;
+                    }
+                    Err(_) => {
+                        assert_eq!(QueryStatus::from_interrupt(deadline), exhausted, "{name}");
+                        cut_off += 1;
+                    }
+                }
+                guard.reset(budget);
+                let out = pool.query(matcher, &db, q, deadline).outcome;
+                if out.status == QueryStatus::Completed {
+                    assert_eq!(out.answers, answers, "{name} on {}", hard.name);
+                } else {
+                    assert_eq!(out.status, exhausted, "{name} on {}", hard.name);
+                }
+            }
+        }
+        assert!(finished > 0, "{max_steps} steps: no search finished");
+        assert_eq!(cut_off == 0, all_finish, "{max_steps} steps: {cut_off} searches cut off");
+    }
 }
 
 proptest! {
