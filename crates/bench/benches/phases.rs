@@ -12,8 +12,11 @@
 //! The `serving` block (PR 14) is the ladder above the matcher: µs per query
 //! of one AIDS-like database (1 000 graphs) through the bare matcher loop,
 //! `CfqlEngine`, `QueryPool(1)`, `QueryService` and a supervised
-//! `QueryService`, each with the clock reads it pays per pruned (query,
-//! graph) pair — what a layer costs is mostly how often it reads the clock.
+//! `QueryService` — what a layer costs is mostly how often it reads the
+//! clock, so the rung that takes a caller's sink (`QueryPool`) is run once
+//! more over a counting span clock: reads ÷ (query, graph) pairs. The engine
+//! and the services own their sinks and run the same `scan`; their exact
+//! counts are asserted in `sqp-core`'s tests.
 //! Gate: the service stays within 1.25x of the engine (1.6x before PR 14).
 
 mod common;
@@ -21,6 +24,7 @@ mod common;
 use common::smoke;
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,7 +39,7 @@ use sqp_datagen::graphgen;
 use sqp_datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
 use sqp_graph::Graph;
 use sqp_matching::cfql::Cfql;
-use sqp_matching::{Deadline, Matcher, Phase};
+use sqp_matching::{Deadline, Matcher, Phase, StatsSink};
 
 const ENGINES: [&str; 5] = ["Grapes", "GGSX", "CFQL", "vcGrapes", "TurboIso"];
 
@@ -55,16 +59,28 @@ fn run_engine(name: &str, db: &Arc<sqp_graph::GraphDb>, queries: &[Graph]) -> Qu
 /// One rung of the serving ladder.
 struct Rung {
     path: &'static str,
-    /// Counted by reading the code, per pruned pair of this path: stage span
-    /// 2 + matcher `Filter` span 2, plus the scan's wall-clock read every
-    /// 16th graph where a budget is set.
-    clock_reads_per_pruned_pair: &'static str,
+    /// Span-clock reads ÷ (query, graph) pairs over one pass, counted by a
+    /// counting [`StatsSink::with_clock`]: 2 per pruned pair plus 6 more on
+    /// the ~0.1 % that survive the filter. `None` where the path takes no
+    /// caller's sink (the matcher loop runs without one — inert spans, no
+    /// reads; the engine and the services own theirs).
+    span_clock_reads_per_pair: Option<f64>,
     us_per_query: f64,
 }
 
+static SPAN_CLOCK_READS: AtomicU64 = AtomicU64::new(0);
+
+/// A span clock that counts its reads.
+fn counting_clock() -> u64 {
+    SPAN_CLOCK_READS.fetch_add(1, Ordering::Relaxed)
+}
+
 /// µs per query of the same database and queries through each layer a served
-/// query crosses, one outstanding: the median over passes of a whole pass's
-/// wall time divided by its queries.
+/// query crosses, one outstanding: per rung, the median over passes of a
+/// whole pass's wall time divided by its queries. The passes interleave —
+/// each times every rung once — so one of the host's loud spells lands on all
+/// five rungs of a pass alike and the service ÷ engine gate compares like
+/// with like.
 fn serving_ladder() -> Vec<Rung> {
     let mut profile = sqp_datagen::aids_like();
     profile.graphs = 1_000;
@@ -78,53 +94,65 @@ fn serving_ladder() -> Vec<Rung> {
         .collect();
     let queries: Vec<Graph> =
         (0..per_class).flat_map(|i| sets.iter().map(move |s| s[i].clone())).collect();
-    let passes = if smoke() { 3 } else { 6 };
-    let measure = |run: &dyn Fn(&Graph) -> usize| -> f64 {
-        let mut per_pass: Vec<f64> = (0..=passes)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                let answers: usize = queries.iter().map(run).sum();
-                black_box(answers);
-                t0.elapsed().as_secs_f64() * 1e6 / queries.len() as f64
-            })
-            .skip(1) // the first pass warms caches and scratch
-            .collect();
-        per_pass.sort_by(f64::total_cmp);
-        per_pass[per_pass.len() / 2]
-    };
 
     let cfql = Cfql::new();
-    let matcher_loop = measure(&|q| {
-        let holds = |g: &&Graph| cfql.is_subgraph(q, g, Deadline::none()).expect("no deadline");
-        db.graphs().iter().filter(holds).count()
-    });
     let mut engine = CfqlEngine::new();
     engine.build(&db).expect("index-free build");
-    let engine = measure(&|q| engine.query(q).answers.len());
     let pool = QueryPool::new(1);
     let shared: Arc<dyn Matcher> = Arc::new(cfql);
-    let pooled = measure(&|q| {
-        pool.query(Arc::clone(&shared), &db, q, Deadline::none()).outcome.answers.len()
-    });
-    let served = |supervisor: Option<SupervisorConfig>| {
+    let pool_query = |q: &Graph, deadline: Deadline| {
+        pool.query(Arc::clone(&shared), &db, q, deadline).outcome.answers.len()
+    };
+    let service = |supervisor: Option<SupervisorConfig>| {
         let config = ServiceConfig { supervisor, ..Default::default() };
-        let service = QueryService::new(Arc::clone(&shared), Arc::clone(&db), config);
-        let us = measure(&|q| service.submit(q).0.wait().0.answers.len());
-        service.shutdown();
-        us
+        QueryService::new(Arc::clone(&shared), Arc::clone(&db), config)
     };
-    let rung = |path, clock_reads_per_pruned_pair, us_per_query| Rung {
-        path,
-        clock_reads_per_pruned_pair,
-        us_per_query,
-    };
-    vec![
-        rung("matcher_loop", "0", matcher_loop),
-        rung("CfqlEngine", "4", engine),
-        rung("QueryPool(1)", "4", pooled),
-        rung("QueryService", "4 + 1/16", served(None)),
-        rung("QueryService, supervised", "4 + 1/16", served(Some(SupervisorConfig::default()))),
-    ]
+    let (plain, supervised) = (service(None), service(Some(SupervisorConfig::default())));
+    let served = |service: &QueryService, q: &Graph| service.submit(q).0.wait().0.answers.len();
+    // The counted pass: the pool rung once over a counting span clock.
+    let counted = Deadline::none().with_stats(StatsSink::with_clock(counting_clock));
+    let answers: usize = queries.iter().map(|q| pool_query(q, counted)).sum();
+    black_box(answers);
+    let pooled_reads =
+        SPAN_CLOCK_READS.load(Ordering::Relaxed) as f64 / (queries.len() * db.len()) as f64;
+    type Run<'a> = &'a dyn Fn(&Graph) -> usize;
+    let rungs: [(&str, Option<f64>, Run); 5] = [
+        ("matcher_loop", None, &|q| {
+            let holds = |g: &&Graph| cfql.is_subgraph(q, g, Deadline::none()).expect("no deadline");
+            db.graphs().iter().filter(holds).count()
+        }),
+        ("CfqlEngine", None, &|q| engine.query(q).answers.len()),
+        ("QueryPool(1)", Some(pooled_reads), &|q| pool_query(q, Deadline::none())),
+        ("QueryService", None, &|q| served(&plain, q)),
+        ("QueryService, supervised", None, &|q| served(&supervised, q)),
+    ];
+
+    // A smoke pass is 40 queries (~6 ms a rung), a full one 400.
+    let passes = if smoke() { 15 } else { 6 };
+    let mut per_rung = vec![Vec::with_capacity(passes); rungs.len()];
+    for pass in 0..=passes {
+        for ((_, _, run), samples) in rungs.iter().zip(&mut per_rung) {
+            let t0 = std::time::Instant::now();
+            let answers: usize = queries.iter().map(run).sum();
+            black_box(answers);
+            if pass > 0 {
+                // (the first pass warms caches and scratch)
+                samples.push(t0.elapsed().as_secs_f64() * 1e6 / queries.len() as f64);
+            }
+        }
+    }
+
+    let ladder = rungs
+        .iter()
+        .zip(&mut per_rung)
+        .map(|(&(path, span_clock_reads_per_pair, _), samples)| {
+            samples.sort_by(f64::total_cmp);
+            Rung { path, span_clock_reads_per_pair, us_per_query: samples[samples.len() / 2] }
+        })
+        .collect();
+    plain.shutdown();
+    supervised.shutdown();
+    ladder
 }
 
 /// Hand-rolled JSON report at `results/BENCH_phases.json`.
@@ -164,10 +192,10 @@ fn write_json(reports: &[QuerySetReport], serving: &[Rung]) {
     out.push_str("  ],\n  \"serving\": [\n");
     for (i, r) in serving.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"path\": \"{}\", \"us_per_query\": {:.1}, \"clock_reads_per_pruned_pair\": \"{}\" }}{}\n",
+            "    {{ \"path\": \"{}\", \"us_per_query\": {:.1}, \"span_clock_reads_per_pair\": {} }}{}\n",
             r.path,
             r.us_per_query,
-            r.clock_reads_per_pruned_pair,
+            r.span_clock_reads_per_pair.map_or("null".to_string(), |n| format!("{n:.3}")),
             if i + 1 < serving.len() { "," } else { "" }
         ));
     }
@@ -219,10 +247,16 @@ fn bench_phases(c: &mut Criterion) {
     }
 
     let serving = serving_ladder();
-    println!("\n{:<26} {:>12} {:>28}", "serving path", "us/query", "clock reads / pruned pair");
+    println!("\n{:<26} {:>12} {:>24}", "serving path", "us/query", "span clock reads / pair");
     for r in &serving {
-        println!("{:<26} {:>12.1} {:>28}", r.path, r.us_per_query, r.clock_reads_per_pruned_pair);
+        let reads = r.span_clock_reads_per_pair.map_or("-".to_string(), |n| format!("{n:.3}"));
+        println!("{:<26} {:>12.1} {:>24}", r.path, r.us_per_query, reads);
     }
+    // A pruned pair pays for its `Filter` stage once: two reads, and six
+    // more only on the few pairs that reach enumeration (4 and 8 before the
+    // passive-span rule).
+    let reads = serving.iter().find_map(|r| r.span_clock_reads_per_pair).expect("a counted rung");
+    assert!((2.0..2.1).contains(&reads), "{reads:.3} span clock reads per pair");
     // The serving layers guard the matcher; they must not cost a quarter of
     // it (1.6x before the clock came off the path between graphs). Gated on
     // one CPU only (CI runs this bench under `taskset -c 0`, as the

@@ -588,6 +588,75 @@ mod tests {
         assert!(b.phases.items_of(Phase::Filter) >= a.candidates as u64);
     }
 
+    /// The named engine — the row `engine_by_name` builds — over a sink that
+    /// reads `clock`: the one field a test can reach from here and a caller
+    /// cannot.
+    fn counting_engine(name: &str, clock: fn() -> u64) -> Engine {
+        let mut engine = row(name).expect("registered").engine();
+        engine.stats = StatsSink::with_clock(clock);
+        engine
+    }
+
+    /// 150 AIDS-like graphs and queries drawn from them.
+    fn seeded_workload() -> (Arc<GraphDb>, Vec<Graph>) {
+        use sqp_datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
+        let mut profile = sqp_datagen::aids_like();
+        profile.graphs = 150;
+        let db = profile.generate(21);
+        let spec = QuerySetSpec { edges: 5, method: QueryGenMethod::RandomWalk, count: 8 };
+        let queries = generate_query_set(&db, spec, 211);
+        (Arc::new(db), queries)
+    }
+
+    /// A same-phase matcher span under `process_graph`'s stage span is
+    /// passive: a pruned pair reads the span clock twice (the `Filter`
+    /// stage; 4 before the rule), an unpruned one 8 times (+ the matcher's
+    /// `BuildCandidates`, the `Enumerate` stage, the matcher's `Order`; 12
+    /// before). The sequential scan reads no span clock of its own.
+    #[test]
+    fn cfql_engine_reads_the_clock_twice_per_pruned_pair() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static READS: AtomicU64 = AtomicU64::new(0);
+        let (db, queries) = seeded_workload();
+        let mut engine = counting_engine("CFQL", || READS.fetch_add(1, Ordering::Relaxed));
+        engine.build(&db).unwrap();
+        let mut unpruned_seen = 0;
+        for q in &queries {
+            let before = READS.load(Ordering::Relaxed);
+            let out = engine.query(q);
+            let reads = READS.load(Ordering::Relaxed) - before;
+            assert!(out.status.is_completed());
+            let unpruned = out.candidates as u64;
+            let pruned = db.len() as u64 - unpruned;
+            assert_eq!(reads, 2 * pruned + 8 * unpruned, "{pruned} pruned, {unpruned} unpruned");
+            unpruned_seen += unpruned;
+        }
+        assert!(unpruned_seen > 0, "the workload must reach the enumeration stage");
+    }
+
+    /// `Vf2Verifier::verify`'s span is passive under `verify_each`'s stage
+    /// span: an IFV query reads the clock for its index probe and its
+    /// verification stage (2 + 2) and not once per SI test (+ 2 each before
+    /// the rule), while every test still counts as one `Verify` item.
+    #[test]
+    fn grapes_engine_reads_no_clock_per_si_test() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static READS: AtomicU64 = AtomicU64::new(0);
+        let (db, queries) = seeded_workload();
+        let mut engine = counting_engine("Grapes", || READS.fetch_add(1, Ordering::Relaxed));
+        engine.build(&db).unwrap();
+        let mut tests_seen = 0;
+        for q in &queries {
+            let before = READS.load(Ordering::Relaxed);
+            let out = engine.query(q);
+            assert!(out.status.is_completed());
+            assert_eq!(READS.load(Ordering::Relaxed) - before, 4, "{} SI tests", out.candidates);
+            assert_eq!(out.phases.items_of(Phase::Verify), out.candidates as u64);
+            tests_seen += out.candidates;
+        }
+        assert!(tests_seen > 0, "the workload must reach the verifier");
+    }
+
     #[test]
     fn build_budget_propagates_oot() {
         let db = small_db();

@@ -99,17 +99,14 @@ fn process_graph(
     // The stage spans wrap the panic guard and dispatch so the per-phase sum
     // accounts for the harness overhead too; nested matcher spans subtract
     // their time from these outer spans (self-time accounting), so nothing
-    // is double-counted. When a sink is live the span's own clock reads
-    // are the stage wall measurement — per pair, timing machinery is
-    // comparable to a pruned filter's work — and `tf`/`tv` are read only
-    // when there is no sink to ask.
-    let timed = deadline.stats().is_some();
-    let stage_wall =
-        |spanned: u64, t: Option<Instant>| t.map_or(Duration::from_nanos(spanned), |t| t.elapsed());
-    let tf = (!timed).then(Instant::now);
+    // is double-counted, and a matcher span of the stage's own phase is
+    // passive. The span's own clock reads are the stage wall measurement —
+    // per pair, timing machinery is comparable to a pruned filter's work —
+    // and every caller of `scan` brings a sink (`Engine::deadline`,
+    // `QueryPool::query_masked`), so the stage spans are always active.
     let stage_span = Span::enter(Phase::Filter, deadline);
     let filtered = catch_unwind(AssertUnwindSafe(|| matcher.filter(q, g, deadline)));
-    part.filter_time += stage_wall(stage_span.finish(), tf);
+    part.filter_time += Duration::from_nanos(stage_span.finish());
     let filtered = match filtered {
         Ok(r) => r,
         Err(payload) => {
@@ -134,11 +131,10 @@ fn process_graph(
                 part.record_interrupt(gid, deadline);
                 return false;
             }
-            let tv = (!timed).then(Instant::now);
             let stage_span = Span::enter(Phase::Enumerate, deadline);
             let verdict =
                 catch_unwind(AssertUnwindSafe(|| matcher.find_first(q, g, &space, deadline)));
-            part.verify_time += stage_wall(stage_span.finish(), tv);
+            part.verify_time += Duration::from_nanos(stage_span.finish());
             match verdict {
                 Err(payload) => {
                     part.record_panic(gid, panic_message(payload));
@@ -179,6 +175,7 @@ pub(crate) fn scan(
     mask: Option<&[bool]>,
     mut graphs: impl Iterator<Item = usize>,
 ) -> QueryOutcome {
+    debug_assert!(deadline.stats().is_some(), "a scan's stage walls are its spans' clock reads");
     let mut part = QueryOutcome::default();
     for processed in 0usize.. {
         let checked = if processed % SCAN_CHECK_INTERVAL == 0 {

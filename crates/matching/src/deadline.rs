@@ -456,6 +456,22 @@ impl StatsSink {
         }
     }
 
+    /// Adds a passive span's item count to `phase` (no duration: the
+    /// enclosing span of the same phase is timing it).
+    #[inline]
+    pub(crate) fn record_items(&self, phase: Phase, items: u64) {
+        if let Some(s) = self.state {
+            s.phase_items[phase.index()].fetch_add(items, Ordering::Relaxed);
+        }
+    }
+
+    /// This sink's identity: the address of its leaked state, 0 for the
+    /// inert sink. Two live sinks never share one.
+    #[inline]
+    pub(crate) fn id(&self) -> usize {
+        self.state.map_or(0, |s| std::ptr::from_ref(s) as usize)
+    }
+
     /// The per-phase accumulators since the last reset.
     pub fn phase_snapshot(&self) -> PhaseStats {
         match self.state {

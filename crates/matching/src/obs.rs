@@ -9,10 +9,24 @@
 //! dropped, so parallel workers of the same query aggregate lock-free
 //! through the sink's atomics.
 //!
-//! Spans are plain stack values: entering one performs at most a single
-//! clock read, dropping one performs a clock read plus five relaxed atomic
-//! adds, and a span over an inert sink does nothing at all — no allocation
-//! ever happens on the enumeration hot path.
+//! Spans are plain stack values: an *active* span reads its sink's clock
+//! once on entry and once on drop, where it also makes two relaxed atomic
+//! adds (the phase's nanoseconds and items); a span over an inert sink does
+//! nothing at all — no allocation ever happens on the enumeration hot path.
+//!
+//! **The passive rule.** A span whose innermost open span on the same thread
+//! has the same [`Phase`] *and* the same sink is *passive*: it reads no
+//! clock, does not join the nesting stack and records no nanoseconds; on
+//! drop it adds only its item count (nothing when that is 0). Timing it
+//! could only move nanoseconds from the enclosing span's bucket into the
+//! same bucket, so a harness stage span around a matcher's own span of that
+//! phase (`process_graph` ⊃ `filter`, `verify_each` ⊃ `Vf2Verifier::verify`)
+//! costs the pair two clock reads, not four. A passive span's children see
+//! the enclosing active span as their parent, so self-time accounting — and
+//! Σ phase nanos = outermost wall — is the same subtraction with one term
+//! fewer. [`Span::finish`] returns a wall reading only from an active span
+//! (0 from a passive or inert one): a caller that wants a wall clock out of
+//! a span must be the outermost span of its phase, as the harness stages are.
 //!
 //! The clock is injectable per sink ([`StatsSink::with_clock`]): production
 //! sinks read a monotonic nanosecond counter, tests install a deterministic
@@ -20,6 +34,8 @@
 //! (invariant I8 extended to phase timings).
 //!
 //! [`CandidateSpace`]: crate::candidates::CandidateSpace
+
+use std::cell::Cell;
 
 use crate::deadline::{Deadline, StatsSink};
 
@@ -121,18 +137,37 @@ impl PhaseStats {
 
 /// Maximum tracked span nesting depth per thread. Deeper spans still record
 /// their full elapsed time; they just stop participating in parent/child
-/// self-time accounting (real nesting in this codebase is ≤ 3: harness span
-/// → matcher span → region span).
+/// self-time accounting, and — having no frame to be recognised by — never
+/// make a child passive (real nesting of *active* spans in this codebase is
+/// ≤ 2: harness stage span → matcher span of another phase; same-phase
+/// matcher spans under a stage are passive and take no depth).
 const MAX_SPAN_DEPTH: usize = 16;
 
+/// What the thread remembers about one open active span.
+struct Frame {
+    /// Elapsed time of the spans opened and closed inside this one, so it
+    /// can record its *self* time (elapsed minus children) and nested spans
+    /// never double-count a nanosecond.
+    child_nanos: Cell<u64>,
+    /// The span's phase and sink ([`StatsSink::id`]): a span entered under
+    /// this one with the same two is passive.
+    phase: Cell<Phase>,
+    sink: Cell<usize>,
+}
+
+impl Frame {
+    const fn empty() -> Self {
+        Self { child_nanos: Cell::new(0), phase: Cell::new(Phase::Filter), sink: Cell::new(0) }
+    }
+}
+
 thread_local! {
-    /// Live-span nesting depth on this thread (0 = no span open).
-    static SPAN_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Per-depth accumulator of child-span elapsed time, so an enclosing
-    /// span can record its *self* time (elapsed minus children) and nested
-    /// spans never double-count a nanosecond.
-    static CHILD_NANOS: [std::cell::Cell<u64>; MAX_SPAN_DEPTH] =
-        const { [const { std::cell::Cell::new(0) }; MAX_SPAN_DEPTH] };
+    /// Live active-span nesting depth on this thread (0 = no span open).
+    static SPAN_DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// One frame per tracked depth; `FRAMES[d - 1]` is valid while a span of
+    /// depth `d` is open.
+    static FRAMES: [Frame; MAX_SPAN_DEPTH] =
+        const { [const { Frame::empty() }; MAX_SPAN_DEPTH] };
 }
 
 /// A stack guard measuring one phase; records into the deadline's sink on
@@ -143,7 +178,9 @@ thread_local! {
 /// time of spans opened and closed inside it on the same thread. That lets
 /// a harness wrap a whole stage (catching dispatch and panic-guard overhead)
 /// while inner matcher spans keep exact per-phase attribution, and the sum
-/// over phases still counts every nanosecond exactly once.
+/// over phases still counts every nanosecond exactly once. An inner span of
+/// the enclosing span's own phase and sink is passive (module docs): it
+/// costs no clock read and contributes only its items.
 ///
 /// ```
 /// use sqp_matching::obs::{Phase, Span};
@@ -163,30 +200,51 @@ pub struct Span {
     phase: Phase,
     start: u64,
     items: u64,
-    /// 1-based nesting depth while this span is open; 0 for a span over an
-    /// inert sink (fully inactive).
+    /// 1-based nesting depth while this span is open and active; 0 for a
+    /// passive span, a span over an inert sink, and a closed span.
     depth: usize,
 }
 
 impl Span {
     /// Starts a span for `phase` against `deadline`'s sink. Reads the clock
-    /// only when the sink is live.
+    /// only when the sink is live and the span is not passive (the innermost
+    /// open span on this thread has another phase or another sink).
     #[inline]
     pub fn enter(phase: Phase, deadline: Deadline) -> Self {
         let sink = deadline.stats();
-        if !sink.is_some() {
-            return Self { sink, phase, start: 0, items: 0, depth: 0 };
+        if sink.is_some() {
+            Self::enter_live(phase, sink)
+        } else {
+            Self { sink, phase, start: 0, items: 0, depth: 0 }
         }
-        let depth = SPAN_DEPTH.with(|d| {
-            let v = d.get() + 1;
-            d.set(v);
-            v
-        });
+    }
+
+    /// Out of line and by value, so that over an inert sink `enter` inlines
+    /// into a matcher as one branch and the span stays in registers (a bare
+    /// matcher loop reads 38 vs 44 µs per 1 000 pairs either way round).
+    fn enter_live(phase: Phase, sink: StatsSink) -> Self {
+        let passive = Self { sink, phase, start: 0, items: 0, depth: 0 };
+        let id = sink.id();
+        let parent = SPAN_DEPTH.with(Cell::get);
+        let same_as_parent = (1..=MAX_SPAN_DEPTH).contains(&parent)
+            && FRAMES.with(|f| {
+                let open = &f[parent - 1];
+                open.phase.get() == phase && open.sink.get() == id
+            });
+        if same_as_parent {
+            return passive;
+        }
+        let depth = parent + 1;
+        SPAN_DEPTH.with(|d| d.set(depth));
         if depth <= MAX_SPAN_DEPTH {
-            CHILD_NANOS.with(|c| c[depth - 1].set(0));
+            FRAMES.with(|f| {
+                let frame = &f[depth - 1];
+                frame.child_nanos.set(0);
+                frame.phase.set(phase);
+                frame.sink.set(id);
+            });
         }
-        let start = sink.now();
-        Self { sink, phase, start, items: 0, depth }
+        Self { start: sink.now(), depth, ..passive }
     }
 
     /// Adds `n` items (candidates, embeddings, …) to this span's count.
@@ -197,35 +255,50 @@ impl Span {
 
     /// Ends the span now (recording it exactly as dropping would) and
     /// returns its full elapsed time in clock units — self time *plus*
-    /// children, i.e. the span's wall clock. Returns 0 over an inert sink.
-    /// Lets a harness reuse the span's clock reads as its stage wall
+    /// children, i.e. the span's wall clock. A wall reading comes only from
+    /// an active span: a passive span and a span over an inert sink return
+    /// 0. Lets a harness reuse the span's clock reads as its stage wall
     /// measurement instead of paying for a second timer.
     #[inline]
     pub fn finish(mut self) -> u64 {
         self.end()
     }
 
-    /// Shared drop/finish path; idempotent (depth 0 marks a closed span).
+    /// Shared drop/finish path; idempotent (it leaves a closed span: depth
+    /// 0, no items). Like `enter`, small where no clock is read.
+    #[inline]
     fn end(&mut self) -> u64 {
-        if self.depth == 0 {
-            return 0;
+        if self.depth != 0 {
+            return self.end_active();
         }
+        // Passive (or inert, where recording is a no-op): items only.
+        let items = std::mem::take(&mut self.items);
+        if items != 0 {
+            self.sink.record_items(self.phase, items);
+        }
+        0
+    }
+
+    /// The active span's end: second clock read, self time to the sink, full
+    /// elapsed time to the enclosing span's children.
+    fn end_active(&mut self) -> u64 {
         let elapsed = self.sink.now().saturating_sub(self.start);
-        let children = if self.depth <= MAX_SPAN_DEPTH {
-            CHILD_NANOS.with(|c| c[self.depth - 1].get())
-        } else {
-            0
-        };
         SPAN_DEPTH.with(|d| d.set(self.depth - 1));
-        if self.depth >= 2 && self.depth - 1 <= MAX_SPAN_DEPTH {
-            // Credit the full elapsed time (self + our own children) to the
-            // enclosing span's child accumulator.
-            CHILD_NANOS.with(|c| {
-                let p = &c[self.depth - 2];
-                p.set(p.get().saturating_add(elapsed));
-            });
-        }
-        self.sink.record_phase(self.phase, elapsed.saturating_sub(children), self.items);
+        let children = FRAMES.with(|f| {
+            if self.depth >= 2 && self.depth - 1 <= MAX_SPAN_DEPTH {
+                // Credit the full elapsed time (self + our own children) to
+                // the enclosing span's child accumulator.
+                let parent = &f[self.depth - 2].child_nanos;
+                parent.set(parent.get().saturating_add(elapsed));
+            }
+            if self.depth <= MAX_SPAN_DEPTH {
+                f[self.depth - 1].child_nanos.get()
+            } else {
+                0
+            }
+        });
+        let items = std::mem::take(&mut self.items);
+        self.sink.record_phase(self.phase, elapsed.saturating_sub(children), items);
         self.depth = 0;
         elapsed
     }
@@ -241,6 +314,9 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     #[test]
     fn phase_names_and_indices_are_stable() {
@@ -349,5 +425,213 @@ mod tests {
             SPAN_DEPTH.with(|d| assert_eq!(d.get(), 0));
         }
         SPAN_DEPTH.with(|d| assert_eq!(d.get(), 0));
+    }
+
+    thread_local! { static TICKS: Cell<u64> = const { Cell::new(0) }; }
+
+    /// The fake clock of the passive-rule tests: each read is one tick, per
+    /// thread, so [`reads`] differences count clock calls exactly.
+    fn tick() -> u64 {
+        TICKS.with(|t| t.replace(t.get() + 1))
+    }
+
+    fn reads() -> u64 {
+        TICKS.with(Cell::get)
+    }
+
+    fn depth() -> usize {
+        SPAN_DEPTH.with(Cell::get)
+    }
+
+    #[test]
+    fn same_phase_same_sink_child_is_passive() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let mut outer = Span::enter(Phase::Filter, deadline);
+        outer.add_items(1);
+        assert_eq!((reads(), depth()), (1, 1));
+        {
+            let mut inner = Span::enter(Phase::Filter, deadline);
+            inner.add_items(5);
+            assert_eq!(depth(), 1, "a passive span takes no depth");
+            assert_eq!(inner.finish(), 0, "a wall reading comes only from an active span");
+            let _empty = Span::enter(Phase::Filter, deadline); // no items: drops to nothing
+        }
+        assert_eq!(reads(), 1, "the passive children read no clock");
+        assert_eq!(sink.phase_snapshot().items_of(Phase::Filter), 5);
+        assert_eq!(outer.finish(), 1);
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.items_of(Phase::Filter), 6);
+        assert_eq!((snap.nanos_of(Phase::Filter), snap.total_nanos()), (1, 1));
+        assert_eq!((reads(), depth()), (2, 0));
+    }
+
+    #[test]
+    fn other_sink_and_other_phase_children_stay_active() {
+        let (a, b) = (StatsSink::with_clock(tick), StatsSink::with_clock(tick));
+        let (da, db) = (Deadline::none().with_stats(a), Deadline::none().with_stats(b));
+        {
+            let _outer = Span::enter(Phase::Filter, da); // tick 0
+            drop(Span::enter(Phase::Filter, db)); // ticks 1, 2: same phase, other sink
+            drop(Span::enter(Phase::BuildCandidates, da)); // ticks 3, 4: same sink, other phase
+        } // tick 5
+        assert_eq!(reads(), 6, "two reads per active span");
+        assert_eq!(b.phase_snapshot().nanos_of(Phase::Filter), 1);
+        let snap = a.phase_snapshot();
+        assert_eq!(snap.nanos_of(Phase::BuildCandidates), 1);
+        // Outer wall 5 minus both children (the depth stack is per thread,
+        // not per sink): every tick is counted once across the two sinks.
+        assert_eq!(snap.nanos_of(Phase::Filter), 3);
+        assert_eq!(snap.total_nanos() + b.phase_snapshot().total_nanos(), 5);
+    }
+
+    #[test]
+    fn active_grandchild_of_a_passive_span_credits_the_grandparent() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let stage = Span::enter(Phase::Filter, deadline); // tick 0
+        {
+            let _matcher = Span::enter(Phase::Filter, deadline); // passive
+            let _build = Span::enter(Phase::BuildCandidates, deadline); // ticks 1, 2
+            assert_eq!(depth(), 2, "the grandchild nests directly under the stage");
+            drop(Span::enter(Phase::BuildCandidates, deadline)); // passive under `_build`
+        }
+        assert_eq!(stage.finish(), 3); // tick 3
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.nanos_of(Phase::BuildCandidates), 1);
+        assert_eq!(snap.nanos_of(Phase::Filter), 2, "stage wall 3 minus the grandchild's 1");
+        assert_eq!(snap.total_nanos(), 3, "phase sum = outermost wall");
+        assert_eq!(reads(), 4);
+    }
+
+    #[test]
+    fn panic_through_stage_passive_active_unwinds_the_stack() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let stage = Span::enter(Phase::Filter, deadline); // tick 0
+        let unwound = std::panic::catch_unwind(|| {
+            let mut matcher = Span::enter(Phase::Filter, deadline); // passive
+            matcher.add_items(2);
+            let _build = Span::enter(Phase::BuildCandidates, deadline); // ticks 1, 2
+            panic!("injected");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(depth(), 1, "only the stage is still open");
+        assert_eq!(stage.finish(), 3); // tick 3
+        assert_eq!(depth(), 0);
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.items_of(Phase::Filter), 2, "the passive span's items survive the unwind");
+        assert_eq!(snap.total_nanos(), 3);
+        // The next span on this thread has no stale parent to be passive under.
+        sink.reset();
+        drop(Span::enter(Phase::Filter, deadline)); // ticks 4, 5
+        assert_eq!(sink.phase_snapshot().nanos_of(Phase::Filter), 1);
+        assert_eq!(reads(), 6);
+    }
+
+    #[test]
+    fn spans_beyond_the_tracked_depth_stay_active() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        // Alternating phases keep every span active; the last one tracked
+        // (depth 16) is a Filter span, the untracked depth 17 an Order span.
+        let phase_at = |d: usize| [Phase::Order, Phase::Filter][(d + 1) % 2];
+        let mut open: Vec<Span> =
+            (1..=MAX_SPAN_DEPTH + 1).map(|d| Span::enter(phase_at(d), deadline)).collect();
+        assert_eq!(depth(), MAX_SPAN_DEPTH + 1);
+        // Innermost open is the untracked Order span: a Filter child must not
+        // be taken for a child of the stale depth-16 Filter frame, and an
+        // Order child has no frame to be recognised by.
+        for phase in [Phase::Filter, Phase::Order] {
+            let before = reads();
+            let child = Span::enter(phase, deadline);
+            assert_eq!(depth(), MAX_SPAN_DEPTH + 2);
+            assert_eq!(child.finish(), 1);
+            assert_eq!(reads() - before, 2, "{phase}: active");
+        }
+        while let Some(span) = open.pop() {
+            drop(span); // LIFO, as stack values drop
+        }
+        assert_eq!(depth(), 0);
+        assert_eq!(reads(), 2 * (MAX_SPAN_DEPTH as u64 + 1 + 2));
+    }
+
+    /// One node of a random span tree.
+    struct Node {
+        phase: Phase,
+        sink: usize,
+        items: u64,
+        children: Vec<Node>,
+    }
+
+    fn random_tree(rng: &mut StdRng, levels_left: usize) -> Node {
+        let fanout = if levels_left == 0 { 0 } else { rng.random_range(0..=3) };
+        Node {
+            phase: Phase::ALL[rng.random_range(0..PHASE_COUNT)],
+            sink: rng.random_range(0..2),
+            items: rng.random_range(0..3),
+            children: (0..fanout).map(|_| random_tree(rng, levels_left - 1)).collect(),
+        }
+    }
+
+    fn replay(node: &Node, deadlines: [Deadline; 2]) {
+        let mut span = Span::enter(node.phase, deadlines[node.sink]);
+        span.add_items(node.items);
+        node.children.iter().for_each(|c| replay(c, deadlines));
+    }
+
+    /// The reference model of one thread's spans: what each sink must hold,
+    /// how many spans were active, and the tick clock they read.
+    #[derive(Default)]
+    struct Model {
+        sinks: [PhaseStats; 2],
+        active: u64,
+        clock: u64,
+    }
+
+    impl Model {
+        fn read_clock(&mut self) -> u64 {
+            self.clock += 1;
+            self.clock
+        }
+
+        /// Interprets `node` under the innermost active `(phase, sink)`;
+        /// returns the elapsed ticks it charges that parent.
+        fn run(&mut self, node: &Node, parent: Option<(Phase, usize)>) -> u64 {
+            let me = (node.phase, node.sink);
+            self.sinks[node.sink].items[node.phase.index()] += node.items;
+            if parent == Some(me) {
+                return node.children.iter().map(|c| self.run(c, parent)).sum();
+            }
+            self.active += 1;
+            let start = self.read_clock();
+            let children: u64 = node.children.iter().map(|c| self.run(c, Some(me))).sum();
+            let elapsed = self.read_clock() - start;
+            self.sinks[node.sink].nanos[node.phase.index()] += elapsed - children;
+            elapsed
+        }
+    }
+
+    proptest! {
+        /// Random span trees (5 phases, 2 sinks over one tick clock, depth
+        /// ≤ 6) against the model: per sink the same ticks and items per
+        /// phase, two clock reads per active span and none per passive one,
+        /// and every tick of the root's wall in exactly one bucket.
+        #[test]
+        fn span_trees_match_the_reference_model(seed in any::<u64>()) {
+            let tree = random_tree(&mut StdRng::seed_from_u64(seed), 5);
+            let sinks = [StatsSink::with_clock(tick), StatsSink::with_clock(tick)];
+            let before = reads();
+            replay(&tree, sinks.map(|s| Deadline::none().with_stats(s)));
+            let mut model = Model::default();
+            let wall = model.run(&tree, None);
+            prop_assert_eq!(depth(), 0);
+            prop_assert_eq!(reads() - before, 2 * model.active);
+            for (sink, expected) in sinks.iter().zip(model.sinks) {
+                prop_assert_eq!(sink.phase_snapshot(), expected);
+            }
+            let summed: u64 = sinks.iter().map(|s| s.phase_snapshot().total_nanos()).sum();
+            prop_assert_eq!(summed, wall);
+        }
     }
 }

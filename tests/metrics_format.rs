@@ -317,3 +317,28 @@ fn phase_timings_are_byte_stable_across_runs_and_thread_counts() {
         );
     }
 }
+
+/// The passive-span rule changes how often the clock is read, not what is
+/// counted: the fixture's per-phase items are the ones recorded before the
+/// rule existed, and under the tick clock the phases sum to the stage walls
+/// to the tick.
+#[test]
+fn passive_spans_keep_items_and_sum_to_the_stage_walls() {
+    let (db, q) = fixture();
+    let sink = StatsSink::with_clock(fake_clock);
+    let pool = QueryPool::new(2);
+    let matcher = matcher_by_name("CFQL").unwrap();
+    let out = pool.query(matcher, &db, &q, Deadline::none().with_stats(sink)).outcome;
+    assert_eq!(out.status, QueryStatus::Completed);
+    let items: Vec<u64> = Phase::ALL.iter().map(|&p| out.phases.items_of(p)).collect();
+    // [filter, build_candidates, order, enumerate, verify] at the parent of
+    // the passive rule: 96 surviving candidates, 12 first matches.
+    assert_eq!(items, [96, 0, 0, 12, 0]);
+    // Nothing prunes here. Per graph the `Filter` stage lasts 3 ticks (its
+    // own two reads around the matcher's `BuildCandidates` pair — the
+    // matcher's `Filter` span is passive) and the `Enumerate` stage 3
+    // (around the `Order` pair): 5 and 5 before the rule.
+    assert_eq!(out.phases.total_nanos(), 12 * (3 + 3));
+    let stage_walls = out.filter_time + out.verify_time;
+    assert_eq!(stage_walls, Duration::from_nanos(out.phases.total_nanos()));
+}
