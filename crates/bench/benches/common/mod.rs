@@ -16,11 +16,6 @@ use sqp_datagen::graphgen;
 use sqp_datagen::query::{generate_query, QueryGenMethod};
 use sqp_graph::{Graph, GraphDb};
 
-/// A small AIDS-flavoured database: many small sparse graphs.
-pub fn small_db() -> GraphDb {
-    graphgen::generate(100, 30, 8, 2.4, 42)
-}
-
 /// A denser, PCM-flavoured database.
 pub fn dense_db() -> GraphDb {
     graphgen::generate(20, 60, 10, 10.0, 43)

@@ -1,164 +1,123 @@
-//! Compressed per-vertex neighbor bitmaps for high-degree ("hub") vertices.
+//! Adjacency rows: a vertex's neighbors as one bit per vertex of the graph,
+//! kept for exactly the vertices where that is the smaller representation.
 //!
-//! `Graph::has_edge` is an `O(log d)` binary search; during enumeration it is
-//! probed once per candidate per mapped backward neighbor, and on hubs the
-//! search walks a long adjacency run. This sidecar materializes the adjacency
-//! of every vertex whose degree is at least a threshold as a *compressed*
-//! bitmap row, making hub membership a word test or a short cache-resident
-//! search.
+//! A row of `⌈|V|/64⌉` words answers `N(v) ∩ S ≠ ∅` and `S ∩ N(v)` for any
+//! vertex set `S` held as a bitmap — the candidate sets of the CFL filter and
+//! of the enumerator are — one word at a time, where the adjacency list
+//! answers them one neighbor at a time. The three loops that use it (CFL's
+//! neighbor test, the enumerator's local candidates, generation's NLF test)
+//! take the row when the data vertex in hand has one and the list when it has
+//! not; nothing else selects between the two.
 //!
-//! # Container layout (roaring-style)
+//! # Which vertices get a row
 //!
-//! A dense `|V|/8`-byte row per hub — the previous layout — charges every
-//! mid-degree hub for the whole vertex space: a degree-70 hub in a
-//! 1M-vertex graph paid 125 KiB for 70 set bits. Instead, each row is split
-//! into chunks of 2¹⁶ vertex ids (the roaring partition), and every
-//! non-empty `(row, chunk)` pair stores one of two container kinds, keyed on
-//! its population count:
+//! A vertex gets a row iff `deg > 4·⌈|V|/64⌉` and `deg ≥ 8`
+//! ([`AdjacencyRows::qualifies`]): its row is under half the bytes of its
+//! adjacency list (8 bytes per word against 4 per neighbor), so it is also
+//! the shorter walk. Below 8 neighbors a label run is one or two ids and
+//! the list walk is already a handful of probes; without that floor 904 of
+//! 1 000 AIDS-like graphs (≈ 45 vertices, one word per row) would carry a
+//! sidecar for 2 512 five-neighbor vertices, with it 133 graphs do for 140
+//! vertices. `benches/calibration.rs` (`row_sweep`) times both loops over
+//! list and row on the same vertices: the row is ahead in every cell it
+//! sweeps, from a quarter of the rule's ratio on, so the two constants bound
+//! what the sidecar may cost in memory, not where it starts to win; the smoke
+//! run asserts the row wins wherever the rule gives one. They are not
+//! options.
 //!
-//! * **array** — the chunk's set ids as sorted `u16` offsets (2 bytes per
-//!   neighbor), binary-searched on probe; chosen while the array is no
-//!   larger than the chunk's dense bitmap would be;
-//! * **bitmap** — the dense `u64` words for the chunk (at most 1 KiWords =
-//!   8 KiB, truncated for the final partial chunk), single word test on
-//!   probe; chosen once the population exceeds `8 × words(chunk) / 2` ids —
-//!   the classic 4096-element roaring cutoff for full chunks.
+//! # What was here before
 //!
-//! Containers of all rows live in two shared pools (`u16` array pool, `u64`
-//! word pool) indexed by a flat `rows × chunks` reference table, so the
-//! structure is three allocations regardless of hub count. Memory is
-//! `min(2·popcount, words·8)` bytes per container plus the reference table —
-//! mid-degree hubs now pay O(degree), not O(|V|). The sidecar is built
-//! lazily (first hub probe) and is [`HeapSize`]-accounted.
+//! A roaring-style sidecar: a row for every vertex of degree ≥ 64, split
+//! into 2¹⁶-id chunks stored as a sorted `u16` array or as dense words. An
+//! array container is a binary search over sorted ids, which is what
+//! `Graph::has_edge` already does on the CSR: a hub-heavy probe (6 000
+//! vertices, 30 hubs of degree ≈ 300, 60 six-edge queries × 20 000
+//! embeddings) read 46.0–49.0 ms with the 30 array-container rows and
+//! 47.2–50.1 ms with none (EXPERIMENTS.md, PR 22). A sparse hub in a large graph therefore simply
+//! has no row now, and a dense small graph — where the degree-64 threshold
+//! gave none — has one per vertex.
+//!
+//! # Layout
+//!
+//! Three allocations whatever the row count: `row_of` (row index per vertex),
+//! the rows' words back to back, and one [`packed`](crate::nlf::packed) NLF
+//! signature word per row. Built lazily on first use
+//! ([`Graph::adjacency_rows`](crate::Graph::adjacency_rows)), empty and
+//! allocation-free when no vertex qualifies, [`HeapSize`]-accounted.
 
+use crate::graph::Graph;
 use crate::heap_size::HeapSize;
+use crate::nlf;
 use crate::vertex::VertexId;
 
-/// Degree at or above which a vertex gets a bitmap row.
-pub const HUB_DEGREE_THRESHOLD: usize = 64;
-
-/// Vertex ids per container chunk (the roaring partition width).
-pub const CHUNK_BITS: u32 = 16;
-
-const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
 const NO_ROW: u32 = u32::MAX;
 
-/// One `(row, chunk)` container: where the chunk's set ids live.
-#[derive(Clone, Copy, Debug)]
-enum Container {
-    /// No ids set in this chunk.
-    Empty,
-    /// `len` sorted `u16` id offsets at `arrays[start..start + len]`.
-    Array { start: u32, len: u32 },
-    /// Dense chunk words at `words[start..start + words_in_chunk]`.
-    Bitmap { start: u32 },
-}
-
-/// Compressed adjacency bitmaps for every vertex of degree ≥ a build-time
-/// threshold.
+/// Bitmap adjacency rows, with a packed NLF signature each, for the vertices
+/// of one graph that [qualify](AdjacencyRows::qualifies).
 #[derive(Clone, Debug, Default)]
-pub struct NeighborBitmaps {
-    /// Containers per row: `ceil(|V| / 2^CHUNK_BITS)`.
-    chunks_per_row: usize,
-    /// Vertices in the graph (bounds the final chunk's width).
-    vertex_count: usize,
-    /// Rows in the sidecar (hub count).
-    rows: usize,
-    /// Row index per vertex id; [`NO_ROW`] when the vertex has no row.
-    /// Empty when the graph has no hub at all (nothing is allocated then).
+pub struct AdjacencyRows {
+    /// Words per row: `⌈|V|/64⌉`.
+    words_per_row: usize,
+    /// Row index per vertex id, [`NO_ROW`] without one. Empty when no vertex
+    /// qualifies.
     row_of: Box<[u32]>,
-    /// `rows × chunks_per_row` container references.
-    containers: Box<[Container]>,
-    /// Shared pool of array-container elements (low 16 bits of each id).
-    arrays: Box<[u16]>,
-    /// Shared pool of bitmap-container words.
+    /// `rows × words_per_row` words: bit `w` of row `r` is set iff `w` is a
+    /// neighbor of the vertex that owns `r`.
     words: Box<[u64]>,
+    /// Per row, the packed NLF of its vertex.
+    signatures: Box<[u64]>,
 }
 
-impl NeighborBitmaps {
-    /// Builds bitmaps for every vertex of `g` with degree ≥ `min_degree`.
-    /// Returns an empty (allocation-free) sidecar when there is no such
-    /// vertex.
-    pub fn build(g: &crate::graph::Graph, min_degree: usize) -> Self {
-        if g.max_degree() < min_degree || min_degree == 0 {
+impl AdjacencyRows {
+    /// Whether a vertex of degree `degree` in a graph of `vertex_count`
+    /// vertices gets a row: the row is under half the bytes of the adjacency
+    /// list, and the list is long enough for that to matter.
+    #[inline]
+    pub fn qualifies(degree: usize, vertex_count: usize) -> bool {
+        degree > 4 * vertex_count.div_ceil(64) && degree >= 8
+    }
+
+    /// Builds the rows of every qualifying vertex of `g`.
+    pub fn build(g: &Graph) -> Self {
+        let n = g.vertex_count();
+        if !Self::qualifies(g.max_degree(), n) {
             return Self::default();
         }
-        let n = g.vertex_count();
-        let chunks_per_row = n.div_ceil(CHUNK_SIZE);
+        let words_per_row = n.div_ceil(64);
         let mut row_of = vec![NO_ROW; n];
         let mut rows = 0usize;
-        for v in g.vertices() {
-            if g.degree(v) >= min_degree {
-                row_of[v.index()] = rows as u32;
-                rows += 1;
-            }
+        for v in g.vertices().filter(|&v| Self::qualifies(g.degree(v), n)) {
+            row_of[v.index()] = rows as u32;
+            rows += 1;
         }
-        let mut containers = vec![Container::Empty; rows * chunks_per_row];
-        let mut arrays: Vec<u16> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
-        for v in g.vertices() {
-            let row = row_of[v.index()];
-            if row == NO_ROW {
-                continue;
+        let mut words = vec![0u64; rows * words_per_row];
+        let mut signatures = Vec::with_capacity(rows);
+        for v in g.vertices().filter(|v| row_of[v.index()] != NO_ROW) {
+            let row = &mut words[signatures.len() * words_per_row..][..words_per_row];
+            for w in g.neighbors(v) {
+                row[w.index() / 64] |= 1u64 << (w.index() % 64);
             }
-            let base = row as usize * chunks_per_row;
-            // Adjacency sorted by (label, id): collect ids and sort so each
-            // chunk's run is contiguous and array containers stay sorted.
-            let mut adj: Vec<u32> = g.neighbors(v).iter().map(|w| w.id()).collect();
-            adj.sort_unstable();
-            let mut i = 0;
-            while i < adj.len() {
-                let chunk = (adj[i] >> CHUNK_BITS) as usize;
-                let end = adj[i..].partition_point(|&w| (w >> CHUNK_BITS) as usize == chunk) + i;
-                let run = &adj[i..end];
-                let chunk_words = Self::words_in_chunk(n, chunk);
-                // Keyed on the container's popcount: a sorted u16 array while
-                // it is no larger than the chunk's dense words.
-                if run.len() * 2 <= chunk_words * 8 {
-                    let start = arrays.len() as u32;
-                    arrays.extend(run.iter().map(|&w| (w & 0xFFFF) as u16));
-                    containers[base + chunk] = Container::Array { start, len: run.len() as u32 };
-                } else {
-                    let start = words.len() as u32;
-                    words.resize(words.len() + chunk_words, 0);
-                    for &w in run {
-                        let low = (w & 0xFFFF) as usize;
-                        words[start as usize + low / 64] |= 1u64 << (low % 64);
-                    }
-                    containers[base + chunk] = Container::Bitmap { start };
-                }
-                i = end;
-            }
+            signatures.push(nlf::packed(g.label_runs(v)));
         }
         Self {
-            chunks_per_row,
-            vertex_count: n,
-            rows,
+            words_per_row,
             row_of: row_of.into_boxed_slice(),
-            containers: containers.into_boxed_slice(),
-            arrays: arrays.into_boxed_slice(),
             words: words.into_boxed_slice(),
+            signatures: signatures.into_boxed_slice(),
         }
     }
 
-    /// Dense words needed for `chunk` of an `n`-vertex id space (1024 for
-    /// full chunks, truncated for the final one).
-    fn words_in_chunk(n: usize, chunk: usize) -> usize {
-        let chunk_base = chunk * CHUNK_SIZE;
-        (n - chunk_base).min(CHUNK_SIZE).div_ceil(64)
+    /// Number of vertices that have a row.
+    pub fn row_count(&self) -> usize {
+        self.signatures.len()
     }
 
-    /// Number of vertices that have a bitmap row.
-    pub fn hub_count(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether no vertex has a row (graph below threshold everywhere).
+    /// Whether no vertex has a row.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.signatures.is_empty()
     }
 
-    /// The bitmap row for `v`, if `v` is a hub.
+    /// The row of `v`, if it has one.
     #[inline]
     pub fn row(&self, v: VertexId) -> Option<usize> {
         match self.row_of.get(v.index()) {
@@ -167,53 +126,28 @@ impl NeighborBitmaps {
         }
     }
 
-    /// Whether `v` is set in bitmap `row` (as returned by [`row`](Self::row)).
+    /// The `⌈|V|/64⌉` words of `row` (as returned by [`row`](Self::row)).
+    #[inline]
+    pub fn words(&self, row: usize) -> &[u64] {
+        &self.words[row * self.words_per_row..][..self.words_per_row]
+    }
+
+    /// The packed NLF signature of the vertex that owns `row`.
+    #[inline]
+    pub fn signature(&self, row: usize) -> u64 {
+        self.signatures[row]
+    }
+
+    /// Whether `v` is a neighbor of the vertex that owns `row`.
     #[inline]
     pub fn contains(&self, row: usize, v: VertexId) -> bool {
-        let chunk = (v.id() >> CHUNK_BITS) as usize;
-        let low = (v.id() & 0xFFFF) as u16;
-        match self.containers[row * self.chunks_per_row + chunk] {
-            Container::Empty => false,
-            Container::Array { start, len } => {
-                let s = &self.arrays[start as usize..(start + len) as usize];
-                s.binary_search(&low).is_ok()
-            }
-            Container::Bitmap { start } => {
-                let w = self.words[start as usize + low as usize / 64];
-                w & (1u64 << (low % 64)) != 0
-            }
-        }
-    }
-
-    /// `(array, bitmap)` container counts across all rows — the compression
-    /// ablation surface (array containers are the memory win for mid-degree
-    /// hubs; bitmap containers keep O(1) probes on the monsters).
-    pub fn container_counts(&self) -> (usize, usize) {
-        let mut array = 0;
-        let mut bitmap = 0;
-        for c in &self.containers {
-            match c {
-                Container::Empty => {}
-                Container::Array { .. } => array += 1,
-                Container::Bitmap { .. } => bitmap += 1,
-            }
-        }
-        (array, bitmap)
-    }
-
-    /// Heap bytes a dense (pre-compression) layout would have used for the
-    /// same rows: `rows × ⌈|V|/64⌉` words plus the row index.
-    pub fn dense_equivalent_bytes(&self) -> usize {
-        self.rows * self.vertex_count.div_ceil(64) * 8 + self.row_of.heap_size()
+        self.words(row)[v.index() / 64] & (1u64 << (v.index() % 64)) != 0
     }
 }
 
-impl HeapSize for NeighborBitmaps {
+impl HeapSize for AdjacencyRows {
     fn heap_size(&self) -> usize {
-        self.row_of.heap_size()
-            + self.containers.len() * std::mem::size_of::<Container>()
-            + self.arrays.heap_size()
-            + self.words.heap_size()
+        self.row_of.heap_size() + self.words.heap_size() + self.signatures.heap_size()
     }
 }
 
@@ -221,16 +155,19 @@ impl HeapSize for NeighborBitmaps {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::graph::Graph;
     use crate::label::Label;
 
-    /// A star with `spokes` leaves around vertex 0, plus one detached edge.
-    fn star(spokes: u32) -> Graph {
+    /// A star with `spokes` leaves around vertex 0, then `pad` isolated
+    /// vertices, then one detached edge.
+    fn star(spokes: u32, pad: u32) -> Graph {
         let mut b = GraphBuilder::new();
         let hub = b.add_vertex(Label(0));
-        for _ in 0..spokes {
-            let leaf = b.add_vertex(Label(1));
+        for i in 0..spokes {
+            let leaf = b.add_vertex(Label(1 + i % 2));
             b.add_edge(hub, leaf).unwrap();
+        }
+        for _ in 0..pad {
+            b.add_vertex(Label(3));
         }
         let x = b.add_vertex(Label(2));
         let y = b.add_vertex(Label(2));
@@ -238,135 +175,118 @@ mod tests {
         b.build()
     }
 
-    #[test]
-    fn empty_below_threshold() {
-        let g = star(3);
-        let bm = NeighborBitmaps::build(&g, 64);
-        assert!(bm.is_empty());
-        assert_eq!(bm.hub_count(), 0);
-        assert_eq!(bm.row(VertexId(0)), None);
-        assert_eq!(bm.heap_size(), 0);
-    }
-
-    #[test]
-    fn hub_rows_match_adjacency() {
-        let g = star(100);
-        let bm = NeighborBitmaps::build(&g, 64);
-        assert_eq!(bm.hub_count(), 1);
-        let row = bm.row(VertexId(0)).unwrap();
-        for v in g.vertices() {
-            assert_eq!(bm.contains(row, v), g.has_edge(VertexId(0), v), "vertex {v:?}");
+    /// A random graph dense enough that some, not all, vertices qualify.
+    fn mixed(n: u32, seed: u64) -> Graph {
+        let mut b = GraphBuilder::new();
+        for v in 0..n {
+            b.add_vertex(Label(v % 3));
         }
-        // Leaves (degree 1) have no row.
-        assert_eq!(bm.row(VertexId(1)), None);
-        assert!(bm.heap_size() > 0);
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for u in 0..n {
+            // Even vertices draw many edges, odd ones few.
+            for _ in 0..if u % 2 == 0 { 12 } else { 1 } {
+                let v = (next() % u64::from(n)) as u32;
+                if u != v {
+                    let _ = b.add_edge(VertexId(u), VertexId(v));
+                }
+            }
+        }
+        b.build()
     }
 
     #[test]
-    fn low_threshold_covers_all_edges() {
-        let g = star(5);
-        let bm = NeighborBitmaps::build(&g, 1);
-        assert_eq!(bm.hub_count(), g.vertex_count());
-        for u in g.vertices() {
-            let row = bm.row(u).unwrap();
+    fn a_row_iff_the_rule_says_so() {
+        // The floor: one word per row, so the ratio asks for deg > 4 and the
+        // floor for deg ≥ 8.
+        assert!(!AdjacencyRows::qualifies(7, 45));
+        assert!(AdjacencyRows::qualifies(8, 45));
+        // The ratio: 100 vertices are two words, 8 neighbors are not over 8.
+        assert!(!AdjacencyRows::qualifies(8, 100));
+        assert!(AdjacencyRows::qualifies(9, 100));
+        assert!(!AdjacencyRows::qualifies(300, 6_000));
+        assert!(AdjacencyRows::qualifies(377, 6_000));
+        for g in [star(8, 0), star(7, 0), star(20, 300), mixed(90, 3), mixed(200, 4)] {
+            let rows = AdjacencyRows::build(&g);
+            let n = g.vertex_count();
+            let mut expected = 0;
             for v in g.vertices() {
-                assert_eq!(bm.contains(row, v), g.has_edge(u, v));
+                let qualifies = g.degree(v) > 4 * n.div_ceil(64) && g.degree(v) >= 8;
+                assert_eq!(rows.row(v).is_some(), qualifies, "{v:?} of {g:?}");
+                expected += usize::from(qualifies);
+            }
+            assert_eq!(rows.row_count(), expected);
+            assert_eq!(rows.is_empty(), expected == 0);
+        }
+        let some = AdjacencyRows::build(&mixed(90, 3));
+        assert!(0 < some.row_count() && some.row_count() < 90, "{}", some.row_count());
+    }
+
+    #[test]
+    fn row_bits_are_has_edge_and_signatures_are_the_packed_nlf() {
+        for g in [star(8, 0), star(100, 0), mixed(90, 5), mixed(130, 6)] {
+            let rows = AdjacencyRows::build(&g);
+            assert!(!rows.is_empty());
+            for u in g.vertices() {
+                let Some(row) = rows.row(u) else { continue };
+                assert_eq!(rows.words(row).len(), g.vertex_count().div_ceil(64));
+                for v in g.vertices() {
+                    assert_eq!(rows.contains(row, v), g.has_edge(u, v), "{u:?} -> {v:?}");
+                }
+                let bits: u32 = rows.words(row).iter().map(|w| w.count_ones()).sum();
+                assert_eq!(bits as usize, g.degree(u), "no bit beyond the neighbors");
+                assert_eq!(rows.signature(row), nlf::packed(g.label_runs(u)));
             }
         }
     }
 
     #[test]
-    fn word_boundary_vertices() {
-        // > 64 vertices so bitmap chunks span multiple words.
-        let g = star(70);
-        let bm = NeighborBitmaps::build(&g, 64);
-        let row = bm.row(VertexId(0)).unwrap();
-        assert!(bm.contains(row, VertexId(63)));
-        assert!(bm.contains(row, VertexId(64)));
-        assert!(bm.contains(row, VertexId(70)));
-        assert!(!bm.contains(row, VertexId(0)));
+    fn word_boundary_and_last_word_vertices() {
+        // 70 spokes + 2: ids 0..=72, two words, the last one 9 bits wide.
+        let g = star(70, 0);
+        let rows = AdjacencyRows::build(&g);
+        let row = rows.row(VertexId(0)).unwrap();
+        assert_eq!(rows.words(row).len(), 2);
+        for (v, expected) in [(0, false), (1, true), (63, true), (64, true), (70, true)] {
+            assert_eq!(rows.contains(row, VertexId(v)), expected, "vertex {v}");
+        }
+        // The detached edge sits in the last word and is no neighbor.
+        assert!(!rows.contains(row, VertexId(71)) && !rows.contains(row, VertexId(72)));
+        // Exactly 64 vertices: one full word, bit 63 its last.
+        let g = star(62, 0);
+        assert_eq!(g.vertex_count(), 65);
+        let g64 = g.induced_subgraph(&g.vertices().take(64).collect::<Vec<_>>());
+        let rows = AdjacencyRows::build(&g64);
+        let row = rows.row(VertexId(0)).unwrap();
+        assert_eq!(rows.words(row).len(), 1);
+        assert!(rows.contains(row, VertexId(62)) && !rows.contains(row, VertexId(63)));
     }
 
     #[test]
-    fn mid_degree_hub_gets_array_container() {
-        // 100 spokes over 104 vertices: the row's chunk holds 100 ids in a
-        // 2-word space? No — 104 vertices → 2 dense words (16 bytes), and
-        // 100 ids × 2 bytes = 200 bytes > 16, so the hub goes dense; the
-        // *leaves* (degree 1–2 under threshold 1) compress to arrays.
-        let g = star(100);
-        let all = NeighborBitmaps::build(&g, 1);
-        let (array, bitmap) = all.container_counts();
-        assert!(array > 0, "degree-1 leaves must take array containers");
-        assert!(bitmap > 0, "the dense hub must take a bitmap container");
-        // Every row still answers membership exactly.
-        for u in g.vertices() {
-            let row = all.row(u).unwrap();
-            for v in g.vertices() {
-                assert_eq!(all.contains(row, v), g.has_edge(u, v), "{u:?}->{v:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn compression_beats_dense_rows_on_sparse_hubs() {
-        // A 70-spoke hub in a ~4200-vertex id space: dense rows would pay
-        // ⌈4172/64⌉ words per row; the array container pays 2 bytes per
-        // neighbor.
-        let mut b = GraphBuilder::new();
-        let hub = b.add_vertex(Label(0));
-        for _ in 0..70 {
-            let leaf = b.add_vertex(Label(1));
-            b.add_edge(hub, leaf).unwrap();
-        }
-        for _ in 0..4100 {
-            b.add_vertex(Label(2));
-        }
-        let g = b.build();
-        let bm = NeighborBitmaps::build(&g, 64);
-        assert_eq!(bm.hub_count(), 1);
-        let (array, bitmap) = bm.container_counts();
-        assert_eq!((array, bitmap), (1, 0), "a sparse hub row must compress to an array");
-        assert!(
-            bm.heap_size() < bm.dense_equivalent_bytes(),
-            "compressed {} must undercut dense {}",
-            bm.heap_size(),
-            bm.dense_equivalent_bytes()
-        );
-        let row = bm.row(hub).unwrap();
-        for v in g.vertices() {
-            assert_eq!(bm.contains(row, v), g.has_edge(hub, v));
+    fn empty_and_allocation_free_when_no_vertex_qualifies() {
+        // Degree 7 is under the floor; degree 20 in 323 vertices (6 words) is
+        // under the ratio.
+        for g in [star(7, 0), star(20, 300), GraphBuilder::new().build()] {
+            let rows = AdjacencyRows::build(&g);
+            assert!(rows.is_empty());
+            assert_eq!(rows.row_count(), 0);
+            assert_eq!(rows.row(VertexId(0)), None);
+            assert_eq!(rows.heap_size(), 0);
         }
     }
 
     #[test]
-    fn chunk_boundary_probes() {
-        // A graph spanning two 2^16-id chunks, with a hub adjacent to ids on
-        // both sides of the boundary.
-        let n = CHUNK_SIZE as u32 + 200;
-        let mut b = GraphBuilder::new();
-        for _ in 0..n {
-            b.add_vertex(Label(0));
-        }
-        let hub = VertexId(0);
-        let targets =
-            [1u32, 63, 64, CHUNK_SIZE as u32 - 1, CHUNK_SIZE as u32, CHUNK_SIZE as u32 + 1, n - 1];
-        for &t in &targets {
-            b.add_edge(hub, VertexId(t)).unwrap();
-        }
-        // Pad the hub's degree over the threshold within chunk 0.
-        for t in 1000..(1000 + HUB_DEGREE_THRESHOLD as u32) {
-            b.add_edge(hub, VertexId(t)).unwrap();
-        }
-        let g = b.build();
-        let bm = NeighborBitmaps::build(&g, HUB_DEGREE_THRESHOLD);
-        let row = bm.row(hub).unwrap();
-        for &t in &targets {
-            assert!(bm.contains(row, VertexId(t)), "id {t}");
-            assert!(!bm.contains(row, VertexId(t + 1)) || g.has_edge(hub, VertexId(t + 1)));
-        }
-        assert!(!bm.contains(row, VertexId(CHUNK_SIZE as u32 + 150)));
-        // Both chunks produced a container for the hub row.
-        let (array, bitmap) = bm.container_counts();
-        assert_eq!(array + bitmap, 2, "one container per touched chunk");
+    fn heap_size_is_the_three_arrays() {
+        let g = mixed(130, 7);
+        let rows = AdjacencyRows::build(&g);
+        let r = rows.row_count();
+        assert!(r > 0);
+        // row_of, r rows of three words, r signature words.
+        assert_eq!(rows.heap_size(), 130 * 4 + r * 3 * 8 + r * 8);
     }
 }

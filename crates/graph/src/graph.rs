@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use crate::bitmap::{NeighborBitmaps, HUB_DEGREE_THRESHOLD};
+use crate::bitmap::AdjacencyRows;
 use crate::heap_size::HeapSize;
 use crate::label::Label;
 use crate::vertex::VertexId;
@@ -44,9 +44,8 @@ pub struct Graph {
     edge_count: usize,
     max_degree: u32,
     distinct_labels: u32,
-    /// Lazily-built adjacency bitmaps for hub vertices (degree ≥
-    /// [`HUB_DEGREE_THRESHOLD`]); see [`Graph::hub_bitmaps`].
-    hub_bitmaps: OnceLock<NeighborBitmaps>,
+    /// Lazily-built bitmap adjacency rows; see [`Graph::adjacency_rows`].
+    adjacency_rows: OnceLock<AdjacencyRows>,
 }
 
 impl Graph {
@@ -142,7 +141,7 @@ impl Graph {
             edge_count,
             max_degree,
             distinct_labels,
-            hub_bitmaps: OnceLock::new(),
+            adjacency_rows: OnceLock::new(),
         }
     }
 
@@ -289,17 +288,17 @@ impl Graph {
         self.neighbors_with_label(a, self.labels[b.index()]).binary_search(&b).is_ok()
     }
 
-    /// The hub adjacency-bitmap sidecar, built on first use for every vertex
-    /// of degree ≥ [`HUB_DEGREE_THRESHOLD`]. Empty (and allocation-free) for
-    /// graphs with no hub. Amortized across every query against this graph.
-    pub fn hub_bitmaps(&self) -> &NeighborBitmaps {
-        self.hub_bitmaps.get_or_init(|| NeighborBitmaps::build(self, HUB_DEGREE_THRESHOLD))
+    /// The bitmap adjacency rows, built on first use for every vertex that
+    /// [qualifies](AdjacencyRows::qualifies). Empty (and allocation-free)
+    /// when none does. Amortized across every query against this graph.
+    pub fn adjacency_rows(&self) -> &AdjacencyRows {
+        self.adjacency_rows.get_or_init(|| AdjacencyRows::build(self))
     }
 
-    /// The hub bitmap sidecar if it has been built, without forcing the
+    /// The adjacency rows if they have been built, without forcing the
     /// build (for memory accounting).
-    pub fn hub_bitmaps_built(&self) -> Option<&NeighborBitmaps> {
-        self.hub_bitmaps.get()
+    pub fn adjacency_rows_built(&self) -> Option<&AdjacencyRows> {
+        self.adjacency_rows.get()
     }
 
     /// All vertices carrying label `l`, sorted by id.
@@ -379,7 +378,7 @@ impl HeapSize for Graph {
             + self.run_starts.heap_size()
             + self.label_offsets.heap_size()
             + self.label_vertices.heap_size()
-            + self.hub_bitmaps.get().map_or(0, HeapSize::heap_size)
+            + self.adjacency_rows.get().map_or(0, HeapSize::heap_size)
     }
 }
 
@@ -532,23 +531,23 @@ mod tests {
     }
 
     #[test]
-    fn hub_bitmaps_lazy_and_accounted() {
+    fn adjacency_rows_lazy_and_accounted() {
         let mut b = GraphBuilder::new();
         let hub = b.add_vertex(Label(0));
-        for _ in 0..HUB_DEGREE_THRESHOLD {
+        for _ in 0..64 {
             let leaf = b.add_vertex(Label(1));
             b.add_edge(hub, leaf).unwrap();
         }
         let g = b.build();
-        assert!(g.hub_bitmaps_built().is_none());
+        assert!(g.adjacency_rows_built().is_none());
         let before = g.heap_size();
-        let bm = g.hub_bitmaps();
-        assert_eq!(bm.hub_count(), 1);
-        let row = bm.row(hub).unwrap();
-        assert!(bm.contains(row, VertexId(1)));
-        assert!(!bm.contains(row, hub));
+        let rows = g.adjacency_rows();
+        assert_eq!(rows.row_count(), 1);
+        let row = rows.row(hub).unwrap();
+        assert!(rows.contains(row, VertexId(1)));
+        assert!(!rows.contains(row, hub));
         // Once built, the sidecar shows up in heap accounting.
-        assert!(g.hub_bitmaps_built().is_some());
-        assert!(g.heap_size() > before);
+        assert!(g.adjacency_rows_built().is_some());
+        assert_eq!(g.heap_size(), before + rows.heap_size());
     }
 }

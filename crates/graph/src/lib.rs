@@ -25,10 +25,10 @@
 //!   enumeration.
 //! * [`simd`] — runtime-dispatched SSE/AVX2 block intersection with a scalar
 //!   fallback (and a `SQP_FORCE_SCALAR` kill switch for CI).
-//! * [`NeighborBitmaps`] — lazily-built compressed adjacency bitmaps
-//!   (roaring-style array/bitmap containers) for hub vertices, turning
-//!   `has_edge` probes against high-degree vertices into word tests or short
-//!   cache-resident searches.
+//! * [`AdjacencyRows`] — lazily-built bitmap adjacency rows, with a packed
+//!   NLF signature each, for the vertices whose row is under half the bytes
+//!   of their adjacency list: neighbor tests and local candidates against a
+//!   candidate bitmap become word-parallel ANDs.
 //! * [`HeapSize`] — exact heap accounting used to reproduce the paper's
 //!   memory-cost tables.
 
@@ -53,7 +53,7 @@ pub mod simd;
 pub mod stats;
 pub mod vertex;
 
-pub use bitmap::{NeighborBitmaps, HUB_DEGREE_THRESHOLD};
+pub use bitmap::AdjacencyRows;
 pub use builder::GraphBuilder;
 pub use database::GraphDb;
 pub use dynamic::{

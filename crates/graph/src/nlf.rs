@@ -14,6 +14,33 @@
 //! neighbor's label. A [`DynamicGraph`](crate::dynamic::DynamicGraph) keeps
 //! the same runs beside each patched adjacency list
 //! ([`label_runs`](crate::dynamic::DynamicGraph::label_runs)).
+//!
+//! # The packed signature
+//!
+//! [`packed`] folds a run sequence into one `u64` of sixteen 4-bit
+//! counters (after the Compact Neighborhood Index): nibble `k` holds the
+//! number of neighbors whose label is `≡ k (mod 16)`, saturating at
+//! [`NIBBLE_MAX`] = 7, so the top bit of every nibble is free. That free bit
+//! is what makes dominance one subtraction ([`packed_dominated`]): with
+//! `H = 0x8888…`, nibble `k` of `(sg | H) − sq` is `8 + sg_k − sq_k ∈ [1, 15]`
+//! — it never borrows from its neighbor — and keeps its top bit exactly when
+//! `sg_k ≥ sq_k`; hence `((sg | H) − sq) & H = H` iff every nibble of `sq` is
+//! at most the one of `sg`.
+//!
+//! Folding and saturating are both monotone, so `q ⊑ g` implies the packed
+//! compare passes: **a packed reject is always a true reject**. A packed
+//! accept is the true answer only when the fold lost nothing
+//! ([`packed_is_exact`]):
+//!
+//! * every label on *both* sides is below 16 (`label_space() ≤ 16`), so no
+//!   two labels share a nibble — on the data side a shared nibble would add
+//!   label 19's neighbors to label 3's supply, on the query side it would
+//!   merge two demands into one sum that a single data label could meet;
+//! * no query nibble reads 7, which may stand for any larger count (a data
+//!   nibble of 7 then proves nothing; a saturated *data* nibble is harmless
+//!   against an unsaturated query nibble, which asks for at most 6).
+//!
+//! Otherwise a packed accept is followed by the run merge.
 
 use crate::graph::Graph;
 use crate::label::Label;
@@ -40,6 +67,46 @@ pub fn runs_dominated(
         return false;
     }
     true
+}
+
+/// Largest count a nibble of a [`packed`] signature holds; it stands for
+/// "this many or more".
+pub const NIBBLE_MAX: u32 = 7;
+
+/// The top bit of every nibble.
+const NIBBLE_TOPS: u64 = 0x8888_8888_8888_8888;
+
+/// The packed signature of a `(label, count)` run sequence: per nibble
+/// `k < 16`, the total count of the labels `≡ k (mod 16)`, saturating at
+/// [`NIBBLE_MAX`].
+#[inline]
+pub fn packed(runs: impl IntoIterator<Item = (Label, u32)>) -> u64 {
+    let mut word = 0u64;
+    for (l, c) in runs {
+        let shift = 4 * (l.index() % 16);
+        let sum = ((word >> shift) & 0xF) as u32 + c.min(NIBBLE_MAX);
+        word = word & !(0xF << shift) | u64::from(sum.min(NIBBLE_MAX)) << shift;
+    }
+    word
+}
+
+/// Whether every nibble of the query signature `sq` is at most the same
+/// nibble of the data signature `sg`. `false` proves the runs behind `sq` are
+/// not dominated by the runs behind `sg`; `true` proves dominance only under
+/// [`packed_is_exact`].
+#[inline]
+pub fn packed_dominated(sq: u64, sg: u64) -> bool {
+    ((sg | NIBBLE_TOPS).wrapping_sub(sq)) & NIBBLE_TOPS == NIBBLE_TOPS
+}
+
+/// Whether a [`packed_dominated`] accept of the query signature `sq` is the
+/// answer of the run merge: both graphs' labels all lie below 16 (pass the
+/// larger `label_space()`), and no nibble of `sq` is saturated.
+#[inline]
+pub fn packed_is_exact(sq: u64, label_space: usize) -> bool {
+    // A nibble reads 7 iff its low three bits are all set.
+    let saturated = sq & (sq >> 1) & (sq >> 2) & (NIBBLE_TOPS >> 3);
+    label_space <= 16 && saturated == 0
 }
 
 /// A sorted neighbor-label multiset, stored as `(label, count)` runs.

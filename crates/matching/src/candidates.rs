@@ -1,6 +1,8 @@
 //! Complete candidate vertex sets (Definition III.1) and the CPI auxiliary
 //! structure.
 
+use std::cell::Cell;
+
 use sqp_graph::{HeapSize, VertexId};
 
 use crate::embedding::Embedding;
@@ -38,6 +40,11 @@ impl FilterResult {
 /// block array), which the enumerator probes instead of binary-searching the
 /// sorted sets. The sorted sets remain the iteration/intersection
 /// representation.
+///
+/// The CFL filter hands the sets and bitmap rows it worked on to the space
+/// instead of copying them out; a dropped space gives its buffers back to
+/// the filter scratch of the thread it drops on
+/// ([`cfl::reclaim`](crate::cfl)), so a warm filter call allocates neither.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateSpace {
     sets: Vec<Vec<VertexId>>,
@@ -101,20 +108,21 @@ impl CandidateSpace {
         Self::checked(sets, bits, words_per_set)
     }
 
-    /// Wraps candidate sets whose membership bitmaps the filter already
-    /// maintained: `rows` holds one `row_words`-word row per set, bit `v` of
+    /// Takes over candidate sets whose membership bitmaps the filter already
+    /// maintained: `bits` holds one `row_words`-word row per set, bit `v` of
     /// row `u` set iff `v ∈ sets[u]`. Rows are cut to the candidate universe
-    /// and copied, not re-derived.
+    /// in place, not re-derived.
     pub(crate) fn from_bitmap_rows(
         sets: Vec<Vec<VertexId>>,
-        rows: &[u64],
+        mut bits: Vec<u64>,
         row_words: usize,
     ) -> Self {
         let words_per_set = Self::words_for(&sets);
-        let mut bits = Vec::with_capacity(sets.len() * words_per_set);
-        for row in rows.chunks_exact(row_words.max(1)).take(sets.len()) {
-            bits.extend_from_slice(&row[..words_per_set]);
+        debug_assert!(words_per_set <= row_words && sets.len() * row_words <= bits.len());
+        for u in 1..sets.len() {
+            bits.copy_within(u * row_words..u * row_words + words_per_set, u * words_per_set);
         }
+        bits.truncate(sets.len() * words_per_set);
         Self::checked(sets, bits, words_per_set)
     }
 
@@ -176,9 +184,17 @@ impl CandidateSpace {
         self.bits[u.index() * self.words_per_set + word] & (1u64 << (v.index() % 64)) != 0
     }
 
+    /// The membership bitmap of `Φ(u)`: bit `v` is set iff `v ∈ Φ(u)`.
+    /// `ceil(universe / 64)` words, the universe being one past the largest
+    /// candidate id in any set.
+    #[inline]
+    pub(crate) fn row(&self, u: VertexId) -> &[u64] {
+        &self.bits[u.index() * self.words_per_set..][..self.words_per_set]
+    }
+
     /// Heap bytes of the membership bitmaps alone (for accounting tests).
     pub fn bitmap_bytes(&self) -> usize {
-        self.bits.heap_size()
+        std::mem::size_of_val(self.bits.as_slice())
     }
 
     /// Whether any `Φ(u)` is empty (the vcFV pruning condition).
@@ -208,18 +224,27 @@ impl CandidateSpace {
     }
 }
 
+/// Bytes in use, not bytes reserved: the sets and rows may sit in buffers the
+/// filter scratch grew for a larger pair, and the size Table VII reports is
+/// the structure's, not the allocator's.
 impl HeapSize for CandidateSpace {
     fn heap_size(&self) -> usize {
-        /// The outer buffer (one `Vec` header per slot) plus every inner one.
-        fn nested<T: Copy>(vs: &Vec<Vec<T>>) -> usize {
-            vs.capacity() * std::mem::size_of::<Vec<T>>()
-                + vs.iter().map(HeapSize::heap_size).sum::<usize>()
+        use std::mem::size_of_val;
+        /// One `Vec` header per slot plus every inner vector's elements.
+        fn nested<T>(vs: &[Vec<T>]) -> usize {
+            size_of_val(vs) + vs.iter().map(|v| size_of_val(v.as_slice())).sum::<usize>()
         }
         let cpi = self
             .cpi
             .as_ref()
-            .map_or(0, |c| c.parent.heap_size() + nested(&c.offsets) + nested(&c.data));
-        nested(&self.sets) + self.bits.heap_size() + cpi
+            .map_or(0, |c| size_of_val(c.parent.as_slice()) + nested(&c.offsets) + nested(&c.data));
+        nested(&self.sets) + self.bitmap_bytes() + cpi
+    }
+}
+
+impl Drop for CandidateSpace {
+    fn drop(&mut self) {
+        crate::cfl::reclaim(std::mem::take(&mut self.sets), std::mem::take(&mut self.bits));
     }
 }
 
@@ -230,17 +255,37 @@ pub struct MatchingOrder {
     order: Vec<VertexId>,
 }
 
+thread_local! {
+    /// The buffer of the order this thread dropped last, for the next one.
+    static ORDER_BUFFER: Cell<Vec<VertexId>> = const { Cell::new(Vec::new()) };
+}
+
+impl Drop for MatchingOrder {
+    fn drop(&mut self) {
+        let _ = ORDER_BUFFER.try_with(|b| b.set(std::mem::take(&mut self.order)));
+    }
+}
+
 impl MatchingOrder {
+    /// An empty vector to build an order in: the buffer of the order this
+    /// thread dropped last, so computing one order per (query, graph) pair
+    /// allocates nothing once a buffer has grown to the largest query.
+    pub(crate) fn buffer() -> Vec<VertexId> {
+        let mut buffer = ORDER_BUFFER.with(Cell::take);
+        buffer.clear();
+        buffer
+    }
+
     /// Wraps an order; debug-asserts it is a permutation.
     pub fn new(order: Vec<VertexId>) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = vec![false; order.len()];
-            for v in &order {
-                assert!(v.index() < order.len() && !seen[v.index()], "not a permutation");
-                seen[v.index()] = true;
-            }
-        }
+        // Pairwise, so that the check does not allocate.
+        debug_assert!(
+            order
+                .iter()
+                .enumerate()
+                .all(|(i, v)| v.index() < order.len() && !order[..i].contains(v)),
+            "not a permutation"
+        );
         Self { order }
     }
 
@@ -365,46 +410,54 @@ mod tests {
         assert!(with.heap_size() > base);
     }
 
-    /// Every allocation is counted once, at its capacity: the outer buffer of
-    /// each nested vector holds the inner vectors' headers, so a header is
-    /// not added a second time per set.
+    /// Every element in use is counted once — a header per set, the ids, the
+    /// bitmap words, the CPI arrays — and spare capacity is not: a space
+    /// sitting in the filter scratch's buffers reports what an exact-size
+    /// copy would.
     #[test]
-    fn heap_size_is_the_sum_of_allocation_capacities() {
+    fn heap_size_is_the_bytes_in_use() {
         use std::mem::size_of;
         fn with_capacity<T: Copy>(capacity: usize, items: &[T]) -> Vec<T> {
             let mut v = Vec::with_capacity(capacity);
             v.extend_from_slice(items);
             v
         }
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * size_of::<T>()
-        }
-
-        let mut sets = Vec::with_capacity(5);
-        sets.push(with_capacity(7, &[VertexId(0), VertexId(70)]));
-        sets.push(with_capacity(1, &[VertexId(1)]));
-        sets.push(vec![VertexId(2)]);
-        let inner: usize = sets.iter().map(bytes).sum();
-        assert!(inner >= (7 + 1 + 1) * size_of::<VertexId>());
+        let sets = || vec![vec![VertexId(0), VertexId(70)], vec![VertexId(1)], vec![VertexId(2)]];
         // Ids up to 70: two bitmap words for each of the three rows.
-        let expected = bytes(&sets) + inner + 3 * 2 * size_of::<u64>();
-        let plain = CandidateSpace::new(sets);
+        let expected =
+            3 * size_of::<Vec<VertexId>>() + 4 * size_of::<VertexId>() + 3 * 2 * size_of::<u64>();
+        let plain = CandidateSpace::new(sets());
         assert_eq!(plain.bitmap_bytes(), 3 * 2 * size_of::<u64>());
         assert_eq!(plain.heap_size(), expected);
 
-        let mut cpi = Cpi {
+        // The same space in oversized buffers with five-word rows, as the
+        // filter hands it over.
+        let mut roomy = Vec::with_capacity(5);
+        roomy.extend(sets().into_iter().map(|s| with_capacity(9, &s)));
+        let mut bits = with_capacity(40, &[0u64; 15]);
+        for (u, set) in roomy.iter().enumerate() {
+            for v in set {
+                bits[u * 5 + v.index() / 64] |= 1 << (v.index() % 64);
+            }
+        }
+        let handed = CandidateSpace::from_bitmap_rows(roomy, bits, 5);
+        assert_eq!(handed.heap_size(), expected);
+        assert_eq!(handed.sets(), plain.sets());
+        for u in 0..3 {
+            assert_eq!(handed.row(VertexId(u)), plain.row(VertexId(u)));
+        }
+
+        let cpi = Cpi {
             root: VertexId(0),
             parent: with_capacity(4, &[None, Some(VertexId(0)), Some(VertexId(1))]),
-            offsets: Vec::with_capacity(3),
-            data: Vec::with_capacity(6),
+            offsets: vec![vec![], with_capacity(9, &[0, 1, 2]), vec![0, 1]],
+            data: vec![vec![], vec![VertexId(1), VertexId(1)], with_capacity(3, &[VertexId(2)])],
         };
-        cpi.offsets.extend([vec![], with_capacity(9, &[0, 1, 2]), vec![0, 1]]);
-        cpi.data.extend([vec![], vec![VertexId(1), VertexId(1)], with_capacity(3, &[VertexId(2)])]);
-        let cpi_bytes = bytes(&cpi.parent)
-            + bytes(&cpi.offsets)
-            + cpi.offsets.iter().map(bytes).sum::<usize>()
-            + bytes(&cpi.data)
-            + cpi.data.iter().map(bytes).sum::<usize>();
+        let cpi_bytes = 3 * size_of::<Option<VertexId>>()
+            + 3 * size_of::<Vec<u32>>()
+            + 5 * size_of::<u32>()
+            + 3 * size_of::<Vec<VertexId>>()
+            + 3 * size_of::<VertexId>();
         assert_eq!(plain.with_cpi(cpi).heap_size(), expected + cpi_bytes);
     }
 

@@ -19,6 +19,17 @@
 //!    and child candidates — giving the `O(|V(q)| × |E(G)|)` auxiliary
 //!    structure whose size Table VII reports.
 //!
+//! Every `Φ(u)` is mirrored by a bitmap row, so where the data vertex `v` in
+//! hand has an [adjacency row](sqp_graph::AdjacencyRows) — looked up once
+//! per vertex, not per test — `N(v) ∩ Φ(u') ≠ ∅` is `adj(v) & Φ(u') ≠ 0` a
+//! word at a time, and NLF dominance is first the one-subtraction compare of
+//! the row's [packed signature](sqp_graph::nlf::packed) against the query
+//! vertex's: a reject always, an accept where the packing lost nothing, the
+//! run merge otherwise. A vertex without a row walks its label run and
+//! merges runs, as every vertex did before the rows existed. The sets and
+//! rows of a surviving pair are handed to the [`CandidateSpace`], not copied
+//! out, and come back when it drops ([`reclaim`]).
+//!
 //! *Verify* (the enumeration phase): the **path-based order** — decompose
 //! `q_t` into root-to-leaf paths, estimate each path's embedding count by
 //! dynamic programming over the CPI, and order paths ascending by estimate
@@ -30,8 +41,8 @@
 use std::cell::RefCell;
 
 use sqp_graph::algo::{two_core, BfsTree};
-use sqp_graph::nlf::nlf_dominated;
-use sqp_graph::{Graph, VertexId};
+use sqp_graph::nlf;
+use sqp_graph::{AdjacencyRows, Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, Cpi, FilterResult, MatchingOrder};
 use crate::deadline::{Deadline, TickChecker, Timeout};
@@ -75,16 +86,39 @@ fn row_contains(row: &[u64], v: VertexId) -> bool {
     row[word] & mask != 0
 }
 
+/// The query vertex `u` a generation step builds `Φ(u)` for, with its packed
+/// NLF signature: computed once per filter call, when the step starts.
+#[derive(Clone, Copy)]
+struct Target {
+    u: VertexId,
+    signature: u64,
+    /// Whether a packed accept against `signature` is the run merge's answer
+    /// for this pair of graphs.
+    exact: bool,
+}
+
+impl Target {
+    fn new(q: &Graph, g: &Graph, u: VertexId) -> Self {
+        let signature = nlf::packed(q.label_runs(u));
+        let exact = nlf::packed_is_exact(signature, q.label_space().max(g.label_space()));
+        Self { u, signature, exact }
+    }
+}
+
 /// The candidate sets `Φ(u)` under construction, each mirrored by a
 /// membership bitmap so `v ∈ Φ(u)` is one probe.
 #[derive(Default)]
 struct Phi {
     /// Per query vertex; sorted once generated.
     sets: Vec<Vec<VertexId>>,
+    /// Set buffers a larger earlier query grew: `sets` holds exactly one
+    /// per query vertex, because the candidate space takes it whole.
+    spare: Vec<Vec<VertexId>>,
     /// One `words`-word row per query vertex. Invariant: bit `v` of row `u`
     /// is set iff `v ∈ sets[u]`.
     bits: Vec<u64>,
-    /// Words per bitmap row: `ceil(|V(G)| / 64)`.
+    /// Words per bitmap row: `ceil(|V(G)| / 64)`, the length of an adjacency
+    /// row of `G`.
     words: usize,
     /// Per query vertex, whether refinement has dropped a candidate from
     /// `Φ(u)` since it was generated. Reset where refinement starts: a pair
@@ -94,10 +128,10 @@ struct Phi {
 
 impl Phi {
     fn reset(&mut self, query_vertices: usize, data_vertices: usize) {
-        self.sets.iter_mut().for_each(Vec::clear);
-        if self.sets.len() < query_vertices {
-            self.sets.resize_with(query_vertices, Vec::new);
-        }
+        let Self { sets, spare, .. } = self;
+        spare.extend(sets.drain(query_vertices.min(sets.len())..));
+        sets.resize_with(query_vertices, || spare.pop().unwrap_or_default());
+        sets.iter_mut().for_each(Vec::clear);
         self.words = data_vertices.div_ceil(64);
         self.bits.clear();
         self.bits.resize(query_vertices * self.words, 0);
@@ -116,22 +150,53 @@ impl Phi {
         }
     }
 
-    /// Whether `N(v) ∩ Φ(w) ≠ ∅`: one bitmap probe per `L(w)`-neighbor of
-    /// `v`.
+    /// Whether `N(v) ∩ Φ(w) ≠ ∅` for every `w` of `nbrs`: `adj & Φ(w) ≠ 0`
+    /// per word when `v` has the adjacency row `adj`, else one bitmap probe
+    /// per `L(w)`-neighbor of `v`.
     #[inline]
-    fn has_candidate_neighbor(&self, q: &Graph, g: &Graph, v: VertexId, w: VertexId) -> bool {
-        let row = self.row(w);
-        g.neighbors_with_label(v, q.label(w)).iter().any(|&n| row_contains(row, n))
+    fn has_candidate_neighbors(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        v: VertexId,
+        adj: Option<&[u64]>,
+        nbrs: &[VertexId],
+    ) -> bool {
+        match adj {
+            Some(adj) => nbrs.iter().all(|&w| adj.iter().zip(self.row(w)).any(|(a, r)| a & r != 0)),
+            None => nbrs.iter().all(|&w| {
+                let row = self.row(w);
+                g.neighbors_with_label(v, q.label(w)).iter().any(|&n| row_contains(row, n))
+            }),
+        }
     }
 
     /// Whether generation admits `v` into `Φ(u)`: the degree test, a
     /// neighbor in `Φ(w)` for every `w` of `nbrs` (generated query neighbors
-    /// of `u`), NLF dominance.
+    /// of `u`), NLF dominance — by the packed signature first where `v` has
+    /// an adjacency row, and by it alone where that is exact.
     #[inline]
-    fn admits(&self, q: &Graph, g: &Graph, u: VertexId, v: VertexId, nbrs: &[VertexId]) -> bool {
-        g.degree(v) >= q.degree(u)
-            && nbrs.iter().all(|&w| self.has_candidate_neighbor(q, g, v, w))
-            && nlf_dominated(q, u, g, v)
+    fn admits(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        rows: &AdjacencyRows,
+        target: Target,
+        v: VertexId,
+        nbrs: &[VertexId],
+    ) -> bool {
+        if g.degree(v) < q.degree(target.u) {
+            return false;
+        }
+        let merged = || nlf::runs_dominated(q.label_runs(target.u), g.label_runs(v));
+        match rows.row(v) {
+            Some(row) => {
+                nlf::packed_dominated(target.signature, rows.signature(row))
+                    && self.has_candidate_neighbors(q, g, v, Some(rows.words(row)), nbrs)
+                    && (target.exact || merged())
+            }
+            None => self.has_candidate_neighbors(q, g, v, None, nbrs) && merged(),
+        }
     }
 
     /// Drops every `v ∈ Φ(u)` with `N(v) ∩ Φ(w) = ∅` for some `w` of `nbrs`
@@ -141,12 +206,14 @@ impl Phi {
         if nbrs.is_empty() {
             return true;
         }
+        let rows = g.adjacency_rows();
         let mut set = std::mem::take(&mut self.sets[u.index()]);
         let row = u.index() * self.words;
         let mut kept = 0;
         for i in 0..set.len() {
             let v = set[i];
-            if nbrs.iter().all(|&w| self.has_candidate_neighbor(q, g, v, w)) {
+            let adj = rows.row(v).map(|r| rows.words(r));
+            if self.has_candidate_neighbors(q, g, v, adj, nbrs) {
                 set[kept] = v;
                 kept += 1;
             } else {
@@ -189,6 +256,25 @@ thread_local! {
     static SCRATCH: RefCell<FilterScratch> = RefCell::new(FilterScratch::default());
 }
 
+/// Gives the set and row buffers of a dropped [`CandidateSpace`] to this
+/// thread's filter scratch, if it is without — it is after handing its own
+/// to a space, the usual case being this very one. A space that drops on
+/// another thread, during a filter call or at thread exit just frees them,
+/// and the scratch that made it grows new ones.
+pub(crate) fn reclaim(sets: Vec<Vec<VertexId>>, bits: Vec<u64>) {
+    let _ = SCRATCH.try_with(|scratch| {
+        if let Ok(mut scratch) = scratch.try_borrow_mut() {
+            let phi = &mut scratch.phi;
+            if phi.sets.capacity() == 0 {
+                phi.sets = sets;
+            }
+            if phi.bits.capacity() == 0 {
+                phi.bits = bits;
+            }
+        }
+    });
+}
+
 /// Top-down generation *pulls* `Φ(u)` out of the label class `V_L(u)(G)`
 /// when the class is at most this many times `|Φ(parent(u))|`, and otherwise
 /// *pushes* it out of the parent's candidates. A pull tests each label-mate
@@ -219,13 +305,11 @@ impl FilterScratch {
         // tree: on non-candidate graphs — the overwhelming majority in a
         // database scan — the filter exits here, which is what gives CFL's
         // filter its edge over GraphQL's (§IV-B2).
-        let root_degree = q.degree(root);
-        phi.sets[root.index()].extend(
-            g.vertices_with_label(q.label(root))
-                .iter()
-                .copied()
-                .filter(|&v| g.degree(v) >= root_degree && nlf_dominated(q, root, g, v)),
-        );
+        let (rows, target) = (g.adjacency_rows(), Target::new(q, g, root));
+        let mut set = std::mem::take(&mut phi.sets[root.index()]);
+        let label_mates = g.vertices_with_label(q.label(root));
+        set.extend(label_mates.iter().copied().filter(|&v| phi.admits(q, g, rows, target, v, &[])));
+        phi.sets[root.index()] = set;
         if phi.sets[root.index()].is_empty() {
             return false;
         }
@@ -264,13 +348,14 @@ impl FilterScratch {
                 q.neighbors(u).iter().copied().filter(|&w| w != parent && step[w.index()] < i),
             );
             let label_mates = g.vertices_with_label(q.label(u));
+            let (rows, target) = (g.adjacency_rows(), Target::new(q, g, u));
             let mut set = std::mem::take(&mut phi.sets[u.index()]);
             if pull(label_mates.len(), phi.sets[parent.index()].len()) {
                 // In id order, each label-mate once: the set comes out
                 // sorted, without the stamp array.
                 for &v in label_mates {
                     ticker.tick(deadline)?;
-                    if phi.admits(q, g, u, v, nbrs) {
+                    if phi.admits(q, g, rows, target, v, nbrs) {
                         set.push(v);
                     }
                 }
@@ -282,7 +367,7 @@ impl FilterScratch {
                     for &v in g.neighbors_with_label(vp, q.label(u)) {
                         if stamp[v.index()] != i {
                             stamp[v.index()] = i;
-                            if phi.admits(q, g, u, v, &nbrs[1..]) {
+                            if phi.admits(q, g, rows, target, v, &nbrs[1..]) {
                                 set.push(v);
                             }
                         }
@@ -358,7 +443,7 @@ pub fn generation_probe(q: &Graph, g: &Graph, pull: bool) -> Option<usize> {
         let generated = scratch.start(q, g)
             && scratch.generate(q, g, |_, _| pull, &mut TickChecker::new(), Deadline::none())
                 == Ok(true);
-        generated.then(|| scratch.phi.sets[..q.vertex_count()].iter().map(Vec::len).sum())
+        generated.then(|| scratch.phi.sets.iter().map(Vec::len).sum())
     })
 }
 
@@ -424,52 +509,55 @@ impl Cfl {
             return Ok(None); // early vcFV pruning
         }
         let FilterScratch { tree, phi, cpi_data, .. } = scratch;
-        let root = tree.root();
-
-        let sets = &phi.sets[..q.vertex_count()];
+        let sets = &phi.sets;
         filter_span.add_items(sets.iter().map(|s| s.len() as u64).sum());
         drop(filter_span);
 
-        // Copy the space out of the scratch at its exact size: the sorted
-        // sets, their bitmap rows, and (for CFL's own order) the CPI along
-        // tree edges.
         let _build_span = Span::enter(Phase::BuildCandidates, deadline);
-        let space = CandidateSpace::from_bitmap_rows(sets.to_vec(), &phi.bits, phi.words);
-        if !with_cpi {
-            return Ok(Some(space));
-        }
-
-        let mut cpi = Cpi {
-            root,
-            parent: vec![None; q.vertex_count()],
-            offsets: vec![Vec::new(); q.vertex_count()],
-            data: vec![Vec::new(); q.vertex_count()],
-        };
-        for u in q.vertices() {
-            if u == root {
-                continue;
+        // For CFL's own order, the CPI along tree edges, copied out at its
+        // exact size while the scratch still holds the sets.
+        let cpi = with_cpi.then(|| {
+            let root = tree.root();
+            let mut cpi = Cpi {
+                root,
+                parent: vec![None; q.vertex_count()],
+                offsets: vec![Vec::new(); q.vertex_count()],
+                data: vec![Vec::new(); q.vertex_count()],
+            };
+            for u in q.vertices().filter(|&u| u != root) {
+                let p = tree.parent(u);
+                cpi.parent[u.index()] = Some(p);
+                let lu = q.label(u);
+                let row = phi.row(u);
+                let parent_set = &sets[p.index()];
+                let mut offsets = Vec::with_capacity(parent_set.len() + 1);
+                cpi_data.clear();
+                offsets.push(0u32);
+                for &vp in parent_set {
+                    cpi_data.extend(
+                        g.neighbors_with_label(vp, lu)
+                            .iter()
+                            .copied()
+                            .filter(|&v| row_contains(row, v)),
+                    );
+                    offsets.push(cpi_data.len() as u32);
+                }
+                cpi.offsets[u.index()] = offsets;
+                cpi.data[u.index()] = cpi_data.clone();
             }
-            let p = tree.parent(u);
-            cpi.parent[u.index()] = Some(p);
-            let lu = q.label(u);
-            let row = phi.row(u);
-            let parent_set = &sets[p.index()];
-            let mut offsets = Vec::with_capacity(parent_set.len() + 1);
-            cpi_data.clear();
-            offsets.push(0u32);
-            for &vp in parent_set {
-                cpi_data.extend(
-                    g.neighbors_with_label(vp, lu)
-                        .iter()
-                        .copied()
-                        .filter(|&v| row_contains(row, v)),
-                );
-                offsets.push(cpi_data.len() as u32);
-            }
-            cpi.offsets[u.index()] = offsets;
-            cpi.data[u.index()] = cpi_data.clone();
-        }
-        Ok(Some(space.with_cpi(cpi)))
+            cpi
+        });
+        // The sorted sets and their bitmap rows leave the scratch with the
+        // space and come back when it drops (`reclaim`).
+        let space = CandidateSpace::from_bitmap_rows(
+            std::mem::take(&mut phi.sets),
+            std::mem::take(&mut phi.bits),
+            phi.words,
+        );
+        Ok(Some(match cpi {
+            Some(cpi) => space.with_cpi(cpi),
+            None => space,
+        }))
     }
 
     /// The path-based matching order (core paths first, ascending estimated
@@ -667,6 +755,13 @@ mod tests {
             1 => pair(&mut rng, &|r| brute::random_graph(r, 100, 800, 3)),
             // Hub-heavy: two vertices adjacent to most of the graph.
             2 => pair(&mut rng, &|r| hub_heavy(r, 70, 2, 60, 3)),
+            // Dense, and every label in nibble 3 of the packed signature
+            // (3, 19, 35; label space 36): the packed compare is nearly blind
+            // and never exact, so the run merge decides behind it.
+            4 => pair(&mut rng, &|r| {
+                let base = brute::random_graph(r, 60, 500, 3);
+                relabeled(&base, |v| Label(3 + 16 * base.label(v).0)).build()
+            }),
             // A query label the data graph lacks: label 1 never occurs in
             // `g` (a gap inside its label space), or the label is beyond it.
             _ => {
@@ -697,7 +792,7 @@ mod tests {
         let kept = scratch.start(q, g)
             && scratch.generate(q, g, direction, &mut ticker, deadline).unwrap()
             && scratch.refine(config, q, g, &mut ticker, deadline).unwrap();
-        kept.then(|| scratch.phi.sets[..q.vertex_count()].to_vec())
+        kept.then(|| scratch.phi.sets.clone())
     }
 
     /// How many sets the direction rule pushes and pulls on `(q, g)`.
@@ -719,7 +814,7 @@ mod tests {
         /// nested CPI ≡ `N(Φ(p)[i], L(c)) ∩ Φ(c)`; CFQL's space is CFL's
         /// without the CPI.
         #[test]
-        fn filter_matches_reference(family in 0u32..4, seed in any::<u64>()) {
+        fn filter_matches_reference(family in 0u32..5, seed in any::<u64>()) {
             let (q, g) = differential_case(family, seed);
             for config in CONFIGS {
                 let expected = reference::build_space(config, &q, &g);
@@ -765,7 +860,7 @@ mod tests {
         /// (which pushes), whatever refinement follows: the direction rule
         /// chooses a cost, never a candidate.
         #[test]
-        fn both_generation_directions_match_reference(family in 0u32..4, seed in any::<u64>()) {
+        fn both_generation_directions_match_reference(family in 0u32..5, seed in any::<u64>()) {
             let (q, g) = differential_case(family, seed);
             for config in CONFIGS {
                 let expected = reference::build_space(config, &q, &g).map(|e| e.sets);
@@ -780,7 +875,7 @@ mod tests {
         /// and reports a label miss exactly when that vertex has no
         /// label-mates in `g`.
         #[test]
-        fn root_choice_matches_reference(family in 0u32..4, seed in any::<u64>()) {
+        fn root_choice_matches_reference(family in 0u32..5, seed in any::<u64>()) {
             let (q, g) = differential_case(family, seed);
             let expected = reference::choose_root(&q, &g);
             match Cfl::choose_root(&q, &g) {

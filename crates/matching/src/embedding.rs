@@ -4,7 +4,7 @@ use sqp_graph::{Graph, VertexId};
 
 /// A subgraph isomorphism `φ : V(q) → V(G)` (Definition II.1), stored as the
 /// image of each query vertex in id order.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Embedding {
     map: Vec<VertexId>,
 }
@@ -59,13 +59,12 @@ impl Embedding {
         if self.map.len() != q.vertex_count() {
             return false;
         }
-        // Injectivity.
-        let mut seen = vec![false; g.vertex_count()];
-        for &v in &self.map {
-            if v.index() >= g.vertex_count() || seen[v.index()] {
+        // Injectivity, pairwise: a query is a handful of vertices, and the
+        // enumerator's debug assertion must not allocate.
+        for (i, &v) in self.map.iter().enumerate() {
+            if v.index() >= g.vertex_count() || self.map[..i].contains(&v) {
                 return false;
             }
-            seen[v.index()] = true;
         }
         // Labels.
         for u in q.vertices() {

@@ -28,6 +28,8 @@
 //! kept in this module's tests as the reference the one path is checked
 //! against (same embeddings, same emission order).
 
+use std::cell::Cell;
+
 use sqp_graph::{intersect, Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, MatchingOrder};
@@ -59,26 +61,59 @@ pub fn enumerate_in_order(
     Ok(found)
 }
 
+/// Working memory of one [`Enumerator`], kept per thread so that a database
+/// scan (one enumerator per surviving data graph) allocates nothing once the
+/// buffers have grown to the largest pair seen: [`Enumerator::new`] takes it,
+/// dropping the enumerator gives it back. An enumerator made while another
+/// holds the scratch — from inside an `on_match` callback — simply gets
+/// fresh buffers.
+///
+/// Nothing is carried from one enumerator to the next: every field is
+/// re-initialised before it is read, whatever the previous one — finished,
+/// timed out or unwound by a panic in `on_match` — left behind.
+#[derive(Default)]
+struct SearchScratch {
+    /// Per query vertex, its depth in the matching order.
+    pos: Vec<u32>,
+    /// Depth `d`'s backward neighbors — the query neighbors of `order[d]`
+    /// mapped earlier, earliest first — are
+    /// `bw_data[bw_offsets[d]..bw_offsets[d + 1]]`.
+    bw_offsets: Vec<u32>,
+    bw_data: Vec<VertexId>,
+    /// Per-depth local-candidate buffers.
+    bufs: Vec<Vec<VertexId>>,
+    /// Output buffer for SIMD intersection steps (their stores are not
+    /// in-place); swapped with the accumulator after each step.
+    simd_scratch: Vec<VertexId>,
+    /// One entry per backward neighbor of the current depth: its adjacency
+    /// row (and 0) on the word path, the length of its label-restricted
+    /// adjacency and its index in the backward list on the list path.
+    bw_order: Vec<(u32, u32)>,
+    mapping: Vec<VertexId>,
+    used: Vec<bool>,
+    /// Recycled match-report buffer.
+    report: Embedding,
+}
+
+thread_local! {
+    static SCRATCH: Cell<SearchScratch> = Cell::new(SearchScratch::default());
+}
+
 /// Backtracking enumerator over a [`CandidateSpace`] and [`MatchingOrder`].
 pub struct Enumerator<'a> {
     q: &'a Graph,
     g: &'a Graph,
     space: &'a CandidateSpace,
     order: &'a MatchingOrder,
-    /// For each depth, the query neighbors of `order[depth]` mapped earlier.
-    backward: Vec<Vec<VertexId>>,
-    /// Per-depth local-candidate buffers, reused across the whole run.
-    scratch: Vec<Vec<VertexId>>,
-    /// Output buffer for SIMD intersection steps (their stores are not
-    /// in-place); swapped with the accumulator after each step, so it is one
-    /// allocation for the whole run.
-    simd_scratch: Vec<VertexId>,
-    /// Scratch for ordering backward adjacencies by length (smallest first).
-    /// Caches the label-restricted slices so each is fetched once per
-    /// recursion, not once for ordering and again for intersecting.
-    bw_order: Vec<(&'a [VertexId], usize)>,
+    scratch: SearchScratch,
     /// Counters of the last `run`.
     stats: MatchingStats,
+}
+
+impl Drop for Enumerator<'_> {
+    fn drop(&mut self) {
+        let _ = SCRATCH.try_with(|s| s.set(std::mem::take(&mut self.scratch)));
+    }
 }
 
 impl<'a> Enumerator<'a> {
@@ -91,34 +126,25 @@ impl<'a> Enumerator<'a> {
         space: &'a CandidateSpace,
         order: &'a MatchingOrder,
     ) -> Self {
+        let mut scratch = SCRATCH.with(Cell::take);
+        let SearchScratch { pos, bw_offsets, bw_data, .. } = &mut scratch;
         let seq = order.as_slice();
-        let mut pos = vec![usize::MAX; q.vertex_count()];
+        pos.clear();
+        pos.resize(q.vertex_count(), u32::MAX);
         for (i, &u) in seq.iter().enumerate() {
-            pos[u.index()] = i;
+            pos[u.index()] = i as u32;
         }
-        let backward: Vec<Vec<VertexId>> = seq
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| {
-                let mut b: Vec<VertexId> =
-                    q.neighbors(u).iter().copied().filter(|w| pos[w.index()] < i).collect();
-                // Deterministic order: earliest-mapped first.
-                b.sort_unstable_by_key(|w| pos[w.index()]);
-                b
-            })
-            .collect();
-        let scratch = vec![Vec::new(); seq.len()];
-        Self {
-            q,
-            g,
-            space,
-            order,
-            backward,
-            scratch,
-            simd_scratch: Vec::new(),
-            bw_order: Vec::new(),
-            stats: MatchingStats::default(),
+        bw_offsets.clear();
+        bw_data.clear();
+        bw_offsets.push(0);
+        for (i, &u) in seq.iter().enumerate() {
+            let start = bw_data.len();
+            bw_data.extend(q.neighbors(u).iter().copied().filter(|w| pos[w.index()] < i as u32));
+            // Deterministic order: earliest-mapped first.
+            bw_data[start..].sort_unstable_by_key(|w| pos[w.index()]);
+            bw_offsets.push(bw_data.len() as u32);
         }
+        Self { q, g, space, order, scratch, stats: MatchingStats::default() }
     }
 
     /// Enumerates embeddings up to `limit`, invoking `on_match` for each.
@@ -140,14 +166,15 @@ impl<'a> Enumerator<'a> {
         if self.space.any_empty() {
             return Ok(0);
         }
-        let mut state = SearchState {
-            mapping: vec![VertexId(u32::MAX); n],
-            used: vec![false; self.g.vertex_count()],
-            report: Embedding::new(Vec::with_capacity(n)),
-            found: 0,
-            limit,
-            ticker: TickChecker::new(),
-        };
+        let SearchScratch { bufs, mapping, used, .. } = &mut self.scratch;
+        mapping.clear();
+        mapping.resize(n, VertexId(u32::MAX));
+        used.clear();
+        used.resize(self.g.vertex_count(), false);
+        if bufs.len() < n {
+            bufs.resize_with(n, Vec::new);
+        }
+        let mut state = SearchState { found: 0, limit, ticker: TickChecker::new() };
         let result = self.descend(0, &mut state, deadline, on_match);
         self.stats.embeddings = state.found;
         deadline.stats().record(&self.stats.kernel());
@@ -174,75 +201,94 @@ impl<'a> Enumerator<'a> {
     ) -> Result<(), Timeout> {
         self.stats.recursions += 1;
         let u = self.order.as_slice()[depth];
-        // Take this depth's scratch buffer out of `self` so candidate
+        // Take this depth's buffer out of the scratch so candidate
         // collection and the extension loop below can borrow `self` freely;
         // it is returned before unwinding the recursion, so each buffer is
         // reused (no allocation in the steady state).
-        let mut buf = std::mem::take(&mut self.scratch[depth]);
+        let mut buf = std::mem::take(&mut self.scratch.bufs[depth]);
         buf.clear();
-        self.collect_candidates(depth, u, &mut buf, &state.mapping);
+        self.collect_candidates(depth, u, &mut buf);
         let result = self.extend(depth, u, &buf, state, deadline, on_match);
-        self.scratch[depth] = buf;
+        self.scratch.bufs[depth] = buf;
         result
     }
 
     /// Computes the local candidate set for `order[depth]` into `buf`: exactly
-    /// the feasible candidates (`Φ(u)` ∩ all backward adjacencies).
-    fn collect_candidates(
-        &mut self,
-        depth: usize,
-        u: VertexId,
-        buf: &mut Vec<VertexId>,
-        mapping: &[VertexId],
-    ) {
-        let g = self.g;
-        let space = self.space;
-        let backward = &self.backward[depth];
+    /// the feasible candidates (`Φ(u)` ∩ all backward adjacencies), ascending
+    /// by id.
+    fn collect_candidates(&mut self, depth: usize, u: VertexId, buf: &mut Vec<VertexId>) {
+        let Self { q, g, space, scratch, stats, .. } = self;
+        let SearchScratch { bw_offsets, bw_data, bw_order, simd_scratch, mapping, .. } = scratch;
+        let backward = &bw_data[bw_offsets[depth] as usize..bw_offsets[depth + 1] as usize];
         if backward.is_empty() {
             // Root of the order (or of a new component): every Φ(u) member.
             buf.extend_from_slice(space.set(u));
             return;
         }
-        let label = self.q.label(u);
 
-        // Order the backward adjacencies by length, smallest first, caching
-        // the slices (one label-run lookup per backward neighbor).
-        self.bw_order.clear();
-        for (bi, &w) in backward.iter().enumerate() {
-            self.bw_order.push((g.neighbors_with_label(mapping[w.index()], label), bi));
+        // Every mapped backward neighbor has an adjacency row: the local
+        // candidates are `Φ(u) & ⋂ adj(φ(w))`, a word at a time. Every
+        // candidate carries label L(u), so the full adjacency selects what
+        // the label-restricted one would.
+        let rows = g.adjacency_rows();
+        bw_order.clear();
+        bw_order.extend(
+            backward.iter().map_while(|w| rows.row(mapping[w.index()]).map(|row| (row as u32, 0))),
+        );
+        if bw_order.len() == backward.len() {
+            let phi = space.row(u);
+            stats.intersections += backward.len() as u64 - 1;
+            stats.bitmap_probes += (phi.len() * backward.len()) as u64;
+            for (i, &members) in phi.iter().enumerate() {
+                let mut word = bw_order
+                    .iter()
+                    .fold(members, |word, &(row, _)| word & rows.words(row as usize)[i]);
+                while word != 0 {
+                    buf.push(VertexId((i * 64) as u32 + word.trailing_zeros()));
+                    word &= word - 1;
+                }
+            }
+            return;
         }
-        self.bw_order.sort_unstable_by_key(|&(s, bi)| (s.len(), bi));
+        let label = q.label(u);
+        let mapped = |bi: u32| mapping[backward[bi as usize].index()];
+
+        // Order the backward adjacencies by length, smallest first, keeping
+        // hold of the smallest: with one backward neighbor, the common case,
+        // its label run is looked up once.
+        bw_order.clear();
+        let mut seed: &[VertexId] = &[];
+        for bi in 0..backward.len() as u32 {
+            let adj = g.neighbors_with_label(mapped(bi), label);
+            if bw_order.iter().all(|&(len, _)| adj.len() < len as usize) {
+                seed = adj;
+            }
+            bw_order.push((adj.len() as u32, bi));
+        }
+        bw_order.sort_unstable();
 
         // Seed from the smallest adjacency, filtered by the Φ(u) bitmap.
-        let (seed, _) = self.bw_order[0];
-        self.stats.bitmap_probes += seed.len() as u64;
-        for &v in seed {
-            if space.contains(u, v) {
-                buf.push(v);
-            }
-        }
+        stats.bitmap_probes += seed.len() as u64;
+        buf.extend(seed.iter().copied().filter(|&v| space.contains(u, v)));
 
         // Intersect the remaining adjacencies, ascending by length, with
         // early exit once the accumulator empties.
-        let hubs = g.hub_bitmaps();
-        for k in 1..self.bw_order.len() {
+        for &(_, bi) in &bw_order[1..] {
             if buf.is_empty() {
                 return;
             }
-            let (adj, bi) = self.bw_order[k];
-            self.stats.intersections += 1;
-            // Hub bitmap when the probed vertex has a row — every buffered
-            // candidate carries label L(u), so full-adjacency membership
-            // equals label-restricted membership — otherwise adaptive
-            // gallop/SIMD/merge.
-            let w = mapping[backward[bi].index()];
-            if let Some(row) = hubs.row(w) {
-                self.stats.bitmap_probes += buf.len() as u64;
-                buf.retain(|&v| hubs.contains(row, v));
+            stats.intersections += 1;
+            // Row probes when the mapped vertex has a row, otherwise
+            // adaptive gallop/SIMD/merge against its sorted list.
+            let w = mapped(bi);
+            if let Some(row) = rows.row(w) {
+                stats.bitmap_probes += buf.len() as u64;
+                buf.retain(|&v| rows.contains(row, v));
             } else {
-                match intersect::retain_auto(buf, adj, &mut self.simd_scratch) {
-                    intersect::AutoChoice::Gallop => self.stats.gallop_hits += 1,
-                    intersect::AutoChoice::Simd => self.stats.simd_hits += 1,
+                let adj = g.neighbors_with_label(w, label);
+                match intersect::retain_auto(buf, adj, simd_scratch) {
+                    intersect::AutoChoice::Gallop => stats.gallop_hits += 1,
+                    intersect::AutoChoice::Simd => stats.simd_hits += 1,
                     intersect::AutoChoice::Merge | intersect::AutoChoice::Noop => {}
                 }
             }
@@ -262,21 +308,22 @@ impl<'a> Enumerator<'a> {
     ) -> Result<(), Timeout> {
         for &v in buf {
             state.ticker.tick(deadline)?;
-            if state.used[v.index()] {
+            let SearchScratch { mapping, used, report, .. } = &mut self.scratch;
+            if used[v.index()] {
                 continue;
             }
-            state.mapping[u.index()] = v;
+            mapping[u.index()] = v;
             if depth + 1 == self.q.vertex_count() {
                 state.found += 1;
-                state.report.copy_from(&state.mapping);
-                debug_assert!(state.report.is_valid(self.q, self.g));
-                on_match(&state.report);
+                report.copy_from(mapping);
+                debug_assert!(report.is_valid(self.q, self.g));
+                on_match(report);
             } else {
-                state.used[v.index()] = true;
+                used[v.index()] = true;
                 self.descend(depth + 1, state, deadline, on_match)?;
-                state.used[v.index()] = false;
+                self.scratch.used[v.index()] = false;
             }
-            state.mapping[u.index()] = VertexId(u32::MAX);
+            self.scratch.mapping[u.index()] = VertexId(u32::MAX);
             if state.found >= state.limit {
                 return Ok(());
             }
@@ -286,10 +333,6 @@ impl<'a> Enumerator<'a> {
 }
 
 struct SearchState {
-    mapping: Vec<VertexId>,
-    used: Vec<bool>,
-    /// Recycled match-report buffer: one allocation per run, not per match.
-    report: Embedding,
     found: u64,
     limit: u64,
     ticker: TickChecker,
@@ -425,31 +468,91 @@ mod tests {
         got
     }
 
+    /// Which branch of `collect_candidates` a random instance is built for.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Rows {
+        /// Every data vertex has an adjacency row: the word path.
+        All,
+        /// None has: sorted lists only.
+        None,
+        /// Half of them have: row probes and sorted lists in one
+        /// intersection, and the word path where the mapped ones all do.
+        Mixed,
+    }
+
     /// A random `(q, g, space, order)`: the space is a random subset of the
     /// label-compatible vertices per query vertex, the order any permutation
     /// of `V(q)` (a vertex without an earlier neighbor starts a component).
-    /// A `dense` data graph puts every vertex over the hub-degree threshold
-    /// and takes its query as the subgraph induced by four of its vertices
-    /// (almost always a `K4`: two or three backward neighbors per depth).
-    fn arb_instance(seed: u64, dense: bool) -> (Graph, Graph, CandidateSpace, MatchingOrder) {
+    ///
+    /// `Rows::All` is a near-complete graph on 90 vertices with the query
+    /// induced by four of them (almost always a `K4`: two or three backward
+    /// neighbors per depth). `Rows::None` is a sparse 20-vertex graph padded
+    /// with isolated vertices until no degree can reach `4·⌈n/64⌉`.
+    /// `Rows::Mixed` is a clique of 45 heavy vertices, each light vertex
+    /// between them on a ring of lights with two heavy neighbors (degree 4).
+    fn arb_instance(seed: u64, rows: Rows) -> (Graph, Graph, CandidateSpace, MatchingOrder) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (g, q) = if dense {
-            let g = brute::random_graph(&mut rng, 90, 90 * 89 * 2, 2);
-            let picked: Vec<u32> = (0..4).map(|i| rng.random_range(i * 20..(i + 1) * 20)).collect();
-            let labels: Vec<u32> = picked.iter().map(|&v| g.label(VertexId(v)).0).collect();
-            let edges: Vec<(u32, u32)> = (0..4u32)
-                .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
-                .filter(|&(a, b)| {
-                    g.has_edge(VertexId(picked[a as usize]), VertexId(picked[b as usize]))
-                })
-                .collect();
-            let q = labeled(&labels, &edges);
-            (g, q)
-        } else {
-            let g = brute::random_graph(&mut rng, 20, 60, 2);
-            let q = brute::random_connected_query(&mut rng, &g, 4);
-            (g, q)
+        let (g, q) = match rows {
+            Rows::All => {
+                let g = brute::random_graph(&mut rng, 90, 90 * 89 * 2, 2);
+                let picked: Vec<u32> =
+                    (0..4).map(|i| rng.random_range(i * 20..(i + 1) * 20)).collect();
+                let labels: Vec<u32> = picked.iter().map(|&v| g.label(VertexId(v)).0).collect();
+                let edges: Vec<(u32, u32)> = (0..4u32)
+                    .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
+                    .filter(|&(a, b)| {
+                        g.has_edge(VertexId(picked[a as usize]), VertexId(picked[b as usize]))
+                    })
+                    .collect();
+                let q = labeled(&labels, &edges);
+                (g, q)
+            }
+            Rows::None => {
+                let mut labels: Vec<u32> = (0..20).map(|_| rng.random_range(0..2)).collect();
+                let edges: Vec<(u32, u32)> = (0..60)
+                    .map(|_| (rng.random_range(0..20), rng.random_range(0..20)))
+                    .filter(|(a, b)| a != b)
+                    .collect();
+                labels.resize(320, 7);
+                let mut b = GraphBuilder::new();
+                for &l in &labels {
+                    b.add_vertex(Label(l));
+                }
+                for (u, v) in edges {
+                    let _ = b.add_edge(VertexId(u), VertexId(v));
+                }
+                let g = b.build();
+                let q = brute::random_connected_query(&mut rng, &g, 4);
+                (g, q)
+            }
+            Rows::Mixed => {
+                let mut b = GraphBuilder::new();
+                for _ in 0..90 {
+                    b.add_vertex(Label(rng.random_range(0..2)));
+                }
+                for u in (0..90u32).step_by(2) {
+                    for v in (u + 2..90).step_by(2) {
+                        b.add_edge(VertexId(u), VertexId(v)).unwrap();
+                    }
+                    let light = u + 1;
+                    b.add_edge(VertexId(light), VertexId((light + 2) % 90)).unwrap();
+                    for _ in 0..2 {
+                        let heavy = 2 * rng.random_range(0..45u32);
+                        let _ = b.add_edge(VertexId(light), VertexId(heavy));
+                    }
+                }
+                let g = b.build();
+                let q = brute::random_connected_query(&mut rng, &g, 4);
+                (g, q)
+            }
         };
+        let with_row = g.vertices().filter(|&v| g.adjacency_rows().row(v).is_some()).count();
+        let expected = match rows {
+            Rows::All => g.vertex_count(),
+            Rows::None => 0,
+            Rows::Mixed => 45,
+        };
+        assert_eq!(with_row, expected, "{rows:?}: vertices with an adjacency row");
         let sets = q
             .vertices()
             .map(|u| {
@@ -471,25 +574,27 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The one path emits exactly what the per-candidate probing
         /// reference emits, in the same order — so the first match (the vcFV
-        /// verifier's answer) is the same embedding too.
+        /// verifier's answer) is the same embedding too — whichever of its
+        /// three ways the local candidates are computed.
         #[test]
-        fn matches_reference_in_emission_order(seed in any::<u64>(), dense in any::<bool>()) {
-            let (q, g, space, order) = arb_instance(seed, dense);
-            // Dense instances have millions of embeddings; a prefix pins
+        fn matches_reference_in_emission_order(seed in any::<u64>(), rows in 0usize..3) {
+            let rows = [Rows::All, Rows::None, Rows::Mixed][rows];
+            let (q, g, space, order) = arb_instance(seed, rows);
+            // The dense instances have millions of embeddings; a prefix pins
             // the order just as well.
-            let limit = if dense { 300 } else { u64::MAX };
+            let limit = if rows == Rows::None { u64::MAX } else { 300 };
             let d = Deadline::none();
             let mut e = Enumerator::new(&q, &g, &space, &order);
             let got = emitted(|on| e.run(limit, d, on));
             let want = emitted(|on| Reference::run(&q, &g, &space, &order, limit, d, on));
             prop_assert_eq!(got, want);
             let stats = e.stats();
-            if dense {
-                // Every mapped vertex has a hub row: no sorted-list kernel runs.
+            if rows == Rows::All {
+                // Every mapped vertex has a row: no sorted-list kernel runs.
                 prop_assert_eq!(stats.gallop_hits + stats.simd_hits, 0, "{:?}", stats);
                 prop_assert!(q.edge_count() < 4 || stats.intersections > 0, "{:?}", stats);
             }
@@ -638,9 +743,9 @@ mod tests {
     }
 
     #[test]
-    fn hub_path_used_on_high_degree_graphs() {
-        // A graph with a >64-degree hub: at least one intersection must go
-        // through the hub bitmap (probes beyond the seed).
+    fn rows_used_on_high_degree_graphs() {
+        // A graph with two 80-degree hubs: the intersection at the leaf goes
+        // through their adjacency rows.
         let n: u32 = 80;
         let mut labels = vec![9u32, 9]; // two hubs
         labels.extend(std::iter::repeat_n(0u32, n as usize));
@@ -662,6 +767,7 @@ mod tests {
         assert!(!got.is_empty());
         let stats = e.stats();
         assert!(stats.bitmap_probes > 0, "hub-heavy graph must exercise bitmap probes: {stats:?}");
-        assert!(g.hub_bitmaps_built().is_some(), "the enumerator must have built the sidecar");
+        assert_eq!(stats.gallop_hits + stats.simd_hits, 0, "{stats:?}");
+        assert!(g.adjacency_rows_built().is_some(), "the enumerator must have built the sidecar");
     }
 }

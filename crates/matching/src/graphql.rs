@@ -20,6 +20,8 @@
 //! `O(|V(q)| × |V(G)| × Θ(d_q, d_G))` with `Θ` the bigraph matching cost;
 //! space `O(|V(q)| × |V(G)|)`.
 
+use std::cell::Cell;
+
 use sqp_graph::nlf::nlf_dominated;
 use sqp_graph::{Graph, VertexId};
 
@@ -126,12 +128,16 @@ impl GraphQl {
     /// `u` — each is one more adjacency list the enumerator intersects into
     /// `u`'s local candidates. Ties go to the smaller vertex id.
     pub fn join_order(q: &Graph, space: &CandidateSpace) -> MatchingOrder {
+        /// In `joined`, a vertex already in the order.
+        const SELECTED: u32 = u32::MAX;
         let n = q.vertex_count();
-        let mut selected = vec![false; n];
-        let mut joined = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
+        // Both work arrays are this thread's from the last call.
+        let mut joined = JOINED.with(Cell::take);
+        joined.clear();
+        joined.resize(n, 0);
+        let mut order = MatchingOrder::buffer();
         for _ in 0..n {
-            let open = || q.vertices().filter(|u| !selected[u.index()]);
+            let open = || q.vertices().filter(|u| joined[u.index()] != SELECTED);
             let key = |u: &VertexId| (join_size(space.set(*u).len(), joined[u.index()]), *u);
             // No open vertex touches the region at the start, and again when
             // a disconnected query (not produced by our generators, but stay
@@ -141,14 +147,23 @@ impl GraphQl {
                 .min_by_key(key)
                 .or_else(|| open().min_by_key(key))
                 .expect("vertices remain");
-            selected[u.index()] = true;
+            joined[u.index()] = SELECTED;
             order.push(u);
             for w in q.neighbors(u) {
-                joined[w.index()] += 1;
+                if joined[w.index()] != SELECTED {
+                    joined[w.index()] += 1;
+                }
             }
         }
+        JOINED.with(|j| j.set(joined));
         MatchingOrder::new(order)
     }
+}
+
+thread_local! {
+    /// [`GraphQl::join_order`]'s count of already-selected neighbors per
+    /// query vertex, kept between calls for its buffer.
+    static JOINED: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
 /// `log2(1/γ)` of the join-size estimate: one join edge keeps the fraction

@@ -30,7 +30,7 @@ echo "==> chaos suite (fixed seeds, 1/2/4/8 threads; breaker lifecycle, drain, s
 # and the serving-determinism property.
 PROPTEST_CASES=32 cargo test -q --offline --test chaos
 
-echo "==> kernel equivalence (enumerator vs brute oracle x 1/2/4/8 threads, both hub-container regimes, bitmap memory accounting)"
+echo "==> kernel equivalence (enumerator vs brute oracle x 1/2/4/8 threads over the three adjacency-row regimes: every probed vertex has a row, none has, mixed; bitmap memory accounting)"
 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
 
 echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: the SIMD step must degrade to merge, not diverge — in the enumerator and in sqp_graph::intersect where the kernels live)"
@@ -40,9 +40,10 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter and order differential suite (run-index NLF, the CFL filter in both generation directions and the join-size order vs their references; scratch hygiene)"
+echo "==> filter, order and enumerator differential suite (run-index NLF and its packed signature, adjacency rows, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references; scratch hygiene)"
 PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql::
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate::
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-graph --lib -- nlf:: bitmap::
 
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
 PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence

@@ -1,12 +1,15 @@
-//! Allocation accounting of the two inner loops that run once per
-//! (query, small unit of data): the CFL filter and seeded overlay
+//! Allocation accounting of the inner loops that run once per (query, small
+//! unit of data): the CFL filter, the shared enumerator and seeded overlay
 //! enumeration.
 //!
 //! A database scan calls the filter (the vcFV filter of CFQL) once per data
 //! graph and almost every call prunes, so the pruned path must not touch the
 //! allocator: its working memory is a per-thread scratch that only grows. A
-//! surviving call may allocate exactly what it hands out — the candidate
-//! sets, their bitmap rows and (CFL only) the CSR CPI.
+//! surviving call hands its sets and bitmap rows to the candidate space and
+//! gets them back when the space drops, so it allocates only the CSR CPI
+//! (CFL only); the matching order and the enumerator work in per-thread
+//! scratch too, so a warm unpruned pair allocates only the embedding it
+//! reports.
 //!
 //! A continuous-query repair calls `SeededEnumerator::enumerate` once per
 //! (query edge, added edge) pin and each search is neighborhood-sized, so a
@@ -25,7 +28,7 @@ use subgraph_query::matching::brute;
 use subgraph_query::matching::cfl::{Cfl, CflConfig};
 use subgraph_query::matching::cfql::Cfql;
 use subgraph_query::matching::dynmatch::SeededEnumerator;
-use subgraph_query::matching::{Deadline, Matcher};
+use subgraph_query::matching::{Deadline, Embedding, Matcher};
 
 struct CountingAllocator;
 
@@ -142,23 +145,105 @@ fn surviving_filter_calls_allocate_only_what_they_return() {
     let q = brute::random_connected_query(&mut rng, &g, 8);
     let n = q.vertex_count() as u64;
 
-    // The sets (one vector each plus the outer one) and the bitmap words.
-    let space_allocations = n + 2;
-    // Parent array, two outer vectors, offsets + data per tree edge.
+    // The sets and their bitmap rows are the scratch's own buffers, handed
+    // over. The CPI is copied out: parent array, two outer vectors, offsets
+    // + data per tree edge.
     let cpi_allocations = 3 + 2 * (n - 1);
-    for (matcher, budget) in [
-        (&Cfql::new() as &dyn Matcher, space_allocations),
-        (&Cfl::new(), space_allocations + cpi_allocations),
-    ] {
+    for (matcher, budget) in [(&Cfql::new() as &dyn Matcher, 0), (&Cfl::new(), cpi_allocations)] {
         drop(matcher.filter(&q, &g, Deadline::none())); // warm the scratch
         let (result, allocations) = allocations_during(|| matcher.filter(&q, &g, Deadline::none()));
         assert!(result.unwrap().space().is_some());
-        assert!(
-            allocations <= budget,
-            "{}: {allocations} allocations for a {n}-vertex query, budget {budget}",
+        assert_eq!(
+            allocations,
+            budget,
+            "{}: allocations of a surviving call for a {n}-vertex query",
             matcher.name()
         );
     }
+}
+
+/// ROADMAP 3a: filter, matching order and enumeration of a pair nothing
+/// prunes, on a thread that has seen the pair once.
+#[test]
+fn a_warm_unpruned_pair_allocates_only_the_embedding_it_reports() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let g = brute::random_graph(&mut rng, 100, 800, 3);
+    for edges in [6, 8] {
+        let q = (0..)
+            .map(|_| brute::random_connected_query(&mut rng, &g, edges))
+            .find(|q| q.vertex_count() == edges + 1)
+            .unwrap();
+        let cfql = Cfql::new();
+        assert!(cfql.is_subgraph(&q, &g, Deadline::none()).unwrap(), "carved from g");
+        let (found, allocations) =
+            allocations_during(|| cfql.is_subgraph(&q, &g, Deadline::none()));
+        assert!(found.unwrap());
+        assert_eq!(allocations, 1, "{}-vertex query", q.vertex_count());
+    }
+}
+
+/// The embeddings `Cfql` emits for `(q, g)`, in emission order.
+fn emitted(q: &Graph, g: &Graph) -> Vec<Embedding> {
+    let cfql = Cfql::new();
+    let space = cfql.filter(q, g, Deadline::none()).unwrap().space().expect("not pruned");
+    let mut out = Vec::new();
+    cfql.enumerate(q, g, &space, 50, Deadline::none(), &mut |e| out.push(e.clone())).unwrap();
+    out
+}
+
+fn on_a_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().unwrap())
+}
+
+/// The enumerator's twin of the filter's `scratch_survives_a_panic_mid_call`:
+/// `on_match` panics at the last depth of a four-vertex query, with every
+/// depth's buffer out of the scratch and the used-marks of three data
+/// vertices set; the next runs on that thread emit what a fresh thread does.
+#[test]
+fn enumerator_scratch_survives_a_panic_in_on_match() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let g = brute::random_graph(&mut rng, 100, 800, 3);
+    let q = (0..)
+        .map(|_| brute::random_connected_query(&mut rng, &g, 3))
+        .find(|q| q.vertex_count() == 4)
+        .unwrap();
+    let other = brute::random_connected_query(&mut rng, &g, 7);
+    let fresh = [on_a_fresh_thread(|| emitted(&q, &g)), on_a_fresh_thread(|| emitted(&other, &g))];
+    assert!(fresh.iter().all(|e| !e.is_empty()));
+
+    on_a_fresh_thread(|| {
+        let cfql = Cfql::new();
+        let space = cfql.filter(&q, &g, Deadline::none()).unwrap().space().unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cfql.enumerate(&q, &g, &space, 50, Deadline::none(), &mut |_| panic!("injected"))
+        }));
+        assert!(unwound.is_err(), "the injected panic must unwind the enumeration");
+        assert_eq!([emitted(&q, &g), emitted(&other, &g)], fresh);
+    });
+}
+
+/// A space that drops on another thread takes the filter's buffers with it:
+/// the scratch that made it grows new ones (the one call that allocates),
+/// answers unchanged, and is warm again after.
+#[test]
+fn a_space_dropped_on_another_thread_costs_one_regrowth() {
+    let mut rng = StdRng::seed_from_u64(10);
+    let g = brute::random_graph(&mut rng, 100, 800, 3);
+    let q = brute::random_connected_query(&mut rng, &g, 6);
+    let cfql = Cfql::new();
+    let sets = |cfql: &Cfql| {
+        cfql.filter(&q, &g, Deadline::none()).unwrap().space().unwrap().sets().to_vec()
+    };
+    let expected = sets(&cfql);
+
+    let space = cfql.filter(&q, &g, Deadline::none()).unwrap().space().unwrap();
+    on_a_fresh_thread(move || drop(space));
+    let (regrown, allocations) = allocations_during(|| cfql.filter(&q, &g, Deadline::none()));
+    assert!(allocations > 0, "the buffers left with the space");
+    assert_eq!(regrown.unwrap().space().unwrap().sets(), &expected[..]);
+    let (warm, allocations) = allocations_during(|| cfql.filter(&q, &g, Deadline::none()));
+    assert_eq!(allocations, 0, "warm again");
+    assert_eq!(warm.unwrap().space().unwrap().sets(), &expected[..]);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use subgraph_query::graph::algo::{connected_components, core_numbers, BfsTree};
-use subgraph_query::graph::nlf::{nlf_dominated, NeighborhoodLabelFrequency};
+use subgraph_query::graph::nlf::{self, nlf_dominated, runs_dominated, NeighborhoodLabelFrequency};
 use subgraph_query::graph::{
     binio, io, DynamicGraph, Graph, GraphBuilder, GraphDb, Label, VertexId,
 };
@@ -259,4 +259,74 @@ proptest! {
             }
         }
     }
+
+    /// The packed signature against the run merge, over run sequences of
+    /// 1–40 labels with counts 0–12 (0: the label has no run): a packed
+    /// reject is always a true reject, and wherever the exactness rule says
+    /// so the packed compare *is* the merge.
+    #[test]
+    fn nlf_run_index_packed_signature_is_sound_and_exact_where_it_says_so(
+        counts in proptest::collection::vec((0u32..=12, 0u32..=12, 0u32..4), 1..=40),
+    ) {
+        // Mode 0: the query lacks the label; 1 and 2: the data has at least
+        // the query's count; 3: independent counts.
+        let runs = |data: bool| {
+            counts.iter().zip(0u32..).filter_map(move |(&(q, extra, mode), l)| {
+                let count = match (data, mode) {
+                    (false, 0) => 0,
+                    (false, _) => q,
+                    (true, 1 | 2) => q + extra,
+                    (true, _) => extra,
+                };
+                (count > 0).then_some((Label(l), count))
+            })
+        };
+        let (sq, sg) = (nlf::packed(runs(false)), nlf::packed(runs(true)));
+        let merged = runs_dominated(runs(false), runs(true));
+        let packed = nlf::packed_dominated(sq, sg);
+        prop_assert!(packed || !merged, "rejected a dominated pair: {:#x} vs {:#x}", sq, sg);
+        if nlf::packed_is_exact(sq, counts.len()) {
+            prop_assert_eq!(packed, merged, "inexact: {:#x} vs {:#x}", sq, sg);
+        }
+    }
+}
+
+/// `(label, count)` runs from pairs.
+fn runs(pairs: &[(u32, u32)]) -> impl Iterator<Item = (Label, u32)> + Clone + '_ {
+    pairs.iter().map(|&(l, c)| (Label(l), c))
+}
+
+/// The three ways a packed accept can be wrong, each caught by the
+/// exactness rule, and the layout they rest on.
+#[test]
+fn nlf_run_index_packed_signature_hand_built_cases() {
+    // Nibble k holds the count of label k; 7 stands for "7 or more".
+    assert_eq!(nlf::packed(runs(&[(0, 2), (1, 1), (15, 3)])), 0x3000_0000_0000_0012);
+    assert_eq!(nlf::packed(runs(&[(2, 9)])), nlf::packed(runs(&[(2, 7)])));
+    assert!(nlf::packed_is_exact(nlf::packed(runs(&[(2, 6), (5, 1)])), 16));
+
+    // A saturated query nibble: 9 neighbors of label 2 against 7.
+    let (q, g) = ([(2, 9)], [(2, 7)]);
+    assert!(!runs_dominated(runs(&q), runs(&g)));
+    assert!(nlf::packed_dominated(nlf::packed(runs(&q)), nlf::packed(runs(&g))));
+    assert!(!nlf::packed_is_exact(nlf::packed(runs(&q)), 3));
+    // The other way round saturation is harmless: the reject stands.
+    assert!(runs_dominated(runs(&g), runs(&q)));
+    assert!(!nlf::packed_dominated(nlf::packed(runs(&[(2, 7)])), nlf::packed(runs(&[(2, 6)]))));
+
+    // Labels 3 and 19 share nibble 3. On the data side label 19's neighbors
+    // pass for label 3's; on the query side two demands become one sum.
+    for (q, g) in [(&[(3, 3)][..], &[(3, 1), (19, 2)][..]), (&[(3, 1), (19, 1)], &[(3, 2)])] {
+        assert!(!runs_dominated(runs(q), runs(g)));
+        assert!(nlf::packed_dominated(nlf::packed(runs(q)), nlf::packed(runs(g))));
+        assert!(!nlf::packed_is_exact(nlf::packed(runs(q)), 20), "label space 20 on one side");
+    }
+
+    // A data graph with 17 labels against a 3-label query: label 16 lands on
+    // label 0's nibble, so the larger label space decides exactness.
+    let (q, g) = ([(0, 2), (1, 1)], [(1, 1), (16, 2)]);
+    assert!(!runs_dominated(runs(&q), runs(&g)));
+    assert!(nlf::packed_dominated(nlf::packed(runs(&q)), nlf::packed(runs(&g))));
+    assert!(nlf::packed_is_exact(nlf::packed(runs(&q)), 3));
+    assert!(!nlf::packed_is_exact(nlf::packed(runs(&q)), 17));
 }

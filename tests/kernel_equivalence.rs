@@ -2,10 +2,11 @@
 //!
 //! * the enumerator's one path produces the brute oracle's embedding set,
 //!   and the oracle's answer set with `QueryStatus::Completed` at 1, 2, 4
-//!   and 8 threads — including on all-hub graphs where every intersection
-//!   goes through the compressed bitmap containers (both regimes);
-//! * each pairwise kernel it can choose — hub bitmap, galloping, SIMD block
-//!   — is actually taken on the instance built to trigger it (the counters
+//!   and 8 threads — where every probed vertex has an adjacency row (local
+//!   candidates are word-parallel ANDs), where none has (sorted lists only)
+//!   and where some mapped vertices have one and some do not;
+//! * each way it can take a step — adjacency rows, galloping, SIMD block —
+//!   is actually taken on the instance built to trigger it (the counters
 //!   prove it), and counter totals do not depend on the thread count;
 //! * the candidate-membership bitmaps are charged to the auxiliary-memory
 //!   budget — a budget between the sets-only footprint and the full
@@ -25,7 +26,6 @@ use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::{QueryEngine, QueryStatus};
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, HeapSize, Label, VertexId};
-use subgraph_query::graph::{NeighborBitmaps, HUB_DEGREE_THRESHOLD};
 use subgraph_query::matching::cfql::Cfql;
 use subgraph_query::matching::graphql::GraphQl;
 use subgraph_query::matching::{
@@ -94,9 +94,9 @@ fn embeddings(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
     out
 }
 
-/// A hub-heavy single-graph database: one high-degree center over several
-/// label classes, so enumeration crosses the hub-bitmap degree threshold
-/// and produces highly skewed candidate-list sizes (the galloping regime).
+/// A hub-heavy single-graph database: one center adjacent to all 160 other
+/// vertices, which sit on a ring (degree 3). The center has an adjacency row
+/// and nothing else has: closing the triangle intersects a row with a list.
 fn hub_db() -> (Arc<GraphDb>, Graph) {
     let mut b = GraphBuilder::new();
     b.add_vertex(Label(0)); // hub
@@ -126,9 +126,9 @@ fn oracle_answers(db: &GraphDb, q: &Graph) -> Vec<GraphId> {
     db.iter().filter(|(_, g)| brute::is_subgraph(q, g)).map(|(id, _)| id).collect()
 }
 
-/// How many vertices of `db`'s only graph have a hub-bitmap row.
-fn hub_count(db: &GraphDb) -> usize {
-    NeighborBitmaps::build(db.graph(GraphId(0)), HUB_DEGREE_THRESHOLD).hub_count()
+/// How many vertices of `db`'s only graph have an adjacency row.
+fn row_count(db: &GraphDb) -> usize {
+    db.graph(GraphId(0)).adjacency_rows().row_count()
 }
 
 fn graphql_outcome(db: &Arc<GraphDb>, q: &Graph) -> subgraph_query::core::QueryOutcome {
@@ -170,7 +170,8 @@ proptest! {
 
 /// A triangle whose third vertex is found by intersecting a 3-element
 /// adjacency with a 60-element one — over the galloping ratio — between two
-/// vertices that stay under the hub-degree threshold.
+/// vertices without an adjacency row: 1 000 isolated vertices stretch the id
+/// space to 16 words, and 61 neighbors are not over 4 × 16.
 fn skewed_db() -> (Arc<GraphDb>, Graph) {
     let mut b = GraphBuilder::new();
     let a = b.add_vertex(Label(0));
@@ -183,6 +184,9 @@ fn skewed_db() -> (Arc<GraphDb>, Graph) {
             let _ = b.add_edge(a, c);
         }
     }
+    for _ in 0..1_000 {
+        b.add_vertex(Label(9));
+    }
     let mut qb = GraphBuilder::new();
     qb.add_vertex(Label(0));
     qb.add_vertex(Label(1));
@@ -194,21 +198,21 @@ fn skewed_db() -> (Arc<GraphDb>, Graph) {
 }
 
 /// The enumerator actually exercises its fast paths: on a hub-heavy graph
-/// the hub bitmap answers membership probes, and on skewed lists between
-/// sub-threshold vertices galloping fires. Also checks the engine-level sink
-/// plumbing end to end.
+/// the hub's adjacency row answers membership probes, and on skewed lists
+/// between vertices without a row galloping fires. Also checks the
+/// engine-level sink plumbing end to end.
 #[test]
 fn auto_kernel_reports_fast_path_counters() {
     let (db, q) = hub_db();
-    assert!(hub_count(&db) > 0);
+    assert_eq!(row_count(&db), 1, "the hub has a row, no ring vertex has");
     let out = graphql_outcome(&db, &q);
     assert_eq!(out.status, QueryStatus::Completed);
     assert_eq!(out.answers, oracle_answers(&db, &q));
     assert!(out.kernel.intersections > 0, "no intersections ran: {:?}", out.kernel);
-    assert!(out.kernel.bitmap_probes > 0, "no hub bitmap was probed");
+    assert!(out.kernel.bitmap_probes > 0, "no adjacency row was probed");
 
     let (db, q) = skewed_db();
-    assert_eq!(hub_count(&db), 0, "the skewed instance must stay off the hub path");
+    assert_eq!(row_count(&db), 0, "the skewed instance must stay on sorted lists");
     let out = graphql_outcome(&db, &q);
     assert_eq!(out.status, QueryStatus::Completed);
     assert_eq!(out.answers, oracle_answers(&db, &q));
@@ -217,11 +221,9 @@ fn auto_kernel_reports_fast_path_counters() {
 
 /// A complete tripartite graph over three label classes of `group` vertices,
 /// optionally with `pad` isolated filler vertices interleaved to stretch the
-/// id space. Every connected vertex has degree `2 * group`, so with
-/// `group >= 32` every probed vertex is a hub: every pairwise intersection
-/// goes through the compressed bitmap containers. Interleaved padding widens
-/// each chunk's dense footprint, flipping the containers from bitmap
-/// (compact ids) to array (sparse ids).
+/// id space. Every connected vertex has degree `2 * group`: with no padding
+/// that is over `4·⌈n/64⌉` and every probed vertex has an adjacency row;
+/// padding lengthens the rows until none has.
 fn all_hub_db(group: u32, pad: u32) -> (Arc<GraphDb>, Graph) {
     let mut b = GraphBuilder::new();
     let mut groups: Vec<Vec<VertexId>> = vec![Vec::new(); 3];
@@ -252,47 +254,55 @@ fn all_hub_db(group: u32, pad: u32) -> (Arc<GraphDb>, Graph) {
     (Arc::new(GraphDb::from_graphs(vec![g])), qb.build())
 }
 
-/// All-hub graphs (every probed vertex over the hub-degree threshold): the
-/// oracle's answers at 1/2/4/8 threads with every intersection routed
-/// through the compressed bitmap containers — both the
-/// dense-bitmap-container regime (compact id space) and the
-/// array-container regime (padded id space).
+/// I9 over the three ways local candidates are computed: the oracle's
+/// answers at 1/2/4/8 threads where every probed vertex has an adjacency row
+/// (word-parallel ANDs, no sorted-list kernel), where none has (sorted-list
+/// kernels only) and where the mapped vertices of one step are one of each
+/// (a row probed against a list).
 #[test]
-fn all_hub_graphs_agree_across_kernels_and_containers() {
-    for pad in [0u32, 6000] {
-        let (db, q) = all_hub_db(32, pad);
-        let bm = NeighborBitmaps::build(db.graph(GraphId(0)), HUB_DEGREE_THRESHOLD);
-        assert_eq!(bm.hub_count(), 96, "pad {pad}: every tripartite vertex is a hub");
-        let (array, bitmap) = bm.container_counts();
-        if pad == 0 {
-            assert!(bitmap > 0 && array == 0, "compact ids must take bitmap containers");
-        } else {
-            assert!(array > 0 && bitmap == 0, "padded ids must take array containers");
-        }
-
+fn adjacency_row_regimes_agree_across_thread_counts() {
+    let fixtures = [
+        ("every vertex has a row", all_hub_db(32, 0), 96),
+        ("no vertex has a row", skewed_db(), 0),
+        ("no vertex has a row, balanced lists", all_hub_db(20, 600), 0),
+        ("the hub has a row, the ring has none", hub_db(), 1),
+    ];
+    for (name, (db, q), rows) in fixtures {
+        assert_eq!(row_count(&db), rows, "{name}");
         let oracle = oracle_answers(&db, &q);
-        assert!(!oracle.is_empty(), "pad {pad}: the tripartite graph matches");
+        assert!(!oracle.is_empty(), "{name}: the graph matches");
         for threads in [1usize, 2, 4, 8] {
             let pool = QueryPool::new(threads);
             let got = pool.query(Arc::new(GraphQl::new()), &db, &q, Deadline::none()).outcome;
-            assert_eq!(got.answers, oracle, "pad {pad} at {threads} threads: answer mismatch");
-            assert_eq!(got.status, QueryStatus::Completed, "pad {pad} at {threads} threads");
+            assert_eq!(got.answers, oracle, "{name} at {threads} threads: answer mismatch");
+            assert_eq!(got.status, QueryStatus::Completed, "{name} at {threads} threads");
             let k = got.kernel;
-            assert!(k.bitmap_probes > 0, "pad {pad}, {threads} threads: no container probed");
-            assert!(
-                k.intersections > 0 && k.gallop_hits + k.simd_hits == 0,
-                "pad {pad}, {threads} threads: a sorted-list kernel ran on a hub: {k:?}"
-            );
+            assert!(k.intersections > 0, "{name}, {threads} threads: {k:?}");
+            if rows == 0 {
+                assert!(
+                    k.gallop_hits + k.simd_hits > 0 || !subgraph_query::graph::simd::available(),
+                    "{name}, {threads} threads: no sorted-list kernel ran: {k:?}"
+                );
+            } else {
+                assert!(k.bitmap_probes > 0, "{name}, {threads} threads: no row was read");
+            }
+            if rows == 96 {
+                assert_eq!(
+                    k.gallop_hits + k.simd_hits,
+                    0,
+                    "{name}, {threads} threads: a sorted-list kernel ran beside the rows: {k:?}"
+                );
+            }
         }
     }
 }
 
-/// Balanced lists between sub-threshold vertices take the SIMD block kernel
+/// Balanced lists between vertices without a row take the SIMD block kernel
 /// (when the CPU has a vector implementation and it is not disabled).
 #[test]
 fn simd_kernel_reports_vectorized_steps() {
-    let (db, q) = all_hub_db(20, 0);
-    assert_eq!(hub_count(&db), 0, "degree 40 stays under the hub threshold");
+    let (db, q) = all_hub_db(20, 600);
+    assert_eq!(row_count(&db), 0, "degree 40 is not over 4 × 11 words");
     let out = graphql_outcome(&db, &q);
     assert_eq!(out.status, QueryStatus::Completed);
     assert_eq!(out.answers, oracle_answers(&db, &q));
