@@ -199,6 +199,16 @@ impl RepairRun {
     fn repair_us(&self) -> f64 {
         (self.apply_repair_us - self.apply_us).max(1.0)
     }
+
+    /// Each timing at its least over two passes of the same stream.
+    fn least(self, other: Self) -> Self {
+        Self {
+            apply_repair_us: self.apply_repair_us.min(other.apply_repair_us),
+            apply_us: self.apply_us.min(other.apply_us),
+            requery_us: self.requery_us.min(other.requery_us),
+            ..self
+        }
+    }
 }
 
 /// Scenario 3: standing queries repaired per batch (parallel repair path,
@@ -207,7 +217,19 @@ impl RepairRun {
 /// the overlay-apply cost — paid identically by both serving strategies —
 /// can be subtracted out. I10 is asserted at every boundary, so the
 /// speedup is over an *equal* answer, not an approximate one.
+///
+/// A pass is ten batches — a few milliseconds, from which the gate takes a
+/// difference and a ratio — so one preemption inside it decides the ratio
+/// (one full run in three read 2.4x on a host where the others read 5.3x and
+/// 5.5x). The stream is deterministic, so the pass is repeated and each of
+/// the three timings is its least over the passes: what the code costs when
+/// nothing interrupts it.
 fn bench_repair(w: &Workload) -> RepairRun {
+    let first = repair_pass(w, true);
+    (1..7).map(|_| repair_pass(w, false)).fold(first, RepairRun::least)
+}
+
+fn repair_pass(w: &Workload, print_sets: bool) -> RepairRun {
     let mut matcher = ContinuousMatcher::new(w.base.clone(), CompactionPolicy::never());
     let mut control = ContinuousMatcher::new(w.base.clone(), CompactionPolicy::never());
     let ids: Vec<u64> = w
@@ -253,12 +275,14 @@ fn bench_repair(w: &Workload) -> RepairRun {
             );
         }
     }
-    for (qi, id) in ids.iter().enumerate() {
-        println!(
-            "  standing query {qi}: {} edges, {} embeddings",
-            w.queries[qi].edge_count(),
-            matcher.embeddings(*id).map_or(0, <[_]>::len)
-        );
+    if print_sets {
+        for (qi, id) in ids.iter().enumerate() {
+            println!(
+                "  standing query {qi}: {} edges, {} embeddings",
+                w.queries[qi].edge_count(),
+                matcher.embeddings(*id).map_or(0, <[_]>::len)
+            );
+        }
     }
     run
 }

@@ -361,8 +361,7 @@ impl ContinuousMatcher {
     /// Registers a standing query: enumerates its current embeddings and
     /// maintains them under every subsequent batch. Returns the query id.
     pub fn register(&mut self, query: Graph, deadline: Deadline) -> Result<u64, Timeout> {
-        let mut embeddings = enumerate_overlay(&query, &self.graph, deadline)?;
-        sort_embeddings(&mut embeddings);
+        let embeddings = enumerate_overlay(&query, &self.graph, deadline)?;
         let mut seed_edges: Vec<LabelPairEdge> = query
             .vertices()
             .flat_map(|u| query.neighbors(u).iter().map(move |&w| (u, w)))

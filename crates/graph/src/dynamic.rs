@@ -26,7 +26,9 @@
 //! * NLF signatures stay exact without per-batch recomputation: an
 //!   untouched vertex reads the base's label-run index, a patched one keeps
 //!   its `(label, count)` runs beside its list, updated with every insert
-//!   and removal ([`DynamicGraph::label_runs`]).
+//!   and removal ([`DynamicGraph::label_runs`]). Every slot also has those
+//!   runs folded into one word ([`DynamicGraph::signature`]), rewritten by
+//!   the op that changes the runs: what a search asks before any merge.
 //!
 //! When the delta grows past a [`CompactionPolicy`] threshold,
 //! [`DynamicGraph::compact`] folds it into a fresh densely-renumbered CSR
@@ -39,7 +41,7 @@ use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 use crate::hash::FxHashMap;
 use crate::label::Label;
-use crate::nlf::{runs_dominated, NeighborhoodLabelFrequency};
+use crate::nlf::{self, runs_dominated, NeighborhoodLabelFrequency};
 use crate::vertex::VertexId;
 
 /// One mutation of a [`DynamicGraph`].
@@ -184,6 +186,11 @@ pub struct DynamicGraph {
     patch_of: Vec<u32>,
     patches: Vec<Patch>,
     tombstoned: Vec<bool>,
+    /// Per slot, [`nlf::packed`] of its current label runs (`0` for a
+    /// tombstone). Invariant: `signatures[v] == packed(label_runs(v))`.
+    signatures: Vec<u64>,
+    /// One past the largest label of any slot.
+    label_space: usize,
     /// Added (id ≥ base vertex count) vertices per label, ascending by id.
     added_by_label: FxHashMap<Label, Vec<VertexId>>,
     edge_count: usize,
@@ -282,6 +289,8 @@ impl DynamicGraph {
         let edge_count = base.edge_count();
         let live_count = base.vertex_count();
         Self {
+            signatures: base.vertices().map(|v| nlf::packed(base.label_runs(v))).collect(),
+            label_space: base.label_space(),
             base,
             labels,
             patch_of: vec![UNPATCHED; live_count],
@@ -344,6 +353,15 @@ impl DynamicGraph {
             self.patches.push(Patch::of(&self.base, v));
         }
         &mut self.patches[*at as usize]
+    }
+
+    /// Applies `edit` to `v`'s patch and rewrites `v`'s signature from the
+    /// runs it leaves.
+    fn edit_patch(&mut self, v: VertexId, edit: impl FnOnce(&mut Patch)) {
+        let patch = self.patch_mut(v);
+        edit(patch);
+        let signature = nlf::packed(patch.runs.iter().copied());
+        self.signatures[v.index()] = signature;
     }
 
     /// Neighbors of `v`, sorted by `(label, id)` — the base CSR slice for
@@ -410,7 +428,22 @@ impl DynamicGraph {
         patched.into_iter().flatten().chain(base.into_iter().flatten())
     }
 
-    /// Whether `query ⊑ NLF(v)`.
+    /// The packed NLF signature of slot `v`: [`nlf::packed`] of
+    /// [`label_runs`](Self::label_runs), kept current by every mutation (`0`
+    /// for a tombstone).
+    #[inline]
+    pub fn signature(&self, v: VertexId) -> u64 {
+        self.signatures[v.index()]
+    }
+
+    /// One past the largest label of any slot, tombstones included (what
+    /// [`nlf::packed_is_exact`] needs of the data side).
+    pub fn label_space(&self) -> usize {
+        self.label_space
+    }
+
+    /// Whether `query ⊑ NLF(v)`: the run merge behind a
+    /// [`signature`](Self::signature) accept that is not exact.
     pub fn nlf_dominates(&self, v: VertexId, query: &NeighborhoodLabelFrequency) -> bool {
         let query = query.runs().iter().copied();
         match self.patch(v) {
@@ -455,6 +488,8 @@ impl DynamicGraph {
         let id = VertexId(self.labels.len() as u32);
         self.labels.push(label);
         self.tombstoned.push(false);
+        self.signatures.push(0);
+        self.label_space = self.label_space.max(label.index() + 1);
         self.patch_of.push(self.patches.len() as u32);
         self.patches.push(Patch::default());
         self.added_by_label.entry(label).or_default().push(id);
@@ -474,8 +509,8 @@ impl DynamicGraph {
             return Ok(false);
         }
         let (lu, lv) = (self.labels[u.index()], self.labels[v.index()]);
-        self.patch_mut(u).insert(v, lv);
-        self.patch_mut(v).insert(u, lu);
+        self.edit_patch(u, |p| p.insert(v, lv));
+        self.edit_patch(v, |p| p.insert(u, lu));
         self.edge_count += 1;
         self.delta_ops += 1;
         Ok(true)
@@ -492,8 +527,8 @@ impl DynamicGraph {
             return Err(GraphError::MissingEdge { u: u.id(), v: v.id() });
         }
         let (lu, lv) = (self.labels[u.index()], self.labels[v.index()]);
-        self.patch_mut(u).remove(v, lv);
-        self.patch_mut(v).remove(u, lu);
+        self.edit_patch(u, |p| p.remove(v, lv));
+        self.edit_patch(v, |p| p.remove(u, lu));
         self.edge_count -= 1;
         self.delta_ops += 1;
         Ok(())
@@ -505,9 +540,10 @@ impl DynamicGraph {
         let severed = std::mem::take(self.patch_mut(vertex)).adj;
         let lv = self.labels[vertex.index()];
         for &w in &severed {
-            self.patch_mut(w).remove(vertex, lv);
+            self.edit_patch(w, |p| p.remove(vertex, lv));
         }
         self.tombstoned[vertex.index()] = true;
+        self.signatures[vertex.index()] = 0;
         self.edge_count -= severed.len();
         self.live_count -= 1;
         self.delta_ops += 1 + severed.len();
@@ -692,6 +728,14 @@ impl DynamicGraph {
         };
         self.labels.clear();
         self.labels.extend_from_slice(g.labels());
+        // Labels travel with their vertices, so a live slot's runs — and its
+        // word — are what they were: the column drops the tombstones' words.
+        let mut slot = 0;
+        self.signatures.retain(|_| {
+            slot += 1;
+            !self.tombstoned[slot - 1]
+        });
+        self.label_space = g.label_space();
         self.tombstoned.clear();
         self.tombstoned.resize(g.vertex_count(), false);
         self.patch_of.clear();
@@ -820,6 +864,39 @@ mod tests {
             assert!(g.label_runs(v).eq(fresh.label_runs(nv)), "stale NLF at {v:?}");
         }
         assert_eq!(g.label_runs(VertexId(1)).count(), 0, "a tombstone has no neighborhood");
+    }
+
+    fn assert_signatures(g: &DynamicGraph) {
+        assert_eq!(g.signatures.len(), g.vertex_slots());
+        for v in (0..g.vertex_slots() as u32).map(VertexId) {
+            assert_eq!(g.signature(v), nlf::packed(g.label_runs(v)), "stale word at {v:?}");
+        }
+    }
+
+    #[test]
+    fn signatures_and_label_space_follow_every_op_and_compaction() {
+        let mut g = DynamicGraph::new(base());
+        assert_eq!(g.label_space(), 3);
+        assert_signatures(&g);
+        let far = g.add_vertex(Label(20)).unwrap();
+        assert_eq!(g.label_space(), 21, "raised by the add");
+        assert_eq!(g.signature(far), 0);
+        g.add_edge(far, VertexId(0)).unwrap();
+        // Label 20 lands on nibble 4 of v0's word, beside L1 and L2.
+        assert_eq!(g.signature(VertexId(0)), 0x1_0110);
+        assert_signatures(&g);
+        g.remove_edge(VertexId(1), VertexId(2)).unwrap();
+        assert_signatures(&g);
+        g.remove_vertex(far).unwrap();
+        assert_eq!(g.signature(far), 0, "a tombstone's word is empty");
+        assert_eq!(g.label_space(), 21, "a tombstoned slot still counts");
+        assert_signatures(&g);
+        g.remove_vertex(VertexId(1)).unwrap();
+        let carried: Vec<u64> = g.live_vertices().map(|v| g.signature(v)).collect();
+        g.compact();
+        assert_eq!(g.label_space(), 3, "the compaction dropped label 20's only slot");
+        assert_eq!(g.signatures, carried, "live words travel through compaction");
+        assert_signatures(&g);
     }
 
     #[test]

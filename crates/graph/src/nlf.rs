@@ -109,6 +109,34 @@ pub fn packed_is_exact(sq: u64, label_space: usize) -> bool {
     label_space <= 16 && saturated == 0
 }
 
+/// A query vertex's [`packed`] signature together with whether an accept on
+/// it is the run merge's answer ([`packed_is_exact`]) for one pair of
+/// graphs: the one place the three-way rule — packed reject, exact accept,
+/// run merge otherwise — is written.
+#[derive(Clone, Copy, Debug)]
+pub struct PackedNlf {
+    word: u64,
+    exact: bool,
+}
+
+impl PackedNlf {
+    /// Packs the query vertex's `runs`. `label_space` is the larger
+    /// `label_space()` of the query and the data graph.
+    pub fn new(runs: impl IntoIterator<Item = (Label, u32)>, label_space: usize) -> Self {
+        let word = packed(runs);
+        Self { word, exact: packed_is_exact(word, label_space) }
+    }
+
+    /// Whether the query runs are dominated by the runs of the data vertex
+    /// whose packed signature is `data`. `merge` is the run merge over the
+    /// two vertices ([`runs_dominated`]); it runs only behind a packed accept
+    /// that is not exact.
+    #[inline]
+    pub fn dominated_by(self, data: u64, merge: impl FnOnce() -> bool) -> bool {
+        packed_dominated(self.word, data) && (self.exact || merge())
+    }
+}
+
 /// A sorted neighbor-label multiset, stored as `(label, count)` runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NeighborhoodLabelFrequency {

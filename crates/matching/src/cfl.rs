@@ -41,7 +41,7 @@
 use std::cell::RefCell;
 
 use sqp_graph::algo::{two_core, BfsTree};
-use sqp_graph::nlf;
+use sqp_graph::nlf::{self, PackedNlf};
 use sqp_graph::{AdjacencyRows, Graph, VertexId};
 
 use crate::candidates::{CandidateSpace, Cpi, FilterResult, MatchingOrder};
@@ -91,17 +91,13 @@ fn row_contains(row: &[u64], v: VertexId) -> bool {
 #[derive(Clone, Copy)]
 struct Target {
     u: VertexId,
-    signature: u64,
-    /// Whether a packed accept against `signature` is the run merge's answer
-    /// for this pair of graphs.
-    exact: bool,
+    nlf: PackedNlf,
 }
 
 impl Target {
     fn new(q: &Graph, g: &Graph, u: VertexId) -> Self {
-        let signature = nlf::packed(q.label_runs(u));
-        let exact = nlf::packed_is_exact(signature, q.label_space().max(g.label_space()));
-        Self { u, signature, exact }
+        let nlf = PackedNlf::new(q.label_runs(u), q.label_space().max(g.label_space()));
+        Self { u, nlf }
     }
 }
 
@@ -191,9 +187,8 @@ impl Phi {
         let merged = || nlf::runs_dominated(q.label_runs(target.u), g.label_runs(v));
         match rows.row(v) {
             Some(row) => {
-                nlf::packed_dominated(target.signature, rows.signature(row))
+                target.nlf.dominated_by(rows.signature(row), merged)
                     && self.has_candidate_neighbors(q, g, v, Some(rows.words(row)), nbrs)
-                    && (target.exact || merged())
             }
             None => self.has_candidate_neighbors(q, g, v, None, nbrs) && merged(),
         }

@@ -15,18 +15,27 @@
 //!
 //! The enumerator is a backtracking search (the same shape as the
 //! [`brute`](crate::brute) oracle) hardened with the overlay's exact NLF
-//! dominance filter. Candidates at each depth are a label-run slice of the
-//! overlay — a base CSR slice for untouched vertices, a patched sorted list
-//! otherwise — iterated in place, in ascending id order. Without seeds the
-//! search walks query vertices in id order, so [`enumerate_overlay`] output
-//! is deterministic and lexicographically sorted by mapping. With seeds the
-//! search instead expands outward from the pinned region (pins first, then
-//! connected neighbors), so every unpinned depth is anchored to an
-//! already-mapped neighbor and candidates stay neighborhood-sized instead of
-//! falling back to a full label scan — the property that keeps a repair seed
-//! O(local) rather than O(|V|). Seeded output is deterministic but not
-//! sorted; the repair layer sorts after merging.
+//! dominance filter, asked of the overlay's one-word
+//! [signature](DynamicGraph::signature) first: a packed reject is a true
+//! reject, a packed accept is the answer where the fold lost nothing, and
+//! only otherwise does the run merge decide ([`PackedNlf`]). Candidates at
+//! each depth are a label-run slice of the overlay — a base CSR slice for
+//! untouched vertices, a patched sorted list otherwise — iterated in place,
+//! in ascending id order.
+//!
+//! The search order is most-constrained-first for every pin pattern, none
+//! included (`search_order`): pins, then repeatedly the query vertex with
+//! the most placed neighbors. In a connected query every depth after the
+//! first is therefore anchored to an already-mapped neighbor and its
+//! candidates stay neighborhood-sized instead of falling back to a full
+//! label scan — the property that keeps a repair seed O(local) rather than
+//! O(|V|). [`SeededEnumerator::enumerate`] output is deterministic but not
+//! sorted; [`enumerate_overlay`] and [`enumerate_seeded`] sort what an
+//! unseeded search found, the repair layer sorts after merging its seeds.
 
+use std::cmp::Reverse;
+
+use sqp_graph::nlf::PackedNlf;
 use sqp_graph::{DynamicGraph, Graph, NeighborhoodLabelFrequency, VertexId};
 
 use crate::deadline::{Deadline, TickChecker, Timeout};
@@ -45,7 +54,8 @@ pub fn enumerate_overlay(
 
 /// Enumerates every subgraph isomorphism from `q` into the overlay that
 /// extends the partial assignment `seeds` (pairs `(query vertex, data
-/// vertex)`).
+/// vertex)`). Without seeds the result is sorted lexicographically by mapping;
+/// with seeds it is in search order.
 ///
 /// An inconsistent seed set (label mismatch, dead image, non-injective, or a
 /// pinned query edge with no corresponding data edge) yields no embeddings
@@ -58,6 +68,9 @@ pub fn enumerate_seeded(
 ) -> Result<Vec<Embedding>, Timeout> {
     let mut out = Vec::new();
     SeededEnumerator::new(q, g).enumerate(seeds, deadline, &mut out)?;
+    if seeds.is_empty() {
+        out.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
+    }
     Ok(out)
 }
 
@@ -77,6 +90,9 @@ pub struct SeededEnumerator<'a> {
     q: &'a Graph,
     g: &'a DynamicGraph,
     qnlf: Vec<NeighborhoodLabelFrequency>,
+    /// Per query vertex, the packed form of `qnlf` and whether an accept on
+    /// it needs no merge over this pair of graphs.
+    qsig: Vec<PackedNlf>,
     mapping: Vec<VertexId>,
     pinned: Vec<bool>,
     used: Vec<bool>,
@@ -92,10 +108,12 @@ pub struct SeededEnumerator<'a> {
 impl<'a> SeededEnumerator<'a> {
     pub fn new(q: &'a Graph, g: &'a DynamicGraph) -> Self {
         let n = q.vertex_count();
+        let label_space = q.label_space().max(g.label_space());
         Self {
             q,
             g,
-            qnlf: (0..n).map(|u| NeighborhoodLabelFrequency::of(q, VertexId(u as u32))).collect(),
+            qnlf: q.vertices().map(|u| NeighborhoodLabelFrequency::of(q, u)).collect(),
+            qsig: q.vertices().map(|u| PackedNlf::new(q.label_runs(u), label_space)).collect(),
             mapping: vec![UNMAPPED; n],
             pinned: vec![false; n],
             used: vec![false; g.vertex_slots()],
@@ -106,7 +124,8 @@ impl<'a> SeededEnumerator<'a> {
         }
     }
 
-    /// Appends to `out` every embedding extending `seeds`. See
+    /// Appends to `out` every embedding extending `seeds`, in search order:
+    /// unsorted for every seed set, the empty one included. See
     /// [`enumerate_seeded`] for the seed semantics.
     ///
     /// The clock is read once up front and then once per tick interval of
@@ -164,7 +183,7 @@ impl<'a> SeededEnumerator<'a> {
         }
         // Pinned vertices must already satisfy dominance and mutual edges.
         for u in (0..n).filter(|&u| self.pinned[u]) {
-            if !self.g.nlf_dominates(self.mapping[u], &self.qnlf[u]) {
+            if !self.dominates(self.mapping[u], u) {
                 return None;
             }
             for &w in self.q.neighbors(VertexId(u as u32)) {
@@ -178,10 +197,18 @@ impl<'a> SeededEnumerator<'a> {
         }
         Some(self.orders.iter().position(|(pattern, _)| *pattern == self.pinned).unwrap_or_else(
             || {
-                self.orders.push((self.pinned.clone(), search_order(self.q, &self.pinned)));
+                self.orders.push((self.pinned.clone(), search_order(self.q, self.g, &self.pinned)));
                 self.orders.len() - 1
             },
         ))
+    }
+
+    /// Whether `NLF(u) ⊑ NLF(v)`: the one dominance test of pins and
+    /// extensions alike, decided on `v`'s signature word wherever that is
+    /// exact.
+    #[inline]
+    fn dominates(&self, v: VertexId, u: usize) -> bool {
+        self.qsig[u].dominated_by(self.g.signature(v), || self.g.nlf_dominates(v, &self.qnlf[u]))
     }
 
     fn descend(
@@ -243,7 +270,7 @@ impl<'a> SeededEnumerator<'a> {
         let (q, g) = (self.q, self.g);
         for &v in candidates {
             self.ticker.tick(self.deadline)?;
-            if self.used[v.index()] || !g.nlf_dominates(v, &self.qnlf[uq]) {
+            if self.used[v.index()] || !self.dominates(v, uq) {
                 continue;
             }
             // Edges to every other already-mapped query neighbor.
@@ -265,40 +292,31 @@ impl<'a> SeededEnumerator<'a> {
     }
 }
 
-/// Search order for the backtracking descent: pinned vertices first, then
-/// connected expansion outward from the placed region (smallest query id
-/// first), falling back to the smallest unplaced vertex when the query is
-/// disconnected from the pins. Without pins this is identity order, which
-/// keeps [`enumerate_overlay`] output lexicographically sorted.
-fn search_order(q: &Graph, pinned: &[bool]) -> Vec<usize> {
+/// Search order for the backtracking descent, most-constrained-first:
+/// pinned vertices, then repeatedly the unplaced query vertex with the most
+/// placed neighbors (each is a `has_edge` that prunes), ties to the higher
+/// query degree (the stronger signature), then to the label with fewer
+/// vertices in the base's label index, then to the smaller id. A vertex with
+/// no placed neighbor is chosen only when none has one: first in an unpinned
+/// search, or where the query is disconnected from what is placed.
+fn search_order(q: &Graph, g: &DynamicGraph, pinned: &[bool]) -> Vec<usize> {
     let n = q.vertex_count();
-    if !pinned.iter().any(|&p| p) {
-        return (0..n).collect();
-    }
     let mut order: Vec<usize> = (0..n).filter(|&u| pinned[u]).collect();
     let mut placed = pinned.to_vec();
     while order.len() < n {
-        let mut fallback = None;
-        let mut next = None;
-        for u in 0..n {
-            if placed[u] {
-                continue;
-            }
-            if fallback.is_none() {
-                fallback = Some(u);
-            }
-            if q.neighbors(VertexId(u as u32)).iter().any(|&w| placed[w.index()]) {
-                next = Some(u);
-                break;
-            }
-        }
-        match next.or(fallback) {
-            Some(u) => {
-                placed[u] = true;
-                order.push(u);
-            }
-            None => break,
-        }
+        let most_constrained = |&u: &usize| {
+            let u = VertexId(u as u32);
+            let anchors = q.neighbors(u).iter().filter(|w| placed[w.index()]).count();
+            let label_mates = g.base().label_frequency(q.label(u));
+            (Reverse(anchors), Reverse(q.degree(u)), label_mates)
+        };
+        // `min_by_key` keeps the first of equal keys: the smaller id.
+        let u = (0..n)
+            .filter(|&u| !placed[u])
+            .min_by_key(most_constrained)
+            .expect("fewer than n vertices are placed");
+        placed[u] = true;
+        order.push(u);
     }
     order
 }
@@ -306,9 +324,14 @@ fn search_order(q: &Graph, pinned: &[bool]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sqp_graph::nlf;
     use sqp_graph::{GraphBuilder, Label};
 
     use crate::brute;
+    use crate::deadline::{ResourceGuard, ResourceLimits};
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();
@@ -337,9 +360,8 @@ mod tests {
         ] {
             let want = sorted(brute::enumerate_all(&q, &g));
             let got = enumerate_overlay(&q, &dg, Deadline::none()).unwrap();
+            // Sorted, whatever order the search placed the query vertices in.
             assert_eq!(got, want);
-            // Output arrives already sorted.
-            assert_eq!(got, sorted(got.clone()));
         }
     }
 
@@ -395,5 +417,237 @@ mod tests {
         let q = labeled(&[0, 0], &[(0, 1)]);
         let d = Deadline::after(std::time::Duration::ZERO);
         assert!(enumerate_overlay(&q, &dg, d).is_err());
+    }
+
+    /// Applies `ops` random edge and vertex updates to `g`, new vertices
+    /// labeled from `labels`, with a compaction half-way.
+    fn churn(rng: &mut StdRng, g: &mut DynamicGraph, labels: &[u32], ops: usize) {
+        for op in 0..ops {
+            let slots = g.vertex_slots() as u32;
+            let (a, b) =
+                (VertexId(rng.random_range(0..slots)), VertexId(rng.random_range(0..slots)));
+            // Malformed ops (dead endpoint, self-loop, absent edge) fail
+            // closed and change nothing.
+            let _ = match rng.random_range(0..8u32) {
+                0 => g.add_vertex(Label(labels[rng.random_range(0..labels.len())])).map(drop),
+                1 => g.remove_vertex(a).map(drop),
+                2 | 3 => match g.neighbors(a).first() {
+                    Some(&w) => g.remove_edge(a, w),
+                    None => Ok(()),
+                },
+                _ => g.add_edge(a, b).map(drop),
+            };
+            if op == ops / 2 {
+                g.compact();
+            }
+        }
+    }
+
+    /// One `(query, overlay)` pair of a predicate-differential family, the
+    /// overlay churned so its words are the maintained ones.
+    fn predicate_case(family: u32, seed: u64) -> (Graph, DynamicGraph) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let relabeled = |g: &Graph, labels: &[u32]| {
+            let edges: Vec<(u32, u32)> = g
+                .vertices()
+                .flat_map(|v| {
+                    g.neighbors(v).iter().filter(move |&&w| v < w).map(move |&w| (v.0, w.0))
+                })
+                .collect();
+            let of: Vec<u32> = g.vertices().map(|v| labels[g.label(v).index()]).collect();
+            labeled(&of, &edges)
+        };
+        match family {
+            // At most 16 labels and small counts: the word decides alone.
+            0 => {
+                let base = brute::random_graph(&mut rng, 40, 100, 5);
+                let q = brute::random_connected_query(&mut rng, &base, 5);
+                let mut g = DynamicGraph::new(base);
+                churn(&mut rng, &mut g, &[0, 1, 2, 3, 4], 40);
+                (q, g)
+            }
+            // Labels 3, 19 and 35 share nibble 3 (label space 36): an accept
+            // on the word is never exact.
+            1 => {
+                let labels = [3, 19, 35, 4];
+                let base = relabeled(&brute::random_graph(&mut rng, 40, 120, 4), &labels);
+                let q = brute::random_connected_query(&mut rng, &base, 5);
+                let mut g = DynamicGraph::new(base);
+                churn(&mut rng, &mut g, &labels, 40);
+                (q, g)
+            }
+            // Two labels; data hubs with 5 to 12 neighbors of label 1, and a
+            // star query asking for 8 to 10 of them: a saturated query
+            // nibble, which a data nibble of 7 does not answer.
+            _ => {
+                let n = 48u32;
+                let mut labels = vec![0u32; 8];
+                labels.extend((8..n).map(|_| rng.random_range(0..2u32)));
+                let ones: Vec<u32> = (8..n).filter(|&v| labels[v as usize] == 1).collect();
+                let mut edges = Vec::new();
+                for hub in 0..8u32 {
+                    let from = rng.random_range(0..ones.len());
+                    edges.extend(
+                        (0..5 + hub as usize).map(|i| (hub, ones[(from + i) % ones.len()])),
+                    );
+                }
+                let leaves = rng.random_range(8..=10usize);
+                let mut star = vec![0u32];
+                star.extend(std::iter::repeat_n(1, leaves));
+                star.push(0);
+                let spokes: Vec<(u32, u32)> =
+                    (1..star.len() as u32).map(|leaf| (0, leaf)).collect();
+                let mut g = DynamicGraph::new(labeled(&labels, &edges));
+                churn(&mut rng, &mut g, &[0, 1], 12);
+                (labeled(&star, &spokes), g)
+            }
+        }
+    }
+
+    /// Per `(u, v)` over every slot: what the search's test says, what the
+    /// run merge says, and whether the word alone would have accepted.
+    fn predicate_table(q: &Graph, g: &DynamicGraph) -> Vec<(bool, bool, bool)> {
+        let seeder = SeededEnumerator::new(q, g);
+        let mut table = Vec::new();
+        for u in q.vertices() {
+            let reference = NeighborhoodLabelFrequency::of(q, u);
+            let word = nlf::packed(q.label_runs(u));
+            for v in (0..g.vertex_slots() as u32).map(VertexId) {
+                table.push((
+                    seeder.dominates(v, u.index()),
+                    g.nlf_dominates(v, &reference),
+                    nlf::packed_dominated(word, g.signature(v)),
+                ));
+            }
+        }
+        table
+    }
+
+    proptest! {
+        /// NLF is a pruning filter: a test that accepts too much changes
+        /// attempts, never answers, so no answer-level suite sees it. This
+        /// compares the predicate itself with the run merge it stands for.
+        #[test]
+        fn dominance_test_is_the_run_merge(family in 0u32..3, seed in any::<u64>()) {
+            let (q, g) = predicate_case(family, seed);
+            for (got, want, _) in predicate_table(&q, &g) {
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// Each family reaches the branch it is there for: family 0 decides on
+    /// the word alone, families 1 and 2 hold pairs the word accepts and the
+    /// merge rejects — by a shared nibble and by a saturated one — so a test
+    /// that skipped the merge there fails the property above.
+    #[test]
+    fn predicate_families_reach_their_branch() {
+        for family in 0..3 {
+            let word_only_accepts: usize = (0..32)
+                .map(|seed| {
+                    let (q, g) = predicate_case(family, seed);
+                    let table = predicate_table(&q, &g);
+                    table.iter().filter(|&&(_, merge, word)| word && !merge).count()
+                })
+                .sum();
+            match family {
+                0 => assert_eq!(word_only_accepts, 0, "≤ 16 labels, counts ≤ 6: the word is exact"),
+                _ => assert!(word_only_accepts > 0, "family {family} never needs the merge"),
+            }
+        }
+    }
+
+    /// Path plus star: four label-0 vertices in a row (0–3) into a label-7
+    /// vertex (4) that also has three leaves (5–7).
+    const PATH_PLUS_STAR: ([u32; 8], [(u32, u32); 7]) =
+        ([0, 0, 0, 0, 7, 3, 5, 0], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7)]);
+
+    /// A 2 000-vertex overlay where two vertices in five carry label 0 and
+    /// the rest spread over labels 1–9, a few of its vertices patched, and
+    /// [`PATH_PLUS_STAR`] planted in it.
+    fn skewed_overlay() -> DynamicGraph {
+        let mut rng = StdRng::seed_from_u64(24);
+        let n = 2_000u32;
+        let mut labels: Vec<u32> = (0..n)
+            .map(|_| if rng.random_bool(0.4) { 0 } else { rng.random_range(1..10) })
+            .collect();
+        let mut edges: Vec<(u32, u32)> = (0..6_000)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        // On the first eight vertices, so the query has an answer.
+        labels[..8].copy_from_slice(&PATH_PLUS_STAR.0);
+        edges.extend_from_slice(&PATH_PLUS_STAR.1);
+        let mut g = DynamicGraph::new(labeled(&labels, &edges));
+        // Adds only, so slots keep their ids and `materialize` is the identity.
+        for i in 0..20u32 {
+            let fresh = g.add_vertex(Label(i % 10)).unwrap();
+            g.add_edge(fresh, VertexId(100 + i)).unwrap();
+            g.add_edge(VertexId(200 + i), VertexId(300 + i)).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn search_order_is_most_constrained_first() {
+        let (q, g) = (labeled(&PATH_PLUS_STAR.0, &PATH_PLUS_STAR.1), skewed_overlay());
+        let n = q.vertex_count();
+        // No pin: the label-7 vertex of degree 4 leads, not vertex 0.
+        assert_eq!(search_order(&q, &g, &vec![false; n])[0], 4);
+        for pins in [vec![], vec![0], vec![6], vec![2, 3], vec![0, 7]] {
+            let mut pinned = vec![false; n];
+            pins.iter().for_each(|&u| pinned[u] = true);
+            let order = search_order(&q, &g, &pinned);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "a permutation");
+            assert_eq!(order[..pins.len()], pins[..], "pins lead, in id order");
+            // The query is connected: past the first vertex of an unpinned
+            // search, every depth extends from a mapped neighbor.
+            for (depth, &u) in order.iter().enumerate().skip(pins.len().max(1)) {
+                let anchored = q
+                    .neighbors(VertexId(u as u32))
+                    .iter()
+                    .any(|w| order[..depth].contains(&w.index()));
+                assert!(
+                    anchored,
+                    "pins {pins:?}: vertex {u} at depth {depth} has no placed neighbor"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unseeded_search_fits_a_step_budget_the_id_order_walk_would_blow() {
+        // One tick per attempt and a charge per 4 096 ticks: a budget of
+        // 4 096 steps trips at the 8 192nd attempt. Counted once on this
+        // instance (1 551 embeddings): most-constrained-first makes 3 556
+        // attempts; the id-order walk this search used to do made 32 840,
+        // 800 of them label-0 roots, each fanning out down the path.
+        let (q, g) = (labeled(&PATH_PLUS_STAR.0, &PATH_PLUS_STAR.1), skewed_overlay());
+        let guard = ResourceGuard::new();
+        guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
+        let got = enumerate_overlay(&q, &g, Deadline::none().with_guard(guard));
+        assert!(guard.tripped().is_none(), "the search blew a 4 096-step budget");
+        // The oracle walks query vertices in id order too: hand it the query
+        // renumbered from the star outward, and map its answers back.
+        let outward = [4usize, 5, 6, 7, 3, 2, 1, 0];
+        let position = |u: u32| outward.iter().position(|&x| x == u as usize).unwrap();
+        let renumbered = labeled(
+            &outward.map(|u| PATH_PLUS_STAR.0[u]),
+            &PATH_PLUS_STAR.1.map(|(u, w)| (position(u) as u32, position(w) as u32)),
+        );
+        let (data, mapping) = g.materialize();
+        assert!(mapping.iter().enumerate().all(|(slot, m)| *m == Some(VertexId(slot as u32))));
+        let want = sorted(
+            brute::enumerate_all(&renumbered, &data)
+                .iter()
+                .map(|e| {
+                    Embedding::new(q.vertices().map(|u| e.as_slice()[position(u.0)]).collect())
+                })
+                .collect(),
+        );
+        assert!(!want.is_empty(), "the planted embedding");
+        assert_eq!(got.unwrap(), want);
     }
 }

@@ -40,10 +40,10 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF and its packed signature, adjacency rows, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references; scratch hygiene)"
+echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene)"
 PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate::
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-graph --lib -- nlf:: bitmap::
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch::
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-graph --lib -- nlf:: bitmap:: dynamic::
 
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
 PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence
@@ -171,7 +171,7 @@ SQP_BENCH_SMOKE=1 taskset -c 0 cargo bench --offline -p sqp-bench --bench phases
 echo "==> adaptive routing regret smoke (asserts adaptive <= 1.5x best-in-hindsight; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench adaptive
 
-echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed streams fail closed)"
+echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads, over plain and nibble-sharing label families; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed streams fail closed)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence
 
 echo "==> dynamic bench smoke (asserts repair beats re-query and overlay beats rebuild; report discarded)"

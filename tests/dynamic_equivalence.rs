@@ -11,8 +11,9 @@
 //! * the seed-index repair and the direct-CSR `materialize` equal the
 //!   implementations they replaced (kept below as references), field by
 //!   field, on streams with vertex removals and same-batch add-then-remove;
-//! * the overlay's NLF runs and the incrementally-refreshed fingerprint
-//!   index equal freshly-computed ones after arbitrary streams;
+//! * the overlay's NLF runs, the one-word signature kept beside them and
+//!   the incrementally-refreshed fingerprint index equal freshly-computed
+//!   ones after arbitrary streams, a mid-stream compaction included;
 //! * malformed update batches fail closed with a `GraphError` — atomically,
 //!   and never by panicking.
 //!
@@ -31,7 +32,7 @@ use proptest::prelude::*;
 use subgraph_query::core::chaos::{graph_fingerprint, StreamProfile, UpdateStreamGen};
 use subgraph_query::core::continuous::{BatchError, ContinuousMatcher, DynamicDb};
 use subgraph_query::graph::database::GraphId;
-use subgraph_query::graph::nlf::NeighborhoodLabelFrequency;
+use subgraph_query::graph::nlf::{self, NeighborhoodLabelFrequency};
 use subgraph_query::graph::{
     BatchEffects, CompactionPolicy, DynamicGraph, Graph, GraphBuilder, GraphDb, Label, Update,
     VertexId,
@@ -189,16 +190,26 @@ fn reference_materialize(g: &DynamicGraph) -> (Graph, Vec<Option<VertexId>>) {
 // Strategies
 // ---------------------------------------------------------------------------
 
+/// Labels 3, 19 and 35 share nibble 3 of the packed NLF signature and the
+/// label space is 36, so on a graph over these a signature accept is never
+/// exact and the run merge decides behind it.
+const NIBBLE_LABELS: [u32; 4] = [3, 19, 35, 4];
+
+/// Two families of base graph. Three in four: labels 0–3, sparse. One in
+/// four: [`NIBBLE_LABELS`], with vertex 0 a hub joined to every other vertex
+/// (from 10 of them on, nibble 3 of its signature saturates).
 fn arb_base() -> impl Strategy<Value = Graph> {
-    (4usize..14).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u32..4, n);
+    (4usize..14, 0u32..4).prop_flat_map(|(n, family)| {
+        let nibble = family == 3;
+        let labels = proptest::collection::vec(0usize..4, n);
         let edges = proptest::collection::vec((0..n, 0..n), 0..28);
-        (labels, edges).prop_map(|(ls, es)| {
+        (labels, edges).prop_map(move |(ls, es)| {
             let mut b = GraphBuilder::new();
             for l in ls {
-                b.add_vertex(Label(l));
+                b.add_vertex(Label(if nibble { NIBBLE_LABELS[l] } else { l as u32 }));
             }
-            for (u, v) in es {
+            let spokes = (if nibble { 1..n } else { n..n }).map(|v| (0, v));
+            for (u, v) in es.into_iter().chain(spokes) {
                 if u != v {
                     let _ = b.add_edge(VertexId::from(u), VertexId::from(v));
                 }
@@ -217,7 +228,8 @@ fn arb_profile() -> impl Strategy<Value = StreamProfile> {
     })
 }
 
-/// Small connected-ish query shapes over the same label space.
+/// Small connected-ish query shapes over each family's labels (a query over
+/// the other family's finds nothing, which is an answer too).
 fn queries() -> Vec<Graph> {
     let build = |labels: &[u32], edges: &[(u32, u32)]| {
         let mut b = GraphBuilder::new();
@@ -234,6 +246,10 @@ fn queries() -> Vec<Graph> {
         build(&[1, 2, 0], &[(0, 1), (1, 2)]),
         build(&[0, 0, 1], &[(0, 1), (0, 2), (1, 2)]),
         build(&[2], &[]),
+        build(&[3, 19], &[(0, 1)]),
+        build(&[19, 35, 3], &[(0, 1), (1, 2)]),
+        build(&[3, 3, 19], &[(0, 1), (0, 2), (1, 2)]),
+        build(&[4, 3, 19, 3], &[(0, 1), (0, 2), (0, 3)]),
     ]
 }
 
@@ -423,7 +439,10 @@ proptest! {
 
     /// The overlay's `label_runs` (read off the base run index, or kept
     /// beside a patched list) equal the NLF computed fresh on the
-    /// materialised graph, for every live vertex; a tombstone has none.
+    /// materialised graph, for every live vertex; a tombstone has none. And
+    /// every slot's signature word is the packing of those runs, after
+    /// every batch and across a compaction (which carries the words over
+    /// instead of recomputing them).
     #[test]
     fn overlay_label_runs_equal_fresh_nlf(
         base in arb_base(),
@@ -432,13 +451,21 @@ proptest! {
     ) {
         let mut g = DynamicGraph::new(base.clone());
         let mut stream = UpdateStreamGen::new(&base, seed, profile);
-        for _ in 0..4 {
+        for round in 0..6 {
             g.apply_batch(&stream.batch(6)).expect("valid batch");
+            if round == 3 {
+                // Compaction renumbers, so the stream restarts from its result.
+                g.compact();
+                stream = UpdateStreamGen::new(g.base(), seed, profile);
+            }
             let (fresh, mapping) = g.materialize();
             prop_assert_eq!(mapping.len(), g.vertex_slots());
             for (slot, mapped) in mapping.iter().enumerate() {
                 let v = VertexId(slot as u32);
                 let runs: Vec<(Label, u32)> = g.label_runs(v).collect();
+                prop_assert_eq!(
+                    g.signature(v), nlf::packed(runs.iter().copied()), "stale word for v{}", slot
+                );
                 match *mapped {
                     Some(nv) => {
                         let want = NeighborhoodLabelFrequency::of(&fresh, nv);

@@ -262,8 +262,9 @@ proptest! {
 
     /// The packed signature against the run merge, over run sequences of
     /// 1–40 labels with counts 0–12 (0: the label has no run): a packed
-    /// reject is always a true reject, and wherever the exactness rule says
-    /// so the packed compare *is* the merge.
+    /// reject is always a true reject, wherever the exactness rule says so
+    /// the packed compare *is* the merge, and [`nlf::PackedNlf`] — reject,
+    /// exact accept, merge otherwise — always is.
     #[test]
     fn nlf_run_index_packed_signature_is_sound_and_exact_where_it_says_so(
         counts in proptest::collection::vec((0u32..=12, 0u32..=12, 0u32..4), 1..=40),
@@ -288,6 +289,9 @@ proptest! {
         if nlf::packed_is_exact(sq, counts.len()) {
             prop_assert_eq!(packed, merged, "inexact: {:#x} vs {:#x}", sq, sg);
         }
+        // The three-way rule built on the two: always the merge's answer.
+        let rule = nlf::PackedNlf::new(runs(false), counts.len());
+        prop_assert_eq!(rule.dominated_by(sg, || merged), merged);
     }
 }
 
