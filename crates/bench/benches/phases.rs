@@ -7,7 +7,10 @@
 //! ablation); `SQP_BENCH_SMOKE=1` shrinks the workload, asserts the coverage
 //! check and discards the report, so CI never touches the recorded full run.
 //! The report doubles as a coverage check: the span sum must stay within a
-//! few percent of the runner-measured wall time for every engine.
+//! few percent of the runner-measured wall time (Σ record times) for every
+//! engine. Each engine row also carries `elapsed_ms`, the median wall clock
+//! of the whole query set on a built engine — the figure to compare engines
+//! by, since a vcFV record's time also covers its scan's own loop.
 //!
 //! The `serving` block (PR 14) is the ladder above the matcher: µs per query
 //! of one AIDS-like database (1 000 graphs) through the bare matcher loop,
@@ -17,7 +20,8 @@
 //! more over a counting span clock: reads ÷ (query, graph) pairs. The engine
 //! and the services own their sinks and run the same `scan`; their exact
 //! counts are asserted in `sqp-core`'s tests.
-//! Gate: the service stays within 1.25x of the engine (1.6x before PR 14).
+//! Gate: on one CPU the serving layers — `QueryService` minus `CfqlEngine` —
+//! cost at most 40 µs a query (the ratio is printed beside it).
 
 mod common;
 
@@ -26,7 +30,7 @@ use common::smoke;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -56,14 +60,36 @@ fn run_engine(name: &str, db: &Arc<sqp_graph::GraphDb>, queries: &[Graph]) -> Qu
     run_query_set(engine.as_mut(), "bench-phases", queries, RunnerConfig::default())
 }
 
+/// One engine's recorded run and the median wall clock, in ms, of running
+/// the whole query set on the built engine (after a warm-up run).
+fn time_engine(
+    name: &str,
+    db: &Arc<sqp_graph::GraphDb>,
+    queries: &[Graph],
+) -> (QuerySetReport, f64) {
+    let mut engine = engine_by_name(name).expect("engine in registry");
+    engine.build(db).expect("index build");
+    let mut run =
+        || run_query_set(engine.as_mut(), "bench-phases", queries, RunnerConfig::default());
+    let mut report = run();
+    let mut walls = Vec::new();
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        report = run();
+        walls.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    walls.sort_by(f64::total_cmp);
+    (report, walls[walls.len() / 2])
+}
+
 /// One rung of the serving ladder.
 struct Rung {
     path: &'static str,
     /// Span-clock reads ÷ (query, graph) pairs over one pass, counted by a
-    /// counting [`StatsSink::with_clock`]: 2 per pruned pair plus 6 more on
-    /// the ~0.1 % that survive the filter. `None` where the path takes no
-    /// caller's sink (the matcher loop runs without one — inert spans, no
-    /// reads; the engine and the services own theirs).
+    /// counting [`StatsSink::with_clock`]: 1 per pruned pair, 6 on the
+    /// ~0.1 % that survive the filter, 1 per scan. `None` where the path
+    /// takes no caller's sink (the matcher loop runs without one — inert
+    /// spans, no reads; the engine and the services own theirs).
     span_clock_reads_per_pair: Option<f64>,
     us_per_query: f64,
 }
@@ -79,7 +105,7 @@ fn counting_clock() -> u64 {
 /// query crosses, one outstanding: per rung, the median over passes of a
 /// whole pass's wall time divided by its queries. The passes interleave —
 /// each times every rung once — so one of the host's loud spells lands on all
-/// five rungs of a pass alike and the service ÷ engine gate compares like
+/// five rungs of a pass alike and the service − engine gate compares like
 /// with like.
 fn serving_ladder() -> Vec<Rung> {
     let mut profile = sqp_datagen::aids_like();
@@ -132,7 +158,7 @@ fn serving_ladder() -> Vec<Rung> {
     let mut per_rung = vec![Vec::with_capacity(passes); rungs.len()];
     for pass in 0..=passes {
         for ((_, _, run), samples) in rungs.iter().zip(&mut per_rung) {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let answers: usize = queries.iter().map(run).sum();
             black_box(answers);
             if pass > 0 {
@@ -156,11 +182,11 @@ fn serving_ladder() -> Vec<Rung> {
 }
 
 /// Hand-rolled JSON report at `results/BENCH_phases.json`.
-fn write_json(reports: &[QuerySetReport], serving: &[Rung]) {
+fn write_json(reports: &[(QuerySetReport, f64)], serving: &[Rung]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"phase_breakdown\",\n");
     out.push_str("  \"engines\": [\n");
-    for (ri, r) in reports.iter().enumerate() {
+    for (ri, (r, elapsed_ms)) in reports.iter().enumerate() {
         let totals = r.phase_totals();
         let hist = r.latency_histogram();
         let phase_ms: Vec<String> = Phase::ALL
@@ -181,6 +207,7 @@ fn write_json(reports: &[QuerySetReport], serving: &[Rung]) {
             "      \"wall_ms\": {:.3},\n",
             r.uncensored_wall_nanos() as f64 * 1e-6
         ));
+        out.push_str(&format!("      \"elapsed_ms\": {elapsed_ms:.3},\n"));
         out.push_str(&format!(
             "      \"latency_ms\": {{ \"p50\": {:.4}, \"p95\": {:.4}, \"p99\": {:.4} }}\n",
             pq(hist.p50()),
@@ -206,10 +233,10 @@ fn write_json(reports: &[QuerySetReport], serving: &[Rung]) {
 fn bench_phases(c: &mut Criterion) {
     let (db, queries) = workload();
 
-    let reports: Vec<QuerySetReport> =
-        ENGINES.iter().map(|name| run_engine(name, &db, &queries)).collect();
+    let reports: Vec<(QuerySetReport, f64)> =
+        ENGINES.iter().map(|name| time_engine(name, &db, &queries)).collect();
     println!(
-        "\n{:<10} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
+        "\n{:<10} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>12}",
         "engine",
         "filter(ms)",
         "build(ms)",
@@ -217,14 +244,15 @@ fn bench_phases(c: &mut Criterion) {
         "enum(ms)",
         "verify(ms)",
         "sum(ms)",
-        "wall(ms)"
+        "wall(ms)",
+        "elapsed(ms)"
     );
-    for r in &reports {
+    for (r, elapsed) in &reports {
         let t = r.phase_totals();
         let wall = r.uncensored_wall_nanos() as f64 * 1e-6;
         let sum = t.total_nanos() as f64 * 1e-6;
         println!(
-            "{:<10} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3}",
+            "{:<10} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>12.3}",
             r.engine,
             t.nanos_of(Phase::Filter) as f64 * 1e-6,
             t.nanos_of(Phase::BuildCandidates) as f64 * 1e-6,
@@ -233,6 +261,7 @@ fn bench_phases(c: &mut Criterion) {
             t.nanos_of(Phase::Verify) as f64 * 1e-6,
             sum,
             wall,
+            elapsed,
         );
         // Coverage guard: spans must account for the measured wall time.
         // (Engines with zero wall on the smoke workload are skipped.)
@@ -252,26 +281,30 @@ fn bench_phases(c: &mut Criterion) {
         let reads = r.span_clock_reads_per_pair.map_or("-".to_string(), |n| format!("{n:.3}"));
         println!("{:<26} {:>12.1} {:>24}", r.path, r.us_per_query, reads);
     }
-    // A pruned pair pays for its `Filter` stage once: two reads, and six
-    // more only on the few pairs that reach enumeration (4 and 8 before the
-    // passive-span rule).
+    // A pruned pair reads the clock once, at its lap switch; a pair that
+    // reaches enumeration six times; each scan once more.
     let reads = serving.iter().find_map(|r| r.span_clock_reads_per_pair).expect("a counted rung");
-    assert!((2.0..2.1).contains(&reads), "{reads:.3} span clock reads per pair");
-    // The serving layers guard the matcher; they must not cost a quarter of
-    // it (1.6x before the clock came off the path between graphs). Gated on
-    // one CPU only (CI runs this bench under `taskset -c 0`, as the
-    // end-to-end benchmark pins itself): across CPUs the hand-off to the pool
-    // worker wakes a halted vCPU, which costs what the host charges for it.
+    assert!((1.0..1.1).contains(&reads), "{reads:.3} span clock reads per pair");
+    // The serving layers' own cost — admission, the executor and the pool
+    // hand-offs, 17–33 µs a query when measured — stated in µs, not as a
+    // ratio of an engine that keeps getting cheaper. Gated on one CPU only
+    // (CI runs this bench under `taskset -c 0`, as the end-to-end benchmark
+    // pins itself): across CPUs the hand-off to the pool worker wakes a
+    // halted vCPU, which costs what the host charges for it.
     let (engine, service) = (serving[1].us_per_query, serving[3].us_per_query);
+    let layers = service - engine;
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "serving layers: {layers:.1} us/query (QueryService / CfqlEngine {:.2}x)",
+        service / engine
+    );
     if cpus == 1 {
         assert!(
-            service <= 1.25 * engine,
-            "QueryService {service:.1} us/query vs CfqlEngine {engine:.1} (ratio {:.2})",
-            service / engine
+            layers <= 40.0,
+            "QueryService {service:.1} us/query vs CfqlEngine {engine:.1}: layers {layers:.1} us"
         );
     } else {
-        println!("serving gate skipped on {cpus} CPUs (ratio {:.2}); pin to one", service / engine);
+        println!("serving gate skipped on {cpus} CPUs; pin to one");
     }
     write_json(&reports, &serving);
 

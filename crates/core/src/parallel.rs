@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb, HeapSize};
 use sqp_matching::deadline::SCAN_CHECK_INTERVAL;
-use sqp_matching::obs::{Phase, Span};
+use sqp_matching::obs::{Lap, Phase};
 use sqp_matching::{CancelToken, Deadline, FilterResult, Heartbeat, Matcher, StatsSink};
 
 use crate::engine::{QueryOutcome, QueryStatus};
@@ -80,12 +80,19 @@ pub struct ParallelOutcome {
 /// Runs one graph's filter+verify, folding the result into `part`.
 /// Returns `false` when the worker should stop (timeout, cancellation, or a
 /// tripped resource budget). Called only by [`scan`], which hands it a
-/// [`fresh`](Deadline::fresh) deadline.
+/// [`fresh`](Deadline::fresh) deadline and its [`Lap`].
 ///
 /// Both matcher calls are individually wrapped in `catch_unwind`: a panic on
 /// this (query, graph) pair becomes one [`GraphFailure`] and processing
 /// *continues* with the next graph, so all non-panicking pairs keep their
 /// exact answers (invariant I8).
+///
+/// Every pair ends with exactly one lap switch: `Filter → Filter` when the
+/// filter prunes, panics or is interrupted; `Filter → Enumerate` after a
+/// surviving filter, then `Enumerate → Filter` after `find_first`. Each
+/// switch's elapsed time is that stage's wall (`filter_time`,
+/// `verify_time`); the matcher's own span of the running phase is passive
+/// under the lap, and its spans of other phases subtract themselves.
 #[inline]
 fn process_graph(
     matcher: &dyn Matcher,
@@ -93,63 +100,58 @@ fn process_graph(
     q: &Graph,
     gid: GraphId,
     deadline: Deadline,
+    lap: &mut Lap,
     part: &mut QueryOutcome,
 ) -> bool {
     let g = db.graph(gid);
-    // The stage spans wrap the panic guard and dispatch so the per-phase sum
-    // accounts for the harness overhead too; nested matcher spans subtract
-    // their time from these outer spans (self-time accounting), so nothing
-    // is double-counted, and a matcher span of the stage's own phase is
-    // passive. The span's own clock reads are the stage wall measurement —
-    // per pair, timing machinery is comparable to a pruned filter's work —
-    // and every caller of `scan` brings a sink (`Engine::deadline`,
-    // `QueryPool::query_masked`), so the stage spans are always active.
-    let stage_span = Span::enter(Phase::Filter, deadline);
     let filtered = catch_unwind(AssertUnwindSafe(|| matcher.filter(q, g, deadline)));
-    part.filter_time += Duration::from_nanos(stage_span.finish());
-    let filtered = match filtered {
-        Ok(r) => r,
+    // `Ok(space)` goes on to enumeration; `Err(go_on)` ends the pair.
+    let verdict = match filtered {
         Err(payload) => {
             part.record_panic(gid, panic_message(payload));
-            return true;
+            Err(true)
         }
-    };
-    match filtered {
-        Err(_) => {
+        Ok(Err(_)) => {
             part.record_interrupt(gid, deadline);
-            false
+            Err(false)
         }
-        Ok(FilterResult::Pruned) => true,
-        Ok(FilterResult::Space(space)) => {
+        Ok(Ok(FilterResult::Pruned)) => Err(true),
+        Ok(Ok(FilterResult::Space(space))) => {
             part.candidates += 1;
             let bytes = space.heap_size();
             part.aux_bytes = part.aux_bytes.max(bytes);
             deadline.guard().note_aux_bytes(bytes);
-            if deadline.check_flags().is_err() {
+            if deadline.check_flags().is_ok() {
+                Ok(space)
+            } else {
                 // The candidate space itself blew the memory budget (or a
                 // sibling expired the deadline while we built it).
                 part.record_interrupt(gid, deadline);
-                return false;
+                Err(false)
             }
-            let stage_span = Span::enter(Phase::Enumerate, deadline);
-            let verdict =
-                catch_unwind(AssertUnwindSafe(|| matcher.find_first(q, g, &space, deadline)));
-            part.verify_time += Duration::from_nanos(stage_span.finish());
-            match verdict {
-                Err(payload) => {
-                    part.record_panic(gid, panic_message(payload));
-                    true
-                }
-                Ok(Ok(Some(_))) => {
-                    part.answers.push(gid);
-                    true
-                }
-                Ok(Ok(None)) => true,
-                Ok(Err(_)) => {
-                    part.record_interrupt(gid, deadline);
-                    false
-                }
-            }
+        }
+    };
+    let next = if verdict.is_ok() { Phase::Enumerate } else { Phase::Filter };
+    part.filter_time += Duration::from_nanos(lap.switch(next));
+    let space = match verdict {
+        Ok(space) => space,
+        Err(go_on) => return go_on,
+    };
+    let verdict = catch_unwind(AssertUnwindSafe(|| matcher.find_first(q, g, &space, deadline)));
+    part.verify_time += Duration::from_nanos(lap.switch(Phase::Filter));
+    match verdict {
+        Err(payload) => {
+            part.record_panic(gid, panic_message(payload));
+            true
+        }
+        Ok(Ok(Some(_))) => {
+            part.answers.push(gid);
+            true
+        }
+        Ok(Ok(None)) => true,
+        Ok(Err(_)) => {
+            part.record_interrupt(gid, deadline);
+            false
         }
     }
 }
@@ -167,6 +169,12 @@ fn process_graph(
 /// matcher calls get a [`fresh`](Deadline::fresh) copy — flags-only entry
 /// checks, `TickChecker` intervals untouched. A scan that stops on an
 /// interrupt raises the cancel token so every sibling stops as well.
+///
+/// The span clock is read by one [`Lap`] opened before the first graph: one
+/// read at entry, one per pruned pair, two per pair that reaches
+/// enumeration (plus the matcher's own spans of other phases), none at the
+/// end. A stage's wall therefore also covers the loop's own work since the
+/// previous switch — the checks, the claim, a quarantined graph.
 pub(crate) fn scan(
     matcher: &dyn Matcher,
     db: &GraphDb,
@@ -175,8 +183,9 @@ pub(crate) fn scan(
     mask: Option<&[bool]>,
     mut graphs: impl Iterator<Item = usize>,
 ) -> QueryOutcome {
-    debug_assert!(deadline.stats().is_some(), "a scan's stage walls are its spans' clock reads");
+    debug_assert!(deadline.stats().is_some(), "a scan's stage walls are its lap's clock reads");
     let mut part = QueryOutcome::default();
+    let mut lap = Lap::enter(Phase::Filter, deadline);
     for processed in 0usize.. {
         let checked = if processed % SCAN_CHECK_INTERVAL == 0 {
             deadline.check()
@@ -194,7 +203,7 @@ pub(crate) fn scan(
             // matcher; exactly one failure record per masked graph, so
             // the finalized outcome is thread-count independent.
             part.record_quarantined(gid);
-        } else if !process_graph(matcher, db, q, gid, deadline.fresh(), &mut part) {
+        } else if !process_graph(matcher, db, q, gid, deadline.fresh(), &mut lap, &mut part) {
             deadline.cancel_token().cancel();
             break;
         }

@@ -15,18 +15,35 @@
 //! nothing at all — no allocation ever happens on the enumeration hot path.
 //!
 //! **The passive rule.** A span whose innermost open span on the same thread
-//! has the same [`Phase`] *and* the same sink is *passive*: it reads no
-//! clock, does not join the nesting stack and records no nanoseconds; on
-//! drop it adds only its item count (nothing when that is 0). Timing it
-//! could only move nanoseconds from the enclosing span's bucket into the
-//! same bucket, so a harness stage span around a matcher's own span of that
-//! phase (`process_graph` ⊃ `filter`, `verify_each` ⊃ `Vf2Verifier::verify`)
-//! costs the pair two clock reads, not four. A passive span's children see
-//! the enclosing active span as their parent, so self-time accounting — and
-//! Σ phase nanos = outermost wall — is the same subtraction with one term
-//! fewer. [`Span::finish`] returns a wall reading only from an active span
-//! (0 from a passive or inert one): a caller that wants a wall clock out of
-//! a span must be the outermost span of its phase, as the harness stages are.
+//! (or [`Lap`]) has the same [`Phase`] *and* the same sink is *passive*: it
+//! reads no clock, does not join the nesting stack and records no
+//! nanoseconds; on drop it adds only its item count (nothing when that is
+//! 0). Timing it could only move nanoseconds from the enclosing span's
+//! bucket into the same bucket, so a harness stage around a matcher's own
+//! span of that phase (the scan's lap ⊃ `filter`, `verify_each` ⊃
+//! `Vf2Verifier::verify`) costs the pair the stage's reads only. A passive
+//! span's children see the enclosing active span as their parent, so
+//! self-time accounting — and Σ phase nanos = outermost wall — is the same
+//! subtraction with one term fewer. [`Span::finish`] returns a wall reading
+//! only from an active span (0 from a passive or inert one): a caller that
+//! wants a wall clock out of a span must be the outermost span of its
+//! phase, as the harness stages are.
+//!
+//! **Laps.** A [`Lap`] is a stage span that changes phase in place: the
+//! vcFV scan opens one before its first graph and ends every (query, graph)
+//! pair with one [`Lap::switch`] — one clock read that closes the running
+//! phase (its self time into a lap-local [`PhaseStats`]), returns the full
+//! elapsed time as the stage wall, and re-bases the lap on the next phase. A
+//! lap sits on the same nesting stack as spans, so a matcher span of the
+//! lap's current phase is passive under it and active spans of other phases
+//! credit it as their parent. Its drop reads no clock: it pops its frame,
+//! credits the enclosing frame with Σ walls (plus any children closed after
+//! the last switch), and flushes the local totals into the sink — at most
+//! one `record_phase` per phase per scan instead of two atomic adds per
+//! pair. A pruned pair thus costs one clock read, an unpruned CFQL pair six
+//! (two switches, the matcher's `BuildCandidates` and `Order` spans), plus
+//! one per scan; what ran between the last switch and the drop is timed by
+//! nobody (the scan loop's final flag check).
 //!
 //! The clock is injectable per sink ([`StatsSink::with_clock`]): production
 //! sinks read a monotonic nanosecond counter, tests install a deterministic
@@ -139,18 +156,18 @@ impl PhaseStats {
 /// their full elapsed time; they just stop participating in parent/child
 /// self-time accounting, and — having no frame to be recognised by — never
 /// make a child passive (real nesting of *active* spans in this codebase is
-/// ≤ 2: harness stage span → matcher span of another phase; same-phase
+/// ≤ 2: harness stage or lap → matcher span of another phase; same-phase
 /// matcher spans under a stage are passive and take no depth).
 const MAX_SPAN_DEPTH: usize = 16;
 
-/// What the thread remembers about one open active span.
+/// What the thread remembers about one open active span or lap.
 struct Frame {
     /// Elapsed time of the spans opened and closed inside this one, so it
     /// can record its *self* time (elapsed minus children) and nested spans
     /// never double-count a nanosecond.
     child_nanos: Cell<u64>,
-    /// The span's phase and sink ([`StatsSink::id`]): a span entered under
-    /// this one with the same two is passive.
+    /// The span's (or the lap's current) phase and sink ([`StatsSink::id`]):
+    /// a span entered under this one with the same two is passive.
     phase: Cell<Phase>,
     sink: Cell<usize>,
 }
@@ -168,6 +185,73 @@ thread_local! {
     /// depth `d` is open.
     static FRAMES: [Frame; MAX_SPAN_DEPTH] =
         const { [const { Frame::empty() }; MAX_SPAN_DEPTH] };
+}
+
+// The nesting rules, shared by `Span` and `Lap`: a frame is pushed on entry
+// of anything that reads the clock, its children credit it their elapsed
+// time, and popping it credits the enclosing frame in turn.
+
+/// Depth of the innermost open frame on this thread (0 = none).
+#[inline]
+fn open_depth() -> usize {
+    SPAN_DEPTH.with(Cell::get)
+}
+
+/// Whether the frame at `depth` is tracked and open for `phase` over sink
+/// `id` — what makes a span entered directly under it passive.
+#[inline]
+fn frame_is(depth: usize, phase: Phase, id: usize) -> bool {
+    (1..=MAX_SPAN_DEPTH).contains(&depth)
+        && FRAMES.with(|f| {
+            let open = &f[depth - 1];
+            open.phase.get() == phase && open.sink.get() == id
+        })
+}
+
+/// Opens a frame for `phase` over sink `id` directly under the frame at
+/// `parent`; returns its depth.
+fn push_frame(parent: usize, phase: Phase, id: usize) -> usize {
+    let depth = parent + 1;
+    SPAN_DEPTH.with(|d| d.set(depth));
+    if depth <= MAX_SPAN_DEPTH {
+        FRAMES.with(|f| {
+            let frame = &f[depth - 1];
+            frame.child_nanos.set(0);
+            frame.phase.set(phase);
+            frame.sink.set(id);
+        });
+    }
+    depth
+}
+
+/// Relabels the frame at `depth` to `phase` and returns the children it
+/// accumulated since it was opened or last relabelled, clearing them.
+fn rebase_frame(depth: usize, phase: Phase) -> u64 {
+    if depth > MAX_SPAN_DEPTH {
+        return 0;
+    }
+    FRAMES.with(|f| {
+        let frame = &f[depth - 1];
+        frame.phase.set(phase);
+        frame.child_nanos.replace(0)
+    })
+}
+
+/// Closes the frame at `depth`, crediting `elapsed` to the enclosing frame's
+/// children; returns the closed frame's own children.
+fn pop_frame(depth: usize, elapsed: u64) -> u64 {
+    SPAN_DEPTH.with(|d| d.set(depth - 1));
+    FRAMES.with(|f| {
+        if depth >= 2 && depth - 1 <= MAX_SPAN_DEPTH {
+            let parent = &f[depth - 2].child_nanos;
+            parent.set(parent.get().saturating_add(elapsed));
+        }
+        if depth <= MAX_SPAN_DEPTH {
+            f[depth - 1].child_nanos.get()
+        } else {
+            0
+        }
+    })
 }
 
 /// A stack guard measuring one phase; records into the deadline's sink on
@@ -224,26 +308,11 @@ impl Span {
     /// matcher loop reads 38 vs 44 µs per 1 000 pairs either way round).
     fn enter_live(phase: Phase, sink: StatsSink) -> Self {
         let passive = Self { sink, phase, start: 0, items: 0, depth: 0 };
-        let id = sink.id();
-        let parent = SPAN_DEPTH.with(Cell::get);
-        let same_as_parent = (1..=MAX_SPAN_DEPTH).contains(&parent)
-            && FRAMES.with(|f| {
-                let open = &f[parent - 1];
-                open.phase.get() == phase && open.sink.get() == id
-            });
-        if same_as_parent {
+        let (parent, id) = (open_depth(), sink.id());
+        if frame_is(parent, phase, id) {
             return passive;
         }
-        let depth = parent + 1;
-        SPAN_DEPTH.with(|d| d.set(depth));
-        if depth <= MAX_SPAN_DEPTH {
-            FRAMES.with(|f| {
-                let frame = &f[depth - 1];
-                frame.child_nanos.set(0);
-                frame.phase.set(phase);
-                frame.sink.set(id);
-            });
-        }
+        let depth = push_frame(parent, phase, id);
         Self { start: sink.now(), depth, ..passive }
     }
 
@@ -283,20 +352,9 @@ impl Span {
     /// elapsed time to the enclosing span's children.
     fn end_active(&mut self) -> u64 {
         let elapsed = self.sink.now().saturating_sub(self.start);
-        SPAN_DEPTH.with(|d| d.set(self.depth - 1));
-        let children = FRAMES.with(|f| {
-            if self.depth >= 2 && self.depth - 1 <= MAX_SPAN_DEPTH {
-                // Credit the full elapsed time (self + our own children) to
-                // the enclosing span's child accumulator.
-                let parent = &f[self.depth - 2].child_nanos;
-                parent.set(parent.get().saturating_add(elapsed));
-            }
-            if self.depth <= MAX_SPAN_DEPTH {
-                f[self.depth - 1].child_nanos.get()
-            } else {
-                0
-            }
-        });
+        // The full elapsed time (self + our own children) goes to the
+        // enclosing frame's children.
+        let children = pop_frame(self.depth, elapsed);
         let items = std::mem::take(&mut self.items);
         self.sink.record_phase(self.phase, elapsed.saturating_sub(children), items);
         self.depth = 0;
@@ -308,6 +366,95 @@ impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
         self.end();
+    }
+}
+
+/// A stage span that changes phase in place: one clock read per
+/// [`switch`](Lap::switch), none on drop (module docs, "Laps").
+///
+/// A lap is always active while its sink is live — even directly under an
+/// open span of its own phase and sink, which it then credits like any
+/// child — and over an inert sink it reads nothing and records nothing.
+/// Like spans, laps nest strictly LIFO with everything on the same thread.
+///
+/// ```
+/// use sqp_matching::obs::{Lap, Phase};
+/// use sqp_matching::{Deadline, StatsSink};
+///
+/// let sink = StatsSink::new();
+/// let deadline = Deadline::none().with_stats(sink);
+/// let mut lap = Lap::enter(Phase::Filter, deadline);
+/// let filter_wall = lap.switch(Phase::Enumerate); // filter ends, enumerate starts
+/// let enumerate_wall = lap.switch(Phase::Filter);
+/// drop(lap); // no clock read: the totals are flushed here
+/// let snap = sink.phase_snapshot();
+/// assert_eq!(snap.total_nanos(), filter_wall + enumerate_wall);
+/// ```
+#[derive(Debug)]
+pub struct Lap {
+    sink: StatsSink,
+    /// The running phase.
+    phase: Phase,
+    /// Clock reading at entry or at the last switch.
+    start: u64,
+    /// 1-based nesting depth; 0 over an inert sink.
+    depth: usize,
+    /// Σ elapsed over the closed laps: what the enclosing frame is credited.
+    walls: u64,
+    /// Self time per phase, flushed into the sink on drop.
+    nanos: [u64; PHASE_COUNT],
+}
+
+impl Lap {
+    /// Opens a lap of `phase` against `deadline`'s sink: one clock read when
+    /// the sink is live, none otherwise.
+    pub fn enter(phase: Phase, deadline: Deadline) -> Self {
+        let sink = deadline.stats();
+        let mut lap = Self { sink, phase, start: 0, depth: 0, walls: 0, nanos: [0; PHASE_COUNT] };
+        if sink.is_some() {
+            lap.depth = push_frame(open_depth(), phase, sink.id());
+            lap.start = sink.now();
+        }
+        lap
+    }
+
+    /// Closes the running phase and starts `next` (which may be the same
+    /// phase) with one clock read. The closed phase's self time — elapsed
+    /// minus the active spans opened inside it — is kept for the drop; the
+    /// full elapsed time is returned, the stage's wall. Returns 0 and reads
+    /// nothing over an inert sink.
+    #[inline]
+    pub fn switch(&mut self, next: Phase) -> u64 {
+        if self.depth == 0 {
+            return 0;
+        }
+        let now = self.sink.now();
+        let elapsed = now.saturating_sub(self.start);
+        let children = rebase_frame(self.depth, next);
+        let closed = &mut self.nanos[self.phase.index()];
+        *closed = closed.saturating_add(elapsed.saturating_sub(children));
+        self.walls = self.walls.saturating_add(elapsed);
+        self.phase = next;
+        self.start = now;
+        elapsed
+    }
+}
+
+impl Drop for Lap {
+    fn drop(&mut self) {
+        if self.depth == 0 {
+            return;
+        }
+        // Children closed after the last switch recorded themselves; the
+        // enclosing frame must not count them as its own time either.
+        let pending = rebase_frame(self.depth, self.phase);
+        pop_frame(self.depth, self.walls.saturating_add(pending));
+        for phase in Phase::ALL {
+            let nanos = self.nanos[phase.index()];
+            if nanos != 0 {
+                self.sink.record_phase(phase, nanos, 0);
+            }
+        }
     }
 }
 
@@ -556,6 +703,130 @@ mod tests {
         assert_eq!(reads(), 2 * (MAX_SPAN_DEPTH as u64 + 1 + 2));
     }
 
+    #[test]
+    fn a_lap_reads_once_per_switch_and_never_on_drop() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        assert_eq!((reads(), depth()), (1, 1));
+        assert_eq!(lap.switch(Phase::Filter), 1); // tick 1
+        assert_eq!(lap.switch(Phase::Enumerate), 1); // tick 2
+        assert_eq!(lap.switch(Phase::Filter), 1); // tick 3
+        assert!(sink.phase_snapshot().is_zero(), "nothing reaches the sink before the drop");
+        drop(lap);
+        assert_eq!((reads(), depth()), (4, 0), "the drop reads no clock");
+        let snap = sink.phase_snapshot();
+        assert_eq!((snap.nanos_of(Phase::Filter), snap.nanos_of(Phase::Enumerate)), (2, 1));
+        assert_eq!(snap.total_nanos(), 3);
+    }
+
+    #[test]
+    fn a_matcher_span_of_the_laps_phase_is_passive() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        {
+            let mut matcher = Span::enter(Phase::Filter, deadline);
+            matcher.add_items(3);
+            assert_eq!((reads(), depth()), (1, 1), "passive: no read, no depth");
+        }
+        assert_eq!(lap.switch(Phase::Enumerate), 1); // tick 1
+        {
+            // The relabelled frame makes the next phase's matcher span
+            // passive.
+            let _enumerate = Span::enter(Phase::Enumerate, deadline);
+            assert_eq!((reads(), depth()), (2, 1));
+        }
+        assert_eq!(lap.switch(Phase::Filter), 1); // tick 2
+        drop(lap);
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.items_of(Phase::Filter), 3);
+        assert_eq!((snap.nanos_of(Phase::Filter), snap.nanos_of(Phase::Enumerate)), (1, 1));
+        assert_eq!(reads(), 3);
+    }
+
+    #[test]
+    fn an_active_child_credits_the_lap() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        {
+            let _matcher = Span::enter(Phase::Filter, deadline); // passive
+            let _build = Span::enter(Phase::BuildCandidates, deadline); // ticks 1, 2
+            assert_eq!(depth(), 2, "the child nests directly under the lap");
+        }
+        assert_eq!(lap.switch(Phase::Enumerate), 3, "the wall includes the child"); // tick 3
+        drop(Span::enter(Phase::Order, deadline)); // ticks 4, 5
+        assert_eq!(lap.switch(Phase::Filter), 3); // tick 6
+        drop(lap);
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.nanos, [2, 1, 1, 2, 0], "each lap's wall minus its child");
+        assert_eq!(snap.total_nanos(), 6, "phase sum = Σ walls");
+        assert_eq!((reads(), depth()), (7, 0));
+    }
+
+    #[test]
+    fn a_lap_credits_its_enclosing_span_with_its_walls() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let outer = Span::enter(Phase::Order, deadline); // tick 0
+        {
+            let mut lap = Lap::enter(Phase::Filter, deadline); // tick 1
+            drop(Span::enter(Phase::BuildCandidates, deadline)); // ticks 2, 3
+            assert_eq!(lap.switch(Phase::Enumerate), 3); // tick 4
+            assert_eq!(lap.switch(Phase::Filter), 1); // tick 5
+                                                      // Closed after the last switch: it credits the lap's frame, which
+                                                      // passes it on at the drop.
+            drop(Span::enter(Phase::Verify, deadline)); // ticks 6, 7
+        }
+        assert_eq!(outer.finish(), 8); // tick 8
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.nanos, [2, 1, 3, 1, 1]);
+        // The outer span's self time is its wall minus the lap's walls (4)
+        // and the late child (1): the ticks before the lap's entry read and
+        // after its last switch, which nobody else timed.
+        assert_eq!(snap.nanos_of(Phase::Order), 8 - 4 - 1);
+        assert_eq!(snap.total_nanos(), 8, "phase sum = outermost wall");
+        assert_eq!((reads(), depth()), (9, 0));
+    }
+
+    #[test]
+    fn a_lap_over_an_inert_sink_reads_nothing() {
+        let mut lap = Lap::enter(Phase::Filter, Deadline::none());
+        assert_eq!(depth(), 0, "no frame");
+        assert_eq!(lap.switch(Phase::Enumerate), 0);
+        drop(Span::enter(Phase::Order, Deadline::none()));
+        assert_eq!(lap.switch(Phase::Filter), 0);
+        drop(lap);
+        assert_eq!((reads(), depth()), (0, 0));
+    }
+
+    #[test]
+    fn a_panic_inside_a_lap_leaves_the_stack_where_the_lap_left_it() {
+        let sink = StatsSink::with_clock(tick);
+        let deadline = Deadline::none().with_stats(sink);
+        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        let unwound = std::panic::catch_unwind(|| {
+            let mut matcher = Span::enter(Phase::Filter, deadline); // passive
+            matcher.add_items(2);
+            let _build = Span::enter(Phase::BuildCandidates, deadline); // tick 1, 4 on unwind
+            let _order = Span::enter(Phase::Order, deadline); // tick 2, 3 on unwind
+            panic!("injected");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(depth(), 1, "only the lap is still open");
+        assert_eq!(lap.switch(Phase::Filter), 5); // tick 5
+                                                  // Its frame survived the unwind: the next matcher span of its phase
+                                                  // is passive again.
+        drop(Span::enter(Phase::Filter, deadline));
+        assert_eq!(reads(), 6);
+        drop(lap);
+        assert_eq!(depth(), 0);
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.items_of(Phase::Filter), 2);
+        assert_eq!(snap.nanos, [2, 2, 1, 0, 0]);
+    }
+
     /// One node of a random span tree.
     struct Node {
         phase: Phase,
@@ -564,10 +835,14 @@ mod tests {
         children: Vec<Node>,
     }
 
+    fn random_phase(rng: &mut StdRng) -> Phase {
+        Phase::ALL[rng.random_range(0..PHASE_COUNT)]
+    }
+
     fn random_tree(rng: &mut StdRng, levels_left: usize) -> Node {
         let fanout = if levels_left == 0 { 0 } else { rng.random_range(0..=3) };
         Node {
-            phase: Phase::ALL[rng.random_range(0..PHASE_COUNT)],
+            phase: random_phase(rng),
             sink: rng.random_range(0..2),
             items: rng.random_range(0..3),
             children: (0..fanout).map(|_| random_tree(rng, levels_left - 1)).collect(),
@@ -580,12 +855,53 @@ mod tests {
         node.children.iter().for_each(|c| replay(c, deadlines));
     }
 
-    /// The reference model of one thread's spans: what each sink must hold,
-    /// how many spans were active, and the tick clock they read.
+    /// One step of a lap root: a child span tree, or a switch.
+    enum Step {
+        Child(Node),
+        Switch(Phase),
+    }
+
+    /// A lap over random children and switches, optionally inside one outer
+    /// span `(phase, sink)`.
+    struct LapTree {
+        outer: Option<(Phase, usize)>,
+        phase: Phase,
+        sink: usize,
+        steps: Vec<Step>,
+    }
+
+    fn random_lap_tree(rng: &mut StdRng) -> LapTree {
+        let steps = (0..rng.random_range(0..=8))
+            .map(|_| match rng.random_bool(0.5) {
+                true => Step::Switch(random_phase(rng)),
+                false => Step::Child(random_tree(rng, 4)),
+            })
+            .collect();
+        let outer = rng.random_bool(0.5).then(|| (random_phase(rng), rng.random_range(0..2)));
+        LapTree { outer, phase: random_phase(rng), sink: rng.random_range(0..2), steps }
+    }
+
+    fn replay_lap(tree: &LapTree, deadlines: [Deadline; 2]) {
+        let _outer = tree.outer.map(|(phase, sink)| Span::enter(phase, deadlines[sink]));
+        let mut lap = Lap::enter(tree.phase, deadlines[tree.sink]);
+        for step in &tree.steps {
+            match step {
+                Step::Child(node) => replay(node, deadlines),
+                Step::Switch(next) => {
+                    lap.switch(*next);
+                }
+            }
+        }
+    }
+
+    /// The reference model of one thread's spans and laps: what each sink
+    /// must hold, how many spans were active, how often a lap switched, and
+    /// the tick clock they read.
     #[derive(Default)]
     struct Model {
         sinks: [PhaseStats; 2],
         active: u64,
+        switches: u64,
         clock: u64,
     }
 
@@ -610,6 +926,39 @@ mod tests {
             self.sinks[node.sink].nanos[node.phase.index()] += elapsed - children;
             elapsed
         }
+
+        /// Interprets a lap tree; returns the ticks its root charges a
+        /// parent: the outer span's wall, or the lap's credit.
+        fn run_lap_tree(&mut self, tree: &LapTree) -> u64 {
+            let Some((phase, sink)) = tree.outer else { return self.run_lap(tree) };
+            self.active += 1;
+            let start = self.read_clock();
+            let children = self.run_lap(tree);
+            let elapsed = self.read_clock() - start;
+            self.sinks[sink].nanos[phase.index()] += elapsed - children;
+            elapsed
+        }
+
+        /// Interprets the lap itself — never passive; its children see its
+        /// current phase — and returns its credit: Σ walls plus the children
+        /// closed after the last switch.
+        fn run_lap(&mut self, tree: &LapTree) -> u64 {
+            let (mut phase, mut start) = (tree.phase, self.read_clock());
+            let (mut children, mut walls) = (0, 0);
+            for step in &tree.steps {
+                match step {
+                    Step::Child(node) => children += self.run(node, Some((phase, tree.sink))),
+                    Step::Switch(next) => {
+                        let now = self.read_clock();
+                        self.sinks[tree.sink].nanos[phase.index()] += now - start - children;
+                        self.switches += 1;
+                        walls += now - start;
+                        (phase, start, children) = (*next, now, 0);
+                    }
+                }
+            }
+            walls + children
+        }
     }
 
     proptest! {
@@ -632,6 +981,28 @@ mod tests {
             }
             let summed: u64 = sinks.iter().map(|s| s.phase_snapshot().total_nanos()).sum();
             prop_assert_eq!(summed, wall);
+        }
+
+        /// The same with a lap at the root that switches at random points
+        /// between its children (to any phase, its own included), half the
+        /// time inside an outer span: per sink the same ticks and items,
+        /// clock reads = 2 × active spans + 1 + switches, and the phase sum
+        /// equals what the root charges its parent — no tick counted twice.
+        #[test]
+        fn lap_rooted_span_trees_match_the_reference_model(seed in any::<u64>()) {
+            let tree = random_lap_tree(&mut StdRng::seed_from_u64(seed));
+            let sinks = [StatsSink::with_clock(tick), StatsSink::with_clock(tick)];
+            let before = reads();
+            replay_lap(&tree, sinks.map(|s| Deadline::none().with_stats(s)));
+            let mut model = Model::default();
+            let charged = model.run_lap_tree(&tree);
+            prop_assert_eq!(depth(), 0);
+            prop_assert_eq!(reads() - before, 2 * model.active + 1 + model.switches);
+            for (sink, expected) in sinks.iter().zip(model.sinks) {
+                prop_assert_eq!(sink.phase_snapshot(), expected);
+            }
+            let summed: u64 = sinks.iter().map(|s| s.phase_snapshot().total_nanos()).sum();
+            prop_assert_eq!(summed, charged);
         }
     }
 }

@@ -40,9 +40,9 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene)"
+echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span and lap trees vs the phase-accounting model)"
 PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch::
+PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch:: obs::
 PROPTEST_CASES=256 cargo test -q --offline -p sqp-graph --lib -- nlf:: bitmap:: dynamic::
 
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
@@ -162,7 +162,7 @@ kill -INT "${shard_pids[0]}" "${shard_pids[2]}"
 wait "${shard_pids[0]}" "${shard_pids[2]}"
 echo "    sharded serving: healthy run clean, SIGKILL degraded to exit 2 + UNAVAILABLE, breaker open on 1 peer, drain clean"
 
-echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, and on one CPU QueryService <= 1.25x CfqlEngine; report discarded)"
+echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, ~1 span-clock read per pair, and on one CPU QueryService - CfqlEngine <= 40 us/query; report discarded)"
 # Built unpinned, run on one CPU: the serving gate prices the layers, not a
 # cross-CPU wake-up (the bench skips the gate when it sees more than one).
 cargo bench --offline -p sqp-bench --bench phases --no-run

@@ -1,22 +1,25 @@
 //! Counts, not clocks: how often a query reads its span clock.
 //!
-//! A harness stage span (`process_graph`'s `Filter` and `Enumerate`) and the
-//! matcher's own span of the same phase share one pair of clock reads — the
-//! inner one is passive (`sqp_matching::obs`). Per (query, graph) pair of a
-//! CFQL scan that is exactly
+//! A vcFV scan times its pairs with one `Lap` (`sqp_matching::obs`): one
+//! clock read when the scan opens it, one per switch, none when it drops.
+//! The matcher's own span of the lap's running phase is passive under it.
+//! Per (query, graph) pair of a CFQL scan that is exactly
 //!
-//! * **2** reads when the filter prunes the graph: the `Filter` stage;
-//! * **8** when it does not: `Filter` stage, the matcher's
-//!   `BuildCandidates`, `Enumerate` stage, the matcher's `Order`;
+//! * **1** read when the filter prunes the graph: the `Filter → Filter`
+//!   switch;
+//! * **6** when it does not: `Filter → Enumerate`, the matcher's
+//!   `BuildCandidates` span (2), `Enumerate → Filter`, the matcher's `Order`
+//!   span (2);
 //!
-//! at every thread count (4 and 12 before the passive rule). The scan itself
-//! reads no span clock: its budget check every 16th graph reads the wall
-//! clock of `Deadline`, which an unbudgeted query never consults.
+//! plus **1** per scan, and every live pool worker runs one scan per job —
+//! at every thread count (2 and 8 with two stage spans per pair, 4 and 12
+//! before the passive rule). The scan's budget check every 16th graph reads
+//! the wall clock of `Deadline`, which an unbudgeted query never consults.
 //!
 //! The engine-level counts (`CFQL`, `Grapes` through their own sinks) are
-//! unit tests beside `Engine`, which owns its sink; what the rule must *not*
-//! change — item counts, Σ phases = stage walls under the tick clock — is in
-//! `metrics_format.rs`, on its fixture.
+//! unit tests beside `Engine`, which owns its sink; what the lap must *not*
+//! change — item counts, Σ phases = stage walls under the tick clock, also
+//! through panics and interrupts — is in `metrics_format.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,7 +58,7 @@ fn seeded_workload() -> (Arc<GraphDb>, Vec<Graph>) {
 }
 
 #[test]
-fn cfql_pairs_read_the_clock_twice_when_pruned_and_eight_times_when_not() {
+fn cfql_pairs_read_the_clock_once_when_pruned_and_six_times_when_not() {
     let (db, queries) = seeded_workload();
     let sink = StatsSink::with_clock(counting_clock);
     let matcher = matcher_by_name("CFQL").expect("CFQL is index-free");
@@ -73,7 +76,7 @@ fn cfql_pairs_read_the_clock_twice_when_pruned_and_eight_times_when_not() {
             let pruned = db.len() as u64 - unpruned;
             assert_eq!(
                 reads,
-                2 * pruned + 8 * unpruned,
+                pruned + 6 * unpruned + pool.threads() as u64,
                 "query {i}, {threads} threads: {pruned} pruned, {unpruned} unpruned"
             );
             pruned_seen += pruned;

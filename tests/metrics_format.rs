@@ -10,7 +10,9 @@
 //!   statistic (property-tested);
 //! * phase timings are deterministic under an injected fake clock: the
 //!   per-phase totals of a pooled query are byte-identical across runs and
-//!   across 1/2/4/8 worker threads (invariant I8 extended to phase timings).
+//!   across 1/2/4/8 worker threads (invariant I8 extended to phase timings),
+//!   and the phases sum to the stage walls through matcher panics and a
+//!   mid-scan guard trip.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,8 +25,11 @@ use subgraph_query::core::exposition;
 use subgraph_query::core::metrics::LatencyHistogram;
 use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::{QueryRecord, QuerySetReport, QueryStatus, ServiceHealth};
-use subgraph_query::graph::{GraphBuilder, GraphDb, Label, VertexId};
-use subgraph_query::matching::{Deadline, KernelStats, Phase, PhaseStats, StatsSink};
+use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
+use subgraph_query::matching::{
+    CandidateSpace, Deadline, Embedding, FilterResult, KernelStats, Matcher, Phase, PhaseStats,
+    ResourceGuard, ResourceKind, ResourceLimits, Span, StatsSink, Timeout,
+};
 
 // ---------------------------------------------------------------------------
 // Prometheus text format
@@ -341,4 +346,140 @@ fn passive_spans_keep_items_and_sum_to_the_stage_walls() {
     assert_eq!(out.phases.total_nanos(), 12 * (3 + 3));
     let stage_walls = out.filter_time + out.verify_time;
     assert_eq!(stage_walls, Duration::from_nanos(out.phases.total_nanos()));
+}
+
+/// CFQL with faults keyed on a graph's vertex count (graph `i` of
+/// [`faulty_fixture`] has `8 + i` vertices): graph 2 panics in `filter` and
+/// graph 5 in `find_first`, each from inside a span of its own so the unwind
+/// crosses the lap's children; graph `trip`, if set, trips the resource
+/// guard in `filter`, which stops the scan mid-way.
+struct Faulty {
+    inner: Arc<dyn Matcher>,
+    trip: Option<usize>,
+}
+
+impl Matcher for Faulty {
+    fn name(&self) -> &'static str {
+        "faulty"
+    }
+
+    fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
+        let graph = g.vertex_count() - 8;
+        if graph == 2 {
+            let _build = Span::enter(Phase::BuildCandidates, deadline);
+            panic!("injected filter panic");
+        }
+        if self.trip == Some(graph) {
+            deadline.guard().trip(ResourceKind::Steps);
+            return Err(Timeout);
+        }
+        self.inner.filter(q, g, deadline)
+    }
+
+    fn find_first(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        space: &CandidateSpace,
+        deadline: Deadline,
+    ) -> Result<Option<Embedding>, Timeout> {
+        if g.vertex_count() - 8 == 5 {
+            let _order = Span::enter(Phase::Order, deadline);
+            panic!("injected find_first panic");
+        }
+        self.inner.find_first(q, g, space, deadline)
+    }
+
+    fn enumerate(
+        &self,
+        q: &Graph,
+        g: &Graph,
+        space: &CandidateSpace,
+        limit: u64,
+        deadline: Deadline,
+        on_match: &mut dyn FnMut(&Embedding),
+    ) -> Result<u64, Timeout> {
+        self.inner.enumerate(q, g, space, limit, deadline, on_match)
+    }
+}
+
+/// The fixture's graphs with graph `i` padded by `i` isolated vertices of a
+/// label the query does not use: same answers, distinct vertex counts.
+fn faulty_fixture() -> (Arc<GraphDb>, Graph) {
+    let (db, q) = fixture();
+    let graphs = db
+        .graphs()
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let mut b = GraphBuilder::new();
+            for v in g.vertices() {
+                b.add_vertex(g.label(v));
+            }
+            for _ in 0..i {
+                b.add_vertex(Label(3));
+            }
+            for v in g.vertices() {
+                for &u in g.neighbors(v).iter().filter(|&&u| u > v) {
+                    b.add_edge(v, u).unwrap();
+                }
+            }
+            b.build()
+        })
+        .collect();
+    (Arc::new(GraphDb::from_graphs(graphs)), q)
+}
+
+/// Panics in both matcher calls and a guard trip mid-scan keep the lap's
+/// accounting: under the tick clock Σ phases = filter + verify stage walls
+/// on every query, the panicking query's ticks are the same at 1/2/4/8
+/// threads (its pairs all run: a panic stops nothing), and afterwards a
+/// clean query on the same worker threads reads exactly what it reads on a
+/// fresh pool — the depth stack is back where the lap found it. The faulty
+/// queries run more times than the stack tracks frames, so a frame leaked
+/// per query would push the lap past tracked depth and its children would
+/// no longer be subtracted. (Which graphs a sibling reaches before it sees
+/// the trip depends on scheduling, so the tripped query's ticks are
+/// compared with its own stage walls only.)
+#[test]
+fn panics_and_interrupts_keep_the_phase_sum_equal_to_the_stage_walls() {
+    let (db, q) = faulty_fixture();
+    let sink = StatsSink::with_clock(fake_clock);
+    let guard = ResourceGuard::new();
+    let cfql = matcher_by_name("CFQL").unwrap();
+    let panics: Arc<dyn Matcher> = Arc::new(Faulty { inner: Arc::clone(&cfql), trip: None });
+    let trips: Arc<dyn Matcher> = Arc::new(Faulty { inner: Arc::clone(&cfql), trip: Some(7) });
+    let run = |pool: &QueryPool, matcher: &Arc<dyn Matcher>| {
+        sink.reset();
+        guard.reset(ResourceLimits::unlimited());
+        let deadline = Deadline::none().with_guard(guard).with_stats(sink);
+        let out = pool.query(Arc::clone(matcher), &db, &q, deadline).outcome;
+        let walls = out.filter_time + out.verify_time;
+        assert_eq!(walls, Duration::from_nanos(out.phases.total_nanos()), "{:?}", out.status);
+        out
+    };
+    let clean = run(&QueryPool::new(1), &cfql);
+    assert_eq!(clean.status, QueryStatus::Completed);
+    assert_eq!(clean.answers.len(), 12);
+    let mut panicked: Option<PhaseStats> = None;
+    for threads in [1usize, 2, 4, 8] {
+        let pool = QueryPool::new(threads);
+        for _ in 0..17 {
+            let out = run(&pool, &panics);
+            assert!(out.status.is_panicked(), "{threads} threads");
+            assert_eq!(out.failures.len(), 2, "{threads} threads");
+            assert_eq!(out.answers.len(), 10, "{threads} threads");
+            assert_eq!(*panicked.get_or_insert(out.phases), out.phases, "{threads} threads");
+            let out = run(&pool, &trips);
+            let tripped = out.failures.iter().any(|f| f.status.is_exhausted());
+            assert!(tripped, "{threads} threads: {:?}", out.failures);
+        }
+        let after = run(&pool, &cfql);
+        assert_eq!(after.phases, clean.phases, "{threads} threads: the next query starts clean");
+    }
+    // The panicking pairs lose their matcher's items and nothing else.
+    let panicked = panicked.unwrap();
+    let items = |p: &PhaseStats| Phase::ALL.map(|phase| p.items_of(phase));
+    assert_eq!(items(&clean.phases), [96, 0, 0, 12, 0]);
+    assert_eq!(items(&panicked), [88, 0, 0, 10, 0]);
 }
