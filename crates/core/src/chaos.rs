@@ -201,14 +201,6 @@ impl Matcher for ChaosMatcher {
     }
 }
 
-/// A sequential chaos engine: [`ChaosMatcher`] over CFQL run through the
-/// standard vcFV engine path, so chaos runs exercise the same
-/// `run_query_set` / `CachedEngine` machinery as production engines.
-pub fn chaos_engine(config: ChaosConfig) -> crate::engines::Engine {
-    let matcher = ChaosMatcher::new(Arc::new(sqp_matching::cfql::Cfql::new()), config);
-    crate::engines::Engine::vcfv("Chaos", Arc::new(matcher))
-}
-
 // ---------------------------------------------------------------------------
 // Overload / flappy-graph scenario generators for the serving layer
 // ---------------------------------------------------------------------------

@@ -253,12 +253,6 @@ pub struct QueryOutcome {
     /// are nanoseconds under the production clock; all zeros when no stats
     /// sink was attached.
     pub phases: PhaseStats,
-    /// Name of the engine that actually served the query. Empty means "the
-    /// engine the caller invoked" (the runners fill in the invoked engine's
-    /// name when building records); routing layers (the adaptive engine,
-    /// the service-side matcher router) stamp the resolved engine here so
-    /// journals and telemetry identify who did the work.
-    pub engine: String,
 }
 
 impl QueryOutcome {

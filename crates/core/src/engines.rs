@@ -102,13 +102,6 @@ impl Engine {
         }
     }
 
-    /// An index-free engine over an arbitrary matcher — how wrappers such as
-    /// the fault-injecting [`ChaosMatcher`](crate::chaos::ChaosMatcher) run
-    /// through the sequential engine path.
-    pub fn vcfv(name: &'static str, matcher: Arc<dyn Matcher>) -> Self {
-        Self::new(name, None, Verify::Matcher(matcher))
-    }
-
     /// Re-arms the engine's resource guard and stats sink, and builds the
     /// per-query deadline.
     fn deadline(&self) -> Deadline {
@@ -391,12 +384,6 @@ pub fn all_engines() -> Vec<Box<dyn QueryEngine>> {
 /// Looks an engine up by its (case-insensitive) paper name, e.g. `"cfql"`,
 /// `"vcgrapes"`, `"ct-index"`.
 pub fn engine_by_name(name: &str) -> Option<Box<dyn QueryEngine>> {
-    if name.eq_ignore_ascii_case("adaptive") {
-        // The routing meta-engine lives outside the fixed lineup: it is not
-        // one of the paper's engines, so `all_engines` (and the comparisons
-        // built on it) never enumerate it.
-        return Some(Box::new(crate::adaptive::AdaptiveEngine::new()));
-    }
     row(name).map(|r| Box::new(r.engine()) as Box<dyn QueryEngine>)
 }
 
@@ -673,7 +660,7 @@ mod tests {
             let found = engine_by_name(&name.to_ascii_uppercase()).expect("case-insensitive");
             assert_eq!(found.name(), name);
         }
-        assert_eq!(engine_by_name("Adaptive").expect("meta-engine").name(), "adaptive");
+        assert!(engine_by_name("adaptive").is_none());
         assert!(engine_by_name("no-such-engine").is_none());
         assert!(matcher_by_name("vf2-nope").is_none());
     }

@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 
 use sqp_matching::Phase;
 
-use crate::adaptive::RoutingStats;
 use crate::breaker::BreakerState;
 use crate::continuous::ContinuousStats;
 use crate::coordinator::ShardPeerStats;
@@ -141,7 +140,7 @@ fn histogram_samples(
 /// Prometheus text exposition format. Families with no samples are omitted
 /// entirely (no orphan HELP/TYPE headers).
 pub fn render(reports: &[QuerySetReport], health: Option<&ServiceHealth>) -> String {
-    render_full(reports, health, None, None)
+    render_full(reports, health, None)
 }
 
 /// Renders the coordinator's per-peer shard counters as their own
@@ -235,14 +234,11 @@ pub fn render_continuous(stats: &ContinuousStats) -> String {
     w.finish()
 }
 
-/// [`render`] plus run-journal activity counters (`sqp query --journal`) and
-/// adaptive-routing telemetry (`sqp_adaptive_*` families, for adaptive-routed
-/// runs and services).
+/// [`render`] plus run-journal activity counters (`sqp query --journal`).
 pub fn render_full(
     reports: &[QuerySetReport],
     health: Option<&ServiceHealth>,
     journal: Option<&JournalStats>,
-    adaptive: Option<&RoutingStats>,
 ) -> String {
     let mut w = PromWriter::new();
     w.family("sqp_queries_total", "counter", "Queries by engine, query set, and terminal status.");
@@ -318,21 +314,6 @@ pub fn render_full(
         "counter",
         "Queries skipped because the run journal already held their outcome.",
     );
-    w.family(
-        "sqp_adaptive_routed_total",
-        "counter",
-        "Queries the adaptive router sent to each candidate engine.",
-    );
-    w.family(
-        "sqp_adaptive_mispredict_total",
-        "counter",
-        "Routed queries whose outcome was censored/failed or cost over 4x the prediction.",
-    );
-    w.family(
-        "sqp_adaptive_observed_regret",
-        "gauge",
-        "Observed-vs-predicted wall time ratio of routed engines (1.0 = calibrated).",
-    );
 
     for report in reports {
         let base = vec![("engine", report.engine.clone()), ("query_set", report.query_set.clone())];
@@ -392,14 +373,6 @@ pub fn render_full(
         w.sample("sqp_journal_replayed_total", "", &[], j.replayed as f64);
         w.sample("sqp_journal_appended_total", "", &[], j.appended as f64);
         w.sample("sqp_journal_skipped_total", "", &[], j.skipped as f64);
-    }
-
-    if let Some(a) = adaptive {
-        for (engine, n) in &a.routed {
-            w.sample("sqp_adaptive_routed_total", "", &[("engine", engine.clone())], *n as f64);
-        }
-        w.sample("sqp_adaptive_mispredict_total", "", &[], a.mispredicts as f64);
-        w.sample("sqp_adaptive_observed_regret", "", &[], a.observed_regret());
     }
 
     w.finish()
@@ -463,23 +436,6 @@ mod tests {
     fn empty_families_are_omitted() {
         let out = render(&[], None);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn adaptive_families_render_per_engine() {
-        let stats = RoutingStats {
-            routed: vec![("CFQL".to_string(), 7), ("Ullmann".to_string(), 0)],
-            mispredicts: 2,
-            predicted_nanos: 1e9,
-            actual_nanos: 2e9,
-        };
-        let out = render_full(&[], None, None, Some(&stats));
-        assert!(out.contains("sqp_adaptive_routed_total{engine=\"CFQL\"} 7"));
-        assert!(out.contains("sqp_adaptive_routed_total{engine=\"Ullmann\"} 0"));
-        assert!(out.contains("sqp_adaptive_mispredict_total 2"));
-        assert!(out.contains("sqp_adaptive_observed_regret 2"));
-        // Without adaptive stats the families vanish entirely.
-        assert!(!render(&[], None).contains("sqp_adaptive"));
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! where `db_fp` is the [`db_fingerprint`] of the database the run is over,
 //! `q_fp` the [`graph_fingerprint`] of the query, `status` the terminal
 //! [`QueryStatus`] label, `answers` the answer count, `engine` the name of
-//! the engine that served the query (`-` when unknown; required for offline
-//! cost-model training and resume accounting under adaptive routing, which
-//! can serve different queries of one run with different engines), and
-//! `fnv` the FNV-1a 64-bit checksum of everything before it on the line
-//! (the same FNV constants as the binio trailer). Journals written before
-//! the engine field existed (`v1`, no engine token) still replay.
+//! the engine the run invoked (`-` when unknown; a record of who produced
+//! the line, never read back), and `fnv` the FNV-1a 64-bit checksum of
+//! everything before it on the line (the same FNV constants as the binio
+//! trailer). Replay ignores the engine token, so a run resumes a journal
+//! whatever engine wrote it; journals written before the engine field
+//! existed (`v1`, no engine token) still replay.
 //!
 //! # Replay rules
 //!
@@ -354,6 +354,58 @@ mod tests {
         let j = RunJournal::resume(&path, 42).unwrap();
         assert_eq!(j.stats().replayed, 3);
         assert!(j.is_done(3));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Journals whose lines name other engines (as per-query routing once
+    /// wrote them) replay, and a CFQL run resumed on one skips those queries.
+    #[test]
+    fn v2_lines_from_other_engines_are_skipped_by_a_cfql_resume() {
+        use crate::engine::QueryEngine;
+        use crate::engines::CfqlEngine;
+        use crate::runner::{run_query_set_journaled, RunnerConfig};
+        use sqp_graph::{Graph, VertexId};
+        use std::sync::Arc;
+
+        let path = tmp("foreign-engines");
+        let graph = |labels: &[u32]| -> Graph {
+            let mut b = GraphBuilder::new();
+            for &l in labels {
+                b.add_vertex(Label(l));
+            }
+            for v in 1..labels.len() as u32 {
+                b.add_edge(VertexId(v - 1), VertexId(v)).unwrap();
+            }
+            b.build()
+        };
+        let db = Arc::new(GraphDb::from_graphs(vec![graph(&[0, 1, 2, 3]), graph(&[1, 2])]));
+        let queries = [graph(&[0, 1]), graph(&[1, 2]), graph(&[2, 3]), graph(&[0, 1, 2])];
+        let db_fp = db_fingerprint(&db);
+        let mut text = String::new();
+        for (q, engine) in queries.iter().zip(["GraphQL", "QuickSI", "-"]) {
+            let prefix =
+                format!("v2 {db_fp:016x} {:016x} completed 1 {engine}", graph_fingerprint(q));
+            let sum = fnv1a64(prefix.as_bytes());
+            text.push_str(&format!("{prefix} {sum:016x}\n"));
+        }
+        std::fs::write(&path, text).unwrap();
+
+        let mut journal = RunJournal::resume(&path, db_fp).unwrap();
+        assert_eq!(journal.stats().replayed, 3);
+        let mut engine = CfqlEngine::new();
+        engine.build(&db).unwrap();
+        let config = RunnerConfig::default();
+        let report =
+            run_query_set_journaled(&mut engine, "Q", &queries, config, Some(&mut journal));
+        assert_eq!(report.records.len(), 1, "only the unjournaled query runs");
+        assert_eq!(report.records[0].answers, 1);
+        assert_eq!(journal.stats(), JournalStats { replayed: 3, appended: 1, skipped: 3 });
+        drop(journal);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let engines: Vec<&str> = text.lines().map(|l| l.split(' ').nth(5).unwrap()).collect();
+        assert_eq!(engines, ["GraphQL", "QuickSI", "-", "CFQL"]);
+        assert_eq!(RunJournal::resume(&path, db_fp).unwrap().done_count(), 4);
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,9 +18,7 @@
 // Library code avoids unwrap/expect (CI denies them); tests may use them freely.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod adaptive;
 pub mod breaker;
-pub mod cache;
 pub mod chaos;
 pub mod collection;
 pub mod continuous;
@@ -39,11 +37,10 @@ pub mod supervisor;
 pub mod verifier;
 pub mod wire;
 
-pub use adaptive::{AdaptiveEngine, CostModel, FitSample, MatcherRouter, RoutingStats};
 pub use breaker::{BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
 pub use chaos::{
-    chaos_engine, ChaosConfig, ChaosMatcher, FaultKind, FlappyConfig, FlappyMatcher, SlowMatcher,
-    StreamProfile, StuckMatcher, UpdateStreamGen,
+    ChaosConfig, ChaosMatcher, FaultKind, FlappyConfig, FlappyMatcher, SlowMatcher, StreamProfile,
+    StuckMatcher, UpdateStreamGen,
 };
 pub use continuous::{
     BatchError, BatchReport, ContinuousMatcher, ContinuousService, ContinuousStats, DynamicDb,
@@ -68,12 +65,10 @@ pub use wire::{
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use crate::adaptive::{AdaptiveEngine, CostModel, FitSample, MatcherRouter, RoutingStats};
     pub use crate::breaker::{BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
-    pub use crate::cache::{CacheHit, CachedEngine};
     pub use crate::chaos::{
-        chaos_engine, ChaosConfig, ChaosMatcher, FaultKind, FlappyConfig, FlappyMatcher,
-        SlowMatcher, StreamProfile, StuckMatcher, UpdateStreamGen,
+        ChaosConfig, ChaosMatcher, FaultKind, FlappyConfig, FlappyMatcher, SlowMatcher,
+        StreamProfile, StuckMatcher, UpdateStreamGen,
     };
     pub use crate::collection::{CollectionMatcher, GraphMatches};
     pub use crate::continuous::{

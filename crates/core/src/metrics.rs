@@ -170,11 +170,6 @@ pub struct QueryRecord {
     /// timeout — they stay raw so histograms can exclude censored records
     /// instead of mixing in synthetic values.
     pub phases: PhaseStats,
-    /// Name of the engine that served this query. The runners resolve it —
-    /// the outcome's stamped engine when a routing layer set one, otherwise
-    /// the invoked engine — so per-record attribution survives adaptive
-    /// routing (the report-level engine name only says who was *asked*).
-    pub engine: String,
 }
 
 impl Default for QueryRecord {
@@ -190,7 +185,6 @@ impl Default for QueryRecord {
             aux_bytes: 0,
             kernel: KernelStats::default(),
             phases: PhaseStats::default(),
-            engine: String::new(),
         }
     }
 }
@@ -234,17 +228,7 @@ impl QueryRecord {
             aux_bytes: outcome.aux_bytes,
             kernel: outcome.kernel,
             phases: outcome.phases,
-            engine: outcome.engine.clone(),
         }
-    }
-
-    /// Fills in the engine attribution when the outcome carried none (no
-    /// routing layer stamped it): the invoked engine served the query.
-    pub fn with_engine_fallback(mut self, engine: &str) -> Self {
-        if self.engine.is_empty() {
-            self.engine = engine.to_string();
-        }
-        self
     }
 
     /// Total query time.
@@ -276,11 +260,9 @@ impl QuerySetReport {
     }
 
     /// Appends the record of one finished query: [`QueryRecord::from_outcome`]
-    /// under `budget`, served by this report's engine unless a routing layer
-    /// stamped another, with the `retries` spent on it.
+    /// under `budget`, with the `retries` spent on it.
     pub fn push_outcome(&mut self, outcome: &QueryOutcome, retries: u32, budget: Option<Duration>) {
-        let mut record =
-            QueryRecord::from_outcome(outcome, budget).with_engine_fallback(&self.engine);
+        let mut record = QueryRecord::from_outcome(outcome, budget);
         record.retries = retries;
         self.records.push(record);
     }

@@ -187,11 +187,10 @@ pub fn run_query_set_journaled(
                 Err(payload) => QueryOutcome::panicked(panic_message(payload)),
             }
         });
-        let served_by = if outcome.engine.is_empty() { engine.name() } else { &outcome.engine };
         if let Some(j) = journal.as_deref_mut() {
             // Journal I/O failure must not kill the run; the worst case is
             // re-running this query on resume.
-            let _ = j.record(q_fp, &outcome.status, outcome.answers.len(), served_by);
+            let _ = j.record(q_fp, &outcome.status, outcome.answers.len(), engine.name());
         }
         report.push_outcome(&outcome, retries, config.query_budget);
         if let Some(max) = config.abort_after_timeouts {

@@ -23,8 +23,8 @@
 //!   ([`ServiceHealth`](crate::metrics::ServiceHealth)).
 //!
 //! All of that machinery lives once in [`crate::dispatch`]: this module
-//! plugs a **local executor** (the query pool, budget-charged retries,
-//! optional per-query routing) into the transport-agnostic
+//! plugs a **local executor** (the query pool and budget-charged retries)
+//! into the transport-agnostic
 //! [`DispatchCore`], and the sharded coordinator ([`crate::coordinator`])
 //! plugs a remote scatter–gather executor into the very same core. A
 //! [`QueryService`] derefs to its core, so `submit`, `health`,
@@ -46,7 +46,6 @@ use std::time::Duration;
 use sqp_graph::{Graph, GraphDb};
 use sqp_matching::{Deadline, Matcher, ResourceGuard};
 
-use crate::adaptive::{MatcherRouter, RoutingStats};
 use crate::breaker::{BreakerConfig, BreakerRegistry};
 use crate::dispatch::{DispatchConfig, DispatchCore, Executed, QueryExecutor};
 use crate::parallel::QueryPool;
@@ -86,12 +85,6 @@ pub struct ServiceConfig {
     ///
     /// [`QueryStatus::Wedged`]: crate::engine::QueryStatus::Wedged
     pub supervisor: Option<SupervisorConfig>,
-    /// Per-query adaptive routing: when set, each admitted query is routed
-    /// to the candidate matcher the router's (frozen) cost model predicts
-    /// fastest, instead of the service's fixed matcher. Routing is a pure
-    /// function of (model, query), so serving stays deterministic across
-    /// worker thread counts.
-    pub router: Option<Arc<MatcherRouter>>,
 }
 
 impl Default for ServiceConfig {
@@ -105,7 +98,6 @@ impl Default for ServiceConfig {
             drain_deadline: Duration::from_secs(5),
             thread_prefix: "sqp-svc".to_string(),
             supervisor: None,
-            router: None,
         }
     }
 }
@@ -119,33 +111,18 @@ struct LocalExecutor {
     matcher: Arc<dyn Matcher>,
     db: Arc<GraphDb>,
     guard: ResourceGuard,
-    router: Option<Arc<MatcherRouter>>,
 }
 
 impl QueryExecutor for LocalExecutor {
     fn execute(&self, q: &Arc<Graph>, runner: RunnerConfig, mask: Option<Arc<[bool]>>) -> Executed {
-        // Adaptive routing: pick the matcher the cost model predicts
-        // fastest for this query (pure decision — deterministic for a
-        // fixed model regardless of worker threads).
-        let routed = self.router.as_ref().map(|r| (r, r.route(q)));
-        let matcher = match &routed {
-            Some((router, (idx, _))) => router.matcher(*idx),
-            None => Arc::clone(&self.matcher),
-        };
-        let (mut outcome, retries) = run_with_retries(runner, |remaining| {
+        let (outcome, retries) = run_with_retries(runner, |remaining| {
             self.guard.reset(runner.limits);
             let deadline =
                 remaining.map_or(Deadline::none(), Deadline::after).with_guard(self.guard);
             self.pool
-                .query_masked(Arc::clone(&matcher), &self.db, q, deadline, mask.clone())
+                .query_masked(Arc::clone(&self.matcher), &self.db, q, deadline, mask.clone())
                 .outcome
         });
-        if let Some((router, (idx, predicted))) = routed {
-            router.note(idx, predicted, &outcome, runner.query_budget);
-            if outcome.engine.is_empty() {
-                outcome.engine = router.name(idx).to_string();
-            }
-        }
         Executed { outcome, retries, observed: None }
     }
 
@@ -215,15 +192,13 @@ impl QueryService {
             drain_deadline,
             thread_prefix,
             supervisor,
-            router,
         } = config;
         let pool = match supervisor {
             Some(config) => QueryPool::supervised(&thread_prefix, threads, config),
             None => QueryPool::named(&thread_prefix, threads),
         };
         let breakers = BreakerRegistry::new(breaker, db.len());
-        let exec =
-            Arc::new(LocalExecutor { pool, matcher, db, guard: ResourceGuard::new(), router });
+        let exec = Arc::new(LocalExecutor { pool, matcher, db, guard: ResourceGuard::new() });
         let core = DispatchCore::new(
             Arc::clone(&exec) as Arc<dyn QueryExecutor>,
             DispatchConfig {
@@ -236,12 +211,6 @@ impl QueryService {
             },
         );
         Self { core, exec }
-    }
-
-    /// Adaptive-routing telemetry, when the service was configured with a
-    /// [`MatcherRouter`]; `None` for fixed-matcher services.
-    pub fn routing_stats(&self) -> Option<RoutingStats> {
-        self.exec.router.as_ref().map(|r| r.stats())
     }
 
     /// Worker threads in the underlying pool.
@@ -489,32 +458,6 @@ mod tests {
         assert_eq!(h.open_breakers, 3);
         assert_eq!(h.breaker_trips, 3);
         assert_eq!(h.quarantined_graph_results, 3);
-    }
-
-    #[test]
-    fn adaptive_router_serves_and_stamps_engines() {
-        let db = edge_db(4);
-        let q = labeled(&[0, 1], &[(0, 1)]);
-        let router =
-            Arc::new(MatcherRouter::cold_start(&db, &crate::adaptive::DEFAULT_CANDIDATES).unwrap());
-        let service = QueryService::new(
-            Arc::new(Cfql::new()),
-            Arc::clone(&db),
-            ServiceConfig { router: Some(Arc::clone(&router)), ..Default::default() },
-        );
-        let report = service.run_query_set("service", "routed", &vec![q.clone(); 3]);
-        let stats = service.routing_stats().expect("router configured");
-        assert_eq!(stats.total_routed(), 3);
-        // Identical queries route identically (frozen model).
-        let served: Vec<&(String, u64)> = stats.routed.iter().filter(|(_, n)| *n > 0).collect();
-        assert_eq!(served.len(), 1);
-        assert_eq!(served[0].1, 3);
-        for r in &report.records {
-            assert!(r.status.is_completed());
-            assert_eq!(r.engine, served[0].0, "records must carry the routed engine");
-            assert_eq!(r.answers, 4);
-        }
-        service.shutdown();
     }
 
     #[test]

@@ -221,9 +221,6 @@ impl WireOutcome {
             aux_bytes: self.aux_bytes as usize,
             kernel: self.kernel,
             phases: self.phases,
-            // The wire format does not carry the serving engine; receivers
-            // stamp their own engine name (empty = caller's engine).
-            engine: String::new(),
         };
         (outcome, retries)
     }

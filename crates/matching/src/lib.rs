@@ -30,7 +30,6 @@ pub mod deadline;
 pub mod dynmatch;
 pub mod embedding;
 pub mod enumerate;
-pub mod features;
 pub mod graphql;
 pub mod obs;
 pub mod quicksi;
@@ -47,7 +46,6 @@ pub use deadline::{
 };
 pub use embedding::Embedding;
 pub use enumerate::{enumerate_in_order, Enumerator};
-pub use features::{LabelHistogram, QueryFeatures, FEATURE_DIM};
 pub use obs::{Phase, PhaseStats, Span, PHASE_COUNT};
 pub use stats::{KernelStats, MatchingStats};
 

@@ -7,7 +7,8 @@
 # This is the one list of steps: .github/workflows/ci.yml runs this script.
 # Suites run bare by `cargo test --workspace` are not re-run; a suite gets a
 # step of its own only where it sets PROPTEST_CASES / SQP_FORCE_SCALAR /
-# SQP_BENCH_SMOKE.
+# SQP_BENCH_SMOKE. The gated benches (calibration, phases, dynamic) each run
+# once as an SQP_BENCH_SMOKE step; `ablations` has no gate and no step.
 #
 # The build environment has no crates.io access; every external dependency is
 # vendored under vendor/, so all steps run with --offline.
@@ -167,9 +168,6 @@ echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, ~1 span-clock r
 # cross-CPU wake-up (the bench skips the gate when it sees more than one).
 cargo bench --offline -p sqp-bench --bench phases --no-run
 SQP_BENCH_SMOKE=1 taskset -c 0 cargo bench --offline -p sqp-bench --bench phases
-
-echo "==> adaptive routing regret smoke (asserts adaptive <= 1.5x best-in-hindsight; report discarded)"
-SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench adaptive
 
 echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads, over plain and nibble-sharing label families; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed streams fail closed)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence

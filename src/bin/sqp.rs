@@ -29,8 +29,8 @@
 //! This file is argument handling and reporting: every subcommand declares
 //! the flags it accepts in [`COMMANDS`] (anything else is rejected, so a
 //! misspelt flag cannot silently run with a default), and `query` selects
-//! one [`QueryEngine`] — sequential, adaptive, or (`--threads N` /
-//! `--supervise`) a vcFV matcher on a persistent
+//! the one [`QueryEngine`] `--engine` names — sequential, or (`--threads N`
+//! / `--supervise`) its vcFV matcher on a persistent
 //! [`QueryPool`](subgraph_query::core::parallel::QueryPool) behind
 //! [`ParallelEngine`] — and hands it to the library's one runner loop.
 //! Neither end of the wire protocol lives here: `serve` starts the
@@ -84,7 +84,6 @@ USAGE:
   sqp query    --db <file> --queries <file> [--engine <name>] [--budget-ms N]
                [--threads N] [--retries N] [--max-steps N] [--metrics-out <file>]
                [--journal <file>] [--resume] [--supervise] [--chaos-slow-ms N]
-               [--model-in <file>] [--model-out <file>]
   sqp compare  --db <file> --queries <file> [--engines a,b,c] [--budget-ms N]
                [--phases]
   sqp match    --db <file> --queries <file> [--limit N]
@@ -100,16 +99,6 @@ USAGE:
                [--metrics-out <file>]
 
 Engines: {ENGINES} (default: CFQL)
-         adaptive = per-query cost-model routing over CFQL GraphQL QuickSI
-         Ullmann: a feature vector (size, density, label selectivity, core/
-         leaf split, NLF sparsity) picks the predicted-fastest engine, and
-         the model learns online from each outcome (timeouts apply censored
-         penalty updates)
---model-in FILE   load a frozen adaptive routing model (JSON): no warmup, no
-online updates — routing is a pure function of (model, query), byte-identical
-across runs and thread counts
---model-out FILE  save the adaptive model after the run (cold-started
-deterministically from the database fingerprint when no --model-in)
 --threads N > 1 runs the engine's matcher on a persistent worker pool
 (vcFV engines only: {MATCHERS})
 --retries N retries queries that panic inside the engine up to N times
@@ -269,10 +258,6 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     let queries = load_queries(opts.require("queries")?, &db)?;
 
     let engine_name = opts.get("engine").unwrap_or("CFQL");
-    let adaptive_requested = engine_name.eq_ignore_ascii_case("adaptive");
-    if !adaptive_requested && (opts.get("model-in").is_some() || opts.get("model-out").is_some()) {
-        return Err("--model-in/--model-out require --engine adaptive".into());
-    }
     let budget_ms: u64 = opts.num("budget-ms", 600_000u64)?;
     let threads: usize = opts.num("threads", 1usize)?;
     let retries: u32 = opts.num("retries", 0u32)?;
@@ -283,14 +268,10 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         config.limits = config.limits.with_max_steps(max_steps);
     }
 
-    // Adaptive routing at thread counts > 1 goes through the service path:
-    // the pool takes one matcher per query, and only the service's executor
-    // picks matchers per query (via the frozen MatcherRouter).
     let service_mode = opts.has("shed")
         || ["max-inflight", "breaker-threshold", "breaker-cooldown", "drain-after-ms"]
             .iter()
-            .any(|f| opts.get(f).is_some())
-        || (adaptive_requested && threads > 1);
+            .any(|f| opts.get(f).is_some());
 
     // Crash-consistent run journal: `--journal PATH` appends one checksummed
     // record per finished query; `--resume` replays the journal first and
@@ -314,30 +295,18 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     };
 
     let mut health = None;
-    let mut adaptive_stats: Option<RoutingStats> = None;
     let report = if service_mode {
-        let (report, h, a) =
+        let (report, h) =
             run_service_query(opts, &db, &queries, engine_name, config, threads, journal.as_mut())?;
         health = h;
-        adaptive_stats = a;
         report
     } else {
         // One engine selection feeding the one runner loop.
-        let (mut selected, what) = select_engine(opts, engine_name, threads)?;
+        let (mut engine, what) = select_engine(opts, engine_name, threads)?;
         let t0 = Instant::now();
-        selected.engine().build(&db).map_err(|e| format!("index construction failed: {e}"))?;
+        engine.build(&db).map_err(|e| format!("index construction failed: {e}"))?;
         eprintln!("{what} built in {:.2}s", t0.elapsed().as_secs_f64());
-        let report =
-            run_query_set_journaled(selected.engine(), "cli", &queries, config, journal.as_mut());
-        if let Selected::Adaptive(engine) = &selected {
-            if let Some(path) = opts.get("model-out") {
-                std::fs::write(path, engine.model_json())
-                    .map_err(|e| format!("cannot write model {path}: {e}"))?;
-                eprintln!("wrote adaptive model to {path}");
-            }
-            adaptive_stats = Some(engine.routing_stats());
-        }
-        report
+        run_query_set_journaled(engine.as_mut(), "cli", &queries, config, journal.as_mut())
     };
     for (i, r) in report.records.iter().enumerate() {
         println!("{}", query_line(i, r));
@@ -368,15 +337,6 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         ms(hist.p99()),
         report.censored_count(),
     );
-    if let Some(a) = &adaptive_stats {
-        let routed: Vec<String> = a.routed.iter().map(|(n, c)| format!("{n}={c}")).collect();
-        println!(
-            "-- adaptive routed {} | mispredicts {} | observed-regret {:.3}",
-            routed.join(" "),
-            a.mispredicts,
-            a.observed_regret(),
-        );
-    }
     let journal_stats = journal.as_ref().map(|j| j.stats());
     if let Some(s) = &journal_stats {
         println!(
@@ -389,7 +349,6 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
             std::slice::from_ref(&report),
             health.as_ref(),
             journal_stats.as_ref(),
-            adaptive_stats.as_ref(),
         );
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote metrics to {path}");
@@ -401,44 +360,14 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     Ok(degraded_exit_code(&report))
 }
 
-/// The engine a non-service `sqp query` runs: the adaptive router (kept
-/// concrete for its model and routing stats), or any other [`QueryEngine`].
-enum Selected {
-    Adaptive(Box<AdaptiveEngine>),
-    Fixed(Box<dyn QueryEngine>),
-}
-
-impl Selected {
-    fn engine(&mut self) -> &mut dyn QueryEngine {
-        match self {
-            Selected::Adaptive(e) => e.as_mut(),
-            Selected::Fixed(e) => e.as_mut(),
-        }
-    }
-}
-
-/// Picks the engine for `sqp query` outside service mode — `adaptive`, a
-/// vcFV matcher on a (plain or supervised) pool for `--threads N` /
-/// `--supervise`, or the named sequential engine — and says what it picked.
+/// Picks the engine for `sqp query` outside service mode — a vcFV matcher on
+/// a (plain or supervised) pool for `--threads N` / `--supervise`, or the
+/// named sequential engine — and says what it picked.
 fn select_engine(
     opts: &Opts,
     engine_name: &str,
     threads: usize,
-) -> Result<(Selected, String), String> {
-    if engine_name.eq_ignore_ascii_case("adaptive") {
-        let mut engine = AdaptiveEngine::new();
-        if let Some(path) = opts.get("model-in") {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read model {path}: {e}"))?;
-            engine.load_model(&text).map_err(|e| format!("bad model {path}: {e}"))?;
-        }
-        let what = format!(
-            "adaptive routing over [{}] ({})",
-            engine.candidate_names().join(", "),
-            if engine.is_frozen() { "frozen model" } else { "learning online" },
-        );
-        return Ok((Selected::Adaptive(Box::new(engine)), what));
-    }
+) -> Result<(Box<dyn QueryEngine>, String), String> {
     let supervise = opts.has("supervise");
     if threads > 1 || supervise {
         let matcher = matcher_by_name(engine_name).ok_or_else(|| {
@@ -459,12 +388,12 @@ fn select_engine(
             pool.threads(),
             if supervise { " (supervised)" } else { "" }
         );
-        return Ok((Selected::Fixed(Box::new(ParallelEngine::new(name, matcher, pool))), what));
+        return Ok((Box::new(ParallelEngine::new(name, matcher, pool)), what));
     }
     let engine =
         engine_by_name(engine_name).ok_or_else(|| format!("unknown engine '{engine_name}'"))?;
     let what = format!("engine {}", engine.name());
-    Ok((Selected::Fixed(engine), what))
+    Ok((engine, what))
 }
 
 /// Exit 2 when any record means degraded (partial or missing) answers.
@@ -494,36 +423,10 @@ fn run_service_query(
     runner: RunnerConfig,
     threads: usize,
     mut journal: Option<&mut RunJournal>,
-) -> Result<(QuerySetReport, Option<ServiceHealth>, Option<RoutingStats>), String> {
-    // `--engine adaptive`: per-query routing via a frozen MatcherRouter —
-    // loaded from --model-in, or cold-started deterministically from the
-    // database fingerprint.
-    let router: Option<Arc<MatcherRouter>> = if engine_name.eq_ignore_ascii_case("adaptive") {
-        let r = match opts.get("model-in") {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read model {path}: {e}"))?;
-                let model =
-                    CostModel::from_json(&text).map_err(|e| format!("bad model {path}: {e}"))?;
-                MatcherRouter::new(model, db)
-            }
-            None => {
-                MatcherRouter::cold_start(db, &subgraph_query::core::adaptive::DEFAULT_CANDIDATES)
-            }
-        }
-        .map_err(|e| format!("adaptive routing: {e}"))?;
-        Some(Arc::new(r))
-    } else {
-        None
-    };
-    let matcher = match &router {
-        // The fixed matcher is unused when a router is set (the executor
-        // picks per query); hand it the first candidate to satisfy the API.
-        Some(r) => r.matcher(0),
-        None => matcher_by_name(engine_name).ok_or_else(|| {
-            format!("service mode requires a vcFV engine (matcher); '{engine_name}' is not one")
-        })?,
-    };
+) -> Result<(QuerySetReport, Option<ServiceHealth>), String> {
+    let matcher = matcher_by_name(engine_name).ok_or_else(|| {
+        format!("service mode requires a vcFV engine (matcher); '{engine_name}' is not one")
+    })?;
     let chaos_panics: u32 = opts.num("chaos-panics", 0u32)?;
     let matcher: Arc<dyn subgraph_query::matching::Matcher> = if chaos_panics > 0 {
         let seed: u64 = opts.num("chaos-seed", 42u64)?;
@@ -545,7 +448,6 @@ fn run_service_query(
         queue_capacity,
         shed,
         supervisor,
-        router: router.clone(),
         ..Default::default()
     };
     let budget = config.runner.query_budget;
@@ -556,26 +458,10 @@ fn run_service_query(
 
     install_drain_handler();
     let service = QueryService::new(matcher, Arc::clone(db), config);
-    match &router {
-        Some(r) => eprintln!(
-            "adaptive routing over [{}] behind query service ({} pooled workers, queue \
-             {queue_capacity})",
-            r.model().engine_names().join(", "),
-            service.threads(),
-        ),
-        None => eprintln!(
-            "engine {engine_name} behind query service ({} pooled workers, queue \
-             {queue_capacity})",
-            service.threads(),
-        ),
-    }
-    if let Some((r, path)) = router.as_ref().zip(opts.get("model-out")) {
-        // The service router is frozen, so the model can be persisted up
-        // front (this is how a cold-started model gets captured for replay).
-        std::fs::write(path, r.model().to_json())
-            .map_err(|e| format!("cannot write model {path}: {e}"))?;
-        eprintln!("wrote adaptive model to {path}");
-    }
+    eprintln!(
+        "engine {engine_name} behind query service ({} pooled workers, queue {queue_capacity})",
+        service.threads(),
+    );
     // With a journal, queries that already have a terminal outcome are not
     // even admitted — resume re-runs only the incomplete tail.
     let mut pending = Vec::with_capacity(queries.len());
@@ -601,9 +487,7 @@ fn run_service_query(
         loop {
             if let Some(r) = ticket.wait_timeout(Duration::from_millis(20)) {
                 if let Some(j) = journal.as_deref_mut() {
-                    let served =
-                        if r.0.engine.is_empty() { engine_name } else { r.0.engine.as_str() };
-                    let _ = j.record(q_fp, &r.0.status, r.0.answers.len(), served);
+                    let _ = j.record(q_fp, &r.0.status, r.0.answers.len(), engine_name);
                 }
                 results.push(r);
                 break;
@@ -660,10 +544,7 @@ fn run_service_query(
     if let Some(d) = drain {
         eprintln!("{}", drain_line(&d));
     }
-    // Stats live on the router itself, so they survive a drain that
-    // consumed the service.
-    let adaptive_stats = router.as_ref().map(|r| r.stats());
-    Ok((report, health, adaptive_stats))
+    Ok((report, health))
 }
 
 fn cmd_compare(opts: &Opts) -> Result<(), String> {
@@ -1068,9 +949,9 @@ const COMMANDS: &[Command] = &[
     ("queries", "db edges count seed out", "dense", ok!(cmd_queries)),
     (
         "query",
-        "db queries engine budget-ms threads retries max-steps metrics-out model-in model-out \
-         max-inflight breaker-threshold breaker-cooldown chaos-panics chaos-seed chaos-slow-ms \
-         drain-after-ms journal",
+        "db queries engine budget-ms threads retries max-steps metrics-out max-inflight \
+         breaker-threshold breaker-cooldown chaos-panics chaos-seed chaos-slow-ms drain-after-ms \
+         journal",
         "shed resume supervise",
         cmd_query,
     ),

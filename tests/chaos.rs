@@ -9,7 +9,6 @@
 //! * the run always completes — a panic in one pair never takes down the
 //!   pool, the runner, or sibling queries;
 //! * panics never count toward `abort_after_timeouts`;
-//! * the query cache never stores a faulted outcome.
 //!
 //! All fault decisions are pure functions of `(seed, query, graph)` — see
 //! `ChaosMatcher` — so every assertion here is exact, not statistical.
@@ -278,39 +277,6 @@ fn panicking_filter_calls_leave_the_thread_scratch_usable() {
             assert_eq!(chaotic, clean, "pair {i} after {panicked} interleaved panics");
         }
     }
-}
-
-/// Satellite (c): the cache stores completed outcomes only, before and after
-/// a chaos run, and faulted queries are re-executed rather than served.
-#[test]
-fn cache_never_stores_faulted_outcomes() {
-    let (db, queries) = fixture();
-    let config = ChaosConfig::new(CHAOS_SEED).with_panics(120).with_exhaustion(80);
-    let plan = fault_plan(config, &db, &queries);
-    let expect_completed = plan.iter().filter(|p| p.is_empty()).count();
-    assert!(expect_completed > 0 && expect_completed < queries.len());
-
-    let mut cached = CachedEngine::new(Box::new(chaos_engine(config)), 64);
-    cached.build(&db).expect("build");
-    for (i, q) in queries.iter().enumerate() {
-        let (out, _) = cached.query(q);
-        assert_eq!(out.status.is_completed(), plan[i].is_empty(), "query {i}");
-    }
-    assert_eq!(cached.len(), expect_completed, "cache must hold completed outcomes only");
-
-    // Second pass: completed queries are served from cache; faulted queries
-    // miss, re-execute, and fault deterministically again.
-    for (i, q) in queries.iter().enumerate() {
-        let (out, hit) = cached.query(q);
-        if plan[i].is_empty() {
-            assert_eq!(hit, CacheHit::Exact, "query {i}");
-            assert!(out.status.is_completed());
-        } else {
-            assert_eq!(hit, CacheHit::Miss, "query {i}");
-            assert!(!out.status.is_completed());
-        }
-    }
-    assert_eq!(cached.len(), expect_completed, "faulted reruns must not pollute the cache");
 }
 
 /// A matcher that panics on exactly one (query, graph) pair, identified by

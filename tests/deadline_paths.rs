@@ -1,7 +1,7 @@
 //! Who notices an expired deadline, and how soon, on every path a query can
 //! take (DESIGN.md §2.4 "Who reads the clock when"): the same database and
 //! queries through `CfqlEngine`, `QueryPool` at 1/2/4/8 threads,
-//! `QueryService`, a supervised `QueryService` and `CachedEngine`.
+//! `QueryService`, a supervised `QueryService`.
 //!
 //! Since PR 14 a scan reads the wall clock before its first graph and then
 //! every [`SCAN_CHECK_INTERVAL`]th, and only the cancel/guard flags in
@@ -120,14 +120,9 @@ enum Path {
     Pool(usize),
     Service,
     SupervisedService,
-    /// `CachedEngine`, cold: the inner engine's scan.
-    CacheMiss,
-    /// `CachedEngine` after the edge query: the path query is a subgraph
-    /// hit, verified by direct matcher calls over the cached answers.
-    CacheHit,
 }
 
-const PATHS: [Path; 9] = [
+const PATHS: [Path; 7] = [
     Path::Engine,
     Path::Pool(1),
     Path::Pool(2),
@@ -135,8 +130,6 @@ const PATHS: [Path; 9] = [
     Path::Pool(8),
     Path::Service,
     Path::SupervisedService,
-    Path::CacheMiss,
-    Path::CacheHit,
 ];
 
 impl Path {
@@ -201,25 +194,6 @@ impl Path {
                 assert!(service.shutdown().drained_within_deadline, "{self:?}");
                 timed
             }
-            Path::CacheMiss | Path::CacheHit => {
-                let mut cached = CachedEngine::new(Box::new(CfqlEngine::new()), 4);
-                cached.build(db).unwrap();
-                if matches!(self, Path::CacheHit) {
-                    let (primed, _) = cached.query(&edge_query());
-                    assert_eq!(primed.answers, expected());
-                }
-                cached.set_query_budget(budget);
-                timed(|| {
-                    let (out, hit) = cached.query(&q);
-                    let want = if matches!(self, Path::CacheHit) {
-                        CacheHit::Subgraph
-                    } else {
-                        CacheHit::Miss
-                    };
-                    assert_eq!(hit, want, "{self:?}");
-                    out
-                })
-            }
         }
     }
 }
@@ -236,12 +210,10 @@ fn zero_budget_times_out_before_any_graph_on_every_path() {
             assert_eq!(probe.calls.load(Ordering::Relaxed), 0, "{path:?}: a graph was processed");
         }
         // No stage span ran and no candidate space was built: nothing was
-        // filtered. (A cache hit's candidates are the cached answers.)
+        // filtered.
         assert!(out.phases.is_zero(), "{path:?}: {:?}", out.phases);
         assert_eq!(out.aux_bytes, 0, "{path:?}");
-        if !matches!(path, Path::CacheHit) {
-            assert_eq!(out.candidates, 0, "{path:?}");
-        }
+        assert_eq!(out.candidates, 0, "{path:?}");
     }
 }
 

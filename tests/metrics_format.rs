@@ -83,20 +83,6 @@ fn fixed_journal() -> subgraph_query::core::JournalStats {
     subgraph_query::core::JournalStats { replayed: 5, appended: 3, skipped: 5 }
 }
 
-fn fixed_routing() -> subgraph_query::core::RoutingStats {
-    subgraph_query::core::RoutingStats {
-        routed: vec![
-            ("CFQL".to_string(), 6),
-            ("GraphQL".to_string(), 1),
-            ("QuickSI".to_string(), 0),
-            ("Ullmann".to_string(), 1),
-        ],
-        mispredicts: 1,
-        predicted_nanos: 2_000_000.0,
-        actual_nanos: 3_000_000.0,
-    }
-}
-
 /// The family a sample line belongs to (histogram suffixes stripped).
 fn family_of(sample_name: &str) -> &str {
     for suffix in ["_bucket", "_sum", "_count"] {
@@ -109,12 +95,8 @@ fn family_of(sample_name: &str) -> &str {
 
 #[test]
 fn rendering_matches_the_golden_file() {
-    let text = exposition::render_full(
-        &[fixed_report()],
-        Some(&fixed_health()),
-        Some(&fixed_journal()),
-        Some(&fixed_routing()),
-    );
+    let text =
+        exposition::render_full(&[fixed_report()], Some(&fixed_health()), Some(&fixed_journal()));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
     if std::env::var("REGEN_GOLDEN").is_ok() {
         std::fs::write(path, &text).unwrap();

@@ -12,10 +12,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use subgraph_query::core::adaptive::{AdaptiveEngine, CostModel, MatcherRouter};
 use subgraph_query::core::engines::{all_engines, matcher_by_name};
 use subgraph_query::core::parallel::QueryPool;
-use subgraph_query::core::{QueryEngine, QueryStatus};
+use subgraph_query::core::QueryStatus;
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
 use subgraph_query::matching::{
@@ -202,82 +201,6 @@ proptest! {
                 &out.answers, &expected,
                 "pool at {} threads diverged from the oracle", threads
             );
-        }
-    }
-
-    /// Adaptive routing never changes answers: whatever engine the router
-    /// picks (learning mode, warmup included), every query still returns
-    /// exactly the oracle's answer set.
-    #[test]
-    fn adaptive_engine_answers_the_oracle((db, q) in arb_db_and_query()) {
-        let expected = oracle_answers(&db, &q);
-        let mut engine = AdaptiveEngine::new();
-        engine.build(&db).unwrap();
-        // Several passes so routing moves past warmup into argmin routing.
-        for _ in 0..5 {
-            let out = engine.query(&q);
-            prop_assert_eq!(out.status, QueryStatus::Completed);
-            prop_assert_eq!(&out.answers, &expected, "adaptive diverged from the oracle");
-            prop_assert!(!out.engine.is_empty(), "outcome must name the routed engine");
-        }
-    }
-
-    /// A frozen model routes as a pure function of (model, query): the
-    /// decision is stable, and the routed matcher's pooled answers are
-    /// byte-identical to the adaptive engine's at 1, 2, 4 and 8 threads.
-    #[test]
-    fn adaptive_routing_is_deterministic_across_thread_counts(
-        (db, q) in arb_db_and_query(), seed in any::<u64>()
-    ) {
-        let model = CostModel::cold_start(&["CFQL", "GraphQL", "QuickSI", "Ullmann"], seed);
-        let router = MatcherRouter::new(model.clone(), &db).unwrap();
-        let (idx, _) = router.route(&q);
-        let mut frozen = AdaptiveEngine::new();
-        frozen.set_model(model).unwrap();
-        frozen.build(&db).unwrap();
-        prop_assert_eq!(frozen.route_index(&q), idx, "engine and router must agree");
-        let direct = frozen.query(&q);
-        prop_assert_eq!(direct.engine.as_str(), router.name(idx));
-        for threads in [1usize, 2, 4, 8] {
-            let (ridx, _) = router.route(&q);
-            prop_assert_eq!(ridx, idx, "routing varied between calls");
-            let pool = QueryPool::new(threads);
-            let out = pool.query(router.matcher(ridx), &db, &q, Deadline::none()).outcome;
-            prop_assert_eq!(out.status, QueryStatus::Completed);
-            prop_assert_eq!(
-                &out.answers, &direct.answers,
-                "routed pool at {} threads diverged from the adaptive engine", threads
-            );
-        }
-    }
-
-    /// Model persistence round-trips: a model shaped by arbitrary online
-    /// updates, written with `to_json` and re-read with `from_json`, holds
-    /// the exact weights and reproduces identical routing decisions.
-    #[test]
-    fn model_persistence_reproduces_routing_decisions(
-        seed in any::<u64>(),
-        updates in proptest::collection::vec(
-            (0usize..4, -400i32..400, 0i32..3000, any::<bool>()), 0..32),
-        probes in proptest::collection::vec(-100i32..100, 1..16),
-    ) {
-        use subgraph_query::matching::FEATURE_DIM;
-        let mut model = CostModel::cold_start(&["CFQL", "GraphQL", "QuickSI", "Ullmann"], seed);
-        for (idx, v, y, censored) in updates {
-            let mut x = [0.0; FEATURE_DIM];
-            x[0] = 1.0;
-            x[1] = f64::from(v) / 10.0;
-            model.update(idx, &x, f64::from(y) / 100.0, censored);
-        }
-        let back = CostModel::from_json(&model.to_json()).unwrap();
-        prop_assert_eq!(&back, &model, "weights must survive the round trip bit-exactly");
-        for v in probes {
-            let v = f64::from(v) / 10.0;
-            let mut x = [0.0; FEATURE_DIM];
-            x[0] = 1.0;
-            x[1] = v;
-            x[2] = v * 0.5;
-            prop_assert_eq!(back.route(&x), model.route(&x));
         }
     }
 }
