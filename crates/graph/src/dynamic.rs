@@ -5,10 +5,11 @@
 //! keeps that contract under mutation with a *copy-on-write delta*: the
 //! first update touching a vertex copies its base adjacency into a patched,
 //! still-sorted list; untouched vertices keep reading the base CSR slices
-//! directly. Every neighbor/intersection path therefore sees the same
-//! contiguous sorted `&[VertexId]` slices the enumeration kernels were
-//! written against — the delta composes with the base instead of wrapping it
-//! in a merge iterator.
+//! directly. Every patched list is one extent of a single arena, so the
+//! delta owns no heap block per vertex. Every neighbor/intersection path
+//! therefore sees the same contiguous sorted `&[VertexId]` slices the
+//! enumeration kernels were written against — the delta composes with the
+//! base instead of wrapping it in a merge iterator.
 //!
 //! Semantics:
 //!
@@ -20,22 +21,24 @@
 //!   slices.
 //! * Malformed updates **fail closed**: unknown ids, tombstoned endpoints,
 //!   self-loops and removals of absent edges all return a [`GraphError`]
-//!   and leave the overlay untouched. [`DynamicGraph::apply_batch`]
-//!   additionally pre-validates the whole batch against a lightweight
-//!   simulation, so a batch is applied atomically or not at all.
+//!   and leave the overlay untouched. [`DynamicGraph::apply_batch`] is
+//!   atomic in one pass: it applies the updates in order and, at the first
+//!   malformed one, undoes the ones before it newest-first, so a rejected
+//!   batch leaves every read answering as before.
 //! * NLF signatures stay exact without per-batch recomputation: an
-//!   untouched vertex reads the base's label-run index, a patched one keeps
-//!   its `(label, count)` runs beside its list, updated with every insert
-//!   and removal ([`DynamicGraph::label_runs`]). Every slot also has those
-//!   runs folded into one word ([`DynamicGraph::signature`]), rewritten by
-//!   the op that changes the runs: what a search asks before any merge.
+//!   untouched vertex reads the base's label-run index, a patched one's
+//!   `(label, count)` runs are the label runs of its sorted list
+//!   ([`DynamicGraph::label_runs`]). Every slot also has those runs folded
+//!   into one word ([`DynamicGraph::signature`]), rewritten by the op that
+//!   changes the list: what a search asks before any merge.
 //!
 //! When the delta grows past a [`CompactionPolicy`] threshold,
 //! [`DynamicGraph::compact`] folds it into a fresh densely-renumbered CSR
 //! and returns the old→new id mapping so callers (e.g. standing-query
 //! embedding stores) can remap. Renumbering is monotone, so every
 //! `(label, id)`-sorted list is still sorted after it and the CSR arrays are
-//! written directly, without a builder or a re-sort.
+//! written directly, without a builder or a re-sort. The arena is emptied,
+//! not freed, so the next delta grows into memory it already has.
 
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
@@ -130,8 +133,8 @@ pub struct CompactionReport {
 /// When to fold the delta back into the base CSR.
 ///
 /// Compaction costs a full CSR rewrite (`O(V + E)`), while the delta costs
-/// every reader an indirection per patched vertex, two small heap blocks
-/// per patch, and slowly grows tombstoned slots; `benches/dynamic.rs`
+/// every reader an indirection per patched vertex, arena space for every
+/// patched list, and slowly grows tombstoned slots; `benches/dynamic.rs`
 /// measures the crossover and backs the default ratio. Compact when the
 /// delta has absorbed at least `min_delta_ops` operations **and** at least
 /// `delta_ratio` × base edges.
@@ -180,11 +183,14 @@ pub struct DynamicGraph {
     base: Graph,
     /// Labels for every slot (base + added); labels are immutable per slot.
     labels: Vec<Label>,
-    /// Per slot: its index in `patches`, or [`UNPATCHED`]. Added vertices
+    /// Per slot: its index in `extents`, or [`UNPATCHED`]. Added vertices
     /// are always patched (possibly empty), so unpatched slots are
     /// guaranteed to be base vertices.
     patch_of: Vec<u32>,
-    patches: Vec<Patch>,
+    extents: Vec<Extent>,
+    /// Every patched list, each sorted by `(label, id)` inside its extent.
+    /// An extent an insert outgrows is abandoned, not reused.
+    arena: Vec<VertexId>,
     tombstoned: Vec<bool>,
     /// Per slot, [`nlf::packed`] of its current label runs (`0` for a
     /// tombstone). Invariant: `signatures[v] == packed(label_runs(v))`.
@@ -201,85 +207,21 @@ pub struct DynamicGraph {
 
 const UNPATCHED: u32 = u32::MAX;
 
-/// The copy-on-write state of one modified vertex: its full adjacency,
-/// sorted by `(label, id)`, and that list's `(label, count)` runs — the
-/// vertex's NLF, and the index label-restricted reads go through.
-#[derive(Clone, Debug, Default)]
-struct Patch {
-    adj: Vec<VertexId>,
-    runs: Vec<(Label, u32)>,
+/// Room a first touch leaves behind the base list it copies.
+const SLACK: usize = 2;
+
+/// One patched list: `arena[at..at + len]`, with room up to `at + cap`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Extent {
+    at: usize,
+    len: usize,
+    cap: usize,
 }
 
-impl Patch {
-    fn of(base: &Graph, v: VertexId) -> Self {
-        // Patched because it is about to change: leave room to grow.
-        let mut adj = Vec::with_capacity(base.degree(v) + 2);
-        adj.extend_from_slice(base.neighbors(v));
-        Self { adj, runs: base.label_runs(v).collect() }
-    }
-
-    /// Index in `runs` of the first run with label ≥ `l`, and the offset in
-    /// `adj` at which it starts.
-    fn locate(&self, l: Label) -> (usize, usize) {
-        let mut start = 0;
-        for (i, &(rl, count)) in self.runs.iter().enumerate() {
-            if rl >= l {
-                return (i, start);
-            }
-            start += count as usize;
-        }
-        (self.runs.len(), start)
-    }
-
-    fn with_label(&self, l: Label) -> &[VertexId] {
-        let (i, start) = self.locate(l);
-        match self.runs.get(i) {
-            Some(&(rl, count)) if rl == l => &self.adj[start..start + count as usize],
-            _ => &[],
-        }
-    }
-
-    /// Inserts neighbor `w` carrying label `l`. Caller guarantees absence.
-    fn insert(&mut self, w: VertexId, l: Label) {
-        let (i, start) = self.locate(l);
-        let before = match self.runs.get_mut(i) {
-            Some((rl, count)) if *rl == l => {
-                *count += 1;
-                *count as usize - 1
-            }
-            _ => {
-                self.runs.insert(i, (l, 1));
-                0
-            }
-        };
-        let at = start + self.adj[start..start + before].partition_point(|&x| x < w);
-        self.adj.insert(at, w);
-    }
-
-    /// Removes neighbor `w` carrying label `l` if present.
-    fn remove(&mut self, w: VertexId, l: Label) {
-        let (i, start) = self.locate(l);
-        let Some(&(rl, count)) = self.runs.get(i) else { return };
-        if rl != l {
-            return;
-        }
-        if let Ok(at) = self.adj[start..start + count as usize].binary_search(&w) {
-            self.adj.remove(start + at);
-            if count == 1 {
-                self.runs.remove(i);
-            } else {
-                self.runs[i].1 -= 1;
-            }
-        }
-    }
-}
-
-fn edge_key(u: VertexId, v: VertexId) -> (u32, u32) {
-    if u <= v {
-        (u.id(), v.id())
-    } else {
-        (v.id(), u.id())
-    }
+/// The `(label, count)` runs of a `(label, id)`-sorted list: its NLF.
+fn runs<'a>(adj: &'a [VertexId], labels: &'a [Label]) -> impl Iterator<Item = (Label, u32)> + 'a {
+    adj.chunk_by(|a, b| labels[a.index()] == labels[b.index()])
+        .map(|run| (labels[run[0].index()], run.len() as u32))
 }
 
 impl DynamicGraph {
@@ -294,7 +236,8 @@ impl DynamicGraph {
             base,
             labels,
             patch_of: vec![UNPATCHED; live_count],
-            patches: Vec::new(),
+            extents: Vec::new(),
+            arena: Vec::new(),
             tombstoned: vec![false; live_count],
             added_by_label: FxHashMap::default(),
             edge_count,
@@ -340,45 +283,112 @@ impl DynamicGraph {
         self.neighbors(v).len()
     }
 
-    fn patch(&self, v: VertexId) -> Option<&Patch> {
-        // `UNPATCHED` is past the end of any `patches`.
-        self.patches.get(self.patch_of[v.index()] as usize)
+    /// `v`'s patched list, if it has one.
+    fn patch(&self, v: VertexId) -> Option<&[VertexId]> {
+        // `UNPATCHED` is past the end of any `extents`.
+        let e = self.extents.get(self.patch_of[v.index()] as usize)?;
+        Some(&self.arena[e.at..e.at + e.len])
     }
 
-    /// `v`'s patch, copying its base adjacency into the delta on first touch.
-    fn patch_mut(&mut self, v: VertexId) -> &mut Patch {
+    /// Where `w` is, or would go, in the `(label, id)`-sorted list `adj`.
+    fn position(&self, adj: &[VertexId], w: VertexId) -> std::result::Result<usize, usize> {
+        let key = (self.labels[w.index()], w);
+        adj.binary_search_by(|&x| (self.labels[x.index()], x).cmp(&key))
+    }
+
+    /// `v`'s index in `extents`, copying its base list into the arena on
+    /// first touch.
+    fn patch_mut(&mut self, v: VertexId) -> usize {
         let at = &mut self.patch_of[v.index()];
         if *at == UNPATCHED {
-            *at = self.patches.len() as u32;
-            self.patches.push(Patch::of(&self.base, v));
+            *at = self.extents.len() as u32;
+            // Patched because it is about to change: leave room to grow.
+            let adj = self.base.neighbors(v);
+            let e = Extent { at: self.arena.len(), len: adj.len(), cap: adj.len() + SLACK };
+            self.arena.extend_from_slice(adj);
+            self.arena.resize(e.at + e.cap, VertexId(0));
+            self.extents.push(e);
         }
-        &mut self.patches[*at as usize]
+        *at as usize
     }
 
-    /// Applies `edit` to `v`'s patch and rewrites `v`'s signature from the
-    /// runs it leaves.
-    fn edit_patch(&mut self, v: VertexId, edit: impl FnOnce(&mut Patch)) {
-        let patch = self.patch_mut(v);
-        edit(patch);
-        let signature = nlf::packed(patch.runs.iter().copied());
-        self.signatures[v.index()] = signature;
+    /// Points `v` at an empty list, patched or not before.
+    fn clear_patch(&mut self, v: VertexId) {
+        if self.patch_of[v.index()] == UNPATCHED {
+            self.patch_of[v.index()] = self.extents.len() as u32;
+            self.extents.push(Extent::default());
+        }
+        self.extents[self.patch_of[v.index()] as usize] = Extent::default();
+    }
+
+    /// Rewrites `v`'s signature from its list.
+    fn resign(&mut self, v: VertexId) {
+        self.signatures[v.index()] = nlf::packed(self.label_runs(v));
+    }
+
+    /// Inserts the absent neighbor `w` into `v`'s list.
+    fn insert(&mut self, v: VertexId, w: VertexId) {
+        let p = self.patch_mut(v);
+        let mut e = self.extents[p];
+        if e.len == e.cap {
+            // Full: double it at the arena's end, where it is if it is last.
+            if e.at + e.cap < self.arena.len() {
+                let at = self.arena.len();
+                self.arena.extend_from_within(e.at..e.at + e.len);
+                e.at = at;
+            }
+            e.cap = (2 * e.cap).max(SLACK);
+            self.arena.resize(e.at + e.cap, VertexId(0));
+        }
+        let (Ok(pos) | Err(pos)) = self.position(&self.arena[e.at..e.at + e.len], w);
+        self.arena.copy_within(e.at + pos..e.at + e.len, e.at + pos + 1);
+        self.arena[e.at + pos] = w;
+        e.len += 1;
+        self.extents[p] = e;
+        self.resign(v);
+    }
+
+    /// Removes neighbor `w` from `v`'s list if present.
+    fn remove(&mut self, v: VertexId, w: VertexId) {
+        let p = self.patch_mut(v);
+        let e = self.extents[p];
+        if let Ok(pos) = self.position(&self.arena[e.at..e.at + e.len], w) {
+            self.arena.copy_within(e.at + pos + 1..e.at + e.len, e.at + pos);
+            self.extents[p].len -= 1;
+        }
+        self.resign(v);
+    }
+
+    /// Adds the absent edge `e(u, v)` between live vertices.
+    fn link(&mut self, u: VertexId, v: VertexId) {
+        self.insert(u, v);
+        self.insert(v, u);
+        self.edge_count += 1;
+    }
+
+    /// Removes the present edge `e(u, v)`.
+    fn unlink(&mut self, u: VertexId, v: VertexId) {
+        self.remove(u, v);
+        self.remove(v, u);
+        self.edge_count -= 1;
     }
 
     /// Neighbors of `v`, sorted by `(label, id)` — the base CSR slice for
     /// untouched vertices, the patched list otherwise. Never contains
     /// tombstoned vertices.
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.patch(v) {
-            Some(p) => &p.adj,
-            None => self.base.neighbors(v),
-        }
+        self.patch(v).unwrap_or_else(|| self.base.neighbors(v))
     }
 
     /// Neighbors of `v` carrying label `l` (contiguous sorted slice), the
     /// intersection-kernel input.
     pub fn neighbors_with_label(&self, v: VertexId, l: Label) -> &[VertexId] {
         match self.patch(v) {
-            Some(p) => p.with_label(l),
+            Some(adj) => {
+                let from = adj.partition_point(|w| self.labels[w.index()] < l);
+                let len = adj[from..].partition_point(|w| self.labels[w.index()] == l);
+                &adj[from..from + len]
+            }
             None => self.base.neighbors_with_label(v, l),
         }
     }
@@ -387,11 +397,12 @@ impl DynamicGraph {
     /// tombstoned endpoints).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         // A tombstone's list is empty and no live list holds one, so only
-        // the id range needs checking before the one run lookup.
+        // the id range needs checking before the one search.
         match self.labels.get(v.index()) {
-            Some(&lv) if u.index() < self.labels.len() => {
-                self.neighbors_with_label(u, lv).binary_search(&v).is_ok()
-            }
+            Some(&lv) if u.index() < self.labels.len() => match self.patch(u) {
+                Some(adj) => self.position(adj, v).is_ok(),
+                None => self.base.neighbors_with_label(u, lv).binary_search(&v).is_ok(),
+            },
             _ => false,
         }
     }
@@ -418,11 +429,11 @@ impl DynamicGraph {
 
     /// The neighborhood label frequency of `v`: one `(label, count)` per
     /// distinct neighbor label, ascending by label (empty for tombstoned
-    /// slots). Read off the base's run index or kept with the patched list;
-    /// never recomputed from adjacency.
+    /// slots). Read off the base's run index, or off the label runs of the
+    /// patched list.
     pub fn label_runs(&self, v: VertexId) -> impl Iterator<Item = (Label, u32)> + '_ {
         let (patched, base) = match self.patch(v) {
-            Some(p) => (Some(p.runs.iter().copied()), None),
+            Some(adj) => (Some(runs(adj, &self.labels)), None),
             None => (None, Some(self.base.label_runs(v))),
         };
         patched.into_iter().flatten().chain(base.into_iter().flatten())
@@ -447,7 +458,7 @@ impl DynamicGraph {
     pub fn nlf_dominates(&self, v: VertexId, query: &NeighborhoodLabelFrequency) -> bool {
         let query = query.runs().iter().copied();
         match self.patch(v) {
-            Some(p) => runs_dominated(query, p.runs.iter().copied()),
+            Some(adj) => runs_dominated(query, runs(adj, &self.labels)),
             None => runs_dominated(query, self.base.label_runs(v)),
         }
     }
@@ -457,9 +468,11 @@ impl DynamicGraph {
         self.delta_ops
     }
 
-    /// Vertices with a copy-on-write patched adjacency.
+    /// Vertices with a copy-on-write patched adjacency. A rejected batch's
+    /// first touches stay patched (holding their base lists), so they may
+    /// be counted, as may slots it added and took back.
     pub fn patched_vertices(&self) -> usize {
-        self.patches.len()
+        self.extents.len()
     }
 
     /// Compactions performed over this overlay's lifetime.
@@ -490,8 +503,8 @@ impl DynamicGraph {
         self.tombstoned.push(false);
         self.signatures.push(0);
         self.label_space = self.label_space.max(label.index() + 1);
-        self.patch_of.push(self.patches.len() as u32);
-        self.patches.push(Patch::default());
+        self.patch_of.push(UNPATCHED);
+        self.clear_patch(id);
         self.added_by_label.entry(label).or_default().push(id);
         self.live_count += 1;
         self.delta_ops += 1;
@@ -508,10 +521,7 @@ impl DynamicGraph {
         if self.has_edge(u, v) {
             return Ok(false);
         }
-        let (lu, lv) = (self.labels[u.index()], self.labels[v.index()]);
-        self.edit_patch(u, |p| p.insert(v, lv));
-        self.edit_patch(v, |p| p.insert(u, lu));
-        self.edge_count += 1;
+        self.link(u, v);
         self.delta_ops += 1;
         Ok(true)
     }
@@ -526,10 +536,7 @@ impl DynamicGraph {
         if !self.has_edge(u, v) {
             return Err(GraphError::MissingEdge { u: u.id(), v: v.id() });
         }
-        let (lu, lv) = (self.labels[u.index()], self.labels[v.index()]);
-        self.edit_patch(u, |p| p.remove(v, lv));
-        self.edit_patch(v, |p| p.remove(u, lu));
-        self.edge_count -= 1;
+        self.unlink(u, v);
         self.delta_ops += 1;
         Ok(())
     }
@@ -537,10 +544,10 @@ impl DynamicGraph {
     /// Tombstones `vertex`, severing all its edges; returns the ex-neighbors.
     pub fn remove_vertex(&mut self, vertex: VertexId) -> Result<Vec<VertexId>> {
         self.check_endpoint(vertex)?;
-        let severed = std::mem::take(self.patch_mut(vertex)).adj;
-        let lv = self.labels[vertex.index()];
+        let severed = self.neighbors(vertex).to_vec();
+        self.clear_patch(vertex);
         for &w in &severed {
-            self.edit_patch(w, |p| p.remove(vertex, lv));
+            self.remove(w, vertex);
         }
         self.tombstoned[vertex.index()] = true;
         self.signatures[vertex.index()] = 0;
@@ -569,94 +576,50 @@ impl DynamicGraph {
         }
     }
 
-    /// Validates a whole batch against a lightweight simulation without
-    /// touching the overlay, so [`apply_batch`](Self::apply_batch) is atomic:
-    /// the first malformed update rejects the entire batch.
-    pub fn validate_batch(&self, updates: &[Update]) -> Result<()> {
-        let slots = self.labels.len();
-        let mut next = slots as u64;
-        // Vertices removed earlier in the batch, ascending; the ones added
-        // earlier are `slots..next`.
-        let mut removed: Vec<u32> = Vec::new();
-        // Every edge op as (edge, position in the batch, is an add). Sorted,
-        // the ops on one edge are adjacent and in batch order, so whether a
-        // removal finds its edge is decided per edge below instead of
-        // against a map of the whole batch.
-        let mut edge_ops: Vec<((u32, u32), usize, bool)> = Vec::with_capacity(updates.len());
-        let check_live = |removed: &[u32], next: u64, x: VertexId| -> Result<()> {
-            if u64::from(x.id()) >= next {
-                return Err(GraphError::UnknownVertex {
-                    vertex: x.id(),
-                    vertex_count: next as usize,
-                });
+    /// Undoes one applied update; `revert`ing a batch's effects newest-first
+    /// restores every read but [`delta_ops`](Self::delta_ops) and
+    /// [`label_space`](Self::label_space), which the caller puts back.
+    fn revert(&mut self, effect: &UpdateEffect) {
+        match *effect {
+            UpdateEffect::VertexAdded(v) => {
+                // Everything newer is undone, so `v` is the last slot.
+                if let Some(added) = self.added_by_label.get_mut(&self.labels[v.index()]) {
+                    added.pop();
+                }
+                self.labels.truncate(v.index());
+                self.tombstoned.truncate(v.index());
+                self.signatures.truncate(v.index());
+                self.patch_of.truncate(v.index());
+                self.live_count -= 1;
             }
-            if (x.index() < slots && self.tombstoned[x.index()])
-                || removed.binary_search(&x.id()).is_ok()
-            {
-                return Err(GraphError::Tombstoned { vertex: x.id() });
-            }
-            Ok(())
-        };
-        let mut check = |at: usize, up: &Update| -> Result<()> {
-            match *up {
-                Update::AddVertex { .. } => {
-                    if next >= u64::from(u32::MAX) {
-                        return Err(GraphError::TooManyVertices(next as usize + 1));
-                    }
-                    next += 1;
+            UpdateEffect::EdgeAdded(u, v) => self.unlink(u, v),
+            UpdateEffect::DuplicateEdge => {}
+            UpdateEffect::EdgeRemoved(u, v) => self.link(u, v),
+            UpdateEffect::VertexRemoved { vertex, ref severed } => {
+                self.tombstoned[vertex.index()] = false;
+                self.live_count += 1;
+                for &w in severed {
+                    self.link(vertex, w);
                 }
-                Update::AddEdge { u, v } | Update::RemoveEdge { u, v } => {
-                    check_live(&removed, next, u)?;
-                    check_live(&removed, next, v)?;
-                    if u == v {
-                        return Err(GraphError::SelfLoop { vertex: u.id() });
-                    }
-                    edge_ops.push((edge_key(u, v), at, matches!(up, Update::AddEdge { .. })));
-                }
-                Update::RemoveVertex { vertex } => {
-                    check_live(&removed, next, vertex)?;
-                    let after = removed.partition_point(|&r| r < vertex.id());
-                    removed.insert(after, vertex.id());
-                }
-            }
-            Ok(())
-        };
-        // The first update that is malformed whatever the edge set holds;
-        // edge ops before it are still checked against the edge set below.
-        let mut malformed: Option<(usize, GraphError)> =
-            updates.iter().enumerate().find_map(|(at, up)| Some((at, check(at, up).err()?)));
-        edge_ops.sort_unstable();
-        for ops in edge_ops.chunk_by(|a, b| a.0 == b.0) {
-            let (a, b) = (VertexId(ops[0].0 .0), VertexId(ops[0].0 .1));
-            // `None`: as the overlay has it.
-            let mut present: Option<bool> = None;
-            for &(_, at, add) in ops {
-                if !add && !present.unwrap_or_else(|| self.has_edge(a, b)) {
-                    if malformed.as_ref().is_none_or(|&(first, _)| at < first) {
-                        // Endpoints in the order the update gave them.
-                        if let Update::RemoveEdge { u, v } = updates[at] {
-                            let e = GraphError::MissingEdge { u: u.id(), v: v.id() };
-                            malformed = Some((at, e));
-                        }
-                    }
-                    break; // later ops on this edge come later in the batch
-                }
-                present = Some(add);
             }
         }
-        malformed.map_or(Ok(()), |(_, e)| Err(e))
     }
 
-    /// Atomically applies a batch: pre-validates every update, then applies
-    /// all of them, returning the aggregate effects the continuous-query
-    /// repair consumes. On `Err` the overlay is untouched.
+    /// Atomically applies a batch in one pass, returning the aggregate
+    /// effects the continuous-query repair consumes. Updates apply in
+    /// order; the first malformed one (which [`apply`](Self::apply) leaves
+    /// unapplied) makes the batch undo what it did newest-first and return
+    /// that update's error. On `Err` every read answers as before the batch.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchEffects> {
-        self.validate_batch(updates)?;
         let mut fx = BatchEffects::default();
         fx.effects.reserve(updates.len());
         let mut touched: Vec<VertexId> = Vec::with_capacity(2 * updates.len());
+        let (delta_ops, label_space) = (self.delta_ops, self.label_space);
         for up in updates {
-            let effect = self.apply(up)?;
+            let effect = self.apply(up).inspect_err(|_| {
+                fx.effects.iter().rev().for_each(|effect| self.revert(effect));
+                (self.delta_ops, self.label_space) = (delta_ops, label_space);
+            })?;
             match &effect {
                 UpdateEffect::VertexAdded(v) => {
                     touched.push(*v);
@@ -708,9 +671,14 @@ impl DynamicGraph {
         let mut offsets = Vec::with_capacity(self.live_count + 1);
         let mut neighbors = Vec::with_capacity(2 * self.edge_count);
         offsets.push(0u32);
+        let identity = self.live_count == self.labels.len();
         for v in self.live_vertices() {
-            // Live adjacency never references a tombstone: nothing is dropped.
-            neighbors.extend(self.neighbors(v).iter().filter_map(|w| mapping[w.index()]));
+            // Live adjacency never references a tombstone: nothing is dropped,
+            // and without a tombstone every list is copied as it is.
+            match self.neighbors(v) {
+                adj if identity => neighbors.extend_from_slice(adj),
+                adj => neighbors.extend(adj.iter().filter_map(|w| mapping[w.index()])),
+            }
             offsets.push(neighbors.len() as u32);
         }
         (Graph::from_sorted_csr(labels, offsets, neighbors, self.edge_count), mapping)
@@ -740,7 +708,8 @@ impl DynamicGraph {
         self.tombstoned.resize(g.vertex_count(), false);
         self.patch_of.clear();
         self.patch_of.resize(g.vertex_count(), UNPATCHED);
-        self.patches.clear();
+        self.extents.clear();
+        self.arena.clear();
         self.added_by_label.clear();
         self.live_count = g.vertex_count();
         self.base = g;
@@ -763,6 +732,9 @@ impl DynamicGraph {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn base() -> Graph {
         // Path v0(L0) - v1(L1) - v2(L0) - v3(L2), plus edge v0-v3.
@@ -955,22 +927,255 @@ mod tests {
         let remove = Update::RemoveEdge { u: VertexId(3), v: VertexId(1) };
         let missing = Update::RemoveEdge { u: VertexId(2), v: VertexId(0) };
         let unknown = Update::AddEdge { u: VertexId(0), v: VertexId(9) };
-        // Edge ops are checked per edge after the pass over the batch; the
-        // error reported is still the earliest in batch order.
+        let first = |batch: &[Update]| g.clone().apply_batch(batch).map(drop);
+        // The error reported is the earliest in batch order.
         assert!(matches!(
-            g.validate_batch(&[add, missing, unknown]),
+            first(&[add, missing, unknown]),
             Err(GraphError::MissingEdge { u: 2, v: 0 })
         ));
         assert!(matches!(
-            g.validate_batch(&[add, unknown, missing]),
+            first(&[add, unknown, missing]),
             Err(GraphError::UnknownVertex { vertex: 9, .. })
         ));
         // Each removal sees what the ops before it left of its edge.
-        assert!(g.validate_batch(&[add, remove, add, remove]).is_ok());
+        assert!(first(&[add, remove, add, remove]).is_ok());
         assert!(matches!(
-            g.validate_batch(&[add, remove, remove, add]),
+            first(&[add, remove, remove, add]),
             Err(GraphError::MissingEdge { u: 3, v: 1 })
         ));
+    }
+
+    /// A uniformly drawn live vertex of `g`, which must have one.
+    fn any_live(g: &DynamicGraph, rng: &mut StdRng) -> VertexId {
+        loop {
+            let v = VertexId(rng.random_range(0..g.vertex_slots() as u32));
+            if g.is_live(v) {
+                return v;
+            }
+        }
+    }
+
+    /// An update `g` accepts, over labels 0..5: one in ten adds a vertex,
+    /// one in ten removes one, about three in ten remove an edge, the rest
+    /// add one (possibly a duplicate).
+    fn valid_update(g: &DynamicGraph, rng: &mut StdRng) -> Update {
+        let fresh = Update::AddVertex { label: Label(rng.random_range(0..5)) };
+        if g.live_vertex_count() < 2 {
+            return fresh;
+        }
+        let u = any_live(g, rng);
+        match rng.random_range(0..10) {
+            0 => fresh,
+            1 => Update::RemoveVertex { vertex: u },
+            2..=4 if g.degree(u) > 0 => {
+                let adj = g.neighbors(u);
+                Update::RemoveEdge { u, v: adj[rng.random_range(0..adj.len())] }
+            }
+            _ => match any_live(g, rng) {
+                v if v == u => fresh,
+                v => Update::AddEdge { u, v },
+            },
+        }
+    }
+
+    /// Appends `n` valid updates to `batch`, applying each to `sim`.
+    fn valid_run(sim: &mut DynamicGraph, rng: &mut StdRng, n: usize, batch: &mut Vec<Update>) {
+        for _ in 0..n {
+            let up = valid_update(sim, rng);
+            sim.apply(&up).unwrap();
+            batch.push(up);
+        }
+    }
+
+    /// A malformed update against `sim`, of one of six kinds: unknown id,
+    /// tombstoned endpoint, self-loop, absent-edge removal, an op on a
+    /// vertex removed earlier in the batch, an op on a vertex added earlier
+    /// in the batch. The last two first append (and apply) the update they
+    /// need.
+    fn malformed(
+        kind: u32,
+        sim: &mut DynamicGraph,
+        rng: &mut StdRng,
+        batch: &mut Vec<Update>,
+    ) -> Update {
+        let x = any_live(sim, rng);
+        let slots = sim.vertex_slots() as u32;
+        let dead = (0..slots).map(VertexId).find(|&v| !sim.is_live(v));
+        let absent =
+            (0..slots).map(VertexId).find(|&y| y != x && sim.is_live(y) && !sim.has_edge(x, y));
+        let either =
+            |rng: &mut StdRng, a: Update, b: Update| if rng.random_bool(0.5) { a } else { b };
+        match (kind, dead, absent) {
+            (0, ..) => {
+                let unknown = VertexId(slots + rng.random_range(0..3u32));
+                either(
+                    rng,
+                    Update::AddEdge { u: x, v: unknown },
+                    Update::RemoveVertex { vertex: unknown },
+                )
+            }
+            (1, Some(d), _) => {
+                either(rng, Update::RemoveEdge { u: d, v: x }, Update::RemoveVertex { vertex: d })
+            }
+            (2, ..) => {
+                either(rng, Update::AddEdge { u: x, v: x }, Update::RemoveEdge { u: x, v: x })
+            }
+            (3, _, Some(y)) => Update::RemoveEdge { u: x, v: y },
+            (4, ..) | (1, None, _) => {
+                batch.push(Update::RemoveVertex { vertex: x });
+                sim.apply(&batch[batch.len() - 1]).unwrap();
+                either(rng, Update::AddEdge { u: x, v: x }, Update::RemoveVertex { vertex: x })
+            }
+            _ => {
+                batch.push(Update::AddVertex { label: Label(rng.random_range(0..7)) });
+                sim.apply(&batch[batch.len() - 1]).unwrap();
+                let c = VertexId(slots);
+                either(rng, Update::RemoveEdge { u: c, v: x }, Update::AddEdge { u: c, v: c })
+            }
+        }
+    }
+
+    /// Every read of `g` equals the same read of `twin`.
+    fn assert_same_reads(g: &DynamicGraph, twin: &DynamicGraph) {
+        assert_eq!(g.vertex_slots(), twin.vertex_slots());
+        assert_eq!(g.live_vertex_count(), twin.live_vertex_count());
+        assert_eq!(g.edge_count(), twin.edge_count());
+        assert_eq!(g.delta_ops(), twin.delta_ops());
+        assert_eq!(g.label_space(), twin.label_space());
+        for v in (0..g.vertex_slots() as u32).map(VertexId) {
+            assert_eq!(g.label(v), twin.label(v), "label of {v:?}");
+            assert_eq!(g.is_live(v), twin.is_live(v), "liveness of {v:?}");
+            assert_eq!(g.neighbors(v), twin.neighbors(v), "neighbors of {v:?}");
+            assert!(g.label_runs(v).eq(twin.label_runs(v)), "runs of {v:?}");
+            assert_eq!(g.signature(v), twin.signature(v), "word of {v:?}");
+        }
+        for l in (0..=g.label_space() as u32).map(Label) {
+            let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+            g.live_vertices_with_label(l, &mut ours);
+            twin.live_vertices_with_label(l, &mut theirs);
+            assert_eq!(ours, theirs, "live vertices with {l:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        /// A batch with one malformed update of each kind, at a random
+        /// position after a valid prefix and before a valid suffix, returns
+        /// the error sequential `apply` meets first and leaves every read
+        /// equal to a twin's that never saw it — and the two stay equal
+        /// through further batches and a compaction.
+        #[test]
+        fn a_rejected_batch_reads_like_a_twin_that_never_saw_it(
+            seed in any::<u64>(),
+            n in 4usize..16,
+            kind in 0u32..6,
+            prefix in 0usize..10,
+            suffix in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new();
+            for _ in 0..n {
+                b.add_vertex(Label(rng.random_range(0..5)));
+            }
+            for _ in 0..2 * n {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u != v {
+                    b.add_edge(VertexId::from(u), VertexId::from(v)).unwrap();
+                }
+            }
+            // A history, so the batch meets patched, unpatched and
+            // tombstoned slots alike.
+            let mut g = DynamicGraph::new(b.build());
+            let (history, mut batch) = (rng.random_range(0..12), Vec::new());
+            valid_run(&mut g.clone(), &mut rng, history, &mut batch);
+            g.apply_batch(&batch).unwrap();
+
+            let mut twin = g.clone();
+            let mut sim = g.clone();
+            let mut batch = Vec::new();
+            valid_run(&mut sim, &mut rng, prefix, &mut batch);
+            let bad = malformed(kind, &mut sim, &mut rng, &mut batch);
+            prop_assert!(sim.apply(&bad).is_err(), "{bad:?} is valid");
+            batch.push(bad);
+            valid_run(&mut sim, &mut rng, suffix, &mut batch);
+
+            let mut sequential = g.clone();
+            let want = batch.iter().map(|up| sequential.apply(up)).find_map(Result::err);
+            let got = g.apply_batch(&batch).err();
+            prop_assert!(got.is_some(), "{batch:?} accepted");
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_same_reads(&g, &twin);
+
+            for round in 0..3 {
+                let mut batch = Vec::new();
+                valid_run(&mut twin.clone(), &mut rng, 6, &mut batch);
+                let ours = g.apply_batch(&batch).unwrap();
+                let theirs = twin.apply_batch(&batch).unwrap();
+                prop_assert_eq!(format!("{ours:?}"), format!("{theirs:?}"));
+                assert_same_reads(&g, &twin);
+                if round == 1 {
+                    prop_assert_eq!(format!("{:?}", g.compact()), format!("{:?}", twin.compact()));
+                    assert_same_reads(&g, &twin);
+                }
+            }
+        }
+    }
+
+    /// Under a policy that never compacts, 50 000 updates — among them a
+    /// hub gaining and losing hundreds of edges — leave the arena within
+    /// four times the largest degree each patched slot ever had, and a
+    /// compaction empties it.
+    #[test]
+    fn the_arena_stays_within_four_times_the_patched_degrees() {
+        let n = 1_000u32;
+        let mut b = GraphBuilder::new();
+        for v in 0..n {
+            b.add_vertex(Label(v % 4));
+        }
+        for v in 0..n {
+            b.add_edge(VertexId(v), VertexId((v + 1) % n)).unwrap();
+        }
+        let mut g = DynamicGraph::new(b.build());
+        let hub = VertexId(0);
+        let mut max_degree: Vec<usize> = (0..n).map(|v| g.degree(VertexId(v))).collect();
+        let mut rng = StdRng::seed_from_u64(28);
+        let never = CompactionPolicy::never();
+        for op in 0..50_000 {
+            let gaining = (op / 2_500) % 2 == 0;
+            let up = match valid_update(&g, &mut rng) {
+                Update::RemoveVertex { vertex } if vertex == hub => continue,
+                _ if rng.random_bool(0.5) && gaining => {
+                    Update::AddEdge { u: hub, v: any_live(&g, &mut rng) }
+                }
+                _ if rng.random_bool(0.5) && g.degree(hub) > 0 => Update::RemoveEdge {
+                    u: hub,
+                    v: g.neighbors(hub)[rng.random_range(0..g.degree(hub))],
+                },
+                up => up,
+            };
+            // `AddEdge { u: hub, v: hub }` is the one malformed draw.
+            if g.apply_batch(&[up]).is_err() {
+                continue;
+            }
+            max_degree.resize(g.vertex_slots(), 0);
+            if let Update::AddEdge { u, v } = up {
+                for x in [u, v] {
+                    max_degree[x.index()] = max_degree[x.index()].max(g.degree(x));
+                }
+            }
+            if op % 1_000 == 999 {
+                let bound: usize = (0..g.vertex_slots())
+                    .filter(|&v| g.patch_of[v] != UNPATCHED)
+                    .map(|v| 4 * max_degree[v])
+                    .sum();
+                assert!(g.arena.len() <= bound, "op {op}: arena {} > {bound}", g.arena.len());
+                assert!(g.maybe_compact(&never).is_none());
+            }
+        }
+        assert!(max_degree[hub.index()] >= 300, "the hub peaked at {}", max_degree[hub.index()]);
+        g.compact();
+        assert!(g.arena.is_empty() && g.extents.is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span and lap trees vs the phase-accounting model)"
+echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span and lap trees vs the phase-accounting model)"
 PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
 PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch:: obs::
 PROPTEST_CASES=256 cargo test -q --offline -p sqp-graph --lib -- nlf:: bitmap:: dynamic::
@@ -169,7 +169,7 @@ echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, ~1 span-clock r
 cargo bench --offline -p sqp-bench --bench phases --no-run
 SQP_BENCH_SMOKE=1 taskset -c 0 cargo bench --offline -p sqp-bench --bench phases
 
-echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads, over plain and nibble-sharing label families; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed streams fail closed)"
+echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads, over plain and nibble-sharing label families; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed batches fail closed, undone so that a twin matcher that never saw them reports the same next batch and compaction)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence
 
 echo "==> dynamic bench smoke (asserts repair beats re-query and overlay beats rebuild; report discarded)"

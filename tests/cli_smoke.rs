@@ -312,8 +312,9 @@ fn update_stream_with_mixed_traffic() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unparseable update"));
 
-    // A well-formed but invalid batch (double-remove of one vertex, caught
-    // by the pre-validation simulation) is rejected atomically: exit 1.
+    // A well-formed but invalid batch (double-remove of one vertex: the
+    // first removal is undone when the second fails) is rejected
+    // atomically: exit 1.
     std::fs::write(&stream, "rv 0\nrv 0\n--\n").expect("write stream");
     let out = sqp(&["update", "--db", &db, "--updates", &stream]);
     assert_eq!(out.status.code(), Some(1));

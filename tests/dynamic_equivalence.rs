@@ -15,7 +15,8 @@
 //!   the incrementally-refreshed fingerprint index equal freshly-computed
 //!   ones after arbitrary streams, a mid-stream compaction included;
 //! * malformed update batches fail closed with a `GraphError` — atomically,
-//!   and never by panicking.
+//!   and never by panicking: the matcher that rejected them reports what a
+//!   twin that never saw them reports for the batches after.
 //!
 //! The update streams come from the fingerprint-seeded
 //! [`UpdateStreamGen`](subgraph_query::core::chaos::UpdateStreamGen), whose
@@ -507,29 +508,63 @@ proptest! {
     }
 
     /// Malformed batches fail closed: a `GraphError`, atomically rejected,
-    /// never a panic — and the repaired standing sets are untouched.
+    /// never a panic — and the repaired standing sets are untouched. Each
+    /// malformed case sits between a valid prefix and a valid suffix, so
+    /// the rejection undoes real work; a twin that never saw the cases then
+    /// reports the same for the next valid batch (its deltas) and for the
+    /// one after, which compacts (its id remap).
     #[test]
     fn malformed_batches_fail_closed(
         base in arb_base(),
         seed in 0u64..1_000,
     ) {
-        let mut m = ContinuousMatcher::new(base.clone(), CompactionPolicy::never());
-        let qid = m.register(queries().swap_remove(0), Deadline::none()).expect("register");
         let mut stream = UpdateStreamGen::new(&base, seed, StreamProfile::Mixed);
         // Advance so tombstones and edges exist, then attack the same state.
-        for _ in 0..3 {
-            m.apply_batch(&stream.batch(5), 2, Deadline::none()).expect("valid batch");
+        let warm: Vec<Vec<Update>> = (0..3).map(|_| stream.batch(5)).collect();
+        // The cases come from a copy of the stream, which advances past
+        // the prefix they follow; the stream itself draws the valid batches.
+        let mut probe = stream.clone();
+        let prefix = probe.batch(4);
+        let cases = probe.malformed_batches();
+        let suffix = probe.batch(3);
+        let mut next = [stream.batch(5), stream.batch(5)];
+        next[1].push(Update::AddVertex { label: Label(0) }); // a delta op for sure
+        // Compact at one op past what the first valid batch leaves.
+        let mut shadow = DynamicGraph::new(base.clone());
+        for batch in warm.iter().chain(&next[..1]) {
+            shadow.apply_batch(batch).expect("valid batch");
         }
-        let embeddings = m.embeddings(qid).expect("standing set").to_vec();
+        let policy = CompactionPolicy { min_delta_ops: shadow.delta_ops() + 1, delta_ratio: 0.0 };
+        let [mut m, mut twin] = [(); 2].map(|_| {
+            let mut m = ContinuousMatcher::new(base.clone(), policy);
+            for q in queries() {
+                m.register(q, Deadline::none()).expect("register");
+            }
+            for batch in &warm {
+                m.apply_batch(batch, 2, Deadline::none()).expect("valid batch");
+            }
+            m
+        });
+        let standing = |m: &ContinuousMatcher| -> Vec<Vec<Embedding>> {
+            m.standing().iter().map(|s| s.embeddings().to_vec()).collect()
+        };
         let fingerprint = graph_fingerprint(&m.graph().materialize().0);
-        for case in stream.malformed_batches() {
-            let err = m.apply_batch(&case, 2, Deadline::none());
+        for case in cases {
+            let batch: Vec<Update> = [&prefix, &case, &suffix].into_iter().flatten().copied().collect();
+            let err = m.apply_batch(&batch, 2, Deadline::none());
             prop_assert!(
                 matches!(err, Err(BatchError::Graph(_))),
                 "malformed batch accepted: {:?}", case
             );
-            prop_assert_eq!(m.embeddings(qid).expect("standing set"), embeddings.as_slice());
+            prop_assert_eq!(standing(&m), standing(&twin));
             prop_assert_eq!(graph_fingerprint(&m.graph().materialize().0), fingerprint);
+        }
+        for (i, batch) in next.iter().enumerate() {
+            let ours = m.apply_batch(batch, 2, Deadline::none()).expect("valid batch");
+            let theirs = twin.apply_batch(batch, 2, Deadline::none()).expect("valid batch");
+            prop_assert_eq!(ours.compacted, i == 1, "the second batch, and only it, compacts");
+            prop_assert_eq!(format!("{ours:?}"), format!("{theirs:?}"));
+            prop_assert_eq!(standing(&m), standing(&twin));
         }
     }
 }

@@ -15,6 +15,10 @@
 //! (query edge, added edge) pin and each search is neighborhood-sized, so a
 //! warm call may allocate only the embeddings it emits.
 //!
+//! The overlay under it keeps every patched list in one arena that a
+//! compaction empties without freeing, so once warm neither a batch's
+//! allocations nor a compaction's frees grow with the slots it patched.
+//!
 //! This test binary installs a counting global allocator; counts are per
 //! thread, so parallel tests do not disturb each other.
 
@@ -23,7 +27,7 @@ use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use subgraph_query::graph::{DynamicGraph, Graph, GraphBuilder, Label, VertexId};
+use subgraph_query::graph::{DynamicGraph, Graph, GraphBuilder, Label, Update, VertexId};
 use subgraph_query::matching::brute;
 use subgraph_query::matching::cfl::{Cfl, CflConfig};
 use subgraph_query::matching::cfql::Cfql;
@@ -34,12 +38,17 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_one() {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down; the const-initialised `Cell` itself never allocates.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn count_free() {
+    let _ = DEALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -52,6 +61,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free();
         // SAFETY: `ptr` was returned by `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -70,6 +80,12 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn frees_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = DEALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, DEALLOCATIONS.with(Cell::get) - before)
 }
 
 fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
@@ -282,4 +298,63 @@ fn warm_seeded_enumeration_allocates_only_the_embeddings_it_emits() {
         assert!(!out.is_empty(), "{seeds:?} extend a known embedding");
         assert_eq!(allocations, out.len() as u64, "{} pins", seeds.len());
     }
+}
+
+/// A ring over `n` vertices and four labels.
+fn ring(n: u32) -> Graph {
+    let labels: Vec<u32> = (0..n).map(|v| v % 4).collect();
+    let edges: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    labeled(&labels, &edges)
+}
+
+/// 250 new ring edges that first-touch the 50 vertices from `first`: each
+/// of the first six gains an edge to most of the later ones.
+fn crowded(first: u32) -> Vec<Update> {
+    (first..first + 50)
+        .flat_map(|a| (a + 2..first + 50).map(move |b| (a, b)))
+        .take(250)
+        .map(|(a, b)| Update::AddEdge { u: VertexId(a), v: VertexId(b) })
+        .collect()
+}
+
+/// `slots / 2` new ring edges that first-touch the `slots` vertices from
+/// `first`, one edge each.
+fn matching(first: u32, slots: u32) -> Vec<Update> {
+    let half = slots / 2;
+    (first..first + half)
+        .map(|a| Update::AddEdge { u: VertexId(a), v: VertexId(a + half) })
+        .collect()
+}
+
+#[test]
+fn a_warm_overlay_batch_allocates_the_same_for_50_or_500_first_touches() {
+    let mut g = DynamicGraph::new(ring(2_000));
+    // Warm-up: both shapes at once on other vertices, then the compaction
+    // that keeps what they grew.
+    let warm: Vec<Update> = crowded(1_000).into_iter().chain(matching(1_100, 500)).collect();
+    g.apply_batch(&warm).unwrap();
+    g.compact();
+
+    let (few, many) = (crowded(0), matching(100, 500));
+    let (fx, few) = allocations_during(|| g.apply_batch(&few));
+    assert_eq!(fx.unwrap().touched.len(), 50);
+    g.compact();
+    let (fx, many) = allocations_during(|| g.apply_batch(&many));
+    assert_eq!(fx.unwrap().touched.len(), 500);
+    // What is left is the batch's own report, the same 250 edges each time.
+    assert_eq!(few, many, "allocations of 250 edges over 50 vs 500 first touches");
+    assert!(many < 50, "{many} allocations for 250 added edges");
+}
+
+#[test]
+fn a_compaction_frees_the_same_blocks_for_200_or_2000_patched_slots() {
+    let frees = |patched: u32| {
+        let mut g = DynamicGraph::new(ring(4_000));
+        g.apply_batch(&matching(0, patched)).unwrap();
+        assert_eq!(g.patched_vertices(), patched as usize);
+        let (report, frees) = frees_during(|| g.compact());
+        assert_eq!(report.edges, 4_000 + patched as usize / 2);
+        frees
+    };
+    assert_eq!(frees(200), frees(2_000));
 }
