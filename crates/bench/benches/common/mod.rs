@@ -12,20 +12,8 @@ use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sqp_datagen::graphgen;
 use sqp_datagen::query::{generate_query, QueryGenMethod};
 use sqp_graph::{Graph, GraphDb};
-
-/// A denser, PCM-flavoured database.
-pub fn dense_db() -> GraphDb {
-    graphgen::generate(20, 60, 10, 10.0, 43)
-}
-
-/// One medium data graph (for per-SI-test benches).
-pub fn single_graph(vertices: usize, labels: usize, degree: f64) -> Graph {
-    let db = graphgen::generate(1, vertices, labels, degree, 44);
-    db.graphs()[0].clone()
-}
 
 /// A deterministic query with `edges` edges carved from `db`.
 pub fn query_from(db: &GraphDb, edges: usize, dense: bool, seed: u64) -> Graph {

@@ -43,7 +43,7 @@ use sqp_datagen::graphgen;
 use sqp_datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
 use sqp_graph::Graph;
 use sqp_matching::cfql::Cfql;
-use sqp_matching::{Deadline, Matcher, Phase, StatsSink};
+use sqp_matching::{Deadline, ExecCtx, Matcher, Phase};
 
 const ENGINES: [&str; 5] = ["Grapes", "GGSX", "CFQL", "vcGrapes", "TurboIso"];
 
@@ -86,7 +86,7 @@ fn time_engine(
 struct Rung {
     path: &'static str,
     /// Span-clock reads ÷ (query, graph) pairs over one pass, counted by a
-    /// counting [`StatsSink::with_clock`]: 1 per pruned pair, 6 on the
+    /// counting [`ExecCtx::with_clock`]: 1 per pruned pair, 6 on the
     /// ~0.1 % that survive the filter, 1 per scan. `None` where the path
     /// takes no caller's sink (the matcher loop runs without one — inert
     /// spans, no reads; the engine and the services own theirs).
@@ -136,7 +136,7 @@ fn serving_ladder() -> Vec<Rung> {
     let (plain, supervised) = (service(None), service(Some(SupervisorConfig::default())));
     let served = |service: &QueryService, q: &Graph| service.submit(q).0.wait().0.answers.len();
     // The counted pass: the pool rung once over a counting span clock.
-    let counted = Deadline::none().with_stats(StatsSink::with_clock(counting_clock));
+    let counted = Deadline::none().with_ctx(ExecCtx::with_clock(counting_clock));
     let answers: usize = queries.iter().map(|q| pool_query(q, counted)).sum();
     black_box(answers);
     let pooled_reads =

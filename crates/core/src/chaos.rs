@@ -32,9 +32,9 @@ pub enum FaultKind {
     Panic,
     /// Return `Err(Timeout)` as if the wall clock expired mid-filter.
     Timeout,
-    /// Trip the deadline's [`ResourceGuard`](sqp_matching::ResourceGuard)
+    /// Trip the deadline's [`ExecCtx`](sqp_matching::ExecCtx)
     /// (steps budget) and return `Err(Timeout)`, as a runaway enumeration
-    /// stopped by the guard would.
+    /// stopped by its step budget would.
     Exhaust,
 }
 
@@ -59,7 +59,7 @@ pub struct ChaosConfig {
     pub panic_per_mille: u32,
     /// Fraction of pairs that fake a timeout, in per-mille.
     pub timeout_per_mille: u32,
-    /// Fraction of pairs that trip the resource guard, in per-mille.
+    /// Fraction of pairs that trip a resource budget, in per-mille.
     pub exhaust_per_mille: u32,
 }
 
@@ -171,7 +171,7 @@ impl Matcher for ChaosMatcher {
             Some(FaultKind::Exhaust) => {
                 // Trip the shared guard exactly as a blown step budget would,
                 // then surface the interrupt through the normal error path.
-                deadline.guard().trip(ResourceKind::Steps);
+                deadline.ctx().trip(ResourceKind::Steps);
                 Err(Timeout)
             }
             None => self.inner.filter(q, g, deadline),
@@ -961,13 +961,13 @@ mod tests {
 
     #[test]
     fn exhaust_fault_trips_the_guard() {
-        use sqp_matching::{ResourceGuard, ResourceLimits};
+        use sqp_matching::{ExecCtx, ResourceLimits};
         let m = chaos(ChaosConfig::new(7).with_exhaustion(1000));
         let q = labeled(&[0, 1], &[(0, 1)]);
         let g = labeled(&[0, 1], &[(0, 1)]);
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited());
-        let d = Deadline::none().with_guard(guard);
+        let guard = ExecCtx::new();
+        guard.arm(ResourceLimits::unlimited());
+        let d = Deadline::none().with_ctx(guard);
         assert!(matches!(m.filter(&q, &g, d), Err(Timeout)));
         assert_eq!(guard.tripped(), Some(ResourceKind::Steps));
     }

@@ -187,11 +187,11 @@ impl QueryStatus {
     }
 
     /// Classifies an interrupted (Err([`Timeout`](sqp_matching::Timeout)))
-    /// matcher call: a tripped [`ResourceGuard`](sqp_matching::ResourceGuard)
-    /// on the deadline means resource exhaustion, otherwise the wall clock
-    /// (or a sibling's cancellation) expired.
+    /// matcher call: a budget tripped on the deadline's
+    /// [`ExecCtx`](sqp_matching::ExecCtx) means resource exhaustion,
+    /// otherwise the wall clock (or a sibling's cancellation) expired.
     pub fn from_interrupt(deadline: Deadline) -> Self {
-        match deadline.guard().tripped() {
+        match deadline.ctx().tripped() {
             Some(kind) => QueryStatus::ResourceExhausted { kind },
             None => QueryStatus::TimedOut,
         }
@@ -250,8 +250,8 @@ pub struct QueryOutcome {
     pub kernel: KernelStats,
     /// Per-phase span durations and item counts accumulated across every
     /// graph and worker of this query (see `sqp_matching::obs`). Durations
-    /// are nanoseconds under the production clock; all zeros when no stats
-    /// sink was attached.
+    /// are nanoseconds under the production clock; all zeros when no
+    /// `ExecCtx` was attached.
     pub phases: PhaseStats,
 }
 
@@ -472,13 +472,13 @@ mod tests {
 
     #[test]
     fn interrupt_classification_prefers_guard() {
-        use sqp_matching::{ResourceGuard, ResourceLimits};
+        use sqp_matching::{ExecCtx, ResourceLimits};
         let d = Deadline::none();
         assert_eq!(QueryStatus::from_interrupt(d), QueryStatus::TimedOut);
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited().with_max_steps(1));
+        let guard = ExecCtx::new();
+        guard.arm(ResourceLimits::unlimited().with_max_steps(1));
         guard.charge_steps(2);
-        let d = Deadline::none().with_guard(guard);
+        let d = Deadline::none().with_ctx(guard);
         assert_eq!(
             QueryStatus::from_interrupt(d),
             QueryStatus::ResourceExhausted { kind: ResourceKind::Steps }

@@ -26,7 +26,7 @@ use sqp_matching::quicksi::QuickSi;
 use sqp_matching::spath::SPath;
 use sqp_matching::turboiso::TurboIso;
 use sqp_matching::ullmann::Ullmann;
-use sqp_matching::{Deadline, Matcher, ResourceGuard, ResourceLimits, StatsSink};
+use sqp_matching::{Deadline, ExecCtx, Matcher, ResourceLimits};
 
 use crate::engine::{BuildReport, EngineCategory, QueryEngine, QueryOutcome};
 use crate::parallel::{panic_message, scan, QueryPool};
@@ -78,8 +78,7 @@ pub struct Engine {
     build_budget: BuildBudget,
     query_budget: Option<Duration>,
     limits: ResourceLimits,
-    guard: ResourceGuard,
-    stats: StatsSink,
+    ctx: ExecCtx,
     db: Option<Arc<GraphDb>>,
     built: Option<Box<dyn GraphIndex>>,
 }
@@ -95,22 +94,16 @@ impl Engine {
             build_budget: BuildBudget::unlimited(),
             query_budget: None,
             limits: ResourceLimits::unlimited(),
-            guard: ResourceGuard::new(),
-            stats: StatsSink::new(),
+            ctx: ExecCtx::new(),
             db: None,
             built: None,
         }
     }
 
-    /// Re-arms the engine's resource guard and stats sink, and builds the
-    /// per-query deadline.
+    /// Arms the engine's control block and builds the per-query deadline.
     fn deadline(&self) -> Deadline {
-        self.guard.reset(self.limits);
-        self.stats.reset();
-        self.query_budget
-            .map_or(Deadline::none(), Deadline::after)
-            .with_guard(self.guard)
-            .with_stats(self.stats)
+        let deadline = self.query_budget.map_or(Deadline::none(), Deadline::after);
+        deadline.with_ctx(self.ctx.arm(self.limits))
     }
 
     /// Algorithm 1's verification loop: one VF2 test per candidate graph,
@@ -205,8 +198,8 @@ impl QueryEngine for Engine {
         };
         out.filter_time += index_time;
         out.finalize();
-        out.kernel = self.stats.snapshot();
-        out.phases = self.stats.phase_snapshot();
+        out.kernel = self.ctx.snapshot();
+        out.phases = self.ctx.phase_snapshot();
         out
     }
 
@@ -416,7 +409,7 @@ pub struct ParallelEngine {
     pool: QueryPool,
     query_budget: Option<Duration>,
     limits: ResourceLimits,
-    guard: ResourceGuard,
+    ctx: ExecCtx,
     db: Option<Arc<GraphDb>>,
 }
 
@@ -429,7 +422,7 @@ impl ParallelEngine {
             pool,
             query_budget: None,
             limits: ResourceLimits::unlimited(),
-            guard: ResourceGuard::new(),
+            ctx: ExecCtx::new(),
             db: None,
         }
     }
@@ -457,9 +450,8 @@ impl QueryEngine for ParallelEngine {
             // Documented precondition (QueryEngine::query): build first.
             None => panic!("query before build"),
         };
-        self.guard.reset(self.limits);
-        let deadline =
-            self.query_budget.map_or(Deadline::none(), Deadline::after).with_guard(self.guard);
+        let deadline = self.query_budget.map_or(Deadline::none(), Deadline::after);
+        let deadline = deadline.with_ctx(self.ctx.arm(self.limits));
         self.pool.query(Arc::clone(&self.matcher), db, q, deadline).outcome
     }
     fn set_query_budget(&mut self, budget: Option<Duration>) {
@@ -571,12 +563,12 @@ mod tests {
         assert!(b.phases.items_of(Phase::Filter) >= a.candidates as u64);
     }
 
-    /// The named engine — the row `engine_by_name` builds — over a sink that
-    /// reads `clock`: the one field a test can reach from here and a caller
-    /// cannot.
+    /// The named engine — the row `engine_by_name` builds — over a control
+    /// block that reads `clock`: the one field a test can reach from here
+    /// and a caller cannot.
     fn counting_engine(name: &str, clock: fn() -> u64) -> Engine {
         let mut engine = row(name).expect("registered").engine();
-        engine.stats = StatsSink::with_clock(clock);
+        engine.ctx = ExecCtx::with_clock(clock);
         engine
     }
 

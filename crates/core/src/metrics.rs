@@ -165,7 +165,7 @@ pub struct QueryRecord {
     /// probes) accumulated across the query's matcher calls.
     pub kernel: KernelStats,
     /// Per-phase wall time (nanoseconds) and item counts accumulated by the
-    /// tracing spans. Zeros when the query ran without a stats sink. Unlike
+    /// tracing spans. Zeros when the query ran without an `ExecCtx`. Unlike
     /// `filter_time`/`verify_time`, phase nanos are never rescaled on
     /// timeout — they stay raw so histograms can exclude censored records
     /// instead of mixing in synthetic values.

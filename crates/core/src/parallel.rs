@@ -8,8 +8,10 @@
 //! atomic counter over graph ids (a degenerate but contention-free form of
 //! work stealing: idle workers "steal" the next unclaimed graph, so skewed
 //! graph sizes leave no straggler running alone), and cooperative
-//! cancellation so that when any worker exhausts the budget every sibling
-//! stops within one [`TickChecker`] interval.
+//! cancellation through the query's one [`ExecCtx`] — the control block
+//! every worker's copy of the deadline shares — so that when any worker
+//! exhausts the budget every sibling stops within one [`TickChecker`]
+//! interval.
 //!
 //! Timing semantics: per-phase times are summed across workers (CPU time),
 //! while [`ParallelOutcome::wall_time`] reports the end-to-end latency — the
@@ -32,6 +34,7 @@
 //! re-panics.
 //!
 //! [`TickChecker`]: sqp_matching::deadline::TickChecker
+//! [`ExecCtx`]: sqp_matching::ExecCtx
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,7 +46,7 @@ use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb, HeapSize};
 use sqp_matching::deadline::SCAN_CHECK_INTERVAL;
 use sqp_matching::obs::{Lap, Phase};
-use sqp_matching::{CancelToken, Deadline, FilterResult, Heartbeat, Matcher, StatsSink};
+use sqp_matching::{Deadline, ExecCtx, FilterResult, Heartbeat, Matcher, ResourceLimits};
 
 use crate::engine::{QueryOutcome, QueryStatus};
 use crate::supervisor::{supervisor_loop, SupervisorConfig};
@@ -120,7 +123,7 @@ fn process_graph(
             part.candidates += 1;
             let bytes = space.heap_size();
             part.aux_bytes = part.aux_bytes.max(bytes);
-            deadline.guard().note_aux_bytes(bytes);
+            deadline.ctx().note_aux_bytes(bytes);
             if deadline.check_flags().is_ok() {
                 Ok(space)
             } else {
@@ -165,10 +168,11 @@ fn process_graph(
 /// Who reads the clock: the full [`Deadline::check`] (heartbeat + wall
 /// clock) runs before the first graph and every [`SCAN_CHECK_INTERVAL`]th;
 /// before the others only the flags are read, so a sibling's cancellation
-/// or a tripped guard still stops this scan before its next graph. The
+/// or a tripped budget still stops this scan before its next graph. The
 /// matcher calls get a [`fresh`](Deadline::fresh) copy — flags-only entry
 /// checks, `TickChecker` intervals untouched. A scan that stops on an
-/// interrupt raises the cancel token so every sibling stops as well.
+/// interrupt cancels the query's control block so every sibling stops as
+/// well.
 ///
 /// The span clock is read by one [`Lap`] opened before the first graph: one
 /// read at entry, one per pruned pair, two per pair that reaches
@@ -183,7 +187,7 @@ pub(crate) fn scan(
     mask: Option<&[bool]>,
     mut graphs: impl Iterator<Item = usize>,
 ) -> QueryOutcome {
-    debug_assert!(deadline.stats().is_some(), "a scan's stage walls are its lap's clock reads");
+    debug_assert!(deadline.ctx().is_some(), "a scan's stage walls are its lap's clock reads");
     let mut part = QueryOutcome::default();
     let mut lap = Lap::enter(Phase::Filter, deadline);
     for processed in 0usize.. {
@@ -204,7 +208,7 @@ pub(crate) fn scan(
             // the finalized outcome is thread-count independent.
             part.record_quarantined(gid);
         } else if !process_graph(matcher, db, q, gid, deadline.fresh(), &mut lap, &mut part) {
-            deadline.cancel_token().cancel();
+            deadline.ctx().cancel();
             break;
         }
     }
@@ -310,7 +314,7 @@ impl Job {
                 }
                 drop(note);
                 // Unblock siblings still grinding on their graphs.
-                deadline.cancel_token().cancel();
+                deadline.ctx().cancel();
                 None
             }
         }
@@ -437,10 +441,10 @@ impl PoolShared {
         idx: usize,
         slot: &WorkerSlot,
     ) {
-        // Fire the cancel token first: if the worker revives it observes
-        // expiry at its next check and exits on its own (as an abandoned
+        // Cancel the query first: if the worker revives it observes expiry
+        // at its next check and exits on its own (as an abandoned
         // generation).
-        job.deadline.cancel_token().cancel();
+        job.deadline.ctx().cancel();
         // Attribute the wedge to the graph the worker was grinding on.
         let mut part = QueryOutcome::default();
         match slot.busy_graph.load(Ordering::Relaxed) {
@@ -507,10 +511,12 @@ pub struct QueryPool {
     supervisor: Option<JoinHandle<()>>,
     /// Serializes query submission (workers handle one job at a time).
     submit: Mutex<()>,
-    cancel: CancelToken,
-    /// Kernel-counter sink attached to queries whose deadline has none, so
-    /// every [`ParallelOutcome`] carries enumeration-kernel stats.
-    stats: StatsSink,
+    /// Control block armed for queries whose deadline brings none, so every
+    /// [`ParallelOutcome`] carries kernel and phase totals.
+    ctx: ExecCtx,
+    /// The block of the query in flight (or of the last one): what
+    /// [`cancel`](QueryPool::cancel) raises.
+    current: Mutex<ExecCtx>,
 }
 
 impl QueryPool {
@@ -567,13 +573,8 @@ impl QueryPool {
                 .spawn(move || supervisor_loop(shared, config))
                 .ok()
         });
-        Self {
-            shared,
-            supervisor,
-            submit: Mutex::new(()),
-            cancel: CancelToken::new(),
-            stats: StatsSink::new(),
-        }
+        let ctx = ExecCtx::new();
+        Self { shared, supervisor, submit: Mutex::new(()), ctx, current: Mutex::new(ctx) }
     }
 
     /// A pool sized to the machine's available parallelism.
@@ -601,16 +602,17 @@ impl QueryPool {
     /// Cancels the in-flight query (if any): all workers observe expiry at
     /// their next deadline check and the outcome is flagged timed out.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        lock(&self.current).cancel();
     }
 
     /// Runs `matcher` as a vcFV query over the whole database. Results are
     /// identical to the sequential engine's for queries that complete within
     /// the budget (answers sorted by graph id); only timing differs.
     ///
-    /// The pool attaches its own [`CancelToken`] to `deadline`, so the first
-    /// worker to time out stops all others promptly and the merged outcome
-    /// is flagged timed out.
+    /// The workers share `deadline`'s [`ExecCtx`], as armed by the caller
+    /// (the pool arms an unlimited block of its own when the deadline brings
+    /// none), so the first worker to time out stops all others promptly and
+    /// the merged outcome is flagged timed out.
     ///
     /// This method never panics on matcher failures: a panic on one (query,
     /// graph) pair degrades that pair to a [`GraphFailure`] (all other
@@ -645,16 +647,14 @@ impl QueryPool {
             assert_eq!(mask.len(), db.len(), "quarantine mask must cover the whole database");
         }
         let _serial = lock(&self.submit);
-        // Workers are idle here (previous job fully drained), so the flag
-        // can be reused without racing a stale cancellation.
-        self.cancel.reset();
-        let mut deadline = deadline.with_cancel(self.cancel);
-        if !deadline.stats().is_some() {
-            // Workers are idle (previous job drained), so resetting the
-            // pool's shared sink cannot race a stale recording.
-            self.stats.reset();
-            deadline = deadline.with_stats(self.stats);
+        // Workers are idle here (previous job fully drained), so arming the
+        // pool's own block cannot race a stale recording; a caller's block is
+        // the caller's to arm.
+        let mut deadline = deadline;
+        if !deadline.ctx().is_some() {
+            deadline = deadline.with_ctx(self.ctx.arm(ResourceLimits::unlimited()));
         }
+        *lock(&self.current) = deadline.ctx();
         let t0 = Instant::now();
         let threads = self.shared.live.load(Ordering::Relaxed);
         let job = Arc::new(Job {
@@ -693,10 +693,10 @@ impl QueryPool {
         if let Some(message) = lock(&job.panic_note).take() {
             outcome.status.absorb(QueryStatus::Panicked { message });
         }
-        // Workers recorded into the (shared, atomic) sink; one snapshot
+        // Workers recorded into the (shared, atomic) block; one snapshot
         // covers every shard regardless of thread count.
-        outcome.kernel = deadline.stats().snapshot();
-        outcome.phases = deadline.stats().phase_snapshot();
+        outcome.kernel = deadline.ctx().snapshot();
+        outcome.phases = deadline.ctx().phase_snapshot();
         ParallelOutcome { outcome, wall_time: t0.elapsed(), threads: threads.max(1) }
     }
 }
@@ -899,6 +899,45 @@ mod tests {
         assert_eq!(ok.outcome.answers.len(), 40);
     }
 
+    /// `cancel()` reaches a control block the caller armed: the query ends
+    /// timed out, the caller's limits are still installed afterwards (the
+    /// pool never re-arms a caller's block), and the caller's next arm runs
+    /// the same query to completion.
+    #[test]
+    fn cancel_reaches_a_caller_armed_ctx_and_leaves_its_limits() {
+        use crate::chaos::SlowMatcher;
+        use sqp_matching::{ExecCtx, ResourceKind};
+        let db = db(12);
+        let q = labeled(&[0, 1], &[(0, 1)]);
+        let slow: Arc<dyn Matcher> =
+            Arc::new(SlowMatcher::new(Arc::new(Cfql::new()), Duration::from_millis(10)));
+        let max_steps = 1 << 20;
+        let limits = ResourceLimits::unlimited().with_max_steps(max_steps);
+        let ctx = ExecCtx::new();
+        let pool = QueryPool::new(2);
+        let done = AtomicBool::new(false);
+        let r = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    pool.cancel();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            let d = Deadline::none().with_ctx(ctx.arm(limits));
+            let r = pool.query(Arc::clone(&slow), &db, &q, d);
+            done.store(true, Ordering::Release);
+            r
+        });
+        assert_eq!(r.outcome.status, QueryStatus::TimedOut);
+        assert!(r.outcome.answers.len() < 12);
+        assert_eq!(ctx.tripped(), None, "a cancel is not a trip");
+        ctx.charge_steps(max_steps + 1);
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Steps), "the caller's step limit survived");
+        let r = pool.query(slow, &db, &q, Deadline::none().with_ctx(ctx.arm(limits)));
+        assert_eq!(r.outcome.status, QueryStatus::Completed);
+        assert_eq!(r.outcome.answers.len(), 12);
+    }
+
     /// A matcher that panics when filtering any data graph whose vertex 0
     /// carries `poison_label`; otherwise delegates to CFQL.
     struct PanicOn {
@@ -1039,14 +1078,14 @@ mod tests {
 
     #[test]
     fn resource_exhaustion_classified_not_timed_out() {
-        use sqp_matching::{ResourceGuard, ResourceKind, ResourceLimits};
+        use sqp_matching::{ExecCtx, ResourceKind, ResourceLimits};
         let db = db(30);
         let q = labeled(&[0, 1], &[(0, 1)]);
-        let guard = ResourceGuard::new();
+        let guard = ExecCtx::new();
         // A 1-byte aux budget trips on the first candidate space.
-        guard.reset(ResourceLimits::unlimited().with_max_aux_bytes(1));
+        guard.arm(ResourceLimits::unlimited().with_max_aux_bytes(1));
         let pool = QueryPool::new(4);
-        let r = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none().with_guard(guard));
+        let r = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none().with_ctx(guard));
         assert!(r.outcome.status.is_exhausted());
         assert_eq!(r.outcome.status, QueryStatus::ResourceExhausted { kind: ResourceKind::Memory });
         assert!(!r.outcome.timed_out());

@@ -15,9 +15,9 @@
 //!   short-circuited to [`QueryStatus::Quarantined`] records, with
 //!   half-open probing after a cool-down.
 //! * **Graceful drain** — [`QueryService::shutdown`] stops admissions, lets
-//!   in-flight work finish within a drain deadline, then cancels via the
-//!   pool's [`CancelToken`]; every admitted query is guaranteed a terminal
-//!   status and no worker thread outlives the service.
+//!   in-flight work finish within a drain deadline, then cancels the
+//!   in-flight query's [`ExecCtx`]; every admitted query is guaranteed a
+//!   terminal status and no worker thread outlives the service.
 //! * **Health snapshots** — [`DispatchCore::health`] exposes queue depth,
 //!   breaker occupancy, and shed/quarantine counters
 //!   ([`ServiceHealth`](crate::metrics::ServiceHealth)).
@@ -38,13 +38,13 @@
 //!
 //! [`QueryStatus::Shed`]: crate::engine::QueryStatus::Shed
 //! [`QueryStatus::Quarantined`]: crate::engine::QueryStatus::Quarantined
-//! [`CancelToken`]: sqp_matching::CancelToken
+//! [`ExecCtx`]: sqp_matching::ExecCtx
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use sqp_graph::{Graph, GraphDb};
-use sqp_matching::{Deadline, Matcher, ResourceGuard};
+use sqp_matching::{Deadline, ExecCtx, Matcher};
 
 use crate::breaker::{BreakerConfig, BreakerRegistry};
 use crate::dispatch::{DispatchConfig, DispatchCore, Executed, QueryExecutor};
@@ -110,15 +110,14 @@ struct LocalExecutor {
     pool: QueryPool,
     matcher: Arc<dyn Matcher>,
     db: Arc<GraphDb>,
-    guard: ResourceGuard,
+    ctx: ExecCtx,
 }
 
 impl QueryExecutor for LocalExecutor {
     fn execute(&self, q: &Arc<Graph>, runner: RunnerConfig, mask: Option<Arc<[bool]>>) -> Executed {
         let (outcome, retries) = run_with_retries(runner, |remaining| {
-            self.guard.reset(runner.limits);
-            let deadline =
-                remaining.map_or(Deadline::none(), Deadline::after).with_guard(self.guard);
+            let deadline = remaining.map_or(Deadline::none(), Deadline::after);
+            let deadline = deadline.with_ctx(self.ctx.arm(runner.limits));
             self.pool
                 .query_masked(Arc::clone(&self.matcher), &self.db, q, deadline, mask.clone())
                 .outcome
@@ -198,7 +197,7 @@ impl QueryService {
             None => QueryPool::named(&thread_prefix, threads),
         };
         let breakers = BreakerRegistry::new(breaker, db.len());
-        let exec = Arc::new(LocalExecutor { pool, matcher, db, guard: ResourceGuard::new() });
+        let exec = Arc::new(LocalExecutor { pool, matcher, db, ctx: ExecCtx::new() });
         let core = DispatchCore::new(
             Arc::clone(&exec) as Arc<dyn QueryExecutor>,
             DispatchConfig {
@@ -221,7 +220,7 @@ impl QueryService {
     /// Gracefully drains and stops the service: admissions stop at once,
     /// queued and in-flight work gets `drain_deadline` to finish, then the
     /// backlog is resolved [`QueryStatus::Shed`] and the in-flight query is
-    /// cancelled through the pool's `CancelToken` (surfacing as a terminal
+    /// cancelled through its `ExecCtx` (surfacing as a terminal
     /// `TimedOut`/`ResourceExhausted`). Every admitted query is guaranteed
     /// a terminal status, and all service threads are joined before this
     /// returns.

@@ -24,7 +24,7 @@
 //! | metrics text | core families | core families + `sqp_shard_*` per peer |
 //! | [`WireChaos`] | optional (the fault suite's "corrupting shard") | none |
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,6 +47,10 @@ use crate::wire::{
     encode_frame, read_frame, write_frame, Greeting, Message, WireChaos, WireConfig, WireError,
     WireOutcome, ANSWER_CHUNK, WIRE_VERSION,
 };
+
+/// Bytes of request line and headers a `/metrics` scrape may send; past
+/// them the scrape is answered without reading further.
+const SCRAPE_HEAD_CAP: u64 = 64 << 10;
 
 /// The shard a graph lives on under fingerprint-hash placement.
 pub fn shard_of(g: &Graph, shards: usize) -> usize {
@@ -310,8 +314,18 @@ impl Shared {
         // a scraper that connects and says nothing must not hold either up.
         stream.set_read_timeout(Some(Duration::from_secs(2))).ok();
         let mut line = String::new();
-        if BufReader::new(&mut stream).read_line(&mut line).is_err() {
+        let mut reader = BufReader::new((&stream).take(SCRAPE_HEAD_CAP));
+        if reader.read_line(&mut line).is_err() {
             return;
+        }
+        // Read the headers up to the blank line: request bytes left unread
+        // would turn the close below into a reset that can discard the
+        // answer before the scraper has read it.
+        let mut header = String::new();
+        while matches!(reader.read_line(&mut header), Ok(n) if n > 0)
+            && !header.trim_end().is_empty()
+        {
+            header.clear();
         }
         let (status, body) = if line.starts_with("GET /metrics") {
             ("200 OK", self.metrics_text())
@@ -324,6 +338,7 @@ impl Shared {
              Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         );
+        let _ = stream.shutdown(Shutdown::Write);
     }
 }
 
@@ -557,6 +572,34 @@ mod tests {
             let all: Vec<GraphId> = db.iter().map(|(id, _)| id).collect();
             assert_eq!(seen, all, "every graph placed exactly once at {shards} shards");
         }
+    }
+
+    /// A scrape whose headers overflow one read buffer still gets the whole
+    /// answer and a clean end of stream: the server reads the request head
+    /// before it answers, so its close resets nothing.
+    #[test]
+    fn a_scrape_with_long_headers_reads_the_whole_answer_then_eof() {
+        use std::io::Read as _;
+        let db = mixed_db(4);
+        let mut server =
+            WireServer::start(Arc::new(sqp_matching::cfql::Cfql::new()), &db, Default::default())
+                .unwrap();
+        let addr = server.serve_metrics("127.0.0.1:0").unwrap();
+        // 256 header lines of 64 bytes: 16 KiB, twice a default read buffer.
+        let headers: String =
+            (0..256).map(|i| format!("X-Pad-{i:03}: {}\r\n", "p".repeat(51))).collect();
+        assert_eq!(headers.len(), 16 << 10);
+        let request = format!("GET /metrics HTTP/1.1\r\n{headers}\r\n");
+        let mut scraper = TcpStream::connect(addr).unwrap();
+        scraper.write_all(request.as_bytes()).unwrap();
+        let mut answer = Vec::new();
+        scraper.read_to_end(&mut answer).expect("a clean end of stream, not a reset");
+        let answer = String::from_utf8(answer).unwrap();
+        let (head, body) = answer.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        let length = head.lines().find_map(|l| l.strip_prefix("Content-Length: ")).unwrap();
+        assert_eq!(body.len(), length.parse::<usize>().unwrap());
+        server.shutdown();
     }
 
     #[test]

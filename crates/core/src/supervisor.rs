@@ -39,8 +39,8 @@
 //!
 //! # Escalation ladder
 //!
-//! Escalation, performed atomically under the pool's state lock: fire the
-//! job's cancel token (a revived worker self-terminates at its next check),
+//! Escalation, performed atomically under the pool's state lock: cancel the
+//! job's `ExecCtx` (a revived worker self-terminates at its next check),
 //! record a [`QueryStatus::Wedged`] failure for the graph the worker was
 //! grinding on, bump the slot's generation so a late commit from the
 //! abandoned thread is ignored, detach its `JoinHandle` (a truly wedged

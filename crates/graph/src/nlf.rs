@@ -11,8 +11,9 @@
 //! ([`Graph::label_runs`]): `(label, run length)` ascending by label. Every
 //! dominance test here is the same linear merge over two such run sequences
 //! ([`runs_dominated`]); none of them loads an adjacency list or a
-//! neighbor's label. A [`DynamicGraph`](crate::dynamic::DynamicGraph) keeps
-//! the same runs beside each patched adjacency list
+//! neighbor's label. A [`DynamicGraph`](crate::dynamic::DynamicGraph) stores
+//! no runs for a patched vertex: it derives them from the patched adjacency
+//! list's arena extent, which is sorted by `(label, id)`
 //! ([`label_runs`](crate::dynamic::DynamicGraph::label_runs)).
 //!
 //! # The packed signature

@@ -678,7 +678,7 @@ mod tests {
     use super::*;
     use crate::brute;
     use crate::cfql::Cfql;
-    use crate::StatsSink;
+    use crate::ExecCtx;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -929,8 +929,8 @@ mod tests {
         let (q2, g2) = differential_case(2, 9);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let deadline = Deadline::none()
-                    .with_stats(StatsSink::with_clock(clock_panicking_on_second_read));
+                let deadline =
+                    Deadline::none().with_ctx(ExecCtx::with_clock(clock_panicking_on_second_read));
                 let unwound = std::panic::catch_unwind(|| Cfl::new().filter(&q, &g, deadline));
                 assert!(unwound.is_err(), "the injected panic must unwind the filter call");
                 for (q, g) in [(&q, &g), (&q2, &g2)] {
@@ -1018,9 +1018,9 @@ mod tests {
         let others = [differential_case(1, 11), differential_case(2, 12), differential_case(0, 13)];
         std::thread::scope(|s| {
             s.spawn(|| {
-                let guard = crate::ResourceGuard::new();
-                guard.reset(crate::ResourceLimits::unlimited().with_max_steps(1));
-                let deadline = Deadline::none().with_guard(guard);
+                let guard = crate::ExecCtx::new();
+                guard.arm(crate::ResourceLimits::unlimited().with_max_steps(1));
+                let deadline = Deadline::none().with_ctx(guard);
                 assert_eq!(Cfl::new().filter(&edge, &ring, deadline).err(), Some(Timeout));
                 assert!(guard.tripped().is_some());
                 for (q, g) in others.iter().chain([(edge.clone(), ring.clone())].iter()) {

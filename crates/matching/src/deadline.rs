@@ -1,4 +1,4 @@
-//! Per-query time budgets, cooperative cancellation, and resource guards.
+//! Per-query time budgets and the per-query control block.
 //!
 //! The paper gives every query a 10-minute limit and records timed-out
 //! queries at the limit. A [`Deadline`] is threaded through every filter and
@@ -6,21 +6,20 @@
 //! [`TickChecker`], and a scan over many cheap graphs amortizes it with
 //! [`SCAN_CHECK_INTERVAL`]: flags before every graph, the clock every 16th.
 //!
-//! A deadline can additionally carry a [`CancelToken`] — a shared flag that
-//! makes *every* holder of the deadline observe expiry as soon as one of
-//! them raises it. The parallel query layer uses this so that when one
-//! worker exhausts the budget, sibling workers stop within one tick interval
-//! instead of burning CPU to their own independent expiry.
-//!
-//! It can further carry a [`ResourceGuard`] — a per-query budget on
-//! enumeration *work* (recursion steps) and auxiliary *memory* (candidate
-//! space bytes). The guard is charged on the same amortized [`TickChecker`]
-//! path the clock uses, so a runaway enumeration is stopped as a structured
-//! [`ResourceKind`] failure instead of grinding to OOM or to the wall-clock
-//! limit. Like the cancel token, a tripped guard expires the deadline for
-//! every holder, so sibling workers of the same query stop promptly.
+//! A deadline also carries the query's [`ExecCtx`]: one shared block holding
+//! its cancel flag, its [`ResourceLimits`] on enumeration *work* (recursion
+//! steps) and auxiliary *memory* (candidate-space bytes), its kernel
+//! counters and its per-phase span totals. Whoever owns the query arms it
+//! with one call ([`ExecCtx::arm`]). Cancel flag and trip kind share one
+//! status word, so the flags check every scan makes before a graph is one
+//! atomic load, and when one worker cancels or trips a budget every sibling
+//! holding the same deadline stops within one tick interval instead of
+//! burning CPU to its own expiry. Steps are charged on the same amortized
+//! [`TickChecker`] path the clock uses, so a runaway enumeration stops as a
+//! structured [`ResourceKind`] failure instead of grinding to OOM or to the
+//! wall-clock limit.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::obs::{Phase, PhaseStats, PHASE_COUNT};
@@ -38,61 +37,7 @@ impl std::fmt::Display for Timeout {
 
 impl std::error::Error for Timeout {}
 
-/// A shared cooperative cancellation flag.
-///
-/// The token is `Copy` so it can ride inside [`Deadline`] through every
-/// matcher signature unchanged. `new()` allocates the underlying flag with a
-/// `'static` lifetime (one leaked `AtomicBool`); tokens are meant to be
-/// created once per long-lived owner — e.g. a worker pool — and reused
-/// across queries via [`reset`](CancelToken::reset), not created per query.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CancelToken {
-    flag: Option<&'static AtomicBool>,
-}
-
-impl CancelToken {
-    /// The inert token: never cancelled, `cancel()` is a no-op.
-    pub const fn none() -> Self {
-        Self { flag: None }
-    }
-
-    /// A fresh token. Allocates the flag for the `'static` lifetime — create
-    /// once per pool/owner and [`reset`](CancelToken::reset) between uses.
-    pub fn new() -> Self {
-        Self { flag: Some(Box::leak(Box::new(AtomicBool::new(false)))) }
-    }
-
-    /// Raises the flag: every deadline carrying this token is now expired.
-    #[inline]
-    pub fn cancel(&self) {
-        if let Some(f) = self.flag {
-            f.store(true, Ordering::Release);
-        }
-    }
-
-    /// Lowers the flag so the token can be reused for the next query.
-    pub fn reset(&self) {
-        if let Some(f) = self.flag {
-            f.store(false, Ordering::Release);
-        }
-    }
-
-    /// Whether the flag is raised.
-    #[inline]
-    pub fn is_cancelled(&self) -> bool {
-        match self.flag {
-            Some(f) => f.load(Ordering::Acquire),
-            None => false,
-        }
-    }
-
-    /// Whether this token carries a real flag.
-    pub fn is_some(&self) -> bool {
-        self.flag.is_some()
-    }
-}
-
-/// Which per-query resource budget a [`ResourceGuard`] tripped on.
+/// Which per-query resource budget an [`ExecCtx`] tripped on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// The enumeration-step (recursion) budget was exhausted.
@@ -110,10 +55,10 @@ impl std::fmt::Display for ResourceKind {
     }
 }
 
-/// Per-query resource budgets enforced by a [`ResourceGuard`].
+/// Per-query resource budgets enforced by an [`ExecCtx`].
 ///
 /// `None` means unlimited. Step budgets are enforced to within one
-/// [`TickChecker`] interval per concurrent worker (the guard is charged in
+/// [`TickChecker`] interval per concurrent worker (steps are charged in
 /// amortized batches, never per recursion call).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResourceLimits {
@@ -124,7 +69,7 @@ pub struct ResourceLimits {
 }
 
 impl ResourceLimits {
-    /// No limits: the guard never trips.
+    /// No limits: the budgets never trip.
     pub const fn unlimited() -> Self {
         Self { max_steps: None, max_aux_bytes: None }
     }
@@ -147,126 +92,6 @@ impl ResourceLimits {
     }
 }
 
-const TRIP_NONE: u8 = 0;
-const TRIP_STEPS: u8 = 1;
-const TRIP_MEMORY: u8 = 2;
-
-#[derive(Debug, Default)]
-struct GuardState {
-    max_steps: AtomicU64,
-    max_aux_bytes: AtomicUsize,
-    steps: AtomicU64,
-    /// Which [`ResourceKind`] tripped (`TRIP_*`); 0 when healthy.
-    tripped: AtomicU8,
-}
-
-/// A shared per-query resource budget, carried inside [`Deadline`].
-///
-/// Like [`CancelToken`], the guard is `Copy` so it rides through every
-/// matcher signature unchanged; `new()` leaks one small state block for the
-/// `'static` lifetime, so guards are meant to be created once per long-lived
-/// owner (an engine, a pool, a runner) and re-armed per query via
-/// [`reset`](ResourceGuard::reset).
-///
-/// Once tripped, every deadline carrying the guard reports expiry
-/// ([`Deadline::check`] returns [`Timeout`]); the owner classifies the
-/// outcome afterwards via [`tripped`](ResourceGuard::tripped).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResourceGuard {
-    state: Option<&'static GuardState>,
-}
-
-impl ResourceGuard {
-    /// The inert guard: never trips, charging is a no-op.
-    pub const fn none() -> Self {
-        Self { state: None }
-    }
-
-    /// A fresh, unlimited guard. Leaks its state block for the `'static`
-    /// lifetime — create once per owner, [`reset`](ResourceGuard::reset)
-    /// between queries.
-    pub fn new() -> Self {
-        Self { state: Some(Box::leak(Box::new(GuardState::default()))) }
-    }
-
-    /// Re-arms the guard for the next query: clears the counters and trip
-    /// flag and installs `limits` (0 encodes "unlimited" internally).
-    pub fn reset(&self, limits: ResourceLimits) {
-        if let Some(s) = self.state {
-            s.max_steps.store(limits.max_steps.unwrap_or(0), Ordering::Release);
-            s.max_aux_bytes.store(limits.max_aux_bytes.unwrap_or(0), Ordering::Release);
-            s.steps.store(0, Ordering::Release);
-            s.tripped.store(TRIP_NONE, Ordering::Release);
-        }
-    }
-
-    /// Charges `n` enumeration steps; trips the guard when the budget is
-    /// exceeded. Called by [`TickChecker`] in whole-interval batches.
-    #[inline]
-    pub fn charge_steps(&self, n: u64) {
-        if let Some(s) = self.state {
-            let max = s.max_steps.load(Ordering::Acquire);
-            if max == 0 {
-                return;
-            }
-            let used = s.steps.fetch_add(n, Ordering::AcqRel).saturating_add(n);
-            if used > max {
-                s.tripped
-                    .compare_exchange(TRIP_NONE, TRIP_STEPS, Ordering::AcqRel, Ordering::Relaxed)
-                    .ok();
-            }
-        }
-    }
-
-    /// Notes a per-graph auxiliary allocation of `bytes`; trips the guard
-    /// when it exceeds the memory budget.
-    #[inline]
-    pub fn note_aux_bytes(&self, bytes: usize) {
-        if let Some(s) = self.state {
-            let max = s.max_aux_bytes.load(Ordering::Acquire);
-            if max != 0 && bytes > max {
-                s.tripped
-                    .compare_exchange(TRIP_NONE, TRIP_MEMORY, Ordering::AcqRel, Ordering::Relaxed)
-                    .ok();
-            }
-        }
-    }
-
-    /// Trips the guard directly (used by fault injection).
-    pub fn trip(&self, kind: ResourceKind) {
-        if let Some(s) = self.state {
-            let code = match kind {
-                ResourceKind::Steps => TRIP_STEPS,
-                ResourceKind::Memory => TRIP_MEMORY,
-            };
-            s.tripped.compare_exchange(TRIP_NONE, code, Ordering::AcqRel, Ordering::Relaxed).ok();
-        }
-    }
-
-    /// Which budget tripped, if any.
-    #[inline]
-    pub fn tripped(&self) -> Option<ResourceKind> {
-        match self.state {
-            Some(s) => match s.tripped.load(Ordering::Acquire) {
-                TRIP_STEPS => Some(ResourceKind::Steps),
-                TRIP_MEMORY => Some(ResourceKind::Memory),
-                _ => None,
-            },
-            None => None,
-        }
-    }
-
-    /// Steps charged so far (0 for the inert guard).
-    pub fn steps_used(&self) -> u64 {
-        self.state.map_or(0, |s| s.steps.load(Ordering::Acquire))
-    }
-
-    /// Whether this guard carries real state.
-    pub fn is_some(&self) -> bool {
-        self.state.is_some()
-    }
-}
-
 /// Monotonic nanoseconds since the first call in this process — the
 /// production span clock.
 fn monotonic_nanos() -> u64 {
@@ -275,6 +100,218 @@ fn monotonic_nanos() -> u64 {
     let base = *BASE.get_or_init(Instant::now);
     // ~584 years of u64 nanoseconds: the cast cannot truncate in practice.
     base.elapsed().as_nanos() as u64
+}
+
+/// The status word's cancel bit; the bits above it hold the trip kind.
+const CANCELLED: u8 = 1;
+const TRIP_SHIFT: u8 = 1;
+const TRIP_STEPS: u8 = 1;
+const TRIP_MEMORY: u8 = 2;
+
+#[derive(Debug)]
+struct CtxState {
+    /// [`CANCELLED`] | trip kind << [`TRIP_SHIFT`]; nonzero interrupts
+    /// every holder.
+    status: AtomicU8,
+    /// Budgets; 0 encodes "unlimited".
+    max_steps: AtomicU64,
+    max_aux_bytes: AtomicUsize,
+    steps: AtomicU64,
+    /// The [`KernelStats`] fields, in declaration order.
+    kernel: [AtomicU64; 4],
+    phase_nanos: [AtomicU64; PHASE_COUNT],
+    phase_items: [AtomicU64; PHASE_COUNT],
+    /// Span clock; part of the block's identity, so snapshots of one block
+    /// are always in one unit.
+    clock: fn() -> u64,
+}
+
+/// One query's shared control block, carried inside [`Deadline`]: its
+/// cancel flag, resource budgets, kernel counters and phase totals.
+///
+/// The handle is `Copy` so it rides through every matcher signature
+/// unchanged; [`new`](ExecCtx::new) leaks one state block for the `'static`
+/// lifetime, so a block is created once per long-lived owner (an engine, a
+/// pool, an executor) and re-armed per query with [`arm`](ExecCtx::arm).
+/// Concurrent workers of one query record into it and sum naturally.
+///
+/// Once cancelled or tripped, every deadline carrying the block reports
+/// expiry ([`Deadline::check`] returns [`Timeout`]); the owner classifies the
+/// outcome afterwards via [`tripped`](ExecCtx::tripped), which reads the trip
+/// kind only: a cancel never hides a trip, nor a trip a cancel.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ExecCtx {
+    state: Option<&'static CtxState>,
+}
+
+impl ExecCtx {
+    /// The inert block: never interrupted, recording is a no-op, snapshots
+    /// are zero.
+    pub const fn none() -> Self {
+        Self { state: None }
+    }
+
+    /// A fresh, unlimited block whose spans read the monotonic clock.
+    pub fn new() -> Self {
+        Self::with_clock(monotonic_nanos)
+    }
+
+    /// A fresh, unlimited block whose spans read `clock`. Tests install a
+    /// deterministic counter here so phase durations are byte-stable across
+    /// runs and thread counts.
+    pub fn with_clock(clock: fn() -> u64) -> Self {
+        let state = CtxState {
+            status: AtomicU8::new(0),
+            max_steps: AtomicU64::new(0),
+            max_aux_bytes: AtomicUsize::new(0),
+            steps: AtomicU64::new(0),
+            kernel: Default::default(),
+            phase_nanos: Default::default(),
+            phase_items: Default::default(),
+            clock,
+        };
+        Self { state: Some(Box::leak(Box::new(state))) }
+    }
+
+    /// Re-arms the block for the next query: clears the status, the steps
+    /// and every counter, installs `limits`, and returns the block. The
+    /// clock survives.
+    pub fn arm(self, limits: ResourceLimits) -> Self {
+        if let Some(s) = self.state {
+            s.max_steps.store(limits.max_steps.unwrap_or(0), Ordering::Release);
+            s.max_aux_bytes.store(limits.max_aux_bytes.unwrap_or(0), Ordering::Release);
+            s.steps.store(0, Ordering::Release);
+            for counter in s.kernel.iter().chain(&s.phase_nanos).chain(&s.phase_items) {
+                counter.store(0, Ordering::Release);
+            }
+            s.status.store(0, Ordering::Release);
+        }
+        self
+    }
+
+    /// Raises the cancel flag: every deadline carrying this block is now
+    /// expired. The trip kind is kept.
+    #[inline]
+    pub fn cancel(&self) {
+        if let Some(s) = self.state {
+            s.status.fetch_or(CANCELLED, Ordering::AcqRel);
+        }
+    }
+
+    /// Trips a budget directly (the budgets and fault injection call this).
+    /// The first trip wins; the cancel flag is kept.
+    pub fn trip(&self, kind: ResourceKind) {
+        let Some(s) = self.state else { return };
+        let code = match kind {
+            ResourceKind::Steps => TRIP_STEPS,
+            ResourceKind::Memory => TRIP_MEMORY,
+        };
+        let first = |status: u8| (status >> TRIP_SHIFT == 0).then_some(status | code << TRIP_SHIFT);
+        s.status.fetch_update(Ordering::AcqRel, Ordering::Acquire, first).ok();
+    }
+
+    /// Which budget tripped, if any — whether or not the block was also
+    /// cancelled.
+    #[inline]
+    pub fn tripped(&self) -> Option<ResourceKind> {
+        match self.state?.status.load(Ordering::Acquire) >> TRIP_SHIFT {
+            TRIP_STEPS => Some(ResourceKind::Steps),
+            TRIP_MEMORY => Some(ResourceKind::Memory),
+            _ => None,
+        }
+    }
+
+    /// Charges `n` enumeration steps; trips when the budget is exceeded.
+    /// Called by [`TickChecker`] in whole-interval batches.
+    #[inline]
+    pub fn charge_steps(&self, n: u64) {
+        let Some(s) = self.state else { return };
+        let max = s.max_steps.load(Ordering::Acquire);
+        if max != 0 && s.steps.fetch_add(n, Ordering::AcqRel).saturating_add(n) > max {
+            self.trip(ResourceKind::Steps);
+        }
+    }
+
+    /// Notes a per-graph auxiliary allocation of `bytes`; trips when it
+    /// exceeds the memory budget.
+    #[inline]
+    pub fn note_aux_bytes(&self, bytes: usize) {
+        let Some(s) = self.state else { return };
+        let max = s.max_aux_bytes.load(Ordering::Acquire);
+        if max != 0 && bytes > max {
+            self.trip(ResourceKind::Memory);
+        }
+    }
+
+    /// Steps charged since the last arm (0 for the inert block).
+    pub fn steps_used(&self) -> u64 {
+        self.state.map_or(0, |s| s.steps.load(Ordering::Acquire))
+    }
+
+    /// The current reading of this block's span clock (0 for the inert
+    /// block, without touching any clock).
+    #[inline]
+    pub fn now(&self) -> u64 {
+        self.state.map_or(0, |s| (s.clock)())
+    }
+
+    /// Adds one span's duration and item count to `phase`'s accumulators.
+    #[inline]
+    pub fn record_phase(&self, phase: Phase, nanos: u64, items: u64) {
+        if let Some(s) = self.state {
+            s.phase_nanos[phase.index()].fetch_add(nanos, Ordering::Relaxed);
+            s.phase_items[phase.index()].fetch_add(items, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds a passive span's item count to `phase` (no duration: the
+    /// enclosing span of the same phase is timing it).
+    #[inline]
+    pub(crate) fn record_items(&self, phase: Phase, items: u64) {
+        if let Some(s) = self.state {
+            s.phase_items[phase.index()].fetch_add(items, Ordering::Relaxed);
+        }
+    }
+
+    /// This block's identity: the address of its leaked state, 0 for the
+    /// inert block. Two live blocks never share one.
+    #[inline]
+    pub(crate) fn id(&self) -> usize {
+        self.state.map_or(0, |s| std::ptr::from_ref(s) as usize)
+    }
+
+    /// Adds one run's kernel counters.
+    #[inline]
+    pub fn record(&self, k: &KernelStats) {
+        if let Some(s) = self.state {
+            let runs = [k.intersections, k.gallop_hits, k.simd_hits, k.bitmap_probes];
+            for (counter, n) in s.kernel.iter().zip(runs) {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The kernel counters accumulated since the last arm.
+    pub fn snapshot(&self) -> KernelStats {
+        let Some(s) = self.state else { return KernelStats::default() };
+        let [intersections, gallop_hits, simd_hits, bitmap_probes] =
+            s.kernel.each_ref().map(|c| c.load(Ordering::Acquire));
+        KernelStats { intersections, gallop_hits, simd_hits, bitmap_probes }
+    }
+
+    /// The per-phase accumulators since the last arm.
+    pub fn phase_snapshot(&self) -> PhaseStats {
+        let Some(s) = self.state else { return PhaseStats::default() };
+        let load = |counters: &[AtomicU64; PHASE_COUNT]| {
+            counters.each_ref().map(|c| c.load(Ordering::Acquire))
+        };
+        PhaseStats { nanos: load(&s.phase_nanos), items: load(&s.phase_items) }
+    }
+
+    /// Whether this handle carries a real block.
+    pub fn is_some(&self) -> bool {
+        self.state.is_some()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -296,14 +333,15 @@ struct BeatState {
 /// from one that is *wedged* (looping without ever consulting its deadline)
 /// with the observer's scan interval as granularity.
 ///
-/// Like [`CancelToken`], the heartbeat is `Copy` and `new()` leaks one small
+/// Unlike the [`ExecCtx`] every worker of a query shares, a heartbeat
+/// belongs to one worker slot, so the supervisor can tell which worker is
+/// wedged. Like it, the heartbeat is `Copy` and `new()` leaks one small
 /// state block for the `'static` lifetime: create once per worker slot and
 /// re-arm per job via [`reset`](Heartbeat::reset).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Heartbeat {
     state: Option<&'static BeatState>,
 }
-
 impl Heartbeat {
     /// The inert heartbeat: never beats, never reads as stale.
     pub const fn none() -> Self {
@@ -356,168 +394,8 @@ impl Heartbeat {
     }
 }
 
-#[derive(Debug)]
-struct SinkState {
-    intersections: AtomicU64,
-    gallop_hits: AtomicU64,
-    simd_hits: AtomicU64,
-    bitmap_probes: AtomicU64,
-    phase_nanos: [AtomicU64; PHASE_COUNT],
-    phase_items: [AtomicU64; PHASE_COUNT],
-    /// Span clock; immutable after construction so snapshots of the same
-    /// sink are always in one unit.
-    clock: fn() -> u64,
-}
-
-impl Default for SinkState {
-    fn default() -> Self {
-        Self::with_clock(monotonic_nanos)
-    }
-}
-
-impl SinkState {
-    fn with_clock(clock: fn() -> u64) -> Self {
-        Self {
-            intersections: AtomicU64::new(0),
-            gallop_hits: AtomicU64::new(0),
-            simd_hits: AtomicU64::new(0),
-            bitmap_probes: AtomicU64::new(0),
-            phase_nanos: Default::default(),
-            phase_items: Default::default(),
-            clock,
-        }
-    }
-}
-
-/// A shared accumulator for enumeration-kernel counters, carried inside
-/// [`Deadline`].
-///
-/// Like [`CancelToken`] and [`ResourceGuard`], the sink is `Copy` so it rides
-/// through every matcher signature unchanged; `new()` leaks one small state
-/// block for the `'static` lifetime, so sinks are meant to be created once
-/// per long-lived owner (an engine, a pool, a runner) and cleared per query
-/// via [`reset`](StatsSink::reset). Enumerators flush their local counters
-/// here once per run, so concurrent workers of the same query sum naturally.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StatsSink {
-    state: Option<&'static SinkState>,
-}
-
-impl StatsSink {
-    /// The inert sink: recording is a no-op, snapshots are zero.
-    pub const fn none() -> Self {
-        Self { state: None }
-    }
-
-    /// A fresh sink. Leaks its state block for the `'static` lifetime —
-    /// create once per owner, [`reset`](StatsSink::reset) between queries.
-    pub fn new() -> Self {
-        Self { state: Some(Box::leak(Box::new(SinkState::default()))) }
-    }
-
-    /// A fresh sink whose spans read `clock` instead of the monotonic
-    /// nanosecond counter. Tests install a deterministic counter here so
-    /// phase durations are byte-stable across runs and thread counts.
-    pub fn with_clock(clock: fn() -> u64) -> Self {
-        Self { state: Some(Box::leak(Box::new(SinkState::with_clock(clock)))) }
-    }
-
-    /// Clears the counters for the next query. The clock is part of the
-    /// sink's identity and survives resets.
-    pub fn reset(&self) {
-        if let Some(s) = self.state {
-            s.intersections.store(0, Ordering::Release);
-            s.gallop_hits.store(0, Ordering::Release);
-            s.simd_hits.store(0, Ordering::Release);
-            s.bitmap_probes.store(0, Ordering::Release);
-            for p in 0..PHASE_COUNT {
-                s.phase_nanos[p].store(0, Ordering::Release);
-                s.phase_items[p].store(0, Ordering::Release);
-            }
-        }
-    }
-
-    /// The current reading of this sink's span clock (0 for the inert sink,
-    /// without touching any clock).
-    #[inline]
-    pub fn now(&self) -> u64 {
-        match self.state {
-            Some(s) => (s.clock)(),
-            None => 0,
-        }
-    }
-
-    /// Adds one span's duration and item count to `phase`'s accumulators.
-    #[inline]
-    pub fn record_phase(&self, phase: Phase, nanos: u64, items: u64) {
-        if let Some(s) = self.state {
-            s.phase_nanos[phase.index()].fetch_add(nanos, Ordering::Relaxed);
-            s.phase_items[phase.index()].fetch_add(items, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds a passive span's item count to `phase` (no duration: the
-    /// enclosing span of the same phase is timing it).
-    #[inline]
-    pub(crate) fn record_items(&self, phase: Phase, items: u64) {
-        if let Some(s) = self.state {
-            s.phase_items[phase.index()].fetch_add(items, Ordering::Relaxed);
-        }
-    }
-
-    /// This sink's identity: the address of its leaked state, 0 for the
-    /// inert sink. Two live sinks never share one.
-    #[inline]
-    pub(crate) fn id(&self) -> usize {
-        self.state.map_or(0, |s| std::ptr::from_ref(s) as usize)
-    }
-
-    /// The per-phase accumulators since the last reset.
-    pub fn phase_snapshot(&self) -> PhaseStats {
-        match self.state {
-            Some(s) => {
-                let mut out = PhaseStats::default();
-                for p in 0..PHASE_COUNT {
-                    out.nanos[p] = s.phase_nanos[p].load(Ordering::Acquire);
-                    out.items[p] = s.phase_items[p].load(Ordering::Acquire);
-                }
-                out
-            }
-            None => PhaseStats::default(),
-        }
-    }
-
-    /// Adds one run's kernel counters.
-    #[inline]
-    pub fn record(&self, k: &KernelStats) {
-        if let Some(s) = self.state {
-            s.intersections.fetch_add(k.intersections, Ordering::Relaxed);
-            s.gallop_hits.fetch_add(k.gallop_hits, Ordering::Relaxed);
-            s.simd_hits.fetch_add(k.simd_hits, Ordering::Relaxed);
-            s.bitmap_probes.fetch_add(k.bitmap_probes, Ordering::Relaxed);
-        }
-    }
-
-    /// The counters accumulated since the last reset.
-    pub fn snapshot(&self) -> KernelStats {
-        match self.state {
-            Some(s) => KernelStats {
-                intersections: s.intersections.load(Ordering::Acquire),
-                gallop_hits: s.gallop_hits.load(Ordering::Acquire),
-                simd_hits: s.simd_hits.load(Ordering::Acquire),
-                bitmap_probes: s.bitmap_probes.load(Ordering::Acquire),
-            },
-            None => KernelStats::default(),
-        }
-    }
-
-    /// Whether this sink carries real state.
-    pub fn is_some(&self) -> bool {
-        self.state.is_some()
-    }
-}
-
-/// An optional wall-clock deadline, optionally paired with a [`CancelToken`].
+/// An optional wall-clock deadline, carrying the query's [`ExecCtx`] and a
+/// worker's [`Heartbeat`].
 ///
 /// # Examples
 ///
@@ -534,9 +412,7 @@ impl StatsSink {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Deadline {
     at: Option<Instant>,
-    cancel: CancelToken,
-    guard: ResourceGuard,
-    stats: StatsSink,
+    ctx: ExecCtx,
     beat: Heartbeat,
     /// Set by [`fresh`](Deadline::fresh): the holder was handed this copy by
     /// a scan that has just checked the clock.
@@ -546,14 +422,7 @@ pub struct Deadline {
 impl Deadline {
     /// No deadline: operations run to completion.
     pub const fn none() -> Self {
-        Self {
-            at: None,
-            cancel: CancelToken::none(),
-            guard: ResourceGuard::none(),
-            stats: StatsSink::none(),
-            beat: Heartbeat::none(),
-            fresh: false,
-        }
+        Self { at: None, ctx: ExecCtx::none(), beat: Heartbeat::none(), fresh: false }
     }
 
     /// A deadline `budget` from now. A budget too large to represent as an
@@ -567,40 +436,16 @@ impl Deadline {
         Self { at: Some(instant), ..Self::none() }
     }
 
-    /// Attaches a cancellation token: the deadline also expires as soon as
-    /// the token is cancelled.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+    /// Attaches the query's control block: the deadline also expires as
+    /// soon as the block is cancelled or trips a budget.
+    pub fn with_ctx(mut self, ctx: ExecCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
-    /// The attached cancellation token ([`CancelToken::none`] if absent).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel
-    }
-
-    /// Attaches a resource guard: the deadline also expires as soon as the
-    /// guard trips a budget.
-    pub fn with_guard(mut self, guard: ResourceGuard) -> Self {
-        self.guard = guard;
-        self
-    }
-
-    /// The attached resource guard ([`ResourceGuard::none`] if absent).
-    pub fn guard(&self) -> ResourceGuard {
-        self.guard
-    }
-
-    /// Attaches a kernel-counter sink: enumerators flush their intersection
-    /// counters into it.
-    pub fn with_stats(mut self, stats: StatsSink) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// The attached stats sink ([`StatsSink::none`] if absent).
-    pub fn stats(&self) -> StatsSink {
-        self.stats
+    /// The attached control block ([`ExecCtx::none`] if absent).
+    pub fn ctx(&self) -> ExecCtx {
+        self.ctx
     }
 
     /// Attaches a heartbeat: every [`check`](Deadline::check) bumps it, so
@@ -621,8 +466,8 @@ impl Deadline {
         self.at
     }
 
-    /// Whether the deadline has passed, the token was cancelled, or the
-    /// resource guard tripped.
+    /// Whether the deadline has passed, or the control block was cancelled
+    /// or tripped a budget.
     #[inline]
     pub fn expired(&self) -> bool {
         if self.check_flags().is_err() {
@@ -647,14 +492,13 @@ impl Deadline {
         }
     }
 
-    /// The flags-only check: errors if the token was cancelled or the guard
-    /// tripped — two atomic loads, no heartbeat, no clock.
+    /// The flags-only check: errors if the control block was cancelled or
+    /// tripped — one atomic load of its status word, no heartbeat, no clock.
     #[inline]
     pub fn check_flags(&self) -> Result<(), Timeout> {
-        if self.cancel.is_cancelled() || self.guard.tripped().is_some() {
-            Err(Timeout)
-        } else {
-            Ok(())
+        match self.ctx.state {
+            Some(s) if s.status.load(Ordering::Acquire) != 0 => Err(Timeout),
+            _ => Ok(()),
         }
     }
 
@@ -708,13 +552,13 @@ impl TickChecker {
 
     /// Registers one tick; consults the deadline periodically. Each interval
     /// boundary also charges one whole interval of work to the attached
-    /// [`ResourceGuard`], so step budgets are accurate to within one interval
-    /// per concurrent worker.
+    /// [`ExecCtx`], so step budgets are accurate to within one interval per
+    /// concurrent worker.
     #[inline]
     pub fn tick(&mut self, deadline: Deadline) -> Result<(), Timeout> {
         self.ticks = self.ticks.wrapping_add(1);
         if self.ticks & ((1 << LOG_INTERVAL) - 1) == 0 {
-            deadline.guard().charge_steps(1 << LOG_INTERVAL);
+            deadline.ctx().charge_steps(1 << LOG_INTERVAL);
             deadline.check()
         } else {
             Ok(())
@@ -731,6 +575,9 @@ impl Default for TickChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     #[test]
     fn none_never_expires() {
@@ -765,26 +612,43 @@ mod tests {
 
     #[test]
     fn cancellation_expires_any_deadline() {
-        let token = CancelToken::new();
-        let far = Deadline::after(Duration::from_secs(3600)).with_cancel(token);
-        let never = Deadline::none().with_cancel(token);
+        let ctx = ExecCtx::new();
+        let far = Deadline::after(Duration::from_secs(3600)).with_ctx(ctx);
+        let never = Deadline::none().with_ctx(ctx);
         assert!(!far.expired());
         assert!(!never.expired());
-        token.cancel();
+        ctx.cancel();
         assert!(far.expired());
         assert!(never.expired());
         assert_eq!(far.check(), Err(Timeout));
-        token.reset();
+        assert!(ctx.tripped().is_none(), "a cancel is not a trip");
+        ctx.arm(ResourceLimits::unlimited());
         assert!(!far.expired());
         assert!(!never.expired());
     }
 
     #[test]
-    fn none_token_is_inert() {
-        let t = CancelToken::none();
-        t.cancel();
-        assert!(!t.is_cancelled());
-        assert!(!t.is_some());
+    fn none_ctx_is_inert() {
+        let ctx = ExecCtx::none();
+        assert!(!ctx.is_some());
+        ctx.arm(ResourceLimits::unlimited().with_max_steps(1).with_max_aux_bytes(1));
+        ctx.cancel();
+        ctx.charge_steps(u64::MAX / 2);
+        ctx.note_aux_bytes(usize::MAX);
+        ctx.trip(ResourceKind::Steps);
+        assert!(ctx.tripped().is_none());
+        assert_eq!(ctx.steps_used(), 0);
+        ctx.record(&KernelStats {
+            intersections: 1,
+            gallop_hits: 1,
+            simd_hits: 1,
+            bitmap_probes: 1,
+        });
+        assert!(ctx.snapshot().is_zero());
+        ctx.record_phase(Phase::Filter, 10, 10);
+        assert!(ctx.phase_snapshot().is_zero());
+        assert_eq!(ctx.now(), 0);
+        assert!(!Deadline::none().with_ctx(ctx).expired());
     }
 
     #[test]
@@ -803,13 +667,13 @@ mod tests {
 
     #[test]
     fn tick_checker_observes_cancellation() {
-        let token = CancelToken::new();
-        let d = Deadline::none().with_cancel(token);
+        let ctx = ExecCtx::new();
+        let d = Deadline::none().with_ctx(ctx);
         let mut t = TickChecker::new();
         for _ in 0..5000 {
             assert!(t.tick(d).is_ok());
         }
-        token.cancel();
+        ctx.cancel();
         let mut hit = false;
         for _ in 0..5000 {
             if t.tick(d).is_err() {
@@ -821,128 +685,105 @@ mod tests {
     }
 
     #[test]
-    fn guard_trips_on_step_budget() {
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited().with_max_steps(100));
-        let d = Deadline::none().with_guard(guard);
+    fn ctx_trips_on_step_budget() {
+        let ctx = ExecCtx::new().arm(ResourceLimits::unlimited().with_max_steps(100));
+        let d = Deadline::none().with_ctx(ctx);
         assert!(!d.expired());
-        guard.charge_steps(50);
-        assert!(d.guard().tripped().is_none());
-        guard.charge_steps(51);
-        assert_eq!(d.guard().tripped(), Some(ResourceKind::Steps));
+        ctx.charge_steps(50);
+        assert!(d.ctx().tripped().is_none());
+        ctx.charge_steps(51);
+        assert_eq!(d.ctx().tripped(), Some(ResourceKind::Steps));
         assert!(d.expired());
         assert_eq!(d.check(), Err(Timeout));
-        assert!(guard.steps_used() >= 101);
+        assert!(ctx.steps_used() >= 101);
     }
 
     #[test]
-    fn guard_trips_on_memory_budget() {
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited().with_max_aux_bytes(1 << 20));
-        let d = Deadline::after(Duration::from_secs(3600)).with_guard(guard);
-        guard.note_aux_bytes(1 << 19);
-        assert!(d.guard().tripped().is_none());
-        guard.note_aux_bytes((1 << 20) + 1);
-        assert_eq!(d.guard().tripped(), Some(ResourceKind::Memory));
+    fn ctx_trips_on_memory_budget() {
+        let ctx = ExecCtx::new().arm(ResourceLimits::unlimited().with_max_aux_bytes(1 << 20));
+        let d = Deadline::after(Duration::from_secs(3600)).with_ctx(ctx);
+        ctx.note_aux_bytes(1 << 19);
+        assert!(d.ctx().tripped().is_none());
+        ctx.note_aux_bytes((1 << 20) + 1);
+        assert_eq!(d.ctx().tripped(), Some(ResourceKind::Memory));
         assert!(d.expired());
     }
 
     #[test]
-    fn guard_reset_rearms() {
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited().with_max_steps(10));
-        guard.charge_steps(11);
-        assert_eq!(guard.tripped(), Some(ResourceKind::Steps));
-        guard.reset(ResourceLimits::unlimited().with_max_steps(10));
-        assert!(guard.tripped().is_none());
-        assert_eq!(guard.steps_used(), 0);
-        // Reset to unlimited: nothing trips no matter how much is charged.
-        guard.reset(ResourceLimits::unlimited());
-        guard.charge_steps(u64::MAX / 2);
-        guard.note_aux_bytes(usize::MAX);
-        assert!(guard.tripped().is_none());
+    fn arm_rearms() {
+        let ctx = ExecCtx::new().arm(ResourceLimits::unlimited().with_max_steps(10));
+        ctx.charge_steps(11);
+        ctx.cancel();
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Steps));
+        ctx.arm(ResourceLimits::unlimited().with_max_steps(10));
+        assert!(ctx.tripped().is_none());
+        assert!(Deadline::none().with_ctx(ctx).check_flags().is_ok(), "arm clears the cancel");
+        assert_eq!(ctx.steps_used(), 0);
+        // Armed unlimited: nothing trips no matter how much is charged.
+        ctx.arm(ResourceLimits::unlimited());
+        ctx.charge_steps(u64::MAX / 2);
+        ctx.note_aux_bytes(usize::MAX);
+        assert!(ctx.tripped().is_none());
     }
 
     #[test]
-    fn none_guard_is_inert() {
-        let guard = ResourceGuard::none();
-        assert!(!guard.is_some());
-        guard.charge_steps(u64::MAX / 2);
-        guard.note_aux_bytes(usize::MAX);
-        guard.trip(ResourceKind::Steps);
-        assert!(guard.tripped().is_none());
-        assert_eq!(guard.steps_used(), 0);
-        assert!(!Deadline::none().with_guard(guard).expired());
+    fn first_trip_wins_and_cancel_keeps_it() {
+        let ctx = ExecCtx::new();
+        ctx.trip(ResourceKind::Memory);
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Memory));
+        ctx.trip(ResourceKind::Steps);
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Memory));
+        ctx.cancel();
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Memory), "a cancel never hides a trip");
+        // Nor a trip a cancel: once cancelled, a trip sets the kind only.
+        let ctx = ExecCtx::new();
+        ctx.cancel();
+        ctx.trip(ResourceKind::Steps);
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Steps));
+        assert_eq!(ctx.state.map(|s| s.status.load(Ordering::Acquire) & CANCELLED), Some(1));
     }
 
     #[test]
-    fn explicit_trip_is_observable() {
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited());
-        guard.trip(ResourceKind::Memory);
-        assert_eq!(guard.tripped(), Some(ResourceKind::Memory));
-        // First trip wins.
-        guard.trip(ResourceKind::Steps);
-        assert_eq!(guard.tripped(), Some(ResourceKind::Memory));
-    }
-
-    #[test]
-    fn stats_sink_accumulates_and_resets() {
-        let sink = StatsSink::new();
-        let d = Deadline::none().with_stats(sink);
-        assert!(d.stats().snapshot().is_zero());
-        d.stats().record(&KernelStats {
+    fn kernel_counters_accumulate_and_rearm() {
+        let ctx = ExecCtx::new();
+        let d = Deadline::none().with_ctx(ctx);
+        assert!(d.ctx().snapshot().is_zero());
+        d.ctx().record(&KernelStats {
             intersections: 3,
             gallop_hits: 1,
             simd_hits: 2,
             bitmap_probes: 7,
         });
-        d.stats().record(&KernelStats {
+        d.ctx().record(&KernelStats {
             intersections: 1,
             gallop_hits: 0,
             simd_hits: 1,
             bitmap_probes: 2,
         });
         assert_eq!(
-            sink.snapshot(),
+            ctx.snapshot(),
             KernelStats { intersections: 4, gallop_hits: 1, simd_hits: 3, bitmap_probes: 9 }
         );
-        sink.reset();
-        assert!(sink.snapshot().is_zero());
+        ctx.arm(ResourceLimits::unlimited());
+        assert!(ctx.snapshot().is_zero());
     }
 
     #[test]
-    fn none_sink_is_inert() {
-        let sink = StatsSink::none();
-        assert!(!sink.is_some());
-        sink.record(&KernelStats {
-            intersections: 1,
-            gallop_hits: 1,
-            simd_hits: 1,
-            bitmap_probes: 1,
-        });
-        assert!(sink.snapshot().is_zero());
-        sink.record_phase(Phase::Filter, 10, 10);
-        assert!(sink.phase_snapshot().is_zero());
-        assert_eq!(sink.now(), 0);
-    }
-
-    #[test]
-    fn phase_counters_accumulate_and_reset() {
-        let sink = StatsSink::new();
-        sink.record_phase(Phase::Filter, 5, 2);
-        sink.record_phase(Phase::Filter, 7, 1);
-        sink.record_phase(Phase::Enumerate, 11, 4);
-        let snap = sink.phase_snapshot();
+    fn phase_counters_accumulate_and_rearm() {
+        let ctx = ExecCtx::new();
+        ctx.record_phase(Phase::Filter, 5, 2);
+        ctx.record_phase(Phase::Filter, 7, 1);
+        ctx.record_phase(Phase::Enumerate, 11, 4);
+        let snap = ctx.phase_snapshot();
         assert_eq!(snap.nanos_of(Phase::Filter), 12);
         assert_eq!(snap.items_of(Phase::Filter), 3);
         assert_eq!(snap.nanos_of(Phase::Enumerate), 11);
         assert_eq!(snap.items_of(Phase::Enumerate), 4);
-        sink.reset();
-        assert!(sink.phase_snapshot().is_zero());
+        ctx.arm(ResourceLimits::unlimited());
+        assert!(ctx.phase_snapshot().is_zero());
         // The production clock is monotonic.
-        let a = sink.now();
-        let b = sink.now();
+        let a = ctx.now();
+        let b = ctx.now();
         assert!(b >= a);
     }
 
@@ -1009,14 +850,10 @@ mod tests {
     #[test]
     fn flags_check_touches_neither_beat_nor_clock() {
         let beat = Heartbeat::new();
-        let token = CancelToken::new();
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited());
+        let ctx = ExecCtx::new();
         // Already past its wall-clock instant: only a clock read could tell.
-        let d = Deadline::at(Instant::now() - Duration::from_millis(1))
-            .with_beat(beat)
-            .with_cancel(token)
-            .with_guard(guard);
+        let d =
+            Deadline::at(Instant::now() - Duration::from_millis(1)).with_beat(beat).with_ctx(ctx);
         beat.stale_for();
         std::thread::sleep(STALE);
         assert!(d.check_flags().is_ok(), "the flags-only check must not read the clock");
@@ -1024,21 +861,20 @@ mod tests {
         assert_eq!(d.check(), Err(Timeout));
         assert_eq!(beat.stale_for(), Duration::ZERO);
         // Both flags are seen.
-        token.cancel();
+        ctx.cancel();
         assert_eq!(d.check_flags(), Err(Timeout));
-        token.reset();
+        ctx.arm(ResourceLimits::unlimited());
         assert!(d.check_flags().is_ok());
-        guard.trip(ResourceKind::Steps);
+        ctx.trip(ResourceKind::Steps);
         assert_eq!(d.check_flags(), Err(Timeout));
     }
 
     #[test]
     fn fresh_affects_check_entry_only() {
         let beat = Heartbeat::new();
-        let token = CancelToken::new();
-        let late = Deadline::at(Instant::now() - Duration::from_millis(1))
-            .with_beat(beat)
-            .with_cancel(token);
+        let ctx = ExecCtx::new();
+        let late =
+            Deadline::at(Instant::now() - Duration::from_millis(1)).with_beat(beat).with_ctx(ctx);
         // A direct caller's entry check is the full check.
         assert_eq!(late.check_entry(), Err(Timeout));
         assert_eq!(beat.stale_for(), Duration::ZERO);
@@ -1047,9 +883,9 @@ mod tests {
         std::thread::sleep(STALE);
         assert!(vouched.check_entry().is_ok());
         assert!(beat.stale_for() >= STALE);
-        token.cancel();
+        ctx.cancel();
         assert_eq!(vouched.check_entry(), Err(Timeout));
-        token.reset();
+        ctx.arm(ResourceLimits::unlimited());
         // ...while every other check of the copy is unchanged.
         assert!(vouched.expired());
         assert_eq!(vouched.check(), Err(Timeout));
@@ -1059,10 +895,9 @@ mod tests {
     }
 
     #[test]
-    fn tick_checker_charges_guard() {
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited().with_max_steps(5000));
-        let d = Deadline::none().with_guard(guard);
+    fn tick_checker_charges_ctx() {
+        let ctx = ExecCtx::new().arm(ResourceLimits::unlimited().with_max_steps(5000));
+        let d = Deadline::none().with_ctx(ctx);
         let mut t = TickChecker::new();
         let mut hit = false;
         for _ in 0..20_000 {
@@ -1072,6 +907,169 @@ mod tests {
             }
         }
         assert!(hit, "step budget must surface through the tick path");
-        assert_eq!(guard.tripped(), Some(ResourceKind::Steps));
+        assert_eq!(ctx.tripped(), Some(ResourceKind::Steps));
+    }
+
+    /// Four threads race two trips of different kinds and a stream of
+    /// cancels over one armed block: the first trip is the only one any
+    /// reader ever sees, the cancels never move it, and no trip loses the
+    /// cancel bit.
+    #[test]
+    fn first_trip_wins_a_race_and_cancel_never_moves_it() {
+        let ctx = ExecCtx::new();
+        for _ in 0..200 {
+            ctx.arm(ResourceLimits::unlimited());
+            let start = &std::sync::Barrier::new(4);
+            let seen = std::thread::scope(|s| {
+                for kind in [ResourceKind::Steps, ResourceKind::Memory] {
+                    s.spawn(move || {
+                        start.wait();
+                        ctx.trip(kind);
+                    });
+                }
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..64 {
+                        ctx.cancel();
+                    }
+                });
+                let reader = s.spawn(|| {
+                    start.wait();
+                    let mut seen = Vec::new();
+                    while seen.len() < 64 {
+                        if let Some(kind) = ctx.tripped() {
+                            seen.push(kind);
+                        }
+                    }
+                    seen
+                });
+                reader.join().unwrap()
+            });
+            let winner = ctx.tripped().unwrap();
+            assert!(seen.iter().all(|&k| k == winner), "{seen:?} vs {winner:?}");
+            assert_eq!(ctx.state.map(|s| s.status.load(Ordering::Acquire) & CANCELLED), Some(1));
+        }
+    }
+
+    /// One operation on a block, as the reference model replays it.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Arm(ResourceLimits),
+        Cancel,
+        Trip(ResourceKind),
+        Charge(u64),
+        Aux(usize),
+        Record(KernelStats),
+        RecordPhase(Phase, u64, u64),
+    }
+
+    fn random_op(rng: &mut StdRng) -> Op {
+        // Budgets as small as the charges so both sides of each are drawn;
+        // 0 is drawn too, which the block reads as "unlimited".
+        let limit = |rng: &mut StdRng| rng.random_bool(0.5).then(|| rng.random_range(0..40));
+        let kind = |rng: &mut StdRng| {
+            [ResourceKind::Steps, ResourceKind::Memory][rng.random_range(0..2usize)]
+        };
+        match rng.random_range(0..7) {
+            0 => {
+                let max_steps = limit(rng);
+                let max_aux_bytes = limit(rng).map(|b| b as usize);
+                Op::Arm(ResourceLimits { max_steps, max_aux_bytes })
+            }
+            1 => Op::Cancel,
+            2 => Op::Trip(kind(rng)),
+            3 => Op::Charge(rng.random_range(0..16)),
+            4 => Op::Aux(rng.random_range(0..48)),
+            5 => Op::Record(KernelStats {
+                intersections: rng.random_range(0..5),
+                gallop_hits: rng.random_range(0..5),
+                simd_hits: rng.random_range(0..5),
+                bitmap_probes: rng.random_range(0..5),
+            }),
+            _ => Op::RecordPhase(
+                Phase::ALL[rng.random_range(0..PHASE_COUNT)],
+                rng.random_range(0..100),
+                rng.random_range(0..10),
+            ),
+        }
+    }
+
+    /// The plain-struct reference of one block.
+    #[derive(Default)]
+    struct Model {
+        limits: ResourceLimits,
+        cancelled: bool,
+        trip: Option<ResourceKind>,
+        steps: u64,
+        kernel: KernelStats,
+        phases: PhaseStats,
+    }
+
+    impl Model {
+        fn apply(&mut self, op: Op) {
+            match op {
+                Op::Arm(limits) => *self = Model { limits, ..Model::default() },
+                Op::Cancel => self.cancelled = true,
+                Op::Trip(kind) => {
+                    self.trip.get_or_insert(kind);
+                }
+                Op::Charge(n) => {
+                    if let Some(max) = self.limits.max_steps.filter(|&m| m != 0) {
+                        self.steps += n;
+                        if self.steps > max {
+                            self.trip.get_or_insert(ResourceKind::Steps);
+                        }
+                    }
+                }
+                Op::Aux(bytes) => {
+                    if self.limits.max_aux_bytes.is_some_and(|m| m != 0 && bytes > m) {
+                        self.trip.get_or_insert(ResourceKind::Memory);
+                    }
+                }
+                Op::Record(k) => self.kernel.merge(&k),
+                Op::RecordPhase(phase, nanos, items) => {
+                    self.phases.nanos[phase.index()] += nanos;
+                    self.phases.items[phase.index()] += items;
+                }
+            }
+        }
+    }
+
+    fn apply(ctx: ExecCtx, op: Op) {
+        match op {
+            Op::Arm(limits) => {
+                ctx.arm(limits);
+            }
+            Op::Cancel => ctx.cancel(),
+            Op::Trip(kind) => ctx.trip(kind),
+            Op::Charge(n) => ctx.charge_steps(n),
+            Op::Aux(bytes) => ctx.note_aux_bytes(bytes),
+            Op::Record(k) => ctx.record(&k),
+            Op::RecordPhase(phase, nanos, items) => ctx.record_phase(phase, nanos, items),
+        }
+    }
+
+    proptest! {
+        /// Random operation sequences on one block against the model: after
+        /// every step the same flags check, trip kind, steps, kernel
+        /// counters and phase totals.
+        #[test]
+        fn exec_ctx_matches_the_reference_model(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ctx = ExecCtx::new();
+            let deadline = Deadline::none().with_ctx(ctx);
+            let mut model = Model::default();
+            for step in 0..rng.random_range(1..60) {
+                let op = random_op(&mut rng);
+                apply(ctx, op);
+                model.apply(op);
+                let flagged = model.cancelled || model.trip.is_some();
+                prop_assert_eq!(deadline.check_flags().is_err(), flagged, "step {} {:?}", step, op);
+                prop_assert_eq!(ctx.tripped(), model.trip, "step {} {:?}", step, op);
+                prop_assert_eq!(ctx.steps_used(), model.steps, "step {} {:?}", step, op);
+                prop_assert_eq!(ctx.snapshot(), model.kernel, "step {} {:?}", step, op);
+                prop_assert_eq!(ctx.phase_snapshot(), model.phases, "step {} {:?}", step, op);
+            }
+        }
     }
 }

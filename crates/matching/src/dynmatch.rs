@@ -331,7 +331,7 @@ mod tests {
     use sqp_graph::{GraphBuilder, Label};
 
     use crate::brute;
-    use crate::deadline::{ResourceGuard, ResourceLimits};
+    use crate::deadline::{ExecCtx, ResourceLimits};
 
     fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let mut b = GraphBuilder::new();
@@ -625,9 +625,9 @@ mod tests {
         // attempts; the id-order walk this search used to do made 32 840,
         // 800 of them label-0 roots, each fanning out down the path.
         let (q, g) = (labeled(&PATH_PLUS_STAR.0, &PATH_PLUS_STAR.1), skewed_overlay());
-        let guard = ResourceGuard::new();
-        guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
-        let got = enumerate_overlay(&q, &g, Deadline::none().with_guard(guard));
+        let guard = ExecCtx::new();
+        guard.arm(ResourceLimits::unlimited().with_max_steps(4096));
+        let got = enumerate_overlay(&q, &g, Deadline::none().with_ctx(guard));
         assert!(guard.tripped().is_none(), "the search blew a 4 096-step budget");
         // The oracle walks query vertices in id order too: hand it the query
         // renumbered from the star outward, and map its answers back.

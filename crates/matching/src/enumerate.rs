@@ -151,7 +151,7 @@ impl<'a> Enumerator<'a> {
     /// Returns the number found.
     ///
     /// Kernel counters of the run are flushed into the deadline's
-    /// [`StatsSink`](crate::StatsSink) (if any), even when the run times out.
+    /// [`ExecCtx`](crate::ExecCtx) (if any), even when the run times out.
     pub fn run(
         &mut self,
         limit: u64,
@@ -177,7 +177,7 @@ impl<'a> Enumerator<'a> {
         let mut state = SearchState { found: 0, limit, ticker: TickChecker::new() };
         let result = self.descend(0, &mut state, deadline, on_match);
         self.stats.embeddings = state.found;
-        deadline.stats().record(&self.stats.kernel());
+        deadline.ctx().record(&self.stats.kernel());
         result?;
         Ok(state.found)
     }
@@ -342,7 +342,7 @@ struct SearchState {
 mod tests {
     use super::*;
     use crate::brute;
-    use crate::deadline::{ResourceGuard, ResourceLimits, StatsSink};
+    use crate::deadline::{ExecCtx, ResourceLimits};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -674,8 +674,8 @@ mod tests {
         let g = labeled(&[0, 0, 0, 0], &[(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let sink = StatsSink::new();
-        let d = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::new();
+        let d = Deadline::none().with_ctx(sink);
         let mut e = Enumerator::new(&q, &g, &space, &order);
         e.run(u64::MAX, d, &mut |_| {}).unwrap();
         let snap = sink.snapshot();
@@ -729,14 +729,14 @@ mod tests {
         };
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let guard = ResourceGuard::new();
-        let d = Deadline::none().with_guard(guard);
+        let guard = ExecCtx::new();
+        let d = Deadline::none().with_ctx(guard);
         // 2 directions × 64 starting vertices.
-        guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
+        guard.arm(ResourceLimits::unlimited().with_max_steps(4096));
         let found = Enumerator::new(&q, &g, &space, &order).run(u64::MAX, d, &mut |_| {});
         assert_eq!(found, Ok(2 * m as u64), "must fit the step budget");
         assert!(guard.tripped().is_none());
-        guard.reset(ResourceLimits::unlimited().with_max_steps(4096));
+        guard.arm(ResourceLimits::unlimited().with_max_steps(4096));
         let found = Reference::run(&q, &g, &space, &order, u64::MAX, d, &mut |_| {});
         assert_eq!(found, Ok(2 * m as u64), "the reference ticks at the same rate");
         assert!(guard.tripped().is_none());

@@ -40,10 +40,7 @@ pub mod ullmann;
 pub mod vf2;
 
 pub use candidates::{CandidateSpace, FilterResult};
-pub use deadline::{
-    CancelToken, Deadline, Heartbeat, ResourceGuard, ResourceKind, ResourceLimits, StatsSink,
-    Timeout,
-};
+pub use deadline::{Deadline, ExecCtx, Heartbeat, ResourceKind, ResourceLimits, Timeout};
 pub use embedding::Embedding;
 pub use enumerate::{enumerate_in_order, Enumerator};
 pub use obs::{Phase, PhaseStats, Span, PHASE_COUNT};
@@ -170,8 +167,8 @@ mod tests {
             (&ullmann::Ullmann::new(), true),
             (&turboiso::TurboIso::new(), false),
         ];
-        let sink = StatsSink::with_clock(tick);
-        let d = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let d = Deadline::none().with_ctx(sink);
         let mut rng = StdRng::seed_from_u64(77);
         let mut found = 0;
         for _ in 0..40 {
@@ -181,10 +178,10 @@ mod tests {
                 let Some(space) = m.filter(&q, &g, Deadline::none()).unwrap().space() else {
                     continue;
                 };
-                sink.reset();
+                sink.arm(ResourceLimits::unlimited());
                 let first = m.find_first(&q, &g, &space, d).unwrap();
                 let first_phases = sink.phase_snapshot();
-                sink.reset();
+                sink.arm(ResourceLimits::unlimited());
                 let mut limited = None;
                 let n =
                     m.enumerate(&q, &g, &space, 1, d, &mut |e| limited = Some(e.clone())).unwrap();

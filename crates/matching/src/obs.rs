@@ -5,17 +5,17 @@
 //! *order* (computing the matching order), *enumerate* (backtracking
 //! search), and *verify* (VF2 verification in the IFV engines). A [`Span`]
 //! measures one phase of one `(query, graph)` pair and flushes its duration
-//! and item count into the [`StatsSink`] riding on [`Deadline`] when it is
-//! dropped, so parallel workers of the same query aggregate lock-free
-//! through the sink's atomics.
+//! and item count into the query's [`ExecCtx`] riding on [`Deadline`] when
+//! it is dropped, so parallel workers of the same query aggregate lock-free
+//! through the block's atomics.
 //!
-//! Spans are plain stack values: an *active* span reads its sink's clock
+//! Spans are plain stack values: an *active* span reads its block's clock
 //! once on entry and once on drop, where it also makes two relaxed atomic
-//! adds (the phase's nanoseconds and items); a span over an inert sink does
+//! adds (the phase's nanoseconds and items); a span over an inert block does
 //! nothing at all — no allocation ever happens on the enumeration hot path.
 //!
 //! **The passive rule.** A span whose innermost open span on the same thread
-//! (or [`Lap`]) has the same [`Phase`] *and* the same sink is *passive*: it
+//! (or [`Lap`]) has the same [`Phase`] *and* the same block is *passive*: it
 //! reads no clock, does not join the nesting stack and records no
 //! nanoseconds; on drop it adds only its item count (nothing when that is
 //! 0). Timing it could only move nanoseconds from the enclosing span's
@@ -38,15 +38,15 @@
 //! lap's current phase is passive under it and active spans of other phases
 //! credit it as their parent. Its drop reads no clock: it pops its frame,
 //! credits the enclosing frame with Σ walls (plus any children closed after
-//! the last switch), and flushes the local totals into the sink — at most
+//! the last switch), and flushes the local totals into the block — at most
 //! one `record_phase` per phase per scan instead of two atomic adds per
 //! pair. A pruned pair thus costs one clock read, an unpruned CFQL pair six
 //! (two switches, the matcher's `BuildCandidates` and `Order` spans), plus
 //! one per scan; what ran between the last switch and the drop is timed by
 //! nobody (the scan loop's final flag check).
 //!
-//! The clock is injectable per sink ([`StatsSink::with_clock`]): production
-//! sinks read a monotonic nanosecond counter, tests install a deterministic
+//! The clock is injectable per block ([`ExecCtx::with_clock`]): production
+//! blocks read a monotonic nanosecond counter, tests install a deterministic
 //! fake so phase durations are byte-stable across runs and thread counts
 //! (invariant I8 extended to phase timings).
 //!
@@ -54,7 +54,7 @@
 
 use std::cell::Cell;
 
-use crate::deadline::{Deadline, StatsSink};
+use crate::deadline::{Deadline, ExecCtx};
 
 /// Number of observable phases.
 pub const PHASE_COUNT: usize = 5;
@@ -166,15 +166,15 @@ struct Frame {
     /// can record its *self* time (elapsed minus children) and nested spans
     /// never double-count a nanosecond.
     child_nanos: Cell<u64>,
-    /// The span's (or the lap's current) phase and sink ([`StatsSink::id`]):
+    /// The span's (or the lap's current) phase and block ([`ExecCtx::id`]):
     /// a span entered under this one with the same two is passive.
     phase: Cell<Phase>,
-    sink: Cell<usize>,
+    ctx: Cell<usize>,
 }
 
 impl Frame {
     const fn empty() -> Self {
-        Self { child_nanos: Cell::new(0), phase: Cell::new(Phase::Filter), sink: Cell::new(0) }
+        Self { child_nanos: Cell::new(0), phase: Cell::new(Phase::Filter), ctx: Cell::new(0) }
     }
 }
 
@@ -197,18 +197,18 @@ fn open_depth() -> usize {
     SPAN_DEPTH.with(Cell::get)
 }
 
-/// Whether the frame at `depth` is tracked and open for `phase` over sink
+/// Whether the frame at `depth` is tracked and open for `phase` over block
 /// `id` — what makes a span entered directly under it passive.
 #[inline]
 fn frame_is(depth: usize, phase: Phase, id: usize) -> bool {
     (1..=MAX_SPAN_DEPTH).contains(&depth)
         && FRAMES.with(|f| {
             let open = &f[depth - 1];
-            open.phase.get() == phase && open.sink.get() == id
+            open.phase.get() == phase && open.ctx.get() == id
         })
 }
 
-/// Opens a frame for `phase` over sink `id` directly under the frame at
+/// Opens a frame for `phase` over block `id` directly under the frame at
 /// `parent`; returns its depth.
 fn push_frame(parent: usize, phase: Phase, id: usize) -> usize {
     let depth = parent + 1;
@@ -218,7 +218,7 @@ fn push_frame(parent: usize, phase: Phase, id: usize) -> usize {
             let frame = &f[depth - 1];
             frame.child_nanos.set(0);
             frame.phase.set(phase);
-            frame.sink.set(id);
+            frame.ctx.set(id);
         });
     }
     depth
@@ -254,8 +254,8 @@ fn pop_frame(depth: usize, elapsed: u64) -> u64 {
     })
 }
 
-/// A stack guard measuring one phase; records into the deadline's sink on
-/// drop.
+/// A stack guard measuring one phase; records into the deadline's
+/// [`ExecCtx`] on drop.
 ///
 /// Spans may nest (strictly LIFO, as stack values naturally are): an
 /// enclosing span records only its self time — elapsed minus the elapsed
@@ -263,57 +263,57 @@ fn pop_frame(depth: usize, elapsed: u64) -> u64 {
 /// a harness wrap a whole stage (catching dispatch and panic-guard overhead)
 /// while inner matcher spans keep exact per-phase attribution, and the sum
 /// over phases still counts every nanosecond exactly once. An inner span of
-/// the enclosing span's own phase and sink is passive (module docs): it
+/// the enclosing span's own phase and block is passive (module docs): it
 /// costs no clock read and contributes only its items.
 ///
 /// ```
 /// use sqp_matching::obs::{Phase, Span};
-/// use sqp_matching::{Deadline, StatsSink};
+/// use sqp_matching::{Deadline, ExecCtx};
 ///
-/// let sink = StatsSink::new();
-/// let deadline = Deadline::none().with_stats(sink);
+/// let ctx = ExecCtx::new();
+/// let deadline = Deadline::none().with_ctx(ctx);
 /// {
 ///     let mut span = Span::enter(Phase::Filter, deadline);
 ///     span.add_items(42); // e.g. surviving candidates
 /// } // recorded here
-/// assert_eq!(sink.phase_snapshot().items_of(Phase::Filter), 42);
+/// assert_eq!(ctx.phase_snapshot().items_of(Phase::Filter), 42);
 /// ```
 #[derive(Debug)]
 pub struct Span {
-    sink: StatsSink,
+    ctx: ExecCtx,
     phase: Phase,
     start: u64,
     items: u64,
     /// 1-based nesting depth while this span is open and active; 0 for a
-    /// passive span, a span over an inert sink, and a closed span.
+    /// passive span, a span over an inert block, and a closed span.
     depth: usize,
 }
 
 impl Span {
-    /// Starts a span for `phase` against `deadline`'s sink. Reads the clock
-    /// only when the sink is live and the span is not passive (the innermost
-    /// open span on this thread has another phase or another sink).
+    /// Starts a span for `phase` against `deadline`'s block. Reads the clock
+    /// only when the block is live and the span is not passive (the innermost
+    /// open span on this thread has another phase or another block).
     #[inline]
     pub fn enter(phase: Phase, deadline: Deadline) -> Self {
-        let sink = deadline.stats();
-        if sink.is_some() {
-            Self::enter_live(phase, sink)
+        let ctx = deadline.ctx();
+        if ctx.is_some() {
+            Self::enter_live(phase, ctx)
         } else {
-            Self { sink, phase, start: 0, items: 0, depth: 0 }
+            Self { ctx, phase, start: 0, items: 0, depth: 0 }
         }
     }
 
-    /// Out of line and by value, so that over an inert sink `enter` inlines
+    /// Out of line and by value, so that over an inert block `enter` inlines
     /// into a matcher as one branch and the span stays in registers (a bare
     /// matcher loop reads 38 vs 44 µs per 1 000 pairs either way round).
-    fn enter_live(phase: Phase, sink: StatsSink) -> Self {
-        let passive = Self { sink, phase, start: 0, items: 0, depth: 0 };
-        let (parent, id) = (open_depth(), sink.id());
+    fn enter_live(phase: Phase, ctx: ExecCtx) -> Self {
+        let passive = Self { ctx, phase, start: 0, items: 0, depth: 0 };
+        let (parent, id) = (open_depth(), ctx.id());
         if frame_is(parent, phase, id) {
             return passive;
         }
         let depth = push_frame(parent, phase, id);
-        Self { start: sink.now(), depth, ..passive }
+        Self { start: ctx.now(), depth, ..passive }
     }
 
     /// Adds `n` items (candidates, embeddings, …) to this span's count.
@@ -325,7 +325,7 @@ impl Span {
     /// Ends the span now (recording it exactly as dropping would) and
     /// returns its full elapsed time in clock units — self time *plus*
     /// children, i.e. the span's wall clock. A wall reading comes only from
-    /// an active span: a passive span and a span over an inert sink return
+    /// an active span: a passive span and a span over an inert block return
     /// 0. Lets a harness reuse the span's clock reads as its stage wall
     /// measurement instead of paying for a second timer.
     #[inline]
@@ -343,20 +343,20 @@ impl Span {
         // Passive (or inert, where recording is a no-op): items only.
         let items = std::mem::take(&mut self.items);
         if items != 0 {
-            self.sink.record_items(self.phase, items);
+            self.ctx.record_items(self.phase, items);
         }
         0
     }
 
-    /// The active span's end: second clock read, self time to the sink, full
+    /// The active span's end: second clock read, self time to the block, full
     /// elapsed time to the enclosing span's children.
     fn end_active(&mut self) -> u64 {
-        let elapsed = self.sink.now().saturating_sub(self.start);
+        let elapsed = self.ctx.now().saturating_sub(self.start);
         // The full elapsed time (self + our own children) goes to the
         // enclosing frame's children.
         let children = pop_frame(self.depth, elapsed);
         let items = std::mem::take(&mut self.items);
-        self.sink.record_phase(self.phase, elapsed.saturating_sub(children), items);
+        self.ctx.record_phase(self.phase, elapsed.saturating_sub(children), items);
         self.depth = 0;
         elapsed
     }
@@ -372,48 +372,48 @@ impl Drop for Span {
 /// A stage span that changes phase in place: one clock read per
 /// [`switch`](Lap::switch), none on drop (module docs, "Laps").
 ///
-/// A lap is always active while its sink is live — even directly under an
-/// open span of its own phase and sink, which it then credits like any
-/// child — and over an inert sink it reads nothing and records nothing.
+/// A lap is always active while its block is live — even directly under an
+/// open span of its own phase and block, which it then credits like any
+/// child — and over an inert block it reads nothing and records nothing.
 /// Like spans, laps nest strictly LIFO with everything on the same thread.
 ///
 /// ```
 /// use sqp_matching::obs::{Lap, Phase};
-/// use sqp_matching::{Deadline, StatsSink};
+/// use sqp_matching::{Deadline, ExecCtx};
 ///
-/// let sink = StatsSink::new();
-/// let deadline = Deadline::none().with_stats(sink);
+/// let ctx = ExecCtx::new();
+/// let deadline = Deadline::none().with_ctx(ctx);
 /// let mut lap = Lap::enter(Phase::Filter, deadline);
 /// let filter_wall = lap.switch(Phase::Enumerate); // filter ends, enumerate starts
 /// let enumerate_wall = lap.switch(Phase::Filter);
 /// drop(lap); // no clock read: the totals are flushed here
-/// let snap = sink.phase_snapshot();
+/// let snap = ctx.phase_snapshot();
 /// assert_eq!(snap.total_nanos(), filter_wall + enumerate_wall);
 /// ```
 #[derive(Debug)]
 pub struct Lap {
-    sink: StatsSink,
+    ctx: ExecCtx,
     /// The running phase.
     phase: Phase,
     /// Clock reading at entry or at the last switch.
     start: u64,
-    /// 1-based nesting depth; 0 over an inert sink.
+    /// 1-based nesting depth; 0 over an inert block.
     depth: usize,
     /// Σ elapsed over the closed laps: what the enclosing frame is credited.
     walls: u64,
-    /// Self time per phase, flushed into the sink on drop.
+    /// Self time per phase, flushed into the block on drop.
     nanos: [u64; PHASE_COUNT],
 }
 
 impl Lap {
-    /// Opens a lap of `phase` against `deadline`'s sink: one clock read when
-    /// the sink is live, none otherwise.
+    /// Opens a lap of `phase` against `deadline`'s block: one clock read when
+    /// the block is live, none otherwise.
     pub fn enter(phase: Phase, deadline: Deadline) -> Self {
-        let sink = deadline.stats();
-        let mut lap = Self { sink, phase, start: 0, depth: 0, walls: 0, nanos: [0; PHASE_COUNT] };
-        if sink.is_some() {
-            lap.depth = push_frame(open_depth(), phase, sink.id());
-            lap.start = sink.now();
+        let ctx = deadline.ctx();
+        let mut lap = Self { ctx, phase, start: 0, depth: 0, walls: 0, nanos: [0; PHASE_COUNT] };
+        if ctx.is_some() {
+            lap.depth = push_frame(open_depth(), phase, ctx.id());
+            lap.start = ctx.now();
         }
         lap
     }
@@ -422,13 +422,13 @@ impl Lap {
     /// phase) with one clock read. The closed phase's self time — elapsed
     /// minus the active spans opened inside it — is kept for the drop; the
     /// full elapsed time is returned, the stage's wall. Returns 0 and reads
-    /// nothing over an inert sink.
+    /// nothing over an inert block.
     #[inline]
     pub fn switch(&mut self, next: Phase) -> u64 {
         if self.depth == 0 {
             return 0;
         }
-        let now = self.sink.now();
+        let now = self.ctx.now();
         let elapsed = now.saturating_sub(self.start);
         let children = rebase_frame(self.depth, next);
         let closed = &mut self.nanos[self.phase.index()];
@@ -452,7 +452,7 @@ impl Drop for Lap {
         for phase in Phase::ALL {
             let nanos = self.nanos[phase.index()];
             if nanos != 0 {
-                self.sink.record_phase(phase, nanos, 0);
+                self.ctx.record_phase(phase, nanos, 0);
             }
         }
     }
@@ -461,6 +461,7 @@ impl Drop for Lap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::ResourceLimits;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -477,8 +478,8 @@ mod tests {
 
     #[test]
     fn span_records_on_drop() {
-        let sink = StatsSink::new();
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::new();
+        let deadline = Deadline::none().with_ctx(sink);
         {
             let mut s = Span::enter(Phase::Enumerate, deadline);
             s.add_items(3);
@@ -499,7 +500,7 @@ mod tests {
         drop(s);
         // Nothing to observe; the point is it neither panics nor allocates
         // sink state.
-        assert!(Deadline::none().stats().phase_snapshot().is_zero());
+        assert!(Deadline::none().ctx().phase_snapshot().is_zero());
     }
 
     #[test]
@@ -529,8 +530,8 @@ mod tests {
                 v
             })
         }
-        let sink = StatsSink::with_clock(fake);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(fake);
+        let deadline = Deadline::none().with_ctx(sink);
         for _ in 0..3 {
             let _s = Span::enter(Phase::Order, deadline);
         }
@@ -550,8 +551,8 @@ mod tests {
                 v
             })
         }
-        let sink = StatsSink::with_clock(fake);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(fake);
+        let deadline = Deadline::none().with_ctx(sink);
         {
             let _outer = Span::enter(Phase::Filter, deadline); // clock: start
             let _inner = Span::enter(Phase::BuildCandidates, deadline);
@@ -592,8 +593,8 @@ mod tests {
 
     #[test]
     fn same_phase_same_sink_child_is_passive() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let mut outer = Span::enter(Phase::Filter, deadline);
         outer.add_items(1);
         assert_eq!((reads(), depth()), (1, 1));
@@ -615,8 +616,8 @@ mod tests {
 
     #[test]
     fn other_sink_and_other_phase_children_stay_active() {
-        let (a, b) = (StatsSink::with_clock(tick), StatsSink::with_clock(tick));
-        let (da, db) = (Deadline::none().with_stats(a), Deadline::none().with_stats(b));
+        let (a, b) = (ExecCtx::with_clock(tick), ExecCtx::with_clock(tick));
+        let (da, db) = (Deadline::none().with_ctx(a), Deadline::none().with_ctx(b));
         {
             let _outer = Span::enter(Phase::Filter, da); // tick 0
             drop(Span::enter(Phase::Filter, db)); // ticks 1, 2: same phase, other sink
@@ -634,8 +635,8 @@ mod tests {
 
     #[test]
     fn active_grandchild_of_a_passive_span_credits_the_grandparent() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let stage = Span::enter(Phase::Filter, deadline); // tick 0
         {
             let _matcher = Span::enter(Phase::Filter, deadline); // passive
@@ -653,8 +654,8 @@ mod tests {
 
     #[test]
     fn panic_through_stage_passive_active_unwinds_the_stack() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let stage = Span::enter(Phase::Filter, deadline); // tick 0
         let unwound = std::panic::catch_unwind(|| {
             let mut matcher = Span::enter(Phase::Filter, deadline); // passive
@@ -670,7 +671,7 @@ mod tests {
         assert_eq!(snap.items_of(Phase::Filter), 2, "the passive span's items survive the unwind");
         assert_eq!(snap.total_nanos(), 3);
         // The next span on this thread has no stale parent to be passive under.
-        sink.reset();
+        sink.arm(ResourceLimits::unlimited());
         drop(Span::enter(Phase::Filter, deadline)); // ticks 4, 5
         assert_eq!(sink.phase_snapshot().nanos_of(Phase::Filter), 1);
         assert_eq!(reads(), 6);
@@ -678,8 +679,8 @@ mod tests {
 
     #[test]
     fn spans_beyond_the_tracked_depth_stay_active() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         // Alternating phases keep every span active; the last one tracked
         // (depth 16) is a Filter span, the untracked depth 17 an Order span.
         let phase_at = |d: usize| [Phase::Order, Phase::Filter][(d + 1) % 2];
@@ -705,8 +706,8 @@ mod tests {
 
     #[test]
     fn a_lap_reads_once_per_switch_and_never_on_drop() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
         assert_eq!((reads(), depth()), (1, 1));
         assert_eq!(lap.switch(Phase::Filter), 1); // tick 1
@@ -722,8 +723,8 @@ mod tests {
 
     #[test]
     fn a_matcher_span_of_the_laps_phase_is_passive() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
         {
             let mut matcher = Span::enter(Phase::Filter, deadline);
@@ -747,8 +748,8 @@ mod tests {
 
     #[test]
     fn an_active_child_credits_the_lap() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
         {
             let _matcher = Span::enter(Phase::Filter, deadline); // passive
@@ -767,8 +768,8 @@ mod tests {
 
     #[test]
     fn a_lap_credits_its_enclosing_span_with_its_walls() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let outer = Span::enter(Phase::Order, deadline); // tick 0
         {
             let mut lap = Lap::enter(Phase::Filter, deadline); // tick 1
@@ -803,8 +804,8 @@ mod tests {
 
     #[test]
     fn a_panic_inside_a_lap_leaves_the_stack_where_the_lap_left_it() {
-        let sink = StatsSink::with_clock(tick);
-        let deadline = Deadline::none().with_stats(sink);
+        let sink = ExecCtx::with_clock(tick);
+        let deadline = Deadline::none().with_ctx(sink);
         let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
         let unwound = std::panic::catch_unwind(|| {
             let mut matcher = Span::enter(Phase::Filter, deadline); // passive
@@ -969,9 +970,9 @@ mod tests {
         #[test]
         fn span_trees_match_the_reference_model(seed in any::<u64>()) {
             let tree = random_tree(&mut StdRng::seed_from_u64(seed), 5);
-            let sinks = [StatsSink::with_clock(tick), StatsSink::with_clock(tick)];
+            let sinks = [ExecCtx::with_clock(tick), ExecCtx::with_clock(tick)];
             let before = reads();
-            replay(&tree, sinks.map(|s| Deadline::none().with_stats(s)));
+            replay(&tree, sinks.map(|s| Deadline::none().with_ctx(s)));
             let mut model = Model::default();
             let wall = model.run(&tree, None);
             prop_assert_eq!(depth(), 0);
@@ -991,9 +992,9 @@ mod tests {
         #[test]
         fn lap_rooted_span_trees_match_the_reference_model(seed in any::<u64>()) {
             let tree = random_lap_tree(&mut StdRng::seed_from_u64(seed));
-            let sinks = [StatsSink::with_clock(tick), StatsSink::with_clock(tick)];
+            let sinks = [ExecCtx::with_clock(tick), ExecCtx::with_clock(tick)];
             let before = reads();
-            replay_lap(&tree, sinks.map(|s| Deadline::none().with_stats(s)));
+            replay_lap(&tree, sinks.map(|s| Deadline::none().with_ctx(s)));
             let mut model = Model::default();
             let charged = model.run_lap_tree(&tree);
             prop_assert_eq!(depth(), 0);

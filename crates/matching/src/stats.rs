@@ -52,7 +52,7 @@ impl MatchingStats {
 /// The intersection-kernel counters of one or more enumeration runs.
 ///
 /// Carried by `QueryOutcome`/`QueryRecord` in `sqp-core` and summed across
-/// graphs and workers; collected via the [`StatsSink`](crate::StatsSink)
+/// graphs and workers; collected via the [`ExecCtx`](crate::ExecCtx)
 /// attached to the query's deadline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {

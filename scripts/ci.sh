@@ -8,7 +8,7 @@
 # Suites run bare by `cargo test --workspace` are not re-run; a suite gets a
 # step of its own only where it sets PROPTEST_CASES / SQP_FORCE_SCALAR /
 # SQP_BENCH_SMOKE. The gated benches (calibration, phases, dynamic) each run
-# once as an SQP_BENCH_SMOKE step; `ablations` has no gate and no step.
+# once as an SQP_BENCH_SMOKE step.
 #
 # The build environment has no crates.io access; every external dependency is
 # vendored under vendor/, so all steps run with --offline.
@@ -41,10 +41,23 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span and lap trees vs the phase-accounting model)"
-PROPTEST_CASES=256 cargo test -q --offline --test graph_properties nlf_run_index
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch:: obs::
-PROPTEST_CASES=256 cargo test -q --offline -p sqp-graph --lib -- nlf:: bitmap:: dynamic::
+echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span and lap trees vs the phase-accounting model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
+differential() { # <cargo test target args> -- <filters>: 256 cases each, failing on a filter that names no test
+  local args=()
+  while [[ "$1" != "--" ]]; do args+=("$1"); shift; done
+  shift
+  for filter in "$@"; do
+    tests=$(cargo test -q --offline "${args[@]}" -- --list "$filter" | grep -c ': test$' || true)
+    if [[ "$tests" -eq 0 ]]; then
+      echo "ci error: filter '$filter' of 'cargo test ${args[*]}' names no test" >&2
+      exit 1
+    fi
+  done
+  PROPTEST_CASES=256 cargo test -q --offline "${args[@]}" -- "$@"
+}
+differential --test graph_properties -- nlf_run_index
+differential -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch:: obs:: deadline::
+differential -p sqp-graph --lib -- nlf:: bitmap:: dynamic::
 
 echo "==> oracle equivalence sweep (all matchers + engines vs brute oracle, pool at 1/2/4/8 threads)"
 PROPTEST_CASES=256 cargo test -q --offline --test oracle_equivalence

@@ -25,9 +25,7 @@ use subgraph_query::datagen::query::{generate_query_set, QueryGenMethod, QuerySe
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphDb};
 use subgraph_query::matching::cfql::Cfql;
-use subgraph_query::matching::{
-    Deadline, FilterResult, Matcher, ResourceGuard, ResourceLimits, Timeout,
-};
+use subgraph_query::matching::{Deadline, ExecCtx, FilterResult, Matcher, ResourceLimits, Timeout};
 
 /// The pinned chaos seed (see EXPERIMENTS.md "Chaos suite").
 const CHAOS_SEED: u64 = 1001;
@@ -121,10 +119,10 @@ fn i5_injected_faults_never_perturb_nonfaulted_queries() {
     for threads in THREAD_COUNTS {
         let pool = QueryPool::new(threads);
         let matcher = chaos_matcher(config);
-        let guard = ResourceGuard::new();
+        let guard = ExecCtx::new();
         for (i, q) in queries.iter().enumerate() {
-            guard.reset(ResourceLimits::unlimited());
-            let d = Deadline::none().with_guard(guard);
+            guard.arm(ResourceLimits::unlimited());
+            let d = Deadline::none().with_ctx(guard);
             let out = pool.query(Arc::clone(&matcher), &db, q, d).outcome;
             let ctx = format!("query {i} at {threads} threads");
 

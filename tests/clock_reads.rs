@@ -29,7 +29,7 @@ use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::QueryStatus;
 use subgraph_query::datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
 use subgraph_query::graph::{Graph, GraphDb};
-use subgraph_query::matching::{Deadline, StatsSink};
+use subgraph_query::matching::{Deadline, ExecCtx, ResourceLimits};
 
 static READS: AtomicU64 = AtomicU64::new(0);
 
@@ -60,15 +60,15 @@ fn seeded_workload() -> (Arc<GraphDb>, Vec<Graph>) {
 #[test]
 fn cfql_pairs_read_the_clock_once_when_pruned_and_six_times_when_not() {
     let (db, queries) = seeded_workload();
-    let sink = StatsSink::with_clock(counting_clock);
+    let sink = ExecCtx::with_clock(counting_clock);
     let matcher = matcher_by_name("CFQL").expect("CFQL is index-free");
     let (mut pruned_seen, mut unpruned_seen) = (0, 0);
     for threads in [1usize, 2, 4, 8] {
         let pool = QueryPool::new(threads);
         for (i, q) in queries.iter().enumerate() {
-            sink.reset();
+            sink.arm(ResourceLimits::unlimited());
             let before = READS.load(Ordering::Relaxed);
-            let deadline = Deadline::none().with_stats(sink);
+            let deadline = Deadline::none().with_ctx(sink);
             let out = pool.query(Arc::clone(&matcher), &db, q, deadline).outcome;
             let reads = READS.load(Ordering::Relaxed) - before;
             assert_eq!(out.status, QueryStatus::Completed);

@@ -281,7 +281,6 @@ impl Matcher for TripWire {
         "trip-wire"
     }
     fn filter(&self, q: &Graph, g: &Graph, deadline: Deadline) -> Result<FilterResult, Timeout> {
-        let cancel = deadline.cancel_token();
         let t0 = Instant::now();
         if g.label(VertexId(0)) == Label(9) {
             while self.inside.load(Ordering::Acquire) < self.siblings && t0.elapsed() < PATIENCE {
@@ -289,11 +288,11 @@ impl Matcher for TripWire {
             }
             return Err(Timeout);
         }
-        if cancel.is_cancelled() {
+        if deadline.check_flags().is_err() {
             self.started_after_cancel.fetch_add(1, Ordering::Relaxed);
         }
         self.inside.fetch_add(1, Ordering::Release);
-        while !cancel.is_cancelled() && t0.elapsed() < PATIENCE {
+        while deadline.check_flags().is_ok() && t0.elapsed() < PATIENCE {
             std::thread::yield_now();
         }
         self.inner.filter(q, g, deadline)

@@ -29,7 +29,7 @@ use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, HeapSize, Label, Verte
 use subgraph_query::matching::cfql::Cfql;
 use subgraph_query::matching::graphql::GraphQl;
 use subgraph_query::matching::{
-    brute, Deadline, FilterResult, Matcher, ResourceGuard, ResourceKind, ResourceLimits,
+    brute, Deadline, ExecCtx, FilterResult, Matcher, ResourceKind, ResourceLimits,
 };
 
 /// Strategy: a random labeled graph with `n` vertices and up to `m` edges.
@@ -354,9 +354,9 @@ fn bitmap_bytes_count_against_memory_budget() {
     // One byte short of the full footprint: inside the window that only
     // trips because bitmap bytes are accounted.
     let pool = QueryPool::new(2);
-    let guard = ResourceGuard::new();
-    guard.reset(ResourceLimits::unlimited().with_max_aux_bytes(full - 1));
-    let r = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none().with_guard(guard));
+    let guard = ExecCtx::new();
+    guard.arm(ResourceLimits::unlimited().with_max_aux_bytes(full - 1));
+    let r = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none().with_ctx(guard));
     assert_eq!(
         r.outcome.status,
         QueryStatus::ResourceExhausted { kind: ResourceKind::Memory },
@@ -364,7 +364,7 @@ fn bitmap_bytes_count_against_memory_budget() {
     );
 
     // The full footprint fits: no trip.
-    guard.reset(ResourceLimits::unlimited().with_max_aux_bytes(full));
-    let r = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none().with_guard(guard));
+    guard.arm(ResourceLimits::unlimited().with_max_aux_bytes(full));
+    let r = pool.query(Arc::new(Cfql::new()), &db, &q, Deadline::none().with_ctx(guard));
     assert_eq!(r.outcome.status, QueryStatus::Completed);
 }

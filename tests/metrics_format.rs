@@ -27,8 +27,8 @@ use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::{QueryRecord, QuerySetReport, QueryStatus, ServiceHealth};
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
 use subgraph_query::matching::{
-    CandidateSpace, Deadline, Embedding, FilterResult, KernelStats, Matcher, Phase, PhaseStats,
-    ResourceGuard, ResourceKind, ResourceLimits, Span, StatsSink, Timeout,
+    CandidateSpace, Deadline, Embedding, ExecCtx, FilterResult, KernelStats, Matcher, Phase,
+    PhaseStats, ResourceKind, ResourceLimits, Span, Timeout,
 };
 
 // ---------------------------------------------------------------------------
@@ -285,14 +285,14 @@ fn fixture() -> (Arc<GraphDb>, subgraph_query::graph::Graph) {
 #[test]
 fn phase_timings_are_byte_stable_across_runs_and_thread_counts() {
     let (db, q) = fixture();
-    let sink = StatsSink::with_clock(fake_clock);
+    let sink = ExecCtx::with_clock(fake_clock);
     let mut observed: Vec<PhaseStats> = Vec::new();
     for threads in [1usize, 2, 4, 8, 1] {
-        sink.reset();
+        sink.arm(ResourceLimits::unlimited());
         let pool = QueryPool::new(threads);
         let matcher = matcher_by_name("CFQL").unwrap();
         // Injecting our sink keeps the pool from attaching its own.
-        let out = pool.query(matcher, &db, &q, Deadline::none().with_stats(sink)).outcome;
+        let out = pool.query(matcher, &db, &q, Deadline::none().with_ctx(sink)).outcome;
         assert_eq!(out.status, QueryStatus::Completed);
         assert!(out.phases.nanos_of(Phase::Filter) > 0, "no filter ticks recorded");
         observed.push(out.phases);
@@ -312,10 +312,10 @@ fn phase_timings_are_byte_stable_across_runs_and_thread_counts() {
 #[test]
 fn passive_spans_keep_items_and_sum_to_the_stage_walls() {
     let (db, q) = fixture();
-    let sink = StatsSink::with_clock(fake_clock);
+    let sink = ExecCtx::with_clock(fake_clock);
     let pool = QueryPool::new(2);
     let matcher = matcher_by_name("CFQL").unwrap();
-    let out = pool.query(matcher, &db, &q, Deadline::none().with_stats(sink)).outcome;
+    let out = pool.query(matcher, &db, &q, Deadline::none().with_ctx(sink)).outcome;
     assert_eq!(out.status, QueryStatus::Completed);
     let items: Vec<u64> = Phase::ALL.iter().map(|&p| out.phases.items_of(p)).collect();
     // [filter, build_candidates, order, enumerate, verify] at the parent of
@@ -352,7 +352,7 @@ impl Matcher for Faulty {
             panic!("injected filter panic");
         }
         if self.trip == Some(graph) {
-            deadline.guard().trip(ResourceKind::Steps);
+            deadline.ctx().trip(ResourceKind::Steps);
             return Err(Timeout);
         }
         self.inner.filter(q, g, deadline)
@@ -426,15 +426,12 @@ fn faulty_fixture() -> (Arc<GraphDb>, Graph) {
 #[test]
 fn panics_and_interrupts_keep_the_phase_sum_equal_to_the_stage_walls() {
     let (db, q) = faulty_fixture();
-    let sink = StatsSink::with_clock(fake_clock);
-    let guard = ResourceGuard::new();
+    let ctx = ExecCtx::with_clock(fake_clock);
     let cfql = matcher_by_name("CFQL").unwrap();
     let panics: Arc<dyn Matcher> = Arc::new(Faulty { inner: Arc::clone(&cfql), trip: None });
     let trips: Arc<dyn Matcher> = Arc::new(Faulty { inner: Arc::clone(&cfql), trip: Some(7) });
     let run = |pool: &QueryPool, matcher: &Arc<dyn Matcher>| {
-        sink.reset();
-        guard.reset(ResourceLimits::unlimited());
-        let deadline = Deadline::none().with_guard(guard).with_stats(sink);
+        let deadline = Deadline::none().with_ctx(ctx.arm(ResourceLimits::unlimited()));
         let out = pool.query(Arc::clone(matcher), &db, &q, deadline).outcome;
         let walls = out.filter_time + out.verify_time;
         assert_eq!(walls, Duration::from_nanos(out.phases.total_nanos()), "{:?}", out.status);

@@ -18,7 +18,7 @@ use subgraph_query::core::QueryStatus;
 use subgraph_query::graph::database::GraphId;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
 use subgraph_query::matching::{
-    brute, Deadline, FilterResult, Matcher, ResourceGuard, ResourceKind, ResourceLimits,
+    brute, Deadline, ExecCtx, FilterResult, Matcher, ResourceKind, ResourceLimits,
 };
 
 /// Every matcher in the registry, by name.
@@ -110,8 +110,8 @@ fn oracle_answers(db: &GraphDb, q: &Graph) -> Vec<GraphId> {
 /// budget lets every search finish; the tight one cuts the longer ones off.
 #[test]
 fn hard_instances_are_answered_exactly_or_reported_exhausted() {
-    let guard = ResourceGuard::new();
-    let deadline = Deadline::none().with_guard(guard);
+    let guard = ExecCtx::new();
+    let deadline = Deadline::none().with_ctx(guard);
     let exhausted = QueryStatus::ResourceExhausted { kind: ResourceKind::Steps };
     let pool = QueryPool::new(1);
     for (max_steps, all_finish) in [(1 << 20, true), (20_000, false)] {
@@ -124,7 +124,7 @@ fn hard_instances_are_answered_exactly_or_reported_exhausted() {
             let answers = oracle_answers(&db, q);
             for name in MATCHERS {
                 let matcher = matcher_by_name(name).unwrap();
-                guard.reset(budget);
+                guard.arm(budget);
                 match matcher.count(q, g, u64::MAX, deadline) {
                     Ok(count) => {
                         assert_eq!(count, embeddings, "{name} on {}", hard.name);
@@ -135,7 +135,7 @@ fn hard_instances_are_answered_exactly_or_reported_exhausted() {
                         cut_off += 1;
                     }
                 }
-                guard.reset(budget);
+                guard.arm(budget);
                 let out = pool.query(matcher, &db, q, deadline).outcome;
                 if out.status == QueryStatus::Completed {
                     assert_eq!(out.answers, answers, "{name} on {}", hard.name);
