@@ -119,7 +119,8 @@ impl Engine {
         let mut out = QueryOutcome { candidates: candidates.len(), ..Default::default() };
         // Outer stage span: absorbs the panic-guard and dispatch overhead of
         // the SI-test loop into the verify phase (the per-call spans inside
-        // `verify` are passive under it) and is the stage's one timer.
+        // `verify` enter the phase it runs and read nothing) and is the
+        // stage's one timer.
         let stage_span = Span::enter(Phase::Verify, deadline);
         for gid in candidates {
             let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -584,12 +585,11 @@ mod tests {
     }
 
     /// The scan's lap reads the span clock once when it opens and once per
-    /// switch, never at its drop, and the matcher's `Filter` span is passive
-    /// under it: a pruned pair reads the clock once (`Filter → Filter`; 2
-    /// with two stage spans, 4 before the passive rule), an unpruned one 6
-    /// times (`Filter → Enumerate`, `Enumerate → Filter`, the matcher's
-    /// `BuildCandidates` and `Order` spans; 8 and 12 before), and the
-    /// sequential engine runs one scan per query.
+    /// switch, never at its drop, and the matcher's `Filter` span enters the
+    /// phase the lap is running, so it reads nothing: a pruned pair reads the
+    /// clock once (`Filter → Filter`), an unpruned one 6 times (`Filter →
+    /// Enumerate`, `Enumerate → Filter`, the matcher's `BuildCandidates` and
+    /// `Order` spans), and the sequential engine runs one scan per query.
     #[test]
     fn cfql_engine_reads_the_clock_once_per_pruned_pair() {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -611,10 +611,10 @@ mod tests {
         assert!(unpruned_seen > 0, "the workload must reach the enumeration stage");
     }
 
-    /// `Vf2Verifier::verify`'s span is passive under `verify_each`'s stage
-    /// span: an IFV query reads the clock for its index probe and its
-    /// verification stage (2 + 2) and not once per SI test (+ 2 each before
-    /// the rule), while every test still counts as one `Verify` item. The
+    /// `Vf2Verifier::verify`'s span enters the `Verify` phase that
+    /// `verify_each`'s stage span is running: an IFV query reads the clock
+    /// for its index probe and its verification stage (2 + 2) and not once
+    /// per SI test, while every test still counts as one `Verify` item. The
     /// two stage spans are also the stages' only timers.
     #[test]
     fn grapes_engine_reads_no_clock_per_si_test() {

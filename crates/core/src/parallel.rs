@@ -19,14 +19,16 @@
 //! parallel query can therefore record summed CPU time *below* the budget
 //! (workers stop early on cancellation); `QueryRecord::from_outcome` pins
 //! such queries to exactly the budget, as the paper records timeouts at the
-//! limit.
+//! limit. A worker's stage walls (`filter_time`, `verify_time`) are the
+//! switches of its scan's lap on that thread's phase cursor
+//! (`sqp_matching::obs`).
 //!
 //! Invariant I4: for queries that complete within the budget, answers and
 //! candidate counts are identical to the sequential engine's for every
 //! thread count — the only difference is timing.
 //!
-//! Fault isolation (invariant I8): matcher calls are wrapped in
-//! `catch_unwind` *per (query, graph) pair*, so a poisoned pair yields one
+//! Fault isolation (invariant I8): both matcher calls of a (query, graph)
+//! pair run under one `catch_unwind`, so a poisoned pair yields one
 //! [`GraphFailure`] in the outcome while every other graph's answer — and
 //! every sibling query — is preserved. The worker-shard `catch_unwind` in
 //! [`worker_loop`] remains only as an infrastructure backstop; it no longer
@@ -45,7 +47,7 @@ use std::time::{Duration, Instant};
 use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb, HeapSize};
 use sqp_matching::deadline::SCAN_CHECK_INTERVAL;
-use sqp_matching::obs::{Lap, Phase};
+use sqp_matching::obs::{Phase, Span};
 use sqp_matching::{Deadline, ExecCtx, FilterResult, Heartbeat, Matcher, ResourceLimits};
 
 use crate::engine::{QueryOutcome, QueryStatus};
@@ -83,19 +85,17 @@ pub struct ParallelOutcome {
 /// Runs one graph's filter+verify, folding the result into `part`.
 /// Returns `false` when the worker should stop (timeout, cancellation, or a
 /// tripped resource budget). Called only by [`scan`], which hands it a
-/// [`fresh`](Deadline::fresh) deadline and its [`Lap`].
+/// [`fresh`](Deadline::fresh) deadline and its lap.
 ///
-/// Both matcher calls are individually wrapped in `catch_unwind`: a panic on
-/// this (query, graph) pair becomes one [`GraphFailure`] and processing
-/// *continues* with the next graph, so all non-panicking pairs keep their
-/// exact answers (invariant I8).
+/// One `catch_unwind` guards both matcher calls: a panic on this (query,
+/// graph) pair becomes one [`GraphFailure`] and processing *continues* with
+/// the next graph, so all non-panicking pairs keep their exact answers
+/// (invariant I8).
 ///
-/// Every pair ends with exactly one lap switch: `Filter → Filter` when the
-/// filter prunes, panics or is interrupted; `Filter → Enumerate` after a
-/// surviving filter, then `Enumerate → Filter` after `find_first`. Each
-/// switch's elapsed time is that stage's wall (`filter_time`,
-/// `verify_time`); the matcher's own span of the running phase is passive
-/// under the lap, and its spans of other phases subtract themselves.
+/// A surviving filter ends with a `Filter → Enumerate` switch, and every
+/// pair ends with one switch back to `Filter`. Each switch's wall goes to
+/// the stage its lap was running — `filter_time` or `verify_time` — also
+/// when a panic unwound out of either call.
 #[inline]
 fn process_graph(
     matcher: &dyn Matcher,
@@ -103,60 +103,43 @@ fn process_graph(
     q: &Graph,
     gid: GraphId,
     deadline: Deadline,
-    lap: &mut Lap,
+    lap: &mut Span,
     part: &mut QueryOutcome,
 ) -> bool {
     let g = db.graph(gid);
-    let filtered = catch_unwind(AssertUnwindSafe(|| matcher.filter(q, g, deadline)));
-    // `Ok(space)` goes on to enumeration; `Err(go_on)` ends the pair.
-    let verdict = match filtered {
-        Err(payload) => {
-            part.record_panic(gid, panic_message(payload));
-            Err(true)
-        }
-        Ok(Err(_)) => {
-            part.record_interrupt(gid, deadline);
-            Err(false)
-        }
-        Ok(Ok(FilterResult::Pruned)) => Err(true),
-        Ok(Ok(FilterResult::Space(space))) => {
-            part.candidates += 1;
-            let bytes = space.heap_size();
-            part.aux_bytes = part.aux_bytes.max(bytes);
-            deadline.ctx().note_aux_bytes(bytes);
-            if deadline.check_flags().is_ok() {
-                Ok(space)
-            } else {
-                // The candidate space itself blew the memory budget (or a
-                // sibling expired the deadline while we built it).
-                part.record_interrupt(gid, deadline);
-                Err(false)
-            }
-        }
-    };
-    let next = if verdict.is_ok() { Phase::Enumerate } else { Phase::Filter };
-    part.filter_time += Duration::from_nanos(lap.switch(next));
-    let space = match verdict {
-        Ok(space) => space,
-        Err(go_on) => return go_on,
-    };
-    let verdict = catch_unwind(AssertUnwindSafe(|| matcher.find_first(q, g, &space, deadline)));
-    part.verify_time += Duration::from_nanos(lap.switch(Phase::Filter));
+    // `Ok(None)`: pruned; `Ok(Some(found))`: enumerated.
+    let verdict = catch_unwind(AssertUnwindSafe(|| {
+        let space = match matcher.filter(q, g, deadline)? {
+            FilterResult::Pruned => return Ok(None),
+            FilterResult::Space(space) => space,
+        };
+        part.candidates += 1;
+        let bytes = space.heap_size();
+        part.aux_bytes = part.aux_bytes.max(bytes);
+        deadline.ctx().note_aux_bytes(bytes);
+        // The candidate space itself may have blown the memory budget (or a
+        // sibling expired the deadline while we built it).
+        deadline.check_flags()?;
+        part.filter_time += Duration::from_nanos(lap.switch(Phase::Enumerate));
+        matcher.find_first(q, g, &space, deadline).map(|first| Some(first.is_some()))
+    }));
+    let stage = lap.phase();
+    let wall = Duration::from_nanos(lap.switch(Phase::Filter));
+    if stage == Phase::Filter {
+        part.filter_time += wall;
+    } else {
+        part.verify_time += wall;
+    }
     match verdict {
-        Err(payload) => {
-            part.record_panic(gid, panic_message(payload));
-            true
-        }
-        Ok(Ok(Some(_))) => {
-            part.answers.push(gid);
-            true
-        }
-        Ok(Ok(None)) => true,
+        Err(payload) => part.record_panic(gid, panic_message(payload)),
+        Ok(Ok(Some(true))) => part.answers.push(gid),
+        Ok(Ok(_)) => {}
         Ok(Err(_)) => {
             part.record_interrupt(gid, deadline);
-            false
+            return false;
         }
     }
+    true
 }
 
 /// The one between-graphs loop of every vcFV scan — a pool worker's shard
@@ -174,11 +157,11 @@ fn process_graph(
 /// interrupt cancels the query's control block so every sibling stops as
 /// well.
 ///
-/// The span clock is read by one [`Lap`] opened before the first graph: one
-/// read at entry, one per pruned pair, two per pair that reaches
-/// enumeration (plus the matcher's own spans of other phases), none at the
-/// end. A stage's wall therefore also covers the loop's own work since the
-/// previous switch — the checks, the claim, a quarantined graph.
+/// The span clock is read by one lap ([`Span::lap`]) opened before the
+/// first graph: one read at entry, one per pruned pair, two per pair that
+/// reaches enumeration (plus the matcher's own spans of other phases), none
+/// at the end. A stage's wall therefore also covers the loop's own work
+/// since the previous switch — the checks, the claim, a quarantined graph.
 pub(crate) fn scan(
     matcher: &dyn Matcher,
     db: &GraphDb,
@@ -189,7 +172,7 @@ pub(crate) fn scan(
 ) -> QueryOutcome {
     debug_assert!(deadline.ctx().is_some(), "a scan's stage walls are its lap's clock reads");
     let mut part = QueryOutcome::default();
-    let mut lap = Lap::enter(Phase::Filter, deadline);
+    let mut lap = Span::lap(Phase::Filter, deadline);
     for processed in 0usize.. {
         let checked = if processed % SCAN_CHECK_INTERVAL == 0 {
             deadline.check()

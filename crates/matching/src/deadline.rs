@@ -264,8 +264,8 @@ impl ExecCtx {
         }
     }
 
-    /// Adds a passive span's item count to `phase` (no duration: the
-    /// enclosing span of the same phase is timing it).
+    /// Adds a span's item count to `phase` (its nanoseconds reach the block
+    /// through the thread's phase cursor).
     #[inline]
     pub(crate) fn record_items(&self, phase: Phase, items: u64) {
         if let Some(s) = self.state {

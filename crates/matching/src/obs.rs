@@ -4,55 +4,47 @@
 //! pruning), *build-candidates* (materializing the [`CandidateSpace`]/CPI),
 //! *order* (computing the matching order), *enumerate* (backtracking
 //! search), and *verify* (VF2 verification in the IFV engines). A [`Span`]
-//! measures one phase of one `(query, graph)` pair and flushes its duration
-//! and item count into the query's [`ExecCtx`] riding on [`Deadline`] when
-//! it is dropped, so parallel workers of the same query aggregate lock-free
-//! through the block's atomics.
+//! times one phase of one `(query, graph)` pair into the query's [`ExecCtx`]
+//! riding on [`Deadline`], so parallel workers of the same query aggregate
+//! lock-free through the block's atomics.
 //!
-//! Spans are plain stack values: an *active* span reads its block's clock
-//! once on entry and once on drop, where it also makes two relaxed atomic
-//! adds (the phase's nanoseconds and items); a span over an inert block does
-//! nothing at all — no allocation ever happens on the enumeration hot path.
+//! **The phase cursor.** Each thread keeps one cursor: the block and phase
+//! its clock is running for, the reading that started the running segment,
+//! and the per-phase nanoseconds not yet flushed into that block.
+//! Every clock read closes the running segment into the running phase and
+//! starts the next one, so every tick lands in exactly one bucket and the
+//! phases sum to the outermost wall without any subtraction. A span
+//! switches the cursor to its phase on entry and back to the phase it
+//! interrupted on drop, one read each. Entering the phase and block already
+//! running changes nothing, so it reads no clock and only adds its items: a
+//! harness stage around a matcher's own span of that phase (the scan's lap
+//! ⊃ `filter`, `verify_each` ⊃ `Vf2Verifier::verify`) costs the pair the
+//! stage's reads only. The nanoseconds reach the block when the cursor
+//! leaves it — at the outermost span's drop, or on entering a span of
+//! another block — and a span's items as it ends, when it has any: a pruned
+//! pair makes no atomic add. A span over an inert block does nothing at all,
+//! and nothing ever allocates.
 //!
-//! **The passive rule.** A span whose innermost open span on the same thread
-//! (or [`Lap`]) has the same [`Phase`] *and* the same block is *passive*: it
-//! reads no clock, does not join the nesting stack and records no
-//! nanoseconds; on drop it adds only its item count (nothing when that is
-//! 0). Timing it could only move nanoseconds from the enclosing span's
-//! bucket into the same bucket, so a harness stage around a matcher's own
-//! span of that phase (the scan's lap ⊃ `filter`, `verify_each` ⊃
-//! `Vf2Verifier::verify`) costs the pair the stage's reads only. A passive
-//! span's children see the enclosing active span as their parent, so
-//! self-time accounting — and Σ phase nanos = outermost wall — is the same
-//! subtraction with one term fewer. [`Span::finish`] returns a wall reading
-//! only from an active span (0 from a passive or inert one): a caller that
-//! wants a wall clock out of a span must be the outermost span of its
-//! phase, as the harness stages are.
-//!
-//! **Laps.** A [`Lap`] is a stage span that changes phase in place: the
-//! vcFV scan opens one before its first graph and ends every (query, graph)
-//! pair with one [`Lap::switch`] — one clock read that closes the running
-//! phase (its self time into a lap-local [`PhaseStats`]), returns the full
-//! elapsed time as the stage wall, and re-bases the lap on the next phase. A
-//! lap sits on the same nesting stack as spans, so a matcher span of the
-//! lap's current phase is passive under it and active spans of other phases
-//! credit it as their parent. Its drop reads no clock: it pops its frame,
-//! credits the enclosing frame with Σ walls (plus any children closed after
-//! the last switch), and flushes the local totals into the block — at most
-//! one `record_phase` per phase per scan instead of two atomic adds per
-//! pair. A pruned pair thus costs one clock read, an unpruned CFQL pair six
-//! (two switches, the matcher's `BuildCandidates` and `Order` spans), plus
-//! one per scan; what ran between the last switch and the drop is timed by
-//! nobody (the scan loop's final flag check).
+//! A *lap* ([`Span::lap`]) is the same guard for a loop whose stages follow
+//! one another: the vcFV scan opens one before its first graph and ends
+//! every pair with one [`Span::switch`], a read that closes the running
+//! phase, returns the wall since the previous switch (the stage's wall) and
+//! runs the next phase. A lap's drop reads no clock: what it interrupted
+//! resumes from the last reading. A pruned pair thus costs one clock read,
+//! an unpruned CFQL pair six (two switches, the matcher's `BuildCandidates`
+//! and `Order` spans), plus one per scan.
 //!
 //! The clock is injectable per block ([`ExecCtx::with_clock`]): production
 //! blocks read a monotonic nanosecond counter, tests install a deterministic
 //! fake so phase durations are byte-stable across runs and thread counts
-//! (invariant I8 extended to phase timings).
+//! (invariant I8 extended to phase timings). One reading closes a segment of
+//! one block and opens one of the next, so blocks nested on one thread must
+//! share a clock.
 //!
 //! [`CandidateSpace`]: crate::candidates::CandidateSpace
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 
 use crate::deadline::{Deadline, ExecCtx};
 
@@ -152,119 +144,45 @@ impl PhaseStats {
     }
 }
 
-/// Maximum tracked span nesting depth per thread. Deeper spans still record
-/// their full elapsed time; they just stop participating in parent/child
-/// self-time accounting, and — having no frame to be recognised by — never
-/// make a child passive (real nesting of *active* spans in this codebase is
-/// ≤ 2: harness stage or lap → matcher span of another phase; same-phase
-/// matcher spans under a stage are passive and take no depth).
-const MAX_SPAN_DEPTH: usize = 16;
-
-/// What the thread remembers about one open active span or lap.
-struct Frame {
-    /// Elapsed time of the spans opened and closed inside this one, so it
-    /// can record its *self* time (elapsed minus children) and nested spans
-    /// never double-count a nanosecond.
-    child_nanos: Cell<u64>,
-    /// The span's (or the lap's current) phase and block ([`ExecCtx::id`]):
-    /// a span entered under this one with the same two is passive.
-    phase: Cell<Phase>,
-    ctx: Cell<usize>,
-}
-
-impl Frame {
-    const fn empty() -> Self {
-        Self { child_nanos: Cell::new(0), phase: Cell::new(Phase::Filter), ctx: Cell::new(0) }
-    }
+/// The thread's one phase timer (module docs, "The phase cursor").
+struct Cursor {
+    /// The running block (the inert one while idle), the running phase, and
+    /// the reading that started the running segment.
+    run: Cell<(ExecCtx, Phase, u64)>,
+    /// Per phase, the nanoseconds the running block is owed.
+    owed: [Cell<u64>; PHASE_COUNT],
 }
 
 thread_local! {
-    /// Live active-span nesting depth on this thread (0 = no span open).
-    static SPAN_DEPTH: Cell<usize> = const { Cell::new(0) };
-    /// One frame per tracked depth; `FRAMES[d - 1]` is valid while a span of
-    /// depth `d` is open.
-    static FRAMES: [Frame; MAX_SPAN_DEPTH] =
-        const { [const { Frame::empty() }; MAX_SPAN_DEPTH] };
+    static CURSOR: Cursor = const {
+        let run = Cell::new((ExecCtx::none(), Phase::Filter, 0));
+        Cursor { run, owed: [const { Cell::new(0) }; PHASE_COUNT] }
+    };
 }
 
-// The nesting rules, shared by `Span` and `Lap`: a frame is pushed on entry
-// of anything that reads the clock, its children credit it their elapsed
-// time, and popping it credits the enclosing frame in turn.
-
-/// Depth of the innermost open frame on this thread (0 = none).
-#[inline]
-fn open_depth() -> usize {
-    SPAN_DEPTH.with(Cell::get)
-}
-
-/// Whether the frame at `depth` is tracked and open for `phase` over block
-/// `id` — what makes a span entered directly under it passive.
-#[inline]
-fn frame_is(depth: usize, phase: Phase, id: usize) -> bool {
-    (1..=MAX_SPAN_DEPTH).contains(&depth)
-        && FRAMES.with(|f| {
-            let open = &f[depth - 1];
-            open.phase.get() == phase && open.ctx.get() == id
-        })
-}
-
-/// Opens a frame for `phase` over block `id` directly under the frame at
-/// `parent`; returns its depth.
-fn push_frame(parent: usize, phase: Phase, id: usize) -> usize {
-    let depth = parent + 1;
-    SPAN_DEPTH.with(|d| d.set(depth));
-    if depth <= MAX_SPAN_DEPTH {
-        FRAMES.with(|f| {
-            let frame = &f[depth - 1];
-            frame.child_nanos.set(0);
-            frame.phase.set(phase);
-            frame.ctx.set(id);
-        });
-    }
-    depth
-}
-
-/// Relabels the frame at `depth` to `phase` and returns the children it
-/// accumulated since it was opened or last relabelled, clearing them.
-fn rebase_frame(depth: usize, phase: Phase) -> u64 {
-    if depth > MAX_SPAN_DEPTH {
-        return 0;
-    }
-    FRAMES.with(|f| {
-        let frame = &f[depth - 1];
-        frame.phase.set(phase);
-        frame.child_nanos.replace(0)
-    })
-}
-
-/// Closes the frame at `depth`, crediting `elapsed` to the enclosing frame's
-/// children; returns the closed frame's own children.
-fn pop_frame(depth: usize, elapsed: u64) -> u64 {
-    SPAN_DEPTH.with(|d| d.set(depth - 1));
-    FRAMES.with(|f| {
-        if depth >= 2 && depth - 1 <= MAX_SPAN_DEPTH {
-            let parent = &f[depth - 2].child_nanos;
-            parent.set(parent.get().saturating_add(elapsed));
+impl Cursor {
+    /// Closes the running segment at reading `now` and runs `phase` of `ctx`
+    /// from there. A change of block first pays the running one what it is
+    /// owed (an idle cursor pays the inert block: nothing).
+    fn switch(&self, now: u64, ctx: ExecCtx, phase: Phase) {
+        let (running, closed, start) = self.run.replace((ctx, phase, now));
+        let owed = &self.owed[closed.index()];
+        owed.set(owed.get().saturating_add(now.saturating_sub(start)));
+        if running.id() != ctx.id() {
+            for (p, owed) in Phase::ALL.into_iter().zip(&self.owed).filter(|(_, n)| n.get() != 0) {
+                running.record_phase(p, owed.take(), 0);
+            }
         }
-        if depth <= MAX_SPAN_DEPTH {
-            f[depth - 1].child_nanos.get()
-        } else {
-            0
-        }
-    })
+    }
 }
 
-/// A stack guard measuring one phase; records into the deadline's
-/// [`ExecCtx`] on drop.
+/// A stack guard timing one phase on this thread's phase cursor (module
+/// docs); what it times reaches the deadline's [`ExecCtx`].
 ///
-/// Spans may nest (strictly LIFO, as stack values naturally are): an
-/// enclosing span records only its self time — elapsed minus the elapsed
-/// time of spans opened and closed inside it on the same thread. That lets
-/// a harness wrap a whole stage (catching dispatch and panic-guard overhead)
-/// while inner matcher spans keep exact per-phase attribution, and the sum
-/// over phases still counts every nanosecond exactly once. An inner span of
-/// the enclosing span's own phase and block is passive (module docs): it
-/// costs no clock read and contributes only its items.
+/// Spans nest strictly LIFO, as stack values naturally do. That lets a
+/// harness wrap a whole stage (catching dispatch and panic-guard overhead)
+/// while inner matcher spans of other phases take their own ticks, and the
+/// sum over phases still counts every tick exactly once.
 ///
 /// ```
 /// use sqp_matching::obs::{Phase, Span};
@@ -278,42 +196,85 @@ fn pop_frame(depth: usize, elapsed: u64) -> u64 {
 /// } // recorded here
 /// assert_eq!(ctx.phase_snapshot().items_of(Phase::Filter), 42);
 /// ```
+///
+/// Its drop restores the cursor of the thread that entered it, so a span
+/// cannot move to another thread:
+///
+/// ```compile_fail
+/// use sqp_matching::obs::{Phase, Span};
+/// use sqp_matching::Deadline;
+///
+/// let span = Span::enter(Phase::Filter, Deadline::none());
+/// std::thread::spawn(move || drop(span));
+/// ```
+#[must_use = "a span times its phase until it is dropped"]
 #[derive(Debug)]
 pub struct Span {
     ctx: ExecCtx,
+    /// The running phase: the span's own, or the one a lap last switched to.
     phase: Phase,
+    /// The block and phase this span interrupted, run again at its end;
+    /// `None` when it did not move the cursor (an inert block, or its phase
+    /// of its block was already running).
+    outer: Option<(ExecCtx, Phase)>,
+    /// A lap's end reads no clock.
+    lap: bool,
+    /// The reading at entry or at the last switch.
     start: u64,
     items: u64,
-    /// 1-based nesting depth while this span is open and active; 0 for a
-    /// passive span, a span over an inert block, and a closed span.
-    depth: usize,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Span {
     /// Starts a span for `phase` against `deadline`'s block. Reads the clock
-    /// only when the block is live and the span is not passive (the innermost
-    /// open span on this thread has another phase or another block).
+    /// only when the block is live and not already running `phase` on this
+    /// thread.
     #[inline]
     pub fn enter(phase: Phase, deadline: Deadline) -> Self {
+        Self::open(phase, deadline, false)
+    }
+
+    /// Starts a lap of `phase` against `deadline`'s block: one clock read when
+    /// the block is live — even if `phase` is already running, since its
+    /// first [`switch`](Span::switch) returns a wall from here — and none at
+    /// its end, where what it interrupted runs again from the last reading.
+    ///
+    /// ```
+    /// use sqp_matching::obs::{Phase, Span};
+    /// use sqp_matching::{Deadline, ExecCtx};
+    ///
+    /// let ctx = ExecCtx::new();
+    /// let mut lap = Span::lap(Phase::Filter, Deadline::none().with_ctx(ctx));
+    /// let filter_wall = lap.switch(Phase::Enumerate); // filter ends, enumerate starts
+    /// let enumerate_wall = lap.switch(Phase::Filter);
+    /// drop(lap); // no clock read: the totals are flushed here
+    /// assert_eq!(ctx.phase_snapshot().total_nanos(), filter_wall + enumerate_wall);
+    /// ```
+    pub fn lap(phase: Phase, deadline: Deadline) -> Self {
+        Self::open(phase, deadline, true)
+    }
+
+    #[inline]
+    fn open(phase: Phase, deadline: Deadline, lap: bool) -> Self {
         let ctx = deadline.ctx();
-        if ctx.is_some() {
-            Self::enter_live(phase, ctx)
-        } else {
-            Self { ctx, phase, start: 0, items: 0, depth: 0 }
+        let span = Self { ctx, phase, outer: None, lap, start: 0, items: 0, _thread: PhantomData };
+        if !ctx.is_some() {
+            return span;
         }
+        span.move_cursor()
     }
 
     /// Out of line and by value, so that over an inert block `enter` inlines
     /// into a matcher as one branch and the span stays in registers (a bare
     /// matcher loop reads 38 vs 44 µs per 1 000 pairs either way round).
-    fn enter_live(phase: Phase, ctx: ExecCtx) -> Self {
-        let passive = Self { ctx, phase, start: 0, items: 0, depth: 0 };
-        let (parent, id) = (open_depth(), ctx.id());
-        if frame_is(parent, phase, id) {
-            return passive;
+    fn move_cursor(mut self) -> Self {
+        let (ctx, phase, _) = CURSOR.with(|c| c.run.get());
+        if self.lap || ctx.id() != self.ctx.id() || phase != self.phase {
+            self.start = self.ctx.now();
+            CURSOR.with(|c| c.switch(self.start, self.ctx, self.phase));
+            self.outer = Some((ctx, phase));
         }
-        let depth = push_frame(parent, phase, id);
-        Self { start: ctx.now(), depth, ..passive }
+        self
     }
 
     /// Adds `n` items (candidates, embeddings, …) to this span's count.
@@ -322,43 +283,52 @@ impl Span {
         self.items = self.items.saturating_add(n);
     }
 
+    /// The phase this span is running.
+    pub fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// Closes the running phase and runs `next` (which may be the same
+    /// phase) with one clock read; returns the wall since entry or the last
+    /// switch, the stage's wall. Reads nothing and returns 0 for a span that
+    /// did not move the cursor. A span entered after this one must have
+    /// ended first.
+    #[inline]
+    pub fn switch(&mut self, next: Phase) -> u64 {
+        let Some(_) = self.outer else { return 0 };
+        let now = self.ctx.now();
+        CURSOR.with(|c| c.switch(now, self.ctx, next));
+        self.phase = next;
+        now.saturating_sub(std::mem::replace(&mut self.start, now))
+    }
+
     /// Ends the span now (recording it exactly as dropping would) and
-    /// returns its full elapsed time in clock units — self time *plus*
-    /// children, i.e. the span's wall clock. A wall reading comes only from
-    /// an active span: a passive span and a span over an inert block return
-    /// 0. Lets a harness reuse the span's clock reads as its stage wall
-    /// measurement instead of paying for a second timer.
+    /// returns its wall since entry in clock units, read by its closing
+    /// read: 0 from a span that did not move the cursor, and from a lap only
+    /// what the last reading saw. Lets a harness reuse the span's clock reads
+    /// as its stage wall measurement instead of paying for a second timer.
     #[inline]
     pub fn finish(mut self) -> u64 {
         self.end()
     }
 
-    /// Shared drop/finish path; idempotent (it leaves a closed span: depth
-    /// 0, no items). Like `enter`, small where no clock is read.
+    /// Shared drop/finish path; idempotent. Like `enter`, small where no
+    /// clock is read.
     #[inline]
     fn end(&mut self) -> u64 {
-        if self.depth != 0 {
-            return self.end_active();
-        }
-        // Passive (or inert, where recording is a no-op): items only.
         let items = std::mem::take(&mut self.items);
         if items != 0 {
             self.ctx.record_items(self.phase, items);
         }
-        0
+        self.outer.take().map_or(0, |outer| self.leave(outer))
     }
 
-    /// The active span's end: second clock read, self time to the block, full
-    /// elapsed time to the enclosing span's children.
-    fn end_active(&mut self) -> u64 {
-        let elapsed = self.ctx.now().saturating_sub(self.start);
-        // The full elapsed time (self + our own children) goes to the
-        // enclosing frame's children.
-        let children = pop_frame(self.depth, elapsed);
-        let items = std::mem::take(&mut self.items);
-        self.ctx.record_phase(self.phase, elapsed.saturating_sub(children), items);
-        self.depth = 0;
-        elapsed
+    /// Gives the cursor back to what this span interrupted: at a new
+    /// reading, or — a lap — at the last one.
+    fn leave(&self, (ctx, phase): (ExecCtx, Phase)) -> u64 {
+        let now = if self.lap { CURSOR.with(|c| c.run.get().2) } else { self.ctx.now() };
+        CURSOR.with(|c| c.switch(now, ctx, phase));
+        now.saturating_sub(self.start)
     }
 }
 
@@ -366,95 +336,6 @@ impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
         self.end();
-    }
-}
-
-/// A stage span that changes phase in place: one clock read per
-/// [`switch`](Lap::switch), none on drop (module docs, "Laps").
-///
-/// A lap is always active while its block is live — even directly under an
-/// open span of its own phase and block, which it then credits like any
-/// child — and over an inert block it reads nothing and records nothing.
-/// Like spans, laps nest strictly LIFO with everything on the same thread.
-///
-/// ```
-/// use sqp_matching::obs::{Lap, Phase};
-/// use sqp_matching::{Deadline, ExecCtx};
-///
-/// let ctx = ExecCtx::new();
-/// let deadline = Deadline::none().with_ctx(ctx);
-/// let mut lap = Lap::enter(Phase::Filter, deadline);
-/// let filter_wall = lap.switch(Phase::Enumerate); // filter ends, enumerate starts
-/// let enumerate_wall = lap.switch(Phase::Filter);
-/// drop(lap); // no clock read: the totals are flushed here
-/// let snap = ctx.phase_snapshot();
-/// assert_eq!(snap.total_nanos(), filter_wall + enumerate_wall);
-/// ```
-#[derive(Debug)]
-pub struct Lap {
-    ctx: ExecCtx,
-    /// The running phase.
-    phase: Phase,
-    /// Clock reading at entry or at the last switch.
-    start: u64,
-    /// 1-based nesting depth; 0 over an inert block.
-    depth: usize,
-    /// Σ elapsed over the closed laps: what the enclosing frame is credited.
-    walls: u64,
-    /// Self time per phase, flushed into the block on drop.
-    nanos: [u64; PHASE_COUNT],
-}
-
-impl Lap {
-    /// Opens a lap of `phase` against `deadline`'s block: one clock read when
-    /// the block is live, none otherwise.
-    pub fn enter(phase: Phase, deadline: Deadline) -> Self {
-        let ctx = deadline.ctx();
-        let mut lap = Self { ctx, phase, start: 0, depth: 0, walls: 0, nanos: [0; PHASE_COUNT] };
-        if ctx.is_some() {
-            lap.depth = push_frame(open_depth(), phase, ctx.id());
-            lap.start = ctx.now();
-        }
-        lap
-    }
-
-    /// Closes the running phase and starts `next` (which may be the same
-    /// phase) with one clock read. The closed phase's self time — elapsed
-    /// minus the active spans opened inside it — is kept for the drop; the
-    /// full elapsed time is returned, the stage's wall. Returns 0 and reads
-    /// nothing over an inert block.
-    #[inline]
-    pub fn switch(&mut self, next: Phase) -> u64 {
-        if self.depth == 0 {
-            return 0;
-        }
-        let now = self.ctx.now();
-        let elapsed = now.saturating_sub(self.start);
-        let children = rebase_frame(self.depth, next);
-        let closed = &mut self.nanos[self.phase.index()];
-        *closed = closed.saturating_add(elapsed.saturating_sub(children));
-        self.walls = self.walls.saturating_add(elapsed);
-        self.phase = next;
-        self.start = now;
-        elapsed
-    }
-}
-
-impl Drop for Lap {
-    fn drop(&mut self) {
-        if self.depth == 0 {
-            return;
-        }
-        // Children closed after the last switch recorded themselves; the
-        // enclosing frame must not count them as its own time either.
-        let pending = rebase_frame(self.depth, self.phase);
-        pop_frame(self.depth, self.walls.saturating_add(pending));
-        for phase in Phase::ALL {
-            let nanos = self.nanos[phase.index()];
-            if nanos != 0 {
-                self.ctx.record_phase(phase, nanos, 0);
-            }
-        }
     }
 }
 
@@ -541,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_spans_record_self_time_only() {
+    fn nested_spans_split_the_outer_wall() {
         fn fake() -> u64 {
             use std::cell::Cell;
             thread_local! { static T: Cell<u64> = const { Cell::new(0) }; }
@@ -560,24 +441,15 @@ mod tests {
         }
         let snap = sink.phase_snapshot();
         assert_eq!(snap.nanos_of(Phase::BuildCandidates), 1);
-        // Outer elapsed 3 ticks minus the child's 1 → self time 2; the total
-        // equals the outer wall of 3 with nothing double-counted.
+        // The ticks before and after the inner span are the outer's: the
+        // total equals the outer wall of 3 with nothing double-counted.
         assert_eq!(snap.nanos_of(Phase::Filter), 2);
         assert_eq!(snap.total_nanos(), 3);
     }
 
-    #[test]
-    fn inert_spans_do_not_touch_the_depth_stack() {
-        {
-            let _s = Span::enter(Phase::Filter, Deadline::none());
-            SPAN_DEPTH.with(|d| assert_eq!(d.get(), 0));
-        }
-        SPAN_DEPTH.with(|d| assert_eq!(d.get(), 0));
-    }
-
     thread_local! { static TICKS: Cell<u64> = const { Cell::new(0) }; }
 
-    /// The fake clock of the passive-rule tests: each read is one tick, per
+    /// The fake clock of the cursor tests: each read is one tick, per
     /// thread, so [`reads`] differences count clock calls exactly.
     fn tick() -> u64 {
         TICKS.with(|t| t.replace(t.get() + 1))
@@ -587,35 +459,48 @@ mod tests {
         TICKS.with(Cell::get)
     }
 
-    fn depth() -> usize {
-        SPAN_DEPTH.with(Cell::get)
+    /// The block and phase this thread's cursor runs; `None` when idle.
+    fn running() -> Option<(usize, Phase)> {
+        let (ctx, phase, _) = CURSOR.with(|c| c.run.get());
+        ctx.is_some().then(|| (ctx.id(), phase))
     }
 
     #[test]
-    fn same_phase_same_sink_child_is_passive() {
+    fn inert_spans_leave_the_cursor_idle() {
+        {
+            let _s = Span::enter(Phase::Filter, Deadline::none());
+            let _lap = Span::lap(Phase::Order, Deadline::none());
+            assert_eq!(running(), None);
+        }
+        assert_eq!(running(), None);
+    }
+
+    #[test]
+    fn entering_the_running_phase_reads_nothing() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
         let mut outer = Span::enter(Phase::Filter, deadline);
         outer.add_items(1);
-        assert_eq!((reads(), depth()), (1, 1));
+        assert_eq!((reads(), running()), (1, Some((sink.id(), Phase::Filter))));
         {
             let mut inner = Span::enter(Phase::Filter, deadline);
             inner.add_items(5);
-            assert_eq!(depth(), 1, "a passive span takes no depth");
-            assert_eq!(inner.finish(), 0, "a wall reading comes only from an active span");
+            assert_eq!(inner.finish(), 0, "a wall reading comes only from a span that moved");
             let _empty = Span::enter(Phase::Filter, deadline); // no items: drops to nothing
         }
-        assert_eq!(reads(), 1, "the passive children read no clock");
-        assert_eq!(sink.phase_snapshot().items_of(Phase::Filter), 5);
+        assert_eq!(reads(), 1, "the nested spans read no clock");
+        let snap = sink.phase_snapshot();
+        assert_eq!(snap.items_of(Phase::Filter), 5, "items are recorded at each span's end");
+        assert_eq!(snap.total_nanos(), 0, "the block is paid when the cursor leaves it");
         assert_eq!(outer.finish(), 1);
         let snap = sink.phase_snapshot();
         assert_eq!(snap.items_of(Phase::Filter), 6);
         assert_eq!((snap.nanos_of(Phase::Filter), snap.total_nanos()), (1, 1));
-        assert_eq!((reads(), depth()), (2, 0));
+        assert_eq!((reads(), running()), (2, None));
     }
 
     #[test]
-    fn other_sink_and_other_phase_children_stay_active() {
+    fn other_sink_and_other_phase_children_move_the_cursor() {
         let (a, b) = (ExecCtx::with_clock(tick), ExecCtx::with_clock(tick));
         let (da, db) = (Deadline::none().with_ctx(a), Deadline::none().with_ctx(b));
         {
@@ -623,54 +508,55 @@ mod tests {
             drop(Span::enter(Phase::Filter, db)); // ticks 1, 2: same phase, other sink
             drop(Span::enter(Phase::BuildCandidates, da)); // ticks 3, 4: same sink, other phase
         } // tick 5
-        assert_eq!(reads(), 6, "two reads per active span");
+        assert_eq!(reads(), 6, "two reads per span that moves the cursor");
         assert_eq!(b.phase_snapshot().nanos_of(Phase::Filter), 1);
         let snap = a.phase_snapshot();
         assert_eq!(snap.nanos_of(Phase::BuildCandidates), 1);
-        // Outer wall 5 minus both children (the depth stack is per thread,
-        // not per sink): every tick is counted once across the two sinks.
+        // The outer's ticks are those around its children (the cursor is per
+        // thread, not per sink): every tick is counted once across the two.
         assert_eq!(snap.nanos_of(Phase::Filter), 3);
         assert_eq!(snap.total_nanos() + b.phase_snapshot().total_nanos(), 5);
     }
 
     #[test]
-    fn active_grandchild_of_a_passive_span_credits_the_grandparent() {
+    fn a_child_under_a_span_that_stayed_runs_under_the_stage() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
         let stage = Span::enter(Phase::Filter, deadline); // tick 0
         {
-            let _matcher = Span::enter(Phase::Filter, deadline); // passive
+            let _matcher = Span::enter(Phase::Filter, deadline); // stays
             let _build = Span::enter(Phase::BuildCandidates, deadline); // ticks 1, 2
-            assert_eq!(depth(), 2, "the grandchild nests directly under the stage");
-            drop(Span::enter(Phase::BuildCandidates, deadline)); // passive under `_build`
+            assert_eq!(running(), Some((sink.id(), Phase::BuildCandidates)));
+            drop(Span::enter(Phase::BuildCandidates, deadline)); // stays under `_build`
         }
+        assert_eq!(running(), Some((sink.id(), Phase::Filter)), "the stage runs again");
         assert_eq!(stage.finish(), 3); // tick 3
         let snap = sink.phase_snapshot();
         assert_eq!(snap.nanos_of(Phase::BuildCandidates), 1);
-        assert_eq!(snap.nanos_of(Phase::Filter), 2, "stage wall 3 minus the grandchild's 1");
+        assert_eq!(snap.nanos_of(Phase::Filter), 2, "the stage's ticks around the child");
         assert_eq!(snap.total_nanos(), 3, "phase sum = outermost wall");
         assert_eq!(reads(), 4);
     }
 
     #[test]
-    fn panic_through_stage_passive_active_unwinds_the_stack() {
+    fn a_panic_through_nested_spans_restores_the_cursor() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
         let stage = Span::enter(Phase::Filter, deadline); // tick 0
         let unwound = std::panic::catch_unwind(|| {
-            let mut matcher = Span::enter(Phase::Filter, deadline); // passive
+            let mut matcher = Span::enter(Phase::Filter, deadline); // stays
             matcher.add_items(2);
             let _build = Span::enter(Phase::BuildCandidates, deadline); // ticks 1, 2
             panic!("injected");
         });
         assert!(unwound.is_err());
-        assert_eq!(depth(), 1, "only the stage is still open");
+        assert_eq!(running(), Some((sink.id(), Phase::Filter)), "the stage runs again");
         assert_eq!(stage.finish(), 3); // tick 3
-        assert_eq!(depth(), 0);
+        assert_eq!(running(), None);
         let snap = sink.phase_snapshot();
-        assert_eq!(snap.items_of(Phase::Filter), 2, "the passive span's items survive the unwind");
+        assert_eq!(snap.items_of(Phase::Filter), 2, "the nested span's items survive the unwind");
         assert_eq!(snap.total_nanos(), 3);
-        // The next span on this thread has no stale parent to be passive under.
+        // The next span on this thread has no stale phase to stay in.
         sink.arm(ResourceLimits::unlimited());
         drop(Span::enter(Phase::Filter, deadline)); // ticks 4, 5
         assert_eq!(sink.phase_snapshot().nanos_of(Phase::Filter), 1);
@@ -678,65 +564,53 @@ mod tests {
     }
 
     #[test]
-    fn spans_beyond_the_tracked_depth_stay_active() {
+    fn nesting_depth_is_unbounded() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
-        // Alternating phases keep every span active; the last one tracked
-        // (depth 16) is a Filter span, the untracked depth 17 an Order span.
-        let phase_at = |d: usize| [Phase::Order, Phase::Filter][(d + 1) % 2];
-        let mut open: Vec<Span> =
-            (1..=MAX_SPAN_DEPTH + 1).map(|d| Span::enter(phase_at(d), deadline)).collect();
-        assert_eq!(depth(), MAX_SPAN_DEPTH + 1);
-        // Innermost open is the untracked Order span: a Filter child must not
-        // be taken for a child of the stale depth-16 Filter frame, and an
-        // Order child has no frame to be recognised by.
-        for phase in [Phase::Filter, Phase::Order] {
-            let before = reads();
-            let child = Span::enter(phase, deadline);
-            assert_eq!(depth(), MAX_SPAN_DEPTH + 2);
-            assert_eq!(child.finish(), 1);
-            assert_eq!(reads() - before, 2, "{phase}: active");
-        }
+        let phase_at = |d: usize| [Phase::Order, Phase::Filter][d % 2];
+        let mut open: Vec<Span> = (0..40).map(|d| Span::enter(phase_at(d), deadline)).collect();
         while let Some(span) = open.pop() {
             drop(span); // LIFO, as stack values drop
         }
-        assert_eq!(depth(), 0);
-        assert_eq!(reads(), 2 * (MAX_SPAN_DEPTH as u64 + 1 + 2));
+        let snap = sink.phase_snapshot();
+        assert_eq!((reads(), running()), (80, None), "every span read twice");
+        assert_eq!(snap.total_nanos(), 79, "phase sum = outermost wall");
+        assert_eq!(snap.nanos_of(Phase::Order), 40, "the even depths' ticks");
     }
 
     #[test]
     fn a_lap_reads_once_per_switch_and_never_on_drop() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
-        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
-        assert_eq!((reads(), depth()), (1, 1));
+        let mut lap = Span::lap(Phase::Filter, deadline); // tick 0
+        assert_eq!((reads(), running()), (1, Some((sink.id(), Phase::Filter))));
         assert_eq!(lap.switch(Phase::Filter), 1); // tick 1
         assert_eq!(lap.switch(Phase::Enumerate), 1); // tick 2
+        assert_eq!(lap.phase(), Phase::Enumerate);
         assert_eq!(lap.switch(Phase::Filter), 1); // tick 3
         assert!(sink.phase_snapshot().is_zero(), "nothing reaches the sink before the drop");
-        drop(lap);
-        assert_eq!((reads(), depth()), (4, 0), "the drop reads no clock");
+        assert_eq!(lap.finish(), 0, "a lap's end reads no clock");
+        assert_eq!((reads(), running()), (4, None));
         let snap = sink.phase_snapshot();
         assert_eq!((snap.nanos_of(Phase::Filter), snap.nanos_of(Phase::Enumerate)), (2, 1));
         assert_eq!(snap.total_nanos(), 3);
     }
 
     #[test]
-    fn a_matcher_span_of_the_laps_phase_is_passive() {
+    fn a_matcher_span_of_the_laps_phase_reads_nothing() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
-        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        let mut lap = Span::lap(Phase::Filter, deadline); // tick 0
         {
             let mut matcher = Span::enter(Phase::Filter, deadline);
             matcher.add_items(3);
-            assert_eq!((reads(), depth()), (1, 1), "passive: no read, no depth");
+            assert_eq!(reads(), 1, "no read");
         }
         assert_eq!(lap.switch(Phase::Enumerate), 1); // tick 1
         {
-            // The relabelled frame makes the next phase's matcher span
-            // passive.
+            // The switched cursor makes the next phase's matcher span stay.
             let _enumerate = Span::enter(Phase::Enumerate, deadline);
-            assert_eq!((reads(), depth()), (2, 1));
+            assert_eq!(reads(), 2);
         }
         assert_eq!(lap.switch(Phase::Filter), 1); // tick 2
         drop(lap);
@@ -747,14 +621,14 @@ mod tests {
     }
 
     #[test]
-    fn an_active_child_credits_the_lap() {
+    fn a_child_of_another_phase_takes_its_ticks_out_of_the_lap() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
-        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        let mut lap = Span::lap(Phase::Filter, deadline); // tick 0
         {
-            let _matcher = Span::enter(Phase::Filter, deadline); // passive
+            let _matcher = Span::enter(Phase::Filter, deadline); // stays
             let _build = Span::enter(Phase::BuildCandidates, deadline); // ticks 1, 2
-            assert_eq!(depth(), 2, "the child nests directly under the lap");
+            assert_eq!(running(), Some((sink.id(), Phase::BuildCandidates)));
         }
         assert_eq!(lap.switch(Phase::Enumerate), 3, "the wall includes the child"); // tick 3
         drop(Span::enter(Phase::Order, deadline)); // ticks 4, 5
@@ -763,66 +637,62 @@ mod tests {
         let snap = sink.phase_snapshot();
         assert_eq!(snap.nanos, [2, 1, 1, 2, 0], "each lap's wall minus its child");
         assert_eq!(snap.total_nanos(), 6, "phase sum = Σ walls");
-        assert_eq!((reads(), depth()), (7, 0));
+        assert_eq!((reads(), running()), (7, None));
     }
 
     #[test]
-    fn a_lap_credits_its_enclosing_span_with_its_walls() {
+    fn a_lap_resumes_its_enclosing_span_from_the_last_reading() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
         let outer = Span::enter(Phase::Order, deadline); // tick 0
         {
-            let mut lap = Lap::enter(Phase::Filter, deadline); // tick 1
+            let mut lap = Span::lap(Phase::Filter, deadline); // tick 1
             drop(Span::enter(Phase::BuildCandidates, deadline)); // ticks 2, 3
             assert_eq!(lap.switch(Phase::Enumerate), 3); // tick 4
             assert_eq!(lap.switch(Phase::Filter), 1); // tick 5
-                                                      // Closed after the last switch: it credits the lap's frame, which
-                                                      // passes it on at the drop.
+                                                      // Opened after the last switch: the tick before it is the lap's
+                                                      // running phase, and the outer span runs again from its last read.
             drop(Span::enter(Phase::Verify, deadline)); // ticks 6, 7
         }
         assert_eq!(outer.finish(), 8); // tick 8
         let snap = sink.phase_snapshot();
-        assert_eq!(snap.nanos, [2, 1, 3, 1, 1]);
-        // The outer span's self time is its wall minus the lap's walls (4)
-        // and the late child (1): the ticks before the lap's entry read and
-        // after its last switch, which nobody else timed.
-        assert_eq!(snap.nanos_of(Phase::Order), 8 - 4 - 1);
+        assert_eq!(snap.nanos, [3, 1, 2, 1, 1]);
+        // The outer span's ticks: before the lap's entry read and after the
+        // late child's last read, which nobody else timed.
+        assert_eq!(snap.nanos_of(Phase::Order), 2);
         assert_eq!(snap.total_nanos(), 8, "phase sum = outermost wall");
-        assert_eq!((reads(), depth()), (9, 0));
+        assert_eq!((reads(), running()), (9, None));
     }
 
     #[test]
     fn a_lap_over_an_inert_sink_reads_nothing() {
-        let mut lap = Lap::enter(Phase::Filter, Deadline::none());
-        assert_eq!(depth(), 0, "no frame");
+        let mut lap = Span::lap(Phase::Filter, Deadline::none());
         assert_eq!(lap.switch(Phase::Enumerate), 0);
         drop(Span::enter(Phase::Order, Deadline::none()));
         assert_eq!(lap.switch(Phase::Filter), 0);
         drop(lap);
-        assert_eq!((reads(), depth()), (0, 0));
+        assert_eq!((reads(), running()), (0, None));
     }
 
     #[test]
-    fn a_panic_inside_a_lap_leaves_the_stack_where_the_lap_left_it() {
+    fn a_panic_inside_a_lap_leaves_the_cursor_where_the_lap_left_it() {
         let sink = ExecCtx::with_clock(tick);
         let deadline = Deadline::none().with_ctx(sink);
-        let mut lap = Lap::enter(Phase::Filter, deadline); // tick 0
+        let mut lap = Span::lap(Phase::Filter, deadline); // tick 0
         let unwound = std::panic::catch_unwind(|| {
-            let mut matcher = Span::enter(Phase::Filter, deadline); // passive
+            let mut matcher = Span::enter(Phase::Filter, deadline); // stays
             matcher.add_items(2);
             let _build = Span::enter(Phase::BuildCandidates, deadline); // tick 1, 4 on unwind
             let _order = Span::enter(Phase::Order, deadline); // tick 2, 3 on unwind
             panic!("injected");
         });
         assert!(unwound.is_err());
-        assert_eq!(depth(), 1, "only the lap is still open");
+        assert_eq!(running(), Some((sink.id(), Phase::Filter)), "the lap runs again");
         assert_eq!(lap.switch(Phase::Filter), 5); // tick 5
-                                                  // Its frame survived the unwind: the next matcher span of its phase
-                                                  // is passive again.
-        drop(Span::enter(Phase::Filter, deadline));
+        drop(Span::enter(Phase::Filter, deadline)); // stays again
         assert_eq!(reads(), 6);
         drop(lap);
-        assert_eq!(depth(), 0);
+        assert_eq!(running(), None);
         let snap = sink.phase_snapshot();
         assert_eq!(snap.items_of(Phase::Filter), 2);
         assert_eq!(snap.nanos, [2, 2, 1, 0, 0]);
@@ -884,7 +754,7 @@ mod tests {
 
     fn replay_lap(tree: &LapTree, deadlines: [Deadline; 2]) {
         let _outer = tree.outer.map(|(phase, sink)| Span::enter(phase, deadlines[sink]));
-        let mut lap = Lap::enter(tree.phase, deadlines[tree.sink]);
+        let mut lap = Span::lap(tree.phase, deadlines[tree.sink]);
         for step in &tree.steps {
             match step {
                 Step::Child(node) => replay(node, deadlines),
@@ -895,9 +765,10 @@ mod tests {
         }
     }
 
-    /// The reference model of one thread's spans and laps: what each sink
-    /// must hold, how many spans were active, how often a lap switched, and
-    /// the tick clock they read.
+    /// The reference model of one thread's spans and laps, written as
+    /// nested self-time accounting rather than as a cursor: what each sink
+    /// must hold, how many spans moved the cursor, how often a lap switched,
+    /// and the tick clock they read.
     #[derive(Default)]
     struct Model {
         sinks: [PhaseStats; 2],
@@ -912,7 +783,7 @@ mod tests {
             self.clock
         }
 
-        /// Interprets `node` under the innermost active `(phase, sink)`;
+        /// Interprets `node` under the innermost running `(phase, sink)`;
         /// returns the elapsed ticks it charges that parent.
         fn run(&mut self, node: &Node, parent: Option<(Phase, usize)>) -> u64 {
             let me = (node.phase, node.sink);
@@ -940,9 +811,10 @@ mod tests {
             elapsed
         }
 
-        /// Interprets the lap itself — never passive; its children see its
-        /// current phase — and returns its credit: Σ walls plus the children
-        /// closed after the last switch.
+        /// Interprets the lap itself — it reads on entry even in its own
+        /// running phase; its children see its current phase — and returns
+        /// its credit: Σ walls plus the ticks from its last switch to the
+        /// last read before its drop, which stay in its last phase.
         fn run_lap(&mut self, tree: &LapTree) -> u64 {
             let (mut phase, mut start) = (tree.phase, self.read_clock());
             let (mut children, mut walls) = (0, 0);
@@ -958,15 +830,17 @@ mod tests {
                     }
                 }
             }
-            walls + children
+            self.sinks[tree.sink].nanos[phase.index()] += self.clock - start - children;
+            walls + self.clock - start
         }
     }
 
     proptest! {
         /// Random span trees (5 phases, 2 sinks over one tick clock, depth
         /// ≤ 6) against the model: per sink the same ticks and items per
-        /// phase, two clock reads per active span and none per passive one,
-        /// and every tick of the root's wall in exactly one bucket.
+        /// phase, two clock reads per span that moves the cursor and none
+        /// per span entered in the running phase, and every tick of the
+        /// root's wall in exactly one bucket.
         #[test]
         fn span_trees_match_the_reference_model(seed in any::<u64>()) {
             let tree = random_tree(&mut StdRng::seed_from_u64(seed), 5);
@@ -975,7 +849,7 @@ mod tests {
             replay(&tree, sinks.map(|s| Deadline::none().with_ctx(s)));
             let mut model = Model::default();
             let wall = model.run(&tree, None);
-            prop_assert_eq!(depth(), 0);
+            prop_assert_eq!(running(), None);
             prop_assert_eq!(reads() - before, 2 * model.active);
             for (sink, expected) in sinks.iter().zip(model.sinks) {
                 prop_assert_eq!(sink.phase_snapshot(), expected);
@@ -987,7 +861,7 @@ mod tests {
         /// The same with a lap at the root that switches at random points
         /// between its children (to any phase, its own included), half the
         /// time inside an outer span: per sink the same ticks and items,
-        /// clock reads = 2 × active spans + 1 + switches, and the phase sum
+        /// clock reads = 2 × moved spans + 1 + switches, and the phase sum
         /// equals what the root charges its parent — no tick counted twice.
         #[test]
         fn lap_rooted_span_trees_match_the_reference_model(seed in any::<u64>()) {
@@ -997,7 +871,7 @@ mod tests {
             replay_lap(&tree, sinks.map(|s| Deadline::none().with_ctx(s)));
             let mut model = Model::default();
             let charged = model.run_lap_tree(&tree);
-            prop_assert_eq!(depth(), 0);
+            prop_assert_eq!(running(), None);
             prop_assert_eq!(reads() - before, 2 * model.active + 1 + model.switches);
             for (sink, expected) in sinks.iter().zip(model.sinks) {
                 prop_assert_eq!(sink.phase_snapshot(), expected);

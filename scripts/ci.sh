@@ -41,7 +41,7 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span and lap trees vs the phase-accounting model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
+echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
 differential() { # <cargo test target args> -- <filters>: 256 cases each, failing on a filter that names no test
   local args=()
   while [[ "$1" != "--" ]]; do args+=("$1"); shift; done
@@ -224,5 +224,8 @@ if [[ "$fast" == 0 ]]; then
   echo "==> cargo clippy (all targets, -D warnings)"
   cargo clippy --offline --workspace --all-targets -- -D warnings
 fi
+
+echo "==> non-test lines per crate (scripts/loc.sh: the count the ROADMAP tracks)"
+scripts/loc.sh
 
 echo "CI gate passed."

@@ -1,9 +1,10 @@
 //! Counts, not clocks: how often a query reads its span clock.
 //!
-//! A vcFV scan times its pairs with one `Lap` (`sqp_matching::obs`): one
-//! clock read when the scan opens it, one per switch, none when it drops.
-//! The matcher's own span of the lap's running phase is passive under it.
-//! Per (query, graph) pair of a CFQL scan that is exactly
+//! A vcFV scan times its pairs with one lap on its thread's phase cursor
+//! (`sqp_matching::obs`): one clock read when the scan opens it, one per
+//! switch, none when it drops. The matcher's own span of the phase the lap
+//! is running enters that phase again and reads nothing. Per (query, graph)
+//! pair of a CFQL scan that is exactly
 //!
 //! * **1** read when the filter prunes the graph: the `Filter → Filter`
 //!   switch;
@@ -12,8 +13,7 @@
 //!   span (2);
 //!
 //! plus **1** per scan, and every live pool worker runs one scan per job —
-//! at every thread count (2 and 8 with two stage spans per pair, 4 and 12
-//! before the passive rule). The scan's budget check every 16th graph reads
+//! at every thread count. The scan's budget check every 16th graph reads
 //! the wall clock of `Deadline`, which an unbudgeted query never consults.
 //!
 //! The engine-level counts (`CFQL`, `Grapes` through their own sinks) are

@@ -15,6 +15,7 @@
 //!   mid-scan guard trip.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -305,10 +306,11 @@ fn phase_timings_are_byte_stable_across_runs_and_thread_counts() {
     }
 }
 
-/// The passive-span rule changes how often the clock is read, not what is
-/// counted: the fixture's per-phase items are the ones recorded before the
-/// rule existed, and under the tick clock the phases sum to the stage walls
-/// to the tick.
+/// A span entered in the phase its block is already running reads no clock,
+/// which changes how often the clock is read, not what is counted: the
+/// fixture's per-phase items are the ones recorded when every span read
+/// twice, and under the tick clock the phases sum to the stage walls to the
+/// tick.
 #[test]
 fn passive_spans_keep_items_and_sum_to_the_stage_walls() {
     let (db, q) = fixture();
@@ -318,13 +320,13 @@ fn passive_spans_keep_items_and_sum_to_the_stage_walls() {
     let out = pool.query(matcher, &db, &q, Deadline::none().with_ctx(sink)).outcome;
     assert_eq!(out.status, QueryStatus::Completed);
     let items: Vec<u64> = Phase::ALL.iter().map(|&p| out.phases.items_of(p)).collect();
-    // [filter, build_candidates, order, enumerate, verify] at the parent of
-    // the passive rule: 96 surviving candidates, 12 first matches.
+    // [filter, build_candidates, order, enumerate, verify] as recorded when
+    // every span read twice: 96 surviving candidates, 12 first matches.
     assert_eq!(items, [96, 0, 0, 12, 0]);
-    // Nothing prunes here. Per graph the `Filter` stage lasts 3 ticks (its
-    // own two reads around the matcher's `BuildCandidates` pair — the
-    // matcher's `Filter` span is passive) and the `Enumerate` stage 3
-    // (around the `Order` pair): 5 and 5 before the rule.
+    // Nothing prunes here. Per graph the `Filter` stage lasts 3 ticks (the
+    // lap's reads around the matcher's `BuildCandidates` pair — the
+    // matcher's `Filter` span reads nothing) and the `Enumerate` stage 3
+    // (around the `Order` pair).
     assert_eq!(out.phases.total_nanos(), 12 * (3 + 3));
     let stage_walls = out.filter_time + out.verify_time;
     assert_eq!(stage_walls, Duration::from_nanos(out.phases.total_nanos()));
@@ -333,8 +335,8 @@ fn passive_spans_keep_items_and_sum_to_the_stage_walls() {
 /// CFQL with faults keyed on a graph's vertex count (graph `i` of
 /// [`faulty_fixture`] has `8 + i` vertices): graph 2 panics in `filter` and
 /// graph 5 in `find_first`, each from inside a span of its own so the unwind
-/// crosses the lap's children; graph `trip`, if set, trips the resource
-/// guard in `filter`, which stops the scan mid-way.
+/// crosses a span that moved the cursor; graph `trip`, if set, trips the
+/// resource guard in `filter`, which stops the scan mid-way.
 struct Faulty {
     inner: Arc<dyn Matcher>,
     trip: Option<usize>,
@@ -417,12 +419,10 @@ fn faulty_fixture() -> (Arc<GraphDb>, Graph) {
 /// on every query, the panicking query's ticks are the same at 1/2/4/8
 /// threads (its pairs all run: a panic stops nothing), and afterwards a
 /// clean query on the same worker threads reads exactly what it reads on a
-/// fresh pool — the depth stack is back where the lap found it. The faulty
-/// queries run more times than the stack tracks frames, so a frame leaked
-/// per query would push the lap past tracked depth and its children would
-/// no longer be subtracted. (Which graphs a sibling reaches before it sees
-/// the trip depends on scheduling, so the tripped query's ticks are
-/// compared with its own stage walls only.)
+/// fresh pool — each worker's phase cursor is idle again, its unpaid ticks
+/// flushed. (Which graphs a sibling reaches before it sees the trip depends
+/// on scheduling, so the tripped query's ticks are compared with its own
+/// stage walls only.)
 #[test]
 fn panics_and_interrupts_keep_the_phase_sum_equal_to_the_stage_walls() {
     let (db, q) = faulty_fixture();
@@ -461,4 +461,40 @@ fn panics_and_interrupts_keep_the_phase_sum_equal_to_the_stage_walls() {
     let items = |p: &PhaseStats| Phase::ALL.map(|phase| p.items_of(phase));
     assert_eq!(items(&clean.phases), [96, 0, 0, 12, 0]);
     assert_eq!(items(&panicked), [88, 0, 0, 10, 0]);
+}
+
+static COUNTED_READS: AtomicU64 = AtomicU64::new(0);
+
+/// [`fake_clock`], also counting its reads across every thread.
+fn counted_fake_clock() -> u64 {
+    COUNTED_READS.fetch_add(1, Ordering::Relaxed);
+    fake_clock()
+}
+
+/// Pool workers are persistent, so each worker's phase cursor outlives a
+/// job. After [`Faulty`] panics inside a `BuildCandidates` and an `Order`
+/// span and trips mid-scan on a 2-worker pool, the plain query on that pool
+/// reads the same ticks, items and clock reads as on a fresh pool.
+#[test]
+fn a_pool_worker_starts_every_job_with_an_idle_cursor() {
+    let (db, q) = faulty_fixture();
+    let ctx = ExecCtx::with_clock(counted_fake_clock);
+    let cfql = matcher_by_name("CFQL").unwrap();
+    let run = |pool: &QueryPool, matcher: Arc<dyn Matcher>| {
+        let before = COUNTED_READS.load(Ordering::Relaxed);
+        let deadline = Deadline::none().with_ctx(ctx.arm(ResourceLimits::unlimited()));
+        let out = pool.query(matcher, &db, &q, deadline).outcome;
+        (out, COUNTED_READS.load(Ordering::Relaxed) - before)
+    };
+    let (fresh, fresh_reads) = run(&QueryPool::new(2), Arc::clone(&cfql));
+    assert_eq!(fresh.status, QueryStatus::Completed);
+    let pool = QueryPool::new(2);
+    let (panicked, _) = run(&pool, Arc::new(Faulty { inner: Arc::clone(&cfql), trip: None }));
+    assert_eq!(panicked.failures.len(), 2, "both injected panics");
+    let (tripped, _) = run(&pool, Arc::new(Faulty { inner: Arc::clone(&cfql), trip: Some(7) }));
+    assert!(tripped.failures.iter().any(|f| f.status.is_exhausted()), "{:?}", tripped.failures);
+    let (after, after_reads) = run(&pool, cfql);
+    assert_eq!(after.status, QueryStatus::Completed);
+    assert_eq!(after.phases, fresh.phases, "ticks and items");
+    assert_eq!(after_reads, fresh_reads, "clock reads");
 }
