@@ -17,9 +17,10 @@
 //!    sorted by endpoint label pair once, for all standing queries; each
 //!    query keeps, from registration, its directed edges sorted the same
 //!    way, so repair visits only the (query edge, added edge) pairs whose
-//!    labels agree and seeds
-//!    [`SeededEnumerator`](sqp_matching::dynmatch::SeededEnumerator) with
-//!    each. The seeded enumerations cover a superset of the additions;
+//!    labels agree, and hands each as pins to the query's one
+//!    [`SeededEnumerator`](sqp_matching::dynmatch::SeededEnumerator): the
+//!    matching crate's one backtracking search, the pins its first depths.
+//!    The seeded enumerations cover a superset of the additions;
 //!    deduplication against the stored set leaves exactly the new ones.
 //!
 //! The result of a batch is a delta stream ([`RepairDelta`] per standing

@@ -1,45 +1,30 @@
-//! Enumeration over the mutable [`DynamicGraph`] overlay.
+//! The overlay's entry points into the one search: [`enumerate_overlay`]
+//! answers a query over a [`DynamicGraph`] between compactions without
+//! materializing, and [`SeededEnumerator`] answers it around a partial
+//! assignment. That is how continuous repair re-enumerates only the affected
+//! region: every embedding that is new after a batch maps some query edge
+//! onto an added data edge (or some query vertex onto an added data vertex),
+//! so pinning those images and completing the rest enumerates exactly the
+//! additions.
 //!
-//! The static matchers in this crate are written against the immutable CSR
-//! [`Graph`]. Continuous queries need two things those matchers do not
-//! provide:
-//!
-//! * enumeration directly over a [`DynamicGraph`] (base CSR + delta), so a
-//!   standing query can be answered between compactions without
-//!   materializing; and
-//! * **seeded** enumeration from a partial assignment, which is how the
-//!   repair step re-enumerates only the affected region: every embedding
-//!   that is new after a batch must map some query edge onto an added data
-//!   edge (or some query vertex onto an added data vertex), so pinning those
-//!   images and completing the rest enumerates exactly the additions.
-//!
-//! The enumerator is a backtracking search (the same shape as the
-//! [`brute`](crate::brute) oracle) hardened with the overlay's exact NLF
-//! dominance filter, asked of the overlay's one-word
-//! [signature](DynamicGraph::signature) first: a packed reject is a true
-//! reject, a packed accept is the answer where the fold lost nothing, and
-//! only otherwise does the run merge decide ([`PackedNlf`]). Candidates at
-//! each depth are a label-run slice of the overlay — a base CSR slice for
-//! untouched vertices, a patched sorted list otherwise — iterated in place,
-//! in ascending id order.
-//!
-//! The search order is most-constrained-first for every pin pattern, none
-//! included (`search_order`): pins, then repeatedly the query vertex with
-//! the most placed neighbors. In a connected query every depth after the
-//! first is therefore anchored to an already-mapped neighbor and its
-//! candidates stay neighborhood-sized instead of falling back to a full
-//! label scan — the property that keeps a repair seed O(local) rather than
-//! O(|V|). [`SeededEnumerator::enumerate`] output is deterministic but not
-//! sorted; [`enumerate_overlay`] and [`enumerate_seeded`] sort what an
-//! unseeded search found, the repair layer sorts after merging its seeds.
+//! Both run the crate's one [`Enumerator`] over the overlay as a
+//! [`SearchSpace`]: adjacency is a label-run slice of the overlay (a base
+//! CSR slice, or a patched list), a depth with no mapped neighbor scans the
+//! live label-mates, there are no adjacency rows, and `v ∈ Φ(u)` is the exact
+//! NLF test, asked of the overlay's one-word
+//! [signature](DynamicGraph::signature) first ([`PackedNlf`]: a packed
+//! reject is a true reject, a packed accept is the answer where the fold lost
+//! nothing, and only otherwise does the run merge decide). The order is
+//! [`search_order`]'s, one per pin pattern.
 
 use std::cmp::Reverse;
 
-use sqp_graph::nlf::PackedNlf;
-use sqp_graph::{DynamicGraph, Graph, NeighborhoodLabelFrequency, VertexId};
+use sqp_graph::nlf::{runs_dominated, PackedNlf};
+use sqp_graph::{DynamicGraph, Graph, Label, VertexId};
 
-use crate::deadline::{Deadline, TickChecker, Timeout};
+use crate::deadline::{Deadline, Timeout};
 use crate::embedding::Embedding;
+use crate::enumerate::{Enumerator, SearchSpace};
 
 /// Enumerates every subgraph isomorphism from `q` into the overlay.
 ///
@@ -49,84 +34,98 @@ pub fn enumerate_overlay(
     g: &DynamicGraph,
     deadline: Deadline,
 ) -> Result<Vec<Embedding>, Timeout> {
-    enumerate_seeded(q, g, &[], deadline)
-}
-
-/// Enumerates every subgraph isomorphism from `q` into the overlay that
-/// extends the partial assignment `seeds` (pairs `(query vertex, data
-/// vertex)`). Without seeds the result is sorted lexicographically by mapping;
-/// with seeds it is in search order.
-///
-/// An inconsistent seed set (label mismatch, dead image, non-injective, or a
-/// pinned query edge with no corresponding data edge) yields no embeddings
-/// rather than an error: repair seeds are speculative by construction.
-pub fn enumerate_seeded(
-    q: &Graph,
-    g: &DynamicGraph,
-    seeds: &[(VertexId, VertexId)],
-    deadline: Deadline,
-) -> Result<Vec<Embedding>, Timeout> {
     let mut out = Vec::new();
-    SeededEnumerator::new(q, g).enumerate(seeds, deadline, &mut out)?;
-    if seeds.is_empty() {
-        out.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
-    }
+    SeededEnumerator::new(q, g).enumerate(&[], deadline, &mut out)?;
+    out.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
     Ok(out)
 }
 
-const UNMAPPED: VertexId = VertexId(u32::MAX);
+/// The overlay as a search space for one query.
+pub(crate) struct Overlay<'a> {
+    q: &'a Graph,
+    g: &'a DynamicGraph,
+    /// Per query vertex, its packed NLF and whether an accept on it needs
+    /// no merge over this pair of graphs.
+    qsig: Vec<PackedNlf>,
+    /// Per query vertex, its place in the query sorted by degree, higher
+    /// first (the stronger signature), then by label-mates in the base's
+    /// label index, fewer first, then by id.
+    rank: Vec<u32>,
+}
+
+impl<'a> Overlay<'a> {
+    pub(crate) fn new(q: &'a Graph, g: &'a DynamicGraph) -> Self {
+        let label_space = q.label_space().max(g.label_space());
+        let mut ranked: Vec<VertexId> = q.vertices().collect();
+        ranked.sort_by_key(|&u| (Reverse(q.degree(u)), g.base().label_frequency(q.label(u))));
+        let mut rank = vec![0; ranked.len()];
+        for (at, u) in ranked.into_iter().enumerate() {
+            rank[u.index()] = at as u32;
+        }
+        Self {
+            q,
+            g,
+            qsig: q.vertices().map(|u| PackedNlf::new(q.label_runs(u), label_space)).collect(),
+            rank,
+        }
+    }
+}
+
+impl SearchSpace for Overlay<'_> {
+    fn slots(&self) -> usize {
+        self.g.vertex_slots()
+    }
+    #[inline]
+    fn adjacent(&self, v: VertexId, label: Label) -> &[VertexId] {
+        self.g.neighbors_with_label(v, label)
+    }
+    /// Whether `NLF(u) ⊑ NLF(v)`, decided on `v`'s signature word wherever
+    /// that is exact.
+    #[inline]
+    fn contains(&self, u: VertexId, v: VertexId) -> bool {
+        let merge = || runs_dominated(self.q.label_runs(u), self.g.label_runs(v));
+        self.qsig[u.index()].dominated_by(self.g.signature(v), merge)
+    }
+    fn roots(&self, u: VertexId, buf: &mut Vec<VertexId>) {
+        self.g.live_vertices_with_label(self.q.label(u), buf);
+        buf.retain(|&v| self.contains(u, v));
+    }
+}
 
 /// A reusable seeded enumerator over one `(query, overlay)` pair.
 ///
 /// The repair inner loop issues one seeded enumeration per label-compatible
 /// pin, and the search itself is neighborhood-sized, so whatever a call sets
-/// up dominates it. Everything a call needs is therefore built once and
-/// kept: the query's NLF signatures, the O(|V|) `used` map, the search order
-/// of each pin pattern seen so far, and the one candidate buffer a search
-/// needs. Construct once per repaired query, then
+/// up dominates it. The [`Enumerator`] and its scratch are therefore built
+/// once and keep the plan of each pin pattern seen so far; a call selects
+/// one. Construct once per repaired query, then
 /// [`enumerate`](SeededEnumerator::enumerate) per seed set; a warm call
 /// allocates nothing but the embeddings it emits.
 pub struct SeededEnumerator<'a> {
     q: &'a Graph,
     g: &'a DynamicGraph,
-    qnlf: Vec<NeighborhoodLabelFrequency>,
-    /// Per query vertex, the packed form of `qnlf` and whether an accept on
-    /// it needs no merge over this pair of graphs.
-    qsig: Vec<PackedNlf>,
-    mapping: Vec<VertexId>,
-    pinned: Vec<bool>,
-    used: Vec<bool>,
-    /// Search orders derived so far, keyed by the pin pattern they serve.
-    orders: Vec<(Vec<bool>, Vec<usize>)>,
-    /// Candidates of a depth with no mapped neighbor (the root of an
-    /// unseeded search). Every other depth iterates an overlay slice.
-    roots: Vec<VertexId>,
-    deadline: Deadline,
-    ticker: TickChecker,
+    /// Holds plan `i` for the pin pattern `patterns[i·n..(i + 1)·n]`.
+    search: Enumerator<'a, Overlay<'a>>,
+    patterns: Vec<bool>,
+    /// Per query vertex, the image the seed set pins it to.
+    images: Vec<Option<VertexId>>,
+    /// The pinned images in search order: pins lead it, in id order.
+    pins: Vec<VertexId>,
 }
 
 impl<'a> SeededEnumerator<'a> {
     pub fn new(q: &'a Graph, g: &'a DynamicGraph) -> Self {
-        let n = q.vertex_count();
-        let label_space = q.label_space().max(g.label_space());
-        Self {
-            q,
-            g,
-            qnlf: q.vertices().map(|u| NeighborhoodLabelFrequency::of(q, u)).collect(),
-            qsig: q.vertices().map(|u| PackedNlf::new(q.label_runs(u), label_space)).collect(),
-            mapping: vec![UNMAPPED; n],
-            pinned: vec![false; n],
-            used: vec![false; g.vertex_slots()],
-            orders: Vec::new(),
-            roots: Vec::new(),
-            deadline: Deadline::none(),
-            ticker: TickChecker::new(),
-        }
+        let (search, n) = (Enumerator::unplanned(q, Overlay::new(q, g)), q.vertex_count());
+        Self { q, g, search, patterns: Vec::new(), images: vec![None; n], pins: Vec::new() }
     }
 
-    /// Appends to `out` every embedding extending `seeds`, in search order:
-    /// unsorted for every seed set, the empty one included. See
-    /// [`enumerate_seeded`] for the seed semantics.
+    /// Appends to `out` every embedding extending `seeds` (pairs `(query
+    /// vertex, data vertex)`), in search order: deterministic, not sorted.
+    ///
+    /// An inconsistent seed set (unknown query vertex, dead or unknown
+    /// image, label mismatch, non-injective, a query vertex pinned to two
+    /// images, or a pinned query edge with no data edge) yields nothing
+    /// rather than an error: repair seeds are speculative by construction.
     ///
     /// The clock is read once up front and then once per tick interval of
     /// candidates tried, counted across calls.
@@ -137,185 +136,69 @@ impl<'a> SeededEnumerator<'a> {
         out: &mut Vec<Embedding>,
     ) -> Result<(), Timeout> {
         deadline.check()?;
-        if self.q.vertex_count() == 0 {
-            return Ok(());
-        }
-        self.deadline = deadline;
-        self.mapping.fill(UNMAPPED);
-        self.pinned.fill(false);
-        let result = match self.pin(seeds) {
-            // Pins lead every order, so the search starts past them.
-            Some(order) => {
-                let pins = self.pinned.iter().filter(|&&p| p).count();
-                self.descend(order, pins, out)
-            }
-            None => Ok(()),
-        };
-        // Backtracking resets `used` for every searched vertex; only the
-        // pins remain. Clearing them here (instead of a full memset) is
-        // what keeps the per-call cost O(pins), not O(|V|).
-        for (u, _) in self.pinned.iter().enumerate().filter(|(_, &p)| p) {
-            self.used[self.mapping[u].index()] = false;
-        }
-        result
-    }
-
-    /// Places the pins and returns the index in `orders` of the search order
-    /// for their pattern, or `None` if they cannot extend to an embedding.
-    fn pin(&mut self, seeds: &[(VertexId, VertexId)]) -> Option<usize> {
         let n = self.q.vertex_count();
-        for &(u, v) in seeds {
-            if u.index() >= n || !self.g.is_live(v) || self.g.label(v) != self.q.label(u) {
-                return None;
-            }
-            if self.pinned[u.index()] {
-                if self.mapping[u.index()] != v {
-                    return None; // contradictory pins
-                }
-                continue;
-            }
-            if self.used[v.index()] {
-                return None; // non-injective pins
-            }
-            self.mapping[u.index()] = v;
-            self.pinned[u.index()] = true;
-            self.used[v.index()] = true;
-        }
-        // Pinned vertices must already satisfy dominance and mutual edges.
-        for u in (0..n).filter(|&u| self.pinned[u]) {
-            if !self.dominates(self.mapping[u], u) {
-                return None;
-            }
-            for &w in self.q.neighbors(VertexId(u as u32)) {
-                if self.pinned[w.index()]
-                    && w.index() > u
-                    && !self.g.has_edge(self.mapping[u], self.mapping[w.index()])
-                {
-                    return None;
-                }
-            }
-        }
-        Some(self.orders.iter().position(|(pattern, _)| *pattern == self.pinned).unwrap_or_else(
-            || {
-                self.orders.push((self.pinned.clone(), search_order(self.q, self.g, &self.pinned)));
-                self.orders.len() - 1
-            },
-        ))
-    }
-
-    /// Whether `NLF(u) ⊑ NLF(v)`: the one dominance test of pins and
-    /// extensions alike, decided on `v`'s signature word wherever that is
-    /// exact.
-    #[inline]
-    fn dominates(&self, v: VertexId, u: usize) -> bool {
-        self.qsig[u].dominated_by(self.g.signature(v), || self.g.nlf_dominates(v, &self.qnlf[u]))
-    }
-
-    fn descend(
-        &mut self,
-        order: usize,
-        depth: usize,
-        out: &mut Vec<Embedding>,
-    ) -> Result<(), Timeout> {
-        let Some(&uq) = self.orders[order].1.get(depth) else {
-            out.push(Embedding::new(self.mapping.clone()));
+        if n == 0 {
             return Ok(());
+        }
+        // Only what no test of the search covers; dominance, pinned edges
+        // and injectivity are those of any extension.
+        self.images.fill(None);
+        for &(u, v) in seeds {
+            let Some(image) = self.images.get_mut(u.index()) else { return Ok(()) };
+            if !self.g.is_live(v)
+                || self.g.label(v) != self.q.label(u)
+                || image.is_some_and(|w| w != v)
+            {
+                return Ok(());
+            }
+            *image = Some(v);
+        }
+        let images = &self.images;
+        let same = |at: &usize| {
+            let pattern = self.patterns.get(at * n..(at + 1) * n);
+            pattern.is_some_and(|p| p.iter().zip(images).all(|(&p, i)| p == i.is_some()))
         };
-        // Both outlive `self`'s borrow, so a slice of the overlay can be
-        // iterated while the recursion below mutates the search state.
-        let (q, g) = (self.q, self.g);
-        let label = q.label(VertexId(uq as u32));
-        // Pivot: the mapped query neighbor whose image has the smallest
-        // label-restricted neighborhood. The candidate *set* is independent
-        // of the pivot (every other mapped neighbor is checked in `extend`),
-        // and each slice is ascending by id, so enumeration order is
-        // deterministic.
-        let mut pivot: Option<(VertexId, &'a [VertexId])> = None;
-        for &w in q.neighbors(VertexId(uq as u32)) {
-            let img = self.mapping[w.index()];
-            if img != UNMAPPED {
-                let run = g.neighbors_with_label(img, label);
-                if pivot.is_none_or(|(_, best)| run.len() < best.len()) {
-                    pivot = Some((w, run));
-                }
-            }
-        }
-        match pivot {
-            Some((w, run)) => self.extend(order, depth, uq, Some(w), run, out),
+        // Repair pins one pattern for a run of calls: the current plan first.
+        let seen = || (0..).take_while(|at| at * n < self.patterns.len()).find(same);
+        let plan = match Some(self.search.plan).filter(same).or_else(seen) {
+            Some(plan) => plan,
             None => {
-                // A nested pivot-less depth (a query component with no pin)
-                // finds the buffer taken and fills a fresh one.
-                let mut roots = std::mem::take(&mut self.roots);
-                roots.clear();
-                g.live_vertices_with_label(label, &mut roots);
-                let result = self.extend(order, depth, uq, None, &roots, out);
-                self.roots = roots;
-                result
+                self.patterns.extend(images.iter().map(Option::is_some));
+                let pattern = &self.patterns[self.patterns.len() - n..];
+                let order = search_order(&self.search.space, pattern);
+                self.search.add_plan(order.into_iter().map(VertexId::from))
             }
-        }
-    }
-
-    /// Tries every candidate for query vertex `uq` at `depth`: one deadline
-    /// tick per attempt. Candidates drawn from `pivot`'s image are adjacent
-    /// to it by construction.
-    fn extend(
-        &mut self,
-        order: usize,
-        depth: usize,
-        uq: usize,
-        pivot: Option<VertexId>,
-        candidates: &[VertexId],
-        out: &mut Vec<Embedding>,
-    ) -> Result<(), Timeout> {
-        let (q, g) = (self.q, self.g);
-        for &v in candidates {
-            self.ticker.tick(self.deadline)?;
-            if self.used[v.index()] || !self.dominates(v, uq) {
-                continue;
-            }
-            // Edges to every other already-mapped query neighbor.
-            let ok = q.neighbors(VertexId(uq as u32)).iter().all(|&w| {
-                let img = self.mapping[w.index()];
-                Some(w) == pivot || img == UNMAPPED || g.has_edge(v, img)
-            });
-            if !ok {
-                continue;
-            }
-            self.mapping[uq] = v;
-            self.used[v.index()] = true;
-            let result = self.descend(order, depth + 1, out);
-            self.used[v.index()] = false;
-            self.mapping[uq] = UNMAPPED;
-            result?;
-        }
+        };
+        self.search.plan = plan;
+        self.pins.clear();
+        self.pins.extend(images.iter().flatten());
+        self.search.run(&self.pins, u64::MAX, deadline, &mut |e| out.push(e.clone()))?;
         Ok(())
     }
 }
 
 /// Search order for the backtracking descent, most-constrained-first:
-/// pinned vertices, then repeatedly the unplaced query vertex with the most
-/// placed neighbors (each is a `has_edge` that prunes), ties to the higher
-/// query degree (the stronger signature), then to the label with fewer
-/// vertices in the base's label index, then to the smaller id. A vertex with
-/// no placed neighbor is chosen only when none has one: first in an unpinned
-/// search, or where the query is disconnected from what is placed.
-fn search_order(q: &Graph, g: &DynamicGraph, pinned: &[bool]) -> Vec<usize> {
-    let n = q.vertex_count();
-    let mut order: Vec<usize> = (0..n).filter(|&u| pinned[u]).collect();
-    let mut placed = pinned.to_vec();
-    while order.len() < n {
-        let most_constrained = |&u: &usize| {
-            let u = VertexId(u as u32);
-            let anchors = q.neighbors(u).iter().filter(|w| placed[w.index()]).count();
-            let label_mates = g.base().label_frequency(q.label(u));
-            (Reverse(anchors), Reverse(q.degree(u)), label_mates)
-        };
-        // `min_by_key` keeps the first of equal keys: the smaller id.
-        let u = (0..n)
-            .filter(|&u| !placed[u])
-            .min_by_key(most_constrained)
-            .expect("fewer than n vertices are placed");
-        placed[u] = true;
+/// pinned vertices in id order, then repeatedly the unplaced query vertex
+/// with the most placed neighbors (each is an adjacency list the candidates
+/// are intersected with), ties to the lower rank (`Overlay::rank`). A vertex
+/// with no placed neighbor is chosen only when none has one: first in an
+/// unpinned search, or where the query is disconnected from what is placed.
+pub(crate) fn search_order(space: &Overlay, pinned: &[bool]) -> Vec<usize> {
+    let (q, n) = (space.q, space.q.vertex_count());
+    // Per unplaced vertex its key, least first: a pin its id; any other
+    // vertex its placed neighbors, reversed, in the top half and its rank in
+    // the bottom half. `u64::MAX` once placed.
+    let unpinned = |u: usize| u64::from(u32::MAX) << 32 | u64::from(space.rank[u]);
+    let mut keys: Vec<u64> =
+        (0..n).map(|u| if pinned[u] { u as u64 } else { unpinned(u) }).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(u) = (0..n).min_by_key(|&u| keys[u]).filter(|&u| keys[u] != u64::MAX) {
+        keys[u] = u64::MAX;
+        for w in q.neighbors(VertexId(u as u32)).iter().map(|w| w.index()) {
+            if !pinned[w] && keys[w] != u64::MAX {
+                keys[w] -= 1 << 32;
+            }
+        }
         order.push(u);
     }
     order
@@ -328,7 +211,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sqp_graph::nlf;
-    use sqp_graph::{GraphBuilder, Label};
+    use sqp_graph::{GraphBuilder, Label, NeighborhoodLabelFrequency};
 
     use crate::brute;
     use crate::deadline::{ExecCtx, ResourceLimits};
@@ -347,6 +230,19 @@ mod tests {
     fn sorted(mut es: Vec<Embedding>) -> Vec<Embedding> {
         es.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
         es
+    }
+
+    /// Every embedding extending `seeds` (see [`SeededEnumerator::enumerate`]),
+    /// from a fresh seeder; sorted when there are no seeds.
+    fn enumerate_seeded(
+        q: &Graph,
+        g: &DynamicGraph,
+        seeds: &[(VertexId, VertexId)],
+        deadline: Deadline,
+    ) -> Result<Vec<Embedding>, Timeout> {
+        let mut out = Vec::new();
+        SeededEnumerator::new(q, g).enumerate(seeds, deadline, &mut out)?;
+        Ok(if seeds.is_empty() { sorted(out) } else { out })
     }
 
     #[test]
@@ -507,14 +403,14 @@ mod tests {
     /// Per `(u, v)` over every slot: what the search's test says, what the
     /// run merge says, and whether the word alone would have accepted.
     fn predicate_table(q: &Graph, g: &DynamicGraph) -> Vec<(bool, bool, bool)> {
-        let seeder = SeededEnumerator::new(q, g);
+        let overlay = Overlay::new(q, g);
         let mut table = Vec::new();
         for u in q.vertices() {
             let reference = NeighborhoodLabelFrequency::of(q, u);
             let word = nlf::packed(q.label_runs(u));
             for v in (0..g.vertex_slots() as u32).map(VertexId) {
                 table.push((
-                    seeder.dominates(v, u.index()),
+                    overlay.contains(u, v),
                     g.nlf_dominates(v, &reference),
                     nlf::packed_dominated(word, g.signature(v)),
                 ));
@@ -593,11 +489,12 @@ mod tests {
         let (q, g) = (labeled(&PATH_PLUS_STAR.0, &PATH_PLUS_STAR.1), skewed_overlay());
         let n = q.vertex_count();
         // No pin: the label-7 vertex of degree 4 leads, not vertex 0.
-        assert_eq!(search_order(&q, &g, &vec![false; n])[0], 4);
+        let space = Overlay::new(&q, &g);
+        assert_eq!(search_order(&space, &vec![false; n])[0], 4);
         for pins in [vec![], vec![0], vec![6], vec![2, 3], vec![0, 7]] {
             let mut pinned = vec![false; n];
             pins.iter().for_each(|&u| pinned[u] = true);
-            let order = search_order(&q, &g, &pinned);
+            let order = search_order(&space, &pinned);
             let mut seen = order.clone();
             seen.sort_unstable();
             assert_eq!(seen, (0..n).collect::<Vec<_>>(), "a permutation");
@@ -621,9 +518,11 @@ mod tests {
     fn unseeded_search_fits_a_step_budget_the_id_order_walk_would_blow() {
         // One tick per attempt and a charge per 4 096 ticks: a budget of
         // 4 096 steps trips at the 8 192nd attempt. Counted once on this
-        // instance (1 551 embeddings): most-constrained-first makes 3 556
-        // attempts; the id-order walk this search used to do made 32 840,
-        // 800 of them label-0 roots, each fanning out down the path.
+        // instance (1 551 embeddings): most-constrained-first makes 3 388
+        // attempts, one per candidate that passes the NLF test (3 556 when
+        // every label-run entry was one); the id-order walk this search
+        // used to do made 32 840, 800 of them label-0 roots, each fanning
+        // out down the path.
         let (q, g) = (labeled(&PATH_PLUS_STAR.0, &PATH_PLUS_STAR.1), skewed_overlay());
         let guard = ExecCtx::new();
         guard.arm(ResourceLimits::unlimited().with_max_steps(4096));

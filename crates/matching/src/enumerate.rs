@@ -1,4 +1,4 @@
-//! The shared backtracking enumerator.
+//! The one backtracking search.
 //!
 //! Every preprocessing-enumeration algorithm in this crate enumerates
 //! embeddings the same way once its candidate sets `Φ` and matching order are
@@ -8,29 +8,30 @@
 //! [`enumerate_in_order`] is that shared step behind
 //! [`Matcher::enumerate`](crate::Matcher::enumerate): it computes the order
 //! under an `Order` span and runs the [`Enumerator`] under an `Enumerate`
-//! span.
+//! span. The [`Enumerator`] is generic over a [`SearchSpace`]: a static pair
+//! `(&Graph, &CandidateSpace)`, or the mutable overlay of
+//! [`dynmatch`](crate::dynmatch), where `v ∈ Φ(u)` is the NLF test. **Pins**,
+//! a partial assignment the search must extend, are the first depths of the
+//! order with one candidate each, kept only if it passes (a)–(c).
 //!
 //! The local candidate set of a depth is computed in one shot as a multi-way
 //! sorted-set intersection: the label-restricted data adjacencies
 //! `N(φ(w), L(u))` of *all* mapped backward neighbors `w`, smallest list
-//! first with early exit on empty, filtered by the `Φ(u)` membership bitmap.
-//! A pairwise step probes the hub adjacency bitmap when the mapped vertex has
-//! a row, and otherwise runs [`intersect::retain_auto`] (galloping on skewed
-//! lengths, the SIMD block kernel on balanced ones, the scalar merge below
-//! its floor). Results land in per-depth scratch buffers owned by the
-//! enumerator, so steady-state candidate generation performs no allocation —
-//! the only allocation on the search path is materializing an [`Embedding`]
-//! when a match is reported.
+//! first with early exit on empty, filtered by `Φ(u)` membership (a word at
+//! a time where the space has adjacency rows). A pairwise step probes the
+//! hub adjacency bitmap when the mapped vertex has a row, and otherwise runs
+//! [`intersect::retain_auto`] (galloping on skewed lengths, the SIMD block
+//! kernel on balanced ones, the scalar merge below its floor). Results land
+//! in per-depth scratch buffers owned by the enumerator, so steady-state
+//! candidate generation performs no allocation — the only allocation on the
+//! search path is materializing an [`Embedding`] when a match is reported.
 //!
-//! The forced single-kernel variants live where they are real —
-//! `sqp_graph::intersect::retain_{merge,gallop,simd,auto}`, with their own
-//! agreement tests — and the pre-kernel per-candidate probing enumeration is
-//! kept in this module's tests as the reference the one path is checked
-//! against (same embeddings, same emission order).
+//! The pre-kernel per-candidate probing enumeration is kept in this module's
+//! tests as the reference the one path is checked against, over both spaces.
 
 use std::cell::Cell;
 
-use sqp_graph::{intersect, Graph, VertexId};
+use sqp_graph::{intersect, AdjacencyRows, Graph, Label, VertexId};
 
 use crate::candidates::{CandidateSpace, MatchingOrder};
 use crate::deadline::{Deadline, TickChecker, Timeout};
@@ -41,7 +42,8 @@ use crate::stats::MatchingStats;
 /// The enumeration phase every order-based matcher shares: computes the
 /// matching order under an [`Order`](Phase::Order) span, then enumerates up
 /// to `limit` embeddings under an [`Enumerate`](Phase::Enumerate) span whose
-/// item count is the number found.
+/// item count is the number found. An empty `Φ(u)` finds nothing without a
+/// search.
 pub fn enumerate_in_order(
     q: &Graph,
     g: &Graph,
@@ -56,9 +58,52 @@ pub fn enumerate_in_order(
         order()
     };
     let mut span = Span::enter(Phase::Enumerate, deadline);
-    let found = Enumerator::new(q, g, space, &order).run(limit, deadline, on_match)?;
+    if space.any_empty() {
+        return Ok(0);
+    }
+    let found = Enumerator::new(q, (g, space), &order).run(&[], limit, deadline, on_match)?;
     span.add_items(found);
     Ok(found)
+}
+
+/// What the search asks of a data graph and its candidate sets `Φ`.
+pub trait SearchSpace {
+    /// One past the largest data-vertex id a candidate can have.
+    fn slots(&self) -> usize;
+    /// The neighbors of `v` carrying `label`, ascending by id.
+    fn adjacent(&self, v: VertexId, label: Label) -> &[VertexId];
+    /// Whether `v ∈ Φ(u)`.
+    fn contains(&self, u: VertexId, v: VertexId) -> bool;
+    /// Fills the empty `buf` with `Φ(u)`, ascending: the candidates of a
+    /// depth with no mapped neighbor (the root, or another component's).
+    fn roots(&self, u: VertexId, buf: &mut Vec<VertexId>);
+    /// `Φ(u)`'s membership bitmap and the adjacency rows, where the space
+    /// has both: the word-at-a-time path.
+    fn rows(&self, _u: VertexId) -> Option<(&[u64], &AdjacencyRows)> {
+        None
+    }
+}
+
+/// A static data graph and the candidate space a filter left on it.
+impl SearchSpace for (&Graph, &CandidateSpace) {
+    fn slots(&self) -> usize {
+        self.0.vertex_count()
+    }
+    #[inline]
+    fn adjacent(&self, v: VertexId, label: Label) -> &[VertexId] {
+        self.0.neighbors_with_label(v, label)
+    }
+    #[inline]
+    fn contains(&self, u: VertexId, v: VertexId) -> bool {
+        self.1.contains(u, v)
+    }
+    fn roots(&self, u: VertexId, buf: &mut Vec<VertexId>) {
+        buf.extend_from_slice(self.1.set(u));
+    }
+    #[inline]
+    fn rows(&self, u: VertexId) -> Option<(&[u64], &AdjacencyRows)> {
+        Some((self.1.row(u), self.0.adjacency_rows()))
+    }
 }
 
 /// Working memory of one [`Enumerator`], kept per thread so that a database
@@ -68,18 +113,21 @@ pub fn enumerate_in_order(
 /// holds the scratch — from inside an `on_match` callback — simply gets
 /// fresh buffers.
 ///
-/// Nothing is carried from one enumerator to the next: every field is
-/// re-initialised before it is read, whatever the previous one — finished,
-/// timed out or unwound by a panic in `on_match` — left behind.
+/// Only `used` is carried from one run to the next, all `false`: every
+/// extension unmarks what it marked, timeout or not. A panic in `on_match`
+/// leaves `dirty` set, so the next run clears it first.
 #[derive(Default)]
 struct SearchScratch {
-    /// Per query vertex, its depth in the matching order.
-    pos: Vec<u32>,
-    /// Depth `d`'s backward neighbors — the query neighbors of `order[d]`
-    /// mapped earlier, earliest first — are
-    /// `bw_data[bw_offsets[d]..bw_offsets[d + 1]]`.
+    /// Matching orders of one query, each with the backward lists the
+    /// search derives from it, back to back: plan `i` visits
+    /// `order[i·n..(i + 1)·n]`, and its depth `d` has the backward neighbors
+    /// — the query neighbors of its vertex mapped earlier, earliest first —
+    /// `bw_data[bw_offsets[i·(n + 1) + d]..bw_offsets[i·(n + 1) + d + 1]]`.
+    order: Vec<VertexId>,
     bw_offsets: Vec<u32>,
     bw_data: Vec<VertexId>,
+    /// Per query vertex, its depth in the order being planned.
+    pos: Vec<u32>,
     /// Per-depth local-candidate buffers.
     bufs: Vec<Vec<VertexId>>,
     /// Output buffer for SIMD intersection steps (their stores are not
@@ -91,6 +139,8 @@ struct SearchScratch {
     bw_order: Vec<(u32, u32)>,
     mapping: Vec<VertexId>,
     used: Vec<bool>,
+    /// Whether a run is in progress, or was unwound with marks in `used`.
+    dirty: bool,
     /// Recycled match-report buffer.
     report: Embedding,
 }
@@ -99,61 +149,86 @@ thread_local! {
     static SCRATCH: Cell<SearchScratch> = Cell::new(SearchScratch::default());
 }
 
-/// Backtracking enumerator over a [`CandidateSpace`] and [`MatchingOrder`].
-pub struct Enumerator<'a> {
+/// Backtracking enumerator over a [`SearchSpace`] and a matching order.
+pub struct Enumerator<'a, S: SearchSpace> {
     q: &'a Graph,
-    g: &'a Graph,
-    space: &'a CandidateSpace,
-    order: &'a MatchingOrder,
+    pub(crate) space: S,
     scratch: SearchScratch,
+    /// The plan `run` searches along.
+    pub(crate) plan: usize,
+    /// One tick per extension attempt, counted across runs.
+    ticker: TickChecker,
     /// Counters of the last `run`.
     stats: MatchingStats,
 }
 
-impl Drop for Enumerator<'_> {
+impl<S: SearchSpace> Drop for Enumerator<'_, S> {
     fn drop(&mut self) {
         let _ = SCRATCH.try_with(|s| s.set(std::mem::take(&mut self.scratch)));
     }
 }
 
-impl<'a> Enumerator<'a> {
-    /// Prepares an enumerator; `order` must be a permutation of `V(q)` such
-    /// that each non-first vertex has at least one earlier neighbor
-    /// (guaranteed by all ordering strategies on connected queries).
-    pub fn new(
-        q: &'a Graph,
-        g: &'a Graph,
-        space: &'a CandidateSpace,
-        order: &'a MatchingOrder,
-    ) -> Self {
+impl<'a, S: SearchSpace> Enumerator<'a, S> {
+    /// Prepares an enumerator over `space` along `order`, a permutation of
+    /// `V(q)`. A vertex with no earlier neighbor in `order` starts another
+    /// component: its candidates are [`SearchSpace::roots`].
+    pub fn new(q: &'a Graph, space: S, order: &MatchingOrder) -> Self {
+        let mut e = Self::unplanned(q, space);
+        e.add_plan(order.as_slice().iter().copied());
+        e
+    }
+
+    /// An enumerator without a plan: [`add_plan`](Self::add_plan) one
+    /// before the first `run`.
+    pub(crate) fn unplanned(q: &'a Graph, space: S) -> Self {
         let mut scratch = SCRATCH.with(Cell::take);
-        let SearchScratch { pos, bw_offsets, bw_data, .. } = &mut scratch;
-        let seq = order.as_slice();
-        pos.clear();
-        pos.resize(q.vertex_count(), u32::MAX);
-        for (i, &u) in seq.iter().enumerate() {
+        scratch.order.clear();
+        scratch.bw_offsets.clear();
+        scratch.bw_data.clear();
+        Self {
+            q,
+            space,
+            scratch,
+            plan: 0,
+            ticker: TickChecker::new(),
+            stats: MatchingStats::default(),
+        }
+    }
+
+    /// Adds the plan of `order`, another permutation of `V(q)`, and returns
+    /// its number, the value of [`plan`](Self::plan) that selects it.
+    pub(crate) fn add_plan(&mut self, order: impl IntoIterator<Item = VertexId>) -> usize {
+        let SearchScratch { order: seq, bw_offsets, bw_data, pos, .. } = &mut self.scratch;
+        let start = seq.len();
+        seq.extend(order);
+        let order = &seq[start..];
+        pos.resize(self.q.vertex_count(), 0); // a permutation: every entry is written
+        for (i, &u) in order.iter().enumerate() {
             pos[u.index()] = i as u32;
         }
-        bw_offsets.clear();
-        bw_data.clear();
-        bw_offsets.push(0);
-        for (i, &u) in seq.iter().enumerate() {
+        bw_offsets.push(bw_data.len() as u32);
+        for (i, &u) in order.iter().enumerate() {
             let start = bw_data.len();
-            bw_data.extend(q.neighbors(u).iter().copied().filter(|w| pos[w.index()] < i as u32));
+            bw_data.extend(self.q.neighbors(u).iter().filter(|w| pos[w.index()] < i as u32));
             // Deterministic order: earliest-mapped first.
             bw_data[start..].sort_unstable_by_key(|w| pos[w.index()]);
             bw_offsets.push(bw_data.len() as u32);
         }
-        Self { q, g, space, order, scratch, stats: MatchingStats::default() }
+        bw_offsets.len() / (order.len() + 1) - 1
     }
 
     /// Enumerates embeddings up to `limit`, invoking `on_match` for each.
     /// Returns the number found.
     ///
+    /// `pins[d]` is the one candidate of depth `d`, for the first
+    /// `pins.len()` depths of the order; it is kept only if it passes
+    /// every test an extension passes. Static searches pass `&[]`.
+    ///
     /// Kernel counters of the run are flushed into the deadline's
     /// [`ExecCtx`](crate::ExecCtx) (if any), even when the run times out.
     pub fn run(
         &mut self,
+        pins: &[VertexId],
         limit: u64,
         deadline: Deadline,
         on_match: &mut dyn FnMut(&Embedding),
@@ -163,19 +238,21 @@ impl<'a> Enumerator<'a> {
         if n == 0 {
             return Ok(0);
         }
-        if self.space.any_empty() {
-            return Ok(0);
+        let slots = self.space.slots();
+        let SearchScratch { bufs, mapping, used, dirty, .. } = &mut self.scratch;
+        mapping.resize(n, VertexId(u32::MAX)); // a depth reads earlier ones only
+        if std::mem::replace(dirty, true) {
+            used.fill(false);
         }
-        let SearchScratch { bufs, mapping, used, .. } = &mut self.scratch;
-        mapping.clear();
-        mapping.resize(n, VertexId(u32::MAX));
-        used.clear();
-        used.resize(self.g.vertex_count(), false);
+        if used.len() < slots {
+            used.resize(slots, false);
+        }
         if bufs.len() < n {
             bufs.resize_with(n, Vec::new);
         }
-        let mut state = SearchState { found: 0, limit, ticker: TickChecker::new() };
+        let mut state = SearchState { found: 0, limit, pins };
         let result = self.descend(0, &mut state, deadline, on_match);
+        self.scratch.dirty = false;
         self.stats.embeddings = state.found;
         deadline.ctx().record(&self.stats.kernel());
         result?;
@@ -200,14 +277,14 @@ impl<'a> Enumerator<'a> {
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<(), Timeout> {
         self.stats.recursions += 1;
-        let u = self.order.as_slice()[depth];
+        let u = self.scratch.order[self.plan * self.q.vertex_count() + depth];
         // Take this depth's buffer out of the scratch so candidate
         // collection and the extension loop below can borrow `self` freely;
         // it is returned before unwinding the recursion, so each buffer is
         // reused (no allocation in the steady state).
         let mut buf = std::mem::take(&mut self.scratch.bufs[depth]);
         buf.clear();
-        self.collect_candidates(depth, u, &mut buf);
+        self.collect_candidates(depth, u, state.pins.get(depth).copied(), &mut buf);
         let result = self.extend(depth, u, &buf, state, deadline, on_match);
         self.scratch.bufs[depth] = buf;
         result
@@ -215,14 +292,30 @@ impl<'a> Enumerator<'a> {
 
     /// Computes the local candidate set for `order[depth]` into `buf`: exactly
     /// the feasible candidates (`Φ(u)` ∩ all backward adjacencies), ascending
-    /// by id.
-    fn collect_candidates(&mut self, depth: usize, u: VertexId, buf: &mut Vec<VertexId>) {
-        let Self { q, g, space, scratch, stats, .. } = self;
-        let SearchScratch { bw_offsets, bw_data, bw_order, simd_scratch, mapping, .. } = scratch;
-        let backward = &bw_data[bw_offsets[depth] as usize..bw_offsets[depth + 1] as usize];
+    /// by id — of a pinned depth, the pin if it is one of them.
+    fn collect_candidates(
+        &mut self,
+        depth: usize,
+        u: VertexId,
+        pin: Option<VertexId>,
+        buf: &mut Vec<VertexId>,
+    ) {
+        let Self { q, space, scratch, plan, stats, .. } = self;
+        let SearchScratch { bw_offsets: bw, bw_data, bw_order, simd_scratch, mapping, .. } =
+            scratch;
+        let at = *plan * (q.vertex_count() + 1) + depth;
+        let backward = &bw_data[bw[at] as usize..bw[at + 1] as usize];
+        let label = q.label(u);
+        let mapped = |w: &VertexId| mapping[w.index()];
+        if let Some(v) = pin {
+            let adjacent = |w| space.adjacent(mapped(w), label).binary_search(&v).is_ok();
+            if space.contains(u, v) && backward.iter().all(adjacent) {
+                buf.push(v);
+            }
+            return;
+        }
         if backward.is_empty() {
-            // Root of the order (or of a new component): every Φ(u) member.
-            buf.extend_from_slice(space.set(u));
+            space.roots(u, buf);
             return;
         }
 
@@ -230,44 +323,43 @@ impl<'a> Enumerator<'a> {
         // candidates are `Φ(u) & ⋂ adj(φ(w))`, a word at a time. Every
         // candidate carries label L(u), so the full adjacency selects what
         // the label-restricted one would.
-        let rows = g.adjacency_rows();
-        bw_order.clear();
-        bw_order.extend(
-            backward.iter().map_while(|w| rows.row(mapping[w.index()]).map(|row| (row as u32, 0))),
-        );
-        if bw_order.len() == backward.len() {
-            let phi = space.row(u);
-            stats.intersections += backward.len() as u64 - 1;
-            stats.bitmap_probes += (phi.len() * backward.len()) as u64;
-            for (i, &members) in phi.iter().enumerate() {
-                let mut word = bw_order
-                    .iter()
-                    .fold(members, |word, &(row, _)| word & rows.words(row as usize)[i]);
-                while word != 0 {
-                    buf.push(VertexId((i * 64) as u32 + word.trailing_zeros()));
-                    word &= word - 1;
+        let rows = space.rows(u);
+        if let Some((phi, rows)) = rows {
+            bw_order.clear();
+            bw_order.extend(
+                backward.iter().map_while(|w| rows.row(mapped(w)).map(|row| (row as u32, 0))),
+            );
+            if bw_order.len() == backward.len() {
+                stats.intersections += backward.len() as u64 - 1;
+                stats.bitmap_probes += (phi.len() * backward.len()) as u64;
+                for (i, &members) in phi.iter().enumerate() {
+                    let mut word = bw_order
+                        .iter()
+                        .fold(members, |word, &(row, _)| word & rows.words(row as usize)[i]);
+                    while word != 0 {
+                        buf.push(VertexId((i * 64) as u32 + word.trailing_zeros()));
+                        word &= word - 1;
+                    }
                 }
+                return;
             }
-            return;
         }
-        let label = q.label(u);
-        let mapped = |bi: u32| mapping[backward[bi as usize].index()];
 
         // Order the backward adjacencies by length, smallest first, keeping
         // hold of the smallest: with one backward neighbor, the common case,
         // its label run is looked up once.
         bw_order.clear();
         let mut seed: &[VertexId] = &[];
-        for bi in 0..backward.len() as u32 {
-            let adj = g.neighbors_with_label(mapped(bi), label);
+        for (bi, w) in backward.iter().enumerate() {
+            let adj = space.adjacent(mapped(w), label);
             if bw_order.iter().all(|&(len, _)| adj.len() < len as usize) {
                 seed = adj;
             }
-            bw_order.push((adj.len() as u32, bi));
+            bw_order.push((adj.len() as u32, bi as u32));
         }
         bw_order.sort_unstable();
 
-        // Seed from the smallest adjacency, filtered by the Φ(u) bitmap.
+        // Seed from the smallest adjacency, filtered by `Φ(u)` membership.
         stats.bitmap_probes += seed.len() as u64;
         buf.extend(seed.iter().copied().filter(|&v| space.contains(u, v)));
 
@@ -280,13 +372,12 @@ impl<'a> Enumerator<'a> {
             stats.intersections += 1;
             // Row probes when the mapped vertex has a row, otherwise
             // adaptive gallop/SIMD/merge against its sorted list.
-            let w = mapped(bi);
-            if let Some(row) = rows.row(w) {
+            let w = mapped(&backward[bi as usize]);
+            if let Some((rows, row)) = rows.and_then(|(_, rows)| Some((rows, rows.row(w)?))) {
                 stats.bitmap_probes += buf.len() as u64;
                 buf.retain(|&v| rows.contains(row, v));
             } else {
-                let adj = g.neighbors_with_label(w, label);
-                match intersect::retain_auto(buf, adj, simd_scratch) {
+                match intersect::retain_auto(buf, space.adjacent(w, label), simd_scratch) {
                     intersect::AutoChoice::Gallop => stats.gallop_hits += 1,
                     intersect::AutoChoice::Simd => stats.simd_hits += 1,
                     intersect::AutoChoice::Merge | intersect::AutoChoice::Noop => {}
@@ -296,7 +387,7 @@ impl<'a> Enumerator<'a> {
     }
 
     /// Tries every candidate in `buf` at `depth`: exactly one deadline tick
-    /// per extension attempt.
+    /// per extension attempt. Marks in `used` are undone on every return.
     fn extend(
         &mut self,
         depth: usize,
@@ -307,7 +398,7 @@ impl<'a> Enumerator<'a> {
         on_match: &mut dyn FnMut(&Embedding),
     ) -> Result<(), Timeout> {
         for &v in buf {
-            state.ticker.tick(deadline)?;
+            self.ticker.tick(deadline)?;
             let SearchScratch { mapping, used, report, .. } = &mut self.scratch;
             if used[v.index()] {
                 continue;
@@ -316,14 +407,14 @@ impl<'a> Enumerator<'a> {
             if depth + 1 == self.q.vertex_count() {
                 state.found += 1;
                 report.copy_from(mapping);
-                debug_assert!(report.is_valid(self.q, self.g));
+                debug_assert!(admits(self.q, &self.space, report.as_slice()));
                 on_match(report);
             } else {
                 used[v.index()] = true;
-                self.descend(depth + 1, state, deadline, on_match)?;
+                let result = self.descend(depth + 1, state, deadline, on_match);
                 self.scratch.used[v.index()] = false;
+                result?;
             }
-            self.scratch.mapping[u.index()] = VertexId(u32::MAX);
             if state.found >= state.limit {
                 return Ok(());
             }
@@ -332,10 +423,24 @@ impl<'a> Enumerator<'a> {
     }
 }
 
-struct SearchState {
+struct SearchState<'p> {
     found: u64,
     limit: u64,
-    ticker: TickChecker,
+    pins: &'p [VertexId],
+}
+
+/// Whether `mapping` is an embedding of `q` that `space` admits: injective,
+/// each image in its `Φ`, each query edge on a data edge. Pairwise, so that
+/// the search's debug assertion does not allocate.
+fn admits(q: &Graph, space: &impl SearchSpace, mapping: &[VertexId]) -> bool {
+    q.vertices().all(|u| {
+        let v = mapping[u.index()];
+        !mapping[..u.index()].contains(&v)
+            && space.contains(u, v)
+            && q.neighbors(u)
+                .iter()
+                .all(|w| space.adjacent(mapping[w.index()], q.label(u)).binary_search(&v).is_ok())
+    })
 }
 
 #[cfg(test)]
@@ -343,10 +448,11 @@ mod tests {
     use super::*;
     use crate::brute;
     use crate::deadline::{ExecCtx, ResourceLimits};
+    use crate::dynmatch::{search_order, Overlay};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sqp_graph::{GraphBuilder, Label};
+    use sqp_graph::{DynamicGraph, GraphBuilder, NeighborhoodLabelFrequency};
 
     /// The pre-kernel enumeration, kept as the reference the one path is
     /// checked against: scan the smallest backward adjacency and test each
@@ -468,6 +574,19 @@ mod tests {
         got
     }
 
+    /// What a fresh enumerator over `space` emits along `order`, up to
+    /// `limit`, and its counters.
+    fn searched(
+        q: &Graph,
+        space: impl SearchSpace,
+        order: &MatchingOrder,
+        limit: u64,
+    ) -> (Vec<Embedding>, MatchingStats) {
+        let mut e = Enumerator::new(q, space, order);
+        let got = emitted(|on| e.run(&[], limit, Deadline::none(), on));
+        (got, e.stats())
+    }
+
     /// Which branch of `collect_candidates` a random instance is built for.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Rows {
@@ -478,6 +597,9 @@ mod tests {
         /// Half of them have: row probes and sorted lists in one
         /// intersection, and the word path where the mapped ones all do.
         Mixed,
+        /// The overlay of [`dynmatch`](crate::dynmatch): no rows, NLF
+        /// dominance for `Φ`, live label-mates for roots.
+        Overlay,
     }
 
     /// A random `(q, g, space, order)`: the space is a random subset of the
@@ -490,9 +612,11 @@ mod tests {
     /// with isolated vertices until no degree can reach `4·⌈n/64⌉`.
     /// `Rows::Mixed` is a clique of 45 heavy vertices, each light vertex
     /// between them on a ring of lights with two heavy neighbors (degree 4).
-    fn arb_instance(seed: u64, rows: Rows) -> (Graph, Graph, CandidateSpace, MatchingOrder) {
+    /// `Rows::Overlay` is [`arb_overlay`], the last field its overlay.
+    fn arb_instance(seed: u64, rows: Rows) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);
         let (g, q) = match rows {
+            Rows::Overlay => return arb_overlay(&mut rng),
             Rows::All => {
                 let g = brute::random_graph(&mut rng, 90, 90 * 89 * 2, 2);
                 let picked: Vec<u32> =
@@ -551,6 +675,7 @@ mod tests {
             Rows::All => g.vertex_count(),
             Rows::None => 0,
             Rows::Mixed => 45,
+            Rows::Overlay => unreachable!("returned above"),
         };
         assert_eq!(with_row, expected, "{rows:?}: vertices with an adjacency row");
         let sets = q
@@ -570,7 +695,43 @@ mod tests {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.random_range(0..=i));
         }
-        (q, g, CandidateSpace::new(sets), MatchingOrder::new(order))
+        (q, g, CandidateSpace::new(sets), MatchingOrder::new(order), None)
+    }
+
+    type Instance = (Graph, Graph, CandidateSpace, MatchingOrder, Option<DynamicGraph>);
+
+    /// A sparse 30-vertex overlay churned by adds only, so slots keep their
+    /// ids and `materialize` is the identity, and a query cut from it. The
+    /// order is the overlay's own; the reference runs on the materialized
+    /// graph with `Φ(u)` the label-mates that pass the NLF test, computed
+    /// fresh there.
+    fn arb_overlay(rng: &mut StdRng) -> Instance {
+        let mut dg = DynamicGraph::new(brute::random_graph(rng, 30, 60, 3));
+        for _ in 0..20 {
+            let slots = dg.vertex_slots() as u32;
+            if rng.random_bool(0.2) {
+                dg.add_vertex(Label(rng.random_range(0..3))).unwrap();
+            } else {
+                let (a, b) = (rng.random_range(0..slots), rng.random_range(0..slots));
+                let _ = dg.add_edge(VertexId(a), VertexId(b)); // a self-loop fails closed
+            }
+        }
+        let (g, identity) = dg.materialize();
+        assert!(identity.iter().enumerate().all(|(slot, m)| *m == Some(VertexId(slot as u32))));
+        let q = brute::random_connected_query(rng, &g, 4);
+        let sets = q
+            .vertices()
+            .map(|u| {
+                let want = NeighborhoodLabelFrequency::of(&q, u);
+                let mates = g.vertices_with_label(q.label(u)).iter().copied();
+                mates
+                    .filter(|&v| want.dominated_by(&NeighborhoodLabelFrequency::of(&g, v)))
+                    .collect()
+            })
+            .collect();
+        let unpinned = search_order(&Overlay::new(&q, &dg), &vec![false; q.vertex_count()]);
+        let order = MatchingOrder::new(unpinned.into_iter().map(VertexId::from).collect());
+        (q, g, CandidateSpace::new(sets), order, Some(dg))
     }
 
     proptest! {
@@ -579,20 +740,22 @@ mod tests {
         /// The one path emits exactly what the per-candidate probing
         /// reference emits, in the same order — so the first match (the vcFV
         /// verifier's answer) is the same embedding too — whichever of its
-        /// three ways the local candidates are computed.
+        /// three ways the local candidates are computed, and over the
+        /// overlay as over a static graph.
         #[test]
-        fn matches_reference_in_emission_order(seed in any::<u64>(), rows in 0usize..3) {
-            let rows = [Rows::All, Rows::None, Rows::Mixed][rows];
-            let (q, g, space, order) = arb_instance(seed, rows);
+        fn matches_reference_in_emission_order(seed in any::<u64>(), rows in 0usize..4) {
+            let rows = [Rows::All, Rows::None, Rows::Mixed, Rows::Overlay][rows];
+            let (q, g, space, order, overlay) = arb_instance(seed, rows);
             // The dense instances have millions of embeddings; a prefix pins
             // the order just as well.
-            let limit = if rows == Rows::None { u64::MAX } else { 300 };
+            let limit = if matches!(rows, Rows::None | Rows::Overlay) { u64::MAX } else { 300 };
             let d = Deadline::none();
-            let mut e = Enumerator::new(&q, &g, &space, &order);
-            let got = emitted(|on| e.run(limit, d, on));
+            let (got, stats) = match &overlay {
+                Some(dg) => searched(&q, Overlay::new(&q, dg), &order, limit),
+                None => searched(&q, (&g, &space), &order, limit),
+            };
             let want = emitted(|on| Reference::run(&q, &g, &space, &order, limit, d, on));
             prop_assert_eq!(got, want);
-            let stats = e.stats();
             if rows == Rows::All {
                 // Every mapped vertex has a row: no sorted-list kernel runs.
                 prop_assert_eq!(stats.gallop_hits + stats.simd_hits, 0, "{:?}", stats);
@@ -607,9 +770,9 @@ mod tests {
         let g = labeled(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let mut e = Enumerator::new(&q, &g, &space, &order);
+        let mut e = Enumerator::new(&q, (&g, &space), &order);
         // 3! = 6 automorphic embeddings.
-        assert_eq!(e.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), 6);
+        assert_eq!(e.run(&[], u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), 6);
         assert!(e.recursions() > 0);
         assert_eq!(e.stats().embeddings, 6);
     }
@@ -620,9 +783,9 @@ mod tests {
         let g = labeled(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let mut e = Enumerator::new(&q, &g, &space, &order);
-        assert_eq!(e.run(2, Deadline::none(), &mut |_| {}).unwrap(), 2);
-        let first = emitted(|on| e.run(1, Deadline::none(), on));
+        let mut e = Enumerator::new(&q, (&g, &space), &order);
+        assert_eq!(e.run(&[], 2, Deadline::none(), &mut |_| {}).unwrap(), 2);
+        let first = emitted(|on| e.run(&[], 1, Deadline::none(), on));
         assert!(first[0].is_valid(&q, &g));
     }
 
@@ -632,8 +795,8 @@ mod tests {
         let g = labeled(&[0, 1], &[(0, 1)]);
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let mut e = Enumerator::new(&q, &g, &space, &order);
-        assert_eq!(e.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), 0);
+        let mut e = Enumerator::new(&q, (&g, &space), &order);
+        assert_eq!(e.run(&[], u64::MAX, Deadline::none(), &mut |_| {}).unwrap(), 0);
     }
 
     #[test]
@@ -646,8 +809,8 @@ mod tests {
             exp.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
             let space = full_space(&q, &g);
             let order = id_order(&q);
-            let mut e = Enumerator::new(&q, &g, &space, &order);
-            let mut got = emitted(|on| e.run(u64::MAX, Deadline::none(), on));
+            let mut e = Enumerator::new(&q, (&g, &space), &order);
+            let mut got = emitted(|on| e.run(&[], u64::MAX, Deadline::none(), on));
             got.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
             assert_eq!(got, exp);
         }
@@ -661,8 +824,8 @@ mod tests {
             let q = brute::random_connected_query(&mut rng, &g, 4);
             let space = full_space(&q, &g);
             let order = id_order(&q);
-            let mut e = Enumerator::new(&q, &g, &space, &order);
-            e.run(u64::MAX, Deadline::none(), &mut |_| {}).unwrap();
+            let mut e = Enumerator::new(&q, (&g, &space), &order);
+            e.run(&[], u64::MAX, Deadline::none(), &mut |_| {}).unwrap();
             let stats = e.stats();
             assert!(stats.gallop_hits + stats.simd_hits <= stats.intersections, "{stats:?}");
         }
@@ -676,8 +839,8 @@ mod tests {
         let order = id_order(&q);
         let sink = ExecCtx::new();
         let d = Deadline::none().with_ctx(sink);
-        let mut e = Enumerator::new(&q, &g, &space, &order);
-        e.run(u64::MAX, d, &mut |_| {}).unwrap();
+        let mut e = Enumerator::new(&q, (&g, &space), &order);
+        e.run(&[], u64::MAX, d, &mut |_| {}).unwrap();
         let snap = sink.snapshot();
         assert_eq!(snap, e.stats().kernel());
         assert!(snap.intersections > 0, "triangle query must intersect at depth 2");
@@ -699,9 +862,9 @@ mod tests {
         };
         let space = full_space(&q, &g);
         let order = id_order(&q);
-        let mut e = Enumerator::new(&q, &g, &space, &order);
+        let mut e = Enumerator::new(&q, (&g, &space), &order);
         let d = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        assert_eq!(e.run(u64::MAX, d, &mut |_| {}), Err(Timeout));
+        assert_eq!(e.run(&[], u64::MAX, d, &mut |_| {}), Err(Timeout));
     }
 
     #[test]
@@ -733,7 +896,7 @@ mod tests {
         let d = Deadline::none().with_ctx(guard);
         // 2 directions × 64 starting vertices.
         guard.arm(ResourceLimits::unlimited().with_max_steps(4096));
-        let found = Enumerator::new(&q, &g, &space, &order).run(u64::MAX, d, &mut |_| {});
+        let found = Enumerator::new(&q, (&g, &space), &order).run(&[], u64::MAX, d, &mut |_| {});
         assert_eq!(found, Ok(2 * m as u64), "must fit the step budget");
         assert!(guard.tripped().is_none());
         guard.arm(ResourceLimits::unlimited().with_max_steps(4096));
@@ -760,8 +923,8 @@ mod tests {
         let space = full_space(&q, &g);
         let order = id_order(&q);
         let d = Deadline::none();
-        let mut e = Enumerator::new(&q, &g, &space, &order);
-        let got = emitted(|on| e.run(u64::MAX, d, on));
+        let mut e = Enumerator::new(&q, (&g, &space), &order);
+        let got = emitted(|on| e.run(&[], u64::MAX, d, on));
         let want = emitted(|on| Reference::run(&q, &g, &space, &order, u64::MAX, d, on));
         assert_eq!(got, want);
         assert!(!got.is_empty());

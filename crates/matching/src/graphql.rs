@@ -274,8 +274,8 @@ mod tests {
         space: &CandidateSpace,
         order: &MatchingOrder,
     ) -> (bool, u64) {
-        let mut e = Enumerator::new(q, g, space, order);
-        let found = e.run(1, Deadline::none(), &mut |_| {}).unwrap();
+        let mut e = Enumerator::new(q, (g, space), order);
+        let found = e.run(&[], 1, Deadline::none(), &mut |_| {}).unwrap();
         (found == 1, e.recursions())
     }
 

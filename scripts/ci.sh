@@ -34,14 +34,15 @@ PROPTEST_CASES=32 cargo test -q --offline --test chaos
 echo "==> kernel equivalence (enumerator vs brute oracle x 1/2/4/8 threads over the three adjacency-row regimes: every probed vertex has a row, none has, mixed; bitmap memory accounting)"
 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
 
-echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: the SIMD step must degrade to merge, not diverge — in the enumerator and in sqp_graph::intersect where the kernels live)"
+echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: the SIMD step must degrade to merge, not diverge — in the enumerator over static graphs, in the enumerator over the dynamic overlay (dynamic_equivalence), and in sqp_graph::intersect where the kernels live)"
 SQP_FORCE_SCALAR=1 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
+SQP_FORCE_SCALAR=1 PROPTEST_CASES=16 cargo test -q --offline --test dynamic_equivalence
 SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the enumerator's three local-candidate paths vs their references, the overlay search's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
+echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the one enumerator's three local-candidate paths and its overlay space vs the reference search, the overlay's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
 differential() { # <cargo test target args> -- <filters>: 256 cases each, failing on a filter that names no test
   local args=()
   while [[ "$1" != "--" ]]; do args+=("$1"); shift; done
@@ -182,7 +183,7 @@ echo "==> phase-breakdown bench smoke (asserts span sum ~= wall, ~1 span-clock r
 cargo bench --offline -p sqp-bench --bench phases --no-run
 SQP_BENCH_SMOKE=1 taskset -c 0 cargo bench --offline -p sqp-bench --bench phases
 
-echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads, over plain and nibble-sharing label families; seed-index repair and direct-CSR compaction vs their references; overlay/compaction vs independent rebuild; malformed batches fail closed, undone so that a twin matcher that never saw them reports the same next batch and compaction)"
+echo "==> dynamic equivalence suite (I10: repaired == recomputed at 1/2/4/8 threads, over plain and nibble-sharing label families; seed-index repair and direct-CSR compaction vs their references; a seeded search vs the brute extensions of its pins, dead and out-of-range pins included; overlay/compaction vs independent rebuild; malformed batches fail closed, undone so that a twin matcher that never saw them reports the same next batch and compaction)"
 PROPTEST_CASES=256 cargo test -q --offline --test dynamic_equivalence
 
 echo "==> dynamic bench smoke (asserts repair beats re-query and overlay beats rebuild; report discarded)"

@@ -11,6 +11,9 @@
 //! * the seed-index repair and the direct-CSR `materialize` equal the
 //!   implementations they replaced (kept below as references), field by
 //!   field, on streams with vertex removals and same-batch add-then-remove;
+//! * a seeded search equals the brute-force embeddings that extend its pins,
+//!   however the pins are drawn — from an answer, at random (tombstones and
+//!   ids past the last slot included), or one query vertex pinned twice;
 //! * the overlay's NLF runs, the one-word signature kept beside them and
 //!   the incrementally-refreshed fingerprint index equal freshly-computed
 //!   ones after arbitrary streams, a mid-stream compaction included;
@@ -29,6 +32,8 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use subgraph_query::core::chaos::{graph_fingerprint, StreamProfile, UpdateStreamGen};
 use subgraph_query::core::continuous::{BatchError, ContinuousMatcher, DynamicDb};
@@ -40,8 +45,8 @@ use subgraph_query::graph::{
 };
 use subgraph_query::index::{BuildBudget, FingerprintIndex, GraphIndex};
 use subgraph_query::matching::brute;
-use subgraph_query::matching::dynmatch::{enumerate_overlay, enumerate_seeded};
-use subgraph_query::matching::{Deadline, Embedding};
+use subgraph_query::matching::dynmatch::{enumerate_overlay, SeededEnumerator};
+use subgraph_query::matching::{Deadline, Embedding, Timeout};
 
 // ---------------------------------------------------------------------------
 // Reference model: an independent replay of the update semantics
@@ -169,6 +174,19 @@ fn reference_repair(
     added.retain(|e| !kept.contains(e));
     let new_set = sorted(kept.iter().chain(&added).cloned().collect());
     (new_set, added, removed)
+}
+
+/// Every embedding of `q` into `g` that extends `seeds`, from a fresh
+/// seeder; sorted when there are no seeds.
+fn enumerate_seeded(
+    q: &Graph,
+    g: &DynamicGraph,
+    seeds: &[(VertexId, VertexId)],
+    deadline: Deadline,
+) -> Result<Vec<Embedding>, Timeout> {
+    let mut out = Vec::new();
+    SeededEnumerator::new(q, g).enumerate(seeds, deadline, &mut out)?;
+    Ok(if seeds.is_empty() { sorted(out) } else { out })
 }
 
 /// `materialize` as PR 10 wrote it: a `GraphBuilder` round trip (per-vertex
@@ -504,6 +522,86 @@ proptest! {
                 ddb.candidates(q).into_ids(rebuilt.len()),
                 fresh.candidates(q).into_ids(rebuilt.len())
             );
+        }
+    }
+
+    /// A seeded search finds exactly the embeddings that extend its pins —
+    /// the brute-force answers on the materialized overlay, mapped back to
+    /// slots — and never panics, whatever the pins: drawn from one answer or
+    /// from two, random pairs that may name a tombstone, a slot past the
+    /// last or a query vertex past the last, or one query vertex pinned
+    /// twice. One
+    /// seeder serves every pin set, so orders are switched between calls.
+    #[test]
+    fn seeded_search_equals_the_brute_extensions_of_its_pins(
+        base in arb_base(),
+        seed in 0u64..1_000,
+        profile in arb_profile(),
+        edges in 0usize..4,
+    ) {
+        let mut g = DynamicGraph::new(base.clone());
+        let mut stream = UpdateStreamGen::new(&base, seed, profile);
+        for round in 0..4 {
+            g.apply_batch(&stream.batch(6)).expect("valid batch");
+            if round == 1 {
+                // Compaction renumbers, so the stream restarts from its result.
+                g.compact();
+                stream = UpdateStreamGen::new(g.base(), seed, profile);
+            }
+        }
+        let (fresh, mapping) = g.materialize();
+        let mut slot_of = vec![VertexId(0); fresh.vertex_count()];
+        for (slot, m) in mapping.iter().enumerate() {
+            if let Some(v) = m {
+                slot_of[v.index()] = VertexId(slot as u32);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = brute::random_connected_query(&mut rng, &fresh, edges);
+        let answers: Vec<Embedding> = brute::enumerate_all(&q, &fresh)
+            .iter()
+            .map(|e| Embedding::new(e.as_slice().iter().map(|v| slot_of[v.index()]).collect()))
+            .collect();
+        let (n, slots) = (q.vertex_count() as u32, g.vertex_slots() as u32);
+        let dead: Vec<VertexId> = (0..slots).map(VertexId).filter(|&v| !g.is_live(v)).collect();
+
+        let u = VertexId(rng.random_range(0..n));
+        let random_slot = |rng: &mut StdRng| VertexId(rng.random_range(0..slots + 2));
+        let mut pin_sets = vec![vec![]];
+        let mut answer = || answers.get(rng.random_range(0..answers.len().max(1)));
+        if let (Some(e), Some(f)) = (answer(), answer()) {
+            let image = |x: VertexId| (x, e.image(x));
+            pin_sets.push(vec![image(u)]);
+            for &w in q.neighbors(u) {
+                pin_sets.push(vec![image(u), image(w)]);
+                pin_sets.push(vec![image(w), image(u)]);
+                // Two answers' images: each extends, together maybe not.
+                pin_sets.push(vec![image(u), (w, f.image(w))]);
+            }
+            pin_sets.push(q.vertices().map(image).collect());
+            pin_sets.push(vec![image(u), image(u)]);
+            let other = random_slot(&mut rng);
+            pin_sets.push(vec![image(u), (u, other)]);
+        }
+        for _ in 0..4 {
+            let pair = |rng: &mut StdRng| (VertexId(rng.random_range(0..n + 1)), random_slot(rng));
+            pin_sets.push(vec![pair(&mut rng)]);
+            pin_sets.push(vec![pair(&mut rng), pair(&mut rng)]);
+        }
+        if let Some(&v) = dead.first() {
+            pin_sets.push(vec![(u, v)]);
+        }
+        pin_sets.push(vec![(u, VertexId(slots))]);
+
+        let mut seeder = SeededEnumerator::new(&q, &g);
+        for pins in &pin_sets {
+            let mut got = Vec::new();
+            seeder.enumerate(pins, Deadline::none(), &mut got).expect("no deadline");
+            let extends = |e: &&Embedding| {
+                pins.iter().all(|&(x, v)| x.0 < n && e.image(x) == v)
+            };
+            let want: Vec<Embedding> = answers.iter().filter(extends).cloned().collect();
+            prop_assert_eq!(sorted(got), sorted(want), "pins {:?}", pins);
         }
     }
 

@@ -13,7 +13,9 @@
 //!
 //! A continuous-query repair calls `SeededEnumerator::enumerate` once per
 //! (query edge, added edge) pin and each search is neighborhood-sized, so a
-//! warm call may allocate only the embeddings it emits.
+//! warm call may allocate only the embeddings it emits: the seeder keeps the
+//! one enumerator, with the per-thread scratch and a plan per pin pattern,
+//! for its whole life.
 //!
 //! The overlay under it keeps every patched list in one arena that a
 //! compaction empties without freeing, so once warm neither a batch's
