@@ -668,20 +668,26 @@ impl DynamicGraph {
                 labels.push(l);
             }
         }
-        let mut offsets = Vec::with_capacity(self.live_count + 1);
-        let mut neighbors = Vec::with_capacity(2 * self.edge_count);
-        offsets.push(0u32);
         let identity = self.live_count == self.labels.len();
-        for v in self.live_vertices() {
-            // Live adjacency never references a tombstone: nothing is dropped,
-            // and without a tombstone every list is copied as it is.
-            match self.neighbors(v) {
-                adj if identity => neighbors.extend_from_slice(adj),
-                adj => neighbors.extend(adj.iter().filter_map(|w| mapping[w.index()])),
+        let g = Graph::from_sorted_csr(labels, self.edge_count, |_, offsets, lists| {
+            let mut at = 0;
+            for (end, v) in offsets[1..].iter_mut().zip(self.live_vertices()) {
+                // Live adjacency never references a tombstone: nothing is
+                // dropped, and without a tombstone every list is copied as
+                // it is.
+                let adj = self.neighbors(v);
+                let list = &mut lists[at..at + adj.len()];
+                if identity {
+                    list.copy_from_slice(adj);
+                } else {
+                    let renumbered = adj.iter().filter_map(|w| mapping[w.index()]);
+                    list.iter_mut().zip(renumbered).for_each(|(slot, w)| *slot = w);
+                }
+                at += adj.len();
+                *end = at as u32;
             }
-            offsets.push(neighbors.len() as u32);
-        }
-        (Graph::from_sorted_csr(labels, offsets, neighbors, self.edge_count), mapping)
+        });
+        (g, mapping)
     }
 
     /// Folds the delta into a fresh base CSR (dense renumbering, tombstones

@@ -42,7 +42,7 @@ SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
 echo "==> calibration bench smoke (asserts and discards)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the one enumerator's three local-candidate paths and its overlay space vs the reference search, the overlay's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
+echo "==> filter, order and enumerator differential suite (graph construction by placement vs the per-vertex-sort reference on every read, a churned overlay's compaction vs the builder, and exact-size blocks; run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the one enumerator's three local-candidate paths and its overlay space vs the reference search, the overlay's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
 differential() { # <cargo test target args> -- <filters>: 256 cases each, failing on a filter that names no test
   local args=()
   while [[ "$1" != "--" ]]; do args+=("$1"); shift; done
@@ -56,7 +56,7 @@ differential() { # <cargo test target args> -- <filters>: 256 cases each, failin
   done
   PROPTEST_CASES=256 cargo test -q --offline "${args[@]}" -- "$@"
 }
-differential --test graph_properties -- nlf_run_index
+differential --test graph_properties -- nlf_run_index construction_
 differential -p sqp-matching --lib -- cfl:: graphql:: enumerate:: dynmatch:: obs:: deadline::
 differential -p sqp-graph --lib -- nlf:: bitmap:: dynamic::
 
