@@ -566,6 +566,7 @@ fn get_graph(c: &mut Cursor<'_>) -> Result<Graph, WireError> {
     }
     let ecount = c.get_u32("edge count")? as usize;
     c.check_count(ecount, 8, "edges")?;
+    b.reserve_edges(ecount);
     for _ in 0..ecount {
         let at = c.offset();
         let u = c.get_u32("edge endpoint")?;

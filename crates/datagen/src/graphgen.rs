@@ -70,7 +70,12 @@ impl GraphGen {
     pub fn generate_graph(&self, rng: &mut StdRng) -> Graph {
         let n = self.config.vertices;
         let sigma = self.config.labels as u32;
+        // The tree and the extra edges stop at the target count.
+        let target = ((n as f64 * self.config.degree) / 2.0).round() as usize;
+        let max_edges = n * (n - 1) / 2;
+        let target = target.clamp(n.saturating_sub(1), max_edges);
         let mut b = GraphBuilder::with_capacity(n);
+        b.reserve_edges(target);
         for _ in 0..n {
             b.add_vertex(Label(rng.random_range(0..sigma)));
         }
@@ -82,9 +87,6 @@ impl GraphGen {
         }
         // Extra edges up to the target count. Cap retries so dense configs on
         // tiny graphs (target beyond the complete graph) terminate.
-        let target = ((n as f64 * self.config.degree) / 2.0).round() as usize;
-        let max_edges = n * (n - 1) / 2;
-        let target = target.clamp(n.saturating_sub(1), max_edges);
         let mut attempts = 0usize;
         let attempt_budget = 20 * target + 100;
         while b.edge_count() < target && attempts < attempt_budget {

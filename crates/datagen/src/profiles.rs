@@ -90,7 +90,12 @@ impl DatasetProfile {
         // like carbon in molecules).
         let sub_weights: Vec<f64> = (0..subset.len()).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let sub_total: f64 = sub_weights.iter().sum();
+        // The tree and the extra edges stop at the target count.
+        let target = ((n as f64 * self.degree) / 2.0).round() as usize;
+        let max_edges = n * (n.saturating_sub(1)) / 2;
+        let target = target.clamp(n.saturating_sub(1), max_edges);
         let mut b = GraphBuilder::with_capacity(n);
+        b.reserve_edges(target);
         for _ in 0..n {
             let mut t = rng.random_range(0.0..sub_total);
             let mut pick = subset.len() - 1;
@@ -109,9 +114,6 @@ impl DatasetProfile {
             let u = rng.random_range(0..v);
             b.add_edge(VertexId::from(u), VertexId::from(v)).expect("tree edge");
         }
-        let target = ((n as f64 * self.degree) / 2.0).round() as usize;
-        let max_edges = n * (n.saturating_sub(1)) / 2;
-        let target = target.clamp(n.saturating_sub(1), max_edges);
         let budget = 20 * target + 100;
         let mut attempts = 0;
         while b.edge_count() < target && attempts < budget {

@@ -204,6 +204,7 @@ fn bfs_expand(
 fn induce(g: &Graph, edges: &[(VertexId, VertexId)]) -> Graph {
     let mut map: FxHashMap<VertexId, VertexId> = FxHashMap::default();
     let mut b = GraphBuilder::with_capacity(edges.len() + 1);
+    b.reserve_edges(edges.len());
     let mut id_of = |v: VertexId, b: &mut GraphBuilder| -> VertexId {
         *map.entry(v).or_insert_with(|| b.add_vertex(g.label(v)))
     };
