@@ -45,7 +45,7 @@ use sqp_graph::Graph;
 use sqp_matching::cfql::Cfql;
 use sqp_matching::{Deadline, ExecCtx, Matcher, Phase};
 
-const ENGINES: [&str; 5] = ["Grapes", "GGSX", "CFQL", "vcGrapes", "TurboIso"];
+const ENGINES: [&str; 4] = ["Grapes", "GGSX", "CFQL", "vcGrapes"];
 
 fn workload() -> (Arc<sqp_graph::GraphDb>, Vec<Graph>) {
     let (graphs, queries) = if smoke() { (60, 10) } else { (400, 60) };

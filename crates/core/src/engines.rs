@@ -6,8 +6,8 @@
 //! `index: Option<IndexKind>` and the verifier — pick the cell; the category
 //! (IFV / vcFV / IvcFV) falls out of them. One table, one row per named
 //! engine, generates the public engine types and every registry look-up
-//! ([`paper_engines`], [`all_engines`], [`engine_by_name`],
-//! [`matcher_by_name`], [`engine_names`]).
+//! ([`paper_engines`], [`engine_by_name`], [`matcher_by_name`],
+//! [`engine_names`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,17 +15,13 @@ use std::time::{Duration, Instant};
 use sqp_graph::database::GraphId;
 use sqp_graph::{Graph, GraphDb};
 use sqp_index::{
-    BuildBudget, BuildError, CtIndexConfig, FingerprintIndex, GgsxIndex, GrapesConfig,
-    GraphGrepConfig, GraphGrepIndex, GraphIndex, PathTrieIndex,
+    BuildBudget, BuildError, CtIndexConfig, FingerprintIndex, GgsxIndex, GrapesConfig, GraphIndex,
+    PathTrieIndex,
 };
 use sqp_matching::cfl::Cfl;
 use sqp_matching::cfql::Cfql;
 use sqp_matching::graphql::GraphQl;
 use sqp_matching::obs::{Phase, Span};
-use sqp_matching::quicksi::QuickSi;
-use sqp_matching::spath::SPath;
-use sqp_matching::turboiso::TurboIso;
-use sqp_matching::ullmann::Ullmann;
 use sqp_matching::{Deadline, ExecCtx, Matcher, ResourceLimits};
 
 use crate::engine::{BuildReport, EngineCategory, QueryEngine, QueryOutcome};
@@ -44,8 +40,6 @@ pub enum IndexKind {
     },
     /// CT-Index fingerprints.
     CtIndex(CtIndexConfig),
-    /// GraphGrep hashed path fingerprints.
-    GraphGrep(GraphGrepConfig),
 }
 
 impl IndexKind {
@@ -56,7 +50,6 @@ impl IndexKind {
                 Box::new(GgsxIndex::build(db, max_path_vertices, budget)?)
             }
             IndexKind::CtIndex(cfg) => Box::new(FingerprintIndex::build(db, cfg, budget)?),
-            IndexKind::GraphGrep(cfg) => Box::new(GraphGrepIndex::build(db, cfg, budget)?),
         })
     }
 }
@@ -309,9 +302,6 @@ fn by(matcher: impl Matcher + 'static) -> Verify {
     Verify::Matcher(Arc::new(matcher))
 }
 
-/// Rows of the table that are the paper's Table III (the first eight).
-const PAPER_ROWS: usize = 8;
-
 engine_table! {
     /// CT-Index: tree/cycle fingerprints + modified VF2 (IFV).
     CtIndexEngine = "CT-Index",
@@ -332,47 +322,20 @@ engine_table! {
     VcGrapesEngine = "vcGrapes", grapes(), by(Cfql::new());
     /// vcGGSX: GGSX index filtering + CFQL filtering and enumeration (IvcFV).
     VcGgsxEngine = "vcGGSX", ggsx(), by(Cfql::new());
-    /// Ullmann as a vcFV engine — a direct-enumeration baseline beyond the
-    /// paper's lineup (related-work coverage).
-    UllmannEngine = "Ullmann", None, by(Ullmann::new());
-    /// QuickSI as a vcFV engine — the QI-sequence direct-enumeration baseline
-    /// (related-work extension beyond the paper's lineup).
-    QuickSiEngine = "QuickSI", None, by(QuickSi::new());
-    /// TurboIso as a vcFV engine — candidate-region based filtering and
-    /// enumeration (related-work extension beyond the paper's lineup).
-    TurboIsoEngine = "TurboIso", None, by(TurboIso::new());
-    /// SPath as a vcFV engine — neighborhood-signature filtering
-    /// (related-work extension beyond the paper's lineup).
-    SPathEngine = "SPath", None, by(SPath::new());
-    /// GraphGrep: hashed path fingerprints + VF2 (IFV) — the oldest
-    /// enumeration-based index of the paper's Table II, implemented as a
-    /// related-work extension.
-    GraphGrepEngine = "GraphGrep", Some(IndexKind::GraphGrep(GraphGrepConfig::default())), vf2();
 }
 
 fn row(name: &str) -> Option<&'static Row> {
     TABLE.iter().find(|r| r.name.eq_ignore_ascii_case(name))
 }
 
-fn boxed(rows: &[Row]) -> Vec<Box<dyn QueryEngine>> {
-    rows.iter().map(|r| Box::new(r.engine()) as Box<dyn QueryEngine>).collect()
-}
-
-/// Every engine name in the table: Table III order, then the related-work
-/// extensions.
+/// Every engine name in the table, in Table III order.
 pub fn engine_names() -> impl Iterator<Item = &'static str> {
     TABLE.iter().map(|r| r.name)
 }
 
 /// All eight paper engines with default configurations, in Table III order.
 pub fn paper_engines() -> Vec<Box<dyn QueryEngine>> {
-    boxed(&TABLE[..PAPER_ROWS])
-}
-
-/// The paper engines plus the related-work baselines implemented beyond the
-/// paper's lineup (Ullmann, QuickSI, TurboIso, SPath, GraphGrep).
-pub fn all_engines() -> Vec<Box<dyn QueryEngine>> {
-    boxed(TABLE)
+    TABLE.iter().map(|r| Box::new(r.engine()) as Box<dyn QueryEngine>).collect()
 }
 
 /// Looks an engine up by its (case-insensitive) paper name, e.g. `"cfql"`,
@@ -506,7 +469,7 @@ mod tests {
     #[test]
     fn every_row_answers_the_oracle_from_its_cell_of_the_grid() {
         let db = small_db();
-        for (row, mut engine) in TABLE.iter().zip(all_engines()) {
+        for (row, mut engine) in TABLE.iter().zip(paper_engines()) {
             assert_eq!(engine.name(), row.name);
             let indexed = (row.index)().is_some();
             let by_matcher = matches!((row.verify)(), Verify::Matcher(_));
@@ -645,7 +608,7 @@ mod tests {
 
     #[test]
     fn registry_finds_every_engine() {
-        assert_eq!(engine_names().count(), 13);
+        assert_eq!(engine_names().count(), 8);
         for name in engine_names() {
             let found = engine_by_name(name).expect("registered");
             assert_eq!(found.name(), name);
@@ -659,12 +622,11 @@ mod tests {
 
     #[test]
     fn paper_engines_are_table_iii() {
+        let table_iii =
+            ["CT-Index", "Grapes", "GGSX", "CFL", "GraphQL", "CFQL", "vcGrapes", "vcGGSX"];
         let names: Vec<&str> = paper_engines().iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            ["CT-Index", "Grapes", "GGSX", "CFL", "GraphQL", "CFQL", "vcGrapes", "vcGGSX"]
-        );
-        assert_eq!(all_engines().len(), 13);
+        assert_eq!(names, table_iii);
+        assert!(engine_names().eq(table_iii));
     }
 
     #[test]

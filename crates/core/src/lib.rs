@@ -81,8 +81,7 @@ pub mod prelude {
     };
     pub use crate::engines::{
         matcher_by_name, CflEngine, CfqlEngine, CtIndexEngine, Engine, GgsxEngine, GrapesEngine,
-        GraphGrepEngine, GraphQlEngine, ParallelEngine, QuickSiEngine, SPathEngine, TurboIsoEngine,
-        UllmannEngine, VcGgsxEngine, VcGrapesEngine,
+        GraphQlEngine, ParallelEngine, VcGgsxEngine, VcGrapesEngine,
     };
     pub use crate::exposition::render as render_prometheus;
     pub use crate::exposition::render_continuous as render_prometheus_continuous;

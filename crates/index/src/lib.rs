@@ -27,7 +27,6 @@
 pub mod bitset;
 pub mod budget;
 pub mod fingerprint;
-pub mod graphgrep;
 pub mod path_enum;
 pub mod suffix;
 pub mod trie;
@@ -35,7 +34,6 @@ pub mod trie;
 pub use bitset::Bitset;
 pub use budget::{BuildBudget, BuildError};
 pub use fingerprint::{CtIndexConfig, FingerprintIndex};
-pub use graphgrep::{GraphGrepConfig, GraphGrepIndex};
 pub use suffix::GgsxIndex;
 pub use trie::{GrapesConfig, PathTrieIndex};
 

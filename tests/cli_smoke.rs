@@ -88,7 +88,7 @@ fn full_cli_workflow() {
             .collect()
     };
     assert_eq!(answers("CFQL"), answers("Grapes"));
-    assert_eq!(answers("CFQL"), answers("TurboIso"));
+    assert_eq!(answers("CFQL"), answers("vcGrapes"));
 
     // the summary shows the kernel counters
     let out = sqp(&["query", "--db", &db, "--queries", &queries]);
@@ -365,6 +365,8 @@ fn retired_routing_surface_fails_closed() {
     let query = ["query", "--db", &db, "--queries", &queries];
     for (extra, err) in [
         (["--engine", "adaptive"], "unknown engine 'adaptive'".to_string()),
+        // A related-work engine name: the registry is Table III's eight.
+        (["--engine", "TurboIso"], "unknown engine 'TurboIso'".to_string()),
         ([&model_in, "f"], format!("unknown option '{model_in}'")),
         ([&model_out, "f"], format!("unknown option '{model_out}'")),
     ] {

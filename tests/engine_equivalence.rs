@@ -33,7 +33,6 @@ fn all_engines_match_brute_force_on_random_databases() {
         }
 
         let mut engines = paper_engines();
-        engines.push(Box::new(UllmannEngine::new()));
         for engine in engines.iter_mut() {
             engine.build(&db).expect("small build");
         }

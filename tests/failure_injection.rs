@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use subgraph_query::core::engines::all_engines;
+use subgraph_query::core::engines::paper_engines;
 use subgraph_query::core::prelude::*;
 use subgraph_query::datagen::graphgen;
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
@@ -26,7 +26,7 @@ fn labeled(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
 fn zero_query_budget_flags_timeout_everywhere() {
     let db = Arc::new(graphgen::generate(10, 20, 4, 3.0, 5));
     let q = labeled(&[0, 1], &[(0, 1)]);
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.build(&db).expect("small build");
         engine.set_query_budget(Some(Duration::from_nanos(0)));
         let out = engine.query(&q);
@@ -48,7 +48,7 @@ fn zero_query_budget_flags_timeout_everywhere() {
 #[test]
 fn impossible_memory_budget_fails_builds_not_panics() {
     let db = Arc::new(graphgen::generate(5, 15, 3, 3.0, 6));
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.set_build_budget(BuildBudget::unlimited().with_memory(1));
         let result = engine.build(&db);
         match engine.category() {
@@ -62,7 +62,7 @@ fn impossible_memory_budget_fails_builds_not_panics() {
 fn single_vertex_queries_work() {
     let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)]), labeled(&[2], &[])]));
     let q = labeled(&[2], &[]);
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.build(&db).expect("small build");
         let out = engine.query(&q);
         assert_eq!(
@@ -78,7 +78,7 @@ fn single_vertex_queries_work() {
 fn empty_database_yields_empty_answers() {
     let db = Arc::new(GraphDb::new());
     let q = labeled(&[0, 1], &[(0, 1)]);
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.build(&db).expect("empty build");
         let out = engine.query(&q);
         assert!(out.answers.is_empty(), "{}", engine.name());
@@ -91,7 +91,7 @@ fn query_equal_to_data_graph() {
     // Self-containment: every graph contains itself.
     let g = labeled(&[0, 1, 2, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
     let db = Arc::new(GraphDb::from_graphs(vec![g.clone()]));
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.build(&db).expect("small build");
         let out = engine.query(&g);
         assert_eq!(out.answers.len(), 1, "{}", engine.name());
@@ -102,7 +102,7 @@ fn query_equal_to_data_graph() {
 fn query_larger_than_every_data_graph() {
     let db = Arc::new(GraphDb::from_graphs(vec![labeled(&[0, 1], &[(0, 1)])]));
     let q = labeled(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3)]);
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.build(&db).expect("small build");
         assert!(engine.query(&q).answers.is_empty(), "{}", engine.name());
     }
@@ -112,7 +112,7 @@ fn query_larger_than_every_data_graph() {
 fn repeated_queries_are_deterministic() {
     let db = Arc::new(graphgen::generate(30, 25, 5, 4.0, 7));
     let q = labeled(&[0, 1, 2], &[(0, 1), (1, 2)]);
-    for mut engine in all_engines() {
+    for mut engine in paper_engines() {
         engine.build(&db).expect("small build");
         let a = engine.query(&q);
         let b = engine.query(&q);

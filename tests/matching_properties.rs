@@ -11,10 +11,6 @@ use subgraph_query::graph::{Graph, GraphBuilder, Label, VertexId};
 use subgraph_query::matching::cfl::{Cfl, CflConfig};
 use subgraph_query::matching::cfql::Cfql;
 use subgraph_query::matching::graphql::GraphQl;
-use subgraph_query::matching::quicksi::QuickSi;
-use subgraph_query::matching::spath::SPath;
-use subgraph_query::matching::turboiso::TurboIso;
-use subgraph_query::matching::ullmann::Ullmann;
 use subgraph_query::matching::vf2::Vf2;
 use subgraph_query::matching::{brute, Deadline, FilterResult, Matcher};
 
@@ -56,10 +52,6 @@ fn all_matchers() -> Vec<Box<dyn Matcher>> {
         Box::new(Cfl::new()),
         Box::new(Cfl::with_config(CflConfig { bottom_up: false, top_down: false })),
         Box::new(Cfql::new()),
-        Box::new(Ullmann::new()),
-        Box::new(QuickSi::new()),
-        Box::new(TurboIso::new()),
-        Box::new(SPath::new()),
     ]
 }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use subgraph_query::core::engines::{all_engines, matcher_by_name};
+use subgraph_query::core::engines::{engine_names, matcher_by_name, paper_engines};
 use subgraph_query::core::parallel::QueryPool;
 use subgraph_query::core::QueryStatus;
 use subgraph_query::graph::database::GraphId;
@@ -21,8 +21,11 @@ use subgraph_query::matching::{
     brute, Deadline, ExecCtx, FilterResult, Matcher, ResourceKind, ResourceLimits,
 };
 
-/// Every matcher in the registry, by name.
-const MATCHERS: [&str; 7] = ["CFQL", "CFL", "GraphQL", "Ullmann", "QuickSI", "TurboIso", "SPath"];
+/// Every matcher in the registry, with its name: a matcher cannot enter the
+/// registry without these sweeps covering it.
+fn matchers() -> impl Iterator<Item = (&'static str, Arc<dyn Matcher>)> {
+    engine_names().filter_map(|name| Some((name, matcher_by_name(name)?)))
+}
 
 /// Strategy: a random labeled graph with up to `max_v` vertices and `max_e`
 /// edge attempts (self-loops and duplicates dropped by the builder).
@@ -122,8 +125,7 @@ fn hard_instances_are_answered_exactly_or_reported_exhausted() {
             let embeddings = brute::enumerate_all(q, g).len() as u64;
             let db = Arc::new(GraphDb::from_graphs(vec![g.clone()]));
             let answers = oracle_answers(&db, q);
-            for name in MATCHERS {
-                let matcher = matcher_by_name(name).unwrap();
+            for (name, matcher) in matchers() {
                 guard.arm(budget);
                 match matcher.count(q, g, u64::MAX, deadline) {
                     Ok(count) => {
@@ -156,8 +158,7 @@ proptest! {
     #[test]
     fn matchers_enumerate_the_oracle_embedding_set((g, q) in arb_pair()) {
         let expected = oracle_embeddings(&q, &g);
-        for name in MATCHERS {
-            let matcher = matcher_by_name(name).unwrap();
+        for (name, matcher) in matchers() {
             let got = matcher_embeddings(&*matcher, &q, &g);
             prop_assert_eq!(&got, &expected, "matcher {} diverged from the oracle", name);
         }
@@ -168,7 +169,7 @@ proptest! {
     #[test]
     fn engines_answer_the_oracle_answer_set((db, q) in arb_db_and_query()) {
         let expected = oracle_answers(&db, &q);
-        for mut engine in all_engines() {
+        for mut engine in paper_engines() {
             engine.build(&db).unwrap();
             let out = engine.query(&q);
             prop_assert_eq!(out.status, QueryStatus::Completed, "engine {} did not complete", engine.name());
