@@ -18,7 +18,6 @@ use sqp_index::{
     PathTrieIndex,
 };
 use sqp_matching::cfl::Cfl;
-use sqp_matching::cfql::Cfql;
 use sqp_matching::{Deadline, FilterResult, Matcher};
 
 use crate::scale::ScaleParams;
@@ -401,10 +400,4 @@ pub fn fig8(params: &ScaleParams, sweeps: &[Sweep]) -> Vec<TextTable> {
 /// Figure 9: filtering time on the synthetic sweeps (`Q8S`, ms).
 pub fn fig9(params: &ScaleParams, sweeps: &[Sweep]) -> Vec<TextTable> {
     figs8_and_9(params, sweeps).1
-}
-
-/// Reference-answer helper re-exported for CFQL verification in ablations.
-pub fn cfql_contains(db: &Db, q: &Graph, deadline: Deadline) -> usize {
-    let cfql = Cfql::new();
-    db.graphs().iter().filter(|g| matches!(cfql.is_subgraph(q, g, deadline), Ok(true))).count()
 }

@@ -13,6 +13,8 @@
 //! parameters; hours, and expected to reproduce the paper's OOT/OOM entries
 //! at the largest points).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod scale;
 pub mod table;

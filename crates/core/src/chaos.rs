@@ -859,6 +859,8 @@ impl UpdateStreamGen {
         }
         // Unknown vertex removal.
         cases.push(vec![Update::RemoveVertex { vertex: unknown }]);
+        // A label at the limit.
+        cases.push(vec![Update::AddVertex { label: Label(Label::LIMIT) }]);
         // Operating on a tombstoned slot: ids are never reused.
         if let Some(i) = self.alive.iter().position(|&a| !a) {
             let dead = VertexId(i as u32);

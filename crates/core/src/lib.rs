@@ -17,6 +17,7 @@
 
 // Library code avoids unwrap/expect (CI denies them); tests may use them freely.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod breaker;
 pub mod chaos;

@@ -161,8 +161,8 @@ pub struct QueryRecord {
     pub retries: u32,
     /// Peak auxiliary-structure bytes.
     pub aux_bytes: usize,
-    /// Enumeration-kernel counters (intersections, galloping passes, bitmap
-    /// probes) accumulated across the query's matcher calls.
+    /// Enumeration-kernel counters (intersections, bitmap probes)
+    /// accumulated across the query's matcher calls.
     pub kernel: KernelStats,
     /// Per-phase wall time (nanoseconds) and item counts accumulated by the
     /// tracing spans. Zeros when the query ran without an `ExecCtx`. Unlike

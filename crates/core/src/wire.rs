@@ -562,7 +562,9 @@ fn get_graph(c: &mut Cursor<'_>) -> Result<Graph, WireError> {
     c.check_count(vcount, 4, "vertex labels")?;
     let mut b = GraphBuilder::with_capacity(vcount);
     for _ in 0..vcount {
-        b.add_vertex(Label(c.get_u32("vertex label")?));
+        let at = c.offset();
+        let label = Label(c.get_u32("vertex label")?).checked();
+        b.add_vertex(label.map_err(|e| frame_err(at, e.to_string()))?);
     }
     let ecount = c.get_u32("edge count")? as usize;
     c.check_count(ecount, 8, "edges")?;
@@ -1109,6 +1111,27 @@ mod tests {
         match err {
             WireError::Frame(GraphError::Binary { message, .. }) => {
                 assert!(message.contains("exceeds cap"), "{message}");
+            }
+            other => panic!("expected frame error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_query_label_at_the_limit_is_rejected_under_the_frame_cap() {
+        let config = WireConfig { max_frame_len: 1024 };
+        let frame = |label: u32| {
+            let mut b = GraphBuilder::new();
+            b.add_vertex(Label(label));
+            encode_frame(&Message::Query { id: 1, budget_ms: 5, graph: b.build() })
+        };
+        let Message::Query { graph, .. } = decode_frame(&frame(Label::LIMIT - 1), &config).unwrap()
+        else {
+            panic!("wrong kind")
+        };
+        assert_eq!(graph.label(VertexId(0)), Label(Label::LIMIT - 1));
+        match decode_frame(&frame(Label::LIMIT), &config).unwrap_err() {
+            WireError::Frame(GraphError::Binary { message, .. }) => {
+                assert!(message.contains("label limit"), "{message}");
             }
             other => panic!("expected frame error, got {other:?}"),
         }

@@ -14,6 +14,8 @@
 //!
 //! All generators are deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod graphgen;
 pub mod profiles;
 pub mod query;

@@ -262,7 +262,12 @@ fn decode(bytes: &[u8]) -> Result<GraphDb> {
         r.need(4 * n)?; // labels must be present before we allocate for them
         let mut b = GraphBuilder::with_capacity(n);
         for _ in 0..n {
-            b.add_vertex(Label(r.get_u32_le()?));
+            let at = r.pos;
+            let label = Label(r.get_u32_le()?).checked().map_err(|e| GraphError::Binary {
+                offset: at,
+                message: format!("graph {gi}: {e}"),
+            })?;
+            b.add_vertex(label);
         }
         let m = r.get_u32_le()? as usize;
         r.need(8 * m)?;
@@ -412,6 +417,30 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("graph 0"), "{msg}");
         assert!(msg.contains("byte"), "{msg}");
+    }
+
+    #[test]
+    fn a_label_at_the_limit_is_rejected_at_its_offset() {
+        let one_vertex = |label: u32| {
+            let mut buf = BytesMut::new();
+            buf.put_slice(MAGIC);
+            buf.put_u32_le(1);
+            buf.put_u32_le(0); // labels
+            buf.put_u32_le(1); // one graph
+            buf.put_u32_le(1); // one vertex
+            buf.put_u32_le(label);
+            buf.put_u32_le(0); // no edge
+            from_bytes(buf.freeze())
+        };
+        let db = one_vertex(Label::LIMIT - 1).unwrap();
+        assert_eq!(db.graphs()[0].label(VertexId(0)), Label(Label::LIMIT - 1));
+        match one_vertex(Label::LIMIT).unwrap_err() {
+            GraphError::Binary { offset, message } => {
+                assert_eq!(offset, 20, "{message}");
+                assert!(message.contains("label limit"), "{message}");
+            }
+            other => panic!("expected Binary error, got {other}"),
+        }
     }
 
     #[test]

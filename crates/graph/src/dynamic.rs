@@ -493,8 +493,10 @@ impl DynamicGraph {
         Ok(())
     }
 
-    /// Adds a fresh vertex; the new id is the next unused slot.
+    /// Adds a fresh vertex; the new id is the next unused slot. A label not
+    /// below [`Label::LIMIT`] is rejected.
     pub fn add_vertex(&mut self, label: Label) -> Result<VertexId> {
+        label.checked()?;
         if self.labels.len() >= u32::MAX as usize {
             return Err(GraphError::TooManyVertices(self.labels.len() + 1));
         }
@@ -875,6 +877,24 @@ mod tests {
         assert_eq!(g.label_space(), 3, "the compaction dropped label 20's only slot");
         assert_eq!(g.signatures, carried, "live words travel through compaction");
         assert_signatures(&g);
+    }
+
+    #[test]
+    fn a_label_at_the_limit_is_a_malformed_batch() {
+        let mut g = DynamicGraph::new(base());
+        let top = g.add_vertex(Label(Label::LIMIT - 1)).unwrap();
+        assert_eq!(g.label(top), Label(Label::LIMIT - 1));
+        assert_eq!(g.label_space(), Label::LIMIT as usize);
+        let bad = [
+            Update::AddVertex { label: Label(0) },
+            Update::AddVertex { label: Label(Label::LIMIT) },
+        ];
+        let err = g.apply_batch(&bad).unwrap_err();
+        assert!(matches!(err, GraphError::LabelOutOfRange { label } if label == Label::LIMIT));
+        // The batch is undone: one vertex more than the base, as before it.
+        assert_eq!(g.vertex_slots(), 5);
+        assert_eq!(g.delta_ops(), 1);
+        assert_eq!(g.label_space(), Label::LIMIT as usize);
     }
 
     #[test]

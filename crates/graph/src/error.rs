@@ -38,6 +38,11 @@ pub enum GraphError {
         /// The other endpoint.
         v: u32,
     },
+    /// A label at or above [`Label::LIMIT`](crate::Label::LIMIT).
+    LabelOutOfRange {
+        /// The offending label value.
+        label: u32,
+    },
     /// A parse error in the `t/v/e` text format.
     Parse {
         /// 1-based line number.
@@ -74,6 +79,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::MissingEdge { u, v } => {
                 write!(f, "edge ({u}, {v}) does not exist; removal fails closed")
+            }
+            GraphError::LabelOutOfRange { label } => {
+                write!(f, "label {label} is not below the label limit {}", crate::Label::LIMIT)
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
@@ -120,6 +128,8 @@ mod tests {
         assert!(e.to_string().contains("vertex 9"));
         let e = GraphError::MissingEdge { u: 1, v: 2 };
         assert!(e.to_string().contains("(1, 2)"));
+        let e = GraphError::LabelOutOfRange { label: 70_000 };
+        assert!(e.to_string().contains("label 70000"));
     }
 
     #[test]

@@ -1,68 +1,14 @@
-//! Sorted-slice intersection kernels.
+//! Sorted-slice intersection.
 //!
 //! Local-candidate computation during enumeration is a multi-way intersection
 //! of sorted vertex lists (label-restricted adjacencies and candidate sets).
-//! This module provides the classic kernels for one pairwise step, all
-//! *in place* over an accumulator so chained multi-way intersection never
-//! allocates:
-//!
-//! * [`retain_merge`] — linear two-pointer merge, `O(|buf| + |other|)`.
-//!   Optimal when the inputs are of comparable size.
-//! * [`retain_gallop`] — galloping (exponential) search of `other` for each
-//!   element of `buf`, `O(|buf| · log(|other| / |buf|))`. Wins when `other`
-//!   is much longer than `buf`, the common case once the accumulator has been
-//!   narrowed by earlier intersections.
-//! * [`retain_gallop_rev`] — the mirror image: galloping search of `buf` for
-//!   each element of `other`, for the opposite skew. Galloping always probes
-//!   the *shorter* list into the *longer* one; probing the long side into the
-//!   short one costs `O(long · log)` and loses to the merge — the exact
-//!   mistuning the pre-fix adaptive kernel exhibited (it keyed the switch on
-//!   `min/max` of the lengths and then galloped `buf` unconditionally).
-//! * [`retain_simd`] — explicit SIMD block intersection
-//!   ([`crate::simd`]: AVX2/SSSE3 with runtime detection and a scalar
-//!   fallback), via a caller-provided scratch buffer because compacting
-//!   vector stores cannot safely run in place.
-//!
-//! [`should_gallop`] encodes the adaptive switch; [`retain_adaptive`] and
-//! [`retain_auto`] apply it (scalar-only and SIMD-aware respectively).
+//! A pairwise step against a vertex without an adjacency row is
+//! [`retain_merge`]: a linear two-pointer merge, `O(|buf| + |other|)`, *in
+//! place* over an accumulator so chained multi-way intersection never
+//! allocates. Long lists are answered a word at a time by the adjacency rows
+//! ([`crate::AdjacencyRows`]) instead.
 
-use crate::simd;
 use crate::vertex::VertexId;
-
-/// Size ratio above which galloping the short side into the long side beats
-/// the linear merge.
-///
-/// Galloping costs ~`2·log₂(gap)` comparisons per probe versus ~`gap` for the
-/// merge to skip the same distance, so the theoretical crossover is near
-/// 8–16×. The calibration sweep (`cargo bench -p sqp-bench --bench
-/// calibration`, recorded in `results/BENCH_calibration.json`) confirms it:
-/// on this hardware gallop/merge wall-time ratios are ≈1.1–1.2 at skew 4×,
-/// 1.07/0.95/0.83 at 8× (probe-side lengths 16/64/256), 0.67/0.66/0.64 at
-/// 16×, and 0.40–0.48 at 32×. Break-even sits at 8× and the win is decisive
-/// by 16×, so `8` is the measured switch point (the accumulator only shrinks
-/// across a multi-way chain, pushing effective skew above the nominal ratio).
-/// The previous value of 32 forfeited the whole 8–32× regime — gallop at
-/// ≈0.65× merge time at 16× skew — which is how the adaptive kernel lost to
-/// plain merge on the dense ablation profile.
-pub const GALLOP_RATIO: usize = 8;
-
-/// Minimum accumulator length for the SIMD kernel to beat the scalar merge.
-///
-/// Below this the vector path's fixed costs (dispatch, scratch reserve, tail
-/// handling) dominate: the calibration sweep measures SIMD/merge wall-time
-/// ratios (AVX2) of 0.95 at length 4 — break-even — but 0.70 at 8, 0.66 at
-/// 16, and 0.52–0.58 from 32 to 512, so `8` is the measured floor.
-pub const SIMD_MIN_LEN: usize = 8;
-
-/// Whether the adaptive kernel should gallop `probes` accumulator elements
-/// into a `haystack`-element sorted slice. Directional: galloping only pays
-/// when the probe side is the *short* side by at least [`GALLOP_RATIO`]×
-/// (probing a long side into a short one costs `O(long · log)` and always
-/// loses to the merge).
-#[inline]
-pub fn should_gallop(probes: usize, haystack: usize) -> bool {
-    probes > 0 && haystack / probes >= GALLOP_RATIO
-}
 
 /// Intersects `buf` with the sorted slice `other` in place via a linear
 /// two-pointer merge. Both inputs must be strictly sorted.
@@ -87,148 +33,11 @@ pub fn retain_merge(buf: &mut Vec<VertexId>, other: &[VertexId]) {
     buf.truncate(w);
 }
 
-/// Intersects `buf` with the sorted slice `other` in place, locating each
-/// element of `buf` in `other` by galloping search. Both inputs must be
-/// strictly sorted.
-pub fn retain_gallop(buf: &mut Vec<VertexId>, other: &[VertexId]) {
-    debug_assert!(buf.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
-    let mut w = 0;
-    let mut pos = 0;
-    for i in 0..buf.len() {
-        let v = buf[i];
-        pos = gallop_to(other, pos, v);
-        if pos >= other.len() {
-            break;
-        }
-        if other[pos] == v {
-            buf[w] = v;
-            w += 1;
-            pos += 1;
-        }
-    }
-    buf.truncate(w);
-}
-
-/// Intersects `buf` with the sorted slice `other` in place, locating each
-/// element of `other` in `buf` by galloping search — the kernel for the
-/// opposite skew (`buf` much longer than `other`). Both inputs must be
-/// strictly sorted.
-pub fn retain_gallop_rev(buf: &mut Vec<VertexId>, other: &[VertexId]) {
-    debug_assert!(buf.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
-    let mut w = 0;
-    let mut pos = 0;
-    for &v in other {
-        if pos >= buf.len() {
-            break;
-        }
-        // Safe compaction: writes land at `w`, reads at `p ≥ pos ≥ w`.
-        let p = gallop_to(buf, pos, v);
-        if p >= buf.len() {
-            break;
-        }
-        if buf[p] == v {
-            buf[w] = v;
-            w += 1;
-            pos = p + 1;
-        } else {
-            pos = p;
-        }
-    }
-    buf.truncate(w);
-}
-
-/// Intersects `buf` with the sorted slice `other` through the SIMD block
-/// kernel, using `scratch` as the output buffer (the result is swapped back
-/// into `buf`; `scratch` holds the previous accumulator storage afterwards,
-/// ready for reuse). Returns `true` when a vector implementation ran and
-/// `false` on the scalar fallback (no SIMD support, or
-/// [`simd::FORCE_SCALAR_ENV`] set).
-pub fn retain_simd(
-    buf: &mut Vec<VertexId>,
-    other: &[VertexId],
-    scratch: &mut Vec<VertexId>,
-) -> bool {
-    let vectored = simd::intersect_into(buf, other, scratch);
-    std::mem::swap(buf, scratch);
-    vectored
-}
-
-/// Intersects `buf` with `other` in place, choosing between the scalar
-/// kernels by [`should_gallop`] on the two lengths, galloping whichever side
-/// is shorter into the longer one. Returns `true` when a galloping kernel
-/// ran. Empty accumulators short-circuit without running any kernel.
-pub fn retain_adaptive(buf: &mut Vec<VertexId>, other: &[VertexId]) -> bool {
-    if buf.is_empty() {
-        return false;
-    }
-    if should_gallop(buf.len(), other.len()) {
-        retain_gallop(buf, other);
-        true
-    } else if should_gallop(other.len(), buf.len()) {
-        retain_gallop_rev(buf, other);
-        true
-    } else {
-        retain_merge(buf, other);
-        false
-    }
-}
-
-/// Which kernel one [`retain_auto`] step ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AutoChoice {
-    /// The accumulator was empty: no kernel ran.
-    Noop,
-    /// Linear two-pointer merge (scalar).
-    Merge,
-    /// Galloping search (either direction).
-    Gallop,
-    /// SIMD block intersection.
-    Simd,
-}
-
-/// The fully adaptive pairwise step: galloping on skewed length ratios
-/// (either direction), the SIMD block kernel on balanced inputs long enough
-/// to amortize it ([`SIMD_MIN_LEN`], and only when a vector implementation
-/// is available), and the scalar merge otherwise. Returns which kernel ran.
-pub fn retain_auto(
-    buf: &mut Vec<VertexId>,
-    other: &[VertexId],
-    scratch: &mut Vec<VertexId>,
-) -> AutoChoice {
-    if buf.is_empty() {
-        return AutoChoice::Noop;
-    }
-    if should_gallop(buf.len(), other.len()) {
-        retain_gallop(buf, other);
-        AutoChoice::Gallop
-    } else if should_gallop(other.len(), buf.len()) {
-        retain_gallop_rev(buf, other);
-        AutoChoice::Gallop
-    } else if buf.len().min(other.len()) >= SIMD_MIN_LEN && simd::available() {
-        retain_simd(buf, other, scratch);
-        AutoChoice::Simd
-    } else {
-        retain_merge(buf, other);
-        AutoChoice::Merge
-    }
-}
-
-/// Smallest index `i >= from` with `slice[i] >= v`, found by doubling steps
-/// from `from` followed by a binary search of the bracketed run.
-#[inline]
-fn gallop_to(slice: &[VertexId], from: usize, v: VertexId) -> usize {
-    let mut step = 1;
-    let mut lo = from;
-    let mut idx = from;
-    while idx < slice.len() && slice[idx] < v {
-        lo = idx + 1;
-        idx += step;
-        step <<= 1;
-    }
-    let hi = idx.min(slice.len());
-    lo + slice[lo..hi].partition_point(|&x| x < v)
+/// [`retain_merge`]; the third argument is ignored. Its only caller is the
+/// benchmark ledger's intersection probe; ROADMAP item 1 removes it.
+#[doc(hidden)]
+pub fn retain_auto(buf: &mut Vec<VertexId>, other: &[VertexId], _scratch: &mut Vec<VertexId>) {
+    retain_merge(buf, other);
 }
 
 #[cfg(test)]
@@ -239,159 +48,56 @@ mod tests {
         xs.iter().copied().map(VertexId).collect()
     }
 
-    fn check_all(a: &[u32], b: &[u32]) {
+    /// `retain_merge` against the `filter`/`contains` reference.
+    fn check(a: &[u32], b: &[u32]) {
         let expected: Vec<VertexId> = ids(a).into_iter().filter(|v| ids(b).contains(v)).collect();
-        for kernel in [retain_merge, retain_gallop, retain_gallop_rev] {
-            let mut buf = ids(a);
-            kernel(&mut buf, &ids(b));
-            assert_eq!(buf, expected);
-        }
         let mut buf = ids(a);
-        retain_adaptive(&mut buf, &ids(b));
-        assert_eq!(buf, expected);
-        let mut buf = ids(a);
-        let mut scratch = Vec::new();
-        retain_simd(&mut buf, &ids(b), &mut scratch);
-        assert_eq!(buf, expected);
-        let mut buf = ids(a);
-        retain_auto(&mut buf, &ids(b), &mut scratch);
+        retain_merge(&mut buf, &ids(b));
         assert_eq!(buf, expected);
     }
 
     #[test]
     fn basic_overlap() {
-        check_all(&[1, 3, 5, 7, 9], &[2, 3, 4, 7, 10]);
+        check(&[1, 3, 5, 7, 9], &[2, 3, 4, 7, 10]);
     }
 
     #[test]
     fn disjoint_and_empty() {
-        check_all(&[1, 2, 3], &[4, 5, 6]);
-        check_all(&[], &[1, 2]);
-        check_all(&[1, 2], &[]);
-        check_all(&[], &[]);
+        check(&[1, 2, 3], &[4, 5, 6]);
+        check(&[], &[1, 2]);
+        check(&[1, 2], &[]);
+        check(&[], &[]);
     }
 
     #[test]
     fn identical_and_subset() {
-        check_all(&[1, 2, 3], &[1, 2, 3]);
-        check_all(&[2], &[1, 2, 3]);
-        check_all(&[1, 2, 3], &[2]);
+        check(&[1, 2, 3], &[1, 2, 3]);
+        check(&[2], &[1, 2, 3]);
+        check(&[1, 2, 3], &[2]);
     }
 
     #[test]
     fn extreme_skew() {
         let big: Vec<u32> = (0..10_000).map(|i| i * 3).collect();
-        check_all(&[3, 299, 29_997], &big);
-        check_all(&big.clone(), &[3, 299, 29_997]);
+        check(&[3, 299, 29_997], &big);
+        check(&big.clone(), &[3, 299, 29_997]);
     }
 
     #[test]
     fn boundaries() {
-        // Probes beyond the end and before the start of `other`.
-        check_all(&[100], &[1, 2, 3]);
-        check_all(&[0], &[5, 6, 7]);
-        check_all(&[0, 100], &[5, 6, 7]);
-    }
-
-    #[test]
-    fn gallop_to_finds_lower_bound() {
-        let s = ids(&[1, 3, 5, 7, 9, 11]);
-        assert_eq!(gallop_to(&s, 0, VertexId(0)), 0);
-        assert_eq!(gallop_to(&s, 0, VertexId(5)), 2);
-        assert_eq!(gallop_to(&s, 2, VertexId(6)), 3);
-        assert_eq!(gallop_to(&s, 0, VertexId(12)), 6);
-        assert_eq!(gallop_to(&s, 5, VertexId(11)), 5);
-    }
-
-    #[test]
-    fn adaptive_switch_threshold() {
-        // Directional: gallop only when the probe side is shorter by the
-        // measured 8× crossover (see GALLOP_RATIO doc).
-        assert!(!should_gallop(10, 79));
-        assert!(should_gallop(10, 80));
-        assert!(should_gallop(10, 81));
-        assert!(should_gallop(1, GALLOP_RATIO));
-        assert!(!should_gallop(1, GALLOP_RATIO - 1));
-        // The long side never gallops into the short side.
-        assert!(!should_gallop(100, 10));
-        assert!(!should_gallop(320, 10));
-        // Empty probe sides never gallop (no-op intersections short-circuit
-        // before any kernel runs).
-        assert!(!should_gallop(0, 1_000_000));
-    }
-
-    #[test]
-    fn adaptive_direction_matches_skew() {
-        // other ≫ buf: forward gallop.
-        let big: Vec<u32> = (0..1000).map(|i| i * 2).collect();
-        let mut buf = ids(&[0, 500, 1998]);
-        assert!(retain_adaptive(&mut buf, &ids(&big)));
-        assert_eq!(buf, ids(&[0, 500, 1998]));
-        // buf ≫ other: reverse gallop (was a merge — or worse, a forward
-        // gallop of the long side — before the fix).
-        let mut buf = ids(&big);
-        assert!(retain_adaptive(&mut buf, &ids(&[0, 500, 1998])));
-        assert_eq!(buf, ids(&[0, 500, 1998]));
-    }
-
-    #[test]
-    fn adaptive_crossover_boundaries() {
-        // Length ratios one element either side of the threshold, with the
-        // expected kernel verified via the returned flag.
-        let probes = ids(&[5, 50, 95]);
-        let just_below: Vec<u32> = (0..(3 * GALLOP_RATIO as u32 - 1)).collect();
-        let at_threshold: Vec<u32> = (0..(3 * GALLOP_RATIO as u32)).collect();
-        let mut buf = probes.clone();
-        assert!(!retain_adaptive(&mut buf, &ids(&just_below)), "below the ratio: merge");
-        let mut buf = probes.clone();
-        assert!(retain_adaptive(&mut buf, &ids(&at_threshold)), "at the ratio: gallop");
-    }
-
-    #[test]
-    fn empty_accumulator_short_circuits() {
-        let mut buf: Vec<VertexId> = Vec::new();
-        assert!(!retain_adaptive(&mut buf, &ids(&[1, 2, 3])));
-        let mut scratch = Vec::new();
-        assert_eq!(retain_auto(&mut buf, &ids(&[1, 2, 3]), &mut scratch), AutoChoice::Noop);
+        // Elements beyond the end and before the start of `other`.
+        check(&[100], &[1, 2, 3]);
+        check(&[0], &[5, 6, 7]);
+        check(&[0, 100], &[5, 6, 7]);
     }
 
     #[test]
     fn single_element_lists() {
-        check_all(&[7], &[7]);
-        check_all(&[7], &[8]);
-        // A single probe against a long haystack gallops.
+        check(&[7], &[7]);
+        check(&[7], &[8]);
         let big: Vec<u32> = (0..100).collect();
-        let mut buf = ids(&[42]);
-        assert!(retain_adaptive(&mut buf, &ids(&big)));
-        assert_eq!(buf, ids(&[42]));
-        // ... and the mirrored skew reverse-gallops.
-        let mut buf = ids(&big);
-        assert!(retain_adaptive(&mut buf, &ids(&[42])));
-        assert_eq!(buf, ids(&[42]));
-    }
-
-    #[test]
-    fn auto_picks_simd_on_balanced_long_inputs() {
-        let a: Vec<u32> = (0..100).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..100).map(|i| i * 3).collect();
-        let mut buf = ids(&a);
-        let mut scratch = Vec::new();
-        let choice = retain_auto(&mut buf, &ids(&b), &mut scratch);
-        let expected: Vec<VertexId> = ids(&a).into_iter().filter(|v| ids(&b).contains(v)).collect();
-        assert_eq!(buf, expected);
-        if simd::available() {
-            assert_eq!(choice, AutoChoice::Simd);
-        } else {
-            assert_eq!(choice, AutoChoice::Merge);
-        }
-    }
-
-    #[test]
-    fn auto_merges_below_simd_floor() {
-        let mut buf = ids(&[1, 2, 3]);
-        let mut scratch = Vec::new();
-        assert_eq!(retain_auto(&mut buf, &ids(&[2, 3, 4]), &mut scratch), AutoChoice::Merge);
-        assert_eq!(buf, ids(&[2, 3]));
+        check(&[42], &big);
+        check(&big, &[42]);
     }
 
     #[test]
@@ -408,8 +114,8 @@ mod tests {
             a.dedup();
             b.sort_unstable();
             b.dedup();
-            check_all(&a, &b);
-            check_all(&b, &a);
+            check(&a, &b);
+            check(&b, &a);
         }
     }
 }

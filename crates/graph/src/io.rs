@@ -97,6 +97,7 @@ pub fn read_graphs<R: Read>(reader: R, interner: &mut LabelInterner) -> Result<V
                     Ok(v) => crate::label::Label(v),
                     Err(_) => interner.intern(label),
                 };
+                let label = label.checked().map_err(|e| parse_err(line_no, &e.to_string()))?;
                 b.add_vertex(label);
             }
             Some("e") => {
@@ -171,6 +172,7 @@ pub fn write_database<W: Write>(writer: &mut W, db: &GraphDb) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::Label;
 
     const SAMPLE: &str = "\
 t # 0
@@ -250,6 +252,24 @@ v 0 O
     fn rejects_non_dense_ids() {
         let err = read_database("t # 0\nv 1 A\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::Parse { .. }));
+    }
+
+    #[test]
+    fn labels_numeric_or_interned_stay_below_the_limit() {
+        let numeric = |l: u32| read_database(format!("t # 0\nv 0 {l}\n").as_bytes());
+        assert!(numeric(Label::LIMIT - 1).is_ok());
+        let err = numeric(Label::LIMIT).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err}");
+        // An interner that already holds LIMIT - 1 names hands out the last
+        // label the limit allows, then one past it.
+        let mut interner = LabelInterner::new();
+        for i in 0..Label::LIMIT - 1 {
+            interner.intern(&format!("n{i}"));
+        }
+        let text = "t # 0\nv 0 last\nt # 1\nv 0 over\n";
+        let err = read_graphs(text.as_bytes(), &mut interner).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 4, .. }), "{err}");
+        assert_eq!(interner.get("last"), Some(Label(Label::LIMIT - 1)));
     }
 
     #[test]

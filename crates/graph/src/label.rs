@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::error::{GraphError, Result};
 use crate::heap_size::HeapSize;
 
 /// A vertex label.
@@ -14,6 +15,22 @@ use crate::heap_size::HeapSize;
 pub struct Label(pub u32);
 
 impl Label {
+    /// One past the largest label value a decoded graph may carry. A label's
+    /// value sizes a graph's per-label offsets (`label_space() + 1` of them),
+    /// so every decoder rejects a label at or above this bound; the largest
+    /// label space of any profile or sweep is 80.
+    pub const LIMIT: u32 = 1 << 16;
+
+    /// This label, or [`GraphError::LabelOutOfRange`] when it is not below
+    /// [`Label::LIMIT`].
+    pub fn checked(self) -> Result<Label> {
+        if self.0 < Self::LIMIT {
+            Ok(self)
+        } else {
+            Err(GraphError::LabelOutOfRange { label: self.0 })
+        }
+    }
+
     /// The dense integer id of this label.
     #[inline]
     pub fn id(self) -> u32 {

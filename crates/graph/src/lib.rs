@@ -20,11 +20,8 @@
 //!   decomposition, and connectivity, the building blocks of CFL.
 //! * [`nlf`] — neighborhood label frequency signatures used by the GraphQL
 //!   and CFL candidate filters.
-//! * [`intersect`] — merge-based, galloping, and SIMD sorted-slice
-//!   intersection kernels, the primitive of local-candidate computation in
-//!   enumeration.
-//! * [`simd`] — runtime-dispatched SSE/AVX2 block intersection with a scalar
-//!   fallback (and a `SQP_FORCE_SCALAR` kill switch for CI).
+//! * [`intersect`] — the linear merge of two sorted vertex lists, the
+//!   list-path primitive of local-candidate computation in enumeration.
 //! * [`AdjacencyRows`] — lazily-built bitmap adjacency rows, with a packed
 //!   NLF signature each, for the vertices whose row is under half the bytes
 //!   of their adjacency list: neighbor tests and local candidates against a
@@ -34,6 +31,7 @@
 
 // Library code avoids unwrap/expect (CI denies them); tests may use them freely.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod algo;
 pub mod binio;
@@ -49,7 +47,15 @@ pub mod intersect;
 pub mod io;
 pub mod label;
 pub mod nlf;
-pub mod simd;
+/// Whether a vector intersection kernel runs: none does.
+#[doc(hidden)]
+pub mod simd {
+    /// Always `false`. Its only caller is the benchmark ledger's provenance
+    /// record; ROADMAP item 1 removes it.
+    pub fn available() -> bool {
+        false
+    }
+}
 pub mod stats;
 pub mod vertex;
 

@@ -24,6 +24,8 @@
 //!   [`BuildBudget`] so the harness can report OOT/OOM the way the paper
 //!   does.
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod budget;
 pub mod fingerprint;

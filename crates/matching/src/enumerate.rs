@@ -20,8 +20,7 @@
 //! first with early exit on empty, filtered by `Φ(u)` membership (a word at
 //! a time where the space has adjacency rows). A pairwise step probes the
 //! hub adjacency bitmap when the mapped vertex has a row, and otherwise runs
-//! [`intersect::retain_auto`] (galloping on skewed lengths, the SIMD block
-//! kernel on balanced ones, the scalar merge below its floor). Results land
+//! the linear merge [`intersect::retain_merge`]. Results land
 //! in per-depth scratch buffers owned by the enumerator, so steady-state
 //! candidate generation performs no allocation — the only allocation on the
 //! search path is materializing an [`Embedding`] when a match is reported.
@@ -130,9 +129,6 @@ struct SearchScratch {
     pos: Vec<u32>,
     /// Per-depth local-candidate buffers.
     bufs: Vec<Vec<VertexId>>,
-    /// Output buffer for SIMD intersection steps (their stores are not
-    /// in-place); swapped with the accumulator after each step.
-    simd_scratch: Vec<VertexId>,
     /// One entry per backward neighbor of the current depth: its adjacency
     /// row (and 0) on the word path, the length of its label-restricted
     /// adjacency and its index in the backward list on the list path.
@@ -301,8 +297,7 @@ impl<'a, S: SearchSpace> Enumerator<'a, S> {
         buf: &mut Vec<VertexId>,
     ) {
         let Self { q, space, scratch, plan, stats, .. } = self;
-        let SearchScratch { bw_offsets: bw, bw_data, bw_order, simd_scratch, mapping, .. } =
-            scratch;
+        let SearchScratch { bw_offsets: bw, bw_data, bw_order, mapping, .. } = scratch;
         let at = *plan * (q.vertex_count() + 1) + depth;
         let backward = &bw_data[bw[at] as usize..bw[at + 1] as usize];
         let label = q.label(u);
@@ -370,18 +365,14 @@ impl<'a, S: SearchSpace> Enumerator<'a, S> {
                 return;
             }
             stats.intersections += 1;
-            // Row probes when the mapped vertex has a row, otherwise
-            // adaptive gallop/SIMD/merge against its sorted list.
+            // Row probes when the mapped vertex has a row, otherwise the
+            // merge against its sorted list.
             let w = mapped(&backward[bi as usize]);
             if let Some((rows, row)) = rows.and_then(|(_, rows)| Some((rows, rows.row(w)?))) {
                 stats.bitmap_probes += buf.len() as u64;
                 buf.retain(|&v| rows.contains(row, v));
             } else {
-                match intersect::retain_auto(buf, space.adjacent(w, label), simd_scratch) {
-                    intersect::AutoChoice::Gallop => stats.gallop_hits += 1,
-                    intersect::AutoChoice::Simd => stats.simd_hits += 1,
-                    intersect::AutoChoice::Merge | intersect::AutoChoice::Noop => {}
-                }
+                intersect::retain_merge(buf, space.adjacent(w, label));
             }
         }
     }
@@ -757,8 +748,6 @@ mod tests {
             let want = emitted(|on| Reference::run(&q, &g, &space, &order, limit, d, on));
             prop_assert_eq!(got, want);
             if rows == Rows::All {
-                // Every mapped vertex has a row: no sorted-list kernel runs.
-                prop_assert_eq!(stats.gallop_hits + stats.simd_hits, 0, "{:?}", stats);
                 prop_assert!(q.edge_count() < 4 || stats.intersections > 0, "{:?}", stats);
             }
         }
@@ -813,21 +802,6 @@ mod tests {
             let mut got = emitted(|on| e.run(&[], u64::MAX, Deadline::none(), on));
             got.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
             assert_eq!(got, exp);
-        }
-    }
-
-    #[test]
-    fn hit_counters_never_exceed_intersections() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..10 {
-            let g = brute::random_graph(&mut rng, 20, 60, 2);
-            let q = brute::random_connected_query(&mut rng, &g, 4);
-            let space = full_space(&q, &g);
-            let order = id_order(&q);
-            let mut e = Enumerator::new(&q, (&g, &space), &order);
-            e.run(&[], u64::MAX, Deadline::none(), &mut |_| {}).unwrap();
-            let stats = e.stats();
-            assert!(stats.gallop_hits + stats.simd_hits <= stats.intersections, "{stats:?}");
         }
     }
 
@@ -930,7 +904,6 @@ mod tests {
         assert!(!got.is_empty());
         let stats = e.stats();
         assert!(stats.bitmap_probes > 0, "hub-heavy graph must exercise bitmap probes: {stats:?}");
-        assert_eq!(stats.gallop_hits + stats.simd_hits, 0, "{stats:?}");
         assert!(g.adjacency_rows_built().is_some(), "the enumerator must have built the sidecar");
     }
 }

@@ -20,6 +20,7 @@
 
 // Library code avoids unwrap (CI denies it); tests may use it freely.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+#![forbid(unsafe_code)]
 
 pub mod bipartite;
 pub mod brute;

@@ -17,10 +17,6 @@ pub struct MatchingStats {
     pub embeddings: u64,
     /// Pairwise sorted-set intersections executed by the enumeration kernel.
     pub intersections: u64,
-    /// Pairwise intersections that ran the galloping kernel.
-    pub gallop_hits: u64,
-    /// Pairwise intersections that ran a vectorized (SSE/AVX2) block kernel.
-    pub simd_hits: u64,
     /// Single-bit membership tests (candidate `Φ(u)` bitmap and hub
     /// adjacency bitmap probes).
     pub bitmap_probes: u64,
@@ -33,8 +29,6 @@ impl MatchingStats {
         self.recursions += other.recursions;
         self.embeddings += other.embeddings;
         self.intersections += other.intersections;
-        self.gallop_hits += other.gallop_hits;
-        self.simd_hits += other.simd_hits;
         self.bitmap_probes += other.bitmap_probes;
     }
 
@@ -42,9 +36,8 @@ impl MatchingStats {
     pub fn kernel(&self) -> KernelStats {
         KernelStats {
             intersections: self.intersections,
-            gallop_hits: self.gallop_hits,
-            simd_hits: self.simd_hits,
             bitmap_probes: self.bitmap_probes,
+            ..KernelStats::default()
         }
     }
 }
@@ -58,9 +51,11 @@ impl MatchingStats {
 pub struct KernelStats {
     /// Pairwise sorted-set intersections executed.
     pub intersections: u64,
-    /// Pairwise intersections that ran the galloping kernel.
+    /// Always 0: no galloping kernel exists. Kept, with its wire word and
+    /// `/metrics` family, for the benchmark ledger, its only reader; ROADMAP
+    /// item 1 removes it.
     pub gallop_hits: u64,
-    /// Pairwise intersections that ran a vectorized (SSE/AVX2) block kernel.
+    /// Always 0: no vector kernel exists. Kept like `gallop_hits`.
     pub simd_hits: u64,
     /// Single-bit membership tests (`Φ(u)` and hub adjacency bitmaps).
     pub bitmap_probes: u64,
@@ -92,8 +87,6 @@ mod tests {
             recursions: 2,
             embeddings: 3,
             intersections: 4,
-            gallop_hits: 5,
-            simd_hits: 7,
             bitmap_probes: 6,
         };
         a.merge(&MatchingStats {
@@ -101,8 +94,6 @@ mod tests {
             recursions: 20,
             embeddings: 30,
             intersections: 40,
-            gallop_hits: 50,
-            simd_hits: 70,
             bitmap_probes: 60,
         });
         assert_eq!(
@@ -112,14 +103,12 @@ mod tests {
                 recursions: 22,
                 embeddings: 33,
                 intersections: 44,
-                gallop_hits: 55,
-                simd_hits: 77,
                 bitmap_probes: 66,
             }
         );
         assert_eq!(
             a.kernel(),
-            KernelStats { intersections: 44, gallop_hits: 55, simd_hits: 77, bitmap_probes: 66 }
+            KernelStats { intersections: 44, gallop_hits: 0, simd_hits: 0, bitmap_probes: 66 }
         );
     }
 

@@ -6,8 +6,7 @@
 #
 # This is the one list of steps: .github/workflows/ci.yml runs this script.
 # Suites run bare by `cargo test --workspace` are not re-run; a suite gets a
-# step of its own only where it sets PROPTEST_CASES / SQP_FORCE_SCALAR /
-# SQP_BENCH_SMOKE. The gated benches (calibration, phases, dynamic) each run
+# step of its own only where it sets PROPTEST_CASES / SQP_BENCH_SMOKE. The gated benches (calibration, phases, dynamic) each run
 # once as an SQP_BENCH_SMOKE step.
 #
 # The build environment has no crates.io access; every external dependency is
@@ -22,7 +21,7 @@ fast=0
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test --workspace (tier-1's root-package suites — io robustness corpus, golden metrics format, deadline paths, the distributed fault matrix on both wire hops, allocation accounting — plus the unit tests under crates/*/src: engines, runner, enumerate, deadline, wire, breaker reference, intersect kernels, overlay)"
+echo "==> cargo test --workspace (tier-1's root-package suites — io robustness corpus, golden metrics format, deadline paths, the distributed fault matrix on both wire hops, allocation accounting — plus the unit tests under crates/*/src: engines, runner, enumerate, deadline, wire, breaker reference, the intersect merge, label bounds in every decoder, overlay)"
 cargo test -q --offline --workspace
 
 echo "==> chaos suite (fixed seeds, 1/2/4/8 threads; breaker lifecycle, drain, serving determinism)"
@@ -31,18 +30,13 @@ echo "==> chaos suite (fixed seeds, 1/2/4/8 threads; breaker lifecycle, drain, s
 # and the serving-determinism property.
 PROPTEST_CASES=32 cargo test -q --offline --test chaos
 
-echo "==> kernel equivalence (enumerator vs brute oracle x 1/2/4/8 threads over the three adjacency-row regimes: every probed vertex has a row, none has, mixed; bitmap memory accounting)"
+echo "==> kernel equivalence (enumerator vs brute oracle x 1/2/4/8 threads over the three adjacency-row regimes: every probed vertex has a row, none has (the merge of skewed and of balanced lists), mixed; bitmap memory accounting)"
 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
 
-echo "==> kernel equivalence, forced scalar fallback (SQP_FORCE_SCALAR=1: the SIMD step must degrade to merge, not diverge — in the enumerator over static graphs, in the enumerator over the dynamic overlay (dynamic_equivalence), and in sqp_graph::intersect where the kernels live)"
-SQP_FORCE_SCALAR=1 PROPTEST_CASES=16 cargo test -q --offline --test kernel_equivalence
-SQP_FORCE_SCALAR=1 PROPTEST_CASES=16 cargo test -q --offline --test dynamic_equivalence
-SQP_FORCE_SCALAR=1 cargo test -q --offline -p sqp-graph --lib
-
-echo "==> calibration bench smoke (asserts and discards)"
+echo "==> calibration bench smoke (direction and row sweeps: PULL_RATIO lies between the crossovers, the row path wins every cell the row rule gives a row in; report discarded)"
 SQP_BENCH_SMOKE=1 cargo bench --offline -p sqp-bench --bench calibration
 
-echo "==> filter, order and enumerator differential suite (graph construction by placement vs the per-vertex-sort reference on every read, a churned overlay's compaction vs the builder, and exact-size blocks; run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the one enumerator's three local-candidate paths and its overlay space vs the reference search, the overlay's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
+echo "==> filter, order and enumerator differential suite (graph construction by placement vs the per-vertex-sort reference on every read, a churned overlay's compaction vs the builder, and exact-size blocks; run-index NLF, its packed signature and the three-way rule on it, adjacency rows, the overlay's signature column under every mutation, a rejected overlay batch undone to every read of a twin that never saw it and the arena's bound, the CFL filter in both generation directions, the join-size order and the one enumerator's three local-candidate paths (adjacency rows, a row probed against a list, the merge of two lists) and its overlay space vs the reference search, the overlay's NLF predicate vs the run merge and its order by attempt count; scratch hygiene; span trees and lap-rooted trees on the per-thread phase cursor vs the nested self-time model; the per-query control block's operations vs its reference model; every filter must name at least one test)"
 differential() { # <cargo test target args> -- <filters>: 256 cases each, failing on a filter that names no test
   local args=()
   while [[ "$1" != "--" ]]; do args+=("$1"); shift; done

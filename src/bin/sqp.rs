@@ -205,10 +205,16 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let seed: u64 = opts.num("seed", 42u64)?;
     let db = match kind {
         "synthetic" => {
+            // Label values are drawn from 0..labels, and every decoder
+            // rejects one at or above the limit.
+            let labels = opts.num("labels", 20usize)?;
+            if !(1..=GraphLabel::LIMIT as usize).contains(&labels) {
+                return Err(format!("--labels must be 1..={}, got {labels}", GraphLabel::LIMIT));
+            }
             let config = GraphGenConfig {
                 graphs: opts.num("graphs", 1000usize)?,
                 vertices: opts.num("vertices", 200usize)?,
-                labels: opts.num("labels", 20usize)?,
+                labels,
                 degree: opts.num("degree", 8.0f64)?,
                 seed,
             };

@@ -56,6 +56,8 @@
 //! the experiment harness that regenerates every table and figure of the
 //! paper.
 
+#![forbid(unsafe_code)]
+
 pub use sqp_core as core;
 pub use sqp_datagen as datagen;
 pub use sqp_graph as graph;

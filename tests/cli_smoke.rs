@@ -394,6 +394,15 @@ fn unknown_arguments_fail_cleanly() {
     let out = sqp(&["query", "--db", "/nonexistent", "--queries", "/nonexistent"]);
     assert!(!out.status.success());
 
+    // A generated database must load: no label at or above the limit, and
+    // at least one label to draw from.
+    for labels in ["0", "65537"] {
+        let args = ["generate", "--kind", "synthetic", "--labels", labels, "--out", "/nonexistent"];
+        let out = sqp(&args);
+        assert_eq!(out.status.code(), Some(1), "--labels {labels}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--labels must be"), "{labels}");
+    }
+
     // sqp-shard shares the parser: a misspelt --shard-index must not quietly
     // serve shard 0.
     let out = Command::new(env!("CARGO_BIN_EXE_sqp-shard"))
