@@ -187,8 +187,8 @@ fn write_json(reports: &[(QuerySetReport, f64)], serving: &[Rung]) {
     out.push_str("  \"bench\": \"phase_breakdown\",\n");
     out.push_str("  \"engines\": [\n");
     for (ri, (r, elapsed_ms)) in reports.iter().enumerate() {
-        let totals = r.phase_totals();
-        let hist = r.latency_histogram();
+        let rolled = r.totals();
+        let (totals, hist) = (&rolled.phases, &rolled.latency);
         let phase_ms: Vec<String> = Phase::ALL
             .iter()
             .map(|&p| format!("\"{}\": {:.3}", p.name(), totals.nanos_of(p) as f64 * 1e-6))
@@ -197,16 +197,13 @@ fn write_json(reports: &[(QuerySetReport, f64)], serving: &[Rung]) {
         out.push_str("    {\n");
         out.push_str(&format!("      \"engine\": \"{}\",\n", r.engine));
         out.push_str(&format!("      \"queries\": {},\n", r.records.len()));
-        out.push_str(&format!("      \"censored\": {},\n", r.censored_count()));
+        out.push_str(&format!("      \"censored\": {},\n", rolled.censored));
         out.push_str(&format!("      \"phase_ms\": {{ {} }},\n", phase_ms.join(", ")));
         out.push_str(&format!(
             "      \"span_sum_ms\": {:.3},\n",
             totals.total_nanos() as f64 * 1e-6
         ));
-        out.push_str(&format!(
-            "      \"wall_ms\": {:.3},\n",
-            r.uncensored_wall_nanos() as f64 * 1e-6
-        ));
+        out.push_str(&format!("      \"wall_ms\": {:.3},\n", rolled.wall_nanos as f64 * 1e-6));
         out.push_str(&format!("      \"elapsed_ms\": {elapsed_ms:.3},\n"));
         out.push_str(&format!(
             "      \"latency_ms\": {{ \"p50\": {:.4}, \"p95\": {:.4}, \"p99\": {:.4} }}\n",
@@ -248,8 +245,9 @@ fn bench_phases(c: &mut Criterion) {
         "elapsed(ms)"
     );
     for (r, elapsed) in &reports {
-        let t = r.phase_totals();
-        let wall = r.uncensored_wall_nanos() as f64 * 1e-6;
+        let rolled = r.totals();
+        let t = &rolled.phases;
+        let wall = rolled.wall_nanos as f64 * 1e-6;
         let sum = t.total_nanos() as f64 * 1e-6;
         println!(
             "{:<10} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>12.3}",

@@ -5,7 +5,7 @@
 //! retries, several times). Serving-scale systems survive such *sick
 //! shards* by tripping a breaker — after a threshold of consecutive faults
 //! the graph is quarantined, subsequent queries short-circuit it to a
-//! [`QueryStatus::Quarantined`] record without consulting the matcher, and
+//! [`QueryStatus::Quarantined`](crate::engine::QueryStatus::Quarantined) record without consulting the matcher, and
 //! after a cool-down a single *probe* query is let through to test whether
 //! the fault was transient.
 //!
@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Faults that count toward tripping are the ones a graph *causes* —
-//! [`Panicked`](QueryStatus::Panicked) and
-//! [`ResourceExhausted`](QueryStatus::ResourceExhausted) per-graph failure
+//! [`Panicked`](crate::engine::QueryStatus::Panicked) and
+//! [`ResourceExhausted`](crate::engine::QueryStatus::ResourceExhausted) per-graph failure
 //! records. A query-wide timeout interrupts the scan before every graph is
 //! visited, so an interrupted query neither charges nor clears any breaker
 //! it produced no record for.

@@ -18,7 +18,7 @@
 //!    query keeps, from registration, its directed edges sorted the same
 //!    way, so repair visits only the (query edge, added edge) pairs whose
 //!    labels agree, and hands each as pins to the query's one
-//!    [`SeededEnumerator`](sqp_matching::dynmatch::SeededEnumerator): the
+//!    [`SeededEnumerator`]: the
 //!    matching crate's one backtracking search, the pins its first depths.
 //!    The seeded enumerations cover a superset of the additions;
 //!    deduplication against the stored set leaves exactly the new ones.
@@ -32,8 +32,8 @@
 //!
 //! [`ContinuousService`] wraps the matcher in a `RwLock` for interleaved
 //! update/query traffic with snapshot-consistent reads, and exports the
-//! update/compaction/repair counters rendered by
-//! [`exposition::render_continuous`](crate::exposition::render_continuous).
+//! update/compaction/repair counters that
+//! [`exposition::render`](crate::exposition::render) shows.
 //! [`DynamicDb`] applies the same discipline to a whole database with an
 //! incrementally-maintained fingerprint (IFV) index.
 

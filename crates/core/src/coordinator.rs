@@ -27,7 +27,7 @@
 //!   its breaker, or returning garbage after retries, the coordinator does
 //!   not fail the query: it returns a *partial* outcome in which every
 //!   graph placed on that shard is attributed
-//!   [`QueryStatus::Unavailable`](crate::engine::QueryStatus::Unavailable)
+//!   [`QueryStatus::Unavailable`]
 //!   (never silently dropped), while answers from healthy shards are
 //!   byte-identical to a single-process run.
 //!
@@ -368,7 +368,7 @@ pub struct Coordinator {
     exec: Arc<RemoteExecutor>,
 }
 
-/// The serving surface — `submit*`, `run_query_set`, `health`, `breaker_*`
+/// The serving surface — `submit*`, `health`, `breaker_*`
 /// (slots are peer indices), `runner_config` / `set_runner_config`,
 /// `begin_drain` — is the core's.
 impl std::ops::Deref for Coordinator {

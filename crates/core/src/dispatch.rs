@@ -33,7 +33,7 @@ use sqp_graph::Graph;
 use crate::breaker::{BreakerRegistry, BreakerState, BreakerTransition};
 use crate::chaos::graph_fingerprint;
 use crate::engine::QueryOutcome;
-use crate::metrics::{QuerySetReport, ServiceHealth};
+use crate::metrics::ServiceHealth;
 use crate::parallel::lock;
 use crate::runner::RunnerConfig;
 
@@ -421,26 +421,6 @@ impl DispatchCore {
         drop(st);
         self.shared.submitted.notify_all();
         out
-    }
-
-    /// Runs a query set in lockstep (submit one, wait for it, record) and
-    /// reports it under the `engine` label, like the batch runner does.
-    /// Lockstep keeps the queue empty at every admission, so the report —
-    /// statuses, failures, shed decisions, breaker transitions — is
-    /// deterministic for a deterministic executor at any thread count.
-    pub fn run_query_set(
-        &self,
-        engine: &str,
-        query_set_name: &str,
-        queries: &[Graph],
-    ) -> QuerySetReport {
-        let budget = self.runner_config().query_budget;
-        let mut report = QuerySetReport::new(engine, query_set_name);
-        for q in queries {
-            let (outcome, retries) = self.submit(q).0.wait();
-            report.push_outcome(&outcome, retries, budget);
-        }
-        report
     }
 
     /// Point-in-time serving snapshot; the breaker fields count whatever

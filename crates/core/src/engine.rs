@@ -115,8 +115,9 @@ impl QueryStatus {
         Self::LABELS[usize::from(self.severity())]
     }
 
-    /// Severity rank used by [`absorb`](QueryStatus::absorb).
-    fn severity(&self) -> u8 {
+    /// Severity rank used by [`absorb`](QueryStatus::absorb), and this
+    /// status's index into [`LABELS`](QueryStatus::LABELS).
+    pub(crate) fn severity(&self) -> u8 {
         match self {
             QueryStatus::Completed => 0,
             QueryStatus::TimedOut => 1,

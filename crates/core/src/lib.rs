@@ -52,7 +52,7 @@ pub use engine::{
     BuildReport, EngineCategory, GraphFailure, QueryEngine, QueryOutcome, QueryStatus,
 };
 pub use journal::{db_fingerprint, JournalStats, RunJournal};
-pub use metrics::{LatencyHistogram, QueryRecord, QuerySetReport, ServiceHealth};
+pub use metrics::{LatencyHistogram, QueryRecord, QuerySetReport, QueryTotals, ServiceHealth};
 pub use parallel::{ParallelOutcome, QueryPool};
 pub use runner::{run_query_set, run_query_set_journaled, RunnerConfig};
 pub use service::{
@@ -84,12 +84,10 @@ pub mod prelude {
         matcher_by_name, CflEngine, CfqlEngine, CtIndexEngine, Engine, GgsxEngine, GrapesEngine,
         GraphQlEngine, ParallelEngine, VcGgsxEngine, VcGrapesEngine,
     };
-    pub use crate::exposition::render as render_prometheus;
-    pub use crate::exposition::render_continuous as render_prometheus_continuous;
-    pub use crate::exposition::render_full as render_prometheus_full;
-    pub use crate::exposition::render_shards as render_prometheus_shards;
     pub use crate::journal::{db_fingerprint, JournalStats, RunJournal};
-    pub use crate::metrics::{LatencyHistogram, QueryRecord, QuerySetReport, ServiceHealth};
+    pub use crate::metrics::{
+        LatencyHistogram, QueryRecord, QuerySetReport, QueryTotals, ServiceHealth,
+    };
     pub use crate::parallel::{ParallelOutcome, QueryPool};
     pub use crate::runner::{run_query_set, run_query_set_journaled, RunnerConfig};
     pub use crate::service::{

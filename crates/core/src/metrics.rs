@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use sqp_matching::{KernelStats, Phase, PhaseStats};
+use sqp_matching::{KernelStats, Phase, PhaseStats, PHASE_COUNT};
 
 use crate::engine::{GraphFailure, QueryOutcome, QueryStatus};
 
@@ -318,76 +318,19 @@ impl QuerySetReport {
         })
     }
 
-    /// Number of queries that exceeded the wall-clock budget (only; panics
-    /// and resource exhaustion are counted separately).
-    pub fn timeout_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_timed_out()).count()
-    }
-
-    /// Number of queries that panicked (after exhausting any retries).
-    pub fn panic_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_panicked()).count()
-    }
-
-    /// Number of queries that tripped a resource budget.
-    pub fn exhausted_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_exhausted()).count()
-    }
-
-    /// Number of queries rejected by admission control (never executed).
-    pub fn shed_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_shed()).count()
-    }
-
-    /// Number of queries whose most severe failure was an open-breaker
-    /// short-circuit (some graphs quarantined, everything else clean).
-    pub fn quarantined_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_quarantined()).count()
-    }
-
-    /// Number of queries escalated by the supervisor (a worker stopped
-    /// ticking and was abandoned).
-    pub fn wedged_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_wedged()).count()
-    }
-
-    /// Number of queries whose most severe failure was an unreachable shard
-    /// (partial results: graphs on dead/over-budget peers never consulted).
-    pub fn unavailable_count(&self) -> usize {
-        self.records.iter().filter(|r| r.status.is_unavailable()).count()
-    }
-
-    /// Number of queries that ended in any non-completed state.
-    pub fn failure_count(&self) -> usize {
-        self.records.iter().filter(|r| !r.status.is_completed()).count()
-    }
-
-    /// Total retry attempts spent across the set.
-    pub fn total_retries(&self) -> u64 {
-        self.records.iter().map(|r| u64::from(r.retries)).sum()
-    }
-
     /// Fraction of queries that completed (any failure mode counts against
     /// completion).
     pub fn completion_rate(&self) -> f64 {
         if self.records.is_empty() {
             return 1.0;
         }
-        1.0 - self.failure_count() as f64 / self.records.len() as f64
+        let failed = self.records.iter().filter(|r| !r.status.is_completed()).count();
+        1.0 - failed as f64 / self.records.len() as f64
     }
 
     /// Peak auxiliary bytes across the set.
     pub fn max_aux_bytes(&self) -> usize {
         self.records.iter().map(|r| r.aux_bytes).max().unwrap_or(0)
-    }
-
-    /// Enumeration-kernel counters summed across the set.
-    pub fn kernel_totals(&self) -> KernelStats {
-        let mut total = KernelStats::default();
-        for r in &self.records {
-            total.merge(&r.kernel);
-        }
-        total
     }
 
     /// The paper omits an algorithm's results on a query set when it fails
@@ -396,61 +339,88 @@ impl QuerySetReport {
         self.completion_rate() < 0.6
     }
 
-    /// Whether a record's timings are censored: timed-out records are pinned
-    /// to exactly the budget by `QueryRecord::from_outcome` and shed records
-    /// never executed, so neither carries a real latency observation.
-    fn is_censored(r: &QueryRecord) -> bool {
-        r.status.is_timed_out()
-            || r.status.is_shed()
-            || r.status.is_wedged()
-            || r.status.is_unavailable()
+    /// The set's records folded into counters and histograms.
+    pub fn totals(&self) -> QueryTotals {
+        let mut totals = QueryTotals::new(self.engine.clone(), self.query_set.clone());
+        self.records.iter().for_each(|r| totals.add(r));
+        totals
     }
+}
 
-    /// Number of records excluded from the latency/phase histograms because
-    /// their timings are censored (pinned at the budget or never run). The
-    /// mean-based accessors (`avg_query_ms` &c.) still include pinned
-    /// timeouts, matching the paper's convention; the histograms do not.
-    pub fn censored_count(&self) -> usize {
-        self.records.iter().filter(|r| Self::is_censored(r)).count()
-    }
-
-    /// Histogram of end-to-end query latency (nanoseconds) over uncensored
-    /// records.
-    pub fn latency_histogram(&self) -> LatencyHistogram {
-        LatencyHistogram::from_samples(
-            self.records
-                .iter()
-                .filter(|r| !Self::is_censored(r))
-                .map(|r| r.query_time().as_nanos().min(u128::from(u64::MAX)) as u64),
-        )
-    }
-
-    /// Histogram of one phase's per-query time (nanoseconds) over uncensored
-    /// records.
-    pub fn phase_histogram(&self, phase: Phase) -> LatencyHistogram {
-        LatencyHistogram::from_samples(
-            self.records.iter().filter(|r| !Self::is_censored(r)).map(|r| r.phases.nanos_of(phase)),
-        )
-    }
-
+/// The counters and histograms of a stream of [`QueryRecord`]s, folded as
+/// they arrive: its size does not depend on how many records went in, so a
+/// long-running server keeps one instead of its records.
+///
+/// A record is *censored* when its timings carry no real latency
+/// observation: a timed-out query is pinned to exactly the budget by
+/// [`QueryRecord::from_outcome`], and a shed, wedged or unavailable query
+/// never ran (or never reported) to the end. Censored records are counted
+/// by status and in `censored`, and left out of every histogram and timing
+/// total. The mean-based accessors of [`QuerySetReport`] (`avg_query_ms`
+/// &c.) still include pinned timeouts, matching the paper's convention.
+#[derive(Clone, Debug, Default)]
+pub struct QueryTotals {
+    /// Engine name (e.g. `"CFQL"`).
+    pub engine: String,
+    /// Query-set name (e.g. `"Q8S"`).
+    pub query_set: String,
+    /// Records per terminal status, in the order of [`QueryStatus::LABELS`]
+    /// (`by_status[0]` is completed).
+    pub by_status: [u64; QueryStatus::LABELS.len()],
+    /// Records left out of the histograms because their timings are censored.
+    pub censored: u64,
+    /// Retry attempts spent across the records.
+    pub retries: u64,
+    /// End-to-end query latency (nanoseconds) of uncensored records.
+    pub latency: LatencyHistogram,
+    /// Per-query time (nanoseconds) of each phase over uncensored records,
+    /// indexed by [`Phase::index`].
+    pub phase_latency: [LatencyHistogram; PHASE_COUNT],
     /// Per-phase nanos and item counts summed over uncensored records (the
     /// `compare --phases` table rows).
-    pub fn phase_totals(&self) -> PhaseStats {
-        let mut total = PhaseStats::default();
-        for r in self.records.iter().filter(|r| !Self::is_censored(r)) {
-            total.merge(&r.phases);
-        }
-        total
+    pub phases: PhaseStats,
+    /// Total wall time (nanoseconds) of uncensored records: what the phase
+    /// breakdown should account for.
+    pub wall_nanos: u64,
+    /// Enumeration-kernel counters summed over every record.
+    pub kernel: KernelStats,
+}
+
+impl QueryTotals {
+    /// Empty totals under the given labels.
+    pub fn new(engine: impl Into<String>, query_set: impl Into<String>) -> Self {
+        Self { engine: engine.into(), query_set: query_set.into(), ..Self::default() }
     }
 
-    /// Total uncensored wall time in nanoseconds (denominator for checking
-    /// that the phase breakdown accounts for the measured wall time).
-    pub fn uncensored_wall_nanos(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| !Self::is_censored(r))
-            .map(|r| r.query_time().as_nanos().min(u128::from(u64::MAX)) as u64)
-            .fold(0u64, u64::saturating_add)
+    /// Folds in one record.
+    pub fn add(&mut self, r: &QueryRecord) {
+        let s = &r.status;
+        self.by_status[usize::from(s.severity())] += 1;
+        self.retries += u64::from(r.retries);
+        self.kernel.merge(&r.kernel);
+        if s.is_timed_out() || s.is_shed() || s.is_wedged() || s.is_unavailable() {
+            self.censored += 1;
+            return;
+        }
+        let wall = r.query_time().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.latency.record(wall);
+        self.wall_nanos = self.wall_nanos.saturating_add(wall);
+        for phase in Phase::ALL {
+            self.phase_latency[phase.index()].record(r.phases.nanos_of(phase));
+        }
+        self.phases.merge(&r.phases);
+    }
+
+    /// Records whose status carries `label`, one of [`QueryStatus::LABELS`].
+    pub fn count(&self, label: &str) -> u64 {
+        let index = QueryStatus::LABELS.iter().position(|l| *l == label);
+        debug_assert!(index.is_some(), "unknown status label {label}");
+        index.map_or(0, |i| self.by_status[i])
+    }
+
+    /// Records that ended in any state but completed.
+    pub fn failures(&self) -> u64 {
+        self.by_status[1..].iter().sum()
     }
 }
 
@@ -575,7 +545,7 @@ mod tests {
         for _ in 0..5 {
             rep.records.push(r.clone());
         }
-        assert_eq!(rep.timeout_count(), 5);
+        assert_eq!(rep.totals().count("timed_out"), 5);
         assert!(rep.should_omit());
     }
 
@@ -653,11 +623,12 @@ mod tests {
         retried.retries = 2;
         rep.records.push(retried);
 
-        assert_eq!(rep.timeout_count(), 2);
-        assert_eq!(rep.panic_count(), 1);
-        assert_eq!(rep.exhausted_count(), 1);
-        assert_eq!(rep.failure_count(), 4);
-        assert_eq!(rep.total_retries(), 2);
+        let t = rep.totals();
+        assert_eq!(t.count("timed_out"), 2);
+        assert_eq!(t.count("panicked"), 1);
+        assert_eq!(t.count("resource_exhausted"), 1);
+        assert_eq!(t.failures(), 4);
+        assert_eq!(t.retries, 2);
         assert!((rep.completion_rate() - 2.0 / 6.0).abs() < 1e-9);
         assert!(rep.should_omit());
     }
@@ -669,9 +640,10 @@ mod tests {
         rep.records.push(with_status(QueryStatus::Shed));
         rep.records.push(with_status(QueryStatus::Shed));
         rep.records.push(with_status(QueryStatus::Quarantined));
-        assert_eq!(rep.shed_count(), 2);
-        assert_eq!(rep.quarantined_count(), 1);
-        assert_eq!(rep.failure_count(), 3);
+        let t = rep.totals();
+        assert_eq!(t.count("shed"), 2);
+        assert_eq!(t.count("quarantined"), 1);
+        assert_eq!(t.failures(), 3);
         // Shed/quarantined records are never pinned to the budget.
         let shed = QueryRecord::from_outcome(&QueryOutcome::shed(), Some(Duration::from_secs(1)));
         assert_eq!(shed.query_time(), Duration::ZERO);
@@ -694,7 +666,7 @@ mod tests {
         let r = QuerySetReport::new("X", "Q");
         assert_eq!(r.avg_query_ms(), 0.0);
         assert_eq!(r.completion_rate(), 1.0);
-        assert_eq!(r.total_retries(), 0);
+        assert_eq!(r.totals().retries, 0);
         assert!(!r.should_omit());
     }
 
@@ -762,12 +734,13 @@ mod tests {
         r.records.push(with_status(QueryStatus::Shed));
         r.records.push(with_status(QueryStatus::Unavailable));
 
-        assert_eq!(r.unavailable_count(), 1);
-        assert_eq!(r.censored_count(), 3);
-        assert_eq!(r.latency_histogram().count(), 1);
-        assert_eq!(r.phase_histogram(Phase::Filter).count(), 1);
-        assert_eq!(r.phase_totals().nanos_of(Phase::Filter), 500);
-        assert_eq!(r.uncensored_wall_nanos(), 2_000_000);
+        let t = r.totals();
+        assert_eq!(t.count("unavailable"), 1);
+        assert_eq!(t.censored, 3);
+        assert_eq!(t.latency.count(), 1);
+        assert_eq!(t.phase_latency[Phase::Filter.index()].count(), 1);
+        assert_eq!(t.phases.nanos_of(Phase::Filter), 500);
+        assert_eq!(t.wall_nanos, 2_000_000);
         // Means keep the paper's pin-at-budget convention.
         assert!(r.avg_query_ms() > 1000.0);
     }
@@ -781,7 +754,7 @@ mod tests {
             rec.phases.items[Phase::Enumerate.index()] = 2;
             r.records.push(rec);
         }
-        let t = r.phase_totals();
+        let t = r.totals().phases;
         assert_eq!(t.nanos_of(Phase::Enumerate), 30);
         assert_eq!(t.items_of(Phase::Enumerate), 6);
         assert_eq!(t.total_nanos(), 30);

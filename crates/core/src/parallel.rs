@@ -29,9 +29,9 @@
 //!
 //! Fault isolation (invariant I8): both matcher calls of a (query, graph)
 //! pair run under one `catch_unwind`, so a poisoned pair yields one
-//! [`GraphFailure`] in the outcome while every other graph's answer — and
+//! [`GraphFailure`](crate::engine::GraphFailure) in the outcome while every other graph's answer — and
 //! every sibling query — is preserved. The worker-shard `catch_unwind` in
-//! [`worker_loop`] remains only as an infrastructure backstop; it no longer
+//! `worker_loop` remains only as an infrastructure backstop; it no longer
 //! discards the worker's completed partial results, and the submitter never
 //! re-panics.
 //!
@@ -598,7 +598,7 @@ impl QueryPool {
     /// the merged outcome is flagged timed out.
     ///
     /// This method never panics on matcher failures: a panic on one (query,
-    /// graph) pair degrades that pair to a [`GraphFailure`] (all other
+    /// graph) pair degrades that pair to a [`GraphFailure`](crate::engine::GraphFailure) (all other
     /// answers are preserved), and even an infrastructure panic in the pool
     /// itself is absorbed into [`QueryStatus::Panicked`] with every
     /// completed worker part intact.

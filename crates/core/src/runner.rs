@@ -171,6 +171,7 @@ pub fn run_query_set_journaled(
 ) -> QuerySetReport {
     engine.set_resource_limits(config.limits);
     let mut report = QuerySetReport::new(engine.name(), query_set_name);
+    let mut timeouts = 0;
     for q in queries {
         let q_fp = graph_fingerprint(q);
         if let Some(j) = journal.as_deref_mut() {
@@ -192,11 +193,10 @@ pub fn run_query_set_journaled(
             // re-running this query on resume.
             let _ = j.record(q_fp, &outcome.status, outcome.answers.len(), engine.name());
         }
+        timeouts += usize::from(outcome.status.is_timed_out());
         report.push_outcome(&outcome, retries, config.query_budget);
-        if let Some(max) = config.abort_after_timeouts {
-            if report.timeout_count() >= max {
-                break;
-            }
+        if config.abort_after_timeouts.is_some_and(|max| timeouts >= max) {
+            break;
         }
     }
     // Retry attempts ran under shrinking slices; leave the engine with the
@@ -248,9 +248,9 @@ mod tests {
         assert_eq!(report.query_set, "Q1S");
         assert_eq!(report.records[0].answers, 2);
         assert_eq!(report.records[1].answers, 1);
-        assert_eq!(report.timeout_count(), 0);
-        assert_eq!(report.panic_count(), 0);
-        assert_eq!(report.total_retries(), 0);
+        assert_eq!(report.totals().count("timed_out"), 0);
+        assert_eq!(report.totals().count("panicked"), 0);
+        assert_eq!(report.totals().retries, 0);
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
             &[labeled(&[0, 1], &[(0, 1)])],
             RunnerConfig::with_budget(budget),
         );
-        assert_eq!(report.timeout_count(), 1);
+        assert_eq!(report.totals().count("timed_out"), 1);
         assert_eq!(report.records[0].query_time(), budget);
     }
 
@@ -370,7 +370,7 @@ mod tests {
         assert_eq!(report.records[0].answers, 0);
         assert!(report.records[1].status.is_completed());
         assert_eq!(report.records[1].answers, 1);
-        assert_eq!(report.panic_count(), 1);
+        assert_eq!(report.totals().count("panicked"), 1);
     }
 
     #[test]
@@ -387,8 +387,8 @@ mod tests {
         assert!(report.records[0].status.is_completed(), "{:?}", report.records[0].status);
         assert_eq!(report.records[0].answers, 1);
         assert_eq!(report.records[0].retries, 2);
-        assert_eq!(report.total_retries(), 2);
-        assert_eq!(report.panic_count(), 0);
+        assert_eq!(report.totals().retries, 2);
+        assert_eq!(report.totals().count("panicked"), 0);
     }
 
     #[test]
@@ -438,8 +438,8 @@ mod tests {
         let report = run_query_set(&mut engine, "Q", &queries, config);
         // Two panics, zero timeouts: the abort threshold never fires.
         assert_eq!(report.records.len(), 4);
-        assert_eq!(report.panic_count(), 2);
-        assert_eq!(report.timeout_count(), 0);
+        assert_eq!(report.totals().count("panicked"), 2);
+        assert_eq!(report.totals().count("timed_out"), 0);
     }
 
     #[test]
@@ -514,8 +514,8 @@ mod tests {
         };
         let report =
             run_query_set(&mut pooled(&db, 2), "Q", &[labeled(&[0, 1], &[(0, 1)])], config);
-        assert_eq!(report.exhausted_count(), 1);
-        assert_eq!(report.timeout_count(), 0);
+        assert_eq!(report.totals().count("resource_exhausted"), 1);
+        assert_eq!(report.totals().count("timed_out"), 0);
         assert!(matches!(report.records[0].status, QueryStatus::ResourceExhausted { .. }));
     }
 }

@@ -169,7 +169,7 @@ pub struct QueryService {
     exec: Arc<LocalExecutor>,
 }
 
-/// The serving surface — `submit*`, `run_query_set`, `health`, `breaker_*`,
+/// The serving surface — `submit*`, `health`, `breaker_*`,
 /// `runner_config` / `set_runner_config`, `begin_drain` — is the core's.
 impl std::ops::Deref for QueryService {
     type Target = DispatchCore;

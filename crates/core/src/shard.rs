@@ -40,7 +40,7 @@ use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::dispatch::{DispatchCore, DrainReport};
 use crate::exposition;
 use crate::journal::db_fingerprint;
-use crate::metrics::QuerySetReport;
+use crate::metrics::{QueryRecord, QueryTotals};
 use crate::parallel::lock;
 use crate::service::{QueryService, ServiceConfig};
 use crate::wire::{
@@ -167,8 +167,8 @@ struct Shared {
     /// Connection threads not yet joined; finished ones are reaped at the
     /// next accept.
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Report of everything served, for the metrics exposition.
-    report: Mutex<QuerySetReport>,
+    /// Everything served, folded for the metrics exposition.
+    totals: Mutex<QueryTotals>,
 }
 
 impl Shared {
@@ -264,7 +264,8 @@ impl Shared {
     ) -> Result<(), WireError> {
         let budget = (budget_ms > 0).then(|| Duration::from_millis(budget_ms));
         let (mut outcome, retries) = self.front.core().submit_with_budget(q, budget).0.wait();
-        lock(&self.report).push_outcome(&outcome, retries, budget);
+        let record = QueryRecord { retries, ..QueryRecord::from_outcome(&outcome, budget) };
+        lock(&self.totals).add(&record);
         // Translate local ids to global before anything crosses the wire.
         if let Some(globals) = &self.globals {
             outcome.answers.iter_mut().for_each(|g| *g = globals[g.index()]);
@@ -277,15 +278,21 @@ impl Shared {
         self.send(stream, &Message::Outcome { id, outcome })
     }
 
-    /// The Prometheus exposition of everything served so far; the
-    /// coordinator front appends its per-peer `sqp_shard_*` families.
+    /// The Prometheus exposition of everything served so far, with the
+    /// per-peer `sqp_shard_*` families on the coordinator front.
     fn metrics_text(&self) -> String {
-        let report = lock(&self.report).clone();
-        let mut text = exposition::render(&[report], Some(&self.front.core().health()));
-        if let Front::Coordinator(coordinator) = &self.front {
-            text.push_str(&exposition::render_shards(&coordinator.peer_stats()));
-        }
-        text
+        let totals = lock(&self.totals).clone();
+        let peers = match &self.front {
+            Front::Coordinator(coordinator) => coordinator.peer_stats(),
+            Front::Shard(_) => Vec::new(),
+        };
+        let health = self.front.core().health();
+        exposition::render(&exposition::Sources {
+            sets: &[totals],
+            health: Some(&health),
+            peers: &peers,
+            ..Default::default()
+        })
     }
 
     /// Tracks an accepted wire connection and serves it on its own thread.
@@ -424,7 +431,7 @@ impl WireServer {
                 stopping: AtomicBool::new(false),
                 conns: Mutex::default(),
                 workers: Mutex::default(),
-                report: Mutex::new(QuerySetReport::new("shard", format!("shard-{shard_index}"))),
+                totals: Mutex::new(QueryTotals::new("shard", format!("shard-{shard_index}"))),
             },
         )
     }
@@ -446,7 +453,7 @@ impl WireServer {
                 stopping: AtomicBool::new(false),
                 conns: Mutex::default(),
                 workers: Mutex::default(),
-                report: Mutex::new(QuerySetReport::new("coordinator", "serve")),
+                totals: Mutex::new(QueryTotals::new("coordinator", "serve")),
             },
         )
     }

@@ -110,11 +110,24 @@ pub fn generate_query(
 /// Generates a full query set per `spec`. Panics if the database cannot
 /// produce queries of the requested size.
 pub fn generate_query_set(db: &GraphDb, spec: QuerySetSpec, seed: u64) -> Vec<Graph> {
+    try_generate_query_set(db, spec, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`generate_query_set`], saying why instead of panicking when a query has
+/// no edge or the database cannot produce one of the requested size.
+pub fn try_generate_query_set(
+    db: &GraphDb,
+    spec: QuerySetSpec,
+    seed: u64,
+) -> Result<Vec<Graph>, String> {
+    if spec.edges == 0 {
+        return Err("a query needs at least one edge".to_string());
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     (0..spec.count)
         .map(|i| {
             generate_query(db, spec.method, spec.edges, &mut rng)
-                .unwrap_or_else(|| panic!("database cannot produce query {} of {}", i, spec.name()))
+                .ok_or_else(|| format!("database cannot produce query {i} of {}", spec.name()))
         })
         .collect()
 }

@@ -1,7 +1,7 @@
 //! The immutable CSR graph.
 //!
 //! A graph lives in six exact-size blocks, one per section kind, and has
-//! one constructor, [`Graph::from_sorted_csr`]: its callers (the builder, an
+//! one constructor, `Graph::from_sorted_csr`: its callers (the builder, an
 //! overlay's compaction) write each adjacency list straight into its final
 //! place, already sorted, and the constructor derives the label-run and
 //! label → vertices indices around it.

@@ -28,7 +28,7 @@
 //! run merge otherwise. A vertex without a row walks its label run and
 //! merges runs, as every vertex did before the rows existed. The sets and
 //! rows of a surviving pair are handed to the [`CandidateSpace`], not copied
-//! out, and come back when it drops ([`reclaim`]).
+//! out, and come back when it drops (`reclaim`).
 //!
 //! *Verify* (the enumeration phase): the **path-based order** — decompose
 //! `q_t` into root-to-leaf paths, estimate each path's embedding count by
@@ -52,8 +52,9 @@ use crate::obs::{Phase, Span};
 use crate::Matcher;
 
 /// Which refinement passes run after top-down generation. All configurations
-/// are sound; fewer passes mean larger candidate sets. Exposed for the
-/// `ablation_refinement` bench.
+/// are sound; fewer passes mean larger candidate sets. No bench times the
+/// ablation any more (EXPERIMENTS.md); the property and allocation tests run
+/// CFL with neither pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CflConfig {
     /// Run the bottom-up refinement pass.
@@ -448,7 +449,7 @@ impl Cfl {
         Self::default()
     }
 
-    /// CFL with a custom refinement configuration (ablations).
+    /// CFL with a custom refinement configuration (see [`CflConfig`]).
     pub fn with_config(config: CflConfig) -> Self {
         Self { config }
     }

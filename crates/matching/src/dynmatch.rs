@@ -15,7 +15,7 @@
 //! [signature](DynamicGraph::signature) first ([`PackedNlf`]: a packed
 //! reject is a true reject, a packed accept is the answer where the fold lost
 //! nothing, and only otherwise does the run merge decide). The order is
-//! [`search_order`]'s, one per pin pattern.
+//! `search_order`'s, one per pin pattern.
 
 use std::cmp::Reverse;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Run from the repository root:
 #
-#   scripts/ci.sh            # full gate: build, test, fmt, clippy
+#   scripts/ci.sh            # full gate: build, test, fmt, rustdoc, clippy
 #   scripts/ci.sh --fast     # skip clippy (quick pre-commit check)
 #
 # This is the one list of steps: .github/workflows/ci.yml runs this script.
@@ -214,6 +214,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> rustdoc (the seven project crates; every intra-doc link resolves, none names a private item)"
+# Not --workspace: that would also document the vendored stand-ins.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p subgraph-query -p sqp-graph \
+  -p sqp-matching -p sqp-index -p sqp-core -p sqp-datagen -p sqp-bench
 
 if [[ "$fast" == 0 ]]; then
   echo "==> cargo clippy (all targets, -D warnings)"

@@ -31,7 +31,7 @@
 //! misspelt flag cannot silently run with a default), and `query` selects
 //! the one [`QueryEngine`] `--engine` names — sequential, or (`--threads N`
 //! / `--supervise`) its vcFV matcher on a persistent
-//! [`QueryPool`](subgraph_query::core::parallel::QueryPool) behind
+//! [`QueryPool`] behind
 //! [`ParallelEngine`] — and hands it to the library's one runner loop.
 //! Neither end of the wire protocol lives here: `serve` starts the
 //! library's one [`WireServer`] as the coordinator front (the same server
@@ -51,10 +51,11 @@ use std::time::{Duration, Instant};
 
 use subgraph_query::core::collection::CollectionMatcher;
 use subgraph_query::core::engines::{engine_by_name, engine_names, matcher_by_name};
+use subgraph_query::core::exposition;
 use subgraph_query::core::prelude::*;
 use subgraph_query::datagen::graphgen::GraphGenConfig;
 use subgraph_query::datagen::profiles;
-use subgraph_query::datagen::query::{generate_query_set, QueryGenMethod, QuerySetSpec};
+use subgraph_query::datagen::query::{try_generate_query_set, QueryGenMethod, QuerySetSpec};
 use subgraph_query::datagen::GraphGen;
 use subgraph_query::graph::heap_size::format_mb;
 use subgraph_query::graph::{binio, io, GraphDb, HeapSize};
@@ -211,13 +212,16 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
             if !(1..=GraphLabel::LIMIT as usize).contains(&labels) {
                 return Err(format!("--labels must be 1..={}, got {labels}", GraphLabel::LIMIT));
             }
-            let config = GraphGenConfig {
-                graphs: opts.num("graphs", 1000usize)?,
-                vertices: opts.num("vertices", 200usize)?,
-                labels,
-                degree: opts.num("degree", 8.0f64)?,
-                seed,
-            };
+            let vertices = opts.num("vertices", 200usize)?;
+            if vertices == 0 {
+                return Err("--vertices must be at least 1".to_string());
+            }
+            let degree = opts.num("degree", 8.0f64)?;
+            if !(degree.is_finite() && degree >= 0.0) {
+                return Err(format!("--degree must be a finite number >= 0, got {degree}"));
+            }
+            let graphs = opts.num("graphs", 1000usize)?;
+            let config = GraphGenConfig { graphs, vertices, labels, degree, seed };
             GraphGen::new(config).generate()
         }
         "aids" | "pdbs" | "pcm" | "ppi" => {
@@ -250,7 +254,7 @@ fn cmd_queries(opts: &Opts) -> Result<(), String> {
         method: if opts.has("dense") { QueryGenMethod::Bfs } else { QueryGenMethod::RandomWalk },
         count: opts.num("count", 100usize)?,
     };
-    let queries = generate_query_set(&db, spec, opts.num("seed", 7u64)?);
+    let queries = try_generate_query_set(&db, spec, opts.num("seed", 7u64)?)?;
     let out = opts.require("out")?;
     let f = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut w = BufWriter::new(f);
@@ -317,6 +321,7 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     for (i, r) in report.records.iter().enumerate() {
         println!("{}", query_line(i, r));
     }
+    let totals = report.totals();
     println!(
         "-- avg query {:.3} ms | precision {:.3} | |C| {:.1} | per-SI-test {:.4} ms \
          | timeouts {} | panics {} | exhausted {} | retries {}",
@@ -324,24 +329,24 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         report.filtering_precision(),
         report.avg_candidates(),
         report.per_si_test_ms(),
-        report.timeout_count(),
-        report.panic_count(),
-        report.exhausted_count(),
-        report.total_retries(),
+        totals.count("timed_out"),
+        totals.count("panicked"),
+        totals.count("resource_exhausted"),
+        totals.retries,
     );
-    let k = report.kernel_totals();
+    let k = totals.kernel;
     println!(
         "-- kernel intersections {} | gallop-hits {} | simd-hits {} | bitmap-probes {}",
         k.intersections, k.gallop_hits, k.simd_hits, k.bitmap_probes,
     );
-    let hist = report.latency_histogram();
+    let hist = &totals.latency;
     let ms = |n: Option<u64>| n.map(|v| v as f64 * 1e-6).unwrap_or(f64::NAN);
     println!(
         "-- latency p50 {:.3} ms | p95 {:.3} ms | p99 {:.3} ms | censored {}",
         ms(hist.p50()),
         ms(hist.p95()),
         ms(hist.p99()),
-        report.censored_count(),
+        totals.censored,
     );
     let journal_stats = journal.as_ref().map(|j| j.stats());
     if let Some(s) = &journal_stats {
@@ -351,11 +356,12 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
         );
     }
     if let Some(path) = opts.get("metrics-out") {
-        let text = render_prometheus_full(
-            std::slice::from_ref(&report),
-            health.as_ref(),
-            journal_stats.as_ref(),
-        );
+        let text = exposition::render(&exposition::Sources {
+            sets: std::slice::from_ref(&totals),
+            health: health.as_ref(),
+            journal: journal_stats.as_ref(),
+            ..Default::default()
+        });
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote metrics to {path}");
     }
@@ -363,7 +369,7 @@ fn cmd_query(opts: &Opts) -> Result<ExitCode, String> {
     // exhausted budgets, shed admissions, wedged workers, unavailable
     // shards, and quarantined graphs all mean degraded answers, so signal
     // them to scripts.
-    Ok(degraded_exit_code(&report))
+    Ok(degraded_exit_code(&totals))
 }
 
 /// Picks the engine for `sqp query` outside service mode — a vcFV matcher on
@@ -402,15 +408,10 @@ fn select_engine(
     Ok((engine, what))
 }
 
-/// Exit 2 when any record means degraded (partial or missing) answers.
-fn degraded_exit_code(report: &QuerySetReport) -> ExitCode {
-    if report.panic_count() > 0
-        || report.exhausted_count() > 0
-        || report.shed_count() > 0
-        || report.quarantined_count() > 0
-        || report.wedged_count() > 0
-        || report.unavailable_count() > 0
-    {
+/// Exit 2 when any record means degraded (partial or missing) answers:
+/// every failure but a timeout.
+fn degraded_exit_code(totals: &QueryTotals) -> ExitCode {
+    if totals.failures() > totals.count("timed_out") {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
@@ -593,7 +594,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
             report.filtering_precision(),
             report.per_si_test_ms(),
             report.avg_candidates(),
-            report.timeout_count(),
+            report.totals().count("timed_out"),
         );
         reports.push(report);
     }
@@ -624,7 +625,8 @@ fn print_phase_table(reports: &[QuerySetReport]) {
         "censored"
     );
     for report in reports {
-        let t = report.phase_totals();
+        let totals = report.totals();
+        let t = &totals.phases;
         let ms = |p: Phase| t.nanos_of(p) as f64 * 1e-6;
         println!(
             "{:<10} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>9}",
@@ -635,8 +637,8 @@ fn print_phase_table(reports: &[QuerySetReport]) {
             ms(Phase::Enumerate),
             ms(Phase::Verify),
             t.total_nanos() as f64 * 1e-6,
-            report.uncensored_wall_nanos() as f64 * 1e-6,
-            report.censored_count(),
+            totals.wall_nanos as f64 * 1e-6,
+            totals.censored,
         );
     }
 }
@@ -829,8 +831,12 @@ fn cmd_update(opts: &Opts) -> Result<ExitCode, String> {
         println!("wrote updated database to {out}");
     }
     if let Some(path) = opts.get("metrics-out") {
-        std::fs::write(path, render_prometheus_continuous(&svc.stats()))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let stats = svc.stats();
+        let text = exposition::render(&exposition::Sources {
+            continuous: Some(&stats),
+            ..Default::default()
+        });
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(if degraded { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }
@@ -900,16 +906,17 @@ fn cmd_client(opts: &Opts) -> Result<ExitCode, String> {
         println!("{}", query_line(i, &report.records[i]));
     }
     client.bye();
+    let totals = report.totals();
     println!(
         "-- {} queries | avg {:.3} ms | timeouts {} | unavailable {} | shed {} | retries {}",
         report.records.len(),
         report.avg_query_ms(),
-        report.timeout_count(),
-        report.unavailable_count(),
-        report.shed_count(),
-        report.total_retries(),
+        totals.count("timed_out"),
+        totals.count("unavailable"),
+        totals.count("shed"),
+        totals.retries,
     );
-    Ok(degraded_exit_code(&report))
+    Ok(degraded_exit_code(&totals))
 }
 
 fn cmd_index(opts: &Opts) -> Result<(), String> {

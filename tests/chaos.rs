@@ -199,11 +199,12 @@ fn runner_completes_chaos_run_with_correct_rollups() {
         let mut engine = pooled_chaos(config, &db, threads);
         let report = run_query_set(&mut engine, "chaos", &queries, RunnerConfig::default());
         assert_eq!(report.records.len(), queries.len(), "{threads} threads: run must complete");
-        assert_eq!(report.failure_count(), expect_failed, "{threads} threads");
+        let totals = report.totals();
+        assert_eq!(totals.failures() as usize, expect_failed, "{threads} threads");
+        let panicked = totals.count("panicked") as usize;
         assert!(
-            (pure_panic..=any_panic).contains(&report.panic_count()),
-            "{threads} threads: panic_count {} outside [{pure_panic}, {any_panic}]",
-            report.panic_count()
+            (pure_panic..=any_panic).contains(&panicked),
+            "{threads} threads: {panicked} panicked, outside [{pure_panic}, {any_panic}]",
         );
         for (i, rec) in report.records.iter().enumerate() {
             assert_eq!(rec.status.is_completed(), plan[i].is_empty(), "query {i}");
@@ -227,14 +228,14 @@ fn abort_after_timeouts_counts_timeouts_not_panics() {
     // Panic-heavy, zero timeouts: the runner must visit every query.
     let panicky = ChaosConfig::new(CHAOS_SEED).with_panics(400);
     let report = run_query_set(&mut pooled_chaos(panicky, &db, 4), "panics", &queries, config);
-    assert!(report.panic_count() >= 2, "fixture should panic several queries");
+    assert!(report.totals().count("panicked") >= 2, "fixture should panic several queries");
     assert_eq!(report.records.len(), queries.len(), "panics must not trigger the abort");
-    assert_eq!(report.timeout_count(), 0);
+    assert_eq!(report.totals().count("timed_out"), 0);
 
     // Timeout-heavy: the 40%-rule abort still works.
     let slow = ChaosConfig::new(CHAOS_SEED).with_timeouts(400);
     let report = run_query_set(&mut pooled_chaos(slow, &db, 4), "timeouts", &queries, config);
-    assert!(report.timeout_count() >= 1);
+    assert!(report.totals().count("timed_out") >= 1);
     assert!(report.records.len() < queries.len(), "timeouts must trigger the abort");
 }
 

@@ -414,6 +414,34 @@ fn unknown_arguments_fail_cleanly() {
     assert!(err.trim_end().ends_with("error: unknown option '--shard-idx'"), "{err}");
 }
 
+/// A numeric flag out of its range exits 1 with a message naming it, prints
+/// nothing on stdout and writes no file: no panic, no silently different
+/// database.
+#[test]
+fn numeric_flags_fail_closed() {
+    let db = tmp("numeric_db.txt");
+    let out = sqp(&["generate", "--kind", "aids", "--graphs", "5", "--seed", "3", "--out", &db]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let written = tmp("numeric_out.txt");
+    let synthetic = ["generate", "--kind", "synthetic", "--graphs", "2", "--out", &written];
+    let queries = ["queries", "--db", &db, "--count", "3", "--out", &written];
+    for (base, flag, value, err) in [
+        (&synthetic, "--vertices", "0", "--vertices must be at least 1"),
+        (&synthetic, "--degree", "nan", "--degree must be a finite number >= 0"),
+        (&synthetic, "--degree", "-1", "--degree must be a finite number >= 0"),
+        (&queries, "--edges", "0", "a query needs at least one edge"),
+        (&queries, "--edges", "1000", "database cannot produce query 0 of Q1000S"),
+    ] {
+        let out = sqp(&[&base[..], &[flag, value]].concat());
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(stderr.contains(err), "{flag} {value}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value} ran anyway");
+        assert!(!std::path::Path::new(&written).exists(), "{flag} {value} wrote a file");
+    }
+    let _ = std::fs::remove_file(db);
+}
+
 #[test]
 fn help_prints_usage() {
     let out = sqp(&["--help"]);

@@ -3,8 +3,12 @@
 //! * the Prometheus text rendering is well-formed — each metric family has
 //!   exactly one `# HELP`/`# TYPE` header emitted before any of its samples,
 //!   no metric name appears under two headers, histogram bucket series are
-//!   cumulative and end with `le="+Inf"` — and a fully deterministic report
-//!   renders byte-identically to the checked-in golden file;
+//!   cumulative and end with `le="+Inf"` — and fully deterministic sources
+//!   render byte-identically to the checked-in golden files (`sqp query
+//!   --metrics-out`, the coordinator front's scrape, `sqp update
+//!   --metrics-out`);
+//! * `QueryTotals`, the fold behind every query counter, equals a plain
+//!   filter/count over the records it folded (property-tested);
 //! * `LatencyHistogram` merge is exact (merge == histogram of concatenated
 //!   samples) and quantiles are the bucket upper bound of the true order
 //!   statistic (property-tested);
@@ -22,14 +26,17 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use subgraph_query::core::engines::matcher_by_name;
-use subgraph_query::core::exposition;
+use subgraph_query::core::exposition::{self, Sources};
 use subgraph_query::core::metrics::LatencyHistogram;
 use subgraph_query::core::parallel::QueryPool;
-use subgraph_query::core::{QueryRecord, QuerySetReport, QueryStatus, ServiceHealth};
+use subgraph_query::core::{
+    BreakerState, ContinuousStats, QueryRecord, QuerySetReport, QueryStatus, QueryTotals,
+    ServiceHealth, ShardPeerStats,
+};
 use subgraph_query::graph::{Graph, GraphBuilder, GraphDb, Label, VertexId};
 use subgraph_query::matching::{
     CandidateSpace, Deadline, Embedding, ExecCtx, FilterResult, KernelStats, Matcher, Phase,
-    PhaseStats, ResourceKind, ResourceLimits, Span, Timeout,
+    PhaseStats, ResourceKind, ResourceLimits, Span, Timeout, PHASE_COUNT,
 };
 
 // ---------------------------------------------------------------------------
@@ -96,8 +103,12 @@ fn family_of(sample_name: &str) -> &str {
 
 #[test]
 fn rendering_matches_the_golden_file() {
-    let text =
-        exposition::render_full(&[fixed_report()], Some(&fixed_health()), Some(&fixed_journal()));
+    let text = exposition::render(&Sources {
+        sets: &[fixed_report().totals()],
+        health: Some(&fixed_health()),
+        journal: Some(&fixed_journal()),
+        ..Default::default()
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
     if std::env::var("REGEN_GOLDEN").is_ok() {
         std::fs::write(path, &text).unwrap();
@@ -111,9 +122,102 @@ fn rendering_matches_the_golden_file() {
     );
 }
 
+/// Every source at once, each family with samples.
+fn render_fixed() -> String {
+    exposition::render(&Sources {
+        sets: &[fixed_report().totals()],
+        health: Some(&fixed_health()),
+        journal: Some(&fixed_journal()),
+        peers: &fixed_peers(),
+        continuous: Some(&fixed_continuous()),
+    })
+}
+
+/// Two peers, one of them open, with distinct counters.
+fn fixed_peers() -> Vec<ShardPeerStats> {
+    vec![
+        ShardPeerStats {
+            addr: "127.0.0.1:7001".to_string(),
+            shard_index: 0,
+            queries: 40,
+            retries: 2,
+            unavailable: 0,
+            state: BreakerState::Closed,
+        },
+        ShardPeerStats {
+            addr: "127.0.0.1:7002".to_string(),
+            shard_index: 1,
+            queries: 38,
+            retries: 5,
+            unavailable: 3,
+            state: BreakerState::Open,
+        },
+    ]
+}
+
+fn fixed_continuous() -> ContinuousStats {
+    ContinuousStats {
+        updates_applied: 42,
+        update_batches: 7,
+        batches_rejected: 1,
+        compactions: 2,
+        repairs: 21,
+        embeddings_added: 5,
+        embeddings_removed: 3,
+        standing_queries: 3,
+        queries_served: 9,
+    }
+}
+
+/// Compares `text` with the checked-in golden `name` (`REGEN_GOLDEN=1`
+/// rewrites it instead).
+fn assert_golden(text: &str, name: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("REGEN_GOLDEN").is_ok() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| panic!("{path} missing"));
+    assert_eq!(
+        text, golden,
+        "exposition drifted from tests/golden/{name}; if the change is \
+         intentional, regenerate with REGEN_GOLDEN=1"
+    );
+}
+
+/// The coordinator front's text: its served queries and health, then one
+/// `sqp_shard_*` sample per peer.
+#[test]
+fn front_rendering_matches_the_golden_file() {
+    let text = exposition::render(&Sources {
+        sets: &[fixed_report().totals()],
+        health: Some(&fixed_health()),
+        peers: &fixed_peers(),
+        ..Default::default()
+    });
+    assert_golden(&text, "metrics_front.prom");
+}
+
+/// `sqp update --metrics-out`: the continuous-service counters alone.
+#[test]
+fn update_rendering_matches_the_golden_file() {
+    let text = exposition::render(&Sources {
+        continuous: Some(&fixed_continuous()),
+        ..Default::default()
+    });
+    assert_golden(&text, "metrics_update.prom");
+}
+
 #[test]
 fn no_metric_name_is_emitted_twice() {
-    let text = exposition::render(&[fixed_report(), fixed_report()], Some(&fixed_health()));
+    let sets = [fixed_report().totals(), fixed_report().totals()];
+    let text = exposition::render(&Sources {
+        sets: &sets,
+        health: Some(&fixed_health()),
+        peers: &fixed_peers(),
+        continuous: Some(&fixed_continuous()),
+        journal: Some(&fixed_journal()),
+    });
     let mut seen = HashMap::new();
     for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
         let name = line.split_whitespace().nth(2).unwrap();
@@ -128,7 +232,7 @@ fn no_metric_name_is_emitted_twice() {
 
 #[test]
 fn type_header_precedes_every_sample_of_its_family() {
-    let text = exposition::render(&[fixed_report()], Some(&fixed_health()));
+    let text = render_fixed();
     let mut typed: HashMap<String, ()> = HashMap::new();
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
@@ -145,7 +249,7 @@ fn type_header_precedes_every_sample_of_its_family() {
 
 #[test]
 fn histogram_buckets_are_cumulative_and_end_with_inf() {
-    let text = exposition::render(&[fixed_report()], Some(&fixed_health()));
+    let text = render_fixed();
     // Group bucket samples per (family, label-set-minus-le) in order.
     let mut series: HashMap<String, Vec<(String, f64)>> = HashMap::new();
     for line in text.lines().filter(|l| !l.starts_with('#') && l.contains("_bucket{")) {
@@ -180,8 +284,8 @@ fn histogram_buckets_are_cumulative_and_end_with_inf() {
 
 #[test]
 fn censored_records_appear_in_counts_but_not_histograms() {
-    let report = fixed_report();
-    let text = exposition::render(std::slice::from_ref(&report), None);
+    let text =
+        exposition::render(&Sources { sets: &[fixed_report().totals()], ..Default::default() });
     // 1 completed + 1 timed-out + 1 shed + 1 wedged in the status counter...
     assert!(text.contains(r#"status="completed"} 1"#));
     assert!(text.contains(r#"status="timed_out"} 1"#));
@@ -190,6 +294,101 @@ fn censored_records_appear_in_counts_but_not_histograms() {
     assert!(text.contains(r#"sqp_censored_queries_total{engine="CFQL",query_set="Q8S"} 3"#));
     // ...but only the completed one in the latency histogram.
     assert!(text.contains(r#"sqp_query_seconds_count{engine="CFQL",query_set="Q8S"} 1"#));
+}
+
+// ---------------------------------------------------------------------------
+// The fold behind the counters
+// ---------------------------------------------------------------------------
+
+/// One status of each kind, by the order of `QueryStatus::LABELS`.
+fn status_of(kind: u8) -> QueryStatus {
+    match kind {
+        0 => QueryStatus::Completed,
+        1 => QueryStatus::TimedOut,
+        2 => QueryStatus::ResourceExhausted { kind: ResourceKind::Steps },
+        3 => QueryStatus::Quarantined,
+        4 => QueryStatus::Panicked { message: "p".into() },
+        5 => QueryStatus::Wedged,
+        6 => QueryStatus::Unavailable,
+        _ => QueryStatus::Shed,
+    }
+}
+
+fn arb_record() -> impl Strategy<Value = QueryRecord> {
+    (
+        0u8..8,
+        (0u64..4_000_000, 0u64..4_000_000),
+        0u32..4,
+        (0u64..1_000, 0u64..1_000),
+        proptest::collection::vec(0u64..3_000_000, PHASE_COUNT),
+    )
+        .prop_map(|(kind, (filter, verify), retries, (intersections, probes), nanos)| {
+            let mut phases = PhaseStats::default();
+            for (i, &n) in nanos.iter().enumerate() {
+                phases.nanos[i] = n;
+                phases.items[i] = n % 7;
+            }
+            QueryRecord {
+                status: status_of(kind),
+                filter_time: Duration::from_nanos(filter),
+                verify_time: Duration::from_nanos(verify),
+                retries,
+                kernel: KernelStats { intersections, bitmap_probes: probes, ..Default::default() },
+                phases,
+                ..QueryRecord::default()
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every field of the fold equals a plain filter/count over the records
+    /// it folded: the per-status counts, retries and kernel counters over
+    /// all of them, the histograms and timing totals over the uncensored
+    /// ones (neither timed out, shed, wedged nor unavailable).
+    #[test]
+    fn the_fold_equals_a_scan_of_its_records(
+        records in proptest::collection::vec(arb_record(), 0..60),
+    ) {
+        let mut report = QuerySetReport::new("E", "Q");
+        report.records = records;
+        let t: QueryTotals = report.totals();
+        let rs = &report.records;
+        let count = |f: fn(&QueryStatus) -> bool| rs.iter().filter(|r| f(&r.status)).count() as u64;
+        prop_assert_eq!((t.engine.as_str(), t.query_set.as_str()), ("E", "Q"));
+        prop_assert_eq!(t.count("completed"), count(QueryStatus::is_completed));
+        prop_assert_eq!(t.count("timed_out"), count(QueryStatus::is_timed_out));
+        prop_assert_eq!(t.count("resource_exhausted"), count(QueryStatus::is_exhausted));
+        prop_assert_eq!(t.count("quarantined"), count(QueryStatus::is_quarantined));
+        prop_assert_eq!(t.count("panicked"), count(QueryStatus::is_panicked));
+        prop_assert_eq!(t.count("wedged"), count(QueryStatus::is_wedged));
+        prop_assert_eq!(t.count("unavailable"), count(QueryStatus::is_unavailable));
+        prop_assert_eq!(t.count("shed"), count(QueryStatus::is_shed));
+        prop_assert_eq!(t.by_status.iter().sum::<u64>(), rs.len() as u64);
+        prop_assert_eq!(t.failures(), rs.iter().filter(|r| !r.status.is_completed()).count() as u64);
+        prop_assert_eq!(t.retries, rs.iter().map(|r| u64::from(r.retries)).sum::<u64>());
+        let mut kernel = KernelStats::default();
+        rs.iter().for_each(|r| kernel.merge(&r.kernel));
+        prop_assert_eq!(t.kernel, kernel);
+
+        let censored = |r: &&QueryRecord| {
+            let s = &r.status;
+            s.is_timed_out() || s.is_shed() || s.is_wedged() || s.is_unavailable()
+        };
+        let kept: Vec<&QueryRecord> = rs.iter().filter(|r| !censored(r)).collect();
+        prop_assert_eq!(t.censored, rs.iter().filter(censored).count() as u64);
+        let wall = |r: &&QueryRecord| r.query_time().as_nanos() as u64;
+        prop_assert_eq!(&t.latency, &LatencyHistogram::from_samples(kept.iter().map(wall)));
+        prop_assert_eq!(t.wall_nanos, kept.iter().map(wall).sum::<u64>());
+        for phase in Phase::ALL {
+            let h = LatencyHistogram::from_samples(kept.iter().map(|r| r.phases.nanos_of(phase)));
+            prop_assert_eq!(&t.phase_latency[phase.index()], &h);
+        }
+        let mut phases = PhaseStats::default();
+        kept.iter().for_each(|r| phases.merge(&r.phases));
+        prop_assert_eq!(t.phases, phases);
+    }
 }
 
 // ---------------------------------------------------------------------------

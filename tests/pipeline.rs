@@ -34,7 +34,7 @@ fn synthetic_pipeline_end_to_end() {
         assert!((0.0..=1.0).contains(&precision), "{}: precision {precision}", engine.name());
         assert!(report.avg_candidates() >= report.avg_answers(), "{}", engine.name());
         assert!(report.per_si_test_ms() >= 0.0);
-        assert_eq!(report.timeout_count(), 0, "{} timed out", engine.name());
+        assert_eq!(report.totals().count("timed_out"), 0, "{} timed out", engine.name());
         // Answers are engine-independent.
         let answers: Vec<f64> = report.records.iter().map(|r| r.answers as f64).collect();
         match &reference {
